@@ -40,9 +40,6 @@ fn main() {
     experiments::policy_ablation::run(&opts).emit();
     experiments::extensions::gcode_lineup(&opts).emit();
     experiments::extensions::edge_label_impact(&opts).emit();
-    experiments::concurrency::run(&opts).emit();
-    experiments::persistence::run(&opts).emit();
-    experiments::hotpath::run(&opts).emit();
 
     println!(
         "all experiments complete in {:.1}s — reports archived under target/experiments/",

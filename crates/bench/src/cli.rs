@@ -7,7 +7,6 @@
 //! --full          paper-scale workloads (equivalent to --scale 1.0)
 //! --seed <u64>    master seed (default 0x16092016)
 //! --threads <n>   Grapes(k) parallel thread count (default 6)
-//! --smoke         tiny CI assertion run (binaries that support it)
 //! ```
 
 /// Parsed experiment options.
@@ -19,9 +18,6 @@ pub struct ExpOptions {
     pub seed: u64,
     /// Threads for Grapes(k).
     pub threads: usize,
-    /// CI smoke mode: a tiny run that asserts shape invariants (plan-cache
-    /// hits on repeated streams, path parity) instead of archiving a report.
-    pub smoke: bool,
 }
 
 impl Default for ExpOptions {
@@ -30,7 +26,6 @@ impl Default for ExpOptions {
             scale: 0.1,
             seed: 0x1609_2016,
             threads: 6,
-            smoke: false,
         }
     }
 }
@@ -62,7 +57,6 @@ impl ExpOptions {
                         .parse()
                         .unwrap_or_else(|_| usage("--threads expects a usize"));
                 }
-                "--smoke" => opts.smoke = true,
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other:?}")),
             }
@@ -89,8 +83,7 @@ fn usage(err: &str) -> ! {
          --scale   workload scale relative to the paper (default 0.1)\n\
          --full    paper-scale workloads (= --scale 1.0)\n\
          --seed    master RNG seed (default 0x16092016)\n\
-         --threads Grapes(k) thread count (default 6)\n\
-         --smoke   tiny CI assertion run (binaries that support it)"
+         --threads Grapes(k) thread count (default 6)"
     );
     std::process::exit(2);
 }

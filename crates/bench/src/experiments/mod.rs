@@ -3,17 +3,10 @@
 
 pub mod breakdown;
 pub mod cache_sweep;
-pub mod concurrency;
 pub mod extensions;
 pub mod groups;
-pub mod hotpath;
 pub mod index_sizes;
-pub mod maintenance;
-pub mod persistence;
 pub mod policy_ablation;
-pub mod replication;
-pub mod robustness;
-pub mod serving;
 pub mod speedups;
 pub mod supergraph_demo;
 pub mod table1;

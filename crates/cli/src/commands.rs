@@ -208,11 +208,10 @@ fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
         .unwrap_or(100);
     let maintenance = match flags.get("maintenance").map(String::as_str) {
         None | Some("incremental") => MaintenanceMode::Incremental,
-        Some("shadow") | Some("shadow-rebuild") => MaintenanceMode::ShadowRebuild,
         Some("background") => MaintenanceMode::Background,
         Some(other) => {
             return Err(format!(
-                "--maintenance must be incremental|shadow|background, got {other:?}"
+                "--maintenance must be incremental|background, got {other:?}"
             ))
         }
     };

@@ -7,7 +7,7 @@
 //! igq stats    db.gfu
 //! igq query    --dataset db.gfu --queries q.gfu [--method ggsx|grapes|grapes6|ctindex|gcode]
 //!              [--no-igq] [--cache 500] [--window 100] [--supergraph]
-//!              [--maintenance incremental|shadow|background] [--max-lag 2]
+//!              [--maintenance incremental|background] [--max-lag 2]
 //!              [--shards 1] [--store-dir state/]
 //! igq save     --dataset db.gfu --queries q.gfu --store-dir state/   # query + checkpoint
 //! igq load     --dataset db.gfu --store-dir state/ [--queries q.gfu] # warm restart
@@ -68,9 +68,9 @@ fn print_usage() {
                      [--no-igq]          run the base method alone\n\
                      [--cache <C>]       iGQ cache size (default 500)\n\
                      [--window <W>]      iGQ window size (default 100)\n\
-                     [--maintenance <m>] index maintenance: incremental (default),\n\
-                                         shadow (rebuild per window), or background\n\
-                                         (off-thread, snapshot reads)\n\
+                     [--maintenance <m>] index maintenance: incremental (default)\n\
+                                         or background (off-thread, snapshot\n\
+                                         reads)\n\
                      [--max-lag <K>]     background mode: max unapplied windows\n\
                                          before a query blocks (default 2)\n\
                      [--shards <N>]      shard the cache + query indexes by\n\

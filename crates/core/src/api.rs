@@ -182,7 +182,7 @@ pub trait QueryEngine: Send + Sync {
     fn flush_window(&self);
 
     /// Blocks until background maintenance has caught up with the cache
-    /// (no-op in the synchronous modes).
+    /// (no-op in the synchronous mode).
     fn sync_maintenance(&self);
 
     /// Writes a checkpoint to the attached

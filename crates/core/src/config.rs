@@ -18,10 +18,6 @@ pub enum MaintenanceMode {
     /// and admitted slots inserted, costing O(window delta) postings.
     #[default]
     Incremental,
-    /// The paper's Section 5.2 "shadow indexing": rebuild both query
-    /// indexes from scratch over the whole cache every window. Kept for
-    /// ablation; costs O(cache) per window.
-    ShadowRebuild,
     /// Off-thread delta maintenance: window deltas are queued to a
     /// dedicated maintenance thread which applies them to a shadow copy of
     /// the query indexes and atomically publishes immutable snapshots;
@@ -40,7 +36,6 @@ impl MaintenanceMode {
     pub fn name(&self) -> &'static str {
         match self {
             MaintenanceMode::Incremental => "incremental",
-            MaintenanceMode::ShadowRebuild => "shadow-rebuild",
             MaintenanceMode::Background => "background",
         }
     }
@@ -64,7 +59,7 @@ pub enum ConfigError {
     },
     /// `max_lag_windows == 0` would deadlock the background maintainer's
     /// submit gate (it waits for lag `< max_lag_windows`, which can never
-    /// hold). The synchronous modes ignore the field but the bound is
+    /// hold). The synchronous mode ignores the field but the bound is
     /// validated uniformly so a later mode switch cannot trip on it.
     ZeroLagBound,
     /// `shards == 0`: there would be no shard to route any query to.
@@ -107,36 +102,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// On-disk encoding for checkpoints and WAL records. Reads always
-/// auto-detect by stream magic, so the codec only governs what the engine
-/// *writes* — an engine configured for [`StoreCodec::Binary`] still opens
-/// a JSON-text store and (because [`Engine::open`](crate::Engine::open)
-/// rewrites the WAL and checkpoints overwrite wholesale) migrates it to
-/// binary as it runs. The codec is deliberately **excluded** from the
-/// config fingerprint: switching it across restarts is always safe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreCodec {
-    /// The PR-4 line-framed JSON text format: human-inspectable,
-    /// `grep`-able, 3–6x larger and slower to parse. Kept for debugging
-    /// and for byte-stable artifacts in the corruption test suite.
-    Json,
-    /// Length-prefixed binary frames (varint integers, delta-coded answer
-    /// sets, fixed-width checksums). Smaller artifacts, faster recovery,
-    /// and the encoding replication streams use on the wire.
-    #[default]
-    Binary,
-}
-
-impl StoreCodec {
-    /// Human-readable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StoreCodec::Json => "json",
-            StoreCodec::Binary => "binary",
-        }
-    }
-}
-
 /// Durability cadence for engines attached to a
 /// [`CacheStore`](crate::persist::CacheStore) via
 /// [`Engine::open`](crate::Engine::open). Ignored by engines constructed
@@ -158,20 +123,15 @@ pub struct PersistenceConfig {
     /// recovery replay; higher cadences shrink that periodic latency
     /// blip. (A dedicated checkpoint thread is a noted follow-on.)
     pub checkpoint_every_windows: Option<usize>,
-    /// Encoding for new checkpoint/WAL writes (see [`StoreCodec`]).
-    /// Reads auto-detect, so this never gates what the engine can *open*.
-    pub codec: StoreCodec,
 }
 
 impl Default for PersistenceConfig {
     /// Checkpoint every 8 windows: frequent enough that recovery replays
     /// at most a handful of flips, rare enough that the O(cache) snapshot
-    /// cost stays a small fraction of window work. New artifacts are
-    /// written in the binary codec.
+    /// cost stays a small fraction of window work.
     fn default() -> Self {
         PersistenceConfig {
             checkpoint_every_windows: Some(8),
-            codec: StoreCodec::default(),
         }
     }
 }
@@ -181,7 +141,6 @@ impl PersistenceConfig {
     pub fn every(windows: usize) -> PersistenceConfig {
         PersistenceConfig {
             checkpoint_every_windows: Some(windows),
-            ..PersistenceConfig::default()
         }
     }
 
@@ -190,14 +149,7 @@ impl PersistenceConfig {
     pub fn manual() -> PersistenceConfig {
         PersistenceConfig {
             checkpoint_every_windows: None,
-            ..PersistenceConfig::default()
         }
-    }
-
-    /// The same cadence with an explicit write codec.
-    pub fn with_codec(mut self, codec: StoreCodec) -> PersistenceConfig {
-        self.codec = codec;
-        self
     }
 }
 
@@ -221,27 +173,13 @@ pub struct IgqConfig {
     /// Label-universe size `L` for the replacement policy's cost model.
     /// `0` = derive from the dataset at engine construction.
     pub label_universe: usize,
-    /// Run the two query-index probes on separate threads, as in the
-    /// paper's three-thread pipeline (Fig. 6). With `false` the probes run
-    /// inline, which is usually faster for query-sized graphs but is kept
-    /// switchable for the `igq_overhead` ablation bench.
-    ///
-    /// Concurrency caveat: in the synchronous maintenance modes the
-    /// three-thread pipeline runs while holding the engine's state lock
-    /// (the probe threads borrow the live indexes from its guard), so the
-    /// base filter — otherwise lock-free — serializes concurrent callers.
-    /// On a shared handle prefer `false`, or pair `true` with
-    /// [`MaintenanceMode::Background`], whose probes read lock-free
-    /// snapshots.
-    pub parallel_probes: bool,
     /// Cache-replacement policy (default: the paper's utility policy;
     /// alternatives exist for the `replacement` ablation bench).
     pub policy: ReplacementPolicy,
     /// Window-maintenance strategy for the query indexes (default:
-    /// incremental delta maintenance; `ShadowRebuild` reproduces the
-    /// paper's rebuild-every-window behavior for ablation;
-    /// [`MaintenanceMode::Background`] moves delta application onto a
-    /// dedicated thread behind published snapshots).
+    /// incremental delta maintenance; [`MaintenanceMode::Background`]
+    /// moves delta application onto a dedicated thread behind published
+    /// snapshots).
     pub maintenance: MaintenanceMode,
     /// Bounded-lag backpressure for [`MaintenanceMode::Background`]: the
     /// maximum number of *submitted* window deltas that may be unapplied
@@ -255,7 +193,7 @@ pub struct IgqConfig {
     /// number of in-flight flippers. Staleness in either form only costs
     /// pruning power, never exactness (probe hits are revalidated against
     /// the live cache). Must be ≥ 1 ([`ConfigError::ZeroLagBound`]);
-    /// ignored by the synchronous modes.
+    /// ignored by the synchronous mode.
     pub max_lag_windows: usize,
     /// Detect exact repeats (optimal case 1) via a canonical-code hash map
     /// before any filtering or index probing. An engineering fast path on
@@ -292,7 +230,6 @@ impl Default for IgqConfig {
             window: 100,
             path_config: PathConfig::default(),
             label_universe: 0,
-            parallel_probes: false,
             policy: ReplacementPolicy::Utility,
             maintenance: MaintenanceMode::Incremental,
             max_lag_windows: 2,
@@ -394,13 +331,6 @@ impl IgqConfigBuilder {
         self
     }
 
-    /// Enables/disables threaded index probes (see
-    /// [`IgqConfig::parallel_probes`]).
-    pub fn parallel_probes(mut self, parallel_probes: bool) -> Self {
-        self.config.parallel_probes = parallel_probes;
-        self
-    }
-
     /// Sets the cache-replacement policy (see [`IgqConfig::policy`]).
     pub fn policy(mut self, policy: ReplacementPolicy) -> Self {
         self.config.policy = policy;
@@ -478,7 +408,6 @@ mod tests {
             .cache_capacity(64)
             .window(8)
             .label_universe(7)
-            .parallel_probes(true)
             .policy(ReplacementPolicy::Lru)
             .maintenance(MaintenanceMode::Background)
             .max_lag_windows(3)
@@ -490,7 +419,6 @@ mod tests {
         assert_eq!(c.cache_capacity, 64);
         assert_eq!(c.window, 8);
         assert_eq!(c.label_universe, 7);
-        assert!(c.parallel_probes);
         assert_eq!(c.policy, ReplacementPolicy::Lru);
         assert_eq!(c.maintenance, MaintenanceMode::Background);
         assert_eq!(c.max_lag_windows, 3);
@@ -538,15 +466,11 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(c.persistence.checkpoint_every_windows, Some(3));
-        assert_eq!(c.persistence.codec, StoreCodec::Binary, "binary default");
         let manual = IgqConfig::builder()
-            .persistence(PersistenceConfig::manual().with_codec(StoreCodec::Json))
+            .persistence(PersistenceConfig::manual())
             .build()
             .expect("manual is valid");
         assert_eq!(manual.persistence.checkpoint_every_windows, None);
-        assert_eq!(manual.persistence.codec, StoreCodec::Json);
-        assert_eq!(StoreCodec::Json.name(), "json");
-        assert_eq!(StoreCodec::Binary.name(), "binary");
         assert_eq!(
             IgqConfig::builder()
                 .persistence(PersistenceConfig::every(0))
@@ -587,7 +511,6 @@ mod tests {
     #[test]
     fn mode_names() {
         assert_eq!(MaintenanceMode::Incremental.name(), "incremental");
-        assert_eq!(MaintenanceMode::ShadowRebuild.name(), "shadow-rebuild");
         assert_eq!(MaintenanceMode::Background.name(), "background");
     }
 }

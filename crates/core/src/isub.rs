@@ -12,11 +12,9 @@
 //! query's paths and [`IsubIndex::remove`] tombstones them again, so window
 //! maintenance costs O(window delta) postings instead of re-enumerating
 //! every cached graph ("shadow indexing", the paper's Section 5.2 approach,
-//! remains available as [`MaintenanceMode::ShadowRebuild`] for ablation —
-//! and [`IsubIndex::build`] is exactly that cold-start path). Graphs are
-//! shared with the cache via `Arc`, not cloned.
-//!
-//! [`MaintenanceMode::ShadowRebuild`]: crate::config::MaintenanceMode::ShadowRebuild
+//! survives as [`IsubIndex::build`]: the cold-start path and the oracle
+//! [`Engine::self_check`](crate::Engine::self_check) diffs the live index
+//! against). Graphs are shared with the cache via `Arc`, not cloned.
 
 use igq_features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
 use igq_graph::{Graph, GraphId};
@@ -59,7 +57,7 @@ impl IsubIndex {
 
     /// Cold-start build over `(slot, graph)` pairs — a sequence of
     /// [`IsubIndex::insert`]s, used at engine construction, import, and as
-    /// the shadow-rebuild ablation path.
+    /// the `self_check` oracle.
     pub fn build(
         entries: impl IntoIterator<Item = (usize, Arc<Graph>)>,
         path_config: PathConfig,

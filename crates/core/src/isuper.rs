@@ -11,8 +11,8 @@
 //! [`IsuperIndex::insert`]/[`IsuperIndex::remove`] touch only the affected
 //! slot's postings, so steady-state window maintenance is O(window delta);
 //! the wholesale shadow rebuild of Section 5.2 survives as the
-//! [`IsuperIndex::build`] cold-start path and the `ShadowRebuild` ablation
-//! mode. Graphs are shared with the cache via `Arc`, not cloned.
+//! [`IsuperIndex::build`] cold-start path and `self_check` oracle. Graphs
+//! are shared with the cache via `Arc`, not cloned.
 
 use crate::isub::IndexSnapshot;
 use igq_features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
@@ -63,7 +63,7 @@ impl IsuperIndex {
     }
 
     /// Cold-start build over `(slot, graph)` pairs (engine construction,
-    /// import, and the shadow-rebuild ablation path).
+    /// import, and the `self_check` oracle).
     pub fn build(
         entries: impl IntoIterator<Item = (usize, Arc<Graph>)>,
         path_config: PathConfig,

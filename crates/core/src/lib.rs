@@ -17,9 +17,8 @@
 //! * the utility-based replacement policy `U(g) = C(g)/M(g)` with costs in
 //!   log space (Section 5.1, [`metadata`]);
 //! * windowed maintenance (Section 5.2) with **incremental delta updates**
-//!   of both query indexes, the paper's wholesale shadow rebuild
-//!   ([`config::MaintenanceMode::ShadowRebuild`], for ablation), and
-//!   fully off-thread maintenance behind atomically published snapshots
+//!   of both query indexes, on the query thread or fully off-thread behind
+//!   atomically published snapshots
 //!   ([`config::MaintenanceMode::Background`], [`background`]);
 //! * [`Engine`] — **one** pipeline implementing formulas (3)–(5) and the
 //!   optimal cases of Section 4.3, generic over the query
@@ -121,9 +120,7 @@ pub use api::{
 };
 pub use background::{BackgroundMaintainer, IndexPair, MaintainerStats};
 pub use cache::{CacheEntry, QueryCache, WindowDelta};
-pub use config::{
-    ConfigError, IgqConfig, IgqConfigBuilder, MaintenanceMode, PersistenceConfig, StoreCodec,
-};
+pub use config::{ConfigError, IgqConfig, IgqConfigBuilder, MaintenanceMode, PersistenceConfig};
 pub use direction::{QueryDirection, SubgraphQueries, SupergraphQueries};
 pub use engine::{Engine, IgqEngine, ImportReport};
 pub use fault::{FaultOp, FaultStats, FaultyStore};

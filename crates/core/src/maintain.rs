@@ -3,22 +3,23 @@
 //!
 //! Both engines own the same trio — a [`QueryCache`] plus the
 //! [`IsubIndex`]/[`IsuperIndex`] pair — and apply the same slot delta after
-//! every window: remove evicted slots, insert admitted ones (or rebuild
-//! wholesale under [`MaintenanceMode::ShadowRebuild`]).
+//! every window: remove evicted slots, insert admitted ones.
 //!
 //! A delta can be applied in two shapes:
 //!
-//! * [`apply_delta`] — synchronous, on the query thread, reading admitted
-//!   graphs straight out of the live cache ([`MaintenanceMode::Incremental`]
-//!   and [`MaintenanceMode::ShadowRebuild`]);
+//! * `apply_delta` — synchronous, on the query thread, reading admitted
+//!   graphs straight out of the live cache ([`MaintenanceMode::Incremental`]);
 //! * [`MaintenanceJob`] + [`apply_job`] — the delta plus `Arc` clones of
 //!   the admitted graphs, self-contained so it can cross a channel to the
 //!   background maintenance thread ([`MaintenanceMode::Background`], see
-//!   [`crate::background`]). The job form never rebuilds: it is always the
-//!   incremental O(window delta) application.
+//!   [`crate::background`]).
+//!
+//! Both are the same incremental O(window delta) application.
+//!
+//! [`MaintenanceMode::Incremental`]: crate::config::MaintenanceMode::Incremental
+//! [`MaintenanceMode::Background`]: crate::config::MaintenanceMode::Background
 
 use crate::cache::{QueryCache, WindowDelta};
-use crate::config::MaintenanceMode;
 use crate::isub::IsubIndex;
 use crate::isuper::IsuperIndex;
 use igq_features::{enumerate_paths, LabelSeq, PathConfig};
@@ -29,10 +30,8 @@ use std::sync::Arc;
 /// What one maintenance did to the indexes, for [`crate::EngineStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaintenanceOutcome {
-    /// Postings inserted or removed (incremental application only).
+    /// Postings inserted or removed.
     pub postings_touched: u64,
-    /// True when the indexes were rebuilt from scratch.
-    pub rebuilt: bool,
 }
 
 /// One window's index work, detached from the cache: the evicted slots
@@ -74,10 +73,9 @@ impl MaintenanceJob {
     }
 }
 
-/// Applies one self-contained job to the index pair — always incrementally
-/// (remove evicted slots, insert admitted ones). This is the inner loop of
-/// the background maintenance thread, and the Incremental arm of
-/// [`apply_delta`] routes through it too.
+/// Applies one self-contained job to the index pair (remove evicted
+/// slots, insert admitted ones). This is the inner loop of the background
+/// maintenance thread.
 pub fn apply_job(
     path_config: PathConfig,
     job: &MaintenanceJob,
@@ -103,58 +101,33 @@ pub fn apply_job(
 }
 
 /// Brings `isub`/`isuper` in line with `cache` after `delta` was applied
-/// to it, synchronously on the calling thread. Public so the maintenance
-/// ablation bench can drive the exact machinery the engines use.
-///
-/// Under [`MaintenanceMode::Background`] the engines do **not** call this —
-/// they queue a [`MaintenanceJob`] to the maintainer instead; if called
-/// with that mode anyway (e.g. by a harness measuring the background
-/// thread's share of work) it applies the delta incrementally, which is
-/// exactly what the background thread would do.
-pub fn apply_delta(
-    mode: MaintenanceMode,
+/// to it, synchronously on the calling thread, in place, straight out of
+/// the live cache — no [`MaintenanceJob`] is materialized on this
+/// (query-thread) path; the job form is only built when a delta actually
+/// crosses to the maintenance thread.
+pub(crate) fn apply_delta(
     path_config: PathConfig,
     cache: &QueryCache,
     delta: &WindowDelta,
     isub: &mut IsubIndex,
     isuper: &mut IsuperIndex,
 ) -> MaintenanceOutcome {
-    if delta.is_empty() {
-        return MaintenanceOutcome::default();
+    let mut outcome = MaintenanceOutcome::default();
+    for &slot in &delta.evicted {
+        outcome.postings_touched += isub.remove(slot);
+        outcome.postings_touched += isuper.remove(slot);
     }
-    match mode {
-        // In place, straight out of the live cache — no MaintenanceJob is
-        // materialized on this (query-thread) path; the job form is only
-        // built when a delta actually crosses to the maintenance thread.
-        MaintenanceMode::Incremental | MaintenanceMode::Background => {
-            let mut outcome = MaintenanceOutcome::default();
-            for &slot in &delta.evicted {
-                outcome.postings_touched += isub.remove(slot);
-                outcome.postings_touched += isuper.remove(slot);
-            }
-            for &slot in &delta.admitted {
-                // One enumeration feeds both indexes; the feature-key
-                // list is shared between their slot entries.
-                let entry = cache.entry(slot);
-                let graph = Arc::clone(&entry.graph);
-                let code = entry.code.clone();
-                let features = enumerate_paths(&graph, &path_config);
-                let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
-                outcome.postings_touched +=
-                    isub.insert_features(slot, Arc::clone(&graph), &features, Arc::clone(&keys));
-                outcome.postings_touched +=
-                    isuper.insert_features(slot, graph, &features, keys, code);
-            }
-            outcome
-        }
-        MaintenanceMode::ShadowRebuild => {
-            let graphs = || cache.iter().map(|(slot, e)| (slot, Arc::clone(&e.graph)));
-            *isub = IsubIndex::build(graphs(), path_config);
-            *isuper = IsuperIndex::build(graphs(), path_config);
-            MaintenanceOutcome {
-                postings_touched: 0,
-                rebuilt: true,
-            }
-        }
+    for &slot in &delta.admitted {
+        // One enumeration feeds both indexes; the feature-key
+        // list is shared between their slot entries.
+        let entry = cache.entry(slot);
+        let graph = Arc::clone(&entry.graph);
+        let code = entry.code.clone();
+        let features = enumerate_paths(&graph, &path_config);
+        let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
+        outcome.postings_touched +=
+            isub.insert_features(slot, Arc::clone(&graph), &features, Arc::clone(&keys));
+        outcome.postings_touched += isuper.insert_features(slot, graph, &features, keys, code);
     }
+    outcome
 }

@@ -22,19 +22,23 @@
 //!   multiset so recovery can rebuild both query indexes *without*
 //!   re-enumerating or re-canonicalizing anything), the pending admission
 //!   window, the cache's free-slot list and maintenance round, and the
-//!   flip sequence number the snapshot covers. The byte format is a
-//!   header line `IGQCKPT1 <fnv64-hex> <len>` followed by a JSON payload;
-//!   the checksum covers the payload. [`DirStore`] writes it via
-//!   temp-file + atomic rename, so a crashed checkpoint can never replace
-//!   a good one with a torn file.
-//! * **WAL** — an append-only log of window flips. Each record is one
-//!   line, `R <fnv64-hex> <len> <json>`, carrying the flip's sequence
-//!   number, the evicted slots, the admitted entries (graph + answers +
-//!   signature + code), and the post-flip replacement metadata of every
-//!   resident. The first line is a header record (`H ...`) binding the
-//!   log to a config/dataset fingerprint pair. Records are appended by
-//!   the engine's outbox drain — off the engine's state lock — in flip
-//!   order.
+//!   flip sequence number the snapshot covers. The byte format is the
+//!   `IGQBCKP1` magic, a `u64` LE FNV-1a checksum over the payload, a
+//!   `u64` LE payload length, and the binary payload. [`DirStore`] writes
+//!   it via temp-file + atomic rename, so a crashed checkpoint can never
+//!   replace a good one with a torn file.
+//! * **WAL** — an append-only log of window flips: the `IGQBWAL1` magic,
+//!   then self-delimiting frames (tag byte, `u32` LE payload length,
+//!   `u64` LE payload checksum, payload). Each `R` record carries the
+//!   flip's sequence number, the evicted slots, the admitted entries
+//!   (graph + answers + signature + code), and the post-flip replacement
+//!   metadata of every resident. The first frame is a header record
+//!   (`H`) binding the log to a config/dataset fingerprint pair. Records
+//!   are appended by the engine's outbox drain — off the engine's state
+//!   lock — in flip order.
+//!
+//! This is the only format: bytes that do not start with the matching
+//! magic are [`PersistError::Corrupt`], never handed to another parser.
 //!
 //! # Recovery protocol
 //!
@@ -58,19 +62,18 @@
 //! metadata, pending window, and index postings. An engine recovered at a
 //! flip boundary is therefore observationally identical to one that never
 //! restarted — the property `tests/persistence.rs` establishes with a
-//! randomized proptest across all maintenance modes and both query
+//! randomized proptest across both maintenance modes and both query
 //! directions. Queries processed *after* the last flip and the last
 //! explicit checkpoint are the durability loss window.
 
 use crate::cache::{CacheEntry, WindowEntry};
-use crate::config::{ConfigError, StoreCodec};
+use crate::config::ConfigError;
 use crate::metadata::GraphMeta;
 use igq_features::LabelSeq;
 use igq_graph::canon::{CanonicalCode, GraphSignature};
 use igq_graph::{Graph, GraphId, GraphStore, LabelId};
 use igq_iso::LogValue;
 use parking_lot::Mutex;
-use serde_json::{json, FromJson, ToJson, Value};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -82,10 +85,9 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 /// WAL format version this build writes and reads.
 pub const WAL_VERSION: u64 = 1;
 
-const CKPT_MAGIC: &str = "IGQCKPT1";
-/// Magic prefix of a binary-codec checkpoint ([`StoreCodec::Binary`]).
+/// Magic prefix of a checkpoint.
 const BCKPT_MAGIC: &[u8; 8] = b"IGQBCKP1";
-/// Magic prefix of a binary-codec WAL stream ([`StoreCodec::Binary`]).
+/// Magic prefix of a WAL stream.
 const BWAL_MAGIC: &[u8; 8] = b"IGQBWAL1";
 
 // ---------------------------------------------------------------------------
@@ -99,8 +101,9 @@ pub enum PersistError {
     /// The underlying storage failed (filesystem error, permission, ...).
     Io(std::io::Error),
     /// The artifact is structurally damaged in a way a torn final WAL
-    /// record cannot explain: unparseable JSON, a mid-log torn record, a
-    /// sequence gap, or internally inconsistent state.
+    /// record cannot explain: a missing magic, an undecodable payload, a
+    /// mid-log torn record, a sequence gap, or internally inconsistent
+    /// state.
     Corrupt(String),
     /// A checksum did not match its payload.
     Checksum {
@@ -202,12 +205,6 @@ impl From<ConfigError> for PersistError {
     }
 }
 
-impl From<serde_json::Error> for PersistError {
-    fn from(e: serde_json::Error) -> PersistError {
-        PersistError::Corrupt(e.to_string())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The storage abstraction
 // ---------------------------------------------------------------------------
@@ -233,7 +230,7 @@ pub trait CacheStore: Send + Sync + fmt::Debug {
     /// Reads the whole WAL (empty vector when none exists).
     fn load_wal(&self) -> Result<Vec<u8>, PersistError>;
 
-    /// Appends one encoded record (including its trailing newline).
+    /// Appends one encoded record.
     fn append_wal(&self, record: &[u8]) -> Result<(), PersistError>;
 
     /// Atomically replaces the whole WAL (compaction after a checkpoint
@@ -451,8 +448,8 @@ fn fnv_fold(h: u64, v: u64) -> u64 {
 /// built from, the replacement policy (whose counters the artifacts
 /// carry), and the configured label universe (the cost model's scale).
 /// Deliberately *excludes* runtime tunables that do not change the
-/// durable state's meaning — maintenance mode, lag bound, probe
-/// threading, batch width, fast-path toggle, and the checkpoint cadence —
+/// durable state's meaning — maintenance mode, lag bound, batch width,
+/// fast-path toggle, and the checkpoint cadence —
 /// so a deployment can change those across restarts without invalidating
 /// its store.
 pub(crate) fn config_fingerprint(config: &crate::IgqConfig, direction: &str) -> u64 {
@@ -546,8 +543,8 @@ pub(crate) struct CheckpointData {
     pub entries: Vec<PersistedEntry>,
     /// Pending admission window (`Itemp`), in arrival order.
     pub window: Vec<WindowEntry>,
-    /// State shard count of the writing engine. `1` (the pre-sharding
-    /// default, omitted from the encoding) means a single partition.
+    /// State shard count of the writing engine. `1` means a single
+    /// partition.
     pub shards: usize,
     /// Failover epoch of the writing engine: bumped on every follower
     /// promotion so a stale primary's stream is fenced. `0` (the
@@ -567,11 +564,10 @@ pub(crate) struct WalRecord {
     /// Flip ordinal (1-based, contiguous; shared by every record of one
     /// flip group).
     pub seq: u64,
-    /// Shard this record's deltas belong to (`0`, omitted from the
-    /// encoding, for unsharded engines).
+    /// Shard this record's deltas belong to (`0` for unsharded engines).
     pub shard: usize,
-    /// Number of records in this flip's group (`1`, omitted from the
-    /// encoding, for unsharded engines).
+    /// Number of records in this flip's group (`1` for unsharded
+    /// engines).
     pub group: usize,
     /// Slots whose occupant was evicted, in eviction order.
     pub evicted: Vec<usize>,
@@ -589,8 +585,8 @@ pub(crate) struct WalRecord {
 pub(crate) struct WalHeader {
     pub config_fp: u64,
     pub dataset_fp: u64,
-    /// State shard count of the writing engine (`1`, omitted from the
-    /// encoding, for unsharded engines).
+    /// State shard count of the writing engine (`1` for unsharded
+    /// engines).
     pub shards: usize,
     /// Failover epoch of the writing engine (`0`, omitted from the
     /// encoding, for never-promoted engines).
@@ -606,687 +602,6 @@ pub(crate) struct WalParse {
     pub records: Vec<WalRecord>,
     /// `true` when a torn final record was dropped (crash mid-append).
     pub torn_tail: bool,
-}
-
-// ---------------------------------------------------------------------------
-// JSON codec helpers
-// ---------------------------------------------------------------------------
-
-fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, PersistError> {
-    match v.get(name) {
-        Some(f) => Ok(f),
-        None => Err(PersistError::Corrupt(format!("missing field {name:?}"))),
-    }
-}
-
-fn u64_field(v: &Value, name: &str) -> Result<u64, PersistError> {
-    field(v, name)?
-        .as_u64()
-        .ok_or_else(|| PersistError::Corrupt(format!("field {name:?} is not an unsigned integer")))
-}
-
-fn usize_field(v: &Value, name: &str) -> Result<usize, PersistError> {
-    Ok(u64_field(v, name)? as usize)
-}
-
-/// A presence-optional unsigned field: `default` when absent (the
-/// pre-sharding encodings omit shard-related fields entirely).
-fn opt_usize_field(v: &Value, name: &str, default: usize) -> Result<usize, PersistError> {
-    match v.get(name) {
-        None => Ok(default),
-        Some(f) => f.as_u64().map(|u| u as usize).ok_or_else(|| {
-            PersistError::Corrupt(format!("field {name:?} is not an unsigned integer"))
-        }),
-    }
-}
-
-/// A presence-optional `u64` field: `default` when absent (pre-failover
-/// encodings omit the epoch entirely).
-fn opt_u64_field(v: &Value, name: &str, default: u64) -> Result<u64, PersistError> {
-    match v.get(name) {
-        None => Ok(default),
-        Some(f) => f.as_u64().ok_or_else(|| {
-            PersistError::Corrupt(format!("field {name:?} is not an unsigned integer"))
-        }),
-    }
-}
-
-fn array_field<'v>(v: &'v Value, name: &str) -> Result<&'v Vec<Value>, PersistError> {
-    field(v, name)?
-        .as_array()
-        .ok_or_else(|| PersistError::Corrupt(format!("field {name:?} is not an array")))
-}
-
-fn meta_to_json(m: &GraphMeta) -> Value {
-    json!({
-        "hits": m.hits,
-        "seen": m.queries_seen,
-        "removed": m.removed,
-        // LogValue is an `f64` exponent that can legitimately be -inf
-        // (never-hit entries); JSON has no -inf, so the exact bit pattern
-        // is stored instead.
-        "cost_bits": m.cost_alleviated.ln().to_bits(),
-        "last": m.last_hit_at,
-    })
-}
-
-fn meta_from_json(v: &Value) -> Result<GraphMeta, PersistError> {
-    Ok(GraphMeta {
-        hits: u64_field(v, "hits")?,
-        queries_seen: u64_field(v, "seen")?,
-        removed: u64_field(v, "removed")?,
-        cost_alleviated: LogValue::from_ln(f64::from_bits(u64_field(v, "cost_bits")?)),
-        last_hit_at: u64_field(v, "last")?,
-    })
-}
-
-fn sig_to_json(s: &GraphSignature) -> Value {
-    json!({ "v": s.vertices, "e": s.edges, "h": s.wl_hash })
-}
-
-fn sig_from_json(v: &Value) -> Result<GraphSignature, PersistError> {
-    Ok(GraphSignature {
-        vertices: u64_field(v, "v")? as u32,
-        edges: u64_field(v, "e")? as u32,
-        wl_hash: u64_field(v, "h")?,
-    })
-}
-
-fn code_to_json(code: &Option<CanonicalCode>) -> Value {
-    match code {
-        None => Value::Null,
-        Some(c) => c.words().to_vec().to_json(),
-    }
-}
-
-fn code_from_json(v: &Value) -> Result<Option<CanonicalCode>, PersistError> {
-    match v {
-        Value::Null => Ok(None),
-        other => {
-            let words: Vec<u64> = FromJson::from_json(other)?;
-            Ok(Some(CanonicalCode::from_words(words)))
-        }
-    }
-}
-
-/// Compact flat-text form of a graph: `"l,l,l|u-v,u-v"` (vertex labels,
-/// then edges; labeled edges append `:e` per edge). Checkpoints hold one
-/// graph per cached entry, and the `Value`-tree form costs a parse
-/// allocation per vertex and per edge — the flat form is the single
-/// biggest lever on warm-restart time.
-fn graph_to_json(g: &Graph) -> Value {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(g.vertex_count() * 3 + g.edge_count() * 7);
-    for (i, v) in g.vertices().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{}", g.label(v).raw());
-    }
-    s.push('|');
-    if g.has_edge_labels() {
-        for (i, ((u, v), l)) in g.labeled_edges().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}-{}:{}", u.raw(), v.raw(), l.raw());
-        }
-    } else {
-        for (i, &(u, v)) in g.edges().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}-{}", u.raw(), v.raw());
-        }
-    }
-    Value::String(s)
-}
-
-fn graph_from_json(v: &Value) -> Result<Graph, PersistError> {
-    let Some(s) = v.as_str() else {
-        // Tolerate the verbose `{labels, edges}` object form too.
-        return Ok(FromJson::from_json(v)?);
-    };
-    let bad = |what: &str| PersistError::Corrupt(format!("malformed compact graph: {what}"));
-    let (labels_part, edges_part) = s.split_once('|').ok_or_else(|| bad("no separator"))?;
-    let labels: Vec<u32> = labels_part
-        .split(',')
-        .filter(|t| !t.is_empty())
-        .map(|t| t.parse::<u32>().map_err(|_| bad("vertex label")))
-        .collect::<Result<_, _>>()?;
-    let mut b = igq_graph::GraphBuilder::with_capacity(labels.len(), 0);
-    for l in labels {
-        b.add_vertex(LabelId::new(l));
-    }
-    for tok in edges_part.split(',').filter(|t| !t.is_empty()) {
-        let (endpoints, label) = match tok.split_once(':') {
-            Some((e, l)) => (e, Some(l)),
-            None => (tok, None),
-        };
-        let (u, v) = endpoints.split_once('-').ok_or_else(|| bad("edge"))?;
-        let u: u32 = u.parse().map_err(|_| bad("edge endpoint"))?;
-        let v: u32 = v.parse().map_err(|_| bad("edge endpoint"))?;
-        let result = match label {
-            Some(l) => {
-                let l: u32 = l.parse().map_err(|_| bad("edge label"))?;
-                b.add_edge_labeled(
-                    igq_graph::VertexId::new(u),
-                    igq_graph::VertexId::new(v),
-                    LabelId::new(l),
-                )
-            }
-            None => b.add_edge(igq_graph::VertexId::new(u), igq_graph::VertexId::new(v)),
-        };
-        result.map_err(|e| bad(&e.to_string()))?;
-    }
-    b.try_build().map_err(|e| bad(&e.to_string()))
-}
-
-fn answers_to_json(answers: &[GraphId]) -> Value {
-    answers
-        .iter()
-        .map(|id| id.raw())
-        .collect::<Vec<u32>>()
-        .to_json()
-}
-
-fn answers_from_json(v: &Value) -> Result<Vec<GraphId>, PersistError> {
-    let raw: Vec<u32> = FromJson::from_json(v)?;
-    Ok(raw.into_iter().map(GraphId::new).collect())
-}
-
-/// Compact flat-text form of a feature multiset:
-/// `"<complete_len>|l.l.l:c;l.l:c;..."`. A checkpoint holds hundreds of
-/// features per slot; one string parsed with `split` is close to an
-/// order of magnitude cheaper than a `Value` tree per path — and this
-/// parse cost is exactly what warm restart pays, so it is kept minimal.
-fn features_to_json(f: &SlotFeatureSet) -> Value {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(8 + f.counts.len() * 12);
-    let _ = write!(s, "{}|", f.complete_len);
-    for (i, (seq, count)) in f.counts.iter().enumerate() {
-        if i > 0 {
-            s.push(';');
-        }
-        for (j, l) in seq.labels().iter().enumerate() {
-            if j > 0 {
-                s.push('.');
-            }
-            let _ = write!(s, "{}", l.raw());
-        }
-        let _ = write!(s, ":{count}");
-    }
-    Value::String(s)
-}
-
-fn features_from_json(v: &Value) -> Result<SlotFeatureSet, PersistError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| PersistError::Corrupt("feature set is not a string".into()))?;
-    let (cl, rest) = s
-        .split_once('|')
-        .ok_or_else(|| PersistError::Corrupt("feature set missing depth prefix".into()))?;
-    let complete_len: usize = cl
-        .parse()
-        .map_err(|_| PersistError::Corrupt("bad feature depth".into()))?;
-    let mut counts = Vec::new();
-    let mut labels: Vec<LabelId> = Vec::new();
-    for item in rest.split(';').filter(|i| !i.is_empty()) {
-        let (seq_part, count_part) = item
-            .rsplit_once(':')
-            .ok_or_else(|| PersistError::Corrupt("feature missing count".into()))?;
-        labels.clear();
-        for tok in seq_part.split('.') {
-            let raw: u32 = tok
-                .parse()
-                .map_err(|_| PersistError::Corrupt("bad feature label".into()))?;
-            labels.push(LabelId::new(raw));
-        }
-        let count: u32 = count_part
-            .parse()
-            .map_err(|_| PersistError::Corrupt("bad feature count".into()))?;
-        counts.push((LabelSeq::canonical(&labels), count));
-    }
-    Ok(SlotFeatureSet {
-        counts,
-        complete_len,
-    })
-}
-
-fn entry_to_json(e: &PersistedEntry) -> Value {
-    json!({
-        "slot": e.slot,
-        "graph": graph_to_json(&e.entry.graph),
-        "answers": answers_to_json(&e.entry.answers),
-        "sig": sig_to_json(&e.entry.signature),
-        "code": code_to_json(&e.entry.code),
-        "meta": meta_to_json(&e.entry.meta),
-        "feat": match &e.features {
-            Some(f) => features_to_json(f),
-            None => Value::Null,
-        },
-    })
-}
-
-fn entry_from_json(v: &Value) -> Result<PersistedEntry, PersistError> {
-    let graph: Graph = graph_from_json(field(v, "graph")?)?;
-    let features = match field(v, "feat")? {
-        Value::Null => None,
-        other => Some(features_from_json(other)?),
-    };
-    Ok(PersistedEntry {
-        slot: usize_field(v, "slot")?,
-        entry: CacheEntry {
-            graph: Arc::new(graph),
-            signature: sig_from_json(field(v, "sig")?)?,
-            code: code_from_json(field(v, "code")?)?,
-            answers: answers_from_json(field(v, "answers")?)?,
-            meta: meta_from_json(field(v, "meta")?)?,
-        },
-        features,
-    })
-}
-
-fn window_entry_to_json(w: &WindowEntry) -> Value {
-    json!({
-        "graph": graph_to_json(&w.graph),
-        "answers": answers_to_json(&w.answers),
-        "sig": match &w.signature {
-            Some(s) => sig_to_json(s),
-            None => Value::Null,
-        },
-        // The outer Option ("was canonicalization attempted?") and the
-        // inner one ("did it fit the budget?") are persisted separately.
-        "code_tried": w.code.is_some(),
-        "code": match &w.code {
-            Some(c) => code_to_json(c),
-            None => Value::Null,
-        },
-    })
-}
-
-fn window_entry_from_json(v: &Value) -> Result<WindowEntry, PersistError> {
-    let graph: Graph = graph_from_json(field(v, "graph")?)?;
-    let signature = match field(v, "sig")? {
-        Value::Null => None,
-        other => Some(sig_from_json(other)?),
-    };
-    let code_tried = matches!(field(v, "code_tried")?, Value::Bool(true));
-    let code = if code_tried {
-        Some(code_from_json(field(v, "code")?)?)
-    } else {
-        None
-    };
-    Ok(WindowEntry {
-        graph: Arc::new(graph),
-        answers: answers_from_json(field(v, "answers")?)?,
-        signature,
-        code,
-    })
-}
-
-/// Compact flat-text form of a per-flip metadata table:
-/// `"slot:hits,seen,removed,cost_bits_hex,last;..."`. Every WAL record
-/// carries one entry per resident slot, so the same parse-cost argument
-/// as [`features_to_json`] applies.
-fn metas_to_json(metas: &[(usize, GraphMeta)]) -> Value {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(metas.len() * 24);
-    for (i, (slot, m)) in metas.iter().enumerate() {
-        if i > 0 {
-            s.push(';');
-        }
-        let _ = write!(
-            s,
-            "{slot}:{},{},{},{:x},{}",
-            m.hits,
-            m.queries_seen,
-            m.removed,
-            m.cost_alleviated.ln().to_bits(),
-            m.last_hit_at
-        );
-    }
-    Value::String(s)
-}
-
-fn metas_from_json(v: &Value) -> Result<Vec<(usize, GraphMeta)>, PersistError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| PersistError::Corrupt("meta table is not a string".into()))?;
-    let bad = || PersistError::Corrupt("malformed meta table".into());
-    let mut out = Vec::new();
-    for item in s.split(';').filter(|i| !i.is_empty()) {
-        let (slot, fields) = item.split_once(':').ok_or_else(bad)?;
-        let slot: usize = slot.parse().map_err(|_| bad())?;
-        let mut it = fields.split(',');
-        let mut next = || it.next().ok_or_else(bad);
-        let hits: u64 = next()?.parse().map_err(|_| bad())?;
-        let queries_seen: u64 = next()?.parse().map_err(|_| bad())?;
-        let removed: u64 = next()?.parse().map_err(|_| bad())?;
-        let cost_bits = u64::from_str_radix(next()?, 16).map_err(|_| bad())?;
-        let last_hit_at: u64 = next()?.parse().map_err(|_| bad())?;
-        out.push((
-            slot,
-            GraphMeta {
-                hits,
-                queries_seen,
-                removed,
-                cost_alleviated: LogValue::from_ln(f64::from_bits(cost_bits)),
-                last_hit_at,
-            },
-        ));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint encode/decode
-// ---------------------------------------------------------------------------
-
-/// Encodes a checkpoint to its on-disk bytes (header line + payload).
-pub(crate) fn encode_checkpoint(data: &CheckpointData) -> Vec<u8> {
-    let mut payload = json!({
-        "kind": "igq-checkpoint",
-        "version": CHECKPOINT_VERSION,
-        "seq": data.seq,
-        "config_fp": data.config_fp,
-        "dataset_fp": data.dataset_fp,
-        "labels": data.labels,
-        "round": data.round,
-        "slot_count": data.slot_count,
-        "free": data.free.to_json(),
-        "entries": Value::Array(data.entries.iter().map(entry_to_json).collect()),
-        "window": Value::Array(data.window.iter().map(window_entry_to_json).collect()),
-    });
-    // Presence-optional: unsharded, never-promoted checkpoints stay
-    // byte-identical to the pre-sharding/pre-failover formats (and older
-    // checkpoints decode as `shards == 1`, `epoch == 0`).
-    if let Value::Object(map) = &mut payload {
-        if data.shards > 1 {
-            map.insert("shards".into(), (data.shards as u64).to_json());
-        }
-        if data.epoch > 0 {
-            map.insert("epoch".into(), data.epoch.to_json());
-        }
-    }
-    let body = serde_json::to_string(&payload).expect("checkpoint serializes");
-    let mut out = format!(
-        "{CKPT_MAGIC} {:016x} {}\n",
-        fnv1a64(body.as_bytes()),
-        body.len()
-    )
-    .into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
-}
-
-/// Decodes and verifies checkpoint bytes (magic, version, checksum).
-/// Fingerprint validation against the opening engine is the caller's job
-/// (the fingerprints are in the returned data). The codec is auto-detected
-/// from the magic prefix, so an engine configured for one codec still
-/// opens a store written under the other.
-pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, PersistError> {
-    if bytes.starts_with(BCKPT_MAGIC) {
-        return decode_checkpoint_binary(bytes);
-    }
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| PersistError::Corrupt("checkpoint has no header line".into()))?;
-    let header = std::str::from_utf8(&bytes[..newline])
-        .map_err(|_| PersistError::Corrupt("checkpoint header is not UTF-8".into()))?;
-    let mut parts = header.split_whitespace();
-    let (magic, crc_hex, len) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(c), Some(l)) => (m, c, l),
-        _ => return Err(PersistError::Corrupt("malformed checkpoint header".into())),
-    };
-    if magic != CKPT_MAGIC {
-        return Err(PersistError::Corrupt(format!(
-            "bad checkpoint magic {magic:?}"
-        )));
-    }
-    let expected = u64::from_str_radix(crc_hex, 16)
-        .map_err(|_| PersistError::Corrupt("bad checkpoint checksum field".into()))?;
-    let len: usize = len
-        .parse()
-        .map_err(|_| PersistError::Corrupt("bad checkpoint length field".into()))?;
-    let body = &bytes[newline + 1..];
-    if body.len() != len {
-        return Err(PersistError::Corrupt(format!(
-            "checkpoint payload length {} does not match header {len}",
-            body.len()
-        )));
-    }
-    let found = fnv1a64(body);
-    if found != expected {
-        return Err(PersistError::Checksum { expected, found });
-    }
-    let body = std::str::from_utf8(body)
-        .map_err(|_| PersistError::Corrupt("checkpoint payload is not UTF-8".into()))?;
-    let v: Value = serde_json::from_str(body)?;
-    let version = u64_field(&v, "version")?;
-    if version != CHECKPOINT_VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            found: version,
-            supported: CHECKPOINT_VERSION,
-        });
-    }
-    let entries = array_field(&v, "entries")?
-        .iter()
-        .map(entry_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let window = array_field(&v, "window")?
-        .iter()
-        .map(window_entry_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(CheckpointData {
-        seq: u64_field(&v, "seq")?,
-        config_fp: u64_field(&v, "config_fp")?,
-        dataset_fp: u64_field(&v, "dataset_fp")?,
-        labels: usize_field(&v, "labels")?,
-        round: u64_field(&v, "round")?,
-        slot_count: usize_field(&v, "slot_count")?,
-        free: FromJson::from_json(field(&v, "free")?)?,
-        entries,
-        window,
-        shards: opt_usize_field(&v, "shards", 1)?,
-        epoch: opt_u64_field(&v, "epoch", 0)?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// WAL encode/decode
-// ---------------------------------------------------------------------------
-
-fn frame_line(tag: char, body: &str) -> Vec<u8> {
-    format!(
-        "{tag} {:016x} {} {body}\n",
-        fnv1a64(body.as_bytes()),
-        body.len()
-    )
-    .into_bytes()
-}
-
-/// Encodes the WAL header line binding the log to an engine identity.
-pub(crate) fn encode_wal_header(h: &WalHeader) -> Vec<u8> {
-    let mut payload = json!({
-        "kind": "igq-wal",
-        "version": WAL_VERSION,
-        "config_fp": h.config_fp,
-        "dataset_fp": h.dataset_fp,
-    });
-    if let Value::Object(map) = &mut payload {
-        if h.shards > 1 {
-            map.insert("shards".into(), (h.shards as u64).to_json());
-        }
-        if h.epoch > 0 {
-            map.insert("epoch".into(), h.epoch.to_json());
-        }
-    }
-    let body = serde_json::to_string(&payload).expect("wal header serializes");
-    frame_line('H', &body)
-}
-
-/// Encodes one flip record as a framed WAL line. `seq` is always
-/// serialized first ([`record_line_seq`] reads it raw); the shard tags
-/// follow it and are omitted at their unsharded defaults, keeping
-/// single-shard logs byte-identical to the pre-sharding format.
-pub(crate) fn encode_wal_record(r: &WalRecord) -> Vec<u8> {
-    let mut payload = json!({
-        "seq": r.seq,
-    });
-    if let Value::Object(map) = &mut payload {
-        if r.shard != 0 {
-            map.insert("shard".into(), (r.shard as u64).to_json());
-        }
-        if r.group != 1 {
-            map.insert("group".into(), (r.group as u64).to_json());
-        }
-        map.insert("evicted".into(), r.evicted.to_json());
-        map.insert(
-            "admitted".into(),
-            Value::Array(r.admitted.iter().map(entry_to_json).collect()),
-        );
-        map.insert("metas".into(), metas_to_json(&r.metas));
-    }
-    let body = serde_json::to_string(&payload).expect("wal record serializes");
-    frame_line('R', &body)
-}
-
-/// Splits one framed line into `(tag, payload)`, verifying length and
-/// checksum. `Err` carries the reason; the caller decides whether the
-/// position (final line or not) makes it a torn tail or corruption.
-fn parse_line(line: &str) -> Result<(char, Value), String> {
-    let mut chars = line.chars();
-    let tag = chars.next().ok_or("empty line")?;
-    let rest = chars
-        .as_str()
-        .strip_prefix(' ')
-        .ok_or("missing separator")?;
-    let (crc_hex, rest) = rest.split_once(' ').ok_or("missing checksum field")?;
-    let (len_str, body) = rest.split_once(' ').ok_or("missing length field")?;
-    let expected = u64::from_str_radix(crc_hex, 16).map_err(|_| "bad checksum field")?;
-    let len: usize = len_str.parse().map_err(|_| "bad length field")?;
-    if body.len() != len {
-        return Err(format!("length {} does not match header {len}", body.len()));
-    }
-    let found = fnv1a64(body.as_bytes());
-    if found != expected {
-        return Err(format!(
-            "checksum mismatch ({expected:016x} vs {found:016x})"
-        ));
-    }
-    let v: Value = serde_json::from_str(body).map_err(|e| e.to_string())?;
-    Ok((tag, v))
-}
-
-fn record_from_json(v: &Value) -> Result<WalRecord, PersistError> {
-    let admitted = array_field(v, "admitted")?
-        .iter()
-        .map(entry_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let group = opt_usize_field(v, "group", 1)?;
-    if group == 0 {
-        return Err(PersistError::Corrupt("WAL record with group == 0".into()));
-    }
-    Ok(WalRecord {
-        seq: u64_field(v, "seq")?,
-        shard: opt_usize_field(v, "shard", 0)?,
-        group,
-        evicted: FromJson::from_json(field(v, "evicted")?)?,
-        admitted,
-        metas: metas_from_json(field(v, "metas")?)?,
-    })
-}
-
-/// Parses a WAL byte stream: header first, then records in order. A
-/// damaged or truncated **final** line is tolerated (dropped, reported
-/// via [`WalParse::torn_tail`]) — that is what a crash mid-append leaves
-/// behind; damage anywhere else is [`PersistError::Corrupt`]. The codec
-/// is auto-detected from the stream's magic prefix.
-pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
-    if bytes.starts_with(BWAL_MAGIC) {
-        return parse_wal_binary(&bytes[BWAL_MAGIC.len()..]);
-    }
-    if bytes.is_empty() {
-        return Ok(WalParse {
-            header: None,
-            records: Vec::new(),
-            torn_tail: false,
-        });
-    }
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| PersistError::Corrupt("WAL is not UTF-8".into()))?;
-    // A well-formed WAL ends with '\n'; anything after the last newline is
-    // a torn append. Each complete line must parse — except the last one,
-    // which (if bad) is also treated as torn.
-    let (complete, dangling) = match text.rfind('\n') {
-        Some(i) => (&text[..i], &text[i + 1..]),
-        None => ("", text),
-    };
-    let mut torn_tail = !dangling.is_empty();
-    let lines: Vec<&str> = if complete.is_empty() {
-        Vec::new()
-    } else {
-        complete.split('\n').collect()
-    };
-    let mut header = None;
-    let mut records = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let is_last = i + 1 == lines.len() && !torn_tail;
-        match parse_line(line) {
-            Ok(('H', v)) => {
-                if i != 0 {
-                    return Err(PersistError::Corrupt(
-                        "WAL header record not at start".into(),
-                    ));
-                }
-                let version = u64_field(&v, "version")?;
-                if version != WAL_VERSION {
-                    return Err(PersistError::UnsupportedVersion {
-                        found: version,
-                        supported: WAL_VERSION,
-                    });
-                }
-                header = Some(WalHeader {
-                    config_fp: u64_field(&v, "config_fp")?,
-                    dataset_fp: u64_field(&v, "dataset_fp")?,
-                    shards: opt_usize_field(&v, "shards", 1)?,
-                    epoch: opt_u64_field(&v, "epoch", 0)?,
-                });
-            }
-            Ok(('R', v)) => {
-                if header.is_none() {
-                    return Err(PersistError::Corrupt("WAL record before header".into()));
-                }
-                records.push(record_from_json(&v)?);
-            }
-            Ok((tag, _)) => {
-                return Err(PersistError::Corrupt(format!(
-                    "unknown WAL record tag {tag:?}"
-                )))
-            }
-            Err(reason) => {
-                if is_last {
-                    // Crash mid-append: the final record is incomplete.
-                    torn_tail = true;
-                } else {
-                    return Err(PersistError::Corrupt(format!(
-                        "WAL line {} damaged mid-log: {reason}",
-                        i + 1
-                    )));
-                }
-            }
-        }
-    }
-    if header.is_none() && (!records.is_empty() || !torn_tail) {
-        return Err(PersistError::Corrupt("WAL has no header record".into()));
-    }
-    Ok(WalParse {
-        header,
-        records,
-        torn_tail,
-    })
 }
 
 /// Splits parsed WAL records into per-flip groups (consecutive records
@@ -1344,65 +659,14 @@ pub(crate) fn split_flip_groups(
     Ok((groups, torn_group))
 }
 
-/// Re-encodes a header plus records as a fresh WAL byte stream
-/// (compaction).
-pub(crate) fn encode_wal(header: &WalHeader, records: &[&WalRecord]) -> Vec<u8> {
-    let mut out = encode_wal_header(header);
-    for r in records {
-        out.extend_from_slice(&encode_wal_record(r));
-    }
-    out
-}
-
-/// The `seq` of one framed record line, read from the payload prefix
-/// without a full JSON decode ([`encode_wal_record`] always serializes
-/// `seq` first; the shim's `Map` preserves insertion order).
-fn record_line_seq(line: &str) -> Option<u64> {
-    let body = line.splitn(4, ' ').nth(3)?;
-    let rest = body.strip_prefix("{\"seq\":")?;
-    let end = rest.find([',', '}'])?;
-    rest[..end].parse().ok()
-}
-
-/// Checkpoint-time WAL compaction over **raw bytes**: keeps record lines
-/// with `seq > keep_after` verbatim under a fresh header, dropping a torn
-/// final line. Only each line's `seq` prefix is read — no per-record
-/// JSON decode/re-encode — because this runs under the engine's submit
-/// lock, where every microsecond blocks WAL appends. Returns the new
-/// stream and the number of kept records. Damaged mid-log lines are kept
-/// as-is (recovery, with time to spare, diagnoses them properly).
-pub(crate) fn compact_wal(bytes: &[u8], keep_after: u64, header: &WalHeader) -> (Vec<u8>, u64) {
-    let mut out = encode_wal_header(header);
-    let mut kept = 0u64;
-    if let Ok(text) = std::str::from_utf8(bytes) {
-        for line in text.split_inclusive('\n') {
-            if !line.ends_with('\n') {
-                break; // torn final append; checkpoint covers its flip
-            }
-            if !line.starts_with("R ") {
-                continue; // old header
-            }
-            match record_line_seq(line) {
-                Some(seq) if seq <= keep_after => {}
-                _ => {
-                    out.extend_from_slice(line.as_bytes());
-                    kept += 1;
-                }
-            }
-        }
-    }
-    (out, kept)
-}
-
 // ---------------------------------------------------------------------------
-// Binary codec
+// The store codec
 // ---------------------------------------------------------------------------
 //
-// The [`StoreCodec::Binary`] encoding of the same durable state model:
-// LEB128 varints for counts and small ordinals, fixed 8-byte
-// little-endian words for dense bit patterns (canonical-code words, WL
-// hashes, fingerprints, cost exponent bits), and delta-coded sorted
-// answer sets. Layout:
+// The byte encoding of the durable state model above: LEB128 varints
+// for counts and small ordinals, fixed 8-byte little-endian words for
+// dense bit patterns (canonical-code words, WL hashes, fingerprints,
+// cost exponent bits), and delta-coded sorted answer sets. Layout:
 //
 // * **Checkpoint** — `IGQBCKP1` magic, then a `u64` LE FNV-1a checksum
 //   over the payload, a `u64` LE payload length, and the payload
@@ -1412,14 +676,9 @@ pub(crate) fn compact_wal(bytes: &[u8], keep_after: u64, header: &WalHeader) -> 
 //   and the payload. A record payload serializes `seq` first so
 //   checkpoint-time compaction can read it without decoding the frame.
 //
-// Both decoders are reached through the same [`decode_checkpoint`] /
-// [`parse_wal`] entry points, which sniff the magic — the codec choice
-// governs what gets *written*; reads accept either format, so a store
-// written under one codec reopens under the other (and is rewritten in
-// the configured codec by the open-time WAL compaction / next
-// checkpoint). Torn-tail semantics mirror the text codec exactly: an
-// incomplete or checksum-damaged **final** frame is dropped and
-// reported, the same damage mid-stream is [`PersistError::Corrupt`].
+// Torn-tail semantics: an incomplete or checksum-damaged **final** frame
+// is dropped and reported, the same damage mid-stream is
+// [`PersistError::Corrupt`].
 
 /// Appends a LEB128 varint.
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -1633,8 +892,9 @@ fn meta_to_bin(out: &mut Vec<u8>, m: &GraphMeta) {
     put_varint(out, m.hits);
     put_varint(out, m.queries_seen);
     put_varint(out, m.removed);
-    // Same -inf-safety argument as [`meta_to_json`]: the exact `f64` bit
-    // pattern of the log-domain cost, not a decimal rendering.
+    // The log-domain cost is an `f64` exponent that can legitimately be
+    // -inf (never-hit entries): store its exact bit pattern, not a
+    // decimal rendering.
     put_u64_le(out, m.cost_alleviated.ln().to_bits());
     put_varint(out, m.last_hit_at);
 }
@@ -1783,7 +1043,9 @@ fn metas_from_bin(r: &mut Reader) -> Result<Vec<(usize, GraphMeta)>, String> {
     Ok(out)
 }
 
-fn encode_checkpoint_binary(data: &CheckpointData) -> Vec<u8> {
+/// Encodes a checkpoint to its on-disk bytes (magic, checksum, length,
+/// payload).
+pub(crate) fn encode_checkpoint(data: &CheckpointData) -> Vec<u8> {
     let mut p = Vec::with_capacity(64 + data.entries.len() * 128);
     put_varint(&mut p, CHECKPOINT_VERSION);
     put_varint(&mut p, data.seq);
@@ -1819,8 +1081,14 @@ fn encode_checkpoint_binary(data: &CheckpointData) -> Vec<u8> {
     out
 }
 
-fn decode_checkpoint_binary(bytes: &[u8]) -> Result<CheckpointData, PersistError> {
-    let corrupt = |m: String| PersistError::Corrupt(format!("binary checkpoint: {m}"));
+/// Decodes and verifies checkpoint bytes (magic, checksum, version).
+/// Fingerprint validation against the opening engine is the caller's job
+/// (the fingerprints are in the returned data).
+pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, PersistError> {
+    let corrupt = |m: String| PersistError::Corrupt(format!("checkpoint: {m}"));
+    if !bytes.starts_with(BCKPT_MAGIC) {
+        return Err(corrupt("missing IGQBCKP1 magic".into()));
+    }
     if bytes.len() < 24 {
         return Err(corrupt("truncated header".into()));
     }
@@ -1907,7 +1175,9 @@ fn frame_bin(tag: u8, payload: &[u8]) -> Vec<u8> {
 /// Bytes of the frame header preceding each binary WAL payload.
 const BFRAME_HEADER: usize = 13;
 
-fn encode_wal_header_binary(h: &WalHeader) -> Vec<u8> {
+/// Encodes the stream prefix: the WAL magic plus the header frame binding
+/// the log to an engine identity.
+fn encode_wal_header(h: &WalHeader) -> Vec<u8> {
     let mut p = Vec::with_capacity(24);
     put_varint(&mut p, WAL_VERSION);
     put_u64_le(&mut p, h.config_fp);
@@ -1922,11 +1192,12 @@ fn encode_wal_header_binary(h: &WalHeader) -> Vec<u8> {
     out
 }
 
-fn encode_wal_record_binary(r: &WalRecord) -> Vec<u8> {
+/// Encodes one flip record as a WAL frame (an appendable unit; the
+/// stream's magic and header come from [`encode_wal`]).
+pub(crate) fn encode_wal_record(r: &WalRecord) -> Vec<u8> {
     let mut p = Vec::with_capacity(64 + r.admitted.len() * 64 + r.metas.len() * 16);
-    // `seq` leads the payload: binary compaction reads it without
-    // decoding the rest of the frame (the analogue of
-    // [`record_line_seq`]).
+    // `seq` leads the payload: compaction reads it without decoding the
+    // rest of the frame.
     put_varint(&mut p, r.seq);
     put_varint(&mut p, r.shard as u64);
     put_varint(&mut p, r.group as u64);
@@ -1962,8 +1233,7 @@ fn wal_header_from_bin(payload: &[u8]) -> Result<WalHeader, PersistError> {
         }
         Ok((version, h))
     };
-    let (version, h) =
-        go().map_err(|m| PersistError::Corrupt(format!("binary WAL header: {m}")))?;
+    let (version, h) = go().map_err(|m| PersistError::Corrupt(format!("WAL header: {m}")))?;
     if version != WAL_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
@@ -2005,10 +1275,22 @@ fn record_from_bin(payload: &[u8]) -> Result<WalRecord, String> {
     })
 }
 
-/// Walks binary WAL frames (magic already stripped). Same positional
-/// damage rules as the text parser: an incomplete or checksum-damaged
-/// final frame is a torn tail, anything earlier is corruption.
-fn parse_wal_binary(bytes: &[u8]) -> Result<WalParse, PersistError> {
+/// Parses a WAL byte stream: magic, header frame, then record frames in
+/// order. An incomplete or checksum-damaged **final** frame is tolerated
+/// (dropped, reported via [`WalParse::torn_tail`]) — that is what a crash
+/// mid-append leaves behind; damage anywhere else, or a non-empty stream
+/// that does not start with the magic, is [`PersistError::Corrupt`].
+pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
+    if bytes.is_empty() {
+        return Ok(WalParse {
+            header: None,
+            records: Vec::new(),
+            torn_tail: false,
+        });
+    }
+    let bytes = bytes
+        .strip_prefix(BWAL_MAGIC)
+        .ok_or_else(|| PersistError::Corrupt("WAL: missing IGQBWAL1 magic".into()))?;
     let mut header = None;
     let mut records = Vec::new();
     let mut torn_tail = false;
@@ -2037,7 +1319,7 @@ fn parse_wal_binary(bytes: &[u8]) -> Result<WalParse, PersistError> {
                 break;
             }
             return Err(PersistError::Corrupt(format!(
-                "binary WAL frame {} damaged mid-log: checksum mismatch \
+                "WAL frame {} damaged mid-log: checksum mismatch \
                  ({expected:016x} vs {found:016x})",
                 index + 1
             )));
@@ -2060,7 +1342,7 @@ fn parse_wal_binary(bytes: &[u8]) -> Result<WalParse, PersistError> {
                     Err(_) if is_last => torn_tail = true,
                     Err(reason) => {
                         return Err(PersistError::Corrupt(format!(
-                            "binary WAL frame {} damaged mid-log: {reason}",
+                            "WAL frame {} damaged mid-log: {reason}",
                             index + 1
                         )));
                     }
@@ -2068,7 +1350,7 @@ fn parse_wal_binary(bytes: &[u8]) -> Result<WalParse, PersistError> {
             }
             other => {
                 return Err(PersistError::Corrupt(format!(
-                    "unknown binary WAL frame tag {other:#04x}"
+                    "unknown WAL frame tag {other:#04x}"
                 )));
             }
         }
@@ -2085,13 +1367,18 @@ fn parse_wal_binary(bytes: &[u8]) -> Result<WalParse, PersistError> {
     })
 }
 
-/// Binary twin of [`compact_wal`]: keeps `R` frames with
-/// `seq > keep_after` verbatim under a fresh header, reading only each
-/// payload's leading `seq` varint; a torn final frame is dropped.
-fn compact_wal_binary(bytes: &[u8], keep_after: u64, header: &WalHeader) -> (Vec<u8>, u64) {
-    let mut out = encode_wal_header_binary(header);
+/// Checkpoint-time WAL compaction over **raw bytes**: keeps `R` frames
+/// with `seq > keep_after` verbatim under a fresh header, dropping a torn
+/// final frame. Only each payload's leading `seq` varint is read — no
+/// per-record decode/re-encode — because this runs under the engine's
+/// submit lock, where every microsecond blocks WAL appends. Returns the
+/// new stream and the number of kept records. Damaged mid-log frames are
+/// kept as-is (recovery, with time to spare, diagnoses them properly); a
+/// stream without the magic keeps nothing.
+pub(crate) fn compact_wal(bytes: &[u8], keep_after: u64, header: &WalHeader) -> (Vec<u8>, u64) {
+    let mut out = encode_wal_header(header);
     let mut kept = 0u64;
-    let frames = &bytes[BWAL_MAGIC.len().min(bytes.len())..];
+    let frames = bytes.strip_prefix(BWAL_MAGIC).unwrap_or(&[]);
     let mut pos = 0usize;
     while pos < frames.len() {
         let rem = frames.len() - pos;
@@ -2119,77 +1406,21 @@ fn compact_wal_binary(bytes: &[u8], keep_after: u64, header: &WalHeader) -> (Vec
     (out, kept)
 }
 
-// ---------------------------------------------------------------------------
-// Codec dispatch
-// ---------------------------------------------------------------------------
-
-/// Encodes a checkpoint in the configured codec.
-pub(crate) fn encode_checkpoint_with(data: &CheckpointData, codec: StoreCodec) -> Vec<u8> {
-    match codec {
-        StoreCodec::Json => encode_checkpoint(data),
-        StoreCodec::Binary => encode_checkpoint_binary(data),
+/// Encodes a header plus records as a fresh WAL byte stream (open-time
+/// compaction).
+pub(crate) fn encode_wal(header: &WalHeader, records: &[&WalRecord]) -> Vec<u8> {
+    let mut out = encode_wal_header(header);
+    for r in records {
+        out.extend_from_slice(&encode_wal_record(r));
     }
-}
-
-/// Encodes one flip record in the configured codec (an appendable unit;
-/// the stream's header/magic prefix comes from [`encode_wal_with`]).
-pub(crate) fn encode_wal_record_with(r: &WalRecord, codec: StoreCodec) -> Vec<u8> {
-    match codec {
-        StoreCodec::Json => encode_wal_record(r),
-        StoreCodec::Binary => encode_wal_record_binary(r),
-    }
-}
-
-/// Re-encodes a header plus records as a fresh WAL stream in the
-/// configured codec.
-pub(crate) fn encode_wal_with(
-    header: &WalHeader,
-    records: &[&WalRecord],
-    codec: StoreCodec,
-) -> Vec<u8> {
-    match codec {
-        StoreCodec::Json => encode_wal(header, records),
-        StoreCodec::Binary => {
-            let mut out = encode_wal_header_binary(header);
-            for r in records {
-                out.extend_from_slice(&encode_wal_record_binary(r));
-            }
-            out
-        }
-    }
-}
-
-/// Checkpoint-time raw-byte WAL compaction in the configured codec.
-/// When the stream on disk already matches `codec` (the steady state —
-/// `Engine::open` rewrites the WAL in the configured codec), frames are
-/// kept verbatim with only their `seq` prefix read. A codec switch
-/// between open and checkpoint cannot happen within one engine, but a
-/// mismatched stream still compacts correctly through a full
-/// parse + re-encode.
-pub(crate) fn compact_wal_with(
-    bytes: &[u8],
-    keep_after: u64,
-    header: &WalHeader,
-    codec: StoreCodec,
-) -> (Vec<u8>, u64) {
-    let input_binary = bytes.starts_with(BWAL_MAGIC);
-    match (codec, input_binary) {
-        (StoreCodec::Json, false) => compact_wal(bytes, keep_after, header),
-        (StoreCodec::Binary, true) => compact_wal_binary(bytes, keep_after, header),
-        _ => {
-            let records = parse_wal(bytes).map(|p| p.records).unwrap_or_default();
-            let kept: Vec<&WalRecord> = records.iter().filter(|r| r.seq > keep_after).collect();
-            let n = kept.len() as u64;
-            (encode_wal_with(header, &kept, codec), n)
-        }
-    }
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Replication delta-group codec
 //
 // The replication stream's wire unit is one committed flip group, encoded
-// as the binary WAL codec's `R` frames back to back — no magic, no header
+// as the WAL codec's `R` frames back to back — no magic, no header
 // (the subscription supplies both fingerprint checks and ordering). Decode
 // is strict: a replicated group travels over a reliable stream, so any
 // truncation or damage is an error and the whole group is rejected before
@@ -2209,13 +1440,13 @@ pub(crate) fn encode_group_binary(records: &[WalRecord], epoch: u64) -> Vec<u8> 
         out.extend_from_slice(&frame_bin(b'E', &p));
     }
     for r in records {
-        out.extend_from_slice(&encode_wal_record_binary(r));
+        out.extend_from_slice(&encode_wal_record(r));
     }
     out
 }
 
 /// Decodes a replication delta group: an optional leading `E` (epoch)
-/// frame, then binary `R` frames, strict. Returns the stream epoch (`0`
+/// frame, then `R` frames, strict. Returns the stream epoch (`0`
 /// when the `E` frame is absent — a never-promoted primary) alongside
 /// the records.
 pub(crate) fn decode_group_binary(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>), PersistError> {
@@ -2366,8 +1597,9 @@ mod tests {
     #[test]
     fn negative_infinity_cost_roundtrips_exactly() {
         let m = GraphMeta::new(); // cost = LogValue::ZERO = ln -inf
-        let v = meta_to_json(&m);
-        let back = meta_from_json(&v).expect("decodes");
+        let mut buf = Vec::new();
+        meta_to_bin(&mut buf, &m);
+        let back = meta_from_bin(&mut Reader::new(&buf)).expect("decodes");
         assert_eq!(back.cost_alleviated, LogValue::ZERO);
     }
 
@@ -2379,27 +1611,6 @@ mod tests {
         match decode_checkpoint(&bytes) {
             Err(PersistError::Checksum { .. }) => {}
             other => panic!("expected checksum error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn checkpoint_version_gate() {
-        let data = checkpoint_data();
-        let bytes = encode_checkpoint(&data);
-        let text = String::from_utf8(bytes).unwrap();
-        let (header, body) = text.split_once('\n').unwrap();
-        let body = body.replace("\"version\":1", "\"version\":999");
-        let mut forged = format!(
-            "{} {:016x} {}\n",
-            CKPT_MAGIC,
-            fnv1a64(body.as_bytes()),
-            body.len()
-        );
-        forged.push_str(&body);
-        let _ = header;
-        match decode_checkpoint(forged.as_bytes()) {
-            Err(PersistError::UnsupportedVersion { found: 999, .. }) => {}
-            other => panic!("expected version error, got {other:?}"),
         }
     }
 
@@ -2443,7 +1654,6 @@ mod tests {
         let mut mid = encode_wal_header(&header);
         let mut r1 = encode_wal_record(&wal_record(1));
         r1.truncate(r1.len() - 10);
-        r1.push(b'\n');
         mid.extend_from_slice(&r1);
         mid.extend_from_slice(&encode_wal_record(&wal_record(2)));
         match parse_wal(&mid) {
@@ -2453,12 +1663,8 @@ mod tests {
     }
 
     #[test]
-    fn unsharded_encodings_omit_shard_fields_and_decode_to_defaults() {
-        // Byte-level: a shards=1 engine's artifacts must not mention
-        // sharding at all (forward-written logs stay readable by the
-        // pre-sharding decoder, and vice versa).
+    fn unsharded_encodings_decode_to_defaults() {
         let ckpt = encode_checkpoint(&checkpoint_data());
-        assert!(!String::from_utf8(ckpt.clone()).unwrap().contains("shards"));
         assert_eq!(decode_checkpoint(&ckpt).unwrap().shards, 1);
         let header = WalHeader {
             config_fp: 1,
@@ -2466,14 +1672,7 @@ mod tests {
             shards: 1,
             epoch: 0,
         };
-        let line = encode_wal_record(&wal_record(3));
-        let text = String::from_utf8(line.clone()).unwrap();
-        assert!(!text.contains("shard") && !text.contains("group"));
-        let bytes = [encode_wal_header(&header), line].concat();
-        assert!(!String::from_utf8(encode_wal_header(&header))
-            .unwrap()
-            .contains("shards"));
-        let parsed = parse_wal(&bytes).expect("parses");
+        let parsed = parse_wal(&encode_wal(&header, &[&wal_record(3)])).expect("parses");
         assert_eq!(parsed.header.unwrap().shards, 1);
         assert_eq!(parsed.records[0].shard, 0);
         assert_eq!(parsed.records[0].group, 1);
@@ -2501,12 +1700,8 @@ mod tests {
         assert_eq!(parsed.records[1].shard, 0);
         // `seq` still leads the payload so raw compaction keeps working
         // on tagged records.
-        let line = String::from_utf8(encode_wal_record(&a)).unwrap();
-        assert!(line
-            .splitn(4, ' ')
-            .nth(3)
-            .unwrap()
-            .starts_with("{\"seq\":5"));
+        let frame = encode_wal_record(&a);
+        assert_eq!(Reader::new(&frame[BFRAME_HEADER..]).varint(), Ok(5));
         let (compacted, kept) = compact_wal(&bytes, 4, &header);
         assert_eq!(kept, 2);
         assert_eq!(parse_wal(&compacted).unwrap().records.len(), 2);
@@ -2685,8 +1880,6 @@ mod tests {
         assert_ne!(dataset_fingerprint(&el_a), dataset_fingerprint(&el_b));
     }
 
-    // -- binary codec ------------------------------------------------------
-
     #[test]
     fn varint_roundtrips_across_the_range() {
         for v in [
@@ -2714,9 +1907,9 @@ mod tests {
     #[test]
     fn binary_checkpoint_roundtrip_preserves_everything() {
         let data = checkpoint_data();
-        let bytes = encode_checkpoint_with(&data, StoreCodec::Binary);
+        let bytes = encode_checkpoint(&data);
         assert!(bytes.starts_with(BCKPT_MAGIC));
-        let back = decode_checkpoint(&bytes).expect("auto-detected binary decode");
+        let back = decode_checkpoint(&bytes).expect("decodes");
         assert_eq!(back.seq, 7);
         assert_eq!(back.config_fp, 11);
         assert_eq!(back.dataset_fp, 22);
@@ -2744,30 +1937,11 @@ mod tests {
         assert_eq!(fa.complete_len, fb.complete_len);
         assert_eq!(back.window.len(), 1);
         assert_eq!(back.window[0].code, Some(None), "budget-miss code survives");
-        // -inf cost exponents (never-hit entries) cross the codec intact.
-        let fresh = GraphMeta::new();
-        let mut buf = Vec::new();
-        meta_to_bin(&mut buf, &fresh);
-        let back = meta_from_bin(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(back.cost_alleviated, LogValue::ZERO);
-    }
-
-    #[test]
-    fn binary_checkpoint_is_smaller_than_json() {
-        let data = checkpoint_data();
-        let json = encode_checkpoint_with(&data, StoreCodec::Json);
-        let bin = encode_checkpoint_with(&data, StoreCodec::Binary);
-        assert!(
-            bin.len() < json.len(),
-            "binary {} should undercut JSON {}",
-            bin.len(),
-            json.len()
-        );
     }
 
     #[test]
     fn binary_checkpoint_checksum_and_version_gates() {
-        let bytes = encode_checkpoint_with(&checkpoint_data(), StoreCodec::Binary);
+        let bytes = encode_checkpoint(&checkpoint_data());
         let mut flipped = bytes.clone();
         let last = flipped.len() - 2;
         flipped[last] ^= 0x01;
@@ -2804,7 +1978,7 @@ mod tests {
         };
         let mut a = wal_record(1);
         a.shard = 0;
-        let bytes = encode_wal_with(&header, &[&a, &wal_record(2)], StoreCodec::Binary);
+        let bytes = encode_wal(&header, &[&a, &wal_record(2)]);
         assert!(bytes.starts_with(BWAL_MAGIC));
         let parsed = parse_wal(&bytes).expect("clean binary parse");
         assert_eq!(parsed.records.len(), 2);
@@ -2833,13 +2007,13 @@ mod tests {
         assert!(parsed.torn_tail);
 
         // ...but the same damage mid-log is corruption.
-        let r1 = encode_wal_record_with(&wal_record(1), StoreCodec::Binary);
-        let mut mid = encode_wal_with(&header, &[], StoreCodec::Binary);
+        let r1 = encode_wal_record(&wal_record(1));
+        let mut mid = encode_wal(&header, &[]);
         let mut broken = r1.clone();
         let at = broken.len() - 2;
         broken[at] ^= 0x01;
         mid.extend_from_slice(&broken);
-        mid.extend_from_slice(&encode_wal_record_with(&wal_record(2), StoreCodec::Binary));
+        mid.extend_from_slice(&encode_wal_record(&wal_record(2)));
         match parse_wal(&mid) {
             Err(PersistError::Corrupt(_)) => {}
             other => panic!("expected corruption error, got {other:?}"),
@@ -2860,7 +2034,7 @@ mod tests {
         let mut b = wal_record(5);
         b.shard = 0;
         b.group = 2;
-        let bytes = encode_wal_with(&header, &[&a, &b], StoreCodec::Binary);
+        let bytes = encode_wal(&header, &[&a, &b]);
         let parsed = parse_wal(&bytes).expect("parses");
         assert_eq!(parsed.header.unwrap().shards, 4);
         assert_eq!(parsed.records[0].shard, 2);
@@ -2880,15 +2054,12 @@ mod tests {
             shards: 1,
             epoch: 0,
         };
-        let mut bytes = encode_wal_with(&header, &[], StoreCodec::Binary);
+        let mut bytes = encode_wal(&header, &[]);
         for seq in 1..=4 {
-            bytes.extend_from_slice(&encode_wal_record_with(
-                &wal_record(seq),
-                StoreCodec::Binary,
-            ));
+            bytes.extend_from_slice(&encode_wal_record(&wal_record(seq)));
         }
         bytes.extend_from_slice(b"R torn-partial");
-        let (compacted, kept) = compact_wal_with(&bytes, 2, &header, StoreCodec::Binary);
+        let (compacted, kept) = compact_wal(&bytes, 2, &header);
         assert_eq!(kept, 2);
         let parsed = parse_wal(&compacted).expect("compacted WAL parses");
         assert_eq!(
@@ -2898,34 +2069,9 @@ mod tests {
         assert!(!parsed.torn_tail, "torn bytes dropped by compaction");
         assert_eq!(parsed.header.unwrap().config_fp, 9);
         // Kept frames survive byte-identically (checksums still valid).
-        let (again, kept_again) = compact_wal_with(&compacted, 0, &header, StoreCodec::Binary);
+        let (again, kept_again) = compact_wal(&compacted, 0, &header);
         assert_eq!(kept_again, 2);
         assert_eq!(parse_wal(&again).expect("parses").records.len(), 2);
-    }
-
-    #[test]
-    fn cross_codec_compaction_reencodes_in_the_target_codec() {
-        let header = WalHeader {
-            config_fp: 3,
-            dataset_fp: 4,
-            shards: 1,
-            epoch: 0,
-        };
-        // A JSON-text WAL compacted under the binary codec (the
-        // migration path the first post-upgrade checkpoint takes when a
-        // store skipped the open-time rewrite) comes out binary.
-        let json = encode_wal(&header, &[&wal_record(1), &wal_record(2)]);
-        let (bin, kept) = compact_wal_with(&json, 1, &header, StoreCodec::Binary);
-        assert_eq!(kept, 1);
-        assert!(bin.starts_with(BWAL_MAGIC));
-        let parsed = parse_wal(&bin).expect("parses as binary");
-        assert_eq!(parsed.records.len(), 1);
-        assert_eq!(parsed.records[0].seq, 2);
-        // And the reverse direction lands back in text.
-        let (text, kept) = compact_wal_with(&bin, 0, &header, StoreCodec::Json);
-        assert_eq!(kept, 1);
-        assert!(text.starts_with(b"H "));
-        assert_eq!(parse_wal(&text).expect("parses as text").records.len(), 1);
     }
 
     #[test]
@@ -2995,21 +2141,18 @@ mod tests {
     }
 
     #[test]
-    fn epoch_is_presence_optional_in_both_codecs() {
+    fn epoch_is_presence_optional() {
         let mut data = checkpoint_data();
-        // Epoch 0 stays byte-identical to the pre-failover encodings.
+        // Epoch 0 writes no trailing epoch varint (the pre-failover
+        // encoding) and decodes as 0.
         data.epoch = 0;
-        for codec in [StoreCodec::Json, StoreCodec::Binary] {
-            let bytes = encode_checkpoint_with(&data, codec);
-            assert_eq!(decode_checkpoint(&bytes).expect("decodes").epoch, 0);
-        }
-        assert!(!String::from_utf8_lossy(&encode_checkpoint(&data)).contains("epoch"));
-        // A promoted engine's epoch survives both codecs.
+        let plain = encode_checkpoint(&data);
+        assert_eq!(decode_checkpoint(&plain).expect("decodes").epoch, 0);
+        // A promoted engine's epoch survives, at the cost of one varint.
         data.epoch = 5;
-        for codec in [StoreCodec::Json, StoreCodec::Binary] {
-            let bytes = encode_checkpoint_with(&data, codec);
-            assert_eq!(decode_checkpoint(&bytes).expect("decodes").epoch, 5);
-        }
+        let promoted = encode_checkpoint(&data);
+        assert_eq!(promoted.len(), plain.len() + 1);
+        assert_eq!(decode_checkpoint(&promoted).expect("decodes").epoch, 5);
         // Same for the WAL header.
         let header = WalHeader {
             config_fp: 1,
@@ -3017,20 +2160,33 @@ mod tests {
             shards: 1,
             epoch: 9,
         };
-        for codec in [StoreCodec::Json, StoreCodec::Binary] {
-            let bytes = encode_wal_with(&header, &[&wal_record(1)], codec);
-            let parsed = parse_wal(&bytes).expect("parses");
-            assert_eq!(parsed.header.expect("header").epoch, 9);
-            // Compaction preserves the epoch through the fresh header.
-            let (compacted, _) = compact_wal_with(&bytes, 0, &header, codec);
-            assert_eq!(
-                parse_wal(&compacted)
-                    .expect("parses")
-                    .header
-                    .expect("header")
-                    .epoch,
-                9
-            );
-        }
+        let bytes = encode_wal(&header, &[&wal_record(1)]);
+        let parsed = parse_wal(&bytes).expect("parses");
+        assert_eq!(parsed.header.expect("header").epoch, 9);
+        // Compaction preserves the epoch through the fresh header.
+        let (compacted, _) = compact_wal(&bytes, 0, &header);
+        assert_eq!(
+            parse_wal(&compacted)
+                .expect("parses")
+                .header
+                .expect("header")
+                .epoch,
+            9
+        );
+    }
+
+    #[test]
+    fn compaction_keeps_nothing_of_a_stream_without_the_magic() {
+        let header = WalHeader {
+            config_fp: 1,
+            dataset_fp: 2,
+            shards: 1,
+            epoch: 0,
+        };
+        let json_era: &[u8] = b"H 0000000000000000 2 {}\nR 0000000000000000 2 {}\n";
+        assert!(matches!(parse_wal(json_era), Err(PersistError::Corrupt(_))));
+        let (compacted, kept) = compact_wal(json_era, 0, &header);
+        assert_eq!(kept, 0);
+        assert_eq!(compacted, encode_wal(&header, &[]));
     }
 }

@@ -32,20 +32,16 @@ pub struct EngineStats {
     pub exact_hits: u64,
     /// Optimal case 2 resolutions (empty-answer shortcuts).
     pub empty_shortcuts: u64,
-    /// Window maintenances performed: index delta applications or rebuilds
-    /// in the synchronous modes, window deltas *submitted* to the
+    /// Window maintenances performed: index delta applications in the
+    /// synchronous mode, window deltas *submitted* to the
     /// maintenance thread under `MaintenanceMode::Background`.
     pub maintenances: u64,
-    /// Full shadow rebuilds of the query indexes. Zero in steady state
-    /// under `MaintenanceMode::Incremental` and `Background`; equals
-    /// `maintenances` under `ShadowRebuild`.
-    pub full_rebuilds: u64,
     /// Index postings inserted or removed during incremental delta
     /// application — on the query thread (`Incremental`) or the
-    /// maintenance thread (`Background`). Zero under `ShadowRebuild`.
+    /// maintenance thread (`Background`).
     pub maintenance_postings_touched: u64,
     /// Wall-clock spent applying index updates, **reported from the thread
-    /// that did the work**: the query thread in the synchronous modes
+    /// that did the work**: the query thread in the synchronous mode
     /// (where it is also part of `igq_time`), the maintenance thread under
     /// `MaintenanceMode::Background` (where it overlaps query processing
     /// and is *not* part of any query's wall-clock). Cache
@@ -54,18 +50,16 @@ pub struct EngineStats {
     pub maintenance_time: Duration,
     /// Peak lag of the background maintainer, in submitted-but-unapplied
     /// windows. Bounded by `IgqConfig::max_lag_windows`; zero in the
-    /// synchronous modes.
+    /// synchronous mode.
     pub maintenance_lag_windows: u64,
     /// Index snapshots atomically published by the background maintainer.
-    /// Zero in the synchronous modes.
+    /// Zero in the synchronous mode.
     pub snapshot_publishes: u64,
     /// WAL records appended to the attached
     /// [`CacheStore`](crate::persist::CacheStore) — one per persisted
     /// window flip. Zero for engines without a store.
     pub wal_appends: u64,
-    /// Bytes of encoded WAL flip groups appended to the store — the
-    /// codec-visible WAL footprint ([`StoreCodec`](crate::StoreCodec)
-    /// decides how small a flip encodes).
+    /// Bytes of encoded WAL flip groups appended to the store.
     pub wal_bytes_appended: u64,
     /// Bytes of encoded checkpoints written (explicit and auto),
     /// cumulative.
@@ -221,7 +215,6 @@ impl EngineStats {
         self.exact_hits += other.exact_hits;
         self.empty_shortcuts += other.empty_shortcuts;
         self.maintenances += other.maintenances;
-        self.full_rebuilds += other.full_rebuilds;
         self.maintenance_postings_touched += other.maintenance_postings_touched;
         self.maintenance_time += other.maintenance_time;
         self.maintenance_lag_windows = self
@@ -335,7 +328,6 @@ pub(crate) struct AtomicEngineStats {
     exact_hits: AtomicU64,
     empty_shortcuts: AtomicU64,
     maintenances: AtomicU64,
-    full_rebuilds: AtomicU64,
     maintenance_postings_touched: AtomicU64,
     maintenance_nanos: AtomicU64,
     wal_appends: AtomicU64,
@@ -409,16 +401,10 @@ impl AtomicEngineStats {
     }
 
     /// Folds one synchronous maintenance's index work.
-    pub(crate) fn record_maintenance_work(
-        &self,
-        postings_touched: u64,
-        rebuilt: bool,
-        elapsed: Duration,
-    ) {
+    pub(crate) fn record_maintenance_work(&self, postings_touched: u64, elapsed: Duration) {
         const R: Ordering = Ordering::Relaxed;
         self.maintenance_postings_touched
             .fetch_add(postings_touched, R);
-        self.full_rebuilds.fetch_add(rebuilt as u64, R);
         self.maintenance_nanos
             .fetch_add(elapsed.as_nanos() as u64, R);
     }
@@ -538,7 +524,6 @@ impl AtomicEngineStats {
             exact_hits: self.exact_hits.load(R),
             empty_shortcuts: self.empty_shortcuts.load(R),
             maintenances: self.maintenances.load(R),
-            full_rebuilds: self.full_rebuilds.load(R),
             maintenance_postings_touched: self.maintenance_postings_touched.load(R),
             maintenance_time: Duration::from_nanos(self.maintenance_nanos.load(R)),
             maintenance_lag_windows: 0,
@@ -685,7 +670,7 @@ mod tests {
         }
         atomic.count_feature_extraction();
         atomic.count_maintenance();
-        atomic.record_maintenance_work(17, true, Duration::from_micros(13));
+        atomic.record_maintenance_work(17, Duration::from_micros(13));
         atomic.count_wal_append(120);
         atomic.count_wal_append(80);
         atomic.record_checkpoint(Duration::from_micros(21), 900);
@@ -712,7 +697,6 @@ mod tests {
         assert_eq!(snap.wall_time, plain.wall_time);
         assert_eq!(snap.feature_extractions, 1);
         assert_eq!(snap.maintenances, 1);
-        assert_eq!(snap.full_rebuilds, 1);
         assert_eq!(snap.maintenance_postings_touched, 17);
         assert_eq!(snap.maintenance_time, Duration::from_micros(13));
         assert_eq!(snap.wal_appends, 2);

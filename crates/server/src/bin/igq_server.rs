@@ -5,7 +5,7 @@
 //! ```text
 //! igq-server --dataset data.gfu [--listen 127.0.0.1:7461] [--method ggsx]
 //!            [--cache 500] [--window 100]
-//!            [--maintenance incremental|shadow|background] [--max-lag 2]
+//!            [--maintenance incremental|background] [--max-lag 2]
 //!            [--shards 1] [--batch-window-us 0] [--batch-max 64]
 //!            [--overload-lag N] [--max-connections 64]
 //!            [--follower-of <addr>[,<addr>...]]
@@ -68,7 +68,7 @@ options:
   --method <name>          ggsx|grapes|grapes6|ctindex|gcode (default ggsx)
   --cache <N>              query-cache capacity (default 500)
   --window <W>             maintenance window size (default 100)
-  --maintenance <mode>     incremental|shadow|background (default incremental)
+  --maintenance <mode>     incremental|background (default incremental)
   --max-lag <K>            background mode: max unapplied windows (default 2)
   --shards <N>             shard cache + indexes N ways (default 1)
   --batch-window-us <U>    micro-batching window in microseconds; 0 = off
@@ -248,11 +248,10 @@ fn build_method(name: &str, store: &Arc<GraphStore>) -> Result<Box<dyn SubgraphM
 fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
     let maintenance = match flags.get("maintenance").map(String::as_str) {
         None | Some("incremental") => MaintenanceMode::Incremental,
-        Some("shadow") | Some("shadow-rebuild") => MaintenanceMode::ShadowRebuild,
         Some("background") => MaintenanceMode::Background,
         Some(other) => {
             return Err(format!(
-                "--maintenance must be incremental|shadow|background, got {other:?}"
+                "--maintenance must be incremental|background, got {other:?}"
             ))
         }
     };

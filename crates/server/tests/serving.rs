@@ -48,11 +48,7 @@ fn loopback() -> ServerConfig {
 #[test]
 fn tcp_equals_in_process_across_maintenance_modes() {
     let (store, queries) = dataset();
-    for mode in [
-        MaintenanceMode::Incremental,
-        MaintenanceMode::ShadowRebuild,
-        MaintenanceMode::Background,
-    ] {
+    for mode in [MaintenanceMode::Incremental, MaintenanceMode::Background] {
         let local = build_engine(&store, mode);
         let served = build_engine(&store, mode);
         let server = Server::spawn(Arc::clone(&served), loopback()).expect("bind");

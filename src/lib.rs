@@ -57,7 +57,7 @@ pub mod prelude {
         CacheStore, ConfigError, DirStore, EngineHandle, IgqConfig, IgqEngine, IgqHandle,
         IgqSuperEngine, IgqSuperHandle, ImportReport, MaintenanceMode, MemStore, PersistError,
         PersistenceConfig, QueryEngine, QueryOutcome, QueryRequest, QueryResponse,
-        ReplacementPolicy, StoreCodec,
+        ReplacementPolicy,
     };
     pub use igq_features::PathConfig;
     pub use igq_graph::{

@@ -15,8 +15,6 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::sync::Arc;
 
-const BOTH_CODECS: [StoreCodec; 2] = [StoreCodec::Json, StoreCodec::Binary];
-
 fn sub_config(capacity: usize, window: usize, mode: MaintenanceMode) -> IgqConfig {
     IgqConfig {
         cache_capacity: capacity,
@@ -24,18 +22,6 @@ fn sub_config(capacity: usize, window: usize, mode: MaintenanceMode) -> IgqConfi
         maintenance: mode,
         persistence: PersistenceConfig::manual(),
         ..Default::default()
-    }
-}
-
-fn sub_config_codec(
-    capacity: usize,
-    window: usize,
-    mode: MaintenanceMode,
-    codec: StoreCodec,
-) -> IgqConfig {
-    IgqConfig {
-        persistence: PersistenceConfig::manual().with_codec(codec),
-        ..sub_config(capacity, window, mode)
     }
 }
 
@@ -55,72 +41,40 @@ fn open_sub(
     .expect("open subgraph engine")
 }
 
-fn open_sub_codec(
-    store: &Arc<GraphStore>,
-    mem: &Arc<MemStore>,
-    capacity: usize,
-    window: usize,
-    mode: MaintenanceMode,
-    codec: StoreCodec,
-) -> IgqEngine<Ggsx> {
-    let method = Ggsx::build(store, GgsxConfig::default());
-    IgqEngine::open(
-        method,
-        sub_config_codec(capacity, window, mode, codec),
-        Arc::clone(mem) as Arc<dyn CacheStore>,
-    )
-    .expect("open subgraph engine")
-}
-
 const BWAL_MAGIC: &[u8; 8] = b"IGQBWAL1";
 
-/// Counts intact WAL records in either codec: text `R `-tagged lines or
-/// binary `R` frames (tag byte, u32 LE length, u64 LE checksum).
+/// Counts intact WAL records: `R` frames (tag byte, u32 LE length, u64 LE
+/// checksum) after the stream magic.
 fn wal_record_count(wal: &[u8]) -> usize {
-    if let Some(frames) = wal.strip_prefix(BWAL_MAGIC.as_slice()) {
-        let mut n = 0;
-        let mut pos = 0usize;
-        while frames.len() - pos >= 13 {
-            let len = u32::from_le_bytes(frames[pos + 1..pos + 5].try_into().unwrap()) as usize;
-            if frames.len() - pos - 13 < len {
-                break; // torn final frame
-            }
-            if frames[pos] == b'R' {
-                n += 1;
-            }
-            pos += 13 + len;
+    let frames = wal.strip_prefix(BWAL_MAGIC.as_slice()).expect("WAL magic");
+    let mut n = 0;
+    let mut pos = 0usize;
+    while frames.len() - pos >= 13 {
+        let len = u32::from_le_bytes(frames[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        if frames.len() - pos - 13 < len {
+            break; // torn final frame
         }
-        n
-    } else {
-        wal.split(|&b| b == b'\n')
-            .filter(|l| l.first() == Some(&b'R'))
-            .count()
+        if frames[pos] == b'R' {
+            n += 1;
+        }
+        pos += 13 + len;
     }
+    n
 }
 
 /// Flips one byte inside the payload of the **first** record (never the
-/// last), in either codec — the mid-log damage shape recovery must
-/// reject rather than truncate.
+/// last) — the mid-log damage shape recovery must reject rather than
+/// truncate.
 fn corrupt_first_record(wal: &[u8]) -> Vec<u8> {
-    if let Some(frames) = wal.strip_prefix(BWAL_MAGIC.as_slice()) {
-        // Skip the header frame, then flip a byte in the middle of the
-        // first `R` frame's payload.
-        let hlen = u32::from_le_bytes(frames[1..5].try_into().unwrap()) as usize;
-        let rstart = 13 + hlen;
-        let rlen = u32::from_le_bytes(frames[rstart + 1..rstart + 5].try_into().unwrap()) as usize;
-        let mut out = wal.to_vec();
-        out[BWAL_MAGIC.len() + rstart + 13 + rlen / 2] ^= 0x01;
-        out
-    } else {
-        let text = std::str::from_utf8(wal).expect("utf-8 wal");
-        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-        assert!(lines.len() >= 3, "header + at least two records");
-        let target = &mut lines[1];
-        let mid = target.len() - 5;
-        let byte = target.as_bytes()[mid];
-        target.replace_range(mid..mid + 1, if byte == b'0' { "1" } else { "0" });
-        (lines.join("\n") + "\n").into_bytes()
-    }
+    let frames = wal.strip_prefix(BWAL_MAGIC.as_slice()).expect("WAL magic");
+    // Skip the header frame, then flip a byte in the middle of the
+    // first `R` frame's payload.
+    let hlen = u32::from_le_bytes(frames[1..5].try_into().unwrap()) as usize;
+    let rstart = 13 + hlen;
+    let rlen = u32::from_le_bytes(frames[rstart + 1..rstart + 5].try_into().unwrap()) as usize;
+    let mut out = wal.to_vec();
+    out[BWAL_MAGIC.len() + rstart + 13 + rlen / 2] ^= 0x01;
+    out
 }
 
 fn sharded_config(
@@ -147,27 +101,6 @@ fn open_sub_sharded(
     IgqEngine::open(
         method,
         sharded_config(capacity, window, mode, shards),
-        Arc::clone(mem) as Arc<dyn CacheStore>,
-    )
-    .expect("open sharded subgraph engine")
-}
-
-fn open_sub_sharded_codec(
-    store: &Arc<GraphStore>,
-    mem: &Arc<MemStore>,
-    capacity: usize,
-    window: usize,
-    mode: MaintenanceMode,
-    shards: usize,
-    codec: StoreCodec,
-) -> IgqEngine<Ggsx> {
-    let method = Ggsx::build(store, GgsxConfig::default());
-    IgqEngine::open(
-        method,
-        IgqConfig {
-            shards,
-            ..sub_config_codec(capacity, window, mode, codec)
-        },
         Arc::clone(mem) as Arc<dyn CacheStore>,
     )
     .expect("open sharded subgraph engine")
@@ -203,124 +136,95 @@ fn aids_workload(n_store: usize, n_queries: usize, seed: u64) -> (Arc<GraphStore
 
 #[test]
 fn torn_wal_tail_is_truncated_and_recovery_stays_exact() {
-    for codec in BOTH_CODECS {
-        let (store, queries) = aids_workload(50, 24, 11);
-        let mem = Arc::new(MemStore::new());
-        {
-            let e = open_sub_codec(&store, &mem, 8, 2, MaintenanceMode::Incremental, codec);
-            for q in &queries {
-                let _ = e.query(q);
-            }
-        }
-        let wal = mem.raw_wal();
-        let records_before = wal_record_count(&wal);
-        assert!(records_before >= 3, "need a few flips to truncate");
-        // Crash mid-append: the final record loses its tail bytes.
-        mem.set_wal(wal[..wal.len() - 9].to_vec());
-
-        let e = open_sub_codec(&store, &mem, 8, 2, MaintenanceMode::Incremental, codec);
-        assert_eq!(
-            e.stats().recovery_replayed_windows,
-            (records_before - 1) as u64,
-            "exactly the torn record is dropped ({codec:?})"
-        );
-        e.self_check().expect("recovered engine invariants");
-        for q in queries.iter().take(6) {
-            assert_eq!(e.query(q).answers, oracle_answers(&store, q), "{q:?}");
-        }
-    }
-}
-
-#[test]
-fn mid_wal_corruption_is_rejected_not_truncated() {
-    for codec in BOTH_CODECS {
-        let (store, queries) = aids_workload(40, 20, 13);
-        let mem = Arc::new(MemStore::new());
-        {
-            let e = open_sub_codec(&store, &mem, 8, 2, MaintenanceMode::Incremental, codec);
-            for q in &queries {
-                let _ = e.query(q);
-            }
-        }
-        // Damage the first record (not the last): flip a payload byte.
-        mem.set_wal(corrupt_first_record(&mem.raw_wal()));
-
-        let method = Ggsx::build(&store, GgsxConfig::default());
-        let err = IgqEngine::<Ggsx>::open(
-            method,
-            sub_config_codec(8, 2, MaintenanceMode::Incremental, codec),
-            Arc::clone(&mem) as Arc<dyn CacheStore>,
-        )
-        .err()
-        .expect("mid-log damage must fail loudly");
-        assert!(
-            matches!(err, PersistError::Corrupt(_)),
-            "expected Corrupt under {codec:?}, got {err}"
-        );
-    }
-}
-
-#[test]
-fn json_text_store_reopens_under_binary_codec_and_migrates() {
-    // A store written entirely under the PR-4 JSON-text codec must open
-    // under the binary default (reads auto-detect), behave identically,
-    // and migrate: the open-time WAL rewrite and the next checkpoint come
-    // out binary.
-    let (store, queries) = aids_workload(50, 24, 59);
+    let (store, queries) = aids_workload(50, 24, 11);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub_codec(
-            &store,
-            &mem,
-            8,
-            2,
-            MaintenanceMode::Incremental,
-            StoreCodec::Json,
-        );
-        for q in queries.iter().take(12) {
+        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        for q in &queries {
             let _ = e.query(q);
         }
-        e.checkpoint().expect("json checkpoint");
-        for q in queries.iter().skip(12) {
-            let _ = e.query(q); // post-checkpoint flips -> JSON WAL tail
-        }
     }
-    assert!(
-        mem.raw_wal().starts_with(b"H "),
-        "precondition: the legacy store is JSON text"
-    );
-    let e = open_sub_codec(
-        &store,
-        &mem,
-        8,
-        2,
-        MaintenanceMode::Incremental,
-        StoreCodec::Binary,
-    );
-    assert!(
-        mem.raw_wal().starts_with(BWAL_MAGIC),
-        "open rewrites the WAL tail in the configured codec"
+    let wal = mem.raw_wal();
+    let records_before = wal_record_count(&wal);
+    assert!(records_before >= 3, "need a few flips to truncate");
+    // Crash mid-append: the final record loses its tail bytes.
+    mem.set_wal(wal[..wal.len() - 9].to_vec());
+
+    let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+    assert_eq!(
+        e.stats().recovery_replayed_windows,
+        (records_before - 1) as u64,
+        "exactly the torn record is dropped"
     );
     e.self_check().expect("recovered engine invariants");
     for q in queries.iter().take(6) {
         assert_eq!(e.query(q).answers, oracle_answers(&store, q), "{q:?}");
     }
-    e.checkpoint().expect("binary checkpoint");
-    let ckpt = mem.load_checkpoint().unwrap().expect("checkpoint exists");
+}
+
+#[test]
+fn mid_wal_corruption_is_rejected_not_truncated() {
+    let (store, queries) = aids_workload(40, 20, 13);
+    let mem = Arc::new(MemStore::new());
+    {
+        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        for q in &queries {
+            let _ = e.query(q);
+        }
+    }
+    // Damage the first record (not the last): flip a payload byte.
+    mem.set_wal(corrupt_first_record(&mem.raw_wal()));
+
+    let method = Ggsx::build(&store, GgsxConfig::default());
+    let err = IgqEngine::<Ggsx>::open(
+        method,
+        sub_config(8, 2, MaintenanceMode::Incremental),
+        Arc::clone(&mem) as Arc<dyn CacheStore>,
+    )
+    .err()
+    .expect("mid-log damage must fail loudly");
     assert!(
-        ckpt.starts_with(b"IGQBCKP1"),
-        "checkpoint migrated to the binary codec"
+        matches!(err, PersistError::Corrupt(_)),
+        "expected Corrupt, got {err}"
     );
-    // And the reverse: the binary store still opens under a JSON config.
-    let e = open_sub_codec(
-        &store,
-        &mem,
-        8,
-        2,
-        MaintenanceMode::Incremental,
-        StoreCodec::Json,
-    );
-    e.self_check().expect("invariants after downgrade open");
+}
+
+#[test]
+fn foreign_store_bytes_are_rejected_and_left_untouched() {
+    // The binary format is the only format: JSON-era text, a truncated
+    // magic, or arbitrary bytes in either artifact make `open` fail with
+    // a typed `Corrupt` — no fallback parser, no silent cold start, and
+    // the store is not rewritten.
+    let (store, _) = aids_workload(20, 1, 59);
+    let json_ckpt: &[u8] = b"IGQCKPT1 0000000000000000 2\n{}";
+    let json_wal: &[u8] = b"H 0000000000000000 2 {}\nR 0000000000000000 2 {}\n";
+    let cases: [(Option<&[u8]>, &[u8]); 6] = [
+        (Some(json_ckpt), b""),
+        (Some(b"IGQBC"), b""),
+        (Some(b"\x00\xffnot a checkpoint"), b""),
+        (None, json_wal),
+        (None, b"IGQBW"),
+        (None, b"\x00\xffnot a wal"),
+    ];
+    for (ckpt, wal) in cases {
+        let mem = Arc::new(MemStore::new());
+        mem.set_checkpoint(ckpt.map(<[u8]>::to_vec));
+        mem.set_wal(wal.to_vec());
+        let method = Ggsx::build(&store, GgsxConfig::default());
+        let err = IgqEngine::<Ggsx>::open(
+            method,
+            sub_config(8, 2, MaintenanceMode::Incremental),
+            Arc::clone(&mem) as Arc<dyn CacheStore>,
+        )
+        .err()
+        .expect("foreign bytes must fail loudly");
+        assert!(
+            matches!(err, PersistError::Corrupt(_)),
+            "expected Corrupt for {ckpt:?} / {wal:?}, got {err}"
+        );
+        assert_eq!(mem.load_checkpoint().unwrap().as_deref(), ckpt);
+        assert_eq!(mem.raw_wal(), wal);
+    }
 }
 
 #[test]
@@ -634,11 +538,7 @@ fn observe(o: &QueryOutcome) -> Observed {
     }
 }
 
-const ALL_MODES: [MaintenanceMode; 3] = [
-    MaintenanceMode::Incremental,
-    MaintenanceMode::ShadowRebuild,
-    MaintenanceMode::Background,
-];
+const ALL_MODES: [MaintenanceMode; 2] = [MaintenanceMode::Incremental, MaintenanceMode::Background];
 
 /// Runs `prefix` on a live engine, checkpoints, opens a recovered twin
 /// from a point-in-time store fork, then drives both through `suffix`,
@@ -669,7 +569,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `Engine::open` after N random window flips ≡ the never-restarted
-    /// engine — subgraph direction, all three maintenance modes.
+    /// engine — subgraph direction, both maintenance modes.
     #[test]
     fn subgraph_restart_equivalence(
         store in arb_store(6, 6, 3),
@@ -741,15 +641,11 @@ fn sharded_wal_roundtrip_matches_never_restarted_engine() {
     // The multiplexed WAL (every flip = one group of N shard-tagged
     // records) must round-trip: a shards=4 engine killed after a stream
     // and reopened from its store behaves identically to the engine that
-    // never restarted — all three maintenance modes.
+    // never restarted — in both maintenance modes.
     let (store, queries) = aids_workload(60, 36, 43);
     let (prefix, rest) = queries.split_at(18);
     let (mid, suffix) = rest.split_at(8);
-    for mode in [
-        MaintenanceMode::Incremental,
-        MaintenanceMode::ShadowRebuild,
-        MaintenanceMode::Background,
-    ] {
+    for mode in ALL_MODES {
         let mem = Arc::new(MemStore::new());
         let live = open_sub_sharded(&store, &mem, 10, 2, mode, 4);
         for q in prefix {
@@ -776,35 +672,32 @@ fn torn_tail_on_interleaved_multi_shard_wal_drops_the_whole_last_flip() {
     // A crash can tear the group's final record; recovery must then drop
     // the *entire* trailing group (a flip is atomic across shards — half
     // a flip would desynchronize the global allocator) and stay exact.
-    for codec in BOTH_CODECS {
-        let (store, queries) = aids_workload(50, 28, 47);
-        let mem = Arc::new(MemStore::new());
-        {
-            let e =
-                open_sub_sharded_codec(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4, codec);
-            for q in &queries {
-                let _ = e.query(q);
-            }
+    let (store, queries) = aids_workload(50, 28, 47);
+    let mem = Arc::new(MemStore::new());
+    {
+        let e = open_sub_sharded(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4);
+        for q in &queries {
+            let _ = e.query(q);
         }
-        let wal = mem.raw_wal();
-        let records_before = wal_record_count(&wal);
-        assert!(
-            records_before >= 8 && records_before.is_multiple_of(4),
-            "expected whole 4-record groups, got {records_before}"
-        );
-        // Crash mid-append: the group's last record loses its tail bytes.
-        mem.set_wal(wal[..wal.len() - 9].to_vec());
+    }
+    let wal = mem.raw_wal();
+    let records_before = wal_record_count(&wal);
+    assert!(
+        records_before >= 8 && records_before.is_multiple_of(4),
+        "expected whole 4-record groups, got {records_before}"
+    );
+    // Crash mid-append: the group's last record loses its tail bytes.
+    mem.set_wal(wal[..wal.len() - 9].to_vec());
 
-        let e = open_sub_sharded_codec(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4, codec);
-        assert_eq!(
-            e.stats().recovery_replayed_windows,
-            (records_before / 4 - 1) as u64,
-            "exactly the torn flip group is dropped, not just its torn record ({codec:?})"
-        );
-        e.self_check().expect("recovered engine invariants");
-        for q in queries.iter().take(6) {
-            assert_eq!(e.query(q).answers, oracle_answers(&store, q), "{q:?}");
-        }
+    let e = open_sub_sharded(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4);
+    assert_eq!(
+        e.stats().recovery_replayed_windows,
+        (records_before / 4 - 1) as u64,
+        "exactly the torn flip group is dropped, not just its torn record"
+    );
+    e.self_check().expect("recovered engine invariants");
+    for q in queries.iter().take(6) {
+        assert_eq!(e.query(q).answers, oracle_answers(&store, q), "{q:?}");
     }
 }
 

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{arb_graph, arb_store, oracle_answers, oracle_super_answers};
-use igq::core::{IgqSuperEngine, MaintenanceMode};
+use igq::core::IgqSuperEngine;
 use igq::features::PathConfig;
 use igq::iso::MatchConfig;
 use igq::methods::TrieSupergraphMethod;
@@ -86,10 +86,11 @@ proptest! {
     }
 
     /// Incremental delta maintenance and the paper's shadow rebuild are
-    /// observationally identical: same answers, same resolutions, same
-    /// index hits, on any randomized workload with churn-heavy cache
-    /// configurations — and the incremental engine's indexes diff clean
-    /// against a fresh rebuild at the end (`self_check`).
+    /// observationally identical: on any randomized workload with
+    /// churn-heavy cache configurations the incrementally maintained
+    /// indexes diff clean against a fresh from-scratch rebuild
+    /// (`self_check`) after every query — so after every window flip —
+    /// and the answers are the oracle's.
     #[test]
     fn incremental_maintenance_equals_shadow_rebuild(
         store in arb_store(6, 6, 3),
@@ -97,57 +98,39 @@ proptest! {
         capacity in 1usize..5,
         window in 1usize..4,
     ) {
-        let mk = |maintenance| {
-            let method = Ggsx::build(&store, GgsxConfig::default());
-            IgqEngine::new(
-                method,
-                IgqConfig { cache_capacity: capacity, window: window.min(capacity), maintenance, ..Default::default() },
-            ).expect("valid engine")
-        };
-        let inc = mk(MaintenanceMode::Incremental);
-        let shadow = mk(MaintenanceMode::ShadowRebuild);
+        let method = Ggsx::build(&store, GgsxConfig::default());
+        let inc = IgqEngine::new(
+            method,
+            IgqConfig { cache_capacity: capacity, window: window.min(capacity), ..Default::default() },
+        ).expect("valid engine");
         for q in &queries {
             let a = inc.query(q);
-            let b = shadow.query(q);
-            prop_assert_eq!(&a.answers, &b.answers, "answers diverge for {:?}", q);
-            prop_assert_eq!(a.resolution, b.resolution, "resolution diverges for {:?}", q);
-            prop_assert_eq!(a.isub_hits, b.isub_hits, "isub hits diverge for {:?}", q);
-            prop_assert_eq!(a.isuper_hits, b.isuper_hits, "isuper hits diverge for {:?}", q);
             prop_assert_eq!(&a.answers, &oracle_answers(&store, q), "oracle mismatch for {:?}", q);
+            inc.self_check().expect("incremental indexes equal a fresh shadow rebuild");
         }
-        prop_assert_eq!(inc.cached_queries(), shadow.cached_queries());
-        prop_assert_eq!(inc.stats().full_rebuilds, 0, "incremental mode must not rebuild");
-        inc.self_check().expect("incremental indexes equal a fresh shadow rebuild");
-        shadow.self_check().expect("shadow engine invariants");
     }
 
     /// Same equivalence for the supergraph engine.
     #[test]
-    fn super_engine_maintenance_modes_agree(
+    fn super_engine_incremental_maintenance_equals_rebuild(
         store in arb_store(5, 5, 3),
         queries in proptest::collection::vec(arb_graph(7, 3), 1..10),
         capacity in 1usize..4,
     ) {
-        let mk = |maintenance| {
-            let method = TrieSupergraphMethod::build(
-                &store,
-                PathConfig::default(),
-                MatchConfig::default(),
-            );
-            IgqSuperEngine::new(
-                method,
-                IgqConfig { cache_capacity: capacity, window: 1, maintenance, ..Default::default() },
-            ).expect("valid engine")
-        };
-        let inc = mk(MaintenanceMode::Incremental);
-        let shadow = mk(MaintenanceMode::ShadowRebuild);
+        let method = TrieSupergraphMethod::build(
+            &store,
+            PathConfig::default(),
+            MatchConfig::default(),
+        );
+        let inc = IgqSuperEngine::new(
+            method,
+            IgqConfig { cache_capacity: capacity, window: 1, ..Default::default() },
+        ).expect("valid engine");
         for q in &queries {
             let a = inc.query(q);
-            let b = shadow.query(q);
-            prop_assert_eq!(&a.answers, &b.answers, "answers diverge for {:?}", q);
             prop_assert_eq!(&a.answers, &oracle_super_answers(&store, q), "oracle mismatch");
+            inc.self_check().expect("incremental indexes equal a fresh shadow rebuild");
         }
-        prop_assert_eq!(inc.stats().full_rebuilds, 0);
     }
 
     /// Duplicate queries in a stream never corrupt the cache: answers stay

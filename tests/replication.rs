@@ -18,11 +18,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const MODES: [MaintenanceMode; 3] = [
-    MaintenanceMode::Incremental,
-    MaintenanceMode::ShadowRebuild,
-    MaintenanceMode::Background,
-];
+const MODES: [MaintenanceMode; 2] = [MaintenanceMode::Incremental, MaintenanceMode::Background];
 
 fn config_for(mode: MaintenanceMode) -> IgqConfig {
     IgqConfig::builder()
@@ -88,8 +84,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// After draining the delta stream, a follower answers every query
-    /// exactly like its primary (and like the naive oracle), in all
-    /// three maintenance modes.
+    /// exactly like its primary (and like the naive oracle), in both
+    /// maintenance modes.
     #[test]
     fn follower_matches_primary_subgraph_all_modes(
         store in arb_store(6, 5, 3),

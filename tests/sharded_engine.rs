@@ -2,7 +2,7 @@
 //! `IgqConfig::shards(n)` for any `n` must be observationally identical
 //! to the unsharded (`shards = 1`) engine — same per-query answers and
 //! resolutions, same cache hit/extend outcomes, same pruning counters,
-//! same resident set — across all three maintenance modes and both query
+//! same resident set — across both maintenance modes and both query
 //! directions. Sharding splits the lock layout, never the semantics: the
 //! global slot allocator replays the exact admission/eviction decisions
 //! of the single cache, and the scatter/gather probe path merges disjoint
@@ -23,11 +23,7 @@ use std::sync::Arc;
 /// Shard counts proven equivalent to the unsharded engine.
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
-const ALL_MODES: [MaintenanceMode; 3] = [
-    MaintenanceMode::Incremental,
-    MaintenanceMode::ShadowRebuild,
-    MaintenanceMode::Background,
-];
+const ALL_MODES: [MaintenanceMode; 2] = [MaintenanceMode::Incremental, MaintenanceMode::Background];
 
 fn config(capacity: usize, window: usize, mode: MaintenanceMode, shards: usize) -> IgqConfig {
     IgqConfig::builder()
