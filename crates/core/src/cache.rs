@@ -27,8 +27,9 @@ pub struct CacheEntry {
     pub graph: Arc<Graph>,
     /// WL signature for cheap exact-repeat prefiltering.
     pub signature: GraphSignature,
-    /// Canonical code when the graph fits the canonicalization budget —
-    /// the exact-repeat fast path key.
+    /// Canonical code — the exact-repeat fast path key — unless
+    /// [`canonical_code`] declined the graph (over its vertex cap, or its
+    /// orbit-pruned search out of leaves; rare at query sizes).
     pub code: Option<CanonicalCode>,
     /// The stored answer set (sorted dataset graph ids).
     pub answers: Vec<GraphId>,
@@ -72,7 +73,7 @@ impl CacheEntry {
 /// One query pending admission (`Itemp` member). `signature`/`code` carry
 /// values the engine already computed on the query path so admission does
 /// not recompute them; `None` means "not computed yet" (the outer `Option`
-/// of `code` — the inner one is [`canonical_code`]'s own budget miss).
+/// of `code` — the inner one is [`canonical_code`] declining the graph).
 #[derive(Debug, Clone)]
 pub struct WindowEntry {
     /// The query graph.

@@ -1511,16 +1511,18 @@ impl<D: QueryDirection> Engine<D> {
         // Optimal case 1 fast path: a canonical-code hash lookup detects
         // exact repeats before any filtering or probing (see
         // [`IgqConfig::exact_fastpath`]). The probe path below still
-        // catches repeats whose canonicalization exceeded its budget. The
-        // canonicalization outcome is kept and threaded through to window
-        // admission so maintenance never recomputes it. The common miss
-        // pays only a read lock; a hit re-checks under the write lock (the
-        // slot may have been evicted in between).
-        let code: Option<Option<CanonicalCode>> = if self.config.exact_fastpath {
-            Some(canonical_code(q))
-        } else {
-            None
-        };
+        // catches repeats of the rare query `canonical_code` declines
+        // (over its vertex cap, or its orbit-pruned search still out of
+        // leaves). The canonicalization outcome is kept and threaded
+        // through to window admission so maintenance never recomputes it.
+        // The common miss pays only a read lock; a hit re-checks under the
+        // write lock (the slot may have been evicted in between).
+        let code: Option<Option<CanonicalCode>> = self.config.exact_fastpath.then(|| {
+            let code = canonical_code(q);
+            self.stats
+                .record_canonicalization(wall_start.elapsed(), code.is_none());
+            code
+        });
         if let Some(Some(c)) = &code {
             // Routing is deterministic, so only the owning shard can hold
             // this code — the common miss pays one shard's read lock, not
@@ -1578,7 +1580,7 @@ impl<D: QueryDirection> Engine<D> {
         // valid through the answer algebra below. Shards hold disjoint
         // slot sets, so the per-shard hit lists merge exactly.
         let background = self.shards[0].maintainer.is_some();
-        // The query's canonical code (when computed and within budget)
+        // The query's canonical code (when computed, and not declined)
         // keys the plan cache for the `Isub` probe and the verify stage.
         let qcode: Option<&CanonicalCode> = code.as_ref().and_then(|c| c.as_ref());
         let mut snaps: Vec<Arc<IndexPair>> = Vec::new();
@@ -1717,7 +1719,9 @@ impl<D: QueryDirection> Engine<D> {
             );
             // An empty-answer query is prime cache material.
             if !opts.skip_admission {
-                self.enqueue(&mut guards.ctl, q, &[], code.clone());
+                if let Some(entry) = self.pending_admission(q, &[], code.clone()) {
+                    self.enqueue(&mut guards.ctl, entry);
+                }
             }
             outcome.igq_time = extract_time + probe_time + bookkeeping_start.elapsed();
             let maint_start = Instant::now();
@@ -1816,11 +1820,16 @@ impl<D: QueryDirection> Engine<D> {
         // possibly-incomplete answer set: caching it would let formulas
         // (3)–(5) turn one bounded verification into wrong answers for
         // *future* queries, so it is never admitted.
+        // The admission record (graph clone, WL signature) is built before
+        // the lock so concurrent callers do not serialize on it.
         let maint_start = Instant::now();
+        let pending = (outcome.aborted_tests == 0 && !opts.skip_admission)
+            .then(|| self.pending_admission(q, &outcome.answers, code))
+            .flatten();
         let maintained = {
             let mut guards = self.lock_write();
-            if outcome.aborted_tests == 0 && !opts.skip_admission {
-                self.enqueue(&mut guards.ctl, q, &outcome.answers, code);
+            if let Some(entry) = pending {
+                self.enqueue(&mut guards.ctl, entry);
             }
             self.maybe_maintain(&mut guards)
         };
@@ -1837,41 +1846,51 @@ impl<D: QueryDirection> Engine<D> {
         outcome
     }
 
-    /// Adds `(q, answers)` to the window unless `q` is an exact duplicate
-    /// of a pending window entry (cache duplicates were already handled by
-    /// the exact-hit path; two concurrent first-time callers of the same
-    /// query can still both admit — duplicate residents are tolerated by
-    /// the cache, see `duplicate_codes_survive_partial_eviction`). `code`
-    /// is the query-path canonicalization outcome, reused at admission.
-    fn enqueue(
+    /// Builds the window entry admitting `(q, answers)`: the graph clone
+    /// and the WL signature need no lock, so the final-admission path
+    /// calls this before taking the write view. `code` is the query-path
+    /// canonicalization outcome, reused at admission. `None` on a
+    /// follower, whose cache changes only by replaying the primary's delta
+    /// groups: local queries are answered (read-only) but never admitted,
+    /// or the replica would diverge from the primary. (Engines only ever
+    /// leave follower mode, so checking here, ahead of the lock, can at
+    /// worst skip one admission racing a promotion.)
+    fn pending_admission(
         &self,
-        ctl: &mut Control,
         q: &Graph,
         answers: &[GraphId],
         code: Option<Option<CanonicalCode>>,
-    ) {
-        // A follower's cache changes only by replaying the primary's
-        // delta groups: local queries are answered (read-only) but never
-        // admitted, or the replica would diverge from the primary.
-        // (Callers hold the write view, so this is promotion-atomic.)
+    ) -> Option<WindowEntry> {
         if self.follower.load(Ordering::Relaxed) {
-            return;
+            return None;
         }
-        let sig = GraphSignature::of(q);
+        Some(WindowEntry {
+            graph: Arc::new(q.clone()),
+            answers: answers.to_vec(),
+            signature: Some(GraphSignature::of(q)),
+            code,
+        })
+    }
+
+    /// Adds a [`pending_admission`](Self::pending_admission) to the window
+    /// unless its graph is an exact duplicate of a pending window entry
+    /// (cache duplicates were already handled by the exact-hit path; two
+    /// concurrent first-time callers of the same query can still both
+    /// admit — duplicate residents are tolerated by the cache, see
+    /// `duplicate_codes_survive_partial_eviction`).
+    fn enqueue(&self, ctl: &mut Control, entry: WindowEntry) {
+        let sig = entry
+            .signature
+            .expect("pending_admission computes the signature");
         let dup = ctl
             .window_signatures
             .iter()
             .zip(ctl.window.iter())
-            .any(|(s, e)| *s == sig && igq_iso::are_isomorphic(q, &e.graph));
+            .any(|(s, e)| *s == sig && igq_iso::are_isomorphic(&entry.graph, &e.graph));
         if dup {
             return;
         }
-        ctl.window.push(WindowEntry {
-            graph: Arc::new(q.clone()),
-            answers: answers.to_vec(),
-            signature: Some(sig),
-            code,
-        });
+        ctl.window.push(entry);
         ctl.window_signatures.push(sig);
     }
 

@@ -11,7 +11,7 @@
 //!
 //! * **Routing** ([`ShardRouter`]) is a pure function of the entry's
 //!   canonical code (falling back to its WL signature when
-//!   canonicalization exceeded its budget), hashed with the in-tree
+//!   `canonical_code` declined the graph), hashed with the in-tree
 //!   deterministic Fx scheme — the same query lands on the same shard in
 //!   every process, which is what lets recovery re-partition a checkpoint
 //!   without persisting ownership.
@@ -79,10 +79,12 @@ impl ShardRouter {
         }
     }
 
-    /// Fallback routing for entries whose canonicalization exceeded its
-    /// budget: the WL signature is still deterministic per graph (though
-    /// not canonical — two isomorphic over-budget graphs may split, which
-    /// only costs the exact-repeat fast path they never had anyway).
+    /// Fallback routing for entries `canonical_code` declined (or that
+    /// were persisted code-less by a build whose unpruned search ran out
+    /// of leaves): the WL signature is still deterministic per graph
+    /// (though not canonical — two isomorphic code-less graphs may split,
+    /// which only costs the exact-repeat fast path they never had anyway;
+    /// the scatter/gather probes still find the repeat).
     pub(crate) fn route_signature(&self, sig: &GraphSignature) -> usize {
         if self.shards == 1 {
             0

@@ -117,6 +117,15 @@ pub struct EngineStats {
     /// `PathFeatures` is shared by the base method's filter and both
     /// query-index probes.
     pub feature_extractions: u64,
+    /// Wall-clock spent computing the query's canonical code at the top of
+    /// the pipeline (`IgqConfig::exact_fastpath`) — paid by every query,
+    /// hit or miss, before anything else runs, and part of no other stage
+    /// timer.
+    pub canonicalization_time: Duration,
+    /// Queries `canonical_code` declined (over its vertex cap, or its
+    /// pruned search out of leaf budget): they skip the exact fast path
+    /// and the plan cache, and each one paid for a full budget of leaves.
+    pub canonical_code_budget_misses: u64,
     /// Matching plans built in the verification stage. In the subgraph
     /// direction: one per verified query with a non-empty candidate batch
     /// (the plan is shared by the whole batch), plus one per large
@@ -251,6 +260,8 @@ impl EngineStats {
         self.wal_quarantined_groups += other.wal_quarantined_groups;
         self.wal_retry_failures += other.wal_retry_failures;
         self.feature_extractions += other.feature_extractions;
+        self.canonicalization_time += other.canonicalization_time;
+        self.canonical_code_budget_misses += other.canonical_code_budget_misses;
         self.plan_builds += other.plan_builds;
         self.scratch_allocs += other.scratch_allocs;
         self.preverify_rejections += other.preverify_rejections;
@@ -343,6 +354,8 @@ pub(crate) struct AtomicEngineStats {
     replica_wal_catchups: AtomicU64,
     wal_retry_failures: AtomicU64,
     feature_extractions: AtomicU64,
+    canonicalization_nanos: AtomicU64,
+    canonical_code_budget_misses: AtomicU64,
     plan_builds: AtomicU64,
     scratch_allocs: AtomicU64,
     preverify_rejections: AtomicU64,
@@ -393,6 +406,17 @@ impl AtomicEngineStats {
     /// Counts one feature extraction.
     pub(crate) fn count_feature_extraction(&self) {
         self.feature_extractions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Folds one query's canonicalization: its wall-clock, and whether
+    /// `canonical_code` declined the graph.
+    pub(crate) fn record_canonicalization(&self, elapsed: Duration, declined: bool) {
+        self.canonicalization_nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        if declined {
+            self.canonical_code_budget_misses
+                .fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Counts one window maintenance (submitted or applied).
@@ -551,6 +575,8 @@ impl AtomicEngineStats {
             wal_quarantined_groups: 0,
             wal_retry_failures: self.wal_retry_failures.load(R),
             feature_extractions: self.feature_extractions.load(R),
+            canonicalization_time: Duration::from_nanos(self.canonicalization_nanos.load(R)),
+            canonical_code_budget_misses: self.canonical_code_budget_misses.load(R),
             plan_builds: self.plan_builds.load(R),
             scratch_allocs: self.scratch_allocs.load(R),
             preverify_rejections: self.preverify_rejections.load(R),
@@ -669,6 +695,8 @@ mod tests {
             plain.absorb(&o);
         }
         atomic.count_feature_extraction();
+        atomic.record_canonicalization(Duration::from_micros(7), false);
+        atomic.record_canonicalization(Duration::from_micros(30), true);
         atomic.count_maintenance();
         atomic.record_maintenance_work(17, Duration::from_micros(13));
         atomic.count_wal_append(120);
@@ -696,6 +724,8 @@ mod tests {
         assert_eq!(snap.candidates_before, plain.candidates_before);
         assert_eq!(snap.wall_time, plain.wall_time);
         assert_eq!(snap.feature_extractions, 1);
+        assert_eq!(snap.canonicalization_time, Duration::from_micros(37));
+        assert_eq!(snap.canonical_code_budget_misses, 1);
         assert_eq!(snap.maintenances, 1);
         assert_eq!(snap.maintenance_postings_touched, 17);
         assert_eq!(snap.maintenance_time, Duration::from_micros(13));

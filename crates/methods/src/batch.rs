@@ -84,8 +84,9 @@ impl VerifyBatchStats {
 /// A borrowed handle to the engine's canonical-code plan cache, handed
 /// down the verification path so [`BatchVerifier::with_plans`] can reuse
 /// the query's plan across repeats. `key` is the query's canonical code
-/// when it has one (large queries exceed the canonicalization budget and
-/// simply plan fresh — a missed optimization, never an error).
+/// when it has one (a query `canonical_code` declines — over 128 vertices,
+/// or still out of leaves after orbit pruning — simply plans fresh: a
+/// missed optimization, never an error).
 #[derive(Clone, Copy)]
 pub struct PlanSource<'a> {
     /// The shared, internally synchronized plan cache.

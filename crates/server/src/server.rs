@@ -487,7 +487,19 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
                 degraded: stats.degraded,
                 degraded_reason: stats.degraded_reason.clone(),
                 wal_quarantined_groups: stats.wal_quarantined_groups,
-                extra: Vec::new(),
+                // Counters without a field of their own travel the way a
+                // newer server's would: `igq client --stats` prints them
+                // by name. (Sorted, as decoding returns them.)
+                extra: vec![
+                    (
+                        "canonical_code_budget_misses".to_owned(),
+                        stats.canonical_code_budget_misses,
+                    ),
+                    (
+                        "canonicalization_us".to_owned(),
+                        stats.canonicalization_time.as_micros() as u64,
+                    ),
+                ],
             });
             write_frame(writer, &reply).is_ok()
         }

@@ -451,6 +451,12 @@ fn stats_frame_and_client_driven_shutdown() {
     assert_eq!(stats.queries, 8);
     assert!(stats.cached_queries > 0, "warm cache visible over the wire");
     assert_eq!(stats.requests_rejected_overload, 0);
+    // The canonicalization counters ride in `extra` (what
+    // `igq client --stats` prints by name): every query paid some time,
+    // and none of these molecules was declined.
+    let extra = |name: &str| stats.extra.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
+    assert!(extra("canonicalization_us").is_some());
+    assert_eq!(extra("canonical_code_budget_misses"), Some(0));
 
     // Client-driven shutdown: wait() returns once the bye is acknowledged.
     let waiter = std::thread::spawn(move || server.wait());

@@ -1,6 +1,8 @@
 //! Shared helpers for the cross-crate integration tests.
 #![allow(dead_code)] // each test binary uses a different helper subset
 
+pub mod canon_oracle;
+
 use igq::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
