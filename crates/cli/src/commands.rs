@@ -1,6 +1,6 @@
 //! Subcommand implementations for the `igq` CLI.
 
-use igq_core::{CacheStore, DirStore, IgqConfig, IgqEngine, IgqSuperEngine, MaintenanceMode};
+use igq_core::{CacheStore, DirStore, IgqConfig, IgqEngine, IgqSuperEngine};
 use igq_features::PathConfig;
 use igq_graph::stats::DatasetStats;
 use igq_graph::{io, GraphStore};
@@ -189,7 +189,7 @@ pub fn load(args: &[String]) -> CmdResult {
 }
 
 /// Builds the iGQ engine config from the shared CLI flags (`--cache`,
-/// `--window`, `--maintenance`, `--max-lag`, `--shards`). `save`/`load`
+/// `--window`, `--shards`). `save`/`load`
 /// must be run with the same values (the store's config fingerprint
 /// covers cache geometry, and a store written with one shard count only
 /// reopens with the same `--shards`).
@@ -206,22 +206,6 @@ fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
         .transpose()
         .map_err(|_| "--window expects an integer")?
         .unwrap_or(100);
-    let maintenance = match flags.get("maintenance").map(String::as_str) {
-        None | Some("incremental") => MaintenanceMode::Incremental,
-        Some("background") => MaintenanceMode::Background,
-        Some(other) => {
-            return Err(format!(
-                "--maintenance must be incremental|background, got {other:?}"
-            ))
-        }
-    };
-    let max_lag_windows: usize = match flags.get("max-lag") {
-        None => 2,
-        Some(s) => match s.parse() {
-            Ok(k) if k >= 1 => k,
-            _ => return Err("--max-lag expects an integer ≥ 1".into()),
-        },
-    };
     let shards: usize = match flags.get("shards") {
         None => 1,
         Some(s) => match s.parse() {
@@ -232,8 +216,6 @@ fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
     IgqConfig::builder()
         .cache_capacity(cache)
         .window(window)
-        .maintenance(maintenance)
-        .max_lag_windows(max_lag_windows)
         .shards(shards)
         .build()
         .map_err(|e| format!("invalid iGQ configuration: {e}"))
@@ -286,7 +268,6 @@ pub fn query(args: &[String]) -> CmdResult {
 
     let t_index = Instant::now();
     let config = engine_config(&flags)?;
-    let maintenance = config.maintenance;
     // Durable mode: the engine is recovered from (and keeps updating) a
     // checkpoint + WAL store on disk.
     let disk: Option<Arc<dyn CacheStore>> = match store_dir {
@@ -364,7 +345,6 @@ pub fn query(args: &[String]) -> CmdResult {
                     );
                 }
             }
-            engine.sync_maintenance();
             let s = engine.stats();
             println!(
                 "iGQ: {} exact hits, {} empty shortcuts, {} cached, pruned {}+{}",
@@ -374,17 +354,6 @@ pub fn query(args: &[String]) -> CmdResult {
                 s.pruned_by_isub,
                 s.pruned_by_isuper
             );
-            if maintenance == MaintenanceMode::Background {
-                println!(
-                    "maintenance ({}): {} windows, {} snapshot publishes, peak lag {} \
-                     window(s), {:.2?} off-thread",
-                    maintenance.name(),
-                    s.maintenances,
-                    s.snapshot_publishes,
-                    s.maintenance_lag_windows,
-                    s.maintenance_time
-                );
-            }
             persist_final(&engine, store_dir)?;
         } else {
             for (qid, q) in queries.iter() {
@@ -590,8 +559,8 @@ pub fn client(args: &[String]) -> CmdResult {
             s.queries, s.requests_served, s.requests_rejected_overload, s.batches_coalesced
         );
         println!(
-            "              {} exact hits, {} empty shortcuts, {} iso tests, {} cached, lag {}",
-            s.exact_hits, s.empty_shortcuts, s.db_iso_tests, s.cached_queries, s.maintenance_lag
+            "              {} exact hits, {} empty shortcuts, {} iso tests, {} cached",
+            s.exact_hits, s.empty_shortcuts, s.db_iso_tests, s.cached_queries
         );
         println!(
             "  replication: {}, flip {}, replication lag {}, {} groups published, {} applied",
@@ -700,42 +669,6 @@ mod tests {
             "--no-igq",
         ]))
         .unwrap();
-        query(&s(&[
-            "--dataset",
-            db.to_str().unwrap(),
-            "--queries",
-            qf.to_str().unwrap(),
-            "--maintenance",
-            "background",
-            "--max-lag",
-            "1",
-            "--cache",
-            "10",
-            "--window",
-            "2",
-        ]))
-        .unwrap();
-        assert!(query(&s(&[
-            "--dataset",
-            db.to_str().unwrap(),
-            "--queries",
-            qf.to_str().unwrap(),
-            "--maintenance",
-            "bogus",
-        ]))
-        .is_err());
-        assert!(
-            query(&s(&[
-                "--dataset",
-                db.to_str().unwrap(),
-                "--queries",
-                qf.to_str().unwrap(),
-                "--max-lag",
-                "0",
-            ]))
-            .is_err(),
-            "--max-lag 0 must be rejected, not silently clamped"
-        );
         query(&s(&[
             "--dataset",
             db.to_str().unwrap(),

@@ -7,7 +7,6 @@
 //! igq stats    db.gfu
 //! igq query    --dataset db.gfu --queries q.gfu [--method ggsx|grapes|grapes6|ctindex|gcode]
 //!              [--no-igq] [--cache 500] [--window 100] [--supergraph]
-//!              [--maintenance incremental|background] [--max-lag 2]
 //!              [--shards 1] [--store-dir state/]
 //! igq save     --dataset db.gfu --queries q.gfu --store-dir state/   # query + checkpoint
 //! igq load     --dataset db.gfu --store-dir state/ [--queries q.gfu] # warm restart
@@ -68,15 +67,10 @@ fn print_usage() {
                      [--no-igq]          run the base method alone\n\
                      [--cache <C>]       iGQ cache size (default 500)\n\
                      [--window <W>]      iGQ window size (default 100)\n\
-                     [--maintenance <m>] index maintenance: incremental (default)\n\
-                                         or background (off-thread, snapshot\n\
-                                         reads)\n\
-                     [--max-lag <K>]     background mode: max unapplied windows\n\
-                                         before a query blocks (default 2)\n\
                      [--shards <N>]      shard the cache + query indexes by\n\
-                                         canonical-code hash: per-shard locks and\n\
-                                         maintainers (default 1; save/load need\n\
-                                         the same value)\n\
+                                         canonical-code hash, one lock per shard\n\
+                                         (default 1; save/load need the same\n\
+                                         value)\n\
                      [--supergraph]      supergraph semantics (contained graphs)\n\
                      [--store-dir <dir>] durable engine: recover from <dir>'s\n\
                                          checkpoint + WAL, keep it updated, and\n\

@@ -13,7 +13,7 @@
 //! [`IgqConfig::batch_threads`](crate::IgqConfig::batch_threads) workers.
 //!
 //! ```
-//! use igq_core::{IgqConfig, IgqEngine, MaintenanceMode, QueryEngine};
+//! use igq_core::{IgqConfig, IgqEngine, QueryEngine};
 //! use igq_graph::{graph_from, GraphStore};
 //! use igq_methods::{Ggsx, GgsxConfig};
 //! use std::sync::Arc;
@@ -25,7 +25,6 @@
 //! let config = IgqConfig::builder()
 //!     .cache_capacity(100)
 //!     .window(10)
-//!     .maintenance(MaintenanceMode::Background)
 //!     .build()
 //!     .expect("valid config");
 //! let handle = IgqEngine::new(method, config).expect("valid engine").into_handle();
@@ -156,14 +155,8 @@ pub trait QueryEngine: Send + Sync {
     /// micro-batcher funnels coalesced windows through this.
     fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse>;
 
-    /// Windows currently submitted to background maintenance but not yet
-    /// applied, maximized over shards — the *instantaneous* staleness an
-    /// admission controller should gate on (unlike
-    /// [`EngineStats::maintenance_lag_windows`], which is the lifetime
-    /// peak). Zero in the synchronous maintenance modes.
-    fn maintenance_lag(&self) -> u64;
-
-    /// Records one request shed by lag-gated admission control into
+    /// Records one request shed by admission control (a replica too stale
+    /// for the request's `max_lag`) into
     /// [`EngineStats::requests_rejected_overload`]. The serving edge makes
     /// the shed decision (the engine itself never refuses work) but the
     /// count belongs with the engine's other totals.
@@ -180,10 +173,6 @@ pub trait QueryEngine: Send + Sync {
 
     /// Forces window maintenance regardless of window fill.
     fn flush_window(&self);
-
-    /// Blocks until background maintenance has caught up with the cache
-    /// (no-op in the synchronous mode).
-    fn sync_maintenance(&self);
 
     /// Writes a checkpoint to the attached
     /// [`CacheStore`](crate::persist::CacheStore) and compacts the WAL
@@ -202,8 +191,7 @@ pub trait QueryEngine: Send + Sync {
 
     /// Follower staleness in window flips (highest flip heard from the
     /// primary minus last flip applied locally); `None` on a primary.
-    /// A serving edge gates bounded-staleness reads on this, exactly as
-    /// it gates writes on [`maintenance_lag`](QueryEngine::maintenance_lag).
+    /// A serving edge gates bounded-staleness reads on this.
     fn replication_lag(&self) -> Option<u64> {
         None
     }
@@ -261,10 +249,6 @@ impl<D: crate::direction::QueryDirection> QueryEngine for crate::engine::Engine<
         Engine::execute_batch(self, requests)
     }
 
-    fn maintenance_lag(&self) -> u64 {
-        Engine::maintenance_lag(self)
-    }
-
     fn note_overload_rejection(&self) {
         Engine::note_overload_rejection(self)
     }
@@ -283,10 +267,6 @@ impl<D: crate::direction::QueryDirection> QueryEngine for crate::engine::Engine<
 
     fn flush_window(&self) {
         Engine::flush_window(self)
-    }
-
-    fn sync_maintenance(&self) {
-        Engine::sync_maintenance(self)
     }
 
     fn checkpoint(&self) -> Result<(), crate::persist::PersistError> {
@@ -327,8 +307,7 @@ impl<D: crate::direction::QueryDirection> QueryEngine for crate::engine::Engine<
 
 /// A cheap cloneable handle to a shared [`QueryEngine`]: an `Arc` under
 /// the hood, `Deref`ing to the engine. Clone one per worker thread; the
-/// engine (and its background maintainer, if any) shuts down when the
-/// last clone drops.
+/// engine shuts down when the last clone drops.
 #[derive(Debug)]
 pub struct EngineHandle<E: QueryEngine> {
     inner: Arc<E>,

@@ -2,44 +2,14 @@
 //! [`IgqConfigBuilder`], and the typed [`ConfigError`] the builder (and
 //! engine construction) reports.
 //!
-//! Invalid combinations — a zero window, a window larger than the cache,
-//! a zero lag bound — used to be clamped silently; they are now rejected
-//! with a [`ConfigError`] at [`IgqConfigBuilder::build`] time and again at
-//! engine construction, so a misconfigured deployment fails loudly instead
-//! of misbehaving.
+//! Invalid combinations — a zero window, a window larger than the cache —
+//! used to be clamped silently; they are now rejected with a
+//! [`ConfigError`] at [`IgqConfigBuilder::build`] time and again at engine
+//! construction, so a misconfigured deployment fails loudly instead of
+//! misbehaving.
 
 use crate::policy::ReplacementPolicy;
 use igq_features::PathConfig;
-
-/// How the query indexes are maintained at window boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaintenanceMode {
-    /// Delta maintenance: evicted slots are removed from `Isub`/`Isuper`
-    /// and admitted slots inserted, costing O(window delta) postings.
-    #[default]
-    Incremental,
-    /// Off-thread delta maintenance: window deltas are queued to a
-    /// dedicated maintenance thread which applies them to a shadow copy of
-    /// the query indexes and atomically publishes immutable snapshots;
-    /// queries probe the latest published snapshot. The query thread's
-    /// window-boundary cost drops to eviction/admission plus one channel
-    /// send. Snapshots may lag the cache by up to
-    /// [`IgqConfig::max_lag_windows`] windows (a query blocks rather than
-    /// exceed that bound); staleness only weakens pruning — answers stay
-    /// exact because stale probe hits are revalidated against the live
-    /// cache.
-    Background,
-}
-
-impl MaintenanceMode {
-    /// Human-readable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MaintenanceMode::Incremental => "incremental",
-            MaintenanceMode::Background => "background",
-        }
-    }
-}
 
 /// A rejected [`IgqConfig`] combination. Returned by
 /// [`IgqConfigBuilder::build`], [`IgqConfig::validate`], and engine
@@ -57,11 +27,6 @@ pub enum ConfigError {
         /// The configured cache capacity `C`.
         cache_capacity: usize,
     },
-    /// `max_lag_windows == 0` would deadlock the background maintainer's
-    /// submit gate (it waits for lag `< max_lag_windows`, which can never
-    /// hold). The synchronous mode ignores the field but the bound is
-    /// validated uniformly so a later mode switch cannot trip on it.
-    ZeroLagBound,
     /// `shards == 0`: there would be no shard to route any query to.
     /// Sharding is disabled with `shards == 1` (the default), not `0`.
     ZeroShards,
@@ -85,9 +50,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "window ({window}) must not exceed cache_capacity ({cache_capacity})"
             ),
-            ConfigError::ZeroLagBound => {
-                write!(f, "max_lag_windows must be >= 1 (0 would gate forever)")
-            }
             ConfigError::ZeroShards => {
                 write!(f, "shards must be >= 1 (use 1 to disable sharding)")
             }
@@ -174,27 +136,8 @@ pub struct IgqConfig {
     /// `0` = derive from the dataset at engine construction.
     pub label_universe: usize,
     /// Cache-replacement policy (default: the paper's utility policy;
-    /// alternatives exist for the `replacement` ablation bench).
+    /// alternatives exist for the `ablation_replacement` reproduction).
     pub policy: ReplacementPolicy,
-    /// Window-maintenance strategy for the query indexes (default:
-    /// incremental delta maintenance; [`MaintenanceMode::Background`]
-    /// moves delta application onto a dedicated thread behind published
-    /// snapshots).
-    pub maintenance: MaintenanceMode,
-    /// Bounded-lag backpressure for [`MaintenanceMode::Background`]: the
-    /// maximum number of *submitted* window deltas that may be unapplied
-    /// before a window-flipping query blocks on the maintenance thread.
-    /// With a single query thread, probed snapshots therefore never trail
-    /// the cache by more than this many windows. Under concurrent
-    /// submitters the bound covers submitted jobs only: up to one
-    /// captured-but-unsubmitted delta per concurrently flipping thread
-    /// can additionally be parked in the engine's outbox, so the cache
-    /// may transiently lead the snapshot by `max_lag_windows` plus the
-    /// number of in-flight flippers. Staleness in either form only costs
-    /// pruning power, never exactness (probe hits are revalidated against
-    /// the live cache). Must be ≥ 1 ([`ConfigError::ZeroLagBound`]);
-    /// ignored by the synchronous mode.
-    pub max_lag_windows: usize,
     /// Detect exact repeats (optimal case 1) via a canonical-code hash map
     /// before any filtering or index probing. An engineering fast path on
     /// top of the paper's design: repeats cost one canonicalization instead
@@ -214,10 +157,9 @@ pub struct IgqConfig {
     /// Number of state shards the engine's mutable state (query cache +
     /// `Isub`/`Isuper` pair) is partitioned into, routed by canonical-code
     /// hash. `1` (the default) keeps today's single-partition behavior
-    /// bit-for-bit. With `N > 1` each shard has its own lock, its own
-    /// background maintainer (under [`MaintenanceMode::Background`]), and
-    /// its own WAL stream multiplexed into the one attached store; index
-    /// probes scatter across shards and merge their candidates. Must be
+    /// bit-for-bit. With `N > 1` each shard has its own lock and its own
+    /// WAL stream multiplexed into the one attached store; index probes
+    /// scatter across shards and merge their candidates. Must be
     /// ≥ 1 ([`ConfigError::ZeroShards`]). Store-attached engines persist
     /// the shard count and refuse to reopen under a different one.
     pub shards: usize,
@@ -231,8 +173,6 @@ impl Default for IgqConfig {
             path_config: PathConfig::default(),
             label_universe: 0,
             policy: ReplacementPolicy::Utility,
-            maintenance: MaintenanceMode::Incremental,
-            max_lag_windows: 2,
             exact_fastpath: true,
             batch_threads: 0,
             persistence: PersistenceConfig::default(),
@@ -259,10 +199,10 @@ impl IgqConfig {
         }
     }
 
-    /// Checks the `1 ≤ W ≤ C` and `max_lag_windows ≥ 1` invariants,
-    /// reporting the first violation. Engine construction calls this, so a
-    /// hand-built struct literal gets the same scrutiny as a
-    /// [`builder`](IgqConfig::builder) config.
+    /// Checks the `1 ≤ W ≤ C`, shard-count and checkpoint-cadence
+    /// invariants, reporting the first violation. Engine construction
+    /// calls this, so a hand-built struct literal gets the same scrutiny
+    /// as a [`builder`](IgqConfig::builder) config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.window == 0 {
             return Err(ConfigError::ZeroWindow);
@@ -272,9 +212,6 @@ impl IgqConfig {
                 window: self.window,
                 cache_capacity: self.cache_capacity,
             });
-        }
-        if self.max_lag_windows == 0 {
-            return Err(ConfigError::ZeroLagBound);
         }
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
@@ -290,12 +227,11 @@ impl IgqConfig {
 /// validates the result — the supported way to construct an engine config:
 ///
 /// ```
-/// use igq_core::{IgqConfig, MaintenanceMode};
+/// use igq_core::IgqConfig;
 ///
 /// let config = IgqConfig::builder()
 ///     .cache_capacity(100)
 ///     .window(10)
-///     .maintenance(MaintenanceMode::Background)
 ///     .build()
 ///     .expect("valid config");
 /// assert_eq!(config.window, 10);
@@ -334,19 +270,6 @@ impl IgqConfigBuilder {
     /// Sets the cache-replacement policy (see [`IgqConfig::policy`]).
     pub fn policy(mut self, policy: ReplacementPolicy) -> Self {
         self.config.policy = policy;
-        self
-    }
-
-    /// Sets the maintenance strategy (see [`IgqConfig::maintenance`]).
-    pub fn maintenance(mut self, maintenance: MaintenanceMode) -> Self {
-        self.config.maintenance = maintenance;
-        self
-    }
-
-    /// Sets the background-maintenance lag bound (see
-    /// [`IgqConfig::max_lag_windows`]).
-    pub fn max_lag_windows(mut self, max_lag_windows: usize) -> Self {
-        self.config.max_lag_windows = max_lag_windows;
         self
     }
 
@@ -409,8 +332,6 @@ mod tests {
             .window(8)
             .label_universe(7)
             .policy(ReplacementPolicy::Lru)
-            .maintenance(MaintenanceMode::Background)
-            .max_lag_windows(3)
             .exact_fastpath(false)
             .batch_threads(4)
             .shards(4)
@@ -420,8 +341,6 @@ mod tests {
         assert_eq!(c.window, 8);
         assert_eq!(c.label_universe, 7);
         assert_eq!(c.policy, ReplacementPolicy::Lru);
-        assert_eq!(c.maintenance, MaintenanceMode::Background);
-        assert_eq!(c.max_lag_windows, 3);
         assert!(!c.exact_fastpath);
         assert_eq!(c.batch_threads, 4);
         assert_eq!(c.shards, 4);
@@ -484,16 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_lag_bound_is_rejected_in_every_mode() {
-        // Validated uniformly so switching a stored config to Background
-        // later cannot introduce a latent deadlock.
-        assert_eq!(
-            IgqConfig::builder().max_lag_windows(0).build().unwrap_err(),
-            ConfigError::ZeroLagBound
-        );
-    }
-
-    #[test]
     fn errors_render_helpfully() {
         let e = ConfigError::WindowExceedsCapacity {
             window: 50,
@@ -502,15 +411,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("50") && msg.contains("10"), "{msg}");
         assert!(ConfigError::ZeroWindow.to_string().contains("window"));
-        assert!(ConfigError::ZeroLagBound
-            .to_string()
-            .contains("max_lag_windows"));
         assert!(ConfigError::ZeroShards.to_string().contains("shards"));
-    }
-
-    #[test]
-    fn mode_names() {
-        assert_eq!(MaintenanceMode::Incremental.name(), "incremental");
-        assert_eq!(MaintenanceMode::Background.name(), "background");
     }
 }

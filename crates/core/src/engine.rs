@@ -19,7 +19,7 @@
 //! 5. verification of the survivors;
 //! 6. the final answer adds back the known answers (formula (4));
 //! 7. bookkeeping: metadata updates (Section 5.1) and window maintenance
-//!    (Section 5.2) in the configured [`MaintenanceMode`].
+//!    (Section 5.2), applied to both query indexes on the flipping thread.
 //!
 //! # Concurrency model
 //!
@@ -29,20 +29,17 @@
 //! hash** ([`IgqConfig::builder().shards(n)`](crate::IgqConfigBuilder::shards),
 //! default 1): each shard holds its partition of the [`QueryCache`] and
 //! its own live `Isub`/`Isuper` pair behind its own
-//! [`parking_lot::RwLock`], while a small control block (admission
+//! [`std::sync::RwLock`], while a small control block (admission
 //! window, cost model, flip ordinal, global slot allocator) has its own
 //! lock; lifetime counters are lock-free atomics
 //! ([`crate::EngineStats`]). Probes scatter across shards and the
 //! candidate sets gather before the shared verify path; at one shard the
 //! behavior is bit-for-bit the pre-sharding engine. The expensive stages
 //! (feature extraction, the base filter, verification) run outside the
-//! locks; under [`MaintenanceMode::Background`] each shard's
-//! probes also run lock-free against that shard's published snapshot, and
-//! every snapshot hit is revalidated against the live cache (slot
-//! occupied, graph `Arc`-identical) before its stored answers are
-//! trusted — staleness, or a concurrent eviction between probe and
-//! bookkeeping, only costs pruning power, never exactness. See
-//! `ARCHITECTURE.md` for the lock layout.
+//! locks; the index probes and the answer algebra run under the write
+//! view, so every probed slot stays valid until its stored answers have
+//! been used. A lock whose holder panicked is poisoned and panics every
+//! later caller. See `ARCHITECTURE.md` for the lock layout.
 //!
 //! The concrete engines are type aliases over the two directions:
 //! [`IgqEngine`] (subgraph queries over any [`SubgraphMethod`]) and
@@ -54,8 +51,7 @@
 //! An engine constructed with [`Engine::open`] over a
 //! [`CacheStore`] is **durable**: every
 //! window flip is captured as a WAL record (pushed under the state lock,
-//! appended to storage off it, riding the same outbox drain as
-//! background-maintenance jobs), checkpoints are written on a configured
+//! appended to storage off it), checkpoints are written on a configured
 //! cadence ([`crate::config::PersistenceConfig`]) or explicitly
 //! ([`Engine::checkpoint`]), and a restart recovers the cache, both
 //! query indexes, and the replacement state warm — observationally
@@ -64,21 +60,17 @@
 //!
 //! Correctness (Theorems 1 and 2) is exercised end-to-end by the
 //! integration suite: the engine's answers are compared against the naive
-//! oracle on randomized workloads, in all maintenance modes, sequentially
-//! and from concurrent threads sharing one engine.
+//! oracle on randomized workloads, sequentially and from concurrent
+//! threads sharing one engine.
 //!
-//! [`MaintenanceMode`]: crate::config::MaintenanceMode
-//! [`MaintenanceMode::Background`]: crate::config::MaintenanceMode::Background
 //! [`SubgraphMethod`]: igq_methods::SubgraphMethod
 
 use crate::api::{QueryOptions, QueryRequest, QueryResponse};
-use crate::background::{retain_current_slots, BackgroundMaintainer, IndexPair};
 use crate::cache::{CacheEntry, QueryCache, WindowDelta, WindowEntry};
 use crate::config::{ConfigError, IgqConfig};
 use crate::direction::{QueryDirection, SubgraphQueries};
 use crate::isub::IsubIndex;
 use crate::isuper::IsuperIndex;
-use crate::maintain::MaintenanceJob;
 use crate::outcome::{QueryOutcome, Resolution};
 use crate::persist::{self, CacheStore, PersistError};
 use crate::replicate::{DeltaGroup, ReplicaError, ReplicationHub, Subscription};
@@ -91,11 +83,10 @@ use igq_graph::{Graph, GraphId};
 use igq_iso::plan_cache::PlanCache;
 use igq_iso::{CostModel, IsoStats, LogValue};
 use igq_methods::{intersect_into, intersect_sorted, subtract_into, subtract_sorted, PlanSource};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// The iGQ engine for subgraph queries: [`Engine`] in the
@@ -128,38 +119,11 @@ struct Control {
 }
 
 /// One shard's lock-protected state: its partition of the query cache and
-/// the live query indexes over it (empty under background maintenance,
-/// where the shard's maintainer owns the authoritative copies).
+/// the live query indexes over it.
 struct ShardState {
     cache: QueryCache,
     isub: IsubIndex,
     isuper: IsuperIndex,
-}
-
-/// One shard: its state lock plus its own maintenance plumbing, so flips
-/// and lag-gated submits only ever contend within a shard.
-struct ShardCell {
-    state: RwLock<ShardState>,
-    /// The shard's maintenance thread (`Some` iff the mode is
-    /// [`MaintenanceMode::Background`](crate::MaintenanceMode::Background)).
-    /// Its own `Drop` drains the delta queue and joins the thread.
-    maintainer: Option<BackgroundMaintainer>,
-    /// Captured-but-not-yet-submitted window deltas for this shard, in
-    /// cache order. Jobs are pushed under the shard's write lock (so
-    /// their order is the order the shard changed in) but *submitted*
-    /// outside it via [`Engine::drain_outbox`] — the bounded-lag gate can
-    /// sleep without stalling every other caller's bookkeeping. This lock
-    /// is only ever held for a push or a pop, never across a gated submit
-    /// (that is `submit_lock`'s job), so a pusher holding the state write
-    /// lock never waits behind a sleeping gate.
-    outbox: Mutex<VecDeque<MaintenanceJob>>,
-    /// Serializes this shard's outbox drain so jobs are submitted in
-    /// exactly their outbox (= cache) order. Held across the gated
-    /// submits; never acquired while holding any state *write* lock or
-    /// the outbox lock (a state *read* guard is fine — see
-    /// [`Engine::self_check`] — because the gate clears without any
-    /// engine lock).
-    submit_lock: Mutex<()>,
 }
 
 /// The full write view: the control lock plus every shard's write lock,
@@ -250,6 +214,10 @@ struct PersistCtl {
     tail_suspect: AtomicBool,
 }
 
+/// Panic message for a lock whose holder panicked: the state behind it
+/// may be half-updated, so every later caller fails loudly too.
+const POISONED: &str = "engine lock poisoned";
+
 /// Backoff floor/ceiling between quarantine retry rounds.
 const WAL_RETRY_FLOOR: Duration = Duration::from_millis(50);
 const WAL_RETRY_CEIL: Duration = Duration::from_secs(5);
@@ -276,14 +244,14 @@ pub struct Engine<D: QueryDirection> {
     config: IgqConfig,
     /// Engine-global mutable state; always acquired before any shard.
     ctl: RwLock<Control>,
-    /// The sharded mutable trio (`config.shards` cells; one = unsharded).
-    shards: Box<[ShardCell]>,
+    /// The sharded mutable trio (`config.shards` cells; one = unsharded),
+    /// each behind its own lock.
+    shards: Box<[RwLock<ShardState>]>,
     /// Deterministic canonical-code → shard routing.
     router: ShardRouter,
     /// Captured-but-not-yet-appended WAL flip groups (one group of
-    /// per-shard records per flip), in flip order — the persistence twin
-    /// of the shard outboxes: pushed under the full write view (group
-    /// order = flip order), appended to the store in
+    /// per-shard records per flip), in flip order: pushed under the full
+    /// write view (group order = flip order), appended to the store in
     /// [`Engine::drain_outbox`] after the locks are released, so storage
     /// I/O never sits on a state lock. Empty for engines without a
     /// [`CacheStore`].
@@ -351,16 +319,13 @@ impl<D: QueryDirection> Engine<D> {
             alloc: SlotAlloc::default(),
             slot_owner: Vec::new(),
         };
-        let cells: Vec<ShardCell> = (0..config.shards)
-            .map(|_| ShardCell {
-                state: RwLock::new(ShardState {
+        let cells: Vec<RwLock<ShardState>> = (0..config.shards)
+            .map(|_| {
+                RwLock::new(ShardState {
                     cache: QueryCache::with_policy(config.cache_capacity, config.policy),
                     isub: IsubIndex::new(config.path_config),
                     isuper: IsuperIndex::new(config.path_config),
-                }),
-                maintainer: BackgroundMaintainer::for_config(&config),
-                outbox: Mutex::new(VecDeque::new()),
-                submit_lock: Mutex::new(()),
+                })
             })
             .collect();
         Ok(Self::assemble(method, config, ctl, cells, None, false))
@@ -380,7 +345,7 @@ impl<D: QueryDirection> Engine<D> {
         method: D::Method,
         config: IgqConfig,
         ctl: Control,
-        cells: Vec<ShardCell>,
+        cells: Vec<RwLock<ShardState>>,
         persist: Option<PersistCtl>,
         follower: bool,
     ) -> Engine<D> {
@@ -409,16 +374,24 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Acquires the full write view in the fixed lock order.
     fn lock_write(&self) -> WriteGuards<'_> {
-        let ctl = self.ctl.write();
-        let shards = self.shards.iter().map(|c| c.state.write()).collect();
+        let ctl = self.ctl.write().expect(POISONED);
+        let shards = self
+            .shards
+            .iter()
+            .map(|c| c.write().expect(POISONED))
+            .collect();
         WriteGuards { ctl, shards }
     }
 
     /// Acquires the full read view in the fixed lock order. Flips take
     /// every write lock, so a read view is always flip-consistent.
     fn lock_read(&self) -> ReadGuards<'_> {
-        let ctl = self.ctl.read();
-        let shards = self.shards.iter().map(|c| c.state.read()).collect();
+        let ctl = self.ctl.read().expect(POISONED);
+        let shards = self
+            .shards
+            .iter()
+            .map(|c| c.read().expect(POISONED))
+            .collect();
         ReadGuards { ctl, shards }
     }
 
@@ -426,7 +399,7 @@ impl<D: QueryDirection> Engine<D> {
     /// query indexes, the pending admission window, and the replacement
     /// state from the last checkpoint plus the WAL tail, then keeps the
     /// store up to date — one WAL record per window flip (appended off
-    /// the state lock, riding the maintenance outbox drain) and a fresh
+    /// the state lock by the outbox drain) and a fresh
     /// checkpoint every [`PersistenceConfig::checkpoint_every_windows`]
     /// flips (plus any explicit [`checkpoint`](Engine::checkpoint) call).
     ///
@@ -672,7 +645,7 @@ impl<D: QueryDirection> Engine<D> {
             })
             .collect();
 
-        let cells = Self::build_cells(&config, caches, isubs, isupers);
+        let cells = Self::build_cells(caches, isubs, isupers);
 
         let ctl = Control {
             window,
@@ -813,48 +786,23 @@ impl<D: QueryDirection> Engine<D> {
         })
     }
 
-    /// Wraps restored per-shard state into live [`ShardCell`]s. Under
-    /// background maintenance each shard's maintainer owns that shard's
-    /// authoritative indexes: it is seeded with the recovered pair (warm
-    /// state published immediately) and the engine-owned copies stay
-    /// empty, exactly as in steady-state operation.
+    /// Wraps restored per-shard state into the engine's shard locks.
     fn build_cells(
-        config: &IgqConfig,
         caches: Vec<QueryCache>,
         isubs: Vec<IsubIndex>,
         isupers: Vec<IsuperIndex>,
-    ) -> Vec<ShardCell> {
-        let path_config = config.path_config;
-        let background = matches!(
-            config.maintenance,
-            crate::config::MaintenanceMode::Background
-        );
-        let mut cells: Vec<ShardCell> = Vec::with_capacity(caches.len());
-        for (cache, (isub, isuper)) in caches.into_iter().zip(isubs.into_iter().zip(isupers)) {
-            let (live_isub, live_isuper, maintainer) = if background {
-                let pair = IndexPair { isub, isuper };
-                let maintainer =
-                    BackgroundMaintainer::spawn_seeded(path_config, config.max_lag_windows, pair);
-                (
-                    IsubIndex::new(path_config),
-                    IsuperIndex::new(path_config),
-                    Some(maintainer),
-                )
-            } else {
-                (isub, isuper, None)
-            };
-            cells.push(ShardCell {
-                state: RwLock::new(ShardState {
+    ) -> Vec<RwLock<ShardState>> {
+        caches
+            .into_iter()
+            .zip(isubs.into_iter().zip(isupers))
+            .map(|(cache, (isub, isuper))| {
+                RwLock::new(ShardState {
                     cache,
-                    isub: live_isub,
-                    isuper: live_isuper,
-                }),
-                maintainer,
-                outbox: Mutex::new(VecDeque::new()),
-                submit_lock: Mutex::new(()),
-            });
-        }
-        cells
+                    isub,
+                    isuper,
+                })
+            })
+            .collect()
     }
 
     /// Opens a **follower** read replica from a primary's snapshot — the
@@ -920,7 +868,7 @@ impl<D: QueryDirection> Engine<D> {
             seq,
             ..
         } = Self::restore_from_checkpoint(&config, &router, Some(data))?;
-        let cells = Self::build_cells(&config, caches, isubs, isupers);
+        let cells = Self::build_cells(caches, isubs, isupers);
         let ctl = Control {
             window: Vec::new(),
             window_signatures: Vec::new(),
@@ -981,9 +929,6 @@ impl<D: QueryDirection> Engine<D> {
                 return Subscription::Live { feed };
             }
         }
-        // Same discipline as `checkpoint`: sync the maintainers so the
-        // snapshot can read feature sets from their published state.
-        self.sync_maintenance();
         let config_fp = persist::config_fingerprint(&self.config, D::direction_name());
         let dataset_fp = persist::dataset_fingerprint(D::store(&self.method));
         let data = self.capture_state(&g, config_fp, dataset_fp);
@@ -1012,7 +957,7 @@ impl<D: QueryDirection> Engine<D> {
         // log read here is a clean prefix of the stream; the caller holds
         // the ctl *read* lock (never a write lock), matching the
         // `wal_lock` ordering rule.
-        let _appending = self.wal_lock.lock();
+        let _appending = self.wal_lock.lock().expect(POISONED);
         let wal = persist::parse_wal(&p.store.load_wal().ok()?).ok()?;
         // A torn tail only drops the final (never-committed) group;
         // the intact prefix is still a valid backlog source.
@@ -1167,44 +1112,15 @@ impl<D: QueryDirection> Engine<D> {
             for code in deltas.iter().flat_map(|(_, d)| d.evicted_codes.iter()) {
                 self.plan_cache.evict_key(code);
             }
-            // Index maintenance dispatches exactly like a live flip:
-            // captured for the background maintainer, or applied inline
-            // per the configured mode.
+            // Index maintenance runs exactly like a live flip.
             for (shard, delta) in &deltas {
-                if delta.is_empty() {
-                    continue;
-                }
-                let cell = &self.shards[*shard];
-                let sh = &mut *g.shards[*shard];
-                match &cell.maintainer {
-                    Some(_) => {
-                        cell.outbox
-                            .lock()
-                            .push_back(MaintenanceJob::capture(&sh.cache, delta));
-                    }
-                    None => {
-                        let maint_start = Instant::now();
-                        let outcome = crate::maintain::apply_delta(
-                            self.config.path_config,
-                            &sh.cache,
-                            delta,
-                            &mut sh.isub,
-                            &mut sh.isuper,
-                        );
-                        self.stats.record_maintenance_work(
-                            outcome.postings_touched,
-                            maint_start.elapsed(),
-                        );
-                    }
-                }
+                self.apply_index_delta(&mut g.shards[*shard], delta, true);
             }
             g.ctl.seq = seq;
             self.stats.set_last_applied_seq(seq);
         }
-        // Off the state locks: submit captured maintenance jobs, then
-        // republish the same bytes for any chained subscribers (a
-        // follower can itself feed further replicas).
-        self.drain_outbox();
+        // Off the state locks: republish the same bytes for any chained
+        // subscribers (a follower can itself feed further replicas).
         if self.hub.is_active() {
             self.hub.publish(DeltaGroup {
                 seq,
@@ -1282,12 +1198,6 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Aggregate statistics so far (an owned snapshot, assembled from
     /// lock-free atomics — safe to call from any thread at any time).
-    /// Under background maintenance the off-thread counters
-    /// (`maintenance_time`, `maintenance_postings_touched`,
-    /// `maintenance_lag_windows`, `snapshot_publishes`) are read from the
-    /// maintenance thread at call time; call
-    /// [`sync_maintenance`](Engine::sync_maintenance) first for fully
-    /// settled numbers.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats.snapshot();
         // The plan cache's own counters are authoritative (they also see
@@ -1299,41 +1209,19 @@ impl<D: QueryDirection> Engine<D> {
         stats.plan_cache_evictions = plans.evictions;
         stats.epoch = self.epoch.load(Ordering::Relaxed);
         if let Some(p) = &self.persist {
-            stats.wal_quarantined_groups = p.quarantine.lock().len() as u64;
+            stats.wal_quarantined_groups = p.quarantine.lock().expect(POISONED).len() as u64;
             if p.degraded.load(Ordering::Relaxed) {
                 stats.degraded = true;
-                stats.degraded_reason = p.degraded_reason.lock().clone();
-            }
-        }
-        for cell in self.shards.iter() {
-            if let Some(m) = &cell.maintainer {
-                stats.fold_maintainer(&m.stats());
+                stats.degraded_reason = p.degraded_reason.lock().expect(POISONED).clone();
             }
         }
         stats
     }
 
-    /// Blocks until the background maintainer has applied and published
-    /// every submitted window delta, so the next probe sees a snapshot in
-    /// lockstep with the cache. No-op in the synchronous mode.
-    pub fn sync_maintenance(&self) {
-        for cell in self.shards.iter() {
-            if let Some(m) = &cell.maintainer {
-                m.sync();
-            }
-        }
-    }
-
-    /// Terminates one shard's background maintainer without joining the
-    /// engine — a failure-injection hook for the concurrency test suite
-    /// (a dead maintainer degrades only that shard's snapshot freshness,
-    /// never exactness). No-op in the synchronous mode.
-    #[doc(hidden)]
-    pub fn kill_maintainer_for_test(&self, shard: usize) {
-        if let Some(m) = &self.shards[shard].maintainer {
-            m.kill_for_test();
-        }
-    }
+    /// Does nothing: index maintenance is synchronous, so the indexes are
+    /// always in lockstep with the cache. Kept only because the frozen
+    /// `benchmark/` still calls it; delete with the next `benchmark` PR.
+    pub fn sync_maintenance(&self) {}
 
     /// Engine configuration.
     pub fn config(&self) -> &IgqConfig {
@@ -1344,27 +1232,21 @@ impl<D: QueryDirection> Engine<D> {
     pub fn cached_queries(&self) -> usize {
         // The control read lock serializes against flips (which hold
         // every write lock), so the per-shard sum is flip-consistent.
-        let _ctl = self.ctl.read();
-        self.shards.iter().map(|c| c.state.read().cache.len()).sum()
+        let _ctl = self.ctl.read().expect(POISONED);
+        self.shards
+            .iter()
+            .map(|c| c.read().expect(POISONED).cache.len())
+            .sum()
     }
 
     /// Approximate footprint of iGQ's own structures (query graphs, answer
-    /// sets, and both query indexes) — the iGQ bar of Figure 18. Under
-    /// background maintenance the engine-owned indexes are empty, so the
-    /// index share is read from the latest published snapshot (which may
-    /// trail the cache by the lag bound).
+    /// sets, and both query indexes) — the iGQ bar of Figure 18.
     pub fn igq_index_size_bytes(&self) -> u64 {
         let g = self.lock_read();
         let mut total = self.plan_cache.heap_size_bytes();
-        for (cell, st) in self.shards.iter().zip(g.shards.iter()) {
+        for st in g.shards.iter() {
             total += st.cache.heap_size_bytes();
-            total += match &cell.maintainer {
-                Some(m) => {
-                    let pair = m.snapshot();
-                    pair.isub.heap_size_bytes() + pair.isuper.heap_size_bytes()
-                }
-                None => st.isub.heap_size_bytes() + st.isuper.heap_size_bytes(),
-            };
+            total += st.isub.heap_size_bytes() + st.isuper.heap_size_bytes();
         }
         total
     }
@@ -1429,10 +1311,10 @@ impl<D: QueryDirection> Engine<D> {
         let cursor = std::sync::atomic::AtomicUsize::new(0);
         let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
         let run = &run;
-        let chunks = crossbeam::scope(|scope| {
+        let chunks = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    scope.spawn(|_| {
+                    scope.spawn(|| {
                         let mut local = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -1447,8 +1329,7 @@ impl<D: QueryDirection> Engine<D> {
                 .into_iter()
                 .map(|h| h.join().expect("batch worker"))
                 .collect::<Vec<_>>()
-        })
-        .expect("batch scope");
+        });
         for (i, out) in chunks.into_iter().flatten() {
             results[i] = Some(out);
         }
@@ -1480,21 +1361,7 @@ impl<D: QueryDirection> Engine<D> {
         self.fan_out(requests, |r| self.execute(r))
     }
 
-    /// Windows currently submitted to background maintenance but not yet
-    /// applied, maximized over shards — the instantaneous staleness signal
-    /// for lag-gated admission control (the lifetime *peak* lives in
-    /// [`EngineStats::maintenance_lag_windows`]). Zero in the synchronous
-    /// maintenance modes, where maintenance never lags the cache.
-    pub fn maintenance_lag(&self) -> u64 {
-        self.shards
-            .iter()
-            .filter_map(|c| c.maintainer.as_ref())
-            .map(BackgroundMaintainer::lag_windows)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Records one request shed by lag-gated admission control into
+    /// Records one request shed by admission control into
     /// [`EngineStats::requests_rejected_overload`]. Called by the serving
     /// edge, which owns the shed decision; the engine only keeps the
     /// ledger.
@@ -1529,8 +1396,8 @@ impl<D: QueryDirection> Engine<D> {
             // a full sweep.
             let home = self.router.route_code(c);
             let probable_hit = self.shards[home]
-                .state
                 .read()
+                .expect(POISONED)
                 .cache
                 .slot_with_code(c)
                 .is_some();
@@ -1573,65 +1440,22 @@ impl<D: QueryDirection> Engine<D> {
         let filtered = D::filter(&self.method, q, &qf);
         let filter_time = f_start.elapsed();
 
-        // Stage 2: query-index probes, scattered across every shard's
-        // indexes. Under background maintenance the probes read each
-        // shard's latest published snapshot lock-free; in the synchronous
-        // mode they run under the state locks so the returned slots stay
-        // valid through the answer algebra below. Shards hold disjoint
-        // slot sets, so the per-shard hit lists merge exactly.
-        let background = self.shards[0].maintainer.is_some();
         // The query's canonical code (when computed, and not declined)
         // keys the plan cache for the `Isub` probe and the verify stage.
         let qcode: Option<&CanonicalCode> = code.as_ref().and_then(|c| c.as_ref());
-        let mut snaps: Vec<Arc<IndexPair>> = Vec::new();
-        let (mut per_shard, probe_time, mut guards) = if background {
-            snaps = self
-                .shards
-                .iter()
-                .map(|c| {
-                    c.maintainer
-                        .as_ref()
-                        .expect("every shard has a maintainer in background mode")
-                        .snapshot()
-                })
-                .collect();
-            let p_start = Instant::now();
-            let ps: Vec<ShardProbe> = snaps
-                .iter()
-                .map(|p| probe_pair(&p.isub, &p.isuper, q, &qf, &self.plan_cache, qcode))
-                .collect();
-            let probe_time = p_start.elapsed();
-            (ps, probe_time, self.lock_write())
-        } else {
-            // Only the probes need the live indexes.
-            let guards = self.lock_write();
-            let p_start = Instant::now();
-            let ps: Vec<ShardProbe> = guards
-                .shards
-                .iter()
-                .map(|sh| probe_pair(&sh.isub, &sh.isuper, q, &qf, &self.plan_cache, qcode))
-                .collect();
-            let probe_time = p_start.elapsed();
-            (ps, probe_time, guards)
-        };
-        if !snaps.is_empty() {
-            // A snapshot may trail its shard's cache — and under
-            // concurrency the cache may even have moved between the
-            // lock-free probe and this lock acquisition. Discard hits
-            // whose slot the owning shard no longer backs with the probed
-            // graph, so every surviving slot's stored answers really
-            // belong to the verified graph. (A slot reassigned to another
-            // shard in between fails the check on its probing shard —
-            // the safe direction.)
-            for (i, ((sub, _), (sup, _))) in per_shard.iter_mut().enumerate() {
-                retain_current_slots(&guards.shards[i].cache, sub, |s| {
-                    snaps[i].isub.slot_graph(s)
-                });
-                retain_current_slots(&guards.shards[i].cache, sup, |s| {
-                    snaps[i].isuper.slot_graph(s)
-                });
-            }
-        }
+
+        // Stage 2: query-index probes, scattered across every shard's
+        // indexes, under the state locks so the returned slots stay valid
+        // through the answer algebra below. Shards hold disjoint slot
+        // sets, so the per-shard hit lists merge exactly.
+        let mut guards = self.lock_write();
+        let p_start = Instant::now();
+        let per_shard: Vec<ShardProbe> = guards
+            .shards
+            .iter()
+            .map(|sh| probe_pair(&sh.isub, &sh.isuper, q, &qf, &self.plan_cache, qcode))
+            .collect();
+        let probe_time = p_start.elapsed();
         let ((sub_slots, sub_stats), (super_slots, super_stats)) = merge_probes(per_shard);
         outcome.filter_time = filter_time;
         let mut igq_stats = IsoStats::new();
@@ -1906,12 +1730,7 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Evicts/admits the pending window and brings `Isub`/`Isuper` in line
     /// with the resulting slot delta — incrementally on this thread
-    /// (remove evicted slots, insert admitted ones; O(window delta)), or
-    /// — under [`MaintenanceMode::Background`] — by capturing the delta
-    /// into the outbox for a post-lock
-    /// [`drain_outbox`](Engine::drain_outbox) to submit.
-    ///
-    /// [`MaintenanceMode::Background`]: crate::MaintenanceMode::Background
+    /// (remove evicted slots, insert admitted ones; O(window delta)).
     fn run_maintenance(&self, g: &mut WriteGuards) {
         if g.ctl.window.is_empty() {
             return;
@@ -1927,8 +1746,8 @@ impl<D: QueryDirection> Engine<D> {
     /// over the global allocator ([`shard::apply_window_sharded`]), which
     /// makes the identical slot decisions and scatters them to the owning
     /// shards. Evicted plans are dropped, the flip is captured as one WAL
-    /// group, and each touched shard's index delta is applied inline or
-    /// queued for its maintainer. Returns whether anything changed.
+    /// group, and each touched shard's index delta is applied inline.
+    /// Returns whether anything changed.
     /// `record_stats` distinguishes regular maintenance from
     /// [`Engine::import_entries`], which never counted as maintenance.
     fn apply_incoming(
@@ -1967,39 +1786,29 @@ impl<D: QueryDirection> Engine<D> {
         }
         self.capture_wal(g, &deltas);
         for (shard, delta) in deltas.iter().enumerate() {
-            if delta.is_empty() {
-                continue;
-            }
-            let cell = &self.shards[shard];
-            let sh = &mut *g.shards[shard];
-            match &cell.maintainer {
-                Some(_) => {
-                    // Capture under the shard's lock (job order = cache
-                    // order); the possibly lag-gated submit happens in
-                    // drain_outbox, after the caller releases the locks.
-                    cell.outbox
-                        .lock()
-                        .push_back(MaintenanceJob::capture(&sh.cache, delta));
-                }
-                None => {
-                    let maint_start = Instant::now();
-                    let outcome = crate::maintain::apply_delta(
-                        self.config.path_config,
-                        &sh.cache,
-                        delta,
-                        &mut sh.isub,
-                        &mut sh.isuper,
-                    );
-                    if record_stats {
-                        self.stats.record_maintenance_work(
-                            outcome.postings_touched,
-                            maint_start.elapsed(),
-                        );
-                    }
-                }
-            }
+            self.apply_index_delta(&mut g.shards[shard], delta, record_stats);
         }
         true
+    }
+
+    /// Brings one shard's `Isub`/`Isuper` in line with its cache after
+    /// `delta` was applied to it; the caller holds the shard's write lock.
+    fn apply_index_delta(&self, sh: &mut ShardState, delta: &WindowDelta, record_stats: bool) {
+        if delta.is_empty() {
+            return;
+        }
+        let maint_start = Instant::now();
+        let outcome = crate::maintain::apply_delta(
+            self.config.path_config,
+            &sh.cache,
+            delta,
+            &mut sh.isub,
+            &mut sh.isuper,
+        );
+        if record_stats {
+            self.stats
+                .record_maintenance_work(outcome.postings_touched, maint_start.elapsed());
+        }
     }
 
     /// Captures one window flip as a WAL flip group — one record per
@@ -2045,41 +1854,25 @@ impl<D: QueryDirection> Engine<D> {
                 }
             })
             .collect();
-        self.wal_outbox.lock().push_back(group);
+        self.wal_outbox.lock().expect(POISONED).push_back(group);
     }
 
-    /// Submits every outbox job to the background maintainer, in capture
-    /// order. Runs *without* the state lock: the bounded-lag gate inside
-    /// [`BackgroundMaintainer::submit`] may sleep until the maintainer
-    /// catches up, and during that sleep other threads' queries keep
-    /// probing, verifying, and bookkeeping freely — only fellow window
-    /// flippers queue here (on the submit lock), which is exactly the
-    /// intended backpressure population. The outbox mutex itself is held
-    /// only per pop, so even a flipper pushing a new job under the state
-    /// write lock never waits behind a sleeping gate. Safe to call while
-    /// holding the state *read* lock (the gate clears independently: the
-    /// maintainer takes no engine lock). No-op in the synchronous mode.
+    /// Appends every captured WAL flip group to the store and publishes
+    /// it to the replication hub, in capture (= flip) order. Runs
+    /// *without* the state write lock, so storage I/O never stalls other
+    /// threads' queries — only fellow flippers queue here, on the WAL
+    /// lock. The outbox mutex itself is held only per pop, so a flipper
+    /// pushing a new group under the write view never waits behind an
+    /// append. Safe to call while holding the state *read* lock. No-op
+    /// for an engine with neither a store nor subscribers.
     fn drain_outbox(&self) {
-        for cell in self.shards.iter() {
-            let Some(m) = &cell.maintainer else { continue };
-            // One drainer per shard at a time: pops happen only under the
-            // shard's submit lock, in FIFO order, so submission order is
-            // the capture order. A lag-gated sleep here stalls only
-            // flippers of this shard.
-            let _submitting = cell.submit_lock.lock();
-            loop {
-                let job = cell.outbox.lock().pop_front();
-                let Some(job) = job else { break };
-                m.submit(job);
-            }
-        }
         if self.persist.is_some() || self.hub.is_active() {
             // One appender at a time: group pops happen only under the
             // WAL lock, in FIFO order, so append order is flip order —
             // and so is publication order on the replication hub.
-            let _appending = self.wal_lock.lock();
+            let _appending = self.wal_lock.lock().expect(POISONED);
             loop {
-                let group = self.wal_outbox.lock().pop_front();
+                let group = self.wal_outbox.lock().expect(POISONED).pop_front();
                 let Some(group) = group else { break };
                 if let Some(p) = &self.persist {
                     // The whole flip group is one append (and one fsync
@@ -2098,7 +1891,7 @@ impl<D: QueryDirection> Engine<D> {
                         // behind the ones already quarantined. Quarantine
                         // this group too, then attempt a backoff-gated
                         // retry of the whole queue.
-                        p.quarantine.lock().push_back((seq, bytes));
+                        p.quarantine.lock().expect(POISONED).push_back((seq, bytes));
                         self.try_drain_quarantine(p);
                     } else {
                         match p.store.append_wal(&bytes) {
@@ -2142,11 +1935,11 @@ impl<D: QueryDirection> Engine<D> {
             "igq: warning: WAL append failed ({cause}); entering degraded mode — \
              quarantining flip {seq} and retrying with backoff"
         );
-        *p.degraded_reason.lock() = format!("WAL append failed: {cause}");
-        p.quarantine.lock().push_back((seq, bytes));
+        *p.degraded_reason.lock().expect(POISONED) = format!("WAL append failed: {cause}");
+        p.quarantine.lock().expect(POISONED).push_back((seq, bytes));
         p.tail_suspect.store(true, Ordering::Relaxed);
         p.retry_strikes.store(1, Ordering::Relaxed);
-        *p.retry_not_before.lock() = Some(Instant::now() + WAL_RETRY_FLOOR);
+        *p.retry_not_before.lock().expect(POISONED) = Some(Instant::now() + WAL_RETRY_FLOOR);
         p.degraded.store(true, Ordering::Relaxed);
         self.stats.count_wal_retry_failure();
     }
@@ -2161,7 +1954,7 @@ impl<D: QueryDirection> Engine<D> {
             return;
         }
         {
-            let not_before = p.retry_not_before.lock();
+            let not_before = p.retry_not_before.lock().expect(POISONED);
             if let Some(t) = *not_before {
                 if Instant::now() < t {
                     return;
@@ -2173,8 +1966,8 @@ impl<D: QueryDirection> Engine<D> {
             let backoff = WAL_RETRY_FLOOR
                 .saturating_mul(1u32 << strikes.min(10) as u32)
                 .min(WAL_RETRY_CEIL);
-            *p.retry_not_before.lock() = Some(Instant::now() + backoff);
-            *p.degraded_reason.lock() = format!("WAL retry failed: {e}");
+            *p.retry_not_before.lock().expect(POISONED) = Some(Instant::now() + backoff);
+            *p.degraded_reason.lock().expect(POISONED) = format!("WAL retry failed: {e}");
             self.stats.count_wal_retry_failure();
         };
         // Tail repair: a failed append may have left a partial record at
@@ -2202,13 +1995,13 @@ impl<D: QueryDirection> Engine<D> {
             }
         }
         loop {
-            let front = p.quarantine.lock().front().cloned();
+            let front = p.quarantine.lock().expect(POISONED).front().cloned();
             let Some((_seq, bytes)) = front else { break };
             match p.store.append_wal(&bytes) {
                 Ok(()) => {
                     self.stats.count_wal_append(bytes.len() as u64);
                     p.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-                    p.quarantine.lock().pop_front();
+                    p.quarantine.lock().expect(POISONED).pop_front();
                 }
                 Err(e) => {
                     // This retry itself may have torn the tail.
@@ -2226,8 +2019,8 @@ impl<D: QueryDirection> Engine<D> {
     /// checkpoint), log healthy.
     fn clear_degraded(&self, p: &PersistCtl) {
         p.degraded.store(false, Ordering::Relaxed);
-        *p.degraded_reason.lock() = String::new();
-        *p.retry_not_before.lock() = None;
+        *p.degraded_reason.lock().expect(POISONED) = String::new();
+        *p.retry_not_before.lock().expect(POISONED) = None;
         p.retry_strikes.store(0, Ordering::Relaxed);
         p.tail_suspect.store(false, Ordering::Relaxed);
     }
@@ -2264,24 +2057,23 @@ impl<D: QueryDirection> Engine<D> {
             return Ok(());
         };
         let _one_at_a_time = if blocking {
-            p.checkpoint_lock.lock()
+            p.checkpoint_lock.lock().expect(POISONED)
         } else {
             match p.checkpoint_lock.try_lock() {
-                Some(guard) => guard,
+                Ok(guard) => guard,
                 // An auto-checkpoint is already in flight; this flip's
                 // state will be covered by the next cadence hit.
-                None => return Ok(()),
+                Err(TryLockError::WouldBlock) => return Ok(()),
+                Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
             }
         };
         let start = Instant::now();
         let data = {
-            // Same discipline as `self_check`: under the read guards no
-            // flip can land, and drain + sync (both lock-free w.r.t. the
-            // state locks) bring the published snapshots to exactly this
-            // cache state so feature sets can be read from them.
+            // Under the read guards no flip can land, so the capture is
+            // flip-consistent; the drain (safe here: it takes no state
+            // lock) first appends every flip captured so far.
             let g = self.lock_read();
             self.drain_outbox();
-            self.sync_maintenance();
             self.capture_state(&g, p.config_fp, p.dataset_fp)
         };
         let seq = data.seq;
@@ -2298,7 +2090,7 @@ impl<D: QueryDirection> Engine<D> {
         // `seq` is covered by the checkpoint just written, and the
         // rewrite drops the torn tail the failed append left behind.
         let kept_len = {
-            let _appending = self.wal_lock.lock();
+            let _appending = self.wal_lock.lock().expect(POISONED);
             let header = persist::WalHeader {
                 config_fp: p.config_fp,
                 dataset_fp: p.dataset_fp,
@@ -2313,7 +2105,7 @@ impl<D: QueryDirection> Engine<D> {
             // freshly compacted log (still under the WAL lock, so order
             // holds). Degraded mode clears unless a re-append fails.
             {
-                let mut q = p.quarantine.lock();
+                let mut q = p.quarantine.lock().expect(POISONED);
                 while q.front().is_some_and(|(gseq, _)| *gseq <= seq) {
                     q.pop_front();
                 }
@@ -2321,7 +2113,7 @@ impl<D: QueryDirection> Engine<D> {
             p.tail_suspect.store(false, Ordering::Relaxed);
             let mut kept = kept;
             loop {
-                let front = p.quarantine.lock().front().cloned();
+                let front = p.quarantine.lock().expect(POISONED).front().cloned();
                 let Some((_gseq, bytes)) = front else {
                     if p.degraded.load(Ordering::Relaxed) {
                         self.clear_degraded(p);
@@ -2335,7 +2127,7 @@ impl<D: QueryDirection> Engine<D> {
                 match p.store.append_wal(&bytes) {
                     Ok(()) => {
                         self.stats.count_wal_append(bytes.len() as u64);
-                        p.quarantine.lock().pop_front();
+                        p.quarantine.lock().expect(POISONED).pop_front();
                         kept += 1;
                     }
                     Err(e) => {
@@ -2343,7 +2135,8 @@ impl<D: QueryDirection> Engine<D> {
                         // succeeded, so durability is current up to `seq`;
                         // the rest stays quarantined for the next retry.
                         p.tail_suspect.store(true, Ordering::Relaxed);
-                        *p.degraded_reason.lock() = format!("WAL retry failed: {e}");
+                        *p.degraded_reason.lock().expect(POISONED) =
+                            format!("WAL retry failed: {e}");
                         self.stats.count_wal_retry_failure();
                         break;
                     }
@@ -2381,10 +2174,9 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Snapshots the full durable state (the checkpoint payload and the
     /// single serialization path behind [`Engine::checkpoint`] and
-    /// [`Engine::export_entries`]). Caller holds the state locks; under
-    /// background maintenance the caller must have synced the maintainers
-    /// first so per-slot feature sets can be read from the published
-    /// snapshots (a slot missing there falls back to re-enumeration).
+    /// [`Engine::export_entries`]). Caller holds the state locks; per-slot
+    /// feature sets are read from the live `Isub` (a slot missing there
+    /// falls back to re-enumeration).
     ///
     /// The checkpoint stores one *global* slot namespace regardless of
     /// shard count: per-shard entries are merged and sorted by slot, and
@@ -2400,16 +2192,11 @@ impl<D: QueryDirection> Engine<D> {
         dataset_fp: u64,
     ) -> persist::CheckpointData {
         let mut entries: Vec<persist::PersistedEntry> = Vec::new();
-        for (cell, sh) in self.shards.iter().zip(g.shards.iter()) {
-            let snap = cell.maintainer.as_ref().map(|m| m.snapshot());
-            let index = match &snap {
-                Some(pair) => &pair.isub,
-                None => &sh.isub,
-            };
+        for sh in g.shards.iter() {
             entries.extend(sh.cache.iter().map(|(slot, e)| persist::PersistedEntry {
                 slot,
                 entry: e.clone(),
-                features: Some(match index.slot_features(slot) {
+                features: Some(match sh.isub.slot_features(slot) {
                     Some((counts, complete_len)) => persist::SlotFeatureSet {
                         counts,
                         complete_len,
@@ -2467,8 +2254,6 @@ impl<D: QueryDirection> Engine<D> {
     pub fn export_entries(&self) -> Vec<(Graph, Vec<GraphId>)> {
         let data = {
             let g = self.lock_read();
-            self.drain_outbox();
-            self.sync_maintenance();
             self.capture_state(&g, 0, 0)
         };
         data.entries
@@ -2526,10 +2311,7 @@ impl<D: QueryDirection> Engine<D> {
             // maintenance work, matching the pre-sharding behavior.
             self.apply_incoming(&mut g, admissible, false);
         }
-        // Submit and synchronize so a warm start is immediately
-        // probe-visible.
         self.drain_outbox();
-        self.sync_maintenance();
         self.maybe_auto_checkpoint();
         Ok(ImportReport {
             admitted,
@@ -2542,24 +2324,14 @@ impl<D: QueryDirection> Engine<D> {
     /// invariants (cache within capacity, sorted answer sets), then diffs
     /// the incrementally maintained query indexes against a fresh shadow
     /// rebuild over the cache — any drift between delta maintenance and
-    /// the ground-truth rebuild is reported. Under background maintenance
-    /// the maintainer is synchronized first and its published snapshot is
-    /// diffed. The invariant part is cheap; the index diff re-enumerates
-    /// every cached graph, so call this at checkpoints rather than per
-    /// query in large deployments.
+    /// the ground-truth rebuild is reported. The invariant part is cheap;
+    /// the index diff re-enumerates every cached graph, so call this at
+    /// checkpoints rather than per query in large deployments.
     pub fn self_check(&self) -> Result<(), String> {
-        // Take the read guards FIRST: every cache change visible under
-        // them already has its maintenance job in its shard's outbox
-        // (pushes happen under the same write locks as the cache change),
-        // and no new change can land while we hold them. Draining and
-        // syncing now — both safe under the read guards, since the
-        // maintainers take no engine lock — brings each published
-        // snapshot to *exactly* this cache state; a concurrent flipper's
-        // captured-but-undrained job can no longer make a healthy engine
-        // look diverged.
+        // Flips hold every write lock from the cache change through the
+        // index delta, so under the read guards cache and indexes are in
+        // lockstep.
         let g = self.lock_read();
-        self.drain_outbox();
-        self.sync_maintenance();
         let total_len: usize = g.shards.iter().map(|sh| sh.cache.len()).sum();
         if total_len > self.config.cache_capacity {
             return Err(format!(
@@ -2619,25 +2391,20 @@ impl<D: QueryDirection> Engine<D> {
         // Index ≡ cache, per shard: each shard's indexes must hold
         // exactly that shard's cached slots, with postings identical to a
         // from-scratch rebuild over that shard alone.
-        for (shard, (cell, sh)) in self.shards.iter().zip(g.shards.iter()).enumerate() {
-            let (isub_snapshot, isuper_snapshot) = match &cell.maintainer {
-                Some(m) => {
-                    let pair = m.snapshot();
-                    (pair.isub.snapshot(), pair.isuper.snapshot())
-                }
-                None => (sh.isub.snapshot(), sh.isuper.snapshot()),
-            };
+        for (shard, sh) in g.shards.iter().enumerate() {
             let graphs = || {
                 sh.cache
                     .iter()
                     .map(|(slot, e)| (slot, Arc::clone(&e.graph)))
             };
             let fresh_isub = IsubIndex::build(graphs(), self.config.path_config);
-            isub_snapshot
+            sh.isub
+                .snapshot()
                 .diff(&fresh_isub.snapshot())
                 .map_err(|e| format!("shard {shard}: Isub drifted from shadow rebuild: {e}"))?;
             let fresh_isuper = IsuperIndex::build(graphs(), self.config.path_config);
-            isuper_snapshot
+            sh.isuper
+                .snapshot()
                 .diff(&fresh_isuper.snapshot())
                 .map_err(|e| format!("shard {shard}: Isuper drifted from shadow rebuild: {e}"))?;
         }
@@ -2646,8 +2413,8 @@ impl<D: QueryDirection> Engine<D> {
 }
 
 impl<D: QueryDirection> Drop for Engine<D> {
-    /// Flushes any captured-but-unappended WAL records (and pending
-    /// maintenance jobs) so a clean shutdown loses no persisted flip.
+    /// Flushes any captured-but-unappended WAL records so a clean
+    /// shutdown loses no persisted flip.
     /// Queries still in the window are covered only by an explicit
     /// [`checkpoint`](Engine::checkpoint) before drop.
     fn drop(&mut self) {
@@ -2696,10 +2463,8 @@ fn credit_hits<D: QueryDirection>(
 /// slot list plus the iso-test counters the probe spent producing it.
 type ShardProbe = ((Vec<usize>, IsoStats), (Vec<usize>, IsoStats));
 
-/// Probes one shard's query indexes — the shared body of stage 2, whether
-/// the indexes come from a published snapshot (background mode,
-/// lock-free) or the live state (synchronous mode, caller holds the
-/// shard's state lock).
+/// Probes one shard's query indexes — the body of stage 2; the caller
+/// holds the shard's state lock.
 fn probe_pair(
     isub: &IsubIndex,
     isuper: &IsuperIndex,
@@ -2741,7 +2506,6 @@ fn merge_probes(mut per_shard: Vec<ShardProbe>) -> ShardProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MaintenanceMode;
     use igq_graph::{graph_from, GraphStore};
     use igq_methods::{Ggsx, GgsxConfig, NaiveMethod, SubgraphMethod};
     use std::sync::Arc;
@@ -3085,7 +2849,7 @@ mod tests {
         ]
     }
 
-    fn engine_with_mode(mode: MaintenanceMode, capacity: usize, window: usize) -> IgqEngine<Ggsx> {
+    fn engine_sized(capacity: usize, window: usize) -> IgqEngine<Ggsx> {
         let s = store();
         let method = Ggsx::build(&s, GgsxConfig::default());
         IgqEngine::new(
@@ -3093,7 +2857,6 @@ mod tests {
             IgqConfig {
                 cache_capacity: capacity,
                 window,
-                maintenance: mode,
                 ..Default::default()
             },
         )
@@ -3104,7 +2867,7 @@ mod tests {
     fn incremental_mode_performs_no_full_rebuild() {
         // Tiny capacity + window force heavy churn: every window must
         // evict. The delta-maintained indexes must still equal a rebuild.
-        let e = engine_with_mode(MaintenanceMode::Incremental, 2, 1);
+        let e = engine_sized(2, 1);
         for q in workload() {
             let _ = e.query(&q);
         }
@@ -3118,31 +2881,10 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_modes_agree_on_answers_and_hits() {
-        let inc = engine_with_mode(MaintenanceMode::Incremental, 3, 2);
-        let bg = engine_with_mode(MaintenanceMode::Background, 3, 2);
-        for q in workload() {
-            let a = inc.query(&q);
-            // Synced before every query, the published snapshot is the
-            // live state and the two modes are indistinguishable.
-            bg.sync_maintenance();
-            let b = bg.query(&q);
-            assert_eq!(a.answers, b.answers, "answers diverge for {q:?}");
-            assert_eq!(a.resolution, b.resolution, "resolution diverges for {q:?}");
-            assert_eq!(a.isub_hits, b.isub_hits, "isub hits diverge for {q:?}");
-            assert_eq!(
-                a.isuper_hits, b.isuper_hits,
-                "isuper hits diverge for {q:?}"
-            );
-        }
-        assert_eq!(inc.cached_queries(), bg.cached_queries());
-    }
-
-    #[test]
     fn query_features_are_extracted_exactly_once() {
         // Window larger than the workload so no maintenance (whose
         // admissions legitimately re-enumerate) runs mid-measurement.
-        let e = engine_with_mode(MaintenanceMode::Incremental, 8, 8);
+        let e = engine_sized(8, 8);
         let warm = graph_from(&[0, 1], &[(0, 1)]);
         let _ = e.query(&warm);
         for q in [
@@ -3165,7 +2907,7 @@ mod tests {
 
     #[test]
     fn exact_fastpath_skips_extraction_entirely() {
-        let e = engine_with_mode(MaintenanceMode::Incremental, 8, 1);
+        let e = engine_sized(8, 1);
         let q = graph_from(&[0, 1], &[(0, 1)]);
         let _ = e.query(&q);
         let before = igq_features::thread_enumeration_count();
@@ -3245,120 +2987,13 @@ mod tests {
         assert_eq!(e.stats().queries, queries.len() as u64);
     }
 
-    #[test]
-    fn background_mode_answers_match_oracle() {
-        let s = store();
-        let naive = NaiveMethod::build(&s);
-        let e = engine_with_mode(MaintenanceMode::Background, 3, 1);
-        for q in workload() {
-            let out = e.query(&q);
-            let (truth, _) = naive.query(&q);
-            assert_eq!(out.answers, truth, "query {q:?}");
-        }
-        let st = e.stats();
-        assert!(st.maintenances >= 5, "windows of 1 maintain frequently");
-        e.self_check()
-            .expect("published snapshot matches a fresh rebuild after sync");
-        let st = e.stats();
-        assert!(st.snapshot_publishes >= 1, "snapshots were published");
-        assert!(st.maintenance_postings_touched > 0);
-        assert!(
-            st.maintenance_lag_windows <= e.config().max_lag_windows as u64,
-            "peak lag {} exceeded the configured bound {}",
-            st.maintenance_lag_windows,
-            e.config().max_lag_windows
-        );
-    }
-
-    #[test]
-    fn background_exact_repeat_still_hits_via_cache_code_index() {
-        // The exact-repeat fast path reads the cache's code index, which
-        // lives under the state lock and is always current — repeats hit
-        // even while the index snapshot lags.
-        let e = engine_with_mode(MaintenanceMode::Background, 8, 2);
-        let q = graph_from(&[0, 1], &[(0, 1)]);
-        let first = e.query(&q);
-        let _ = e.query(&graph_from(&[2, 2], &[(0, 1)]));
-        let repeat = e.query(&q);
-        assert_eq!(repeat.resolution, Resolution::ExactHit);
-        assert_eq!(repeat.answers, first.answers);
-    }
-
-    #[test]
-    fn background_probes_hit_after_sync() {
-        let e = engine_with_mode(MaintenanceMode::Background, 8, 2);
-        let big = graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]);
-        let _ = e.query(&big);
-        let _ = e.query(&graph_from(&[2, 2], &[(0, 1)])); // flush W=2
-        e.sync_maintenance();
-        // With the snapshot caught up, the cached supergraph prunes the
-        // smaller query exactly as Incremental would.
-        let small = graph_from(&[0, 1], &[(0, 1)]);
-        let out = e.query(&small);
-        assert!(out.isub_hits >= 1, "synced snapshot serves probe hits");
-        assert_eq!(out.answers, ids(&[0, 1, 3]));
-    }
-
-    #[test]
-    fn background_export_import_warm_start() {
-        let warm = engine_with_mode(MaintenanceMode::Background, 8, 2);
-        let q = graph_from(&[0, 1], &[(0, 1)]);
-        let first = warm.query(&q);
-        let exported = warm.export_entries();
-        assert_eq!(exported.len(), 1);
-
-        let cold = engine_with_mode(MaintenanceMode::Background, 8, 2);
-        assert_eq!(
-            cold.import_entries(exported)
-                .expect("primary import")
-                .admitted,
-            1
-        );
-        // import_entries syncs, so the warm entries are immediately
-        // probe-visible even with the exact fast path disabled.
-        let out = cold.query(&q);
-        assert_eq!(out.resolution, Resolution::ExactHit);
-        assert_eq!(out.answers, first.answers);
-        cold.self_check().expect("invariants hold after import");
-    }
-
-    #[test]
-    fn background_index_size_reads_published_snapshot() {
-        // The engine-owned indexes stay empty under background
-        // maintenance; the footprint must come from the published
-        // snapshot, matching what the synchronous mode reports.
-        let queries = [
-            graph_from(&[0, 1], &[(0, 1)]),
-            graph_from(&[2, 2], &[(0, 1)]),
-        ];
-        let bg = engine_with_mode(MaintenanceMode::Background, 8, 2);
-        let inc = engine_with_mode(MaintenanceMode::Incremental, 8, 2);
-        let empty = bg.igq_index_size_bytes();
-        for q in &queries {
-            let _ = bg.query(q);
-            let _ = inc.query(q);
-        }
-        bg.sync_maintenance();
-        assert!(bg.igq_index_size_bytes() > empty);
-        assert_eq!(
-            bg.igq_index_size_bytes(),
-            inc.igq_index_size_bytes(),
-            "same cache contents must report the same iGQ footprint"
-        );
-    }
-
-    fn open_engine(
-        s: &Arc<GraphStore>,
-        store: &Arc<crate::MemStore>,
-        mode: MaintenanceMode,
-    ) -> IgqEngine<Ggsx> {
+    fn open_engine(s: &Arc<GraphStore>, store: &Arc<crate::MemStore>) -> IgqEngine<Ggsx> {
         let method = Ggsx::build(s, GgsxConfig::default());
         IgqEngine::open(
             method,
             IgqConfig {
                 cache_capacity: 8,
                 window: 2,
-                maintenance: mode,
                 persistence: crate::PersistenceConfig::manual(),
                 ..Default::default()
             },
@@ -3374,7 +3009,7 @@ mod tests {
         let q = graph_from(&[0, 1], &[(0, 1)]);
         let first_answers;
         {
-            let e1 = open_engine(&s, &mem, MaintenanceMode::Incremental);
+            let e1 = open_engine(&s, &mem);
             first_answers = e1.query(&q).answers.clone();
             let _ = e1.query(&graph_from(&[2, 2], &[(0, 1)])); // flip W=2
             assert!(e1.stats().wal_appends >= 1, "flip appended a WAL record");
@@ -3383,7 +3018,7 @@ mod tests {
         }
         assert!(mem.checkpoint_bytes() > 0);
 
-        let e2 = open_engine(&s, &mem, MaintenanceMode::Incremental);
+        let e2 = open_engine(&s, &mem);
         assert_eq!(
             e2.stats().recovery_replayed_windows,
             0,
@@ -3401,7 +3036,7 @@ mod tests {
         let s = store();
         let mem = Arc::new(crate::MemStore::new());
         {
-            let e1 = open_engine(&s, &mem, MaintenanceMode::Incremental);
+            let e1 = open_engine(&s, &mem);
             for q in workload() {
                 let _ = e1.query(&q);
             }
@@ -3410,7 +3045,7 @@ mod tests {
         }
         assert_eq!(mem.checkpoint_bytes(), 0);
         assert!(mem.wal_bytes() > 0);
-        let e2 = open_engine(&s, &mem, MaintenanceMode::Incremental);
+        let e2 = open_engine(&s, &mem);
         assert!(e2.stats().recovery_replayed_windows >= 1);
         assert!(e2.cached_queries() >= 1);
         e2.self_check().expect("replayed engine invariants");
@@ -3421,7 +3056,7 @@ mod tests {
         let s = store();
         let mem = Arc::new(crate::MemStore::new());
         {
-            let e = open_engine(&s, &mem, MaintenanceMode::Incremental);
+            let e = open_engine(&s, &mem);
             let _ = e.query(&graph_from(&[0, 1], &[(0, 1)]));
             let _ = e.query(&graph_from(&[2, 2], &[(0, 1)]));
             e.checkpoint().expect("checkpoint");
@@ -3490,36 +3125,6 @@ mod tests {
         // Compaction keeps the WAL to the post-checkpoint tail.
         let parsed_wal = mem.raw_wal();
         assert!(parsed_wal.len() < 2048, "compacted WAL stays small");
-    }
-
-    #[test]
-    fn background_mode_recovers_with_published_snapshot() {
-        let s = store();
-        let mem = Arc::new(crate::MemStore::new());
-        {
-            let e1 = open_engine(&s, &mem, MaintenanceMode::Background);
-            let big = graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]);
-            let _ = e1.query(&big);
-            let _ = e1.query(&graph_from(&[2, 2], &[(0, 1)])); // flip
-            e1.checkpoint().expect("checkpoint");
-        }
-        let e2 = open_engine(&s, &mem, MaintenanceMode::Background);
-        // The recovered indexes are published before any job: probes hit
-        // without any sync.
-        let small = graph_from(&[0, 1], &[(0, 1)]);
-        let out = e2.query(&small);
-        assert!(out.isub_hits >= 1, "warm snapshot serves probe hits");
-        assert_eq!(out.answers, ids(&[0, 1, 3]));
-        e2.self_check().expect("recovered background engine");
-    }
-
-    #[test]
-    fn background_engine_drop_joins_cleanly_with_pending_work() {
-        let e = engine_with_mode(MaintenanceMode::Background, 4, 1);
-        for q in workload() {
-            let _ = e.query(&q);
-        }
-        drop(e); // must drain the delta queue and join without panicking
     }
 
     fn replication_queries() -> Vec<Graph> {

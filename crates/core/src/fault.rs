@@ -17,11 +17,13 @@
 //! an engine is serving from other threads.
 
 use crate::persist::{CacheStore, PersistError};
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// Panic message for a [`FaultyStore`] lock whose holder panicked.
+const POISONED: &str = "faulty store lock poisoned";
 
 /// Which storage operation a fault knob targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +82,7 @@ impl fmt::Debug for FaultyStore {
         f.debug_struct("FaultyStore")
             .field("inner", &self.inner)
             .field("fail_ppm", &self.fail_ppm.load(Ordering::Relaxed))
-            .field("injected", &*self.injected.lock())
+            .field("injected", &*self.injected.lock().expect(POISONED))
             .finish_non_exhaustive()
     }
 }
@@ -132,7 +134,7 @@ impl FaultyStore {
 
     /// Slow fsync: delay every append by `d` (`None` disables).
     pub fn slow_fsync(&self, d: Option<Duration>) {
-        *self.slow_fsync.lock() = d;
+        *self.slow_fsync.lock().expect(POISONED) = d;
     }
 
     /// Clears every fault knob (the store heals); injected-fault
@@ -144,12 +146,12 @@ impl FaultyStore {
         self.fail_ppm.store(0, Ordering::Relaxed);
         self.torn_write_pct.store(0, Ordering::Relaxed);
         self.short_read_bytes.store(0, Ordering::Relaxed);
-        *self.slow_fsync.lock() = None;
+        *self.slow_fsync.lock().expect(POISONED) = None;
     }
 
     /// Cumulative injected-fault counters.
     pub fn injected(&self) -> FaultStats {
-        *self.injected.lock()
+        *self.injected.lock().expect(POISONED)
     }
 
     /// Draws the next value from the seeded stream (xorshift64*).
@@ -177,7 +179,7 @@ impl FaultyStore {
     }
 
     fn injected_error(&self, what: &str) -> PersistError {
-        self.injected.lock().io_errors += 1;
+        self.injected.lock().expect(POISONED).io_errors += 1;
         PersistError::Io(std::io::Error::other(format!("injected fault: {what}")))
     }
 }
@@ -208,14 +210,14 @@ impl CacheStore for FaultyStore {
         let short = self.short_read_bytes.load(Ordering::Relaxed) as usize;
         if short > 0 && !bytes.is_empty() {
             bytes.truncate(bytes.len().saturating_sub(short));
-            self.injected.lock().short_reads += 1;
+            self.injected.lock().expect(POISONED).short_reads += 1;
         }
         Ok(bytes)
     }
 
     fn append_wal(&self, record: &[u8]) -> Result<(), PersistError> {
-        if let Some(d) = *self.slow_fsync.lock() {
-            self.injected.lock().slow_fsyncs += 1;
+        if let Some(d) = *self.slow_fsync.lock().expect(POISONED) {
+            self.injected.lock().expect(POISONED).slow_fsyncs += 1;
             std::thread::sleep(d);
         }
         if self.should_fail(FaultOp::Append) {
@@ -226,7 +228,7 @@ impl CacheStore for FaultyStore {
                 // between `write_all` and `sync_all`.
                 let cut = (record.len() as u64 * pct / 100) as usize;
                 if cut > 0 && self.inner.append_wal(&record[..cut]).is_ok() {
-                    self.injected.lock().torn_writes += 1;
+                    self.injected.lock().expect(POISONED).torn_writes += 1;
                 }
             }
             return Err(self.injected_error("WAL append"));

@@ -43,9 +43,6 @@ struct SlotEntry {
 }
 
 /// Supergraph index over the cached queries, maintained incrementally.
-/// `Clone` supports the background maintainer's double-buffered snapshots
-/// (a deep copy seeds the fallback shadow buffer).
-#[derive(Clone)]
 pub struct IsuperIndex {
     path_config: PathConfig,
     trie: FeatureTrie,
@@ -149,17 +146,6 @@ impl IsuperIndex {
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
         self.slots.iter().all(Option::is_none)
-    }
-
-    /// The graph indexed under `slot`, if any. Under background
-    /// maintenance the engines compare this (by `Arc` identity) against
-    /// the live cache entry to discard hits from slots the cache has since
-    /// evicted or reused.
-    pub fn slot_graph(&self, slot: usize) -> Option<&Arc<Graph>> {
-        self.slots
-            .get(slot)
-            .and_then(Option::as_ref)
-            .map(|e| &e.graph)
     }
 
     /// Cache slots whose graph is a (verified) subgraph of `q`, plus the

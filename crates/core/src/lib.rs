@@ -17,9 +17,7 @@
 //! * the utility-based replacement policy `U(g) = C(g)/M(g)` with costs in
 //!   log space (Section 5.1, [`metadata`]);
 //! * windowed maintenance (Section 5.2) with **incremental delta updates**
-//!   of both query indexes, on the query thread or fully off-thread behind
-//!   atomically published snapshots
-//!   ([`config::MaintenanceMode::Background`], [`background`]);
+//!   of both query indexes on the flipping query thread ([`maintain`]);
 //! * [`Engine`] — **one** pipeline implementing formulas (3)–(5) and the
 //!   optimal cases of Section 4.3, generic over the query
 //!   [`QueryDirection`]; [`IgqEngine`] and [`IgqSuperEngine`] are its two
@@ -57,7 +55,7 @@
 //! serve it from multiple threads through a shared handle:
 //!
 //! ```
-//! use igq_core::{IgqConfig, IgqEngine, MaintenanceMode, QueryEngine};
+//! use igq_core::{IgqConfig, IgqEngine, QueryEngine};
 //! use igq_graph::{graph_from, GraphStore};
 //! use igq_methods::{Ggsx, GgsxConfig};
 //! use std::sync::Arc;
@@ -74,9 +72,6 @@
 //! let config = IgqConfig::builder()
 //!     .cache_capacity(100)
 //!     .window(10)
-//!     // `Background` moves index maintenance off the query threads;
-//!     // `Incremental` (the default) applies it synchronously.
-//!     .maintenance(MaintenanceMode::Background)
 //!     .build()
 //!     .expect("valid config");
 //! let handle = IgqEngine::new(method, config)
@@ -97,7 +92,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod background;
 pub mod cache;
 pub mod config;
 pub mod direction;
@@ -118,9 +112,8 @@ pub mod super_engine;
 pub use api::{
     EngineHandle, IgqHandle, IgqSuperHandle, QueryEngine, QueryOptions, QueryRequest, QueryResponse,
 };
-pub use background::{BackgroundMaintainer, IndexPair, MaintainerStats};
 pub use cache::{CacheEntry, QueryCache, WindowDelta};
-pub use config::{ConfigError, IgqConfig, IgqConfigBuilder, MaintenanceMode, PersistenceConfig};
+pub use config::{ConfigError, IgqConfig, IgqConfigBuilder, PersistenceConfig};
 pub use direction::{QueryDirection, SubgraphQueries, SupergraphQueries};
 pub use engine::{Engine, IgqEngine, ImportReport};
 pub use fault::{FaultOp, FaultStats, FaultyStore};

@@ -10,7 +10,7 @@
 //! tests alleviated, and `C` = estimated cost of the alleviated tests.
 //! Although the product telescopes to `C/M`, all four counters are tracked:
 //! the factors are reported by the harness (and exercised by the
-//! `replacement` ablation bench against LRU/random policies).
+//! `ablation_replacement` reproduction against LRU/random policies).
 //!
 //! `C` accumulates astronomically large per-test costs, so it is held as a
 //! [`LogValue`] and utilities compare in log space.

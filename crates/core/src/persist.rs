@@ -62,9 +62,9 @@
 //! metadata, pending window, and index postings. An engine recovered at a
 //! flip boundary is therefore observationally identical to one that never
 //! restarted — the property `tests/persistence.rs` establishes with a
-//! randomized proptest across both maintenance modes and both query
-//! directions. Queries processed *after* the last flip and the last
-//! explicit checkpoint are the durability loss window.
+//! randomized proptest across both query directions. Queries processed
+//! *after* the last flip and the last explicit checkpoint are the
+//! durability loss window.
 
 use crate::cache::{CacheEntry, WindowEntry};
 use crate::config::ConfigError;
@@ -73,12 +73,11 @@ use igq_features::LabelSeq;
 use igq_graph::canon::{CanonicalCode, GraphSignature};
 use igq_graph::{Graph, GraphId, GraphStore, LabelId};
 use igq_iso::LogValue;
-use parking_lot::Mutex;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Checkpoint format version this build writes and reads.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -331,6 +330,9 @@ impl CacheStore for DirStore {
     }
 }
 
+/// Panic message for a [`MemStore`] lock whose holder panicked.
+const POISONED: &str = "mem store lock poisoned";
+
 /// In-memory [`CacheStore`] for tests and benchmarks: the "filesystem" is
 /// two byte buffers behind a mutex. Share one across "sessions" via
 /// `Arc<MemStore>`, or [`fork`](MemStore::fork) an independent copy to
@@ -356,7 +358,7 @@ impl MemStore {
     /// "disk image" — useful for opening a second engine from the state a
     /// first engine had at this moment).
     pub fn fork(&self) -> MemStore {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect(POISONED);
         MemStore {
             inner: Mutex::new(MemStoreInner {
                 checkpoint: inner.checkpoint.clone(),
@@ -367,52 +369,61 @@ impl MemStore {
 
     /// Size of the current checkpoint in bytes (0 when none).
     pub fn checkpoint_bytes(&self) -> usize {
-        self.inner.lock().checkpoint.as_ref().map_or(0, Vec::len)
+        self.inner
+            .lock()
+            .expect(POISONED)
+            .checkpoint
+            .as_ref()
+            .map_or(0, Vec::len)
     }
 
     /// Size of the current WAL in bytes.
     pub fn wal_bytes(&self) -> usize {
-        self.inner.lock().wal.len()
+        self.inner.lock().expect(POISONED).wal.len()
     }
 
     /// Overwrites the checkpoint bytes directly (corruption-injection
     /// tests).
     pub fn set_checkpoint(&self, bytes: Option<Vec<u8>>) {
-        self.inner.lock().checkpoint = bytes;
+        self.inner.lock().expect(POISONED).checkpoint = bytes;
     }
 
     /// Returns a copy of the raw WAL bytes (corruption-injection tests).
     pub fn raw_wal(&self) -> Vec<u8> {
-        self.inner.lock().wal.clone()
+        self.inner.lock().expect(POISONED).wal.clone()
     }
 
     /// Overwrites the WAL bytes directly (corruption-injection tests).
     pub fn set_wal(&self, bytes: Vec<u8>) {
-        self.inner.lock().wal = bytes;
+        self.inner.lock().expect(POISONED).wal = bytes;
     }
 }
 
 impl CacheStore for MemStore {
     fn load_checkpoint(&self) -> Result<Option<Vec<u8>>, PersistError> {
-        Ok(self.inner.lock().checkpoint.clone())
+        Ok(self.inner.lock().expect(POISONED).checkpoint.clone())
     }
 
     fn save_checkpoint(&self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.inner.lock().checkpoint = Some(bytes.to_vec());
+        self.inner.lock().expect(POISONED).checkpoint = Some(bytes.to_vec());
         Ok(())
     }
 
     fn load_wal(&self) -> Result<Vec<u8>, PersistError> {
-        Ok(self.inner.lock().wal.clone())
+        Ok(self.inner.lock().expect(POISONED).wal.clone())
     }
 
     fn append_wal(&self, record: &[u8]) -> Result<(), PersistError> {
-        self.inner.lock().wal.extend_from_slice(record);
+        self.inner
+            .lock()
+            .expect(POISONED)
+            .wal
+            .extend_from_slice(record);
         Ok(())
     }
 
     fn replace_wal(&self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.inner.lock().wal = bytes.to_vec();
+        self.inner.lock().expect(POISONED).wal = bytes.to_vec();
         Ok(())
     }
 }
@@ -448,10 +459,9 @@ fn fnv_fold(h: u64, v: u64) -> u64 {
 /// built from, the replacement policy (whose counters the artifacts
 /// carry), and the configured label universe (the cost model's scale).
 /// Deliberately *excludes* runtime tunables that do not change the
-/// durable state's meaning — maintenance mode, lag bound, batch width,
-/// fast-path toggle, and the checkpoint cadence —
-/// so a deployment can change those across restarts without invalidating
-/// its store.
+/// durable state's meaning — batch width, fast-path toggle, and the
+/// checkpoint cadence — so a deployment can change those across restarts
+/// without invalidating its store.
 pub(crate) fn config_fingerprint(config: &crate::IgqConfig, direction: &str) -> u64 {
     let mut h = fnv1a64(b"igq-config-v1");
     h = fnv_fold(h, fnv1a64(direction.as_bytes()));
@@ -1827,6 +1837,19 @@ mod tests {
     }
 
     #[test]
+    fn default_config_fingerprints_are_pinned() {
+        // Values computed before `IgqConfig` lost its two
+        // background-maintenance fields (PR 20): a store written by any
+        // earlier build under the default config must still open. The
+        // first two are the direction names `Engine::open` passes.
+        let c = crate::IgqConfig::default();
+        assert_eq!(config_fingerprint(&c, "subgraph"), 0x4ce7_0d56_394c_5534);
+        assert_eq!(config_fingerprint(&c, "supergraph"), 0x99bf_b69c_735d_234c);
+        assert_eq!(config_fingerprint(&c, "sub"), 0x48c7_2804_008e_4c72);
+        assert_eq!(config_fingerprint(&c, "super"), 0xbb5c_c350_8b3e_6d4e);
+    }
+
+    #[test]
     fn fingerprints_react_to_relevant_changes_only() {
         let base = crate::IgqConfig::default();
         let fp = config_fingerprint(&base, "subgraph");
@@ -1839,12 +1862,12 @@ mod tests {
             config_fingerprint(&base, "supergraph"),
             "the two query directions must never share a store"
         );
-        let mut mode = base;
-        mode.maintenance = crate::MaintenanceMode::Background;
+        let mut tuned = base;
+        tuned.batch_threads = 3;
         assert_eq!(
             fp,
-            config_fingerprint(&mode, "subgraph"),
-            "maintenance mode may change across restarts"
+            config_fingerprint(&tuned, "subgraph"),
+            "runtime tunables may change across restarts"
         );
 
         let a: GraphStore = vec![graph_from(&[0, 1], &[(0, 1)])].into_iter().collect();

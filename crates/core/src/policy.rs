@@ -6,8 +6,8 @@
 //! different amounts of isomorphism work. To let that claim be measured
 //! rather than assumed, the cache accepts any [`ReplacementPolicy`]:
 //! classic baselines (LRU-style recency, FIFO age, popularity-only LFU,
-//! deterministic pseudo-random) are provided for the `replacement`
-//! ablation benchmark.
+//! deterministic pseudo-random) are provided for the
+//! `ablation_replacement` reproduction (`crates/bench`).
 
 use crate::metadata::GraphMeta;
 

@@ -43,7 +43,7 @@
 //! * Followers serve reads at a bounded, observable staleness:
 //!   `replication_lag_windows` (highest seq heard from the primary minus
 //!   last applied seq) feeds the serving edge's lag-gated admission
-//!   control, exactly like maintenance lag does on a primary.
+//!   control.
 //! * Replication follows the **live** engine, not the disk: a primary
 //!   whose WAL went unhealthy (failed append) keeps publishing groups —
 //!   followers track the in-memory truth the primary itself serves.
@@ -55,12 +55,11 @@
 //! backlog or through the live channel.
 
 use crate::persist::PersistError;
-pub use crossbeam::channel::RecvTimeoutError;
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+pub use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Flip groups the hub retains for resuming followers. A follower whose
@@ -212,6 +211,9 @@ pub(crate) struct ReplicationHub {
     inner: Mutex<HubInner>,
 }
 
+/// Panic message for a hub lock whose holder panicked.
+const POISONED: &str = "replication hub lock poisoned";
+
 #[derive(Debug)]
 struct HubInner {
     active: bool,
@@ -247,7 +249,7 @@ impl ReplicationHub {
     /// concurrently, so `seq` is exact and every later flip sees the
     /// active flag. Idempotent after the first call.
     pub(crate) fn activate(&self, seq: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         if !inner.active {
             inner.active = true;
             inner.last = seq;
@@ -259,7 +261,7 @@ impl ReplicationHub {
     /// and delivers it to every live subscriber (dead subscribers — feed
     /// dropped — are pruned here). Called post-append in flip order.
     pub(crate) fn publish(&self, group: DeltaGroup) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         if !inner.active {
             return;
         }
@@ -278,7 +280,7 @@ impl ReplicationHub {
     /// and backlog replay are atomic under the hub lock, so no group is
     /// missed or duplicated around the attach point.
     pub(crate) fn try_resume(&self, after: u64) -> Option<ReplicaFeed> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         let covered = after == inner.last
             || (after < inner.last && inner.ring.front().is_some_and(|g| g.seq <= after + 1));
         if !covered {
@@ -291,7 +293,7 @@ impl ReplicationHub {
     /// `after`: backlog-replays any already-published newer groups and
     /// registers for the rest. Always succeeds.
     pub(crate) fn attach_after(&self, after: u64) -> ReplicaFeed {
-        attach(&mut self.inner.lock(), after)
+        attach(&mut self.inner.lock().expect(POISONED), after)
     }
 
     /// Attaches a resuming follower whose gap the ring no longer covers,
@@ -308,7 +310,7 @@ impl ReplicationHub {
         after: u64,
         backlog: Vec<DeltaGroup>,
     ) -> Option<ReplicaFeed> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect(POISONED);
         let backlog_last = backlog.last().map(|g| g.seq).unwrap_or(after);
         let covered = backlog_last == inner.last
             || (backlog_last < inner.last
@@ -319,7 +321,7 @@ impl ReplicationHub {
         if !covered {
             return None;
         }
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         for g in backlog.into_iter().filter(|g| g.seq > after) {
             // Sending to our own fresh channel cannot fail.
             let _ = tx.send(g);
@@ -335,12 +337,12 @@ impl ReplicationHub {
     /// feeds are only pruned on publish).
     #[cfg(test)]
     pub(crate) fn subscribers(&self) -> usize {
-        self.inner.lock().subs.len()
+        self.inner.lock().expect(POISONED).subs.len()
     }
 }
 
 fn attach(inner: &mut HubInner, after: u64) -> ReplicaFeed {
-    let (tx, rx) = channel::unbounded();
+    let (tx, rx) = mpsc::channel();
     for g in inner.ring.iter().filter(|g| g.seq > after) {
         // Sending to our own fresh channel cannot fail.
         let _ = tx.send(g.clone());

@@ -32,29 +32,15 @@ pub struct EngineStats {
     pub exact_hits: u64,
     /// Optimal case 2 resolutions (empty-answer shortcuts).
     pub empty_shortcuts: u64,
-    /// Window maintenances performed: index delta applications in the
-    /// synchronous mode, window deltas *submitted* to the
-    /// maintenance thread under `MaintenanceMode::Background`.
+    /// Window maintenances performed (index delta applications).
     pub maintenances: u64,
     /// Index postings inserted or removed during incremental delta
-    /// application — on the query thread (`Incremental`) or the
-    /// maintenance thread (`Background`).
+    /// application.
     pub maintenance_postings_touched: u64,
-    /// Wall-clock spent applying index updates, **reported from the thread
-    /// that did the work**: the query thread in the synchronous mode
-    /// (where it is also part of `igq_time`), the maintenance thread under
-    /// `MaintenanceMode::Background` (where it overlaps query processing
-    /// and is *not* part of any query's wall-clock). Cache
-    /// eviction/admission stays on the query thread in every mode and is
+    /// Wall-clock the flipping query thread spent applying index updates
+    /// (also part of that query's `igq_time`). Cache eviction/admission is
     /// accounted under `igq_time`, not here.
     pub maintenance_time: Duration,
-    /// Peak lag of the background maintainer, in submitted-but-unapplied
-    /// windows. Bounded by `IgqConfig::max_lag_windows`; zero in the
-    /// synchronous mode.
-    pub maintenance_lag_windows: u64,
-    /// Index snapshots atomically published by the background maintainer.
-    /// Zero in the synchronous mode.
-    pub snapshot_publishes: u64,
     /// WAL records appended to the attached
     /// [`CacheStore`](crate::persist::CacheStore) — one per persisted
     /// window flip. Zero for engines without a store.
@@ -185,31 +171,12 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Merges one background maintainer's off-thread counters. In
-    /// `MaintenanceMode::Background` these four fields are owned entirely
-    /// by the maintenance threads (the query thread never touches them,
-    /// and the atomic snapshot zeroes them), so folding each shard's
-    /// maintainer in turn reconstructs the engine totals: work counters
-    /// (`postings_touched`, `maintenance_time`, `snapshot_publishes`)
-    /// **sum** across shards, while `maintenance_lag_windows` is a peak —
-    /// the worst lag any single shard has exhibited — and takes the
-    /// **max** (per-shard lags are concurrent, not additive; each shard's
-    /// bound is `max_lag_windows` independently).
-    pub fn fold_maintainer(&mut self, ms: &crate::background::MaintainerStats) {
-        self.maintenance_postings_touched += ms.postings_touched;
-        self.maintenance_time += ms.maintenance_time;
-        self.maintenance_lag_windows = self.maintenance_lag_windows.max(ms.peak_lag_windows);
-        self.snapshot_publishes += ms.snapshot_publishes;
-    }
-
     /// Merges another engine's snapshot into this one — for aggregating
     /// a replication fleet (a primary plus its followers, or several
     /// followers) into one view. Work counters **sum**; the staleness
-    /// gauges follow the [`fold_maintainer`](Self::fold_maintainer)
-    /// convention: `maintenance_lag_windows` and
-    /// `replication_lag_windows` take the **max** (the fleet is as stale
-    /// as its worst member), and `last_applied_seq` takes the **min** of
-    /// the engines that have a flip history at all (the fleet has served
+    /// gauge `replication_lag_windows` takes the **max** (the fleet is as
+    /// stale as its worst member), and `last_applied_seq` takes the **min**
+    /// of the engines that have a flip history at all (the fleet has served
     /// every flip only up to its slowest member; an engine still at zero
     /// has no history and does not drag the floor down).
     pub fn merge(&mut self, other: &EngineStats) {
@@ -226,10 +193,6 @@ impl EngineStats {
         self.maintenances += other.maintenances;
         self.maintenance_postings_touched += other.maintenance_postings_touched;
         self.maintenance_time += other.maintenance_time;
-        self.maintenance_lag_windows = self
-            .maintenance_lag_windows
-            .max(other.maintenance_lag_windows);
-        self.snapshot_publishes += other.snapshot_publishes;
         self.wal_appends += other.wal_appends;
         self.wal_bytes_appended += other.wal_bytes_appended;
         self.checkpoint_bytes_written += other.checkpoint_bytes_written;
@@ -324,8 +287,7 @@ impl EngineStats {
 /// state lock, and [`snapshot`](AtomicEngineStats::snapshot) reads need no
 /// `&mut`. Counters are independent relaxed atomics: a snapshot taken
 /// while queries are in flight is per-field accurate but not a single
-/// instant's cut — the same semantics engine stats always had under
-/// background maintenance.
+/// instant's cut.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicEngineStats {
     queries: AtomicU64,
@@ -550,8 +512,6 @@ impl AtomicEngineStats {
             maintenances: self.maintenances.load(R),
             maintenance_postings_touched: self.maintenance_postings_touched.load(R),
             maintenance_time: Duration::from_nanos(self.maintenance_nanos.load(R)),
-            maintenance_lag_windows: 0,
-            snapshot_publishes: 0,
             wal_appends: self.wal_appends.load(R),
             wal_bytes_appended: self.wal_bytes_appended.load(R),
             checkpoint_bytes_written: self.checkpoint_bytes_written.load(R),
@@ -615,55 +575,6 @@ mod tests {
         assert_eq!(s.db_iso_tests, 10);
         assert_eq!(s.exact_hits, 2);
         assert_eq!(s.avg_db_iso_tests(), 5.0);
-    }
-
-    #[test]
-    fn fold_maintainer_sums_work_and_maxes_lag() {
-        // Pin the per-shard merge semantics: work counters sum across
-        // maintainers, peak lag is a max (concurrent per-shard bounds,
-        // not additive), and folding is order-independent.
-        let shard_a = crate::background::MaintainerStats {
-            applied: 10,
-            peak_lag_windows: 3,
-            snapshot_publishes: 7,
-            postings_touched: 100,
-            maintenance_time: Duration::from_micros(40),
-        };
-        let shard_b = crate::background::MaintainerStats {
-            applied: 4,
-            peak_lag_windows: 5,
-            snapshot_publishes: 2,
-            postings_touched: 30,
-            maintenance_time: Duration::from_micros(10),
-        };
-        let mut forward = EngineStats::default();
-        forward.fold_maintainer(&shard_a);
-        forward.fold_maintainer(&shard_b);
-        assert_eq!(forward.maintenance_postings_touched, 130);
-        assert_eq!(forward.maintenance_time, Duration::from_micros(50));
-        assert_eq!(forward.maintenance_lag_windows, 5);
-        assert_eq!(forward.snapshot_publishes, 9);
-        let mut reverse = EngineStats::default();
-        reverse.fold_maintainer(&shard_b);
-        reverse.fold_maintainer(&shard_a);
-        assert_eq!(
-            reverse.maintenance_postings_touched,
-            forward.maintenance_postings_touched
-        );
-        assert_eq!(reverse.maintenance_time, forward.maintenance_time);
-        assert_eq!(
-            reverse.maintenance_lag_windows,
-            forward.maintenance_lag_windows
-        );
-        assert_eq!(reverse.snapshot_publishes, forward.snapshot_publishes);
-        // A single maintainer folded into fresh stats reproduces its own
-        // counters exactly — the shards == 1 behavior is unchanged.
-        let mut single = EngineStats::default();
-        single.fold_maintainer(&shard_a);
-        assert_eq!(single.maintenance_postings_touched, 100);
-        assert_eq!(single.maintenance_time, Duration::from_micros(40));
-        assert_eq!(single.maintenance_lag_windows, 3);
-        assert_eq!(single.snapshot_publishes, 7);
     }
 
     #[test]
@@ -791,7 +702,6 @@ mod tests {
             wal_bytes_appended: 400,
             last_applied_seq: 9,
             replica_groups_published: 9,
-            maintenance_lag_windows: 2,
             ..Default::default()
         };
         let follower = EngineStats {
@@ -800,7 +710,6 @@ mod tests {
             replication_lag_windows: 2,
             replica_groups_applied: 7,
             replica_bytes_applied: 700,
-            maintenance_lag_windows: 5,
             ..Default::default()
         };
         let mut fleet = EngineStats::default();
@@ -814,7 +723,6 @@ mod tests {
         assert_eq!(fleet.replica_bytes_applied, 700);
         // Worst-case gauges: lag maxes, applied-seq floors over engines
         // with history (the fresh `fleet` zero does not drag it down).
-        assert_eq!(fleet.maintenance_lag_windows, 5);
         assert_eq!(fleet.replication_lag_windows, 2);
         assert_eq!(fleet.last_applied_seq, 7);
         // Merge order does not matter.

@@ -178,34 +178,4 @@ mod tests {
             naive_super(&graph_from(&[2, 2], &[(0, 1)]))
         );
     }
-
-    #[test]
-    fn background_mode_matches_brute_force_and_publishes() {
-        let s = store();
-        let m = TrieSupergraphMethod::build(&s, PathConfig::default(), MatchConfig::default());
-        let e = IgqSuperEngine::new(
-            m,
-            IgqConfig {
-                cache_capacity: 4,
-                window: 1,
-                maintenance: crate::MaintenanceMode::Background,
-                ..Default::default()
-            },
-        )
-        .expect("valid engine");
-        for q in [
-            graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]),
-            graph_from(&[2, 2, 2, 0], &[(0, 1), (1, 2), (0, 2)]),
-            graph_from(&[0, 1], &[(0, 1)]),
-            graph_from(&[9, 9], &[(0, 1)]),
-            graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]), // repeat
-        ] {
-            let out = e.query(&q);
-            assert_eq!(out.answers, naive_super(&q), "query {q:?}");
-        }
-        e.sync_maintenance();
-        let st = e.stats();
-        assert!(st.maintenances >= 3);
-        assert!(st.snapshot_publishes >= 1);
-    }
 }

@@ -19,7 +19,7 @@
 //!   code, so repeated (isomorphic) queries reuse one [`MatchPlan`] instead
 //!   of rebuilding it per query, with rarity-drift staleness detection;
 //! * [`ullmann`] — Ullmann's 1976 algorithm, the classic baseline (\[39\] in
-//!   the paper), kept for ablation benchmarks;
+//!   the paper), kept as an independent property-test oracle for VF2;
 //! * [`budget`] — optional search-state budgets so harness code can bound
 //!   pathological instances *without* silently changing answers (exhausting
 //!   a budget yields [`Outcome::Aborted`], never a fabricated no);
@@ -49,29 +49,6 @@ pub use semantics::{MatchConfig, MatchSemantics, Outcome};
 pub use stats::IsoStats;
 
 use igq_graph::Graph;
-
-/// Which engine to use — lets harness code switch matchers uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// VF2 (default everywhere, as in the paper).
-    #[default]
-    Vf2,
-    /// Ullmann's algorithm (ablation baseline).
-    Ullmann,
-}
-
-/// Runs a single subgraph-isomorphism test with the chosen engine.
-pub fn find_embedding(
-    engine: Engine,
-    pattern: &Graph,
-    target: &Graph,
-    config: &MatchConfig,
-) -> semantics::MatchResult {
-    match engine {
-        Engine::Vf2 => vf2::find_one(pattern, target, config),
-        Engine::Ullmann => ullmann::find_one(pattern, target, config),
-    }
-}
 
 /// Convenience: unlimited-budget monomorphism test with VF2.
 ///

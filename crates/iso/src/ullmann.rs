@@ -9,9 +9,9 @@
 //! neighbor scans rather than materializing target adjacency bitsets, which
 //! keeps memory at `O(n_p · n_t / 64)` even for PDBS-sized targets.
 //!
-//! Kept primarily for the `iso_engines` ablation benchmark: VF2 wins on
-//! nearly all of our workloads, mirroring why the literature (and the
-//! paper's chosen methods) standardized on VF2.
+//! Kept as the independent oracle `tests/prop_iso.rs` holds VF2 to: VF2
+//! wins on nearly all of our workloads, mirroring why the literature (and
+//! the paper's chosen methods) standardized on VF2.
 
 use crate::semantics::{MatchConfig, MatchResult, MatchSemantics, Outcome};
 use igq_graph::{Graph, VertexId};

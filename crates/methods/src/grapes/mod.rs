@@ -32,7 +32,11 @@ use igq_graph::{Graph, GraphId, GraphProfile, GraphStore, VertexId};
 use igq_iso::plan::{MatchPlan, MatchScratch};
 use igq_iso::{vf2, with_thread_scratch, MatchConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Panic message for a worker-pool lock whose holder (a build or
+/// verification worker) panicked.
+const WORKER_PANICKED: &str = "a Grapes worker panicked holding this lock";
 
 /// Grapes configuration.
 #[derive(Debug, Clone, Copy)]
@@ -92,7 +96,7 @@ pub struct Grapes {
     /// queries (worker `i` locks slot `i` for the batch's duration), so
     /// `scratch_allocs` goes flat for `Grapes(k)` too. The sequential path
     /// runs on the caller's thread and uses its thread-local scratch.
-    worker_scratch: Vec<parking_lot::Mutex<MatchScratch>>,
+    worker_scratch: Vec<Mutex<MatchScratch>>,
 }
 
 impl Grapes {
@@ -122,7 +126,7 @@ impl Grapes {
             shallow,
             locations,
             worker_scratch: (0..config.threads)
-                .map(|_| parking_lot::Mutex::new(MatchScratch::new()))
+                .map(|_| Mutex::new(MatchScratch::new()))
                 .collect(),
         }
     }
@@ -454,24 +458,23 @@ impl SubgraphMethod for Grapes {
         // Shared work queue over candidate indexes, as in the original's
         // parallel verification stage.
         let next = AtomicUsize::new(0);
-        let results: Vec<parking_lot::Mutex<Option<VerifyOutcome>>> = (0..candidates.len())
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        let worker_stats: Vec<parking_lot::Mutex<VerifyBatchStats>> =
+        let results: Vec<Mutex<Option<VerifyOutcome>>> =
+            (0..candidates.len()).map(|_| Mutex::new(None)).collect();
+        let worker_stats: Vec<Mutex<VerifyBatchStats>> =
             (0..self.config.threads.min(candidates.len()))
-                .map(|_| parking_lot::Mutex::new(VerifyBatchStats::default()))
+                .map(|_| Mutex::new(VerifyBatchStats::default()))
                 .collect();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let next = &next;
             let results = &results;
             let plan = &plan;
             let query_profile = &query_profile;
             for (worker, ws) in worker_stats.iter().enumerate() {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local = VerifyBatchStats::default();
                     // The worker's persistent scratch slot — warm across
                     // batches even though the thread itself is fresh.
-                    let scratch = &mut *self.worker_scratch[worker].lock();
+                    let scratch = &mut *self.worker_scratch[worker].lock().expect(WORKER_PANICKED);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= candidates.len() {
@@ -487,19 +490,22 @@ impl SubgraphMethod for Grapes {
                             scratch,
                             &mut local,
                         );
-                        *results[i].lock() = Some(out);
+                        *results[i].lock().expect(WORKER_PANICKED) = Some(out);
                     }
-                    *ws.lock() = local;
+                    *ws.lock().expect(WORKER_PANICKED) = local;
                 });
             }
-        })
-        .expect("verification worker panicked");
+        });
         for ws in &worker_stats {
-            stats.merge(&ws.lock());
+            stats.merge(&ws.lock().expect(WORKER_PANICKED));
         }
         let outcomes = results
             .into_iter()
-            .map(|m| m.into_inner().expect("every slot filled"))
+            .map(|m| {
+                m.into_inner()
+                    .expect(WORKER_PANICKED)
+                    .expect("every slot filled")
+            })
             .collect();
         (outcomes, stats)
     }

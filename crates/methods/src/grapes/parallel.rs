@@ -5,9 +5,11 @@
 //! datasets have many graphs and enumeration dominates the build — and
 //! merge into a single trie afterwards; the resulting index is identical.
 
+use super::WORKER_PANICKED;
 use igq_features::{enumerate_paths_with_locations, PathConfig, PathFeatures};
 use igq_graph::GraphStore;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Enumerates path features (with locations) of every graph in `store`
 /// using `threads` workers. Output is indexed by graph id.
@@ -27,26 +29,28 @@ pub fn parallel_enumerate(
             .collect();
     }
 
-    let slots: Vec<parking_lot::Mutex<Option<PathFeatures>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<PathFeatures>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 let g = store.get(igq_graph::GraphId::from_index(i));
                 let f = enumerate_paths_with_locations(g, config);
-                *slots[i].lock() = Some(f);
+                *slots[i].lock().expect(WORKER_PANICKED) = Some(f);
             });
         }
-    })
-    .expect("enumeration worker panicked");
+    });
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("every graph enumerated"))
+        .map(|s| {
+            s.into_inner()
+                .expect(WORKER_PANICKED)
+                .expect("every graph enumerated")
+        })
         .collect()
 }
 

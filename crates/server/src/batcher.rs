@@ -17,15 +17,15 @@
 //! One collector thread owns the engine calls. Connection handlers submit
 //! jobs (request + reply channel) through an unbounded channel; the
 //! collector blocks for the first job, then drains further jobs with
-//! [`recv_timeout`](crossbeam::channel::Receiver::recv_timeout) until the
+//! [`recv_timeout`](Receiver::recv_timeout) until the
 //! window closes or `max_batch` jobs are in hand, executes them as one
 //! batch, and answers each job through its private reply channel together
 //! with the coalesced batch size. Dropping the [`Batcher`] disconnects
 //! the channel; the collector drains what is queued and exits, so no
 //! accepted request is ever dropped on shutdown.
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use igq_core::{QueryEngine, QueryRequest, QueryResponse};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 /// One queued request plus the channel its answer goes back through.
 struct Job {
     request: QueryRequest,
-    reply: Sender<(QueryResponse, u64)>,
+    reply: SyncSender<(QueryResponse, u64)>,
 }
 
 /// A handle to the micro-batching collector. Submitting blocks the caller
@@ -55,7 +55,7 @@ impl Batcher {
     /// spawn, the batcher degrades to direct (unbatched) serving instead
     /// of failing.
     pub fn new(engine: Arc<dyn QueryEngine>, window: Duration, max_batch: usize) -> Batcher {
-        let (tx, rx) = channel::unbounded::<Job>();
+        let (tx, rx) = mpsc::channel::<Job>();
         let max_batch = max_batch.max(1);
         let spawned = {
             let engine = Arc::clone(&engine);
@@ -88,7 +88,7 @@ impl Batcher {
         if let Some(engine) = &self.direct {
             return Some((engine.execute(&request), 1));
         }
-        let (reply_tx, reply_rx) = channel::bounded(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         self.submit
             .as_ref()?
             .send(Job {

@@ -5,9 +5,8 @@
 //! ```text
 //! igq-server --dataset data.gfu [--listen 127.0.0.1:7461] [--method ggsx]
 //!            [--cache 500] [--window 100]
-//!            [--maintenance incremental|background] [--max-lag 2]
 //!            [--shards 1] [--batch-window-us 0] [--batch-max 64]
-//!            [--overload-lag N] [--max-connections 64]
+//!            [--max-connections 64]
 //!            [--follower-of <addr>[,<addr>...]]
 //!            [--heartbeat-timeout-ms 2000] [--promote-on-timeout]
 //!            [--promote-rounds 2]
@@ -31,7 +30,7 @@
 //! Drive it with `igq client …` (see the CLI) or any line-framed JSON
 //! speaker; the protocol is documented in `igq_server::protocol`.
 
-use igq_core::{IgqConfig, IgqEngine, MaintenanceMode, QueryEngine};
+use igq_core::{IgqConfig, IgqEngine, QueryEngine};
 use igq_graph::{io, GraphStore};
 use igq_iso::MatchConfig;
 use igq_methods::{
@@ -68,14 +67,10 @@ options:
   --method <name>          ggsx|grapes|grapes6|ctindex|gcode (default ggsx)
   --cache <N>              query-cache capacity (default 500)
   --window <W>             maintenance window size (default 100)
-  --maintenance <mode>     incremental|background (default incremental)
-  --max-lag <K>            background mode: max unapplied windows (default 2)
   --shards <N>             shard cache + indexes N ways (default 1)
   --batch-window-us <U>    micro-batching window in microseconds; 0 = off
                            (default 0)
   --batch-max <N>          cap on one coalesced batch (default 64)
-  --overload-lag <L>       shed queries while maintenance lag > L windows
-                           (default: shedding off)
   --max-connections <N>    bounded connection pool (default 64)
   --io-timeout-ms <T>      per-socket read/write timeout (default 30000)
   --follower-of <addrs>    serve as a read replica; <addrs> is a
@@ -246,20 +241,9 @@ fn build_method(name: &str, store: &Arc<GraphStore>) -> Result<Box<dyn SubgraphM
 }
 
 fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
-    let maintenance = match flags.get("maintenance").map(String::as_str) {
-        None | Some("incremental") => MaintenanceMode::Incremental,
-        Some("background") => MaintenanceMode::Background,
-        Some(other) => {
-            return Err(format!(
-                "--maintenance must be incremental|background, got {other:?}"
-            ))
-        }
-    };
     IgqConfig::builder()
         .cache_capacity(parse_num(flags, "cache", 500)?)
         .window(parse_num(flags, "window", 100)?)
-        .maintenance(maintenance)
-        .max_lag_windows(parse_num(flags, "max-lag", 2)?)
         .shards(parse_num(flags, "shards", 1)?)
         .build()
         .map_err(|e| format!("invalid iGQ configuration: {e}"))
@@ -289,13 +273,6 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String
     config.max_connections = parse_num(flags, "max-connections", config.max_connections)?;
     config.batch_window = Duration::from_micros(parse_num(flags, "batch-window-us", 0u64)?);
     config.batch_max = parse_num(flags, "batch-max", config.batch_max)?;
-    config.overload_lag_threshold = match flags.get("overload-lag") {
-        None => None,
-        Some(s) => Some(
-            s.parse()
-                .map_err(|_| "--overload-lag expects a number".to_owned())?,
-        ),
-    };
     config.io_timeout = Duration::from_millis(parse_num(flags, "io-timeout-ms", 30_000u64)?);
     Ok(config)
 }

@@ -343,21 +343,23 @@ fn pump(mut from: TcpStream, mut to: TcpStream, ctl: &ChaosCtl, faulty: bool) {
             if let Some(cut) = armed {
                 let keep = (cut as usize).min(chunk.len());
                 chunk = &mut chunk[..keep];
-                let _ = to.write_all(chunk);
                 ctl.bytes_forwarded
                     .fetch_add(keep as u64, Ordering::Relaxed);
+                let _ = to.write_all(chunk);
                 ctl.truncated.fetch_add(1, Ordering::Relaxed);
                 let _ = to.shutdown(Shutdown::Both);
                 let _ = from.shutdown(Shutdown::Both);
                 break;
             }
         }
-        if to.write_all(chunk).is_err() {
-            break;
-        }
+        // Counted before the write: a client that already holds these
+        // bytes must never read a counter that lacks them.
         if faulty {
             ctl.bytes_forwarded
                 .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+        }
+        if to.write_all(chunk).is_err() {
+            break;
         }
     }
     let _ = to.shutdown(Shutdown::Both);

@@ -85,9 +85,9 @@ pub enum QueryVerdict {
     Answered(WireResult),
     /// Admission control shed the query without executing it.
     Overloaded {
-        /// Instantaneous maintenance lag the server observed.
+        /// Replication lag the serving replica observed.
         lag_windows: u64,
-        /// The server's shed threshold.
+        /// The `max_lag` bound it exceeded.
         threshold: u64,
         /// Server's backoff hint.
         retry_after_ms: u64,
@@ -116,9 +116,9 @@ pub enum BatchVerdict {
     Answered(Vec<WireResult>),
     /// Admission control shed the whole batch without executing it.
     Overloaded {
-        /// Instantaneous maintenance lag the server observed.
+        /// Replication lag the serving replica observed.
         lag_windows: u64,
-        /// The server's shed threshold.
+        /// The `max_lag` bound it exceeded.
         threshold: u64,
         /// Server's backoff hint.
         retry_after_ms: u64,

@@ -11,8 +11,8 @@
 //!   under a bounded accept pool, per-connection deadline enforcement
 //!   (wire deadline → [`igq_core::QueryOptions::deadline`] *and* socket
 //!   read/write timeouts, so a slow client cannot pin a worker), and
-//!   lag-gated admission control that sheds with a typed `overloaded`
-//!   frame when background maintenance falls too far behind.
+//!   staleness-gated admission control: a read carrying `max_lag` is shed
+//!   with a typed `overloaded` frame by a replica lagging past it.
 //! * [`batcher`] — server-side micro-batching: requests arriving within a
 //!   small configurable window are coalesced into one
 //!   [`igq_core::QueryEngine::execute_batch`] fan-out, trading a bounded
@@ -23,9 +23,7 @@
 //!   read-only replica engine from a primary's `snapshot` frame, applies
 //!   its pushed `delta` stream, survives torn streams by resuming (or
 //!   re-bootstrapping) with backoff, and hands the server a
-//!   [`SharedEngine`] that swaps atomically on re-bootstrap. Queries can
-//!   carry a `max_lag` staleness bound; replicas shed reads lagging past
-//!   it with the same typed `overloaded` frame admission control uses.
+//!   [`SharedEngine`] that swaps atomically on re-bootstrap.
 //!   A [`FailoverPolicy`] turns a follower into a failure detector:
 //!   heartbeat-timeout hang detection, round-robin upstream rotation, and
 //!   (opt-in) automatic promotion to a writable primary under a fenced

@@ -56,7 +56,11 @@ use std::io::{BufRead, Read, Write};
 /// v2 added the replication stream (`subscribe`/`subscribe_ok`/
 /// `snapshot`/`delta`/`heartbeat`), the `max_lag` staleness bound on
 /// `query`/`batch`, and the replication counters in `stats_result`.
-pub const PROTOCOL_VERSION: u32 = 2;
+///
+/// v3 dropped `maintenance_lag` from `stats_result` (index maintenance is
+/// synchronous; a strict decoder of the old shape would reject its
+/// absence).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Default cap on one frame's encoded size. Generous: the largest frame in
 /// practice is a `batch` of query graphs, each a few KB of JSON.
@@ -224,15 +228,14 @@ impl WireResult {
 }
 
 /// The serving-stats snapshot carried by `stats_result`: the engine
-/// counters a load balancer or operator dashboard actually wants, plus the
-/// instantaneous maintenance lag the admission controller gates on.
+/// counters a load balancer or operator dashboard actually wants.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingStats {
     /// Queries processed by the engine (any entry point).
     pub queries: u64,
     /// Typed requests served (`execute`/`execute_batch`).
     pub requests_served: u64,
-    /// Requests shed by lag-gated admission control.
+    /// Requests shed by staleness-gated admission control.
     pub requests_rejected_overload: u64,
     /// Multi-request batches coalesced into one fan-out.
     pub batches_coalesced: u64,
@@ -244,8 +247,6 @@ pub struct ServingStats {
     pub db_iso_tests: u64,
     /// Queries currently cached.
     pub cached_queries: u64,
-    /// Instantaneous maintenance lag in windows (max over shards).
-    pub maintenance_lag: u64,
     /// True when the served engine is a read-only follower replica.
     pub follower: bool,
     /// Follower staleness in window flips (highest flip heard from the
@@ -306,15 +307,15 @@ pub enum Reply {
     },
     /// Answer to a `stats` frame.
     StatsResult(ServingStats),
-    /// Admission control shed this request: maintenance lag exceeded the
-    /// server's threshold. The request was *not* executed; retry after
-    /// backing off.
+    /// Admission control shed this request: the serving replica's
+    /// replication lag exceeded the request's `max_lag`. The request was
+    /// *not* executed; retry after backing off.
     Overloaded {
         /// The rejected frame's correlation id.
         id: u64,
-        /// Observed instantaneous lag, in windows.
+        /// Observed replication lag, in windows.
         lag_windows: u64,
-        /// The server's configured shed threshold.
+        /// The bound the lag exceeded (the request's `max_lag`).
         threshold: u64,
         /// Server's backoff hint.
         retry_after_ms: u64,
@@ -617,7 +618,6 @@ const SERVING_STATS_FIELDS: &[&str] = &[
     "empty_shortcuts",
     "db_iso_tests",
     "cached_queries",
-    "maintenance_lag",
     "follower",
     "replication_lag",
     "last_applied_seq",
@@ -645,7 +645,6 @@ impl ToJson for ServingStats {
             ("empty_shortcuts", self.empty_shortcuts.to_json()),
             ("db_iso_tests", self.db_iso_tests.to_json()),
             ("cached_queries", self.cached_queries.to_json()),
-            ("maintenance_lag", self.maintenance_lag.to_json()),
             ("follower", self.follower.to_json()),
             ("replication_lag", self.replication_lag.to_json()),
             ("last_applied_seq", self.last_applied_seq.to_json()),
@@ -702,7 +701,6 @@ impl FromJson for ServingStats {
             empty_shortcuts: field(v, "empty_shortcuts")?,
             db_iso_tests: field(v, "db_iso_tests")?,
             cached_queries: field(v, "cached_queries")?,
-            maintenance_lag: field(v, "maintenance_lag")?,
             follower: opt_field(v, "follower")?.unwrap_or(false),
             replication_lag: opt_field(v, "replication_lag")?.unwrap_or(0),
             last_applied_seq: opt_field(v, "last_applied_seq")?.unwrap_or(0),
@@ -994,7 +992,6 @@ mod tests {
             empty_shortcuts: 2,
             db_iso_tests: 55,
             cached_queries: 8,
-            maintenance_lag: 1,
             follower: true,
             replication_lag: 2,
             last_applied_seq: 17,
@@ -1128,7 +1125,7 @@ mod tests {
         let line = "{\"type\":\"stats_result\",\"queries\":1,\"requests_served\":1,\
                     \"requests_rejected_overload\":0,\"batches_coalesced\":0,\
                     \"exact_hits\":0,\"empty_shortcuts\":0,\"db_iso_tests\":0,\
-                    \"cached_queries\":0,\"maintenance_lag\":0,\
+                    \"cached_queries\":0,\
                     \"novel_counter\":7,\"another_novel\":8,\"non_numeric\":\"x\"}\n";
         let mut r = std::io::Cursor::new(line.as_bytes().to_vec());
         let reply = read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES, Reply::from_value)

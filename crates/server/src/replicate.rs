@@ -120,10 +120,6 @@ impl QueryEngine for SharedEngine {
         self.current().execute_batch(requests)
     }
 
-    fn maintenance_lag(&self) -> u64 {
-        self.current().maintenance_lag()
-    }
-
     fn note_overload_rejection(&self) {
         self.current().note_overload_rejection()
     }
@@ -142,10 +138,6 @@ impl QueryEngine for SharedEngine {
 
     fn flush_window(&self) {
         self.current().flush_window()
-    }
-
-    fn sync_maintenance(&self) {
-        self.current().sync_maintenance()
     }
 
     fn checkpoint(&self) -> Result<(), igq_core::PersistError> {

@@ -1,6 +1,6 @@
 //! The TCP server: a hand-rolled `std::net` listener, thread-per-connection
-//! under a bounded pool, deadline-enforced sockets, lag-gated admission
-//! control, and optional micro-batching.
+//! under a bounded pool, deadline-enforced sockets, staleness-gated
+//! admission control on replicas, and optional micro-batching.
 //!
 //! # Connection lifecycle
 //!
@@ -29,24 +29,15 @@
 //!
 //! # Admission control
 //!
-//! When [`ServerConfig::overload_lag_threshold`] is set, every `query` and
-//! `batch` frame first samples [`QueryEngine::maintenance_lag`] — the
-//! *instantaneous* number of submitted-but-unapplied maintenance windows,
-//! maximized over shards. Above the threshold the request is shed with a
-//! typed `overloaded` frame (carrying the observed lag, the threshold, and
-//! a retry hint), counted via [`QueryEngine::note_overload_rejection`],
-//! and **not** executed; the connection stays open so the client can back
-//! off and retry. The state machine per frame is:
-//!
-//! ```text
-//!           lag ≤ threshold                lag > threshold
-//! query ───────────────────▶ execute   ──────────────────▶ overloaded
-//!                            (result)                      (shed, no work)
-//! ```
-//!
-//! Shedding at the edge keeps the paper's contract intact: queries that
-//! *are* admitted still receive exact answers from a bounded-staleness
-//! snapshot, and maintenance gets the slack it needs to catch up.
+//! A `query`/`batch` frame carrying `max_lag` is a bounded-staleness read:
+//! when the served engine is a follower replica whose
+//! [`QueryEngine::replication_lag`] exceeds that bound, the request is
+//! shed with a typed `overloaded` frame (carrying the observed lag, the
+//! bound, and a retry hint), counted via
+//! [`QueryEngine::note_overload_rejection`], and **not** executed; the
+//! connection stays open so the client can back off and retry. A primary
+//! never sheds: its index maintenance is synchronous, so there is no lag
+//! to gate on.
 //!
 //! # Replication streaming
 //!
@@ -56,10 +47,7 @@
 //! the requested resume point) or a `snapshot` bootstrap, then pushes
 //! each committed window flip as a `delta` frame the moment the engine
 //! publishes it, with `heartbeat` frames on idle gaps so the follower's
-//! staleness gauge keeps moving and a dead peer is detected. Follower
-//! reads get their own admission gate: a `query`/`batch` frame carrying
-//! `max_lag` is shed with `overloaded` when the served engine is a
-//! replica whose replication lag exceeds that bound.
+//! staleness gauge keeps moving and a dead peer is detected.
 
 use crate::batcher::Batcher;
 use crate::protocol::{
@@ -75,8 +63,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Serving knobs. The defaults bind an ephemeral loopback port with
-/// batching off and admission control disabled — the configuration the
-/// equivalence tests want; real deployments set the knobs they need.
+/// batching off — the configuration the equivalence tests want; real
+/// deployments set the knobs they need.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` by default: loopback, ephemeral port).
@@ -90,10 +78,6 @@ pub struct ServerConfig {
     pub batch_window: Duration,
     /// Cap on how many coalesced requests one engine call may carry.
     pub batch_max: usize,
-    /// Admission control: shed `query`/`batch` frames with an `overloaded`
-    /// reply while instantaneous maintenance lag exceeds this many
-    /// windows. `None` disables shedding.
-    pub overload_lag_threshold: Option<u64>,
     /// Backoff hint carried in `overloaded` replies.
     pub retry_after: Duration,
     /// Socket read/write timeout: the longest a handler thread will wait
@@ -111,7 +95,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             batch_window: Duration::ZERO,
             batch_max: 64,
-            overload_lag_threshold: None,
             retry_after: Duration::from_millis(20),
             io_timeout: Duration::from_secs(30),
             max_frame_bytes: crate::protocol::DEFAULT_MAX_FRAME_BYTES,
@@ -401,9 +384,7 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
             skip_admission,
             max_lag,
         } => {
-            if let Some(reply) =
-                shed_if_overloaded(id, 1, shared).or_else(|| shed_if_stale(id, 1, max_lag, shared))
-            {
+            if let Some(reply) = shed_if_stale(id, 1, max_lag, shared) {
                 return write_frame(writer, &reply).is_ok();
             }
             let deadline = deadline_ms.map(Duration::from_millis);
@@ -437,9 +418,7 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
             max_lag,
         } => {
             let count = graphs.len() as u64;
-            if let Some(reply) = shed_if_overloaded(id, count, shared)
-                .or_else(|| shed_if_stale(id, count, max_lag, shared))
-            {
+            if let Some(reply) = shed_if_stale(id, count, max_lag, shared) {
                 return write_frame(writer, &reply).is_ok();
             }
             let deadline = deadline_ms.map(Duration::from_millis);
@@ -475,7 +454,6 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
                 empty_shortcuts: stats.empty_shortcuts,
                 db_iso_tests: stats.db_iso_tests,
                 cached_queries: shared.engine.cached_queries() as u64,
-                maintenance_lag: shared.engine.maintenance_lag(),
                 follower: shared.engine.is_follower(),
                 replication_lag: stats.replication_lag_windows,
                 last_applied_seq: stats.last_applied_seq,
@@ -515,31 +493,12 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
     }
 }
 
-/// The admission-control gate: samples instantaneous maintenance lag and,
-/// above the configured threshold, returns the `overloaded` reply to send
-/// instead of executing. Each shed frame counts `rejected` rejections
-/// (one per query it carried) into the engine's ledger.
-fn shed_if_overloaded(id: u64, rejected: u64, shared: &Shared) -> Option<Reply> {
-    let threshold = shared.config.overload_lag_threshold?;
-    let lag = shared.engine.maintenance_lag();
-    if lag <= threshold {
-        return None;
-    }
-    for _ in 0..rejected.max(1) {
-        shared.engine.note_overload_rejection();
-    }
-    Some(Reply::Overloaded {
-        id,
-        lag_windows: lag,
-        threshold,
-        retry_after_ms: shared.config.retry_after.as_millis() as u64,
-    })
-}
-
 /// The follower-staleness gate: a read carrying `max_lag` is shed with a
 /// typed `overloaded` reply when the served engine is a replica whose
-/// replication lag exceeds that bound. Primaries never shed here — their
-/// [`QueryEngine::replication_lag`] is `None`.
+/// replication lag exceeds that bound. Each shed frame counts `rejected`
+/// rejections (one per query it carried) into the engine's ledger.
+/// Primaries never shed — their [`QueryEngine::replication_lag`] is
+/// `None`.
 fn shed_if_stale(id: u64, rejected: u64, max_lag: Option<u64>, shared: &Shared) -> Option<Reply> {
     let max = max_lag?;
     let lag = shared.engine.replication_lag()?;

@@ -1,18 +1,15 @@
-//! End-to-end serving tests: TCP ≡ in-process equivalence across
-//! maintenance modes, typed rejection of garbage and torn connections,
-//! admission-control shedding, micro-batch coalescing, the bounded
-//! connection pool, and graceful shutdown.
+//! End-to-end serving tests: TCP ≡ in-process equivalence, typed rejection
+//! of garbage and torn connections, micro-batch coalescing, the bounded
+//! connection pool, and graceful shutdown. (Staleness shedding on
+//! replicas is covered in `tests/replication.rs`.)
 
-use igq_core::{
-    EngineStats, IgqConfig, IgqEngine, MaintenanceMode, QueryEngine, QueryRequest, QueryResponse,
-};
+use igq_core::{IgqConfig, IgqEngine, QueryEngine};
 use igq_graph::{Graph, GraphStore};
 use igq_methods::{Ggsx, GgsxConfig};
 use igq_server::{Client, ClientError, QueryVerdict, Server, ServerConfig};
 use igq_workload::{DatasetKind, QueryWorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,12 +21,11 @@ fn dataset() -> (Arc<GraphStore>, Vec<Graph>) {
     (store, queries)
 }
 
-fn build_engine(store: &Arc<GraphStore>, mode: MaintenanceMode) -> Arc<dyn QueryEngine> {
+fn build_engine(store: &Arc<GraphStore>) -> Arc<dyn QueryEngine> {
     let method = Ggsx::build(store, GgsxConfig::default());
     let config = IgqConfig::builder()
         .cache_capacity(100)
         .window(5)
-        .maintenance(mode)
         .build()
         .expect("valid config");
     Arc::new(IgqEngine::new(method, config).expect("valid engine"))
@@ -43,50 +39,43 @@ fn loopback() -> ServerConfig {
 }
 
 /// The tentpole guarantee: answers served over TCP are the answers the
-/// in-process engine gives, for every maintenance mode, and the served
-/// engine passes `self_check` afterwards.
+/// in-process engine gives — resolution and iso-test count included — and
+/// the served engine passes `self_check` afterwards.
 #[test]
 fn tcp_equals_in_process_across_maintenance_modes() {
     let (store, queries) = dataset();
-    for mode in [MaintenanceMode::Incremental, MaintenanceMode::Background] {
-        let local = build_engine(&store, mode);
-        let served = build_engine(&store, mode);
-        let server = Server::spawn(Arc::clone(&served), loopback()).expect("bind");
-        let mut client = Client::connect(server.local_addr(), "equiv-test").expect("connect");
+    let local = build_engine(&store);
+    let served = build_engine(&store);
+    let server = Server::spawn(Arc::clone(&served), loopback()).expect("bind");
+    let mut client = Client::connect(server.local_addr(), "equiv-test").expect("connect");
 
-        for q in &queries {
-            let expected = local.query(q);
-            let got = client.query(q).expect("query");
-            let result = got.result().expect("no admission control configured");
-            assert_eq!(
-                result.answers, expected.answers,
-                "answers must match in-process ({mode:?})"
-            );
-            if mode != MaintenanceMode::Background {
-                // Synchronous modes are fully deterministic; background
-                // resolution depends on maintenance timing (answers are
-                // exact either way).
-                assert_eq!(result.resolution, expected.resolution, "{mode:?}");
-                assert_eq!(result.db_iso_tests, expected.db_iso_tests, "{mode:?}");
-            }
-        }
-
-        // The batch path must agree too.
-        let expected: Vec<_> = queries.iter().map(|q| local.query(q)).collect();
-        let batched = client
-            .query_batch(&queries, None)
-            .expect("batch")
-            .results()
-            .expect("admitted")
-            .to_vec();
-        assert_eq!(batched.len(), expected.len());
-        for (got, want) in batched.iter().zip(&expected) {
-            assert_eq!(got.answers, want.answers, "batch answers ({mode:?})");
-        }
-
-        server.shutdown();
-        served.self_check().expect("served engine consistent");
+    for q in &queries {
+        let expected = local.query(q);
+        let got = client.query(q).expect("query");
+        let result = got.result().expect("a primary never sheds");
+        assert_eq!(
+            result.answers, expected.answers,
+            "answers must match in-process"
+        );
+        assert_eq!(result.resolution, expected.resolution);
+        assert_eq!(result.db_iso_tests, expected.db_iso_tests);
     }
+
+    // The batch path must agree too.
+    let expected: Vec<_> = queries.iter().map(|q| local.query(q)).collect();
+    let batched = client
+        .query_batch(&queries, None)
+        .expect("batch")
+        .results()
+        .expect("admitted")
+        .to_vec();
+    assert_eq!(batched.len(), expected.len());
+    for (got, want) in batched.iter().zip(&expected) {
+        assert_eq!(got.answers, want.answers, "batch answers");
+    }
+
+    server.shutdown();
+    served.self_check().expect("served engine consistent");
 }
 
 /// Wire deadlines propagate: a zero-millisecond deadline is always
@@ -94,7 +83,7 @@ fn tcp_equals_in_process_across_maintenance_modes() {
 #[test]
 fn deadlines_propagate_and_report() {
     let (store, queries) = dataset();
-    let engine = build_engine(&store, MaintenanceMode::Incremental);
+    let engine = build_engine(&store);
     let server = Server::spawn(Arc::clone(&engine), loopback()).expect("bind");
     let mut client = Client::connect(server.local_addr(), "deadline-test").expect("connect");
 
@@ -117,7 +106,7 @@ fn deadlines_propagate_and_report() {
 #[test]
 fn garbage_frames_get_typed_errors_and_server_survives() {
     let (store, queries) = dataset();
-    let engine = build_engine(&store, MaintenanceMode::Incremental);
+    let engine = build_engine(&store);
     let server = Server::spawn(Arc::clone(&engine), loopback()).expect("bind");
 
     let expect_error_code = |payload: &[u8], want: &str| {
@@ -155,7 +144,7 @@ fn garbage_frames_get_typed_errors_and_server_survives() {
 #[test]
 fn torn_connection_leaves_engine_consistent() {
     let (store, queries) = dataset();
-    let engine = build_engine(&store, MaintenanceMode::Background);
+    let engine = build_engine(&store);
     let server = Server::spawn(Arc::clone(&engine), loopback()).expect("bind");
 
     // Warm the engine through a real client first.
@@ -168,7 +157,7 @@ fn torn_connection_leaves_engine_consistent() {
     {
         let mut s = TcpStream::connect(server.local_addr()).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        s.write_all(b"{\"type\":\"hello\",\"v\":2,\"client\":\"tearer\"}\n")
+        s.write_all(b"{\"type\":\"hello\",\"v\":3,\"client\":\"tearer\"}\n")
             .expect("hello");
         let mut line = String::new();
         BufReader::new(s.try_clone().unwrap())
@@ -187,115 +176,9 @@ fn torn_connection_leaves_engine_consistent() {
     }
     client.shutdown().expect("graceful shutdown");
     server.wait();
-    engine.sync_maintenance();
     engine
         .self_check()
         .expect("engine consistent after torn connection");
-}
-
-/// A stub engine with a controllable instantaneous lag, for deterministic
-/// admission-control tests (real background lag is timing-dependent).
-struct LaggyEngine {
-    inner: Arc<dyn QueryEngine>,
-    lag: AtomicU64,
-}
-
-impl QueryEngine for LaggyEngine {
-    fn query(&self, q: &Graph) -> igq_core::QueryOutcome {
-        self.inner.query(q)
-    }
-    fn execute(&self, request: &QueryRequest) -> QueryResponse {
-        self.inner.execute(request)
-    }
-    fn query_batch(&self, queries: &[Graph]) -> Vec<igq_core::QueryOutcome> {
-        self.inner.query_batch(queries)
-    }
-    fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
-        self.inner.execute_batch(requests)
-    }
-    fn maintenance_lag(&self) -> u64 {
-        self.lag.load(Ordering::Relaxed)
-    }
-    fn note_overload_rejection(&self) {
-        self.inner.note_overload_rejection()
-    }
-    fn stats(&self) -> EngineStats {
-        self.inner.stats()
-    }
-    fn config(&self) -> &IgqConfig {
-        self.inner.config()
-    }
-    fn cached_queries(&self) -> usize {
-        self.inner.cached_queries()
-    }
-    fn flush_window(&self) {
-        self.inner.flush_window()
-    }
-    fn sync_maintenance(&self) {
-        self.inner.sync_maintenance()
-    }
-    fn checkpoint(&self) -> Result<(), igq_core::PersistError> {
-        self.inner.checkpoint()
-    }
-    fn self_check(&self) -> Result<(), String> {
-        self.inner.self_check()
-    }
-}
-
-/// Admission control sheds with a typed `overloaded` frame while lag is
-/// above threshold, executes nothing, counts the rejection, and admits
-/// again once lag clears.
-#[test]
-fn overload_sheds_with_typed_frame_and_recovers() {
-    let (store, queries) = dataset();
-    let laggy = Arc::new(LaggyEngine {
-        inner: build_engine(&store, MaintenanceMode::Incremental),
-        lag: AtomicU64::new(0),
-    });
-    let engine: Arc<dyn QueryEngine> = Arc::<LaggyEngine>::clone(&laggy);
-    let config = ServerConfig {
-        overload_lag_threshold: Some(2),
-        retry_after: Duration::from_millis(7),
-        ..loopback()
-    };
-    let server = Server::spawn(engine, config).expect("bind");
-    let mut client = Client::connect(server.local_addr(), "overload-test").expect("connect");
-
-    // Healthy: admitted.
-    assert!(client.query(&queries[0]).expect("query").result().is_some());
-
-    // Lag spikes above the threshold: shed, not executed.
-    laggy.lag.store(5, Ordering::Relaxed);
-    let served_before = laggy.stats().requests_served;
-    match client.query(&queries[1]).expect("query") {
-        QueryVerdict::Overloaded {
-            lag_windows,
-            threshold,
-            retry_after_ms,
-        } => {
-            assert_eq!(lag_windows, 5);
-            assert_eq!(threshold, 2);
-            assert_eq!(retry_after_ms, 7);
-        }
-        other => panic!("expected overloaded, got {other:?}"),
-    }
-    assert!(client
-        .query_batch(&queries[..3], None)
-        .expect("batch")
-        .results()
-        .is_none());
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.requests_served, served_before, "shed = not executed");
-    assert_eq!(
-        stats.requests_rejected_overload, 4,
-        "1 query + 3-query batch rejected"
-    );
-    assert_eq!(stats.maintenance_lag, 5);
-
-    // Lag clears: admitted again (the connection survived the sheds).
-    laggy.lag.store(0, Ordering::Relaxed);
-    assert!(client.query(&queries[1]).expect("query").result().is_some());
-    server.shutdown();
 }
 
 /// Two concurrent clients inside one batching window share a single
@@ -303,7 +186,7 @@ fn overload_sheds_with_typed_frame_and_recovers() {
 #[test]
 fn micro_batching_coalesces_concurrent_clients() {
     let (store, queries) = dataset();
-    let engine = build_engine(&store, MaintenanceMode::Incremental);
+    let engine = build_engine(&store);
     let config = ServerConfig {
         batch_window: Duration::from_millis(300),
         ..loopback()
@@ -337,7 +220,7 @@ fn micro_batching_coalesces_concurrent_clients() {
 #[test]
 fn connection_pool_is_bounded() {
     let (store, queries) = dataset();
-    let engine = build_engine(&store, MaintenanceMode::Incremental);
+    let engine = build_engine(&store);
     let config = ServerConfig {
         max_connections: 1,
         ..loopback()
@@ -377,7 +260,7 @@ fn connection_pool_is_bounded() {
 #[test]
 fn shutdown_mid_batch_answers_or_disconnects_every_job() {
     let (store, queries) = dataset();
-    let engine = build_engine(&store, MaintenanceMode::Incremental);
+    let engine = build_engine(&store);
     let config = ServerConfig {
         // A wide window guarantees the shutdown lands while jobs are
         // still queued in the batcher.
@@ -438,7 +321,7 @@ fn shutdown_mid_batch_answers_or_disconnects_every_job() {
 #[test]
 fn stats_frame_and_client_driven_shutdown() {
     let (store, queries) = dataset();
-    let engine = build_engine(&store, MaintenanceMode::Incremental);
+    let engine = build_engine(&store);
     let server = Server::spawn(Arc::clone(&engine), loopback()).expect("bind");
     let addr = server.local_addr();
 

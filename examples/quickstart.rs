@@ -25,13 +25,12 @@ fn main() {
     );
 
     // 3. Wrap the method with the iGQ engine: a 64-query cache, windows
-    //    of 8, background maintenance off the query threads. The builder
-    //    validates (window ≤ capacity etc.) and `into_handle()` turns the
-    //    engine into a cheap cloneable handle for fan-out.
+    //    of 8. The builder validates (window ≤ capacity etc.) and
+    //    `into_handle()` turns the engine into a cheap cloneable handle
+    //    for fan-out.
     let config = IgqConfig::builder()
         .cache_capacity(64)
         .window(8)
-        .maintenance(MaintenanceMode::Background)
         .build()
         .expect("valid config");
     let handle = IgqEngine::new(method, config)
@@ -68,7 +67,6 @@ fn main() {
         }
     });
     let engine = handle.engine();
-    engine.sync_maintenance(); // settle the background counters
 
     // 5. The numbers the paper is about.
     let s = engine.stats();

@@ -55,9 +55,8 @@ pub use igq_workload as workload;
 pub mod prelude {
     pub use igq_core::{
         CacheStore, ConfigError, DirStore, EngineHandle, IgqConfig, IgqEngine, IgqHandle,
-        IgqSuperEngine, IgqSuperHandle, ImportReport, MaintenanceMode, MemStore, PersistError,
-        PersistenceConfig, QueryEngine, QueryOutcome, QueryRequest, QueryResponse,
-        ReplacementPolicy,
+        IgqSuperEngine, IgqSuperHandle, ImportReport, MemStore, PersistError, PersistenceConfig,
+        QueryEngine, QueryOutcome, QueryRequest, QueryResponse, ReplacementPolicy,
     };
     pub use igq_features::PathConfig;
     pub use igq_graph::{

@@ -6,8 +6,7 @@
 //!
 //! * **N-thread equivalence** — ≥ 4 threads share one [`IgqHandle`] and
 //!   split a Zipf workload; *every* answer (the union across threads) must
-//!   equal the naive oracle's, in both maintenance modes. Concurrency
-//!   may change the accounting (who flips a window, who gets a cache hit)
+//!   equal the naive oracle's. Concurrency may change the accounting (who flips a window, who gets a cache hit)
 //!   but never an answer.
 //! * **Batch equivalence** — [`QueryEngine::query_batch`] returns
 //!   index-aligned outcomes identical in answers to a sequential loop.
@@ -48,17 +47,11 @@ fn setup(seed: u64) -> (Arc<GraphStore>, Vec<Graph>) {
     (store, queries)
 }
 
-fn shared_engine(
-    store: &Arc<GraphStore>,
-    mode: MaintenanceMode,
-    capacity: usize,
-    window: usize,
-) -> IgqHandle<Ggsx> {
+fn shared_engine(store: &Arc<GraphStore>, capacity: usize, window: usize) -> IgqHandle<Ggsx> {
     let method = Ggsx::build(store, GgsxConfig::default());
     let config = IgqConfig::builder()
         .cache_capacity(capacity)
         .window(window)
-        .maintenance(mode)
         .build()
         .expect("valid config");
     IgqEngine::new(method, config)
@@ -68,41 +61,39 @@ fn shared_engine(
 
 /// The core satellite requirement: N threads (≥ 4) hammer one shared
 /// handle; the union of their answers is identical to the sequential
-/// oracle, per query, in every maintenance mode.
+/// oracle, per query.
 #[test]
 fn four_threads_shared_handle_match_oracle_in_all_modes() {
     let (store, queries) = setup(41);
-    for mode in [MaintenanceMode::Incremental, MaintenanceMode::Background] {
-        // Tiny cache + window maximize churn (evictions, window flips,
-        // snapshot lag) while the threads interleave.
-        let handle = shared_engine(&store, mode, 12, 3);
-        let n_threads = 4;
-        std::thread::scope(|scope| {
-            for t in 0..n_threads {
-                let h = handle.clone();
-                let store = &store;
-                let queries = &queries;
-                scope.spawn(move || {
-                    // Interleaved partition: thread t takes queries
-                    // t, t+N, t+2N, ... so hot repeats collide across
-                    // threads rather than staying thread-local.
-                    for q in queries.iter().skip(t).step_by(n_threads) {
-                        let out = h.query(q);
-                        assert_eq!(
-                            out.answers,
-                            oracle_answers(store, q),
-                            "mode {mode:?}: concurrent answer diverged for {q:?}"
-                        );
-                    }
-                });
-            }
-        });
-        let stats = handle.stats();
-        assert_eq!(stats.queries, queries.len() as u64, "mode {mode:?}");
-        handle.self_check().unwrap_or_else(|e| {
-            panic!("mode {mode:?}: invariants violated after concurrent run: {e}")
-        });
-    }
+    // Tiny cache + window maximize churn (evictions, window flips) while
+    // the threads interleave.
+    let handle = shared_engine(&store, 12, 3);
+    let n_threads = 4;
+    std::thread::scope(|scope| {
+        for t in 0..n_threads {
+            let h = handle.clone();
+            let store = &store;
+            let queries = &queries;
+            scope.spawn(move || {
+                // Interleaved partition: thread t takes queries
+                // t, t+N, t+2N, ... so hot repeats collide across
+                // threads rather than staying thread-local.
+                for q in queries.iter().skip(t).step_by(n_threads) {
+                    let out = h.query(q);
+                    assert_eq!(
+                        out.answers,
+                        oracle_answers(store, q),
+                        "concurrent answer diverged for {q:?}"
+                    );
+                }
+            });
+        }
+    });
+    let stats = handle.stats();
+    assert_eq!(stats.queries, queries.len() as u64);
+    handle
+        .self_check()
+        .unwrap_or_else(|e| panic!("invariants violated after concurrent run: {e}"));
 }
 
 /// Concurrent supergraph queries through the unified pipeline.
@@ -119,7 +110,6 @@ fn supergraph_shared_handle_matches_sequential_oracle() {
     let config = IgqConfig::builder()
         .cache_capacity(10)
         .window(2)
-        .maintenance(MaintenanceMode::Background)
         .build()
         .expect("valid config");
     let handle = IgqSuperEngine::new(method, config)
@@ -156,7 +146,6 @@ fn query_batch_equals_sequential_loop() {
         let config = IgqConfig::builder()
             .cache_capacity(16)
             .window(4)
-            .maintenance(MaintenanceMode::Background)
             .batch_threads(threads)
             .build()
             .expect("valid config");
@@ -184,7 +173,7 @@ fn query_batch_equals_sequential_loop() {
 #[test]
 fn concurrent_skip_admission_requests_leave_no_trace() {
     let (store, queries) = setup(13);
-    let handle = shared_engine(&store, MaintenanceMode::Incremental, 16, 2);
+    let handle = shared_engine(&store, 16, 2);
     std::thread::scope(|scope| {
         for t in 0..4 {
             let h = handle.clone();
@@ -204,38 +193,4 @@ fn concurrent_skip_admission_requests_leave_no_trace() {
         0,
         "skip-admission queries must never be cached"
     );
-}
-
-/// The background maintainer's submit-side lag bound (submitted minus
-/// applied windows, the quantity the gate controls and
-/// `maintenance_lag_windows` reports) holds with many concurrent
-/// submitters racing window flips. Note this is the submit-side metric:
-/// deltas captured but still parked in the engine's outbox are not yet
-/// "submitted", so end-to-end cache-vs-snapshot staleness can
-/// transiently exceed it by one window per in-flight flipper (see
-/// ARCHITECTURE.md, "Staleness bound and correctness").
-#[test]
-fn lag_bound_holds_under_concurrent_submitters() {
-    let (store, queries) = setup(23);
-    let handle = shared_engine(&store, MaintenanceMode::Background, 8, 1);
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let h = handle.clone();
-            let queries = &queries;
-            scope.spawn(move || {
-                for q in queries.iter().skip(t).step_by(4) {
-                    let _ = h.query(q);
-                }
-            });
-        }
-    });
-    handle.sync_maintenance();
-    let stats = handle.stats();
-    let bound = handle.config().max_lag_windows as u64;
-    assert!(
-        stats.maintenance_lag_windows <= bound,
-        "peak lag {} exceeded configured bound {bound} under 4 submitters",
-        stats.maintenance_lag_windows
-    );
-    handle.self_check().expect("post-run invariants");
 }

@@ -1,4 +1,4 @@
-//! Failure injection: verification budgets and maintainer failures.
+//! Failure injection: verification budgets and concurrent sharded stress.
 //!
 //! Every engine accepts a [`MatchConfig`] state budget so pathological iso
 //! tests can be bounded. Exhausting the budget yields `Aborted` — an
@@ -13,15 +13,12 @@
 //!    degrades coverage, never correctness.
 //!
 //! The second half stresses the sharded engine: closed-loop clients
-//! hammering a 4-shard Background engine stay oracle-exact and leave the
-//! cross-shard invariants clean, and a killed background maintainer on one
-//! shard degrades only that shard's pruning — never answers, never
-//! liveness.
+//! hammering a 4-shard engine stay oracle-exact and leave the cross-shard
+//! invariants clean.
 
 mod common;
 
 use common::oracle_answers;
-use igq::core::MaintenanceMode;
 use igq::iso::MatchConfig;
 use igq::prelude::*;
 use std::sync::Arc;
@@ -190,14 +187,13 @@ fn super_engine_aborts_are_not_cached_either() {
     assert_eq!(engine.cached_queries(), 0);
 }
 
-fn sharded_background_engine(store: &Arc<GraphStore>) -> IgqEngine<Ggsx> {
+fn sharded_engine(store: &Arc<GraphStore>) -> IgqEngine<Ggsx> {
     let method = Ggsx::build(store, GgsxConfig::default());
     IgqEngine::new(
         method,
         IgqConfig::builder()
             .cache_capacity(32)
             .window(4)
-            .maintenance(MaintenanceMode::Background)
             .shards(4)
             .build()
             .expect("valid sharded config"),
@@ -207,14 +203,14 @@ fn sharded_background_engine(store: &Arc<GraphStore>) -> IgqEngine<Ggsx> {
 
 #[test]
 fn eight_closed_loop_clients_on_four_shards_stay_exact() {
-    // Eight threads query concurrently while window flips and background
-    // maintainers run underneath them. Every single answer must match the
+    // Eight threads query concurrently while window flips land underneath
+    // them. Every single answer must match the
     // sequential oracle — the per-shard locks may reorder work but can
     // never expose a torn index — and after the threads drain, the full
     // cross-shard consistency sweep (allocator geometry, slot ownership,
     // per-shard index ≡ shadow rebuild) must come back clean.
     let store = Arc::new(DatasetKind::Aids.generate(80, 77));
-    let engine = sharded_background_engine(&store);
+    let engine = sharded_engine(&store);
 
     std::thread::scope(|s| {
         for t in 0..8u64 {
@@ -236,49 +232,8 @@ fn eight_closed_loop_clients_on_four_shards_stay_exact() {
         }
     });
 
-    // `self_check` drains the per-shard outboxes and syncs all four
-    // maintainers before verifying invariants.
     engine.self_check().expect("post-stress invariants");
     let stats = engine.stats();
     assert!(stats.maintenances > 0, "flips must have happened");
     assert!(stats.exact_hits > 0, "zipf repeats must have hit the cache");
-}
-
-#[test]
-fn a_killed_shard_maintainer_degrades_only_that_shards_pruning() {
-    // Kill one shard's background worker mid-stream. The contract: submits
-    // to the dead worker are dropped (that shard's published snapshot goes
-    // stale, so its index pruning degrades), syncs return instead of
-    // wedging, the other three shards keep maintaining, and — because the
-    // verify path revalidates every candidate — answers stay oracle-exact.
-    let store = Arc::new(DatasetKind::Aids.generate(60, 91));
-    let queries =
-        QueryGenerator::new(&store, Distribution::Zipf(1.4), Distribution::Zipf(1.4), 9).take(100);
-    let (warm, after) = queries.split_at(50);
-
-    let engine = sharded_background_engine(&store);
-    for q in warm {
-        let _ = engine.query(q);
-    }
-    engine.sync_maintenance();
-    let flips_before_kill = engine.stats().maintenances;
-
-    engine.kill_maintainer_for_test(1);
-    // A dead worker must not wedge the engine: this sync returns
-    // immediately for shard 1 and still round-trips the live shards.
-    engine.sync_maintenance();
-
-    for q in after {
-        let out = engine.query(q);
-        assert_eq!(out.answers, oracle_answers(&store, q), "{q:?}");
-    }
-    engine.sync_maintenance();
-    assert!(
-        engine.stats().maintenances > flips_before_kill,
-        "window flips must continue after the kill"
-    );
-    // No `self_check` here, deliberately: shard 1's snapshot is frozen at
-    // kill time, so its index ≢ shadow rebuild — that *is* the degraded
-    // state this test exercises. Exactness and liveness above are the
-    // contract a dead maintainer must keep.
 }

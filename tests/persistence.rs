@@ -1,12 +1,12 @@
 //! Durability integration tests: crash recovery (torn WAL tails, damaged
 //! artifacts, foreign stores) and the restart-equivalence guarantee — an
 //! engine recovered via `Engine::open` behaves identically to one that
-//! never restarted, in every maintenance mode and both query directions.
+//! never restarted, in both query directions.
 
 mod common;
 
 use common::{arb_graph, arb_store, oracle_answers};
-use igq::core::{IgqSuperEngine, MaintenanceMode};
+use igq::core::IgqSuperEngine;
 use igq::features::PathConfig;
 use igq::iso::MatchConfig;
 use igq::methods::TrieSupergraphMethod;
@@ -15,11 +15,10 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::sync::Arc;
 
-fn sub_config(capacity: usize, window: usize, mode: MaintenanceMode) -> IgqConfig {
+fn sub_config(capacity: usize, window: usize) -> IgqConfig {
     IgqConfig {
         cache_capacity: capacity,
         window,
-        maintenance: mode,
         persistence: PersistenceConfig::manual(),
         ..Default::default()
     }
@@ -30,12 +29,11 @@ fn open_sub(
     mem: &Arc<MemStore>,
     capacity: usize,
     window: usize,
-    mode: MaintenanceMode,
 ) -> IgqEngine<Ggsx> {
     let method = Ggsx::build(store, GgsxConfig::default());
     IgqEngine::open(
         method,
-        sub_config(capacity, window, mode),
+        sub_config(capacity, window),
         Arc::clone(mem) as Arc<dyn CacheStore>,
     )
     .expect("open subgraph engine")
@@ -77,15 +75,10 @@ fn corrupt_first_record(wal: &[u8]) -> Vec<u8> {
     out
 }
 
-fn sharded_config(
-    capacity: usize,
-    window: usize,
-    mode: MaintenanceMode,
-    shards: usize,
-) -> IgqConfig {
+fn sharded_config(capacity: usize, window: usize, shards: usize) -> IgqConfig {
     IgqConfig {
         shards,
-        ..sub_config(capacity, window, mode)
+        ..sub_config(capacity, window)
     }
 }
 
@@ -94,13 +87,12 @@ fn open_sub_sharded(
     mem: &Arc<MemStore>,
     capacity: usize,
     window: usize,
-    mode: MaintenanceMode,
     shards: usize,
 ) -> IgqEngine<Ggsx> {
     let method = Ggsx::build(store, GgsxConfig::default());
     IgqEngine::open(
         method,
-        sharded_config(capacity, window, mode, shards),
+        sharded_config(capacity, window, shards),
         Arc::clone(mem) as Arc<dyn CacheStore>,
     )
     .expect("open sharded subgraph engine")
@@ -111,12 +103,11 @@ fn open_super(
     mem: &Arc<MemStore>,
     capacity: usize,
     window: usize,
-    mode: MaintenanceMode,
 ) -> IgqSuperEngine {
     let method = TrieSupergraphMethod::build(store, PathConfig::default(), MatchConfig::default());
     IgqSuperEngine::open(
         method,
-        sub_config(capacity, window, mode),
+        sub_config(capacity, window),
         Arc::clone(mem) as Arc<dyn CacheStore>,
     )
     .expect("open supergraph engine")
@@ -139,7 +130,7 @@ fn torn_wal_tail_is_truncated_and_recovery_stays_exact() {
     let (store, queries) = aids_workload(50, 24, 11);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        let e = open_sub(&store, &mem, 8, 2);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -150,7 +141,7 @@ fn torn_wal_tail_is_truncated_and_recovery_stays_exact() {
     // Crash mid-append: the final record loses its tail bytes.
     mem.set_wal(wal[..wal.len() - 9].to_vec());
 
-    let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+    let e = open_sub(&store, &mem, 8, 2);
     assert_eq!(
         e.stats().recovery_replayed_windows,
         (records_before - 1) as u64,
@@ -167,7 +158,7 @@ fn mid_wal_corruption_is_rejected_not_truncated() {
     let (store, queries) = aids_workload(40, 20, 13);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        let e = open_sub(&store, &mem, 8, 2);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -178,7 +169,7 @@ fn mid_wal_corruption_is_rejected_not_truncated() {
     let method = Ggsx::build(&store, GgsxConfig::default());
     let err = IgqEngine::<Ggsx>::open(
         method,
-        sub_config(8, 2, MaintenanceMode::Incremental),
+        sub_config(8, 2),
         Arc::clone(&mem) as Arc<dyn CacheStore>,
     )
     .err()
@@ -213,7 +204,7 @@ fn foreign_store_bytes_are_rejected_and_left_untouched() {
         let method = Ggsx::build(&store, GgsxConfig::default());
         let err = IgqEngine::<Ggsx>::open(
             method,
-            sub_config(8, 2, MaintenanceMode::Incremental),
+            sub_config(8, 2),
             Arc::clone(&mem) as Arc<dyn CacheStore>,
         )
         .err()
@@ -232,7 +223,7 @@ fn checkpoint_checksum_mismatch_is_rejected() {
     let (store, queries) = aids_workload(40, 12, 17);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        let e = open_sub(&store, &mem, 8, 2);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -249,7 +240,7 @@ fn checkpoint_checksum_mismatch_is_rejected() {
     let method = Ggsx::build(&store, GgsxConfig::default());
     let err = IgqEngine::<Ggsx>::open(
         method,
-        sub_config(8, 2, MaintenanceMode::Incremental),
+        sub_config(8, 2),
         Arc::clone(&mem) as Arc<dyn CacheStore>,
     )
     .err()
@@ -265,7 +256,7 @@ fn config_fingerprint_mismatch_is_rejected() {
     let (store, queries) = aids_workload(40, 12, 19);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        let e = open_sub(&store, &mem, 8, 2);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -273,7 +264,7 @@ fn config_fingerprint_mismatch_is_rejected() {
     }
     // Same geometry, different path-feature family: the persisted index
     // feature sets would be silently wrong, so the open must refuse.
-    let mut config = sub_config(8, 2, MaintenanceMode::Incremental);
+    let mut config = sub_config(8, 2);
     config.path_config = igq::features::PathConfig::with_max_len(3);
     let method = Ggsx::build(&store, GgsxConfig::default());
     let err = IgqEngine::<Ggsx>::open(method, config, Arc::clone(&mem) as Arc<dyn CacheStore>)
@@ -290,7 +281,7 @@ fn checkpoint_plus_wal_tail_recovers_later_flips() {
     let (store, queries) = aids_workload(60, 30, 23);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub(&store, &mem, 10, 2, MaintenanceMode::Incremental);
+        let e = open_sub(&store, &mem, 10, 2);
         for q in queries.iter().take(14) {
             let _ = e.query(q);
         }
@@ -299,7 +290,7 @@ fn checkpoint_plus_wal_tail_recovers_later_flips() {
             let _ = e.query(q); // flips after the checkpoint land in the WAL
         }
     }
-    let e = open_sub(&store, &mem, 10, 2, MaintenanceMode::Incremental);
+    let e = open_sub(&store, &mem, 10, 2);
     assert!(
         e.stats().recovery_replayed_windows >= 1,
         "post-checkpoint flips came back via WAL replay"
@@ -361,7 +352,7 @@ fn failed_wal_append_suspends_the_log_and_a_checkpoint_heals_it() {
         let method = Ggsx::build(&store, GgsxConfig::default());
         let e = IgqEngine::open(
             method,
-            sub_config(8, 2, MaintenanceMode::Incremental),
+            sub_config(8, 2),
             Arc::clone(&flaky) as Arc<dyn CacheStore>,
         )
         .expect("open");
@@ -402,7 +393,7 @@ fn failed_wal_append_suspends_the_log_and_a_checkpoint_heals_it() {
     let method = Ggsx::build(&store, GgsxConfig::default());
     let e = IgqEngine::open(
         method,
-        sub_config(8, 2, MaintenanceMode::Incremental),
+        sub_config(8, 2),
         Arc::clone(&flaky) as Arc<dyn CacheStore>,
     )
     .expect("reopen after healed damage");
@@ -432,14 +423,14 @@ fn checkpoint_mid_window_then_flip_does_not_duplicate_entries_after_recovery() {
     let mem = Arc::new(MemStore::new());
     let live_cached;
     {
-        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        let e = open_sub(&store, &mem, 8, 2);
         let _ = e.query(&q0); // window = [q0]
         e.checkpoint().expect("mid-window checkpoint");
         let _ = e.query(&q1); // flip admits {q0, q1} -> WAL record
         live_cached = e.cached_queries();
         assert_eq!(live_cached, 2);
     } // crash (drop drains the WAL outbox)
-    let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+    let e = open_sub(&store, &mem, 8, 2);
     assert_eq!(e.stats().recovery_replayed_windows, 1);
     assert_eq!(e.cached_queries(), live_cached);
     // The stale checkpoint window would re-admit q0 here.
@@ -456,7 +447,7 @@ fn subgraph_store_is_rejected_by_a_supergraph_engine() {
     let (store, queries) = aids_workload(40, 10, 41);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub(&store, &mem, 8, 2, MaintenanceMode::Incremental);
+        let e = open_sub(&store, &mem, 8, 2);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -465,7 +456,7 @@ fn subgraph_store_is_rejected_by_a_supergraph_engine() {
     let method = TrieSupergraphMethod::build(&store, PathConfig::default(), MatchConfig::default());
     let err = IgqSuperEngine::open(
         method,
-        sub_config(8, 2, MaintenanceMode::Incremental),
+        sub_config(8, 2),
         Arc::clone(&mem) as Arc<dyn CacheStore>,
     )
     .err()
@@ -487,7 +478,7 @@ fn dir_store_save_kill_load_roundtrip() {
         let disk: Arc<dyn CacheStore> = Arc::new(DirStore::open(&dir).expect("dir store"));
         let e = IgqEngine::open(
             Ggsx::build(&store, GgsxConfig::default()),
-            sub_config(16, 4, MaintenanceMode::Incremental),
+            sub_config(16, 4),
             disk,
         )
         .expect("open");
@@ -500,7 +491,7 @@ fn dir_store_save_kill_load_roundtrip() {
     let disk: Arc<dyn CacheStore> = Arc::new(DirStore::open(&dir).expect("dir store"));
     let e = IgqEngine::open(
         Ggsx::build(&store, GgsxConfig::default()),
-        sub_config(16, 4, MaintenanceMode::Incremental),
+        sub_config(16, 4),
         disk,
     )
     .expect("reopen");
@@ -538,26 +529,18 @@ fn observe(o: &QueryOutcome) -> Observed {
     }
 }
 
-const ALL_MODES: [MaintenanceMode; 2] = [MaintenanceMode::Incremental, MaintenanceMode::Background];
-
 /// Runs `prefix` on a live engine, checkpoints, opens a recovered twin
 /// from a point-in-time store fork, then drives both through `suffix`,
-/// asserting byte-identical observable behavior. `sync` must force
-/// maintenance lockstep under background mode (probe determinism).
+/// asserting byte-identical observable behavior.
 fn assert_restart_equivalence<E: QueryEngine>(
     live: &E,
     recovered: &E,
     suffix: &[Graph],
-    mode: MaintenanceMode,
 ) -> Result<(), TestCaseError> {
     for q in suffix {
-        if mode == MaintenanceMode::Background {
-            live.sync_maintenance();
-            recovered.sync_maintenance();
-        }
         let a = observe(&live.query(q));
         let b = observe(&recovered.query(q));
-        prop_assert_eq!(a, b, "divergence on {:?} under {:?}", q, mode);
+        prop_assert_eq!(a, b, "divergence on {:?}", q);
     }
     prop_assert_eq!(live.cached_queries(), recovered.cached_queries());
     live.self_check().expect("live engine invariants");
@@ -569,7 +552,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `Engine::open` after N random window flips ≡ the never-restarted
-    /// engine — subgraph direction, both maintenance modes.
+    /// engine — subgraph direction.
     #[test]
     fn subgraph_restart_equivalence(
         store in arb_store(6, 6, 3),
@@ -584,25 +567,23 @@ proptest! {
         // A middle segment runs *after* the checkpoint, so recovery must
         // combine the checkpoint with WAL-tail replay (the crash shape).
         let (mid, suffix) = rest.split_at((rest.len() / 2).min(3));
-        for mode in ALL_MODES {
-            let mem = Arc::new(MemStore::new());
-            let live = open_sub(&store, &mem, capacity, window, mode);
-            for q in prefix {
-                let _ = live.query(q);
-            }
-            // The checkpoint captures everything, including the pending
-            // window, so recovery works from an arbitrary mid-window point.
-            live.checkpoint().expect("checkpoint");
-            for q in mid {
-                let _ = live.query(q); // post-checkpoint flips -> WAL tail
-            }
-            // Flush to a flip boundary: the fork point is then exactly the
-            // recovered engine's state (the loss window is empty).
-            live.flush_window();
-            let fork = Arc::new(mem.fork());
-            let recovered = open_sub(&store, &fork, capacity, window, mode);
-            assert_restart_equivalence(&live, &recovered, suffix, mode)?;
+        let mem = Arc::new(MemStore::new());
+        let live = open_sub(&store, &mem, capacity, window);
+        for q in prefix {
+            let _ = live.query(q);
         }
+        // The checkpoint captures everything, including the pending
+        // window, so recovery works from an arbitrary mid-window point.
+        live.checkpoint().expect("checkpoint");
+        for q in mid {
+            let _ = live.query(q); // post-checkpoint flips -> WAL tail
+        }
+        // Flush to a flip boundary: the fork point is then exactly the
+        // recovered engine's state (the loss window is empty).
+        live.flush_window();
+        let fork = Arc::new(mem.fork());
+        let recovered = open_sub(&store, &fork, capacity, window);
+        assert_restart_equivalence(&live, &recovered, suffix)?;
     }
 
     /// Same guarantee in the supergraph direction.
@@ -618,21 +599,19 @@ proptest! {
         let split = queries.len() * split_pct / 100;
         let (prefix, rest) = queries.split_at(split.clamp(1, queries.len() - 1));
         let (mid, suffix) = rest.split_at((rest.len() / 2).min(3));
-        for mode in ALL_MODES {
-            let mem = Arc::new(MemStore::new());
-            let live = open_super(&store, &mem, capacity, window, mode);
-            for q in prefix {
-                let _ = live.query(q);
-            }
-            live.checkpoint().expect("checkpoint");
-            for q in mid {
-                let _ = live.query(q); // post-checkpoint flips -> WAL tail
-            }
-            live.flush_window();
-            let fork = Arc::new(mem.fork());
-            let recovered = open_super(&store, &fork, capacity, window, mode);
-            assert_restart_equivalence(&live, &recovered, suffix, mode)?;
+        let mem = Arc::new(MemStore::new());
+        let live = open_super(&store, &mem, capacity, window);
+        for q in prefix {
+            let _ = live.query(q);
         }
+        live.checkpoint().expect("checkpoint");
+        for q in mid {
+            let _ = live.query(q); // post-checkpoint flips -> WAL tail
+        }
+        live.flush_window();
+        let fork = Arc::new(mem.fork());
+        let recovered = open_super(&store, &fork, capacity, window);
+        assert_restart_equivalence(&live, &recovered, suffix)?;
     }
 }
 
@@ -641,29 +620,26 @@ fn sharded_wal_roundtrip_matches_never_restarted_engine() {
     // The multiplexed WAL (every flip = one group of N shard-tagged
     // records) must round-trip: a shards=4 engine killed after a stream
     // and reopened from its store behaves identically to the engine that
-    // never restarted — in both maintenance modes.
+    // never restarted.
     let (store, queries) = aids_workload(60, 36, 43);
     let (prefix, rest) = queries.split_at(18);
     let (mid, suffix) = rest.split_at(8);
-    for mode in ALL_MODES {
-        let mem = Arc::new(MemStore::new());
-        let live = open_sub_sharded(&store, &mem, 10, 2, mode, 4);
-        for q in prefix {
-            let _ = live.query(q);
-        }
-        // Checkpoint mid-stream so recovery must demultiplex the WAL
-        // tail (post-checkpoint groups) on top of a re-partitioned
-        // checkpoint image.
-        live.checkpoint().expect("mid-run checkpoint");
-        for q in mid {
-            let _ = live.query(q);
-        }
-        live.flush_window();
-        let fork = Arc::new(mem.fork());
-        let recovered = open_sub_sharded(&store, &fork, 10, 2, mode, 4);
-        assert_restart_equivalence(&live, &recovered, suffix, mode)
-            .unwrap_or_else(|e| panic!("{mode:?}: {e:?}"));
+    let mem = Arc::new(MemStore::new());
+    let live = open_sub_sharded(&store, &mem, 10, 2, 4);
+    for q in prefix {
+        let _ = live.query(q);
     }
+    // Checkpoint mid-stream so recovery must demultiplex the WAL
+    // tail (post-checkpoint groups) on top of a re-partitioned
+    // checkpoint image.
+    live.checkpoint().expect("mid-run checkpoint");
+    for q in mid {
+        let _ = live.query(q);
+    }
+    live.flush_window();
+    let fork = Arc::new(mem.fork());
+    let recovered = open_sub_sharded(&store, &fork, 10, 2, 4);
+    assert_restart_equivalence(&live, &recovered, suffix).unwrap_or_else(|e| panic!("{e:?}"));
 }
 
 #[test]
@@ -675,7 +651,7 @@ fn torn_tail_on_interleaved_multi_shard_wal_drops_the_whole_last_flip() {
     let (store, queries) = aids_workload(50, 28, 47);
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub_sharded(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4);
+        let e = open_sub_sharded(&store, &mem, 8, 2, 4);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -689,7 +665,7 @@ fn torn_tail_on_interleaved_multi_shard_wal_drops_the_whole_last_flip() {
     // Crash mid-append: the group's last record loses its tail bytes.
     mem.set_wal(wal[..wal.len() - 9].to_vec());
 
-    let e = open_sub_sharded(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4);
+    let e = open_sub_sharded(&store, &mem, 8, 2, 4);
     assert_eq!(
         e.stats().recovery_replayed_windows,
         (records_before / 4 - 1) as u64,
@@ -708,7 +684,7 @@ fn reopening_with_a_different_shard_count_is_a_typed_error() {
     // must refuse with the typed mismatch, not misroute slots.
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub_sharded(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4);
+        let e = open_sub_sharded(&store, &mem, 8, 2, 4);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -717,7 +693,7 @@ fn reopening_with_a_different_shard_count_is_a_typed_error() {
     let method = Ggsx::build(&store, GgsxConfig::default());
     let err = IgqEngine::<Ggsx>::open(
         method,
-        sharded_config(8, 2, MaintenanceMode::Incremental, 2),
+        sharded_config(8, 2, 2),
         Arc::clone(&mem) as Arc<dyn CacheStore>,
     )
     .err()
@@ -738,7 +714,7 @@ fn reopening_with_a_different_shard_count_is_a_typed_error() {
     // unsharded open.
     let mem = Arc::new(MemStore::new());
     {
-        let e = open_sub_sharded(&store, &mem, 8, 2, MaintenanceMode::Incremental, 4);
+        let e = open_sub_sharded(&store, &mem, 8, 2, 4);
         for q in &queries {
             let _ = e.query(q);
         }
@@ -746,7 +722,7 @@ fn reopening_with_a_different_shard_count_is_a_typed_error() {
     let method = Ggsx::build(&store, GgsxConfig::default());
     let err = IgqEngine::<Ggsx>::open(
         method,
-        sub_config(8, 2, MaintenanceMode::Incremental),
+        sub_config(8, 2),
         Arc::clone(&mem) as Arc<dyn CacheStore>,
     )
     .err()

@@ -1,8 +1,7 @@
 //! Replication subsystem integration tests: follower engines converge
-//! with their primary across every maintenance mode and both query
-//! directions, the delta stream is torn-/gap-safe, and the TCP serving
-//! edge streams snapshots + deltas to a live read replica with
-//! bounded-staleness admission control.
+//! with their primary in both query directions, the delta stream is
+//! torn-/gap-safe, and the TCP serving edge streams snapshots + deltas to
+//! a live read replica with bounded-staleness admission control.
 
 mod common;
 
@@ -18,13 +17,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const MODES: [MaintenanceMode; 2] = [MaintenanceMode::Incremental, MaintenanceMode::Background];
-
-fn config_for(mode: MaintenanceMode) -> IgqConfig {
+fn replica_config() -> IgqConfig {
     IgqConfig::builder()
         .cache_capacity(32)
         .window(1)
-        .maintenance(mode)
         .build()
         .expect("valid config")
 }
@@ -84,39 +80,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// After draining the delta stream, a follower answers every query
-    /// exactly like its primary (and like the naive oracle), in both
-    /// maintenance modes.
+    /// exactly like its primary (and like the naive oracle).
     #[test]
     fn follower_matches_primary_subgraph_all_modes(
         store in arb_store(6, 5, 3),
         queries in proptest::collection::vec(arb_graph(4, 3), 1..8),
     ) {
-        for mode in MODES {
-            let (primary, follower, feed) = sub_pair(&store, config_for(mode));
-            let truths: Vec<Vec<GraphId>> =
-                queries.iter().map(|q| primary.query(q).answers).collect();
-            primary.flush_window();
-            primary.sync_maintenance();
-            drain(&feed, &follower);
+        let (primary, follower, feed) = sub_pair(&store, replica_config());
+        let truths: Vec<Vec<GraphId>> =
+            queries.iter().map(|q| primary.query(q).answers).collect();
+        primary.flush_window();
+        drain(&feed, &follower);
+        prop_assert_eq!(follower.cached_queries(), primary.cached_queries());
+        follower.self_check().expect("follower invariants");
+        prop_assert_eq!(follower.replication_lag(), Some(0));
+        for (q, truth) in queries.iter().zip(&truths) {
+            let out = follower.query(q);
+            prop_assert_eq!(&out.answers, truth);
+            prop_assert_eq!(&out.answers, &oracle_answers(&store, q));
             prop_assert_eq!(
-                follower.cached_queries(),
-                primary.cached_queries(),
-                "mode={:?}",
-                mode
+                out.resolution,
+                Resolution::ExactHit,
+                "replicated resident must exact-hit"
             );
-            follower.self_check().expect("follower invariants");
-            prop_assert_eq!(follower.replication_lag(), Some(0));
-            for (q, truth) in queries.iter().zip(&truths) {
-                let out = follower.query(q);
-                prop_assert_eq!(&out.answers, truth, "mode={:?}", mode);
-                prop_assert_eq!(&out.answers, &oracle_answers(&store, q), "mode={:?}", mode);
-                prop_assert_eq!(
-                    out.resolution,
-                    Resolution::ExactHit,
-                    "replicated resident must exact-hit (mode={:?})",
-                    mode
-                );
-            }
         }
     }
 
@@ -127,31 +113,18 @@ proptest! {
         store in arb_store(5, 4, 3),
         queries in proptest::collection::vec(arb_graph(4, 3), 1..6),
     ) {
-        for mode in MODES {
-            let (primary, follower, feed) = super_pair(&store, config_for(mode));
-            let truths: Vec<Vec<GraphId>> =
-                queries.iter().map(|q| primary.query(q).answers).collect();
-            primary.flush_window();
-            primary.sync_maintenance();
-            drain(&feed, &follower);
-            prop_assert_eq!(
-                follower.cached_queries(),
-                primary.cached_queries(),
-                "mode={:?}",
-                mode
-            );
-            follower.self_check().expect("follower invariants");
-            prop_assert_eq!(follower.replication_lag(), Some(0));
-            for (q, truth) in queries.iter().zip(&truths) {
-                let out = follower.query(q);
-                prop_assert_eq!(&out.answers, truth, "mode={:?}", mode);
-                prop_assert_eq!(
-                    &out.answers,
-                    &oracle_super_answers(&store, q),
-                    "mode={:?}",
-                    mode
-                );
-            }
+        let (primary, follower, feed) = super_pair(&store, replica_config());
+        let truths: Vec<Vec<GraphId>> =
+            queries.iter().map(|q| primary.query(q).answers).collect();
+        primary.flush_window();
+        drain(&feed, &follower);
+        prop_assert_eq!(follower.cached_queries(), primary.cached_queries());
+        follower.self_check().expect("follower invariants");
+        prop_assert_eq!(follower.replication_lag(), Some(0));
+        for (q, truth) in queries.iter().zip(&truths) {
+            let out = follower.query(q);
+            prop_assert_eq!(&out.answers, truth);
+            prop_assert_eq!(&out.answers, &oracle_super_answers(&store, q));
         }
     }
 }
@@ -182,7 +155,7 @@ fn probe_queries() -> Vec<Graph> {
 #[test]
 fn torn_delta_is_rejected_without_side_effects() {
     let store = fixed_store();
-    let (primary, follower, feed) = sub_pair(&store, config_for(MaintenanceMode::Incremental));
+    let (primary, follower, feed) = sub_pair(&store, replica_config());
     for q in probe_queries().iter().take(2) {
         let _ = primary.query(q);
     }
@@ -213,7 +186,7 @@ fn torn_delta_is_rejected_without_side_effects() {
 #[test]
 fn seq_gap_is_typed_and_duplicates_skip() {
     let store = fixed_store();
-    let (primary, follower, feed) = sub_pair(&store, config_for(MaintenanceMode::Incremental));
+    let (primary, follower, feed) = sub_pair(&store, replica_config());
     for q in probe_queries() {
         let _ = primary.query(&q);
     }
@@ -240,7 +213,7 @@ fn seq_gap_is_typed_and_duplicates_skip() {
 #[test]
 fn resume_is_live_inside_ring_and_snapshot_beyond() {
     let store = fixed_store();
-    let (primary, follower, feed) = sub_pair(&store, config_for(MaintenanceMode::Incremental));
+    let (primary, follower, feed) = sub_pair(&store, replica_config());
     for q in probe_queries() {
         let _ = primary.query(&q);
     }
@@ -272,7 +245,7 @@ fn resume_is_live_inside_ring_and_snapshot_beyond() {
 #[test]
 fn follower_rejects_local_writes() {
     let store = fixed_store();
-    let (primary, follower, _feed) = sub_pair(&store, config_for(MaintenanceMode::Incremental));
+    let (primary, follower, _feed) = sub_pair(&store, replica_config());
     let entry = (graph_from(&[0, 1], &[(0, 1)]), vec![GraphId::new(0)]);
     assert_eq!(
         follower.import_entries(vec![entry.clone()]),
@@ -297,11 +270,8 @@ fn loopback() -> ServerConfig {
 fn wire_subscription_streams_snapshot_heartbeats_and_deltas() {
     let store = fixed_store();
     let engine = Arc::new(
-        IgqEngine::new(
-            Ggsx::build(&store, GgsxConfig::default()),
-            config_for(MaintenanceMode::Incremental),
-        )
-        .expect("valid engine"),
+        IgqEngine::new(Ggsx::build(&store, GgsxConfig::default()), replica_config())
+            .expect("valid engine"),
     );
     let served: Arc<dyn QueryEngine> = Arc::clone(&engine) as Arc<dyn QueryEngine>;
     let server = Server::spawn(served, loopback()).expect("bind");
@@ -343,7 +313,7 @@ fn wire_subscription_streams_snapshot_heartbeats_and_deltas() {
 #[test]
 fn follower_serves_identical_answers_over_tcp() {
     let store = fixed_store();
-    let config = config_for(MaintenanceMode::Incremental);
+    let config = replica_config();
     let primary_engine: Arc<dyn QueryEngine> = Arc::new(
         IgqEngine::new(Ggsx::build(&store, GgsxConfig::default()), config).expect("valid engine"),
     );
@@ -424,9 +394,6 @@ impl QueryEngine for LaggedReplica {
     fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
         self.inner.execute_batch(requests)
     }
-    fn maintenance_lag(&self) -> u64 {
-        self.inner.maintenance_lag()
-    }
     fn note_overload_rejection(&self) {
         self.inner.note_overload_rejection()
     }
@@ -441,9 +408,6 @@ impl QueryEngine for LaggedReplica {
     }
     fn flush_window(&self) {
         self.inner.flush_window()
-    }
-    fn sync_maintenance(&self) {
-        self.inner.sync_maintenance()
     }
     fn checkpoint(&self) -> Result<(), PersistError> {
         self.inner.checkpoint()
@@ -466,29 +430,38 @@ impl QueryEngine for LaggedReplica {
 fn stale_replica_sheds_bounded_staleness_reads() {
     let store = fixed_store();
     let inner: Arc<dyn QueryEngine> = Arc::new(
-        IgqEngine::new(
-            Ggsx::build(&store, GgsxConfig::default()),
-            config_for(MaintenanceMode::Incremental),
-        )
-        .expect("valid engine"),
+        IgqEngine::new(Ggsx::build(&store, GgsxConfig::default()), replica_config())
+            .expect("valid engine"),
     );
     let engine: Arc<dyn QueryEngine> = Arc::new(LaggedReplica { inner });
-    let server = Server::spawn(engine, loopback()).expect("bind");
+    let config = ServerConfig {
+        retry_after: Duration::from_millis(7),
+        ..loopback()
+    };
+    let server = Server::spawn(engine, config).expect("bind");
     let mut client = Client::connect(server.local_addr(), "staleness-test").expect("connect");
     let q = probe_queries()[0].clone();
 
+    let served_before = client.stats().expect("stats").requests_served;
     match client.query_opts(&q, None, false, Some(2)).expect("query") {
         QueryVerdict::Overloaded {
             lag_windows,
             threshold,
-            ..
+            retry_after_ms,
         } => {
             assert_eq!(lag_windows, 5);
             assert_eq!(threshold, 2);
+            assert_eq!(retry_after_ms, 7);
         }
         QueryVerdict::Answered(_) => panic!("lag 5 > bound 2 must shed"),
     }
-    // Lag equal to the bound is within it.
+    assert_eq!(
+        client.stats().expect("stats").requests_served,
+        served_before,
+        "shed = not executed"
+    );
+    // Lag equal to the bound is within it (and the connection survived
+    // the shed).
     assert!(matches!(
         client.query_opts(&q, None, false, Some(5)).expect("query"),
         QueryVerdict::Answered(_)
@@ -509,5 +482,9 @@ fn stale_replica_sheds_bounded_staleness_reads() {
     // Sheds are recorded with the engine's other admission totals.
     let stats = client.stats().expect("stats");
     assert!(stats.follower);
+    assert_eq!(
+        stats.requests_rejected_overload, 2,
+        "1 query + 1-query batch rejected"
+    );
     server.shutdown();
 }

@@ -2,8 +2,7 @@
 //! `IgqConfig::shards(n)` for any `n` must be observationally identical
 //! to the unsharded (`shards = 1`) engine — same per-query answers and
 //! resolutions, same cache hit/extend outcomes, same pruning counters,
-//! same resident set — across both maintenance modes and both query
-//! directions. Sharding splits the lock layout, never the semantics: the
+//! same resident set — in both query directions. Sharding splits the lock layout, never the semantics: the
 //! global slot allocator replays the exact admission/eviction decisions
 //! of the single cache, and the scatter/gather probe path merges disjoint
 //! per-shard slot sets back into the global candidate view.
@@ -11,7 +10,7 @@
 mod common;
 
 use common::{arb_graph, arb_store};
-use igq::core::{IgqSuperEngine, MaintenanceMode};
+use igq::core::IgqSuperEngine;
 use igq::features::PathConfig;
 use igq::iso::MatchConfig;
 use igq::methods::TrieSupergraphMethod;
@@ -23,13 +22,10 @@ use std::sync::Arc;
 /// Shard counts proven equivalent to the unsharded engine.
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
-const ALL_MODES: [MaintenanceMode; 2] = [MaintenanceMode::Incremental, MaintenanceMode::Background];
-
-fn config(capacity: usize, window: usize, mode: MaintenanceMode, shards: usize) -> IgqConfig {
+fn config(capacity: usize, window: usize, shards: usize) -> IgqConfig {
     IgqConfig::builder()
         .cache_capacity(capacity)
         .window(window)
-        .maintenance(mode)
         .shards(shards)
         .build()
         .expect("valid sharded config")
@@ -39,22 +35,20 @@ fn sub_engine(
     store: &Arc<GraphStore>,
     capacity: usize,
     window: usize,
-    mode: MaintenanceMode,
     shards: usize,
 ) -> IgqEngine<Ggsx> {
     let method = Ggsx::build(store, GgsxConfig::default());
-    IgqEngine::new(method, config(capacity, window, mode, shards)).expect("engine")
+    IgqEngine::new(method, config(capacity, window, shards)).expect("engine")
 }
 
 fn super_engine(
     store: &Arc<GraphStore>,
     capacity: usize,
     window: usize,
-    mode: MaintenanceMode,
     shards: usize,
 ) -> IgqSuperEngine {
     let method = TrieSupergraphMethod::build(store, PathConfig::default(), MatchConfig::default());
-    IgqSuperEngine::new(method, config(capacity, window, mode, shards)).expect("engine")
+    IgqSuperEngine::new(method, config(capacity, window, shards)).expect("engine")
 }
 
 /// Everything a caller can observe about one query: the verdict (answers
@@ -93,31 +87,17 @@ fn observe(o: &QueryOutcome) -> Observed {
 /// Drives the reference (1-shard) engine and a sharded twin through the
 /// same stream, asserting identical observables per query, identical
 /// resident sets after, and clean invariants (post-drain `self_check`) on
-/// both. Background mode syncs both maintainers before every query so
-/// the published snapshots are in lockstep (probe determinism — the same
-/// discipline the restart-equivalence suite uses).
+/// both.
 fn assert_shard_equivalence<E: QueryEngine>(
     reference: &E,
     sharded: &E,
     stream: &[Graph],
-    mode: MaintenanceMode,
     shards: usize,
 ) -> Result<(), TestCaseError> {
     for q in stream {
-        if mode == MaintenanceMode::Background {
-            reference.sync_maintenance();
-            sharded.sync_maintenance();
-        }
         let a = observe(&reference.query(q));
         let b = observe(&sharded.query(q));
-        prop_assert_eq!(
-            a,
-            b,
-            "shards={} diverged from shards=1 on {:?} under {:?}",
-            shards,
-            q,
-            mode
-        );
+        prop_assert_eq!(a, b, "shards={} diverged from shards=1 on {:?}", shards, q);
     }
     prop_assert_eq!(
         reference.cached_queries(),
@@ -125,9 +105,8 @@ fn assert_shard_equivalence<E: QueryEngine>(
         "resident sets diverged at shards={}",
         shards
     );
-    // `self_check` drains outboxes and syncs maintainers first, then
-    // verifies cache invariants, per-shard index ≡ shadow rebuild, and
-    // (sharded) allocator/ownership geometry.
+    // `self_check` verifies cache invariants, per-shard index ≡ shadow
+    // rebuild, and (sharded) allocator/ownership geometry.
     reference.self_check().expect("reference invariants");
     sharded.self_check().expect("sharded invariants");
     Ok(())
@@ -136,8 +115,8 @@ fn assert_shard_equivalence<E: QueryEngine>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Subgraph direction: shards ∈ {2, 4, 8} ≡ shards = 1, every
-    /// maintenance mode, arbitrary stores and query streams.
+    /// Subgraph direction: shards ∈ {2, 4, 8} ≡ shards = 1, arbitrary
+    /// stores and query streams.
     #[test]
     fn sharded_subgraph_engine_matches_unsharded(
         store in arb_store(6, 6, 3),
@@ -146,12 +125,10 @@ proptest! {
         window in 1usize..3,
     ) {
         let window = window.min(capacity);
-        for mode in ALL_MODES {
-            for shards in SHARD_COUNTS {
-                let reference = sub_engine(&store, capacity, window, mode, 1);
-                let sharded = sub_engine(&store, capacity, window, mode, shards);
-                assert_shard_equivalence(&reference, &sharded, &queries, mode, shards)?;
-            }
+        for shards in SHARD_COUNTS {
+            let reference = sub_engine(&store, capacity, window, 1);
+            let sharded = sub_engine(&store, capacity, window, shards);
+            assert_shard_equivalence(&reference, &sharded, &queries, shards)?;
         }
     }
 
@@ -165,12 +142,10 @@ proptest! {
         window in 1usize..3,
     ) {
         let window = window.min(capacity);
-        for mode in ALL_MODES {
-            for shards in SHARD_COUNTS {
-                let reference = super_engine(&store, capacity, window, mode, 1);
-                let sharded = super_engine(&store, capacity, window, mode, shards);
-                assert_shard_equivalence(&reference, &sharded, &queries, mode, shards)?;
-            }
+        for shards in SHARD_COUNTS {
+            let reference = super_engine(&store, capacity, window, 1);
+            let sharded = super_engine(&store, capacity, window, shards);
+            assert_shard_equivalence(&reference, &sharded, &queries, shards)?;
         }
     }
 }
@@ -189,42 +164,29 @@ fn zipf_stream_observables_agree_across_shard_counts() {
         0xABCD,
     )
     .take(120);
-    for mode in ALL_MODES {
-        let reference = sub_engine(&store, 24, 6, mode, 1);
-        let outcomes: Vec<Observed> = queries
-            .iter()
-            .map(|q| {
-                if mode == MaintenanceMode::Background {
-                    reference.sync_maintenance();
-                }
-                observe(&reference.query(q))
-            })
-            .collect();
-        for shards in SHARD_COUNTS {
-            let sharded = sub_engine(&store, 24, 6, mode, shards);
-            for (i, q) in queries.iter().enumerate() {
-                if mode == MaintenanceMode::Background {
-                    sharded.sync_maintenance();
-                }
-                assert_eq!(
-                    observe(&sharded.query(q)),
-                    outcomes[i],
-                    "query {i} diverged at shards={shards} under {mode:?}"
-                );
-            }
-            let a = reference.stats();
-            let b = sharded.stats();
-            assert_eq!(a.exact_hits, b.exact_hits, "shards={shards} {mode:?}");
-            assert_eq!(a.db_iso_tests, b.db_iso_tests, "shards={shards} {mode:?}");
+    let reference = sub_engine(&store, 24, 6, 1);
+    let outcomes: Vec<Observed> = queries
+        .iter()
+        .map(|q| observe(&reference.query(q)))
+        .collect();
+    for shards in SHARD_COUNTS {
+        let sharded = sub_engine(&store, 24, 6, shards);
+        for (i, q) in queries.iter().enumerate() {
             assert_eq!(
-                a.candidates_after, b.candidates_after,
-                "shards={shards} {mode:?}"
+                observe(&sharded.query(q)),
+                outcomes[i],
+                "query {i} diverged at shards={shards}"
             );
-            assert_eq!(a.maintenances, b.maintenances, "shards={shards} {mode:?}");
-            sharded.self_check().expect("sharded invariants");
         }
-        reference.self_check().expect("reference invariants");
+        let a = reference.stats();
+        let b = sharded.stats();
+        assert_eq!(a.exact_hits, b.exact_hits, "shards={shards}");
+        assert_eq!(a.db_iso_tests, b.db_iso_tests, "shards={shards}");
+        assert_eq!(a.candidates_after, b.candidates_after, "shards={shards}");
+        assert_eq!(a.maintenances, b.maintenances, "shards={shards}");
+        sharded.self_check().expect("sharded invariants");
     }
+    reference.self_check().expect("reference invariants");
 }
 
 /// Capacity overflow inside a single window forces the global allocator
@@ -241,8 +203,8 @@ fn overflowing_windows_keep_shard_equivalence() {
     )
     .take(80);
     // window == capacity: every flip replaces the whole cache.
-    let reference = sub_engine(&store, 4, 4, MaintenanceMode::Incremental, 1);
-    let sharded = sub_engine(&store, 4, 4, MaintenanceMode::Incremental, 4);
+    let reference = sub_engine(&store, 4, 4, 1);
+    let sharded = sub_engine(&store, 4, 4, 4);
     for q in &queries {
         assert_eq!(
             observe(&reference.query(q)),
