@@ -207,52 +207,35 @@ impl IsubIndex {
     /// instead of corrupting it).
     fn filter(&self, q: &Graph, qf: &PathFeatures) -> Vec<usize> {
         let max_len = self.path_config.max_len;
-        let query_features: Vec<(&LabelSeq, u32)> = qf
-            .counts
-            .iter()
-            .filter(|(seq, _)| seq.edge_len() <= max_len.min(qf.complete_len))
-            .map(|(seq, &c)| (seq, c))
-            .collect();
-
+        let features = || {
+            qf.counts
+                .iter()
+                .filter(|(seq, _)| seq.edge_len() <= max_len.min(qf.complete_len))
+                .map(|(seq, &c)| (seq, c))
+        };
         let size_ok = |slot: usize| {
             let g = &self.slots[slot].as_ref().expect("occupied").graph;
             g.vertex_count() >= q.vertex_count() && g.edge_count() >= q.edge_count()
         };
 
-        if query_features.is_empty() {
+        if features().next().is_none() {
             return (0..self.slots.len())
                 .filter(|&s| self.slots[s].is_some() && size_ok(s))
                 .collect();
         }
 
-        // Fully-indexed slots: posting-list intersection, most selective
-        // feature first.
-        let mut order: Vec<usize> = (0..query_features.len()).collect();
-        order.sort_by_key(|&i| self.trie.get(query_features[i].0).len());
-        let mut full: Option<Vec<usize>> = None;
-        for &i in &order {
-            let (seq, count) = query_features[i];
-            let qualifying: Vec<usize> = self
-                .trie
-                .get(seq)
-                .iter()
-                .filter(|p| {
-                    p.count >= count
-                        && self.slots[p.graph.index()]
-                            .as_ref()
-                            .is_some_and(|e| e.complete_len as usize == max_len)
-                })
-                .map(|p| p.graph.index())
-                .collect();
-            full = Some(match full {
-                None => qualifying,
-                Some(acc) => intersect_sorted_usize(&acc, &qualifying),
-            });
-            if full.as_ref().is_some_and(Vec::is_empty) {
-                break;
-            }
-        }
-        let mut candidates = full.unwrap_or_default();
+        // Fully-indexed slots: one pass of the posting-list kernel.
+        let fully_indexed = |id: GraphId| {
+            self.slots[id.index()]
+                .as_ref()
+                .is_some_and(|e| e.complete_len as usize == max_len)
+        };
+        let mut candidates: Vec<usize> = self
+            .trie
+            .containing(features(), fully_indexed)
+            .into_iter()
+            .map(GraphId::index)
+            .collect();
 
         // Budget-truncated slots: only features within each graph's
         // exhaustive depth may exclude it.
@@ -260,13 +243,12 @@ impl IsubIndex {
             let Some(entry) = entry else { continue };
             let depth = entry.complete_len as usize;
             if depth == max_len {
-                continue; // handled by the intersection above
+                continue; // handled by the kernel above
             }
             let id = GraphId::from_index(slot);
-            let ok = query_features
-                .iter()
+            let ok = features()
                 .filter(|(seq, _)| seq.edge_len() <= depth)
-                .all(|(seq, count)| self.trie.count_in(seq, id) >= *count);
+                .all(|(seq, count)| self.trie.count_in(seq, id) >= count);
             if ok {
                 candidates.push(slot);
             }
@@ -359,24 +341,6 @@ impl IndexSnapshot {
         }
         Ok(())
     }
-}
-
-/// Sorted intersection of two ascending slot lists.
-fn intersect_sorted_usize(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

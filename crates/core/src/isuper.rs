@@ -17,7 +17,6 @@
 use crate::isub::IndexSnapshot;
 use igq_features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
 use igq_graph::canon::CanonicalCode;
-use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId};
 use igq_iso::plan::{matches_with_plan, MatchPlan};
 use igq_iso::plan_cache::PlanCache;
@@ -206,29 +205,11 @@ impl IsuperIndex {
     /// counts `qf`. No false negatives.
     fn candidates(&self, qf: &PathFeatures) -> Vec<usize> {
         let ql = qf.complete_len;
-        let mut covered: FxHashMap<usize, u32> = FxHashMap::default();
-        for (seq, &qcount) in &qf.counts {
-            for posting in self.trie.get(seq) {
-                // Skip tombstones: a zero count is an absent posting, not a
-                // feature the query trivially covers.
-                if posting.count > 0 && posting.count <= qcount {
-                    *covered.entry(posting.graph.index()).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut out: Vec<usize> = Vec::new();
-        for (slot, entry) in self.slots.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            let limit = ql.min(entry.nf_by_len.len() - 1);
-            let required = entry.nf_by_len[limit];
-            if required == 0 {
-                // Featureless member (empty graph): vacuous candidate.
-                out.push(slot);
-            } else if covered.get(&slot).copied().unwrap_or(0) == required {
-                out.push(slot);
-            }
-        }
-        out
+        let features = qf.counts.iter().map(|(seq, &c)| (seq, c));
+        self.trie.covered_by(features, self.slots.len(), |slot| {
+            let nf = &self.slots[slot].as_ref()?.nf_by_len;
+            Some(nf[ql.min(nf.len() - 1)])
+        })
     }
 
     /// Approximate heap footprint (Fig. 18 accounting).

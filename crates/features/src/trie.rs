@@ -6,8 +6,7 @@
 //! stores `{gi, o}` pairs per feature — exactly a posting list).
 //!
 //! Nodes are arena-allocated (`Vec<TrieNode>`); children are label→node
-//! maps. Posting lists are kept sorted by graph id so filtering can merge
-//! them with two-pointer intersections.
+//! maps. Posting lists are kept sorted by graph id.
 //!
 //! Postings are **mutable**: ids may be inserted in any order (the query
 //! indexes key postings by reusable cache *slots*, not by monotonically
@@ -15,8 +14,15 @@
 //! tombstoning it in place (`count = 0`). Tombstones keep removal O(log
 //! |postings|) without shifting sibling entries; a node whose list becomes
 //! mostly tombstones is compacted on the spot, and [`FeatureTrie::compact`]
-//! sweeps the whole trie. Readers must treat `count == 0` postings as
-//! absent — every counting helper here already does.
+//! sweeps the whole trie.
+//!
+//! Filters read the trie through two kernels, which own the tombstone
+//! rule: [`FeatureTrie::containing`] (graphs holding every query feature
+//! often enough — the GGSX/Grapes dataset filter and `Isub`) and
+//! [`FeatureTrie::covered_by`] (members whose every feature the query
+//! holds often enough — Algorithm 2, `Isuper`). Readers of the raw
+//! [`FeatureTrie::get`] slices (snapshots, persistence, debugging) must
+//! treat `count == 0` postings as absent themselves.
 
 use crate::label_seq::LabelSeq;
 use igq_graph::fxhash::FxHashMap;
@@ -201,6 +207,78 @@ impl FeatureTrie {
         }
     }
 
+    /// Graphs that hold every feature of `features` at least as often as
+    /// its paired count, ascending. Only graphs passing `eligible` are
+    /// returned (callers exclude budget-truncated members, whose missing
+    /// postings prove nothing). An empty feature set yields no graphs: the
+    /// trie does not know the universe.
+    ///
+    /// The accumulator is seeded from the shortest posting list and every
+    /// further list is galloped through once, so the cost is bounded by the
+    /// shortest list times the log of the others, not by the index. Counts
+    /// must be positive: a tombstone then fails `count >= required` like
+    /// any other too-rare posting.
+    pub fn containing<'a>(
+        &self,
+        features: impl IntoIterator<Item = (&'a LabelSeq, u32)>,
+        eligible: impl Fn(GraphId) -> bool,
+    ) -> Vec<GraphId> {
+        let mut lists: Vec<(&[Posting], u32)> = features
+            .into_iter()
+            .map(|(seq, required)| (self.get(seq), required))
+            .collect();
+        debug_assert!(lists.iter().all(|&(_, required)| required > 0));
+        lists.sort_unstable_by_key(|(postings, _)| postings.len());
+        let Some((&(seed, required), rest)) = lists.split_first() else {
+            return Vec::new();
+        };
+        let mut acc: Vec<GraphId> = seed
+            .iter()
+            .filter(|p| p.count >= required && eligible(p.graph))
+            .map(|p| p.graph)
+            .collect();
+        for &(postings, required) in rest {
+            if acc.is_empty() {
+                break;
+            }
+            let mut cursor = 0;
+            acc.retain(|&id| {
+                cursor = gallop(postings, cursor, id);
+                postings
+                    .get(cursor)
+                    .is_some_and(|p| p.graph == id && p.count >= required)
+            });
+        }
+        acc
+    }
+
+    /// Algorithm 2: members `m < members` whose every feature the query
+    /// holds at least as often, ascending. `required(m)` is the number of
+    /// distinct features member `m` must see covered (`None` for an
+    /// unoccupied id); a member qualifies when exactly that many query
+    /// features `(seq, qcount)` meet a live posting of it with
+    /// `count <= qcount`. Tombstones (`count == 0`) cover nothing.
+    pub fn covered_by<'a>(
+        &self,
+        features: impl IntoIterator<Item = (&'a LabelSeq, u32)>,
+        members: usize,
+        required: impl Fn(usize) -> Option<u32>,
+    ) -> Vec<usize> {
+        let mut covered = vec![0u32; members];
+        for (seq, qcount) in features {
+            for p in self.get(seq) {
+                if p.count > 0 && p.count <= qcount {
+                    covered[p.graph.index()] += 1;
+                }
+            }
+        }
+        // `required == 0` is a featureless member (the empty graph): a
+        // vacuous candidate.
+        (0..members)
+            .filter(|&m| required(m).is_some_and(|r| r == 0 || covered[m] == r))
+            .collect()
+    }
+
     /// True when the feature occurs in at least one graph.
     pub fn contains(&self, seq: &LabelSeq) -> bool {
         self.walk(seq)
@@ -275,6 +353,20 @@ impl FeatureTrie {
             stack.pop();
         }
     }
+}
+
+/// First index `i >= from` with `postings[i].graph >= id` (`postings.len()`
+/// when there is none): doubling probes from `from`, then a binary search
+/// inside the last stride.
+fn gallop(postings: &[Posting], from: usize, id: GraphId) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < postings.len() && postings[hi].graph < id {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(postings.len());
+    lo + postings[lo..hi].partition_point(|p| p.graph < id)
 }
 
 #[cfg(test)]
@@ -452,6 +544,43 @@ mod tests {
             .map(|p| p.graph.raw())
             .collect();
         assert_eq!(graphs, vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn containing_intersects_with_count_thresholds() {
+        let mut t = FeatureTrie::new();
+        for id in 0..40u32 {
+            t.insert(&seq(&[1]), g(id), 1 + id % 3);
+        }
+        for id in (0..40u32).step_by(4) {
+            t.insert(&seq(&[1, 2]), g(id), 2);
+        }
+        t.remove(&seq(&[1]), g(8));
+        let (a, b) = (seq(&[1]), seq(&[1, 2]));
+        let got = t.containing([(&a, 2), (&b, 1)], |id| id != g(20));
+        // Multiples of 4 with 1 + id % 3 >= 2, minus the tombstoned 8 and
+        // the ineligible 20.
+        let want: Vec<GraphId> = [4u32, 16, 28, 32].iter().map(|&i| g(i)).collect();
+        assert_eq!(got, want);
+        assert!(t
+            .containing([(&a, 1), (&seq(&[9]), 1)], |_| true)
+            .is_empty());
+        assert!(t.containing([], |_| true).is_empty());
+    }
+
+    #[test]
+    fn covered_by_ignores_removed_members() {
+        let mut t = FeatureTrie::new();
+        t.insert(&seq(&[3]), g(0), 1);
+        t.insert(&seq(&[3]), g(1), 1);
+        t.insert(&seq(&[3, 4]), g(1), 2);
+        let (a, b) = (seq(&[3]), seq(&[3, 4]));
+        let nf = [Some(1), Some(2)];
+        assert_eq!(t.covered_by([(&a, 1), (&b, 2)], 2, |m| nf[m]), vec![0, 1]);
+        assert_eq!(t.covered_by([(&a, 1), (&b, 1)], 2, |m| nf[m]), vec![0]);
+        // A tombstone (`count == 0 <= qcount`) must not count as covered.
+        assert!(t.remove(&seq(&[3]), g(0)));
+        assert_eq!(t.covered_by([(&a, 1), (&b, 2)], 2, |m| nf[m]), vec![1]);
     }
 
     #[test]

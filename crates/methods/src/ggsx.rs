@@ -12,8 +12,8 @@
 //! enumerated depth never excludes that graph, preserving the no-false-
 //! negative contract at the price of filtering power.
 
-use crate::method::{intersect_sorted, Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
-use igq_features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
+use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
+use igq_features::{enumerate_paths, FeatureTrie, PathConfig, PathFeatures};
 use igq_graph::{Graph, GraphId, GraphStore};
 use igq_iso::{vf2, MatchConfig};
 use std::sync::Arc;
@@ -87,40 +87,23 @@ impl Ggsx {
         }
     }
 
-    fn size_screen(&self, q: &Graph, id: GraphId) -> bool {
-        let g = self.store.get(id);
-        g.vertex_count() >= q.vertex_count() && g.edge_count() >= q.edge_count()
-    }
-
     /// Shared body of `filter`/`filter_with_features`: trie filtering from
     /// an already-extracted query feature set.
     fn filter_from(&self, q: &Graph, qf: &PathFeatures) -> Filtered {
-        let features: Vec<(LabelSeq, u32)> = qf
-            .counts
-            .iter()
-            .filter(|(s, _)| s.edge_len() <= self.config.max_path_len)
-            .map(|(s, &c)| (s.clone(), c))
-            .collect();
-        let candidates = Ggsx::trie_filter(
+        Filtered::new(Ggsx::trie_filter(
             &self.store,
             &self.trie,
             &self.complete_len,
             &self.shallow,
             self.config.max_path_len,
             q,
-            &features,
-        );
-        debug_assert!(candidates.iter().all(|&id| self.size_screen(q, id)));
-        Filtered {
-            candidates,
-            context: QueryContext {
-                path_features: Some(features),
-            },
-        }
+            qf,
+        ))
     }
 
     /// Candidate computation shared with Grapes (which layers location-aware
-    /// verification on the same trie filter).
+    /// verification on the same trie filter). Features of `qf` longer than
+    /// `max_path_len` are ignored.
     pub(crate) fn trie_filter(
         store: &GraphStore,
         trie: &FeatureTrie,
@@ -128,63 +111,40 @@ impl Ggsx {
         shallow: &[GraphId],
         max_path_len: usize,
         q: &Graph,
-        query_features: &[(LabelSeq, u32)],
+        qf: &PathFeatures,
     ) -> Vec<GraphId> {
-        if query_features.is_empty() {
-            return store
-                .ids()
-                .filter(|&id| {
-                    let g = store.get(id);
-                    g.vertex_count() >= q.vertex_count() && g.edge_count() >= q.edge_count()
-                })
-                .collect();
-        }
-
-        // Fully-indexed graphs: posting-list intersection, most selective
-        // feature first.
-        let mut order: Vec<usize> = (0..query_features.len()).collect();
-        order.sort_by_key(|&i| trie.get(&query_features[i].0).len());
-
-        let mut full: Option<Vec<GraphId>> = None;
-        for &i in &order {
-            let (seq, count) = &query_features[i];
-            let qualifying: Vec<GraphId> = trie
-                .get(seq)
+        let size_ok = |id: GraphId| {
+            let g = store.get(id);
+            g.vertex_count() >= q.vertex_count() && g.edge_count() >= q.edge_count()
+        };
+        let features = || {
+            qf.counts
                 .iter()
-                .filter(|p| {
-                    p.count >= *count && complete_len[p.graph.index()] as usize == max_path_len
-                })
-                .map(|p| p.graph)
-                .collect();
-            full = Some(match full {
-                None => qualifying,
-                Some(acc) => intersect_sorted(&acc, &qualifying),
-            });
-            if full.as_ref().is_some_and(|f| f.is_empty()) {
-                break;
-            }
+                .filter(|(seq, _)| seq.edge_len() <= max_path_len)
+                .map(|(seq, &count)| (seq, count))
+        };
+        if features().next().is_none() {
+            return store.ids().filter(|&id| size_ok(id)).collect();
         }
-        let mut candidates = full.unwrap_or_default();
+
+        // Fully-indexed graphs: one pass of the posting-list kernel.
+        let mut candidates = trie.containing(features(), |id| {
+            complete_len[id.index()] as usize == max_path_len
+        });
 
         // Truncated graphs: only features within each graph's exhaustive
         // depth may exclude it.
         for &id in shallow {
             let depth = complete_len[id.index()] as usize;
-            let ok = query_features
-                .iter()
+            let ok = features()
                 .filter(|(seq, _)| seq.edge_len() <= depth)
-                .all(|(seq, count)| trie.count_in(seq, id) >= *count);
+                .all(|(seq, count)| trie.count_in(seq, id) >= count);
             if ok {
                 candidates.push(id);
             }
         }
         candidates.sort_unstable();
-
-        // Final size screen.
-        candidates.retain(|&id| {
-            let g = store.get(id);
-            g.vertex_count() >= q.vertex_count() && g.edge_count() >= q.edge_count()
-        });
+        candidates.retain(|&id| size_ok(id));
         candidates
     }
 }

@@ -322,7 +322,7 @@ impl Grapes {
             &self.shallow,
             self.config.max_path_len,
             q,
-            &features,
+            qf,
         );
         Filtered {
             candidates,

@@ -15,7 +15,8 @@ use igq_iso::MatchConfig;
 /// location info per candidate).
 #[derive(Debug, Clone, Default)]
 pub struct QueryContext {
-    /// The query's canonical path features with occurrence counts.
+    /// The query's canonical path features with occurrence counts. Set by
+    /// Grapes' filter (its location-aware verifier is the one reader).
     pub path_features: Option<Vec<(LabelSeq, u32)>>,
 }
 

@@ -21,7 +21,6 @@
 use crate::batch::VerifyBatchStats;
 use crate::method::VerifyOutcome;
 use igq_features::{enumerate_paths, FeatureTrie, PathConfig, PathFeatures};
-use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId, GraphProfile, GraphStore};
 use igq_iso::plan::{matches_with_plan, MatchPlan};
 use igq_iso::{vf2, with_thread_scratch, MatchConfig};
@@ -90,26 +89,12 @@ impl ContainmentIndex {
     /// with the given (already-extracted) features. No false negatives.
     pub fn candidates(&self, query_features: &PathFeatures) -> Vec<usize> {
         let ql = query_features.complete_len;
-        let mut covered: FxHashMap<usize, u32> = FxHashMap::default();
-        for (seq, &qcount) in &query_features.counts {
-            for posting in self.trie.get(seq) {
-                if posting.count <= qcount {
-                    *covered.entry(posting.graph.index()).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut out: Vec<usize> = Vec::new();
-        for (member, nf) in self.nf_by_len.iter().enumerate() {
-            let limit = ql.min(nf.len() - 1);
-            let required = nf[limit];
-            if required == 0 {
-                // Featureless member (empty graph): vacuous candidate.
-                out.push(member);
-            } else if covered.get(&member).copied().unwrap_or(0) == required {
-                out.push(member);
-            }
-        }
-        out
+        let features = query_features.counts.iter().map(|(seq, &c)| (seq, c));
+        self.trie
+            .covered_by(features, self.nf_by_len.len(), |member| {
+                let nf = &self.nf_by_len[member];
+                Some(nf[ql.min(nf.len() - 1)])
+            })
     }
 
     /// Convenience: extract query features and run Algorithm 2.

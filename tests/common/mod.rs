@@ -2,6 +2,7 @@
 #![allow(dead_code)] // each test binary uses a different helper subset
 
 pub mod canon_oracle;
+pub mod filter_oracle;
 
 use igq::prelude::*;
 use proptest::prelude::*;
