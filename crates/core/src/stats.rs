@@ -138,9 +138,6 @@ pub struct EngineStats {
     /// Plans dropped from the plan cache: capacity replacement plus
     /// window-eviction of their queries from the query cache.
     pub plan_cache_evictions: u64,
-    /// Wall-clock spent in the columnar (struct-of-arrays) pre-verify
-    /// screen, across all verification batches.
-    pub columnar_screen_time: Duration,
     /// Typed requests answered through [`crate::Engine::execute`] /
     /// [`crate::Engine::execute_batch`] — the serving-edge request count.
     /// Plain [`crate::Engine::query`] calls are *not* requests; they show
@@ -231,7 +228,6 @@ impl EngineStats {
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
         self.plan_cache_evictions += other.plan_cache_evictions;
-        self.columnar_screen_time += other.columnar_screen_time;
         self.requests_served += other.requests_served;
         self.requests_rejected_overload += other.requests_rejected_overload;
         self.batches_coalesced += other.batches_coalesced;
@@ -324,7 +320,6 @@ pub(crate) struct AtomicEngineStats {
     requests_served: AtomicU64,
     requests_rejected_overload: AtomicU64,
     batches_coalesced: AtomicU64,
-    columnar_screen_nanos: AtomicU64,
     filter_nanos: AtomicU64,
     igq_nanos: AtomicU64,
     verify_nanos: AtomicU64,
@@ -449,8 +444,6 @@ impl AtomicEngineStats {
         self.scratch_allocs.fetch_add(b.scratch_allocs, R);
         self.preverify_rejections
             .fetch_add(b.preverify_rejections, R);
-        self.columnar_screen_nanos
-            .fetch_add(b.columnar_screen_ns, R);
     }
 
     /// Counts one typed request served (`execute` / `execute_batch`).
@@ -546,7 +539,6 @@ impl AtomicEngineStats {
             plan_cache_hits: 0,
             plan_cache_misses: 0,
             plan_cache_evictions: 0,
-            columnar_screen_time: Duration::from_nanos(self.columnar_screen_nanos.load(R)),
             filter_time: Duration::from_nanos(self.filter_nanos.load(R)),
             igq_time: Duration::from_nanos(self.igq_nanos.load(R)),
             verify_time: Duration::from_nanos(self.verify_nanos.load(R)),
@@ -618,14 +610,12 @@ mod tests {
             plan_builds: 2,
             scratch_allocs: 1,
             preverify_rejections: 5,
-            columnar_screen_ns: 100,
             ..Default::default()
         });
         atomic.record_verify_batch(&igq_methods::VerifyBatchStats {
             plan_builds: 1,
             scratch_allocs: 0,
             preverify_rejections: 2,
-            columnar_screen_ns: 50,
             ..Default::default()
         });
         let snap = atomic.snapshot();
@@ -648,7 +638,6 @@ mod tests {
         assert_eq!(snap.plan_builds, 3);
         assert_eq!(snap.scratch_allocs, 1);
         assert_eq!(snap.preverify_rejections, 7);
-        assert_eq!(snap.columnar_screen_time, Duration::from_nanos(150));
     }
 
     #[test]

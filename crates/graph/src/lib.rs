@@ -24,7 +24,6 @@
 
 pub mod builder;
 pub mod canon;
-pub mod columns;
 pub mod error;
 pub mod fxhash;
 pub mod graph;
@@ -36,7 +35,6 @@ pub mod store;
 mod ids;
 
 pub use builder::GraphBuilder;
-pub use columns::ProfileColumns;
 pub use error::{GraphError, Result};
 pub use graph::Graph;
 pub use ids::{GraphId, LabelId, VertexId};

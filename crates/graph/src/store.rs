@@ -1,6 +1,5 @@
 //! The dataset: a `GraphStore` holds `D = {G1, ..., Gn}`.
 
-use crate::columns::ProfileColumns;
 use crate::fxhash::FxHashMap;
 use crate::profile::GraphProfile;
 use crate::{Graph, GraphId, LabelId};
@@ -23,9 +22,6 @@ pub struct GraphStore {
     graphs: Vec<Graph>,
     /// One precomputed profile per graph, id-aligned with `graphs`.
     profiles: Vec<GraphProfile>,
-    /// The same statistics transposed into struct-of-arrays columns for
-    /// the batch (columnar) pre-verify screens.
-    columns: ProfileColumns,
     /// Total multiplicity of each vertex label across the dataset — the
     /// store-level rarity statistic behind target-independent matching
     /// plans.
@@ -77,7 +73,6 @@ impl GraphStore {
         for &(l, c) in profile.label_counts() {
             *self.label_totals.entry(l).or_insert(0) += c as u64;
         }
-        self.columns.push(&profile);
         self.profiles.push(profile);
         self.graphs.push(g);
         id
@@ -98,42 +93,6 @@ impl GraphStore {
     #[inline]
     pub fn label_frequency(&self, label: LabelId) -> u64 {
         self.label_totals.get(&label).copied().unwrap_or(0)
-    }
-
-    /// The columnar transpose of the stored profiles (see
-    /// [`ProfileColumns`]).
-    #[inline]
-    pub fn columns(&self) -> &ProfileColumns {
-        &self.columns
-    }
-
-    /// Columnar pre-verify screen, subgraph direction: sets bit `i` of
-    /// `mask` iff candidate (target) `candidates[i]` may contain a graph
-    /// with profile `pattern` — exactly
-    /// [`GraphProfile::may_contain`]`(pattern)` per candidate, computed
-    /// as branch-free column passes.
-    pub fn screen_targets(
-        &self,
-        pattern: &GraphProfile,
-        candidates: &[GraphId],
-        mask: &mut Vec<u64>,
-    ) {
-        self.columns
-            .screen_targets(&self.profiles, pattern, candidates, mask);
-    }
-
-    /// Columnar pre-verify screen, supergraph direction: sets bit `i` of
-    /// `mask` iff candidate (pattern) `candidates[i]` may be contained in
-    /// a graph with profile `target` — exactly
-    /// `target.may_contain(profile(candidates[i]))` per candidate.
-    pub fn screen_patterns(
-        &self,
-        target: &GraphProfile,
-        candidates: &[GraphId],
-        mask: &mut Vec<u64>,
-    ) {
-        self.columns
-            .screen_patterns(&self.profiles, target, candidates, mask);
     }
 
     /// The graph with the given id.
@@ -186,13 +145,12 @@ impl GraphStore {
         self.graphs.iter().map(|g| g.edge_count()).sum()
     }
 
-    /// Approximate heap footprint, in bytes: the stored graphs plus the
-    /// derived screening structures (per-graph [`GraphProfile`]s and the
-    /// columnar [`ProfileColumns`] transpose).
+    /// Approximate heap footprint, in bytes: the stored graphs plus their
+    /// precomputed [`GraphProfile`]s.
     pub fn heap_size_bytes(&self) -> u64 {
         let graphs: u64 = self.graphs.iter().map(|g| g.heap_size_bytes()).sum();
         let profiles: u64 = self.profiles.iter().map(|p| p.heap_size_bytes()).sum();
-        graphs + profiles + self.columns.heap_size_bytes()
+        graphs + profiles
     }
 }
 

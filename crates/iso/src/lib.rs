@@ -1,25 +1,23 @@
 //! # igq-iso
 //!
-//! Subgraph-isomorphism engines and the iGQ cost model.
+//! The subgraph-isomorphism matcher and the iGQ cost model.
 //!
 //! The verification stage of every filter-then-verify method — and therefore
 //! the quantity iGQ exists to minimize — is the NP-complete subgraph
 //! isomorphism test (paper Definition 2: an injective, label- and
 //! edge-preserving map; i.e. *monomorphism*). This crate provides:
 //!
-//! * [`vf2`] — the VF2 algorithm (Cordella et al., TPAMI 2004), the matcher
-//!   used by GGSX and CT-Index and "arguably the most widely used" per the
-//!   paper;
-//! * [`plan`] — the amortized VF2 hot path: a query-side [`MatchPlan`]
-//!   built once per query plus a reusable [`MatchScratch`] workspace, so
-//!   batch verification explores candidates with zero per-candidate heap
-//!   allocations (the per-pair [`vf2`] stays as the one-off fallback and
-//!   property-test oracle);
+//! * [`plan`] — the one matcher: VF2 (Cordella et al., TPAMI 2004, the
+//!   matcher GGSX and CT-Index use and "arguably the most widely used" per
+//!   the paper) split into a query-side [`MatchPlan`] plus a reusable
+//!   [`MatchScratch`] workspace, so batch verification builds one plan per
+//!   query and explores candidates with zero per-candidate heap
+//!   allocations. [`find_one`] is its per-pair entry (a target-ordered
+//!   plan on the thread's scratch) behind [`is_subgraph`],
+//!   [`are_isomorphic`] and every one-off test;
 //! * [`plan_cache`] — a bounded, sharded [`PlanCache`] keyed by canonical
 //!   code, so repeated (isomorphic) queries reuse one [`MatchPlan`] instead
 //!   of rebuilding it per query, with rarity-drift staleness detection;
-//! * [`ullmann`] — Ullmann's 1976 algorithm, the classic baseline (\[39\] in
-//!   the paper), kept as an independent property-test oracle for VF2;
 //! * [`budget`] — optional search-state budgets so harness code can bound
 //!   pathological instances *without* silently changing answers (exhausting
 //!   a budget yields [`Outcome::Aborted`], never a fabricated no);
@@ -27,6 +25,10 @@
 //!   `c(g′,Gi) = Ni·Ni! / (L^{n+1}·(Ni−n)!)`, evaluated in log space because
 //!   the factorials overflow `f64` for every PDBS-sized graph;
 //! * [`stats`] — mergeable counters for tests run and states explored.
+//!
+//! The integration tests hold the matcher to two independent engines kept
+//! under `tests/common/`: the per-pair VF2 engine it replaced, and
+//! Ullmann's 1976 algorithm (\[39\] in the paper).
 
 pub mod budget;
 pub mod cost;
@@ -35,14 +37,13 @@ pub mod plan;
 pub mod plan_cache;
 pub mod semantics;
 pub mod stats;
-pub mod ullmann;
-pub mod vf2;
 
 pub use budget::Budget;
 pub use cost::{iso_cost_ln, CostModel};
 pub use logmath::LogValue;
 pub use plan::{
-    find_with_plan, matches_with_plan, with_thread_scratch, MatchPlan, MatchScratch, Verdict,
+    find_one, find_with_plan, matches_with_plan, with_thread_scratch, MatchPlan, MatchScratch,
+    Verdict,
 };
 pub use plan_cache::{PlanCache, PlanCacheStats, RARITY_DRIFT_FACTOR};
 pub use semantics::{MatchConfig, MatchSemantics, Outcome};
@@ -50,7 +51,7 @@ pub use stats::IsoStats;
 
 use igq_graph::Graph;
 
-/// Convenience: unlimited-budget monomorphism test with VF2.
+/// Convenience: unlimited-budget monomorphism test through [`find_one`].
 ///
 /// ```
 /// use igq_graph::graph_from;
@@ -60,7 +61,7 @@ use igq_graph::Graph;
 /// assert!(!igq_iso::is_subgraph(&tri, &path));
 /// ```
 pub fn is_subgraph(pattern: &Graph, target: &Graph) -> bool {
-    vf2::find_one(pattern, target, &MatchConfig::default())
+    find_one(pattern, target, &MatchConfig::default())
         .outcome
         .is_found()
 }

@@ -1,23 +1,17 @@
-//! Amortized VF2: a query-side [`MatchPlan`] built **once per query** plus
-//! a reusable [`MatchScratch`] workspace, so the steady-state verification
-//! loop — one query against a whole batch of candidates — performs **zero
-//! heap allocations** per candidate.
-//!
-//! The legacy engine ([`crate::vf2`]) plans per *(pattern, target)* pair:
-//! every candidate pays an `O(|pattern|²)` ordering pass with
-//! `vertices_with_label` rarity scans against the target, a fresh
-//! `mapping`/`used` allocation, and a `Vec` clone of the candidate slice at
-//! every search depth. This module splits that work:
+//! The matcher: VF2 split into a query-side [`MatchPlan`] built **once
+//! per query** plus a reusable [`MatchScratch`] workspace, so the
+//! steady-state verification loop — one query against a whole batch of
+//! candidates — performs **zero heap allocations** per candidate.
 //!
 //! * [`MatchPlan::build`] orders the pattern once, using any label-rarity
-//!   statistic the caller supplies — typically the *store-level* label
-//!   frequency table ([`igq_graph::GraphStore::label_frequency`]), making
-//!   the plan target-independent and shareable across every candidate of a
-//!   batch. The ordering heuristic is byte-for-byte the legacy one
-//!   (rarest-label seed, connectivity-first growth), so
-//!   [`MatchPlan::for_target`] with the target's own label index
-//!   reproduces the legacy search exactly — state count, abort behavior
-//!   and all — which the property suite pins.
+//!   statistic the caller supplies — typically the candidate batch's
+//!   aggregated label counts or the store-level frequency table
+//!   ([`igq_graph::GraphStore::label_frequency`]), making the plan
+//!   target-independent and shareable across every candidate of a batch.
+//!   [`MatchPlan::for_target`] ranks by the target's own label index
+//!   instead: the classic per-pair VF2 ordering (rarest-label seed,
+//!   connectivity-first growth), which `tests/prop_hotpath.rs` pins state
+//!   for state to the per-pair VF2 engine kept there as an oracle.
 //! * Per-entry pattern facts (label, degree, backward edges *as plan
 //!   positions* with their pattern edge labels, induced non-neighbors) are
 //!   flattened into the plan, so the inner search loop never touches the
@@ -32,10 +26,10 @@
 //!
 //! [`matches_with_plan`] returns the verdict without materializing an
 //! embedding (the batch-verification hot path needs only containment);
-//! [`find_with_plan`] additionally reconstructs the mapping.
-//!
-//! The legacy per-pair [`crate::vf2::find_one`] remains the fallback for
-//! one-off tests and is the oracle the property tests compare against.
+//! [`find_with_plan`] additionally reconstructs the mapping. [`find_one`]
+//! is the per-pair entry — a target-ordered plan on the thread's scratch —
+//! for one-off tests: `is_subgraph`, a method's single-candidate `verify`,
+//! the engine's duplicate check.
 
 use crate::budget::Budget;
 use crate::semantics::{MatchConfig, MatchResult, MatchSemantics, Outcome};
@@ -116,7 +110,7 @@ pub struct MatchPlan {
 impl MatchPlan {
     /// Builds the plan for `pattern` under `config`, ordering vertices by
     /// the caller-supplied label `rarity` statistic (smaller = rarer =
-    /// earlier). The heuristic is the legacy one: per connected component,
+    /// earlier). The heuristic is VF2's: per connected component,
     /// seed at the (rarest label, max degree) vertex, then grow
     /// connectivity-first preferring (most ordered neighbors, rarest
     /// label, max degree).
@@ -137,7 +131,7 @@ impl MatchPlan {
 
         while order.len() < n {
             // Seed: unordered vertex with rarest label, tie-break max
-            // degree (`min_by_key` keeps the first minimum, as legacy).
+            // degree (`min_by_key` keeps the first minimum).
             let seed = pattern
                 .vertices()
                 .filter(|&v| !ordered[v.index()])
@@ -153,7 +147,7 @@ impl MatchPlan {
 
             // Grow the component: most already-ordered neighbors first,
             // then rarest label, then max degree (`max_by_key` keeps the
-            // last maximum, as legacy).
+            // last maximum).
             loop {
                 let next = pattern
                     .vertices()
@@ -192,8 +186,8 @@ impl MatchPlan {
         for (pos, &v) in order.iter().enumerate() {
             let back_start = backward.len() as u32;
             // Backward neighbors in ascending pattern-vertex order (the
-            // sorted neighbor slice), exactly as the legacy plan stores
-            // them — candidate-source selection tie-breaks identically.
+            // sorted neighbor slice), so candidate-source selection
+            // tie-breaks on the lowest pattern vertex.
             for &w in pattern.neighbors(v) {
                 if (position[w.index()] as usize) < pos {
                     backward.push(BackRef {
@@ -206,7 +200,7 @@ impl MatchPlan {
             let nonadj_start = nonadj.len() as u32;
             if config.semantics == MatchSemantics::Induced {
                 // Earlier positions not adjacent to `v` in the pattern, in
-                // plan order (the legacy loop's `0..depth` scan order).
+                // plan order.
                 for (d, &q) in order.iter().enumerate().take(pos) {
                     if !pattern.has_edge(q, v) {
                         nonadj.push(d as u32);
@@ -238,9 +232,9 @@ impl MatchPlan {
     }
 
     /// Builds a plan with the *target's* label index as the rarity
-    /// statistic — the legacy per-pair ordering. Used where the target is
-    /// fixed and known (supergraph verification, one-off calls) and by the
-    /// parity property tests.
+    /// statistic — the per-pair ordering. Used where the target is fixed
+    /// and known: [`find_one`], supergraph verification, and large batch
+    /// targets.
     pub fn for_target(pattern: &Graph, target: &Graph, config: &MatchConfig) -> MatchPlan {
         MatchPlan::build(pattern, config, &mut |l| {
             target.vertices_with_label(l).len() as u64
@@ -334,9 +328,14 @@ thread_local! {
 /// Runs `f` with this thread's shared [`MatchScratch`]. The workspace
 /// persists for the thread's lifetime, so steady-state callers (batch
 /// verification loops, worker threads) reuse warm buffers across queries
-/// without threading a scratch through every call site.
+/// without threading a scratch through every call site. Reentrant: when
+/// the thread's workspace is already borrowed further up the stack, `f`
+/// gets a fresh one instead.
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut MatchScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+    THREAD_SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut MatchScratch::new()),
+    })
 }
 
 /// The recursive search, generic over whether an embedding is materialized.
@@ -488,9 +487,7 @@ pub fn matches_with_plan(
     run_search(plan, target, scratch)
 }
 
-/// Like [`matches_with_plan`], but reconstructs the embedding on success —
-/// observationally identical to [`crate::vf2::find_one`] when the plan was
-/// built with [`MatchPlan::for_target`].
+/// Like [`matches_with_plan`], but reconstructs the embedding on success.
 pub fn find_with_plan(plan: &MatchPlan, target: &Graph, scratch: &mut MatchScratch) -> MatchResult {
     let (verdict, states) = run_search(plan, target, scratch);
     let outcome = match verdict {
@@ -498,7 +495,7 @@ pub fn find_with_plan(plan: &MatchPlan, target: &Graph, scratch: &mut MatchScrat
         Verdict::NotFound => Outcome::NotFound,
         Verdict::Found => {
             // `scratch.mapping` is plan-position-indexed; re-key by
-            // pattern vertex, as the legacy engine reports it.
+            // pattern vertex.
             let mut mapping = vec![VertexId::new(u32::MAX); plan.pattern_vertex_count()];
             for (pos, e) in plan.entries.iter().enumerate() {
                 mapping[e.vertex.index()] = VertexId::new(scratch.mapping[pos]);
@@ -509,57 +506,120 @@ pub fn find_with_plan(plan: &MatchPlan, target: &Graph, scratch: &mut MatchScrat
     MatchResult { outcome, states }
 }
 
+/// The per-pair entry: plans `pattern` against `target`'s own label index
+/// ([`MatchPlan::for_target`]) and searches with [`find_with_plan`] on the
+/// thread's scratch ([`with_thread_scratch`], so it is safe to call from
+/// inside a batch). Finds one embedding, proves none exists, or aborts
+/// when `config`'s budget runs out.
+pub fn find_one(pattern: &Graph, target: &Graph, config: &MatchConfig) -> MatchResult {
+    let plan = MatchPlan::for_target(pattern, target, config);
+    with_thread_scratch(|scratch| find_with_plan(&plan, target, scratch))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::semantics::verify_embedding;
-    use crate::vf2;
     use igq_graph::{graph_from, graph_from_el};
 
-    fn assert_parity(p: &Graph, t: &Graph, config: &MatchConfig) {
-        let legacy = vf2::find_one(p, t, config);
-        let plan = MatchPlan::for_target(p, t, config);
-        let mut scratch = MatchScratch::new();
-        let amortized = find_with_plan(&plan, t, &mut scratch);
-        assert_eq!(legacy, amortized, "pattern {p:?} target {t:?}");
-        let (verdict, states) = matches_with_plan(&plan, t, &mut scratch);
-        assert_eq!(states, legacy.states);
-        assert_eq!(verdict.is_found(), legacy.outcome.is_found());
+    fn cfg() -> MatchConfig {
+        MatchConfig::default()
     }
 
     #[test]
-    fn parity_with_legacy_on_fixed_cases() {
+    fn empty_pattern_matches_anything() {
+        let t = graph_from(&[0, 1], &[(0, 1)]);
+        let r = find_one(&graph_from(&[], &[]), &t, &cfg());
+        assert!(r.outcome.is_found());
+    }
+
+    #[test]
+    fn single_vertex_label_match() {
+        let t = graph_from(&[3, 5], &[(0, 1)]);
+        assert!(find_one(&graph_from(&[5], &[]), &t, &cfg())
+            .outcome
+            .is_found());
+        assert!(find_one(&graph_from(&[9], &[]), &t, &cfg())
+            .outcome
+            .is_not_found());
+    }
+
+    #[test]
+    fn path_in_triangle_mono() {
+        let p = graph_from(&[0, 0, 0], &[(0, 1), (1, 2)]);
         let tri = graph_from(&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
-        let p3 = graph_from(&[0, 0, 0], &[(0, 1), (1, 2)]);
-        let labeled_t = graph_from(
-            &[3, 1, 2, 1, 2, 3],
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
-        );
-        let labeled_p = graph_from(&[1, 2, 1], &[(0, 1), (1, 2)]);
-        let disconnected = graph_from(&[0, 1, 0, 1], &[(0, 1), (2, 3)]);
-        for config in [MatchConfig::default(), MatchConfig::induced()] {
-            assert_parity(&p3, &tri, &config);
-            assert_parity(&tri, &p3, &config);
-            assert_parity(&labeled_p, &labeled_t, &config);
-            assert_parity(&disconnected, &labeled_t, &config);
-            assert_parity(&graph_from(&[], &[]), &tri, &config);
-            assert_parity(&graph_from(&[9], &[]), &tri, &config);
-        }
+        let r = find_one(&p, &tri, &cfg());
+        let m = r
+            .outcome
+            .mapping()
+            .expect("path embeds in triangle")
+            .to_vec();
+        assert!(verify_embedding(&p, &tri, &m, MatchSemantics::Monomorphism));
     }
 
     #[test]
-    fn parity_includes_budget_aborts() {
-        // The clique-in-ring instance from the legacy budget test.
-        let clique = |n: u32| {
-            let mut edges = Vec::new();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    edges.push((i, j));
-                }
+    fn path_in_triangle_induced_fails() {
+        // Induced P3 needs the endpoints non-adjacent: impossible in K3.
+        let p = graph_from(&[0, 0, 0], &[(0, 1), (1, 2)]);
+        let tri = graph_from(&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
+        assert!(find_one(&p, &tri, &MatchConfig::induced())
+            .outcome
+            .is_not_found());
+    }
+
+    #[test]
+    fn labels_constrain_matching() {
+        let p = graph_from(&[1, 2], &[(0, 1)]);
+        let yes = graph_from(&[2, 1, 0], &[(0, 1), (1, 2)]);
+        let no = graph_from(&[1, 1, 2], &[(0, 1)]); // 2 is isolated
+        assert!(find_one(&p, &yes, &cfg()).outcome.is_found());
+        assert!(find_one(&p, &no, &cfg()).outcome.is_not_found());
+    }
+
+    #[test]
+    fn pattern_larger_than_target_short_circuits() {
+        let p = graph_from(&[0, 0, 0], &[(0, 1), (1, 2)]);
+        let t = graph_from(&[0, 0], &[(0, 1)]);
+        let r = find_one(&p, &t, &cfg());
+        assert!(r.outcome.is_not_found());
+        assert_eq!(r.states, 0);
+    }
+
+    #[test]
+    fn disconnected_pattern() {
+        // Two independent labeled edges; target must host both disjointly.
+        let p = graph_from(&[0, 1, 0, 1], &[(0, 1), (2, 3)]);
+        let yes = graph_from(&[0, 1, 0, 1, 9], &[(0, 1), (2, 3)]);
+        let no = graph_from(&[0, 1, 9], &[(0, 1)]); // only one 0-1 edge
+        let r = find_one(&p, &yes, &cfg());
+        let m = r
+            .outcome
+            .mapping()
+            .expect("two disjoint edges exist")
+            .to_vec();
+        assert!(verify_embedding(&p, &yes, &m, MatchSemantics::Monomorphism));
+        assert!(find_one(&p, &no, &cfg()).outcome.is_not_found());
+    }
+
+    #[test]
+    fn cycle_needs_cycle() {
+        let c4 = graph_from(&[0; 4], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let p4 = graph_from(&[0; 4], &[(0, 1), (1, 2), (2, 3)]);
+        assert!(find_one(&p4, &c4, &cfg()).outcome.is_found());
+        assert!(find_one(&c4, &p4, &cfg()).outcome.is_not_found());
+    }
+
+    #[test]
+    fn budget_aborts_and_reports() {
+        // A 6-clique against a ring of overlapping 5-cliques (no 6-clique):
+        // a tiny budget runs out long before the search fails.
+        let mut clique = Vec::new();
+        for i in 0..6u32 {
+            for j in (i + 1)..6 {
+                clique.push((i, j));
             }
-            graph_from(&vec![0; n as usize], &edges)
-        };
-        let p = clique(6);
+        }
+        let p = graph_from(&[0; 6], &clique);
         let mut edges = Vec::new();
         for i in 0..12u32 {
             for d in 1..=4u32 {
@@ -568,21 +628,87 @@ mod tests {
             }
         }
         let t = graph_from(&[0; 12], &edges);
-        assert_parity(&p, &t, &MatchConfig::with_budget(10));
-        assert_parity(&p, &t, &MatchConfig::with_budget(1000));
+        let r = find_one(&p, &t, &MatchConfig::with_budget(10));
+        assert_eq!(r.outcome, Outcome::Aborted);
+        assert!(r.states <= 11);
     }
 
     #[test]
-    fn parity_with_edge_labels() {
+    fn edge_labels_constrain_matching() {
+        // Target: path with a single(1) and a double(2) bond.
         let t = graph_from_el(&[0, 0, 0], &[(0, 1, 1), (1, 2, 2)]);
-        for p in [
-            graph_from_el(&[0, 0], &[(0, 1, 1)]),
-            graph_from_el(&[0, 0], &[(0, 1, 2)]),
-            graph_from_el(&[0, 0], &[(0, 1, 3)]),
-            graph_from(&[0, 0], &[(0, 1)]),
-        ] {
-            assert_parity(&p, &t, &MatchConfig::default());
+        let single = graph_from_el(&[0, 0], &[(0, 1, 1)]);
+        let double = graph_from_el(&[0, 0], &[(0, 1, 2)]);
+        let triple = graph_from_el(&[0, 0], &[(0, 1, 3)]);
+        assert!(find_one(&single, &t, &cfg()).outcome.is_found());
+        assert!(find_one(&double, &t, &cfg()).outcome.is_found());
+        assert!(find_one(&triple, &t, &cfg()).outcome.is_not_found());
+        // A double-double path needs two label-2 edges; the target has one.
+        let dd = graph_from_el(&[0, 0, 0], &[(0, 1, 2), (1, 2, 2)]);
+        assert!(find_one(&dd, &t, &cfg()).outcome.is_not_found());
+    }
+
+    #[test]
+    fn unlabeled_pattern_defaults_to_label_zero() {
+        // An unlabeled pattern edge means "label 0": it must not match a
+        // target edge labeled 5, but matches a target edge labeled 0.
+        let p = graph_from(&[0, 0], &[(0, 1)]);
+        let t5 = graph_from_el(&[0, 0], &[(0, 1, 5)]);
+        let t0 = graph_from(&[0, 0], &[(0, 1)]);
+        assert!(find_one(&p, &t5, &cfg()).outcome.is_not_found());
+        assert!(find_one(&p, &t0, &cfg()).outcome.is_found());
+    }
+
+    #[test]
+    fn edge_labeled_mapping_is_verified() {
+        let p = graph_from_el(&[1, 2], &[(0, 1, 4)]);
+        let t = graph_from_el(&[2, 1, 2], &[(0, 1, 3), (1, 2, 4)]);
+        let r = find_one(&p, &t, &cfg());
+        let m = r.outcome.mapping().expect("label-4 edge exists").to_vec();
+        assert!(verify_embedding(&p, &t, &m, MatchSemantics::Monomorphism));
+        assert_eq!(
+            m[1].index(),
+            2,
+            "pattern's 2 must map to the 4-labeled edge's end"
+        );
+    }
+
+    #[test]
+    fn found_mapping_is_always_valid() {
+        // Query-sized fixed case with mixed labels and repeated labels.
+        let p = graph_from(&[1, 2, 1, 3], &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+        let t = graph_from(
+            &[3, 1, 2, 1, 2, 3],
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 0),
+                (1, 4),
+                (0, 3),
+            ],
+        );
+        let r = find_one(&p, &t, &cfg());
+        if let Some(m) = r.outcome.mapping() {
+            assert!(verify_embedding(&p, &t, m, MatchSemantics::Monomorphism));
         }
+    }
+
+    #[test]
+    fn per_pair_entry_is_reentrant_inside_thread_scratch() {
+        // A one-off test made while the thread's workspace is borrowed
+        // (e.g. from inside a batch loop) runs on a fresh one.
+        let p = graph_from(&[0, 1], &[(0, 1)]);
+        let t = graph_from(&[1, 0, 1], &[(0, 1), (1, 2)]);
+        let plan = MatchPlan::for_target(&p, &t, &cfg());
+        let (outer, inner) = with_thread_scratch(|s| {
+            let inner = find_one(&p, &t, &cfg());
+            (find_with_plan(&plan, &t, s), inner)
+        });
+        assert!(inner.outcome.is_found());
+        assert_eq!(outer, inner);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Matching semantics, configuration, and result types shared by all engines.
+//! Matching semantics, configuration, and result types.
 
 use crate::budget::Budget;
 use igq_graph::VertexId;
@@ -89,14 +89,15 @@ pub struct MatchResult {
 }
 
 impl MatchResult {
-    pub(crate) fn new(outcome: Outcome, states: u64) -> Self {
+    /// A result from its verdict and state count.
+    pub fn new(outcome: Outcome, states: u64) -> Self {
         MatchResult { outcome, states }
     }
 }
 
 /// Validates that `mapping` is a correct embedding of `pattern` into
-/// `target` under `semantics`. Test/debug helper used by both engines'
-/// test suites and by the property tests.
+/// `target` under `semantics`. Test/debug helper used by the matcher's
+/// unit tests and by the property tests.
 pub fn verify_embedding(
     pattern: &igq_graph::Graph,
     target: &igq_graph::Graph,

@@ -13,23 +13,17 @@
 //!   exactly the graphs that survived filtering rather than for the whole
 //!   dataset;
 //! * the query's [`GraphProfile`], powering the pre-verify screen
-//!   (label-count + degree-sequence dominance) against each candidate's
-//!   precomputed store profile — a rejected candidate never starts a
-//!   search;
+//!   ([`GraphProfile::may_contain`]: label-count + degree-sequence
+//!   dominance) against each candidate's precomputed store profile — a
+//!   rejected candidate never starts a search;
 //! * the method's [`MatchConfig`], captured once per query instead of
 //!   being rebuilt per `verify` call.
 //!
-//! Two batch-level accelerations sit on top. When the caller passes a
-//! [`PlanSource`] (the engine's canonical-code [`PlanCache`] plus the
-//! query's code), a repeated query reuses its cached plan — the build is
-//! skipped entirely and `plan_builds` stays 0 for the batch. And the
-//! pre-verify screen runs *columnar*: one pass over the store's
-//! struct-of-arrays [`ProfileColumns`] produces a survivor bitmask for
-//! the whole candidate slice ([`BatchVerifier::verify_at`] then just
-//! tests a bit), instead of per-candidate pointer-chasing through
-//! individual profiles.
-//!
-//! [`ProfileColumns`]: igq_graph::ProfileColumns
+//! When the caller passes a [`PlanSource`] (the engine's canonical-code
+//! [`PlanCache`] plus the query's code), a repeated query reuses its
+//! cached plan — the build is skipped entirely and `plan_builds` stays 0
+//! for the batch. That cache-or-build step is one function
+//! (`acquire_plan`), shared with Grapes' component-restricted batches.
 //!
 //! The caller supplies a [`MatchScratch`] (usually the thread-local one
 //! via [`igq_iso::with_thread_scratch`]), so the steady-state loop is
@@ -45,7 +39,6 @@ use igq_iso::plan::{matches_with_plan, MatchPlan, MatchScratch};
 use igq_iso::plan_cache::PlanCache;
 use igq_iso::{with_thread_scratch, MatchConfig};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Amortization accounting for one `verify_batch` call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,9 +57,6 @@ pub struct VerifyBatchStats {
     pub plan_cache_hits: u64,
     /// Batches that consulted the plan cache and had to (re)build.
     pub plan_cache_misses: u64,
-    /// Nanoseconds spent in the columnar (struct-of-arrays) pre-verify
-    /// screen for this batch.
-    pub columnar_screen_ns: u64,
 }
 
 impl VerifyBatchStats {
@@ -77,16 +67,15 @@ impl VerifyBatchStats {
         self.preverify_rejections += other.preverify_rejections;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
-        self.columnar_screen_ns += other.columnar_screen_ns;
     }
 }
 
 /// A borrowed handle to the engine's canonical-code plan cache, handed
-/// down the verification path so [`BatchVerifier::with_plans`] can reuse
-/// the query's plan across repeats. `key` is the query's canonical code
-/// when it has one (a query `canonical_code` declines — over 128 vertices,
-/// or still out of leaves after orbit pruning — simply plans fresh: a
-/// missed optimization, never an error).
+/// down the verification path so a batch can reuse the query's plan
+/// across repeats. `key` is the query's canonical code when it has one (a
+/// query `canonical_code` declines — over 128 vertices, or still out of
+/// leaves after orbit pruning — simply plans fresh: a missed
+/// optimization, never an error).
 #[derive(Clone, Copy)]
 pub struct PlanSource<'a> {
     /// The shared, internally synchronized plan cache.
@@ -126,16 +115,13 @@ pub fn matches_adaptive(
 }
 
 /// Per-query verification state for a batch of store candidates: plan,
-/// query profile, columnar screen mask, and match configuration, all
-/// built exactly once (the plan possibly zero times, via the cache).
+/// query profile, and match configuration, all built exactly once (the
+/// plan possibly zero times, via the cache).
 pub struct BatchVerifier<'a> {
     store: &'a GraphStore,
     query: &'a Graph,
     plan: Arc<MatchPlan>,
     query_profile: GraphProfile,
-    /// Survivor bitmask over the construction-time candidate slice, from
-    /// the columnar screen: bit `i` set iff `candidates[i]` passed.
-    mask: Vec<u64>,
     stats: VerifyBatchStats,
 }
 
@@ -167,6 +153,40 @@ pub fn batch_label_rarity<'s>(
     }
 }
 
+/// The query's shared plan for one batch: served from `plans`' cache when
+/// the query has a canonical code (counting the hit or miss), built fresh
+/// otherwise, ranked by [`batch_label_rarity`] either way. Every build is
+/// counted in `stats.plan_builds`.
+pub(crate) fn acquire_plan(
+    store: &GraphStore,
+    q: &Graph,
+    config: &MatchConfig,
+    candidates: &[GraphId],
+    plans: Option<PlanSource<'_>>,
+    stats: &mut VerifyBatchStats,
+) -> Arc<MatchPlan> {
+    let mut rarity = batch_label_rarity(store, candidates);
+    match plans {
+        Some(PlanSource {
+            cache,
+            key: Some(key),
+        }) => {
+            let (plan, hit) = cache.get_or_build(key, q, config, &mut rarity);
+            if hit {
+                stats.plan_cache_hits += 1;
+            } else {
+                stats.plan_cache_misses += 1;
+                stats.plan_builds += 1;
+            }
+            plan
+        }
+        _ => {
+            stats.plan_builds += 1;
+            Arc::new(MatchPlan::build(q, config, &mut rarity))
+        }
+    }
+}
+
 impl<'a> BatchVerifier<'a> {
     /// Builds the per-query state: one plan (ordered by the candidate
     /// batch's aggregated label rarity), one profile, one captured config.
@@ -182,9 +202,7 @@ impl<'a> BatchVerifier<'a> {
     /// Like [`BatchVerifier::new`], but consults the engine's plan cache
     /// first: a fresh cached plan for the query's canonical code skips the
     /// build entirely (`plan_builds` stays 0, `plan_cache_hits` becomes
-    /// 1). The columnar pre-verify screen runs here too, over the whole
-    /// candidate slice at once; use [`BatchVerifier::verify_at`] to
-    /// consume its verdicts.
+    /// 1).
     pub fn with_plans(
         store: &'a GraphStore,
         q: &'a Graph,
@@ -193,54 +211,14 @@ impl<'a> BatchVerifier<'a> {
         plans: Option<PlanSource<'_>>,
     ) -> BatchVerifier<'a> {
         let mut stats = VerifyBatchStats::default();
-        let mut rarity = batch_label_rarity(store, candidates);
-        let plan = match plans {
-            Some(PlanSource {
-                cache,
-                key: Some(key),
-            }) => {
-                let (plan, hit) = cache.get_or_build(key, q, config, &mut rarity);
-                if hit {
-                    stats.plan_cache_hits = 1;
-                } else {
-                    stats.plan_cache_misses = 1;
-                    stats.plan_builds = 1;
-                }
-                plan
-            }
-            _ => {
-                stats.plan_builds = 1;
-                Arc::new(MatchPlan::build(q, config, &mut rarity))
-            }
-        };
-        let query_profile = GraphProfile::of(q);
-        let screen_start = Instant::now();
-        let mut mask = Vec::new();
-        store.screen_targets(&query_profile, candidates, &mut mask);
-        stats.columnar_screen_ns = screen_start.elapsed().as_nanos() as u64;
+        let plan = acquire_plan(store, q, config, candidates, plans, &mut stats);
         BatchVerifier {
             store,
             query: q,
             plan,
-            query_profile,
-            mask,
+            query_profile: GraphProfile::of(q),
             stats,
         }
-    }
-
-    /// The shared matching plan (e.g. for worker threads).
-    pub fn plan(&self) -> &MatchPlan {
-        &self.plan
-    }
-
-    /// The shared plan as a cheap clonable handle.
-    pub fn plan_arc(&self) -> &Arc<MatchPlan> {
-        &self.plan
-    }
-
-    /// The query's profile (pattern side of the pre-verify screen).
-    pub fn query_profile(&self) -> &GraphProfile {
-        &self.query_profile
     }
 
     /// Verifies one candidate: pre-verify screen, then the plan-amortized
@@ -274,46 +252,6 @@ impl<'a> BatchVerifier<'a> {
         }
     }
 
-    /// Verifies `candidate`, which must be `candidates[idx]` of the slice
-    /// this verifier was constructed with: consumes the columnar screen's
-    /// precomputed verdict for position `idx` (bit clear ⇒ reject without
-    /// a search) instead of re-running the scalar dominance screen.
-    pub fn verify_at(
-        &mut self,
-        idx: usize,
-        candidate: GraphId,
-        scratch: &mut MatchScratch,
-    ) -> VerifyOutcome {
-        if self.mask[idx >> 6] >> (idx & 63) & 1 == 0 {
-            self.stats.preverify_rejections += 1;
-            return VerifyOutcome {
-                contains: false,
-                aborted: false,
-                states: 0,
-            };
-        }
-        let before = scratch.alloc_events();
-        let (verdict, states) = matches_adaptive(
-            &self.plan,
-            self.query,
-            self.store.get(candidate),
-            scratch,
-            &mut self.stats,
-        );
-        self.stats.scratch_allocs += scratch.alloc_events() - before;
-        VerifyOutcome {
-            contains: verdict.is_found(),
-            aborted: verdict.is_aborted(),
-            states,
-        }
-    }
-
-    /// Folds externally accumulated counters (e.g. from worker threads)
-    /// into this batch's stats.
-    pub fn absorb_stats(&mut self, other: &VerifyBatchStats) {
-        self.stats.merge(other);
-    }
-
     /// The batch's accounting.
     pub fn finish(self) -> VerifyBatchStats {
         self.stats
@@ -334,8 +272,7 @@ pub fn verify_batch_plain(
 }
 
 /// [`verify_batch_plain`] with a plan-cache handle: the shared plan comes
-/// from the cache on repeats, and candidates are screened through the
-/// columnar mask ([`BatchVerifier::verify_at`]).
+/// from the cache on repeats.
 pub fn verify_batch_plain_with(
     store: &GraphStore,
     q: &Graph,
@@ -353,8 +290,7 @@ pub fn verify_batch_plain_with(
     let outcomes = with_thread_scratch(|scratch| {
         candidates
             .iter()
-            .enumerate()
-            .map(|(i, &id)| verifier.verify_at(i, id, scratch))
+            .map(|&id| verifier.verify(id, scratch))
             .collect()
     });
     (outcomes, verifier.finish())
@@ -364,7 +300,6 @@ pub fn verify_batch_plain_with(
 mod tests {
     use super::*;
     use igq_graph::graph_from;
-    use igq_iso::vf2;
     use std::sync::Arc;
 
     fn store() -> Arc<GraphStore> {
@@ -378,27 +313,6 @@ mod tests {
             .into_iter()
             .collect(),
         )
-    }
-
-    #[test]
-    fn batch_verdicts_match_legacy_per_pair() {
-        let s = store();
-        let all: Vec<GraphId> = s.ids().collect();
-        let config = MatchConfig::default();
-        for q in [
-            graph_from(&[0, 1], &[(0, 1)]),
-            graph_from(&[2, 2], &[(0, 1)]),
-            graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]),
-            graph_from(&[9], &[]),
-        ] {
-            let (outcomes, stats) = verify_batch_plain(&s, &q, &config, &all);
-            for (id, out) in all.iter().zip(outcomes.iter()) {
-                let legacy = vf2::find_one(&q, s.get(*id), &config);
-                assert_eq!(out.contains, legacy.outcome.is_found(), "{q:?} vs {id:?}");
-                assert!(!out.aborted);
-            }
-            assert_eq!(stats.plan_builds, 1, "one plan per query");
-        }
     }
 
     #[test]

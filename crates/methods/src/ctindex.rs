@@ -22,7 +22,7 @@ use igq_features::{
     TreeFeatures,
 };
 use igq_graph::{Graph, GraphId, GraphStore};
-use igq_iso::{vf2, MatchConfig};
+use igq_iso::MatchConfig;
 use std::sync::Arc;
 
 /// CT-Index configuration.
@@ -185,11 +185,6 @@ impl SubgraphMethod for CtIndex {
             .map(|(id, _)| id)
             .collect();
         Filtered::new(candidates)
-    }
-
-    fn verify(&self, q: &Graph, _context: &QueryContext, candidate: GraphId) -> VerifyOutcome {
-        let r = vf2::find_one(q, self.store.get(candidate), &self.config.match_config);
-        VerifyOutcome::from_match(&r)
     }
 
     /// Plan-amortized batch verification (see [`crate::batch`]).

@@ -39,7 +39,7 @@
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
 use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId, GraphStore, LabelId, VertexId};
-use igq_iso::{vf2, MatchConfig};
+use igq_iso::MatchConfig;
 use std::sync::Arc;
 
 /// gCode configuration.
@@ -240,11 +240,6 @@ impl SubgraphMethod for GCode {
             })
             .collect();
         Filtered::new(candidates)
-    }
-
-    fn verify(&self, q: &Graph, _context: &QueryContext, candidate: GraphId) -> VerifyOutcome {
-        let r = vf2::find_one(q, self.store.get(candidate), &self.config.match_config);
-        VerifyOutcome::from_match(&r)
     }
 
     /// Plan-amortized batch verification (see [`crate::batch`]).

@@ -15,7 +15,7 @@
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
 use igq_features::{enumerate_paths, FeatureTrie, PathConfig, PathFeatures};
 use igq_graph::{Graph, GraphId, GraphStore};
-use igq_iso::{vf2, MatchConfig};
+use igq_iso::MatchConfig;
 use std::sync::Arc;
 
 /// GGSX configuration.
@@ -175,13 +175,8 @@ impl SubgraphMethod for Ggsx {
         }
     }
 
-    fn verify(&self, q: &Graph, _context: &QueryContext, candidate: GraphId) -> VerifyOutcome {
-        let r = vf2::find_one(q, self.store.get(candidate), &self.config.match_config);
-        VerifyOutcome::from_match(&r)
-    }
-
     /// Plan-amortized batch verification: one matching plan per query
-    /// (zero on a plan-cache hit), thread-local scratch, columnar
+    /// (zero on a plan-cache hit), thread-local scratch, profile
     /// pre-verify screening (see [`crate::batch`]).
     fn verify_batch_with_plans(
         &self,

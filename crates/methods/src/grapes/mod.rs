@@ -23,14 +23,14 @@ mod parallel;
 
 pub use components::components_within;
 
-use crate::batch::VerifyBatchStats;
+use crate::batch::{acquire_plan, VerifyBatchStats};
 use crate::ggsx::Ggsx;
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
 use igq_features::{LabelSeq, PathConfig};
 use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId, GraphProfile, GraphStore, VertexId};
 use igq_iso::plan::{MatchPlan, MatchScratch};
-use igq_iso::{vf2, with_thread_scratch, MatchConfig};
+use igq_iso::{with_thread_scratch, MatchConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -150,60 +150,6 @@ impl Grapes {
         vertices
     }
 
-    fn verify_with_components(
-        &self,
-        q: &Graph,
-        features: &[(LabelSeq, u32)],
-        candidate: GraphId,
-    ) -> VerifyOutcome {
-        let g = self.store.get(candidate);
-        // Component-restricted verification is sound only for connected
-        // queries (the embedding image of a connected query lies in one
-        // component of the feature-located vertex set — every image vertex
-        // hosts the query's single-vertex features).
-        if !q.is_connected() || features.is_empty() {
-            let r = vf2::find_one(q, g, &self.config.match_config);
-            return VerifyOutcome::from_match(&r);
-        }
-        let vertices = self.candidate_vertices(features, candidate);
-        if vertices.len() < q.vertex_count() {
-            return VerifyOutcome {
-                contains: false,
-                aborted: false,
-                states: 0,
-            };
-        }
-        let mut states = 0u64;
-        let mut aborted = false;
-        for comp in components_within(g, &vertices) {
-            if comp.len() < q.vertex_count() {
-                continue;
-            }
-            let (sub, _mapping) = g.induced_subgraph(&comp);
-            if sub.edge_count() < q.edge_count() {
-                continue;
-            }
-            let r = vf2::find_one(q, &sub, &self.config.match_config);
-            states += r.states;
-            match r.outcome {
-                igq_iso::Outcome::Found(_) => {
-                    return VerifyOutcome {
-                        contains: true,
-                        aborted: false,
-                        states,
-                    };
-                }
-                igq_iso::Outcome::Aborted => aborted = true,
-                igq_iso::Outcome::NotFound => {}
-            }
-        }
-        VerifyOutcome {
-            contains: false,
-            aborted,
-            states,
-        }
-    }
-
     /// Plan-amortized component verification: the shared query-side `plan`
     /// is target-independent, so one plan serves the whole candidate graph
     /// *and* every induced component, with `scratch` reused throughout.
@@ -259,6 +205,10 @@ impl Grapes {
         scratch: &mut MatchScratch,
         stats: &mut VerifyBatchStats,
     ) -> VerifyOutcome {
+        // Component-restricted verification is sound only for connected
+        // queries (the embedding image of a connected query lies in one
+        // component of the feature-located vertex set — every image vertex
+        // hosts the query's single-vertex features).
         if !q_connected || features.is_empty() {
             let (verdict, states) = crate::batch::matches_adaptive(plan, q, g, scratch, stats);
             return VerifyOutcome {
@@ -361,18 +311,11 @@ impl SubgraphMethod for Grapes {
         }
     }
 
+    /// A one-candidate batch: the same screen, plan and component search
+    /// as [`Self::verify_batch_with_plans`].
     fn verify(&self, q: &Graph, context: &QueryContext, candidate: GraphId) -> VerifyOutcome {
-        match &context.path_features {
-            Some(features) => self.verify_with_components(q, features, candidate),
-            None => {
-                // Called without a filter context (e.g. by iGQ on a pruned
-                // set): recompute the query features once.
-                let qf = igq_features::enumerate_paths(q, &self.config.path_config());
-                let features: Vec<(LabelSeq, u32)> =
-                    qf.counts.iter().map(|(s, &c)| (s.clone(), c)).collect();
-                self.verify_with_components(q, &features, candidate)
-            }
-        }
+        self.verify_batch_with_plans(q, context, &[candidate], None)
+            .0[0]
     }
 
     /// Plan-amortized batch verification: one [`MatchPlan`] + query
@@ -382,9 +325,9 @@ impl SubgraphMethod for Grapes {
     /// target-independent). Multi-threaded configurations process
     /// candidates from a shared work queue, as the original system's
     /// parallel verification stage does, each worker on its own
-    /// thread-local scratch. Grapes keeps its own component-restricted
-    /// screen rather than the columnar mask: candidates are verified
-    /// against located *components*, not whole store graphs.
+    /// thread-local scratch. Candidates are screened against their whole
+    /// store profile, then searched only inside the located
+    /// *components*.
     fn verify_batch_with_plans(
         &self,
         q: &Graph,
@@ -410,28 +353,15 @@ impl SubgraphMethod for Grapes {
                 &owned_features
             }
         };
-        let mut rarity = crate::batch::batch_label_rarity(&self.store, candidates);
         let mut stats = VerifyBatchStats::default();
-        let plan = match plans {
-            Some(crate::batch::PlanSource {
-                cache,
-                key: Some(key),
-            }) => {
-                let (plan, hit) =
-                    cache.get_or_build(key, q, &self.config.match_config, &mut rarity);
-                if hit {
-                    stats.plan_cache_hits = 1;
-                } else {
-                    stats.plan_cache_misses = 1;
-                    stats.plan_builds = 1;
-                }
-                plan
-            }
-            _ => {
-                stats.plan_builds = 1;
-                Arc::new(MatchPlan::build(q, &self.config.match_config, &mut rarity))
-            }
-        };
+        let plan = acquire_plan(
+            &self.store,
+            q,
+            &self.config.match_config,
+            candidates,
+            plans,
+            &mut stats,
+        );
         let query_profile = GraphProfile::of(q);
         let q_connected = q.is_connected();
 

@@ -29,8 +29,9 @@
 //! point, and every built-in method routes it through the plan-amortized
 //! hot path in [`batch`] — one matching plan per query (zero on a
 //! canonical-code plan-cache hit, via [`PlanSource`]), thread-local
-//! zero-allocation scratch, and columnar profile-based pre-verify
-//! screening.
+//! zero-allocation scratch, and profile-based pre-verify screening.
+//! Single-candidate [`SubgraphMethod::verify`] is a provided method over
+//! the same matcher (`igq_iso::find_one`); only Grapes overrides it.
 
 pub mod batch;
 pub mod ctindex;

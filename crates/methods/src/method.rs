@@ -70,7 +70,9 @@ impl VerifyOutcome {
 ///
 /// * `filter` never excludes a true answer (`g ⊆ Gi ⇒ Gi ∈ candidates`);
 /// * `verify(q, ctx, id)` decides `q ⊆ store()[id]` exactly (up to an
-///   explicitly configured abort budget);
+///   explicitly configured abort budget); the provided default does so
+///   with one per-pair test, so an implementation needs only `name`,
+///   `store`, `filter` and `index_size_bytes`;
 /// * `candidates` are sorted ascending.
 pub trait SubgraphMethod: Send + Sync {
     /// Short human-readable name ("GGSX", "Grapes(6)", ...).
@@ -98,8 +100,16 @@ pub trait SubgraphMethod: Send + Sync {
         self.filter(q)
     }
 
-    /// The verification stage for a single candidate.
-    fn verify(&self, q: &Graph, context: &QueryContext, candidate: GraphId) -> VerifyOutcome;
+    /// The verification stage for a single candidate. The default is one
+    /// per-pair test of `q` against `store()[candidate]` under
+    /// [`Self::match_config`] ([`igq_iso::find_one`]); methods whose
+    /// verification is not a plain test against the stored graph (Grapes'
+    /// component restriction) override it.
+    fn verify(&self, q: &Graph, context: &QueryContext, candidate: GraphId) -> VerifyOutcome {
+        let _ = context;
+        let target = self.store().get(candidate);
+        VerifyOutcome::from_match(&igq_iso::find_one(q, target, &self.match_config()))
+    }
 
     /// Approximate index footprint in bytes (Figure 18).
     fn index_size_bytes(&self) -> u64;
@@ -114,7 +124,7 @@ pub trait SubgraphMethod: Send + Sync {
     /// accounting ([`VerifyBatchStats`]). Built-in methods override this
     /// with the plan-amortized hot path (one [`MatchPlan`] per query —
     /// or zero, when `plans` carries the engine's canonical-code plan
-    /// cache and the query is a repeat — thread-local scratch, columnar
+    /// cache and the query is a repeat — thread-local scratch, profile
     /// pre-verify screening); the default ignores `plans` and walks
     /// [`Self::verify`] sequentially so external implementations stay
     /// correct unmodified.

@@ -8,7 +8,7 @@
 
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
 use igq_graph::{Graph, GraphId, GraphStore};
-use igq_iso::{vf2, MatchConfig};
+use igq_iso::MatchConfig;
 use std::sync::Arc;
 
 /// The naive scan-everything method.
@@ -53,11 +53,6 @@ impl SubgraphMethod for NaiveMethod {
             .map(|(id, _)| id)
             .collect();
         Filtered::new(candidates)
-    }
-
-    fn verify(&self, q: &Graph, _context: &QueryContext, candidate: GraphId) -> VerifyOutcome {
-        let r = vf2::find_one(q, self.store.get(candidate), &self.match_config);
-        VerifyOutcome::from_match(&r)
     }
 
     /// Plan-amortized batch verification (see [`crate::batch`]).

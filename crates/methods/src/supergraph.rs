@@ -23,7 +23,7 @@ use crate::method::VerifyOutcome;
 use igq_features::{enumerate_paths, FeatureTrie, PathConfig, PathFeatures};
 use igq_graph::{Graph, GraphId, GraphProfile, GraphStore};
 use igq_iso::plan::{matches_with_plan, MatchPlan};
-use igq_iso::{vf2, with_thread_scratch, MatchConfig};
+use igq_iso::{with_thread_scratch, MatchConfig};
 use std::sync::Arc;
 
 /// Occurrence-counting containment filter over an ordered collection of
@@ -169,23 +169,21 @@ impl TrieSupergraphMethod {
             .collect()
     }
 
-    /// Verification stage: does `q` contain `candidate`?
+    /// Verification stage: does `q` contain `candidate`? A one-candidate
+    /// [`Self::verify_super_batch`].
     pub fn verify_super(&self, q: &Graph, candidate: GraphId) -> VerifyOutcome {
-        let r = vf2::find_one(self.store.get(candidate), q, &self.match_config);
-        VerifyOutcome::from_match(&r)
+        self.verify_super_batch(q, &[candidate]).0[0]
     }
 
     /// Batched verification of the inverted direction. The *pattern*
     /// varies per candidate here (each stored graph is searched inside the
     /// fixed query), so plans are per-pair — built against the query's own
     /// label index, the best possible rarity statistic since the target is
-    /// known. What amortizes across the batch: the pre-verify screen runs
-    /// *columnar* over the whole candidate slice at once (the query's
-    /// [`GraphProfile`] as the target side of
-    /// [`GraphStore::screen_patterns`], against the store's
-    /// struct-of-arrays profile columns), the match configuration is
-    /// captured once (not per `verify` call), and the thread-local scratch
-    /// gives zero per-candidate mapping/visited allocations.
+    /// known. What amortizes across the batch: the query's
+    /// [`GraphProfile`] is built once as the target side of every
+    /// pre-verify screen, the match configuration is captured once (not
+    /// per `verify` call), and the thread-local scratch gives zero
+    /// per-candidate mapping/visited allocations.
     pub fn verify_super_batch(
         &self,
         q: &Graph,
@@ -197,17 +195,11 @@ impl TrieSupergraphMethod {
         let query_profile = GraphProfile::of(q);
         let config = self.match_config;
         let mut stats = VerifyBatchStats::default();
-        let screen_start = std::time::Instant::now();
-        let mut mask = Vec::new();
-        self.store
-            .screen_patterns(&query_profile, candidates, &mut mask);
-        stats.columnar_screen_ns = screen_start.elapsed().as_nanos() as u64;
         let outcomes = with_thread_scratch(|scratch| {
             candidates
                 .iter()
-                .enumerate()
-                .map(|(i, &id)| {
-                    if mask[i >> 6] >> (i & 63) & 1 == 0 {
+                .map(|&id| {
+                    if !query_profile.may_contain(self.store.profile(id)) {
                         stats.preverify_rejections += 1;
                         return VerifyOutcome {
                             contains: false,

@@ -5,7 +5,7 @@
 //! crate:
 //!
 //! * [`graph`] — labeled undirected graphs, stores, stats, IO;
-//! * [`iso`] — VF2 / Ullmann subgraph-isomorphism engines and the cost model;
+//! * [`iso`] — the subgraph-isomorphism matcher and the cost model;
 //! * [`features`] — path/tree/cycle features, tries, fingerprints;
 //! * [`methods`] — GGSX, Grapes, CT-Index, and the naive oracle;
 //! * [`core`] — the iGQ engine itself (query indexes, cache, replacement);
@@ -63,7 +63,7 @@ pub mod prelude {
         graph_from, graph_from_el, Graph, GraphBuilder, GraphId, GraphProfile, GraphStore, LabelId,
         VertexId,
     };
-    pub use igq_iso::{vf2, MatchSemantics};
+    pub use igq_iso::MatchSemantics;
     pub use igq_methods::{
         CtIndex, CtIndexConfig, GCode, GCodeConfig, Ggsx, GgsxConfig, Grapes, GrapesConfig,
         NaiveMethod, SubgraphMethod,

@@ -11,6 +11,7 @@
 //! Each oracle owns a trie built by the same inserts/removes as the
 //! library's index, so both sides see the same tombstones.
 
+use super::oracle_is_subgraph;
 use igq::features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
 use igq::graph::fxhash::FxHashMap;
 use igq::graph::{Graph, GraphId, GraphStore};
@@ -213,7 +214,7 @@ impl OracleQueryIndex {
         let tests = filtered.len() as u64;
         let slots = filtered
             .into_iter()
-            .filter(|&s| igq::iso::is_subgraph(q, &self.slots[s].as_ref().expect("occupied").graph))
+            .filter(|&s| oracle_is_subgraph(q, &self.slots[s].as_ref().expect("occupied").graph))
             .collect();
         (slots, tests)
     }
@@ -228,7 +229,7 @@ impl OracleQueryIndex {
                 continue;
             }
             tests += 1;
-            if igq::iso::is_subgraph(cached, q) {
+            if oracle_is_subgraph(cached, q) {
                 slots.push(slot);
             }
         }

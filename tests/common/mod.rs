@@ -3,6 +3,8 @@
 
 pub mod canon_oracle;
 pub mod filter_oracle;
+pub mod ullmann_oracle;
+pub mod vf2_oracle;
 
 use igq::prelude::*;
 use proptest::prelude::*;
@@ -60,11 +62,26 @@ pub fn arb_graph_el(max_n: usize, vlabels: u32, elabels: u32) -> impl Strategy<V
     })
 }
 
-/// Ground-truth subgraph answers via the naive oracle.
+/// Ground-truth monomorphism test: the [`vf2_oracle`], never the
+/// production matcher behind `igq::iso::is_subgraph`.
+pub fn oracle_is_subgraph(pattern: &Graph, target: &Graph) -> bool {
+    vf2_oracle::find_one(pattern, target, &igq::iso::MatchConfig::default())
+        .outcome
+        .is_found()
+}
+
+/// Ground-truth isomorphism test over [`oracle_is_subgraph`].
+pub fn oracle_are_isomorphic(a: &Graph, b: &Graph) -> bool {
+    a.vertex_count() == b.vertex_count()
+        && a.edge_count() == b.edge_count()
+        && oracle_is_subgraph(a, b)
+}
+
+/// Ground-truth subgraph answers: a full scan with the VF2 oracle.
 pub fn oracle_answers(store: &GraphStore, q: &Graph) -> Vec<GraphId> {
     store
         .iter()
-        .filter(|(_, g)| igq::iso::is_subgraph(q, g))
+        .filter(|(_, g)| oracle_is_subgraph(q, g))
         .map(|(id, _)| id)
         .collect()
 }
@@ -73,7 +90,7 @@ pub fn oracle_answers(store: &GraphStore, q: &Graph) -> Vec<GraphId> {
 pub fn oracle_super_answers(store: &GraphStore, q: &Graph) -> Vec<GraphId> {
     store
         .iter()
-        .filter(|(_, g)| igq::iso::is_subgraph(g, q))
+        .filter(|(_, g)| oracle_is_subgraph(g, q))
         .map(|(id, _)| id)
         .collect()
 }

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::oracle_answers;
+use common::{oracle_answers, oracle_super_answers};
 use igq::prelude::*;
 use igq::workload::datasets::aids_like_bonds;
 use proptest::prelude::*;
@@ -159,11 +159,7 @@ fn supergraph_engine_is_exact_on_bond_data() {
     .expect("valid engine");
     for q in &queries {
         let out = engine.query(q);
-        let truth: Vec<GraphId> = store
-            .iter()
-            .filter(|(_, g)| igq::iso::is_subgraph(g, q))
-            .map(|(id, _)| id)
-            .collect();
+        let truth = oracle_super_answers(&store, q);
         assert_eq!(out.answers, truth, "supergraph query {q:?}");
     }
 }

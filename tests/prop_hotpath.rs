@@ -1,37 +1,55 @@
-//! Property tests for the verification hot path: the plan-amortized
-//! matcher (`igq_iso::plan`) against the legacy per-pair VF2 oracle, the
-//! batch verifiers against per-pair verification, and the galloping set
-//! operations against their linear-merge definitions.
+//! Property tests for the verification hot path: the per-pair entry
+//! (`igq_iso::find_one`) and the plan-amortized matcher against the VF2
+//! oracle kept in `tests/common/vf2_oracle.rs`, the batch verifiers
+//! against per-pair oracle verdicts, and the galloping set operations
+//! against their linear-merge definitions.
 
 mod common;
 
-use common::{arb_graph, arb_graph_el, arb_store};
+use common::{arb_graph, arb_graph_el, arb_store, oracle_is_subgraph, vf2_oracle};
 use igq::iso::plan::{find_with_plan, matches_with_plan, MatchPlan, MatchScratch};
-use igq::iso::{vf2, MatchConfig};
+use igq::iso::{find_one, MatchConfig};
 use igq::methods::{
     intersect_into, intersect_sorted, subtract_into, subtract_sorted, NaiveMethod, SubgraphMethod,
 };
 use igq::prelude::*;
 use proptest::prelude::*;
 
+/// The per-pair entry, and a target-ordered plan run on a fresh scratch,
+/// both equal the VF2 oracle exactly (verdict, mapping, explored states,
+/// abort); the verdict-only search agrees on verdict and state count.
+fn assert_parity(p: &Graph, t: &Graph, config: &MatchConfig) {
+    let oracle = vf2_oracle::find_one(p, t, config);
+    assert_eq!(find_one(p, t, config), oracle, "pattern {p:?} target {t:?}");
+    let plan = MatchPlan::for_target(p, t, config);
+    let mut scratch = MatchScratch::new();
+    assert_eq!(find_with_plan(&plan, t, &mut scratch), oracle);
+    let (verdict, states) = matches_with_plan(&plan, t, &mut scratch);
+    assert_eq!(states, oracle.states);
+    assert_eq!(verdict.is_found(), oracle.outcome.is_found());
+}
+
+fn config(induced: bool) -> MatchConfig {
+    if induced {
+        MatchConfig::induced()
+    } else {
+        MatchConfig::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// With the target's own label index as the rarity statistic, the
-    /// amortized matcher is *exactly* the legacy engine: same verdict,
-    /// same mapping, same explored-state count — under both semantics.
+    /// matcher is *exactly* the VF2 oracle: same verdict, same mapping,
+    /// same explored-state count — under both semantics.
     #[test]
     fn planned_matcher_is_observationally_identical_to_vf2(
         p in arb_graph(5, 3),
         t in arb_graph(8, 3),
         induced in any::<bool>(),
     ) {
-        let config = if induced { MatchConfig::induced() } else { MatchConfig::default() };
-        let legacy = vf2::find_one(&p, &t, &config);
-        let plan = MatchPlan::for_target(&p, &t, &config);
-        let mut scratch = MatchScratch::new();
-        let amortized = find_with_plan(&plan, &t, &mut scratch);
-        prop_assert_eq!(&legacy, &amortized, "pattern {:?} target {:?}", p, t);
+        assert_parity(&p, &t, &config(induced));
     }
 
     /// The exactness extends to edge-labeled graphs.
@@ -41,11 +59,7 @@ proptest! {
         t in arb_graph_el(7, 3, 2),
         induced in any::<bool>(),
     ) {
-        let config = if induced { MatchConfig::induced() } else { MatchConfig::default() };
-        let legacy = vf2::find_one(&p, &t, &config);
-        let plan = MatchPlan::for_target(&p, &t, &config);
-        let mut scratch = MatchScratch::new();
-        prop_assert_eq!(legacy, find_with_plan(&plan, &t, &mut scratch));
+        assert_parity(&p, &t, &config(induced));
     }
 
     /// ...and to budget-limited searches: identical exploration order
@@ -56,12 +70,7 @@ proptest! {
         t in arb_graph(8, 2),
         budget in 1u64..40,
     ) {
-        let config = MatchConfig::with_budget(budget);
-        let legacy = vf2::find_one(&p, &t, &config);
-        let plan = MatchPlan::for_target(&p, &t, &config);
-        let mut scratch = MatchScratch::new();
-        let amortized = find_with_plan(&plan, &t, &mut scratch);
-        prop_assert_eq!(legacy, amortized);
+        assert_parity(&p, &t, &MatchConfig::with_budget(budget));
     }
 
     /// A plan ordered by *store-level* rarity (the batch hot path) may
@@ -73,14 +82,14 @@ proptest! {
         queries in proptest::collection::vec(arb_graph(5, 3), 1..6),
         induced in any::<bool>(),
     ) {
-        let config = if induced { MatchConfig::induced() } else { MatchConfig::default() };
+        let config = config(induced);
         let mut shared = MatchScratch::new();
         for q in &queries {
             let plan = MatchPlan::build(q, &config, &mut |l| store.label_frequency(l));
             for (_, g) in store.iter() {
                 let (verdict, _) = matches_with_plan(&plan, g, &mut shared);
-                let legacy = vf2::find_one(q, g, &config);
-                prop_assert_eq!(verdict.is_found(), legacy.outcome.is_found(),
+                let oracle = vf2_oracle::find_one(q, g, &config);
+                prop_assert_eq!(verdict.is_found(), oracle.outcome.is_found(),
                     "query {:?} target {:?}", q, g);
             }
         }
@@ -88,21 +97,31 @@ proptest! {
 
     /// The full batch path (prescreen + store-rarity plan + thread
     /// scratch), as the engine drives it through `verify_batch`, is
-    /// observationally identical to legacy per-pair verification:
-    /// containment verdict and abort status per candidate.
+    /// observationally identical to per-pair oracle verification:
+    /// containment verdict and abort status per candidate. So is each
+    /// method's single-candidate `verify` — the provided default over
+    /// `igq_iso::find_one`, and Grapes' one-candidate component batch —
+    /// with and without the filter's context.
     #[test]
     fn batch_verification_matches_per_pair_verdicts(
         store in arb_store(6, 7, 3),
         queries in proptest::collection::vec(arb_graph(5, 3), 1..6),
     ) {
-        let method = NaiveMethod::build(&store);
-        for q in &queries {
-            let filtered = method.filter(q);
-            let outcomes = method.verify_batch(q, &filtered.context, &filtered.candidates);
-            for (&id, out) in filtered.candidates.iter().zip(outcomes.iter()) {
-                let legacy = vf2::find_one(q, store.get(id), &MatchConfig::default());
-                prop_assert_eq!(out.contains, legacy.outcome.is_found());
-                prop_assert!(!out.aborted, "unlimited budget never aborts");
+        let methods: Vec<Box<dyn SubgraphMethod>> = vec![
+            Box::new(NaiveMethod::build(&store)),
+            Box::new(Grapes::build(&store, GrapesConfig::default())),
+        ];
+        for method in &methods {
+            for q in &queries {
+                let filtered = method.filter(q);
+                let outcomes = method.verify_batch(q, &filtered.context, &filtered.candidates);
+                for (&id, out) in filtered.candidates.iter().zip(outcomes.iter()) {
+                    let truth = oracle_is_subgraph(q, store.get(id));
+                    prop_assert_eq!(out.contains, truth);
+                    prop_assert!(!out.aborted, "unlimited budget never aborts");
+                    prop_assert_eq!(method.verify(q, &filtered.context, id).contains, truth);
+                    prop_assert_eq!(method.verify(q, &Default::default(), id).contains, truth);
+                }
             }
         }
     }
@@ -110,7 +129,7 @@ proptest! {
     /// The pre-verify screen alone never rejects a true containment.
     #[test]
     fn prescreen_is_sound(p in arb_graph(5, 3), t in arb_graph(8, 3)) {
-        if igq::iso::is_subgraph(&p, &t) {
+        if oracle_is_subgraph(&p, &t) {
             prop_assert!(GraphProfile::of(&t).may_contain(&GraphProfile::of(&p)));
         }
     }
@@ -126,7 +145,7 @@ proptest! {
         q in arb_graph(5, 3),
         induced in any::<bool>(),
     ) {
-        let config = if induced { MatchConfig::induced() } else { MatchConfig::default() };
+        let config = config(induced);
         let Some(code) = igq::graph::canon::canonical_code(&q) else {
             return Ok(());
         };
@@ -175,37 +194,6 @@ proptest! {
         }
     }
 
-    /// The columnar bitmask screens equal the scalar dominance checks
-    /// bit-for-bit, in both orientations (candidates as targets, and
-    /// candidates as patterns).
-    #[test]
-    fn columnar_screens_match_scalar(
-        store in arb_store(8, 7, 3),
-        q in arb_graph(6, 3),
-        subset in proptest::collection::vec(any::<bool>(), 8),
-    ) {
-        let qp = GraphProfile::of(&q);
-        let candidates: Vec<GraphId> = store
-            .ids()
-            .zip(subset.iter().cycle())
-            .filter(|(_, &keep)| keep)
-            .map(|(id, _)| id)
-            .collect();
-        let mut mask = Vec::new();
-        store.screen_targets(&qp, &candidates, &mut mask);
-        for (i, &id) in candidates.iter().enumerate() {
-            let columnar = mask[i >> 6] >> (i & 63) & 1 == 1;
-            let scalar = store.profile(id).may_contain(&qp);
-            prop_assert_eq!(columnar, scalar, "target screen, candidate {:?}", id);
-        }
-        store.screen_patterns(&qp, &candidates, &mut mask);
-        for (i, &id) in candidates.iter().enumerate() {
-            let columnar = mask[i >> 6] >> (i & 63) & 1 == 1;
-            let scalar = qp.may_contain(store.profile(id));
-            prop_assert_eq!(columnar, scalar, "pattern screen, candidate {:?}", id);
-        }
-    }
-
     /// Galloping set operations agree with the sorted-merge definitions on
     /// arbitrary sorted unique inputs of arbitrary skew.
     #[test]
@@ -235,7 +223,8 @@ proptest! {
     }
 }
 
-/// The supergraph batch path agrees with per-pair inverted verification.
+/// The supergraph batch path, and the per-pair `verify_super` over it,
+/// agree with the oracle's inverted test.
 #[test]
 fn supergraph_batch_matches_per_pair() {
     use igq::methods::TrieSupergraphMethod;
@@ -262,16 +251,133 @@ fn supergraph_batch_matches_per_pair() {
     ] {
         let (batch, stats) = m.verify_super_batch(&q, &all);
         for (&id, out) in all.iter().zip(batch.iter()) {
-            assert_eq!(
-                out.contains,
-                m.verify_super(&q, id).contains,
-                "query {q:?} candidate {id:?}"
-            );
+            let truth = oracle_is_subgraph(store.get(id), &q);
+            assert_eq!(out.contains, truth, "query {q:?} candidate {id:?}");
+            assert_eq!(m.verify_super(&q, id).contains, truth);
         }
         assert_eq!(
             stats.plan_builds + stats.preverify_rejections,
             all.len() as u64,
             "every candidate is either screened out or planned"
         );
+    }
+}
+
+/// The per-pair entry equals the VF2 oracle on fixed cases covering the
+/// oracle's own semantic unit cases: empty and absent-label patterns,
+/// path ⊆ triangle (mono yes, induced no), cycles, repeated labels and
+/// multi-component patterns.
+#[test]
+fn parity_with_legacy_on_fixed_cases() {
+    let tri = graph_from(&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
+    let p3 = graph_from(&[0, 0, 0], &[(0, 1), (1, 2)]);
+    let labeled_t = graph_from(
+        &[3, 1, 2, 1, 2, 3],
+        &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+    );
+    let labeled_p = graph_from(&[1, 2, 1], &[(0, 1), (1, 2)]);
+    let disconnected = graph_from(&[0, 1, 0, 1], &[(0, 1), (2, 3)]);
+    let two_edges = graph_from(&[0, 1, 0, 1, 9], &[(0, 1), (2, 3)]);
+    let c4 = graph_from(&[0; 4], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+    let p4 = graph_from(&[0; 4], &[(0, 1), (1, 2), (2, 3)]);
+    let square = graph_from(&[1, 2, 1, 3], &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+    let hexagon = graph_from(
+        &[3, 1, 2, 1, 2, 3],
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 0),
+            (1, 4),
+            (0, 3),
+        ],
+    );
+    for config in [MatchConfig::default(), MatchConfig::induced()] {
+        assert_parity(&p3, &tri, &config);
+        assert_parity(&tri, &p3, &config);
+        assert_parity(&labeled_p, &labeled_t, &config);
+        assert_parity(&disconnected, &labeled_t, &config);
+        assert_parity(&disconnected, &two_edges, &config);
+        assert_parity(&p4, &c4, &config);
+        assert_parity(&c4, &p4, &config);
+        assert_parity(&square, &hexagon, &config);
+        assert_parity(&graph_from(&[], &[]), &tri, &config);
+        assert_parity(&graph_from(&[9], &[]), &tri, &config);
+    }
+}
+
+/// Parity extends to budget aborts: a 6-clique against a ring of
+/// overlapping 5-cliques, at a budget that aborts and one that decides.
+#[test]
+fn parity_includes_budget_aborts() {
+    let mut clique = Vec::new();
+    for i in 0..6u32 {
+        for j in (i + 1)..6 {
+            clique.push((i, j));
+        }
+    }
+    let p = graph_from(&[0; 6], &clique);
+    let mut edges = Vec::new();
+    for i in 0..12u32 {
+        for d in 1..=4u32 {
+            let (a, b) = (i, (i + d) % 12);
+            edges.push(if a < b { (a, b) } else { (b, a) });
+        }
+    }
+    let t = graph_from(&[0; 12], &edges);
+    assert_parity(&p, &t, &MatchConfig::with_budget(10));
+    assert_parity(&p, &t, &MatchConfig::with_budget(1000));
+}
+
+/// Parity with edge labels, including the unlabeled pattern that means
+/// "label 0".
+#[test]
+fn parity_with_edge_labels() {
+    let t = graph_from_el(&[0, 0, 0], &[(0, 1, 1), (1, 2, 2)]);
+    for p in [
+        graph_from_el(&[0, 0], &[(0, 1, 1)]),
+        graph_from_el(&[0, 0], &[(0, 1, 2)]),
+        graph_from_el(&[0, 0], &[(0, 1, 3)]),
+        graph_from_el(&[0, 0, 0], &[(0, 1, 2), (1, 2, 2)]),
+        graph_from(&[0, 0], &[(0, 1)]),
+    ] {
+        assert_parity(&p, &t, &MatchConfig::default());
+    }
+}
+
+/// The plain batch path returns the oracle's verdict per candidate with
+/// one plan per query.
+#[test]
+fn batch_verdicts_match_legacy_per_pair() {
+    let s: std::sync::Arc<GraphStore> = std::sync::Arc::new(
+        vec![
+            graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]),
+            graph_from(&[0, 1], &[(0, 1)]),
+            graph_from(&[2, 2, 2], &[(0, 1), (1, 2), (0, 2)]),
+            graph_from(&[0, 1, 2, 0], &[(0, 1), (1, 2), (2, 3)]),
+        ]
+        .into_iter()
+        .collect(),
+    );
+    let all: Vec<GraphId> = s.ids().collect();
+    let config = MatchConfig::default();
+    for q in [
+        graph_from(&[0, 1], &[(0, 1)]),
+        graph_from(&[2, 2], &[(0, 1)]),
+        graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]),
+        graph_from(&[9], &[]),
+    ] {
+        let (outcomes, stats) = igq::methods::verify_batch_plain(&s, &q, &config, &all);
+        for (id, out) in all.iter().zip(outcomes.iter()) {
+            assert_eq!(
+                out.contains,
+                oracle_is_subgraph(&q, s.get(*id)),
+                "{q:?} vs {id:?}"
+            );
+            assert!(!out.aborted);
+        }
+        assert_eq!(stats.plan_builds, 1, "one plan per query");
     }
 }

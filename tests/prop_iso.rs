@@ -1,12 +1,39 @@
-//! Property tests over the isomorphism engines.
+//! Property tests over the matcher: the production per-pair entry
+//! (`igq::iso::find_one`, behind `is_subgraph`) against two independent
+//! oracles kept in `tests/common/` — the per-pair VF2 engine it replaced
+//! and Ullmann's algorithm — plus fixed cases pinning the oracles
+//! themselves.
 
 mod common;
 
-use common::{arb_graph, arb_graph_el};
+use common::{arb_graph, arb_graph_el, ullmann_oracle, vf2_oracle};
 use igq::graph::canon::invariant_hash;
+use igq::graph::{graph_from, graph_from_el, Graph};
 use igq::iso::semantics::verify_embedding;
-use igq::iso::{ullmann, vf2, MatchConfig, MatchSemantics};
+use igq::iso::{find_one, Budget, MatchConfig, MatchSemantics, Outcome};
 use proptest::prelude::*;
+
+fn config(induced: bool) -> MatchConfig {
+    if induced {
+        MatchConfig::induced()
+    } else {
+        MatchConfig::default()
+    }
+}
+
+/// The production matcher equals the VF2 oracle exactly (verdict,
+/// mapping, states) and agrees with Ullmann on the verdict.
+fn assert_three_way(p: &Graph, t: &Graph, cfg: &MatchConfig) {
+    let production = find_one(p, t, cfg);
+    let vf2 = vf2_oracle::find_one(p, t, cfg);
+    let ullmann = ullmann_oracle::find_one(p, t, cfg).outcome.is_found();
+    assert_eq!(production, vf2, "vf2 oracle: pattern {p:?} target {t:?}");
+    assert_eq!(
+        production.outcome.is_found(),
+        ullmann,
+        "ullmann oracle: pattern {p:?} target {t:?}"
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -17,30 +44,28 @@ proptest! {
         prop_assert!(igq::iso::is_subgraph(&g, &g));
     }
 
-    /// VF2 and Ullmann always agree on the containment verdict.
+    /// The production matcher, VF2 and Ullmann always agree on the
+    /// containment verdict.
     #[test]
     fn vf2_and_ullmann_agree(p in arb_graph(5, 3), t in arb_graph(8, 3)) {
-        let cfg = MatchConfig::default();
-        let v = vf2::find_one(&p, &t, &cfg).outcome.is_found();
-        let u = ullmann::find_one(&p, &t, &cfg).outcome.is_found();
-        prop_assert_eq!(v, u, "pattern {:?} target {:?}", p, t);
+        assert_three_way(&p, &t, &MatchConfig::default());
     }
 
-    /// The two engines also agree under induced semantics.
+    /// The three engines also agree under induced semantics.
     #[test]
     fn engines_agree_induced(p in arb_graph(4, 2), t in arb_graph(7, 2)) {
-        let cfg = MatchConfig::induced();
-        let v = vf2::find_one(&p, &t, &cfg).outcome.is_found();
-        let u = ullmann::find_one(&p, &t, &cfg).outcome.is_found();
-        prop_assert_eq!(v, u);
+        assert_three_way(&p, &t, &MatchConfig::induced());
     }
 
-    /// Any mapping VF2 returns is a valid embedding.
+    /// Any mapping the production matcher (or the VF2 oracle) returns is
+    /// a valid embedding, in either semantics.
     #[test]
-    fn vf2_mappings_are_valid(p in arb_graph(6, 3), t in arb_graph(9, 3)) {
-        let r = vf2::find_one(&p, &t, &MatchConfig::default());
-        if let Some(m) = r.outcome.mapping() {
-            prop_assert!(verify_embedding(&p, &t, m, MatchSemantics::Monomorphism));
+    fn vf2_mappings_are_valid(p in arb_graph(6, 3), t in arb_graph(9, 3), induced in any::<bool>()) {
+        let cfg = config(induced);
+        for r in [find_one(&p, &t, &cfg), vf2_oracle::find_one(&p, &t, &cfg)] {
+            if let Some(m) = r.outcome.mapping() {
+                prop_assert!(verify_embedding(&p, &t, m, cfg.semantics));
+            }
         }
     }
 
@@ -83,13 +108,34 @@ proptest! {
         }
     }
 
-    /// VF2 and Ullmann agree on edge-labeled instances too.
+    /// The three engines agree on edge-labeled instances too, in either
+    /// semantics.
     #[test]
-    fn engines_agree_with_edge_labels(p in arb_graph_el(4, 2, 2), t in arb_graph_el(7, 2, 2)) {
-        let cfg = MatchConfig::default();
-        let v = vf2::find_one(&p, &t, &cfg).outcome.is_found();
-        let u = ullmann::find_one(&p, &t, &cfg).outcome.is_found();
-        prop_assert_eq!(v, u, "pattern {:?} target {:?}", p, t);
+    fn engines_agree_with_edge_labels(
+        p in arb_graph_el(4, 2, 2),
+        t in arb_graph_el(7, 2, 2),
+        induced in any::<bool>(),
+    ) {
+        assert_three_way(&p, &t, &config(induced));
+    }
+
+    /// Under any state budget the production matcher equals the VF2
+    /// oracle exactly — abort included — and whenever neither it nor
+    /// Ullmann aborts, their verdicts agree.
+    #[test]
+    fn matcher_matches_oracles_under_budgets(
+        p in arb_graph_el(5, 2, 2),
+        t in arb_graph_el(8, 2, 2),
+        budget in 1u64..40,
+        induced in any::<bool>(),
+    ) {
+        let cfg = MatchConfig { budget: Budget::limited(budget), ..config(induced) };
+        let production = find_one(&p, &t, &cfg);
+        prop_assert_eq!(&production, &vf2_oracle::find_one(&p, &t, &cfg));
+        let ullmann = ullmann_oracle::find_one(&p, &t, &cfg).outcome;
+        if production.outcome != Outcome::Aborted && ullmann != Outcome::Aborted {
+            prop_assert_eq!(production.outcome.is_found(), ullmann.is_found());
+        }
     }
 
     /// Edge-labeled containment implies vertex-only containment: erasing
@@ -108,13 +154,16 @@ proptest! {
         }
     }
 
-    /// Every edge-labeled mapping VF2 returns is a valid embedding under
-    /// the edge-label-aware checker.
+    /// Every edge-labeled mapping the production matcher (or the VF2
+    /// oracle) returns is a valid embedding under the edge-label-aware
+    /// checker.
     #[test]
     fn vf2_edge_labeled_mappings_are_valid(p in arb_graph_el(5, 2, 3), t in arb_graph_el(8, 2, 3)) {
-        let r = vf2::find_one(&p, &t, &MatchConfig::default());
-        if let Some(m) = r.outcome.mapping() {
-            prop_assert!(verify_embedding(&p, &t, m, MatchSemantics::Monomorphism));
+        let cfg = MatchConfig::default();
+        for r in [find_one(&p, &t, &cfg), vf2_oracle::find_one(&p, &t, &cfg)] {
+            if let Some(m) = r.outcome.mapping() {
+                prop_assert!(verify_embedding(&p, &t, m, MatchSemantics::Monomorphism));
+            }
         }
     }
 
@@ -132,4 +181,126 @@ proptest! {
         let weaker = igq::graph::graph_from(&labels, &edges);
         prop_assert!(igq::iso::is_subgraph(&weaker, &t));
     }
+}
+
+#[test]
+fn ullmann_agrees_with_vf2_on_fixed_cases() {
+    let cases = vec![
+        // (pattern, target)
+        (
+            graph_from(&[0, 1], &[(0, 1)]),
+            graph_from(&[1, 0, 1], &[(0, 1), (1, 2)]),
+        ),
+        (
+            graph_from(&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]),
+            graph_from(&[0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3)]),
+        ),
+        (
+            graph_from(&[2, 2, 3], &[(0, 1), (1, 2)]),
+            graph_from(&[2, 2, 3, 3], &[(0, 1), (1, 2), (2, 3), (0, 3)]),
+        ),
+        (
+            graph_from(&[0; 4], &[(0, 1), (1, 2), (2, 3), (3, 0)]),
+            graph_from(&[0; 5], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        ),
+    ];
+    for (p, t) in cases {
+        assert_three_way(&p, &t, &MatchConfig::default());
+    }
+}
+
+#[test]
+fn ullmann_edge_labels_agree_with_vf2() {
+    let t = graph_from_el(&[0, 0, 0], &[(0, 1, 1), (1, 2, 2)]);
+    let cases = vec![
+        graph_from_el(&[0, 0], &[(0, 1, 1)]),
+        graph_from_el(&[0, 0], &[(0, 1, 2)]),
+        graph_from_el(&[0, 0], &[(0, 1, 3)]),
+        graph_from_el(&[0, 0, 0], &[(0, 1, 1), (1, 2, 2)]),
+        graph_from_el(&[0, 0, 0], &[(0, 1, 2), (1, 2, 2)]),
+        graph_from(&[0, 0], &[(0, 1)]),
+    ];
+    for p in cases {
+        assert_three_way(&p, &t, &MatchConfig::default());
+    }
+}
+
+#[test]
+fn ullmann_produces_valid_mappings() {
+    let p = graph_from(&[1, 2, 1], &[(0, 1), (1, 2)]);
+    let t = graph_from(&[1, 2, 1, 2], &[(0, 1), (1, 2), (2, 3)]);
+    let r = ullmann_oracle::find_one(&p, &t, &MatchConfig::default());
+    let m = r.outcome.mapping().expect("match exists").to_vec();
+    assert!(verify_embedding(&p, &t, &m, MatchSemantics::Monomorphism));
+}
+
+#[test]
+fn ullmann_refinement_kills_hopeless_instances_without_search() {
+    // Pattern: star with 3 leaves labeled 1; target has max degree 2.
+    let p = graph_from(&[0, 1, 1, 1], &[(0, 1), (0, 2), (0, 3)]);
+    let t = graph_from(&[0, 1, 1, 1], &[(0, 1), (0, 2)]);
+    let r = ullmann_oracle::find_one(&p, &t, &MatchConfig::default());
+    assert!(r.outcome.is_not_found());
+    assert_eq!(r.states, 0, "degree seed/refinement should preempt search");
+}
+
+#[test]
+fn ullmann_induced_semantics() {
+    let p2 = graph_from(&[0, 0], &[]); // two isolated vertices
+    let k2 = graph_from(&[0, 0], &[(0, 1)]);
+    assert!(ullmann_oracle::find_one(&p2, &k2, &MatchConfig::default())
+        .outcome
+        .is_found());
+    assert!(ullmann_oracle::find_one(&p2, &k2, &MatchConfig::induced())
+        .outcome
+        .is_not_found());
+}
+
+#[test]
+fn ullmann_budget_abort() {
+    let p = graph_from(&[0; 5], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+    let mut edges = Vec::new();
+    for i in 0..10u32 {
+        for j in (i + 1)..10u32 {
+            edges.push((i, j));
+        }
+    }
+    let t = graph_from(&[0; 10], &edges);
+    let cfg = MatchConfig {
+        semantics: MatchSemantics::Induced,
+        budget: Budget::limited(3),
+    };
+    assert_eq!(
+        ullmann_oracle::find_one(&p, &t, &cfg).outcome,
+        Outcome::Aborted
+    );
+}
+
+#[test]
+fn ullmann_empty_pattern() {
+    let t = graph_from(&[0], &[]);
+    assert!(
+        ullmann_oracle::find_one(&graph_from(&[], &[]), &t, &MatchConfig::default())
+            .outcome
+            .is_found()
+    );
+}
+
+#[test]
+fn vf2_oracle_count_embeddings_on_triangle() {
+    // Labeled edge 0-0 in a triangle of zeros: 3 edges x 2 orientations.
+    let p = graph_from(&[0, 0], &[(0, 1)]);
+    let tri = graph_from(&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
+    let (count, _, aborted) =
+        vf2_oracle::count_embeddings(&p, &tri, u64::MAX, &MatchConfig::default());
+    assert_eq!(count, 6);
+    assert!(!aborted);
+}
+
+#[test]
+fn vf2_oracle_count_respects_limit() {
+    let p = graph_from(&[0], &[]);
+    let t = graph_from(&[0; 10], &[]);
+    let (count, _, _) = vf2_oracle::count_embeddings(&p, &t, 4, &MatchConfig::default());
+    assert_eq!(count, 4);
 }
