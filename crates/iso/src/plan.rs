@@ -10,16 +10,26 @@
 //!   target-independent and shareable across every candidate of a batch.
 //!   [`MatchPlan::for_target`] ranks by the target's own label index
 //!   instead: the classic per-pair VF2 ordering (rarest-label seed,
-//!   connectivity-first growth), which `tests/prop_hotpath.rs` pins state
-//!   for state to the per-pair VF2 engine kept there as an oracle.
+//!   connectivity-first growth), which `tests/prop_hotpath.rs` pins to the
+//!   per-pair VF2 engine kept there as an oracle: the same verdict and
+//!   first embedding, in no more explored states.
 //! * Per-entry pattern facts (label, degree, backward edges *as plan
-//!   positions* with their pattern edge labels, induced non-neighbors) are
-//!   flattened into the plan, so the inner search loop never touches the
-//!   pattern graph again.
-//! * [`MatchScratch`] holds the mapping array and a stamped `used` array
-//!   with a generation counter: starting the next candidate is one
-//!   generation bump, not an `O(|target|)` clear, and buffers only ever
-//!   grow ([`MatchScratch::alloc_events`] counts those growths — flat in
+//!   positions* with their pattern edge labels, induced non-neighbors,
+//!   forward-neighbor label runs) are flattened into the plan, so the
+//!   inner search loop never touches the pattern graph again.
+//! * The 1-lookahead is label-aware: a candidate `t` for pattern vertex
+//!   `u` needs, for every label `ℓ`, at least as many *unused* target
+//!   neighbors labeled `ℓ` as `u` has `ℓ`-labeled neighbors ordered after
+//!   it (its forward label runs `(ℓ, c)`). Any embedding extending
+//!   `u → t` maps those forward neighbors injectively onto such vertices,
+//!   so a rejected `t` roots a subtree without an embedding: the DFS order
+//!   and the first embedding found are those of the label-blind
+//!   free-degree lookahead, with dead subtrees skipped.
+//! * [`MatchScratch`] holds the mapping array, the lookahead's per-run
+//!   counters and a stamped `used` array with a generation counter:
+//!   starting the next candidate is one generation bump, not an
+//!   `O(|target|)` clear, and buffers only ever grow
+//!   ([`MatchScratch::alloc_events`] counts those growths — flat in
 //!   steady state).
 //! * Candidate sets are borrowed directly from the target's neighbor /
 //!   label-class slices; nothing is cloned during the search.
@@ -73,8 +83,9 @@ struct PlanEntry {
     label: LabelId,
     /// The vertex's pattern degree.
     degree: u32,
-    /// Number of pattern neighbors ordered *after* this depth (lookahead).
-    forward_degree: u32,
+    /// Range into [`MatchPlan::forward`] (lookahead).
+    fwd_start: u32,
+    fwd_len: u32,
     /// Range into [`MatchPlan::backward`].
     back_start: u32,
     back_len: u32,
@@ -98,6 +109,10 @@ struct BackRef {
 pub struct MatchPlan {
     entries: Vec<PlanEntry>,
     backward: Vec<BackRef>,
+    /// Forward-neighbor label runs `(ℓ, c)` per entry: `c` pattern
+    /// neighbors labeled `ℓ` are ordered after the entry, one run per
+    /// distinct label, sorted by label.
+    forward: Vec<(LabelId, u32)>,
     /// Earlier plan positions non-adjacent to each entry's vertex
     /// (feasibility material for induced semantics; empty otherwise).
     nonadj: Vec<u32>,
@@ -180,23 +195,43 @@ impl MatchPlan {
             position[v.index()] = pos as u32;
         }
 
+        // Every pattern edge is backward for one endpoint and forward for
+        // the other, so neither buffer outgrows its first allocation.
         let mut entries = Vec::with_capacity(n);
-        let mut backward: Vec<BackRef> = Vec::new();
+        let mut backward: Vec<BackRef> = Vec::with_capacity(pattern.edge_count());
+        let mut forward: Vec<(LabelId, u32)> = Vec::with_capacity(pattern.edge_count());
         let mut nonadj: Vec<u32> = Vec::new();
         for (pos, &v) in order.iter().enumerate() {
-            let back_start = backward.len() as u32;
             // Backward neighbors in ascending pattern-vertex order (the
             // sorted neighbor slice), so candidate-source selection
-            // tie-breaks on the lowest pattern vertex.
+            // tie-breaks on the lowest pattern vertex; forward neighbors
+            // as unit runs of their labels.
+            let back_start = backward.len() as u32;
+            let fwd_start = forward.len();
             for &w in pattern.neighbors(v) {
-                if (position[w.index()] as usize) < pos {
+                let w_pos = position[w.index()];
+                if (w_pos as usize) < pos {
                     backward.push(BackRef {
-                        pos: position[w.index()],
+                        pos: w_pos,
                         edge_label: pattern.edge_label_unchecked(w, v),
                     });
+                } else {
+                    forward.push((pattern.label(w), 1));
                 }
             }
             let back_len = backward.len() as u32 - back_start;
+            // Sort the entry's unit runs by label and merge them in place.
+            forward[fwd_start..].sort_unstable();
+            let mut fwd_end = fwd_start;
+            for i in fwd_start..forward.len() {
+                if fwd_end > fwd_start && forward[fwd_end - 1].0 == forward[i].0 {
+                    forward[fwd_end - 1].1 += 1;
+                } else {
+                    forward[fwd_end] = forward[i];
+                    fwd_end += 1;
+                }
+            }
+            forward.truncate(fwd_end);
             let nonadj_start = nonadj.len() as u32;
             if config.semantics == MatchSemantics::Induced {
                 // Earlier positions not adjacent to `v` in the pattern, in
@@ -212,7 +247,8 @@ impl MatchPlan {
                 vertex: v,
                 label: pattern.label(v),
                 degree: pattern.degree(v) as u32,
-                forward_degree: pattern.degree(v) as u32 - back_len,
+                fwd_start: fwd_start as u32,
+                fwd_len: (fwd_end - fwd_start) as u32,
                 back_start,
                 back_len,
                 nonadj_start,
@@ -223,6 +259,7 @@ impl MatchPlan {
         MatchPlan {
             entries,
             backward,
+            forward,
             nonadj,
             pattern_vertices: n as u32,
             pattern_edges: pattern.edge_count() as u32,
@@ -257,6 +294,7 @@ impl MatchPlan {
     pub fn heap_size_bytes(&self) -> u64 {
         (self.entries.capacity() * std::mem::size_of::<PlanEntry>()
             + self.backward.capacity() * std::mem::size_of::<BackRef>()
+            + self.forward.capacity() * std::mem::size_of::<(LabelId, u32)>()
             + self.nonadj.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
@@ -266,19 +304,28 @@ impl MatchPlan {
     }
 
     #[inline]
+    fn forward_runs(&self, e: &PlanEntry) -> &[(LabelId, u32)] {
+        &self.forward[e.fwd_start as usize..(e.fwd_start + e.fwd_len) as usize]
+    }
+
+    #[inline]
     fn nonadj_of(&self, e: &PlanEntry) -> &[u32] {
         &self.nonadj[e.nonadj_start as usize..(e.nonadj_start + e.nonadj_len) as usize]
     }
 }
 
 /// The reusable per-thread search workspace: the position-indexed mapping
-/// array and the generation-stamped `used` array. Buffers grow to the
-/// largest pattern/target seen and are then reused allocation-free;
-/// [`MatchScratch::alloc_events`] counts the growths.
+/// array, the lookahead's run counters and the generation-stamped `used`
+/// array. Buffers grow to the largest pattern/target seen and are then
+/// reused allocation-free; [`MatchScratch::alloc_events`] counts the
+/// growths.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     /// `mapping[plan position] = raw target vertex id` for mapped depths.
     mapping: Vec<u32>,
+    /// Per forward run, the `ℓ`-neighbors still needed during one
+    /// lookahead (an entry has fewer runs than the pattern has vertices).
+    run_need: Vec<u32>,
     /// `used_stamp[target vertex] == generation` iff the vertex is
     /// currently used by the mapping.
     used_stamp: Vec<u32>,
@@ -304,7 +351,9 @@ impl MatchScratch {
     /// opens a fresh `used` generation (O(1) — no clearing).
     fn begin(&mut self, pattern_vertices: usize, target_vertices: usize) {
         if self.mapping.len() < pattern_vertices {
+            // The two pattern-sized buffers grow together: one event.
             self.mapping.resize(pattern_vertices, 0);
+            self.run_need.resize(pattern_vertices, 0);
             self.alloc_events += 1;
         }
         if self.used_stamp.len() < target_vertices {
@@ -350,19 +399,8 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    /// Number of `t`'s neighbors not yet used by the mapping.
-    #[inline]
-    fn free_degree(&self, scratch: &MatchScratch, t: VertexId) -> u32 {
-        let gen = scratch.generation;
-        self.target
-            .neighbors(t)
-            .iter()
-            .filter(|&&w| scratch.used_stamp[w.index()] != gen)
-            .count() as u32
-    }
-
     /// VF2 feasibility of extending the mapping with `entry.vertex -> t`.
-    fn feasible(&self, scratch: &MatchScratch, depth: usize, t: VertexId) -> bool {
+    fn feasible(&self, scratch: &mut MatchScratch, depth: usize, t: VertexId) -> bool {
         let entry = &self.plan.entries[depth];
         if scratch.used_stamp[t.index()] == scratch.generation
             || entry.label != self.target.label(t)
@@ -392,12 +430,37 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        // 1-lookahead: enough free target neighbors for the pattern's
-        // still-unordered neighbors.
-        if self.free_degree(scratch, t) < entry.forward_degree {
-            return false;
+        // Label-aware 1-lookahead: for every forward run (ℓ, c), `t` needs
+        // c unused neighbors labeled ℓ to host the pattern's still-unordered
+        // ℓ-neighbors. One pass over `t`'s neighbors, stopping once every
+        // run is covered. (This implies the label-blind free-degree test.)
+        let runs = self.plan.forward_runs(entry);
+        if runs.is_empty() {
+            return true;
         }
-        true
+        let need = &mut scratch.run_need[..runs.len()];
+        for (n, &(_, c)) in need.iter_mut().zip(runs) {
+            *n = c;
+        }
+        let mut uncovered = runs.len();
+        for &w in self.target.neighbors(t) {
+            if scratch.used_stamp[w.index()] == scratch.generation {
+                continue;
+            }
+            let label = self.target.label(w);
+            if let Some(i) = runs.iter().position(|&(l, _)| l == label) {
+                if need[i] > 0 {
+                    need[i] -= 1;
+                    if need[i] == 0 {
+                        uncovered -= 1;
+                        if uncovered == 0 {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+        false
     }
 
     /// Recursive extension. Returns `true` to stop the search (embedding
@@ -631,6 +694,43 @@ mod tests {
         let r = find_one(&p, &t, &MatchConfig::with_budget(10));
         assert_eq!(r.outcome, Outcome::Aborted);
         assert!(r.states <= 11);
+    }
+
+    #[test]
+    fn forward_runs_group_later_neighbors_by_label() {
+        // A star whose 0-labeled centre seeds (rarity = label value): its
+        // leaves, labeled 2, 1, 2, are all ordered after it.
+        let p = graph_from(&[0, 2, 1, 2], &[(0, 1), (0, 2), (0, 3)]);
+        let plan = MatchPlan::build(&p, &cfg(), &mut |l| l.raw() as u64);
+        assert_eq!(plan.entries[0].vertex.index(), 0);
+        assert_eq!(
+            plan.forward_runs(&plan.entries[0]),
+            &[(LabelId::new(1), 1), (LabelId::new(2), 2)]
+        );
+        assert!(plan.entries[1..]
+            .iter()
+            .all(|e| plan.forward_runs(e).is_empty()));
+    }
+
+    #[test]
+    fn lookahead_counts_free_neighbors_per_label() {
+        // Pattern: a 0-centre with a 1- and a 2-neighbor. Target centre 0
+        // has two free neighbors but both labeled 1, so the label-blind
+        // lookahead would descend into it; centre 3 hosts the pattern.
+        let p = graph_from(&[0, 1, 2], &[(0, 1), (0, 2)]);
+        let t = graph_from(&[0, 1, 1, 0, 1, 2, 2, 2], &[(0, 1), (0, 2), (3, 4), (3, 5)]);
+        let r = find_one(&p, &t, &cfg());
+        let m: Vec<usize> = r
+            .outcome
+            .mapping()
+            .expect("centre 3 hosts the pattern")
+            .iter()
+            .map(|v| v.index())
+            .collect();
+        assert_eq!(m, [3, 4, 5]);
+        // 2 seed candidates, then 2 + 1 below centre 3; nothing below
+        // centre 0 (the label-blind lookahead spends 2 states there).
+        assert_eq!(r.states, 5);
     }
 
     #[test]

@@ -70,6 +70,48 @@ pub fn oracle_is_subgraph(pattern: &Graph, target: &Graph) -> bool {
         .is_found()
 }
 
+/// Checks a production match result for `pattern` in `target` under
+/// `config` against the [`vf2_oracle`]. Both search in the same order, but
+/// the production lookahead counts free neighbors *per label* where the
+/// oracle's counts them label-blind, so production explores a
+/// subsequence of the oracle's states. Hence:
+/// * it never explores more states than the oracle;
+/// * when the oracle completes, the outcome is identical, mapping
+///   included;
+/// * when production completes (the oracle may have aborted under the
+///   same budget), the outcome is the unbudgeted oracle's.
+pub fn assert_oracle_contract(
+    production: &igq::iso::semantics::MatchResult,
+    pattern: &Graph,
+    target: &Graph,
+    config: &igq::iso::MatchConfig,
+) {
+    use igq::iso::{Budget, Outcome};
+    let oracle = vf2_oracle::find_one(pattern, target, config);
+    assert!(
+        production.states <= oracle.states,
+        "{} states vs the oracle's {}: pattern {pattern:?} target {target:?}",
+        production.states,
+        oracle.states
+    );
+    if oracle.outcome != Outcome::Aborted {
+        assert_eq!(
+            production.outcome, oracle.outcome,
+            "pattern {pattern:?} target {target:?}"
+        );
+    } else if production.outcome != Outcome::Aborted {
+        let unbudgeted = igq::iso::MatchConfig {
+            budget: Budget::unlimited(),
+            ..*config
+        };
+        assert_eq!(
+            production.outcome,
+            vf2_oracle::find_one(pattern, target, &unbudgeted).outcome,
+            "pattern {pattern:?} target {target:?}"
+        );
+    }
+}
+
 /// Ground-truth isomorphism test over [`oracle_is_subgraph`].
 pub fn oracle_are_isomorphic(a: &Graph, b: &Graph) -> bool {
     a.vertex_count() == b.vertex_count()

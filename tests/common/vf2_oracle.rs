@@ -19,10 +19,20 @@
 //! verdict), but [`count_embeddings`] is provided for tests and analysis.
 //!
 //! This per-pair engine is the library's former matcher, kept verbatim as
-//! a test oracle: `igq_iso::find_one` (a `MatchPlan::for_target` plan run
-//! by `find_with_plan`) must equal it on verdict, mapping, explored-state
-//! count and budget abort, and every suite's ground truth is computed
-//! here, so the production matcher is never checked against itself.
+//! a test oracle, and every suite's ground truth is computed here, so the
+//! production matcher is never checked against itself.
+//!
+//! It deliberately keeps the *label-blind* lookahead above. The
+//! production matcher (`igq_iso::find_one`, a `MatchPlan::for_target` plan
+//! run by `find_with_plan`) visits candidates in this engine's order but
+//! requires, per label ℓ, enough free ℓ-labeled neighbors — a strictly
+//! stronger test that only skips subtrees holding no embedding. Keeping
+//! the weaker test here keeps the oracle independent of that pruning
+//! argument: were the label-aware test wrong, the two would disagree. The
+//! contract (`common::assert_oracle_contract`) is therefore: the same
+//! outcome and mapping whenever this oracle completes, never more
+//! explored states, and agreement with the unbudgeted oracle whenever the
+//! production run completes under a budget.
 
 use igq::graph::{Graph, VertexId};
 use igq::iso::semantics::{MatchConfig, MatchResult, MatchSemantics, Outcome};
