@@ -189,10 +189,8 @@ pub fn load(args: &[String]) -> CmdResult {
 }
 
 /// Builds the iGQ engine config from the shared CLI flags (`--cache`,
-/// `--window`, `--shards`). `save`/`load`
-/// must be run with the same values (the store's config fingerprint
-/// covers cache geometry, and a store written with one shard count only
-/// reopens with the same `--shards`).
+/// `--window`). `save`/`load` must be run with the same values (the
+/// store's config fingerprint covers cache geometry).
 fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
     let cache: usize = flags
         .get("cache")
@@ -206,17 +204,9 @@ fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
         .transpose()
         .map_err(|_| "--window expects an integer")?
         .unwrap_or(100);
-    let shards: usize = match flags.get("shards") {
-        None => 1,
-        Some(s) => match s.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err("--shards expects an integer ≥ 1".into()),
-        },
-    };
     IgqConfig::builder()
         .cache_capacity(cache)
         .window(window)
-        .shards(shards)
         .build()
         .map_err(|e| format!("invalid iGQ configuration: {e}"))
 }
@@ -669,31 +659,6 @@ mod tests {
             "--no-igq",
         ]))
         .unwrap();
-        query(&s(&[
-            "--dataset",
-            db.to_str().unwrap(),
-            "--queries",
-            qf.to_str().unwrap(),
-            "--shards",
-            "4",
-            "--cache",
-            "10",
-            "--window",
-            "2",
-        ]))
-        .unwrap();
-        assert!(
-            query(&s(&[
-                "--dataset",
-                db.to_str().unwrap(),
-                "--queries",
-                qf.to_str().unwrap(),
-                "--shards",
-                "0",
-            ]))
-            .is_err(),
-            "--shards 0 must be rejected, not silently clamped"
-        );
         query(&s(&[
             "--dataset",
             db.to_str().unwrap(),

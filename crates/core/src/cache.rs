@@ -40,10 +40,8 @@ pub struct CacheEntry {
 impl CacheEntry {
     /// Finalizes a pending window entry for residency: sorts and dedups
     /// the answers and fills in whatever signature/code the engine did not
-    /// precompute. Crate-visible so the sharded flip path
-    /// ([`crate::shard`]) admits entries through the exact same
-    /// preparation as [`QueryCache::apply_window`].
-    pub(crate) fn new(entry: WindowEntry) -> CacheEntry {
+    /// precompute.
+    fn new(entry: WindowEntry) -> CacheEntry {
         let WindowEntry {
             graph,
             mut answers,
@@ -388,52 +386,6 @@ impl QueryCache {
             // Two residents can share a canonical code (imports are not
             // deduplicated); only drop the mapping if it points here, or
             // the surviving duplicate would lose its fast-path entry.
-            if self.code_index.get(&code) == Some(&slot) {
-                self.code_index.remove(&code);
-                return Some(code);
-            }
-        }
-        None
-    }
-
-    /// Places `entry` at an externally allocated `slot`, growing the slot
-    /// table as needed. The sharded-state admission path: with `N > 1`
-    /// shards the *global* slot allocator (not this cache) decides slot
-    /// numbers, and each shard's cache is a sparse container over the
-    /// global slot namespace. Maintains `len` and the code index exactly
-    /// like [`admit`](Self::admit); the local free list is untouched (it
-    /// stays empty in sharded operation).
-    ///
-    /// # Panics
-    /// Panics if the slot is already occupied — the allocator never hands
-    /// out a live slot, so an occupied target is a logic error.
-    pub(crate) fn place_at(&mut self, slot: usize, entry: CacheEntry) {
-        if self.slots.len() <= slot {
-            self.slots.resize_with(slot + 1, || None);
-        }
-        assert!(
-            self.slots[slot].is_none(),
-            "placing into an occupied slot {slot}"
-        );
-        if let Some(code) = entry.code.clone() {
-            self.code_index.insert(code, slot);
-        }
-        self.slots[slot] = Some(entry);
-        self.len += 1;
-    }
-
-    /// Removes the entry at `slot` without touching the local free list —
-    /// the sharded-state eviction path, where the freed slot goes back to
-    /// the *global* allocator instead. Returns the evictee's canonical
-    /// code when its fast-path mapping died with it, with the same
-    /// duplicate-preserving rule as [`evict`](Self::evict).
-    ///
-    /// # Panics
-    /// Panics if the slot is free (the flip only evicts occupied slots).
-    pub(crate) fn take_at(&mut self, slot: usize) -> Option<CanonicalCode> {
-        let entry = self.slots[slot].take().expect("taking a free slot");
-        self.len -= 1;
-        if let Some(code) = entry.code {
             if self.code_index.get(&code) == Some(&slot) {
                 self.code_index.remove(&code);
                 return Some(code);

@@ -27,9 +27,6 @@ pub enum ConfigError {
         /// The configured cache capacity `C`.
         cache_capacity: usize,
     },
-    /// `shards == 0`: there would be no shard to route any query to.
-    /// Sharding is disabled with `shards == 1` (the default), not `0`.
-    ZeroShards,
     /// [`PersistenceConfig::checkpoint_every_windows`] `== 0`: the
     /// auto-checkpoint cadence would never fire, silently degrading the
     /// store to WAL-only growth. Disable auto-checkpointing explicitly
@@ -50,9 +47,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "window ({window}) must not exceed cache_capacity ({cache_capacity})"
             ),
-            ConfigError::ZeroShards => {
-                write!(f, "shards must be >= 1 (use 1 to disable sharding)")
-            }
             ConfigError::ZeroCheckpointInterval => write!(
                 f,
                 "checkpoint_every_windows must be >= 1 (use PersistenceConfig::manual \
@@ -154,14 +148,9 @@ pub struct IgqConfig {
     /// Durability cadence for store-attached engines (see
     /// [`PersistenceConfig`]); inert without a store.
     pub persistence: PersistenceConfig,
-    /// Number of state shards the engine's mutable state (query cache +
-    /// `Isub`/`Isuper` pair) is partitioned into, routed by canonical-code
-    /// hash. `1` (the default) keeps today's single-partition behavior
-    /// bit-for-bit. With `N > 1` each shard has its own lock and its own
-    /// WAL stream multiplexed into the one attached store; index probes
-    /// scatter across shards and merge their candidates. Must be
-    /// ≥ 1 ([`ConfigError::ZeroShards`]). Store-attached engines persist
-    /// the shard count and refuse to reopen under a different one.
+    /// Ignored: engine state is one cache behind one lock. Kept only
+    /// because the frozen `benchmark/` ladder sets it; delete with the
+    /// next `benchmark` PR.
     pub shards: usize,
 }
 
@@ -199,8 +188,8 @@ impl IgqConfig {
         }
     }
 
-    /// Checks the `1 ≤ W ≤ C`, shard-count and checkpoint-cadence
-    /// invariants, reporting the first violation. Engine construction
+    /// Checks the `1 ≤ W ≤ C` and checkpoint-cadence invariants,
+    /// reporting the first violation. Engine construction
     /// calls this, so a hand-built struct literal gets the same scrutiny
     /// as a [`builder`](IgqConfig::builder) config.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -212,9 +201,6 @@ impl IgqConfig {
                 window: self.window,
                 cache_capacity: self.cache_capacity,
             });
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
         }
         if self.persistence.checkpoint_every_windows == Some(0) {
             return Err(ConfigError::ZeroCheckpointInterval);
@@ -293,12 +279,6 @@ impl IgqConfigBuilder {
         self
     }
 
-    /// Sets the state shard count (see [`IgqConfig::shards`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
     /// Validates and returns the config.
     pub fn build(self) -> Result<IgqConfig, ConfigError> {
         self.config.validate()?;
@@ -334,7 +314,6 @@ mod tests {
             .policy(ReplacementPolicy::Lru)
             .exact_fastpath(false)
             .batch_threads(4)
-            .shards(4)
             .build()
             .expect("valid");
         assert_eq!(c.cache_capacity, 64);
@@ -343,16 +322,6 @@ mod tests {
         assert_eq!(c.policy, ReplacementPolicy::Lru);
         assert!(!c.exact_fastpath);
         assert_eq!(c.batch_threads, 4);
-        assert_eq!(c.shards, 4);
-    }
-
-    #[test]
-    fn zero_shards_is_rejected_and_one_is_the_default() {
-        assert_eq!(IgqConfig::default().shards, 1);
-        assert_eq!(
-            IgqConfig::builder().shards(0).build().unwrap_err(),
-            ConfigError::ZeroShards
-        );
     }
 
     #[test]
@@ -411,6 +380,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("50") && msg.contains("10"), "{msg}");
         assert!(ConfigError::ZeroWindow.to_string().contains("window"));
-        assert!(ConfigError::ZeroShards.to_string().contains("shards"));
     }
 }

@@ -25,21 +25,19 @@
 //!
 //! `query` takes `&self`: the engine is a shared service, `Send + Sync`,
 //! fanned out across threads through a cheap [`crate::EngineHandle`]
-//! clone. Internally the mutable state is **sharded by canonical-code
-//! hash** ([`IgqConfig::builder().shards(n)`](crate::IgqConfigBuilder::shards),
-//! default 1): each shard holds its partition of the [`QueryCache`] and
-//! its own live `Isub`/`Isuper` pair behind its own
-//! [`std::sync::RwLock`], while a small control block (admission
-//! window, cost model, flip ordinal, global slot allocator) has its own
-//! lock; lifetime counters are lock-free atomics
-//! ([`crate::EngineStats`]). Probes scatter across shards and the
-//! candidate sets gather before the shared verify path; at one shard the
-//! behavior is bit-for-bit the pre-sharding engine. The expensive stages
-//! (feature extraction, the base filter, verification) run outside the
-//! locks; the index probes and the answer algebra run under the write
-//! view, so every probed slot stays valid until its stored answers have
-//! been used. A lock whose holder panicked is poisoned and panics every
-//! later caller. See `ARCHITECTURE.md` for the lock layout.
+//! clone. All mutable state — the admission window, the cost model, the
+//! flip ordinal, the [`QueryCache`] and the live `Isub`/`Isuper` pair over
+//! it — sits behind **one** [`std::sync::RwLock`]; lifetime counters are
+//! lock-free atomics ([`crate::EngineStats`]). The expensive stages
+//! (canonicalization, feature extraction, the base filter, verification)
+//! run outside the lock. The index probes, the answer algebra and the
+//! metadata credit run under the write side, so every probed slot stays
+//! valid until its stored answers have been used; window admission and
+//! the flip take it again after verification. Read-only paths (the
+//! exact-repeat pre-check, [`Engine::cached_queries`], checkpoint,
+//! snapshot and export capture, `self_check`) take the read side. A lock
+//! whose holder panicked is poisoned and panics every later caller. See
+//! `ARCHITECTURE.md` for the lock layout.
 //!
 //! The concrete engines are type aliases over the two directions:
 //! [`IgqEngine`] (subgraph queries over any [`SubgraphMethod`]) and
@@ -74,7 +72,6 @@ use crate::isuper::IsuperIndex;
 use crate::outcome::{QueryOutcome, Resolution};
 use crate::persist::{self, CacheStore, PersistError};
 use crate::replicate::{DeltaGroup, ReplicaError, ReplicationHub, Subscription};
-use crate::shard::{self, ShardRouter, SlotAlloc};
 use crate::stats::{AtomicEngineStats, EngineStats};
 use igq_features::{enumerate_paths, LabelSeq, PathFeatures};
 use igq_graph::canon::{canonical_code, CanonicalCode, GraphSignature};
@@ -94,12 +91,8 @@ use std::time::{Duration, Instant};
 /// [`SubgraphMethod`](igq_methods::SubgraphMethod) `M`.
 pub type IgqEngine<M> = Engine<SubgraphQueries<M>>;
 
-/// The engine-global mutable state behind its own lock: the admission
-/// window, the memoizing cost model, the flip ordinal, and — with more
-/// than one shard — the global slot allocator and the slot → shard
-/// ownership table. Lock order: `ctl` before any shard state, shards in
-/// ascending index order.
-struct Control {
+/// The engine's mutable state, all behind the one state lock.
+struct State {
     /// `Itemp`: processed-but-not-yet-indexed queries.
     window: Vec<WindowEntry>,
     window_signatures: Vec<GraphSignature>,
@@ -109,65 +102,24 @@ struct Control {
     /// record carries the flip's `seq`; recovery resumes from the highest
     /// replayed value.
     seq: u64,
-    /// The global slot allocator (authoritative only with > 1 shard; the
-    /// single-shard cache manages its own slots, bit-for-bit as before
-    /// sharding existed).
-    alloc: SlotAlloc,
-    /// Slot → owning shard (maintained only with > 1 shard; entries for
-    /// free slots are stale and overwritten on reuse).
-    slot_owner: Vec<usize>,
-}
-
-/// One shard's lock-protected state: its partition of the query cache and
-/// the live query indexes over it.
-struct ShardState {
     cache: QueryCache,
     isub: IsubIndex,
     isuper: IsuperIndex,
 }
 
-/// The full write view: the control lock plus every shard's write lock,
-/// acquired in the fixed order (`ctl`, then shards ascending).
-struct WriteGuards<'a> {
-    ctl: RwLockWriteGuard<'a, Control>,
-    shards: Vec<RwLockWriteGuard<'a, ShardState>>,
-}
-
-/// The full read view, same acquisition order as [`WriteGuards`].
-struct ReadGuards<'a> {
-    ctl: RwLockReadGuard<'a, Control>,
-    shards: Vec<RwLockReadGuard<'a, ShardState>>,
-}
-
-/// The cache entry at a global `slot`, looked up through its owning shard
-/// (constant shard 0 when unsharded). Free functions rather than
-/// `WriteGuards` methods so callers can hold disjoint borrows of the
-/// control guard (cost model) and the shard guards (entries) at once.
-fn slot_entry<'a>(
-    ctl: &Control,
-    shards: &'a [RwLockWriteGuard<'_, ShardState>],
-    slot: usize,
-) -> &'a CacheEntry {
-    let owner = if shards.len() == 1 {
-        0
-    } else {
-        ctl.slot_owner[slot]
-    };
-    shards[owner].cache.entry(slot)
-}
-
-/// Mutable twin of [`slot_entry`].
-fn slot_entry_mut<'a>(
-    ctl: &Control,
-    shards: &'a mut [RwLockWriteGuard<'_, ShardState>],
-    slot: usize,
-) -> &'a mut CacheEntry {
-    let owner = if shards.len() == 1 {
-        0
-    } else {
-        ctl.slot_owner[slot]
-    };
-    shards[owner].cache.entry_mut(slot)
+impl State {
+    /// A cold state: empty window, cache and indexes.
+    fn empty(config: &IgqConfig, labels: usize) -> State {
+        State {
+            window: Vec::new(),
+            window_signatures: Vec::new(),
+            cost_model: CostModel::new(labels),
+            seq: 0,
+            cache: QueryCache::with_policy(config.cache_capacity, config.policy),
+            isub: IsubIndex::new(config.path_config),
+            isuper: IsuperIndex::new(config.path_config),
+        }
+    }
 }
 
 /// Persistence control for a store-attached engine ([`Engine::open`]).
@@ -184,7 +136,7 @@ struct PersistCtl {
     /// than queue up behind an in-flight checkpoint.
     checkpoint_lock: Mutex<()>,
     /// Typed degraded mode: set when a WAL append fails. The engine keeps
-    /// serving exactly; the failed flip group (and every later one) is
+    /// serving exactly; the failed flip's record (and every later one) is
     /// **quarantined** in [`PersistCtl::quarantine`] rather than dropped,
     /// and retried with exponential backoff on subsequent drains. Cleared
     /// when the quarantine fully replays or a checkpoint — which rewrites
@@ -194,7 +146,7 @@ struct PersistCtl {
     /// failure's error text); empty when healthy. Surfaced through
     /// [`EngineStats::degraded_reason`].
     degraded_reason: Mutex<String>,
-    /// Encoded-but-unappended flip groups in flip order: `(seq, bytes)`
+    /// Encoded-but-unappended WAL records in flip order: `(seq, bytes)`
     /// pairs held after an append failure so durability is restored —
     /// not merely resumed — once the store recovers. All I/O on these
     /// happens under `wal_lock`, preserving append order.
@@ -242,22 +194,16 @@ pub struct ImportReport {
 pub struct Engine<D: QueryDirection> {
     method: D::Method,
     config: IgqConfig,
-    /// Engine-global mutable state; always acquired before any shard.
-    ctl: RwLock<Control>,
-    /// The sharded mutable trio (`config.shards` cells; one = unsharded),
-    /// each behind its own lock.
-    shards: Box<[RwLock<ShardState>]>,
-    /// Deterministic canonical-code → shard routing.
-    router: ShardRouter,
-    /// Captured-but-not-yet-appended WAL flip groups (one group of
-    /// per-shard records per flip), in flip order: pushed under the full
-    /// write view (group order = flip order), appended to the store in
-    /// [`Engine::drain_outbox`] after the locks are released, so storage
-    /// I/O never sits on a state lock. Empty for engines without a
-    /// [`CacheStore`].
-    wal_outbox: Mutex<VecDeque<Vec<persist::WalRecord>>>,
-    /// Serializes WAL appends (and compaction) so groups land in exactly
-    /// their outbox (= flip) order; never acquired while holding any
+    /// All mutable engine state, behind the one state lock.
+    state: RwLock<State>,
+    /// Captured-but-not-yet-appended WAL records (one per flip), in flip
+    /// order: pushed under the state write lock (record order = flip
+    /// order), appended to the store in [`Engine::drain_outbox`] after
+    /// the lock is released, so storage I/O never sits on the state lock.
+    /// Empty for engines with neither a [`CacheStore`] nor subscribers.
+    wal_outbox: Mutex<VecDeque<persist::WalRecord>>,
+    /// Serializes WAL appends (and compaction) so records land in exactly
+    /// their outbox (= flip) order; never acquired while holding the
     /// state write lock.
     wal_lock: Mutex<()>,
     /// `Some` iff the engine was attached to a [`CacheStore`] via
@@ -280,25 +226,12 @@ pub struct Engine<D: QueryDirection> {
     /// ([`ReplicaError::EpochFenced`]) instead of silently applied.
     epoch: AtomicU64,
     /// Canonical-code keyed matching-plan cache, shared by the verify
-    /// stage and both index probes. Internally sharded and lock-striped,
+    /// stage and both index probes. Internally lock-striped,
     /// so it lives outside the state lock; entries are evicted alongside
     /// their queries via [`WindowDelta::evicted_codes`].
     plan_cache: PlanCache,
     stats: AtomicEngineStats,
     _direction: PhantomData<fn() -> D>,
-}
-
-/// Engine state reconstituted from a checkpoint (or a cold start when
-/// the store held none): the shared first half of [`Engine::open`] and
-/// [`Engine::open_follower`].
-struct Restored {
-    caches: Vec<QueryCache>,
-    alloc: SlotAlloc,
-    slot_owner: Vec<usize>,
-    isubs: Vec<IsubIndex>,
-    isupers: Vec<IsuperIndex>,
-    window: Vec<WindowEntry>,
-    seq: u64,
 }
 
 impl<D: QueryDirection> Engine<D> {
@@ -311,24 +244,8 @@ impl<D: QueryDirection> Engine<D> {
     pub fn new(method: D::Method, config: IgqConfig) -> Result<Engine<D>, ConfigError> {
         config.validate()?;
         let labels = Self::resolve_labels(&method, &config);
-        let ctl = Control {
-            window: Vec::new(),
-            window_signatures: Vec::new(),
-            cost_model: CostModel::new(labels),
-            seq: 0,
-            alloc: SlotAlloc::default(),
-            slot_owner: Vec::new(),
-        };
-        let cells: Vec<RwLock<ShardState>> = (0..config.shards)
-            .map(|_| {
-                RwLock::new(ShardState {
-                    cache: QueryCache::with_policy(config.cache_capacity, config.policy),
-                    isub: IsubIndex::new(config.path_config),
-                    isuper: IsuperIndex::new(config.path_config),
-                })
-            })
-            .collect();
-        Ok(Self::assemble(method, config, ctl, cells, None, false))
+        let state = State::empty(&config, labels);
+        Ok(Self::assemble(method, config, state, None, false))
     }
 
     /// Label-universe size for the cost model: configured, or derived
@@ -344,8 +261,7 @@ impl<D: QueryDirection> Engine<D> {
     fn assemble(
         method: D::Method,
         config: IgqConfig,
-        ctl: Control,
-        cells: Vec<RwLock<ShardState>>,
+        state: State,
         persist: Option<PersistCtl>,
         follower: bool,
     ) -> Engine<D> {
@@ -353,13 +269,10 @@ impl<D: QueryDirection> Engine<D> {
         // resident (distinct configs, probe-side patterns) with headroom
         // for small caches so repeated streams never thrash.
         let plan_capacity = (4 * config.cache_capacity).max(512);
-        let router = ShardRouter::new(config.shards);
         Engine {
             method,
             config,
-            ctl: RwLock::new(ctl),
-            shards: cells.into_boxed_slice(),
-            router,
+            state: RwLock::new(state),
             wal_outbox: Mutex::new(VecDeque::new()),
             wal_lock: Mutex::new(()),
             persist,
@@ -372,27 +285,15 @@ impl<D: QueryDirection> Engine<D> {
         }
     }
 
-    /// Acquires the full write view in the fixed lock order.
-    fn lock_write(&self) -> WriteGuards<'_> {
-        let ctl = self.ctl.write().expect(POISONED);
-        let shards = self
-            .shards
-            .iter()
-            .map(|c| c.write().expect(POISONED))
-            .collect();
-        WriteGuards { ctl, shards }
+    /// Takes the state lock's write side.
+    fn lock_write(&self) -> RwLockWriteGuard<'_, State> {
+        self.state.write().expect(POISONED)
     }
 
-    /// Acquires the full read view in the fixed lock order. Flips take
-    /// every write lock, so a read view is always flip-consistent.
-    fn lock_read(&self) -> ReadGuards<'_> {
-        let ctl = self.ctl.read().expect(POISONED);
-        let shards = self
-            .shards
-            .iter()
-            .map(|c| c.read().expect(POISONED))
-            .collect();
-        ReadGuards { ctl, shards }
+    /// Takes the state lock's read side. Flips hold the write side, so a
+    /// read view is always flip-consistent.
+    fn lock_read(&self) -> RwLockReadGuard<'_, State> {
+        self.state.read().expect(POISONED)
     }
 
     /// Opens a **durable** engine over `store`: recovers the cache, both
@@ -459,15 +360,6 @@ impl<D: QueryDirection> Engine<D> {
                         data.labels
                     )));
                 }
-                // Routing is deterministic *per shard count*: a store
-                // written under a different partition cannot be replayed
-                // into this one (slots would land on the wrong shards).
-                if data.shards != config.shards {
-                    return Err(PersistError::ShardMismatch {
-                        expected: config.shards,
-                        found: data.shards,
-                    });
-                }
                 Some(data)
             }
             None => None,
@@ -475,12 +367,6 @@ impl<D: QueryDirection> Engine<D> {
         let wal = persist::parse_wal(&store.load_wal()?)?;
         if let Some(h) = &wal.header {
             check_fps(h.config_fp, h.dataset_fp)?;
-            if h.shards != config.shards {
-                return Err(PersistError::ShardMismatch {
-                    expected: config.shards,
-                    found: h.shards,
-                });
-            }
         }
         // The failover epoch survives restarts: a promoted-then-restarted
         // primary must keep fencing its predecessor's stream. Either
@@ -490,117 +376,81 @@ impl<D: QueryDirection> Engine<D> {
             .as_ref()
             .map_or(0, |d| d.epoch)
             .max(wal.header.as_ref().map_or(0, |h| h.epoch));
-        // Group the records into flip groups (a multi-shard flip appends
-        // one record per shard, all carrying the flip's seq). A trailing
-        // incomplete group is a torn tail, exactly like a torn final line.
-        let (flip_groups, torn_group) = persist::split_flip_groups(wal.records)?;
-        if wal.torn_tail || torn_group {
+        if wal.torn_tail {
             eprintln!(
                 "igq: warning: WAL ends in a torn record (crash mid-append); \
                  truncating to the last intact flip"
             );
         }
 
-        // Reconstitute the cache partition and both index families from
-        // the checkpoint — no re-enumeration, no re-canonicalization: the
-        // persisted feature sets feed `insert_features` directly. With
-        // more than one shard, entries land back on their owning shard by
-        // re-running the deterministic router; with one, the original
-        // restore path (and its validation) is untouched.
-        let path_config = config.path_config;
-        let n = config.shards;
-        let router = ShardRouter::new(n);
-        let Restored {
-            mut caches,
-            mut alloc,
-            mut slot_owner,
-            mut isubs,
-            mut isupers,
-            window,
-            mut seq,
-        } = Self::restore_from_checkpoint(&config, &router, checkpoint)?;
+        let mut st = Self::restore_from_checkpoint(&config, labels, checkpoint)?;
 
-        // Replay the WAL tail flip group by flip group: recorded
-        // evictions/admissions re-applied verbatim (the policy is not
-        // re-run), indexes updated incrementally, the final flip's
-        // metadata tables restored last. An unsharded group is one
-        // record replayed through the cache's own free list; a sharded
-        // group reconstructs the global allocator ([`shard::replay_group`]).
+        // Replay the WAL tail record by record (one record per flip):
+        // recorded evictions/admissions re-applied verbatim through the
+        // cache's own free list (the policy is not re-run), indexes
+        // updated incrementally, the final flip's metadata table restored
+        // last.
         let mut replayed = 0u64;
         let mut kept: Vec<persist::WalRecord> = Vec::new();
-        let mut last_metas: Option<Vec<(usize, usize, crate::GraphMeta)>> = None;
-        for mut group in flip_groups {
-            let gseq = group[0].seq;
-            if gseq <= seq {
-                continue; // subsumed by the checkpoint
-            }
-            if gseq != seq + 1 {
+        let mut previous: Option<u64> = None;
+        for record in wal.records {
+            if previous == Some(record.seq) {
                 return Err(PersistError::Corrupt(format!(
-                    "WAL sequence gap: expected flip {}, found {gseq}",
-                    seq + 1
+                    "WAL records flip {} twice",
+                    record.seq
                 )));
             }
-            if n == 1 {
-                let record = &group[0];
-                let admitted: Vec<(usize, CacheEntry)> = record
-                    .admitted
-                    .iter()
-                    .map(|p| (p.slot, p.entry.clone()))
-                    .collect();
-                caches[0]
-                    .replay_window(&record.evicted, admitted)
-                    .map_err(PersistError::Corrupt)?;
-            } else {
-                let mut refs: Vec<&mut QueryCache> = caches.iter_mut().collect();
-                shard::replay_group(&mut alloc, &mut slot_owner, &mut refs, &group)
-                    .map_err(PersistError::Corrupt)?;
+            previous = Some(record.seq);
+            if record.seq <= st.seq {
+                continue; // subsumed by the checkpoint
             }
-            for record in &group {
-                if record.shard >= n {
-                    return Err(PersistError::Corrupt(format!(
-                        "WAL record for shard {} of {n}",
-                        record.shard
-                    )));
-                }
-                for &slot in &record.evicted {
-                    isubs[record.shard].remove(slot);
-                    isupers[record.shard].remove(slot);
-                }
-                for p in &record.admitted {
-                    // WAL records carry no feature sets (they are the
-                    // short tail); one enumeration feeds both indexes,
-                    // exactly as a live flip would.
-                    let features = enumerate_paths(&p.entry.graph, &path_config);
-                    let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
-                    isubs[record.shard].insert_features(
-                        p.slot,
-                        Arc::clone(&p.entry.graph),
-                        &features,
-                        Arc::clone(&keys),
-                    );
-                    isupers[record.shard].insert_features(
-                        p.slot,
-                        Arc::clone(&p.entry.graph),
-                        &features,
-                        keys,
-                        p.entry.code.clone(),
-                    );
-                }
+            if record.seq != st.seq + 1 {
+                return Err(PersistError::Corrupt(format!(
+                    "WAL sequence gap: expected flip {}, found {}",
+                    st.seq + 1,
+                    record.seq
+                )));
             }
-            seq = gseq;
+            let admitted: Vec<(usize, CacheEntry)> = record
+                .admitted
+                .iter()
+                .map(|p| (p.slot, p.entry.clone()))
+                .collect();
+            st.cache
+                .replay_window(&record.evicted, admitted)
+                .map_err(PersistError::Corrupt)?;
+            for &slot in &record.evicted {
+                st.isub.remove(slot);
+                st.isuper.remove(slot);
+            }
+            for p in &record.admitted {
+                // WAL records carry no feature sets (they are the short
+                // tail); one enumeration feeds both indexes, exactly as a
+                // live flip would.
+                let features = enumerate_paths(&p.entry.graph, &config.path_config);
+                let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
+                st.isub.insert_features(
+                    p.slot,
+                    Arc::clone(&p.entry.graph),
+                    &features,
+                    Arc::clone(&keys),
+                );
+                st.isuper.insert_features(
+                    p.slot,
+                    Arc::clone(&p.entry.graph),
+                    &features,
+                    keys,
+                    p.entry.code.clone(),
+                );
+            }
+            st.seq = record.seq;
             replayed += 1;
-            last_metas = Some(
-                group
-                    .iter()
-                    .flat_map(|r| r.metas.iter().map(|&(slot, meta)| (r.shard, slot, meta)))
-                    .collect(),
-            );
-            kept.append(&mut group);
+            kept.push(record);
         }
-        if let Some(metas) = last_metas {
-            for (owner, slot, meta) in metas {
-                match caches[owner].get(slot) {
-                    Some(_) => caches[owner].entry_mut(slot).meta = meta,
+        if let Some(last) = kept.last() {
+            for &(slot, meta) in &last.metas {
+                match st.cache.get(slot) {
+                    Some(_) => st.cache.entry_mut(slot).meta = meta,
                     None => {
                         return Err(PersistError::Corrupt(format!(
                             "WAL metadata for slot {slot}, which is not occupied after replay"
@@ -616,11 +466,9 @@ impl<D: QueryDirection> Engine<D> {
         let header = persist::WalHeader {
             config_fp,
             dataset_fp,
-            shards: n,
             epoch,
         };
-        let kept_refs: Vec<&persist::WalRecord> = kept.iter().collect();
-        store.replace_wal(&persist::encode_wal(&header, &kept_refs))?;
+        store.replace_wal(&persist::encode_wal(&header, &kept))?;
 
         // The checkpoint's pending window is only current while no flip
         // followed it: the first replayed WAL record's admission batch
@@ -630,13 +478,13 @@ impl<D: QueryDirection> Engine<D> {
         // After any replay the true state is "window empty as of the last
         // flip" (entries enqueued after it are the documented loss
         // window).
-        let mut window = window;
         if replayed > 0 {
-            window.clear();
+            st.window.clear();
         }
         // Window signatures ride alongside the window entries; recompute
         // any an old artifact did not carry.
-        let window_signatures: Vec<GraphSignature> = window
+        st.window_signatures = st
+            .window
             .iter_mut()
             .map(|w| {
                 let sig = w.signature.unwrap_or_else(|| GraphSignature::of(&w.graph));
@@ -645,16 +493,6 @@ impl<D: QueryDirection> Engine<D> {
             })
             .collect();
 
-        let cells = Self::build_cells(caches, isubs, isupers);
-
-        let ctl = Control {
-            window,
-            window_signatures,
-            cost_model: CostModel::new(labels),
-            seq,
-            alloc,
-            slot_owner,
-        };
         let pctl = PersistCtl {
             store,
             config_fp,
@@ -663,7 +501,7 @@ impl<D: QueryDirection> Engine<D> {
                 .persistence
                 .checkpoint_every_windows
                 .map(|w| w as u64),
-            appends_since_checkpoint: AtomicU64::new(kept_refs.len() as u64),
+            appends_since_checkpoint: AtomicU64::new(kept.len() as u64),
             checkpoint_lock: Mutex::new(()),
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
@@ -672,31 +510,43 @@ impl<D: QueryDirection> Engine<D> {
             retry_strikes: AtomicU64::new(0),
             tail_suspect: AtomicBool::new(false),
         };
-        let engine = Self::assemble(method, config, ctl, cells, Some(pctl), false);
+        let engine = Self::assemble(method, config, st, Some(pctl), false);
         engine.epoch.store(epoch, Ordering::Relaxed);
         engine.stats.set_recovery_replayed_windows(replayed);
         Ok(engine)
     }
 
     /// The shared restore half of [`Engine::open`] and
-    /// [`Engine::open_follower`]: reconstitutes the cache partition and
-    /// both index families from a decoded checkpoint — no re-enumeration,
-    /// no re-canonicalization (the persisted feature sets feed
-    /// `insert_features` directly). With more than one shard, entries
-    /// land back on their owning shard by re-running the deterministic
-    /// router; with one, the original restore path (and its validation)
-    /// is untouched. `None` yields a cold start.
+    /// [`Engine::open_follower`]: reconstitutes the cache and both query
+    /// indexes from a decoded checkpoint — no re-enumeration, no
+    /// re-canonicalization (the persisted feature sets feed
+    /// `insert_features` directly). The checkpoint's pending window is
+    /// restored as-is (its signatures are the caller's job). `None`
+    /// yields a cold start.
     fn restore_from_checkpoint(
         config: &IgqConfig,
-        router: &ShardRouter,
+        labels: usize,
         checkpoint: Option<persist::CheckpointData>,
-    ) -> Result<Restored, PersistError> {
-        let path_config = config.path_config;
-        let n = config.shards;
-        let mut isubs: Vec<IsubIndex> = (0..n).map(|_| IsubIndex::new(path_config)).collect();
-        let mut isupers: Vec<IsuperIndex> = (0..n).map(|_| IsuperIndex::new(path_config)).collect();
-        let mut seq = 0u64;
-        let feed = |isub: &mut IsubIndex, isuper: &mut IsuperIndex, p: &persist::PersistedEntry| {
+    ) -> Result<State, PersistError> {
+        let mut st = State::empty(config, labels);
+        let Some(data) = checkpoint else {
+            return Ok(st);
+        };
+        let entries: Vec<(usize, CacheEntry)> = data
+            .entries
+            .iter()
+            .map(|p| (p.slot, p.entry.clone()))
+            .collect();
+        st.cache = QueryCache::restore(
+            config.cache_capacity,
+            config.policy,
+            data.round,
+            data.slot_count,
+            data.free,
+            entries,
+        )
+        .map_err(PersistError::Corrupt)?;
+        for p in &data.entries {
             match &p.features {
                 Some(f) => {
                     let mut features = PathFeatures {
@@ -707,13 +557,13 @@ impl<D: QueryDirection> Engine<D> {
                         features.counts.insert(seq_key.clone(), *count);
                     }
                     let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
-                    isub.insert_features(
+                    st.isub.insert_features(
                         p.slot,
                         Arc::clone(&p.entry.graph),
                         &features,
                         Arc::clone(&keys),
                     );
-                    isuper.insert_features(
+                    st.isuper.insert_features(
                         p.slot,
                         Arc::clone(&p.entry.graph),
                         &features,
@@ -724,85 +574,14 @@ impl<D: QueryDirection> Engine<D> {
                 // Older/foreign checkpoints without feature sets:
                 // fall back to enumeration.
                 None => {
-                    isub.insert(p.slot, Arc::clone(&p.entry.graph));
-                    isuper.insert(p.slot, Arc::clone(&p.entry.graph));
+                    st.isub.insert(p.slot, Arc::clone(&p.entry.graph));
+                    st.isuper.insert(p.slot, Arc::clone(&p.entry.graph));
                 }
             }
-        };
-        let (caches, alloc, slot_owner, window) = match checkpoint {
-            Some(data) => {
-                seq = data.seq;
-                let entries: Vec<(usize, CacheEntry)> = data
-                    .entries
-                    .iter()
-                    .map(|p| (p.slot, p.entry.clone()))
-                    .collect();
-                let (caches, alloc, slot_owner) = if n == 1 {
-                    let cache = QueryCache::restore(
-                        config.cache_capacity,
-                        config.policy,
-                        data.round,
-                        data.slot_count,
-                        data.free,
-                        entries,
-                    )
-                    .map_err(PersistError::Corrupt)?;
-                    (vec![cache], SlotAlloc::default(), Vec::new())
-                } else {
-                    shard::restore_sharded(
-                        config.cache_capacity,
-                        config.policy,
-                        data.round,
-                        data.slot_count,
-                        data.free,
-                        entries,
-                        router,
-                    )
-                    .map_err(PersistError::Corrupt)?
-                };
-                for p in &data.entries {
-                    let owner = if n == 1 { 0 } else { slot_owner[p.slot] };
-                    feed(&mut isubs[owner], &mut isupers[owner], p);
-                }
-                (caches, alloc, slot_owner, data.window)
-            }
-            None => (
-                (0..n)
-                    .map(|_| QueryCache::with_policy(config.cache_capacity, config.policy))
-                    .collect(),
-                SlotAlloc::default(),
-                Vec::new(),
-                Vec::new(),
-            ),
-        };
-        Ok(Restored {
-            caches,
-            alloc,
-            slot_owner,
-            isubs,
-            isupers,
-            window,
-            seq,
-        })
-    }
-
-    /// Wraps restored per-shard state into the engine's shard locks.
-    fn build_cells(
-        caches: Vec<QueryCache>,
-        isubs: Vec<IsubIndex>,
-        isupers: Vec<IsuperIndex>,
-    ) -> Vec<RwLock<ShardState>> {
-        caches
-            .into_iter()
-            .zip(isubs.into_iter().zip(isupers))
-            .map(|(cache, (isub, isuper))| {
-                RwLock::new(ShardState {
-                    cache,
-                    isub,
-                    isuper,
-                })
-            })
-            .collect()
+        }
+        st.seq = data.seq;
+        st.window = data.window;
+        Ok(st)
     }
 
     /// Opens a **follower** read replica from a primary's snapshot — the
@@ -814,8 +593,8 @@ impl<D: QueryDirection> Engine<D> {
     /// with a typed [`ReplicaError`].
     ///
     /// `method` and `config` must match the primary's: the snapshot's
-    /// config/dataset fingerprints, label universe, and shard count are
-    /// validated exactly as [`Engine::open`] validates a store. The
+    /// config/dataset fingerprints and label universe are validated
+    /// exactly as [`Engine::open`] validates a store. The
     /// follower keeps no store of its own — crash recovery is a
     /// re-bootstrap from the primary — and its pending window is always
     /// empty (admissions arrive pre-flipped inside delta groups; the
@@ -849,35 +628,13 @@ impl<D: QueryDirection> Engine<D> {
                 data.labels
             )));
         }
-        if data.shards != config.shards {
-            return Err(PersistError::ShardMismatch {
-                expected: config.shards,
-                found: data.shards,
-            });
-        }
-        let router = ShardRouter::new(config.shards);
         // The follower starts at the primary's failover epoch: older
         // streams (a deposed primary) are fenced from the first group.
         let epoch = data.epoch;
-        let Restored {
-            caches,
-            alloc,
-            slot_owner,
-            isubs,
-            isupers,
-            seq,
-            ..
-        } = Self::restore_from_checkpoint(&config, &router, Some(data))?;
-        let cells = Self::build_cells(caches, isubs, isupers);
-        let ctl = Control {
-            window: Vec::new(),
-            window_signatures: Vec::new(),
-            cost_model: CostModel::new(labels),
-            seq,
-            alloc,
-            slot_owner,
-        };
-        let engine = Self::assemble(method, config, ctl, cells, None, true);
+        let mut st = Self::restore_from_checkpoint(&config, labels, Some(data))?;
+        st.window.clear();
+        let seq = st.seq;
+        let engine = Self::assemble(method, config, st, None, true);
         engine.epoch.store(epoch, Ordering::Relaxed);
         engine.stats.set_last_applied_seq(seq);
         engine.stats.note_replica_heard(seq);
@@ -905,16 +662,16 @@ impl<D: QueryDirection> Engine<D> {
     /// primary starts sequencing flips at activation) — and on a
     /// follower, which republishes every group it applies (chaining).
     pub fn subscribe_replication(&self, from_seq: Option<u64>) -> Subscription {
-        // Under the ctl read lock no flip can land (flips hold the write
-        // lock), so activation, the resume check, and snapshot/feed
+        // Under the state read lock no flip can land (flips hold the
+        // write side), so activation, the resume check, and snapshot/feed
         // registration all see one consistent seq — and every later flip
-        // observes the active hub. The drain (safe under read guards: it
+        // observes the active hub. The drain (safe under the read lock: it
         // takes only the outbox/WAL locks) clears any committed-but-
-        // unpublished groups first, so nothing committed before
+        // unpublished flips first, so nothing committed before
         // activation is re-published after it.
         let g = self.lock_read();
         self.drain_outbox();
-        self.hub.activate(g.ctl.seq);
+        self.hub.activate(g.seq);
         if let Some(after) = from_seq {
             if let Some(feed) = self.hub.try_resume(after) {
                 return Subscription::Live { feed };
@@ -942,12 +699,13 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// WAL-backed catch-up (the resume path beyond the in-memory ring):
-    /// reads the attached store's WAL, re-derives the flip groups after
-    /// `after`, and asks the hub to splice them in front of the live
-    /// ring. `None` — meaning the caller must fall back to a snapshot —
-    /// when the engine has no store, the log is degraded (quarantined
-    /// flips are missing from disk), the checkpoint already subsumed a
-    /// needed flip, or the hub cannot prove the splice gap-free.
+    /// reads the attached store's WAL, re-encodes the flips after `after`
+    /// as delta groups, and asks the hub to splice them in front of the
+    /// live ring. `None` — meaning the caller must fall back to a
+    /// snapshot — when the engine has no store, the log is degraded
+    /// (quarantined flips are missing from disk), the checkpoint already
+    /// subsumed a needed flip, or the hub cannot prove the splice
+    /// gap-free.
     fn wal_backlog_feed(&self, after: u64) -> Option<crate::replicate::ReplicaFeed> {
         let p = self.persist.as_ref()?;
         if p.degraded.load(Ordering::Relaxed) {
@@ -955,18 +713,17 @@ impl<D: QueryDirection> Engine<D> {
         }
         // Under the WAL lock no appender is concurrently writing, so the
         // log read here is a clean prefix of the stream; the caller holds
-        // the ctl *read* lock (never a write lock), matching the
+        // the state *read* lock (never the write side), matching the
         // `wal_lock` ordering rule.
         let _appending = self.wal_lock.lock().expect(POISONED);
+        // A torn tail only drops the final (never-committed) record; the
+        // intact prefix is still a valid backlog source.
         let wal = persist::parse_wal(&p.store.load_wal().ok()?).ok()?;
-        // A torn tail only drops the final (never-committed) group;
-        // the intact prefix is still a valid backlog source.
-        let (groups, _torn) = persist::split_flip_groups(wal.records).ok()?;
         let epoch = self.epoch.load(Ordering::Relaxed);
         let mut backlog = Vec::new();
         let mut next = after + 1;
-        for group in groups {
-            let seq = group[0].seq;
+        for record in wal.records {
+            let seq = record.seq;
             if seq <= after {
                 continue;
             }
@@ -978,7 +735,7 @@ impl<D: QueryDirection> Engine<D> {
             next += 1;
             backlog.push(DeltaGroup {
                 seq,
-                bytes: persist::encode_group_binary(&group, epoch).into(),
+                bytes: persist::encode_group_binary(&record, epoch).into(),
             });
         }
         if backlog.is_empty() {
@@ -1001,7 +758,7 @@ impl<D: QueryDirection> Engine<D> {
         if !self.follower.load(Ordering::Relaxed) {
             return Err(ReplicaError::NotFollower);
         }
-        let (stream_epoch, records) = persist::decode_group_binary(bytes)?;
+        let (stream_epoch, record) = persist::decode_group_binary(bytes)?;
         // Seq fencing: a group stamped with an older failover epoch comes
         // from a deposed primary (this replica promoted, or follows a
         // promoted one) and must never apply — its flips were not
@@ -1017,32 +774,23 @@ impl<D: QueryDirection> Engine<D> {
         if stream_epoch > local {
             self.epoch.store(stream_epoch, Ordering::Relaxed);
         }
-        let n = self.shards.len();
-        let seq = records[0].seq;
-        if records.len() != n
-            || records
-                .iter()
-                .any(|r| r.seq != seq || r.group != n || r.shard >= n)
-        {
-            return Err(ReplicaError::Corrupt(format!(
-                "delta group at flip {seq} does not match this replica's {n}-shard layout"
-            )));
-        }
+        let seq = record.seq;
         self.stats.note_replica_heard(seq);
         {
-            let mut g = self.lock_write();
-            // Re-check under the write view: `promote` flips the flag
+            let mut guard = self.lock_write();
+            let st = &mut *guard;
+            // Re-check under the write lock: `promote` flips the flag
             // while holding it, so a group racing a promotion is rejected
             // rather than applied to a now-writable primary.
             if !self.follower.load(Ordering::Relaxed) {
                 return Err(ReplicaError::NotFollower);
             }
-            if seq <= g.ctl.seq {
-                return Ok(g.ctl.seq);
+            if seq <= st.seq {
+                return Ok(st.seq);
             }
-            if seq != g.ctl.seq + 1 {
+            if seq != st.seq + 1 {
                 return Err(ReplicaError::SeqGap {
-                    expected: g.ctl.seq + 1,
+                    expected: st.seq + 1,
                     found: seq,
                 });
             }
@@ -1051,72 +799,47 @@ impl<D: QueryDirection> Engine<D> {
             // exactly as on the primary. (The primary's own delta omits
             // codes with a surviving isomorphic duplicate; evicting those
             // plans here too costs only a re-plan, never correctness.)
-            let deltas: Vec<(usize, WindowDelta)> = records
-                .iter()
-                .map(|r| {
-                    let cache = &g.shards[r.shard].cache;
-                    let evicted_codes: Vec<CanonicalCode> = r
-                        .evicted
-                        .iter()
-                        .filter_map(|&slot| cache.get(slot).and_then(|e| e.code.clone()))
-                        .collect();
-                    (
-                        r.shard,
-                        WindowDelta {
-                            evicted: r.evicted.clone(),
-                            admitted: r.admitted.iter().map(|p| p.slot).collect(),
-                            evicted_codes,
-                        },
-                    )
-                })
-                .collect();
+            let delta = WindowDelta {
+                evicted: record.evicted.clone(),
+                admitted: record.admitted.iter().map(|p| p.slot).collect(),
+                evicted_codes: record
+                    .evicted
+                    .iter()
+                    .filter_map(|&slot| st.cache.get(slot).and_then(|e| e.code.clone()))
+                    .collect(),
+            };
             // Replay through the same machinery recovery uses: recorded
             // evictions/admissions re-applied verbatim (the policy is not
             // re-run), so the follower makes bit-for-bit the primary's
             // slot decisions.
-            if n == 1 {
-                let record = &records[0];
-                let admitted: Vec<(usize, CacheEntry)> = record
-                    .admitted
-                    .iter()
-                    .map(|p| (p.slot, p.entry.clone()))
-                    .collect();
-                g.shards[0]
-                    .cache
-                    .replay_window(&record.evicted, admitted)
-                    .map_err(ReplicaError::Corrupt)?;
-            } else {
-                let ctl = &mut *g.ctl;
-                let mut caches: Vec<&mut QueryCache> =
-                    g.shards.iter_mut().map(|sh| &mut sh.cache).collect();
-                shard::replay_group(&mut ctl.alloc, &mut ctl.slot_owner, &mut caches, &records)
-                    .map_err(ReplicaError::Corrupt)?;
-            }
-            // The group carries each shard's full replacement-metadata
-            // table as of the flip; applying it keeps follower evictions
-            // (in later groups) trivially consistent, since the primary
-            // replays its own decisions into the stream anyway.
-            for record in &records {
-                for &(slot, meta) in &record.metas {
-                    match g.shards[record.shard].cache.get(slot) {
-                        Some(_) => g.shards[record.shard].cache.entry_mut(slot).meta = meta,
-                        None => {
-                            return Err(ReplicaError::Corrupt(format!(
-                                "delta metadata for slot {slot}, which is not occupied \
-                                 after replay"
-                            )))
-                        }
+            let admitted: Vec<(usize, CacheEntry)> = record
+                .admitted
+                .iter()
+                .map(|p| (p.slot, p.entry.clone()))
+                .collect();
+            st.cache
+                .replay_window(&record.evicted, admitted)
+                .map_err(ReplicaError::Corrupt)?;
+            // The group carries the full replacement-metadata table as of
+            // the flip; applying it keeps follower evictions (in later
+            // groups) trivially consistent, since the primary replays its
+            // own decisions into the stream anyway.
+            for &(slot, meta) in &record.metas {
+                match st.cache.get(slot) {
+                    Some(_) => st.cache.entry_mut(slot).meta = meta,
+                    None => {
+                        return Err(ReplicaError::Corrupt(format!(
+                            "delta metadata for slot {slot}, which is not occupied after replay"
+                        )))
                     }
                 }
             }
-            for code in deltas.iter().flat_map(|(_, d)| d.evicted_codes.iter()) {
+            for code in &delta.evicted_codes {
                 self.plan_cache.evict_key(code);
             }
             // Index maintenance runs exactly like a live flip.
-            for (shard, delta) in &deltas {
-                self.apply_index_delta(&mut g.shards[*shard], delta, true);
-            }
-            g.ctl.seq = seq;
+            self.apply_index_delta(st, &delta, true);
+            st.seq = seq;
             self.stats.set_last_applied_seq(seq);
         }
         // Off the state locks: republish the same bytes for any chained
@@ -1140,7 +863,7 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// Promotes this follower into a writable primary (automatic
-    /// failover). Under the full write view — so no delta group is
+    /// failover). Under the state write lock — so no delta group is
     /// mid-apply and no query mid-enqueue — the read-only flag drops and
     /// the failover epoch is bumped; from here the engine admits queries,
     /// flips windows, and publishes delta groups stamped with the new
@@ -1228,27 +951,19 @@ impl<D: QueryDirection> Engine<D> {
         &self.config
     }
 
-    /// Number of currently cached queries (across all shards).
+    /// Number of currently cached queries.
     pub fn cached_queries(&self) -> usize {
-        // The control read lock serializes against flips (which hold
-        // every write lock), so the per-shard sum is flip-consistent.
-        let _ctl = self.ctl.read().expect(POISONED);
-        self.shards
-            .iter()
-            .map(|c| c.read().expect(POISONED).cache.len())
-            .sum()
+        self.lock_read().cache.len()
     }
 
     /// Approximate footprint of iGQ's own structures (query graphs, answer
     /// sets, and both query indexes) — the iGQ bar of Figure 18.
     pub fn igq_index_size_bytes(&self) -> u64 {
-        let g = self.lock_read();
-        let mut total = self.plan_cache.heap_size_bytes();
-        for st in g.shards.iter() {
-            total += st.cache.heap_size_bytes();
-            total += st.isub.heap_size_bytes() + st.isuper.heap_size_bytes();
-        }
-        total
+        let st = self.lock_read();
+        self.plan_cache.heap_size_bytes()
+            + st.cache.heap_size_bytes()
+            + st.isub.heap_size_bytes()
+            + st.isuper.heap_size_bytes()
     }
 
     /// Estimated cost (log space) of iso-testing `q` against each graph in
@@ -1391,29 +1106,18 @@ impl<D: QueryDirection> Engine<D> {
             code
         });
         if let Some(Some(c)) = &code {
-            // Routing is deterministic, so only the owning shard can hold
-            // this code — the common miss pays one shard's read lock, not
-            // a full sweep.
-            let home = self.router.route_code(c);
-            let probable_hit = self.shards[home]
-                .read()
-                .expect(POISONED)
-                .cache
-                .slot_with_code(c)
-                .is_some();
+            let probable_hit = self.lock_read().cache.slot_with_code(c).is_some();
             if probable_hit {
-                let mut guards = self.lock_write();
-                if let Some(slot) = guards.shards[home].cache.slot_with_code(c) {
-                    for sh in guards.shards.iter_mut() {
-                        sh.cache.tick_all();
-                    }
-                    let answers = guards.shards[home].cache.entry(slot).answers.clone();
+                let mut guard = self.lock_write();
+                let st = &mut *guard;
+                if let Some(slot) = st.cache.slot_with_code(c) {
+                    st.cache.tick_all();
+                    let answers = st.cache.entry(slot).answers.clone();
                     // Credit: without running the filter the alleviated
                     // candidate set is unknown; the stored answers are a
                     // conservative lower bound on it.
-                    let credit = self.cost_of(&mut guards.ctl.cost_model, q, &answers);
-                    guards.shards[home]
-                        .cache
+                    let credit = self.cost_of(&mut st.cost_model, q, &answers);
+                    st.cache
                         .entry_mut(slot)
                         .meta
                         .record_hit(answers.len() as u64, credit);
@@ -1444,19 +1148,18 @@ impl<D: QueryDirection> Engine<D> {
         // keys the plan cache for the `Isub` probe and the verify stage.
         let qcode: Option<&CanonicalCode> = code.as_ref().and_then(|c| c.as_ref());
 
-        // Stage 2: query-index probes, scattered across every shard's
-        // indexes, under the state locks so the returned slots stay valid
-        // through the answer algebra below. Shards hold disjoint slot
-        // sets, so the per-shard hit lists merge exactly.
-        let mut guards = self.lock_write();
+        // Stage 2: query-index probes, under the state lock so the
+        // returned slots stay valid through the answer algebra below.
+        let mut guard = self.lock_write();
+        let st = &mut *guard;
         let p_start = Instant::now();
-        let per_shard: Vec<ShardProbe> = guards
-            .shards
-            .iter()
-            .map(|sh| probe_pair(&sh.isub, &sh.isuper, q, &qf, &self.plan_cache, qcode))
-            .collect();
+        let (sub_slots, sub_stats) =
+            st.isub
+                .supergraphs_of_with_plans(q, &qf, qcode.map(|c| (&self.plan_cache, c)));
+        let (super_slots, super_stats) =
+            st.isuper
+                .subgraphs_of_with_plans(q, &qf, Some(&self.plan_cache));
         let probe_time = p_start.elapsed();
-        let ((sub_slots, sub_stats), (super_slots, super_stats)) = merge_probes(per_shard);
         outcome.filter_time = filter_time;
         let mut igq_stats = IsoStats::new();
         igq_stats.merge(&sub_stats);
@@ -1468,9 +1171,7 @@ impl<D: QueryDirection> Engine<D> {
 
         let bookkeeping_start = Instant::now();
         // Every cached entry has now seen one more query.
-        for sh in guards.shards.iter_mut() {
-            sh.cache.tick_all();
-        }
+        st.cache.tick_all();
 
         let cs = &filtered.candidates;
 
@@ -1489,20 +1190,18 @@ impl<D: QueryDirection> Engine<D> {
             .chain(super_slots.iter())
             .copied()
             .find(|&s| {
-                let g = &slot_entry(&guards.ctl, &guards.shards, s).graph;
+                let g = &st.cache.entry(s).graph;
                 g.vertex_count() == q.vertex_count() && g.edge_count() == q.edge_count()
             });
         if let Some(slot) = exact_slot {
-            outcome.answers = slot_entry(&guards.ctl, &guards.shards, slot)
-                .answers
-                .clone();
+            outcome.answers = st.cache.entry(slot).answers.clone();
             outcome.resolution = Resolution::ExactHit;
             outcome.candidates_after = 0;
             outcome.pruned_by_isub = cs.len();
-            let credit = self.cost_of(&mut guards.ctl.cost_model, q, cs);
+            let credit = self.cost_of(&mut st.cost_model, q, cs);
             credit_hits::<D>(
                 self,
-                &mut guards,
+                st,
                 q,
                 cs,
                 known_slots,
@@ -1518,11 +1217,10 @@ impl<D: QueryDirection> Engine<D> {
         // Optimal case 2: a cached bounding query with an empty answer set
         // proves Answer(g) = ∅ (Section 4.3; roles inverted in the
         // supergraph direction, Section 4.4).
-        if let Some(&slot) = bound_slots.iter().find(|&&s| {
-            slot_entry(&guards.ctl, &guards.shards, s)
-                .answers
-                .is_empty()
-        }) {
+        if let Some(&slot) = bound_slots
+            .iter()
+            .find(|&&s| st.cache.entry(s).answers.is_empty())
+        {
             outcome.answers = Vec::new();
             outcome.resolution = Resolution::EmptyAnswerShortcut;
             outcome.candidates_after = 0;
@@ -1531,10 +1229,10 @@ impl<D: QueryDirection> Engine<D> {
             } else {
                 outcome.pruned_by_isub = cs.len();
             }
-            let credit = self.cost_of(&mut guards.ctl.cost_model, q, cs);
+            let credit = self.cost_of(&mut st.cost_model, q, cs);
             credit_hits::<D>(
                 self,
-                &mut guards,
+                st,
                 q,
                 cs,
                 known_slots,
@@ -1544,13 +1242,13 @@ impl<D: QueryDirection> Engine<D> {
             // An empty-answer query is prime cache material.
             if !opts.skip_admission {
                 if let Some(entry) = self.pending_admission(q, &[], code.clone()) {
-                    self.enqueue(&mut guards.ctl, entry);
+                    self.enqueue(st, entry);
                 }
             }
             outcome.igq_time = extract_time + probe_time + bookkeeping_start.elapsed();
             let maint_start = Instant::now();
-            let maintained = self.maybe_maintain(&mut guards);
-            drop(guards);
+            let maintained = self.maybe_maintain(st);
+            drop(guard);
             if maintained {
                 self.drain_outbox();
                 outcome.igq_time += maint_start.elapsed();
@@ -1568,7 +1266,7 @@ impl<D: QueryDirection> Engine<D> {
         // candidate set costs O(hits · log |CS|), not O(|CS|) per slot.
         let mut known_answers: Vec<GraphId> = Vec::new();
         for &s in known_slots {
-            known_answers.extend_from_slice(&slot_entry(&guards.ctl, &guards.shards, s).answers);
+            known_answers.extend_from_slice(&st.cache.entry(s).answers);
         }
         known_answers.sort_unstable();
         known_answers.dedup();
@@ -1582,11 +1280,7 @@ impl<D: QueryDirection> Engine<D> {
         // Formula (5): candidates must appear in every bounding answer set.
         let before_bound = pruned.len();
         for &s in bound_slots {
-            intersect_into(
-                &pruned,
-                &slot_entry(&guards.ctl, &guards.shards, s).answers,
-                &mut spare,
-            );
+            intersect_into(&pruned, &st.cache.entry(s).answers, &mut spare);
             std::mem::swap(&mut pruned, &mut spare);
             if pruned.is_empty() {
                 break;
@@ -1603,9 +1297,9 @@ impl<D: QueryDirection> Engine<D> {
         outcome.candidates_after = pruned.len();
 
         // Metadata credit for every hit.
-        credit_hits::<D>(self, &mut guards, q, cs, known_slots, bound_slots, None);
+        credit_hits::<D>(self, st, q, cs, known_slots, bound_slots, None);
         outcome.igq_time = extract_time + probe_time + bookkeeping_start.elapsed();
-        drop(guards); // verification runs outside the locks
+        drop(guard); // verification runs outside the lock
 
         // Verification of the surviving candidates, with the engine's
         // plan cache keyed by the query's canonical code (a repeat query
@@ -1651,11 +1345,11 @@ impl<D: QueryDirection> Engine<D> {
             .then(|| self.pending_admission(q, &outcome.answers, code))
             .flatten();
         let maintained = {
-            let mut guards = self.lock_write();
+            let mut st = self.lock_write();
             if let Some(entry) = pending {
-                self.enqueue(&mut guards.ctl, entry);
+                self.enqueue(&mut st, entry);
             }
-            self.maybe_maintain(&mut guards)
+            self.maybe_maintain(&mut st)
         };
         if maintained {
             self.drain_outbox();
@@ -1672,7 +1366,7 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Builds the window entry admitting `(q, answers)`: the graph clone
     /// and the WL signature need no lock, so the final-admission path
-    /// calls this before taking the write view. `code` is the query-path
+    /// calls this before taking the write lock. `code` is the query-path
     /// canonicalization outcome, reused at admission. `None` on a
     /// follower, whose cache changes only by replaying the primary's delta
     /// groups: local queries are answered (read-only) but never admitted,
@@ -1702,108 +1396,87 @@ impl<D: QueryDirection> Engine<D> {
     /// concurrent first-time callers of the same query can still both
     /// admit — duplicate residents are tolerated by the cache, see
     /// `duplicate_codes_survive_partial_eviction`).
-    fn enqueue(&self, ctl: &mut Control, entry: WindowEntry) {
+    fn enqueue(&self, st: &mut State, entry: WindowEntry) {
         let sig = entry
             .signature
             .expect("pending_admission computes the signature");
-        let dup = ctl
+        let dup = st
             .window_signatures
             .iter()
-            .zip(ctl.window.iter())
+            .zip(st.window.iter())
             .any(|(s, e)| *s == sig && igq_iso::are_isomorphic(&entry.graph, &e.graph));
         if dup {
             return;
         }
-        ctl.window.push(entry);
-        ctl.window_signatures.push(sig);
+        st.window.push(entry);
+        st.window_signatures.push(sig);
     }
 
     /// Runs window maintenance when `W` queries have accumulated: evict,
     /// admit, and bring both query indexes up to date.
-    fn maybe_maintain(&self, g: &mut WriteGuards) -> bool {
-        if g.ctl.window.len() < self.config.window {
+    fn maybe_maintain(&self, st: &mut State) -> bool {
+        if st.window.len() < self.config.window {
             return false;
         }
-        self.run_maintenance(g);
+        self.run_maintenance(st);
         true
     }
 
     /// Evicts/admits the pending window and brings `Isub`/`Isuper` in line
     /// with the resulting slot delta — incrementally on this thread
     /// (remove evicted slots, insert admitted ones; O(window delta)).
-    fn run_maintenance(&self, g: &mut WriteGuards) {
-        if g.ctl.window.is_empty() {
+    fn run_maintenance(&self, st: &mut State) {
+        if st.window.is_empty() {
             return;
         }
-        let incoming = std::mem::take(&mut g.ctl.window);
-        g.ctl.window_signatures.clear();
-        self.apply_incoming(g, incoming, true);
+        let incoming = std::mem::take(&mut st.window);
+        st.window_signatures.clear();
+        self.apply_incoming(st, incoming, true);
     }
 
-    /// Applies one admission batch as a window flip: a single-shard
-    /// engine calls [`QueryCache::apply_window`] directly (bit-for-bit
-    /// the pre-sharding behavior); a sharded engine runs the unified flip
-    /// over the global allocator ([`shard::apply_window_sharded`]), which
-    /// makes the identical slot decisions and scatters them to the owning
-    /// shards. Evicted plans are dropped, the flip is captured as one WAL
-    /// group, and each touched shard's index delta is applied inline.
-    /// Returns whether anything changed.
-    /// `record_stats` distinguishes regular maintenance from
-    /// [`Engine::import_entries`], which never counted as maintenance.
+    /// Applies one admission batch as a window flip
+    /// ([`QueryCache::apply_window`]): evicted plans are dropped, the flip
+    /// is captured as one WAL record, and the index delta is applied
+    /// inline. Returns whether anything changed. `record_stats`
+    /// distinguishes regular maintenance from [`Engine::import_entries`],
+    /// which never counted as maintenance.
     fn apply_incoming(
         &self,
-        g: &mut WriteGuards,
+        st: &mut State,
         incoming: Vec<WindowEntry>,
         record_stats: bool,
     ) -> bool {
-        let deltas: Vec<WindowDelta> = if self.shards.len() == 1 {
-            vec![g.shards[0].cache.apply_window(incoming)]
-        } else {
-            let ctl = &mut *g.ctl;
-            let mut caches: Vec<&mut QueryCache> =
-                g.shards.iter_mut().map(|sh| &mut sh.cache).collect();
-            shard::apply_window_sharded(
-                &mut ctl.alloc,
-                &mut ctl.slot_owner,
-                &self.router,
-                self.config.cache_capacity,
-                self.config.policy,
-                &mut caches,
-                incoming,
-            )
-        };
-        if deltas.iter().all(WindowDelta::is_empty) {
+        let delta = st.cache.apply_window(incoming);
+        if delta.is_empty() {
             return false;
         }
         // Cached plans die with their windows: drop every evicted query's
         // plans (codes with a surviving isomorphic duplicate are not
         // listed, so their plans correctly live on).
-        for code in deltas.iter().flat_map(|d| d.evicted_codes.iter()) {
+        for code in &delta.evicted_codes {
             self.plan_cache.evict_key(code);
         }
         if record_stats {
             self.stats.count_maintenance();
         }
-        self.capture_wal(g, &deltas);
-        for (shard, delta) in deltas.iter().enumerate() {
-            self.apply_index_delta(&mut g.shards[shard], delta, record_stats);
-        }
+        self.capture_wal(st, &delta);
+        self.apply_index_delta(st, &delta, record_stats);
         true
     }
 
-    /// Brings one shard's `Isub`/`Isuper` in line with its cache after
-    /// `delta` was applied to it; the caller holds the shard's write lock.
-    fn apply_index_delta(&self, sh: &mut ShardState, delta: &WindowDelta, record_stats: bool) {
+    /// Brings `Isub`/`Isuper` in line with the cache after `delta` was
+    /// applied to it; the caller holds the state write lock.
+    fn apply_index_delta(&self, st: &mut State, delta: &WindowDelta, record_stats: bool) {
         if delta.is_empty() {
             return;
         }
         let maint_start = Instant::now();
         let outcome = crate::maintain::apply_delta(
             self.config.path_config,
-            &sh.cache,
+            &st.cache,
             delta,
-            &mut sh.isub,
-            &mut sh.isuper,
+            &mut st.isub,
+            &mut st.isuper,
         );
         if record_stats {
             self.stats
@@ -1811,86 +1484,67 @@ impl<D: QueryDirection> Engine<D> {
         }
     }
 
-    /// Captures one window flip as a WAL flip group — one record per
-    /// shard, all tagged with the flip's `seq` (a single record for the
-    /// unsharded engine, encoded exactly as before sharding existed).
-    /// Runs under the full write view — right after the caches changed,
-    /// so the group reflects exactly this flip — but does **no I/O**: the
-    /// records are self-contained (entry clones, `Arc` graphs) and wait
-    /// in the WAL outbox for [`Engine::drain_outbox`]. Every shard
-    /// appears in the group even when its delta is empty: each record
-    /// also snapshots that shard's full replacement-metadata table
-    /// (metadata advances globally on every query, so recovery needs
-    /// every shard's table as of the last flip — exactly what the
-    /// unsharded record always carried).
-    fn capture_wal(&self, g: &mut WriteGuards, deltas: &[WindowDelta]) {
+    /// Captures one window flip as a WAL record tagged with the flip's
+    /// `seq`. Runs under the state write lock — right after the cache
+    /// changed, so the record reflects exactly this flip — but does **no
+    /// I/O**: the record is self-contained (entry clones, `Arc` graphs)
+    /// and waits in the WAL outbox for [`Engine::drain_outbox`]. Besides
+    /// the delta it snapshots the full replacement-metadata table
+    /// (metadata advances on every query, so recovery needs the table as
+    /// of the last flip).
+    fn capture_wal(&self, st: &mut State, delta: &WindowDelta) {
         if self.persist.is_none() && !self.hub.is_active() {
             return;
         }
-        g.ctl.seq += 1;
-        let seq = g.ctl.seq;
-        self.stats.set_last_applied_seq(seq);
-        let n = self.shards.len();
-        let group: Vec<persist::WalRecord> = deltas
-            .iter()
-            .enumerate()
-            .map(|(shard, delta)| {
-                let cache = &g.shards[shard].cache;
-                persist::WalRecord {
-                    seq,
-                    shard,
-                    group: n,
-                    evicted: delta.evicted.clone(),
-                    admitted: delta
-                        .admitted
-                        .iter()
-                        .map(|&slot| persist::PersistedEntry {
-                            slot,
-                            entry: cache.entry(slot).clone(),
-                            features: None,
-                        })
-                        .collect(),
-                    metas: cache.iter().map(|(slot, e)| (slot, e.meta)).collect(),
-                }
-            })
-            .collect();
-        self.wal_outbox.lock().expect(POISONED).push_back(group);
+        st.seq += 1;
+        self.stats.set_last_applied_seq(st.seq);
+        let record = persist::WalRecord {
+            seq: st.seq,
+            evicted: delta.evicted.clone(),
+            admitted: delta
+                .admitted
+                .iter()
+                .map(|&slot| persist::PersistedEntry {
+                    slot,
+                    entry: st.cache.entry(slot).clone(),
+                    features: None,
+                })
+                .collect(),
+            metas: st.cache.iter().map(|(slot, e)| (slot, e.meta)).collect(),
+        };
+        self.wal_outbox.lock().expect(POISONED).push_back(record);
     }
 
-    /// Appends every captured WAL flip group to the store and publishes
-    /// it to the replication hub, in capture (= flip) order. Runs
-    /// *without* the state write lock, so storage I/O never stalls other
-    /// threads' queries — only fellow flippers queue here, on the WAL
-    /// lock. The outbox mutex itself is held only per pop, so a flipper
-    /// pushing a new group under the write view never waits behind an
-    /// append. Safe to call while holding the state *read* lock. No-op
-    /// for an engine with neither a store nor subscribers.
+    /// Appends every captured WAL record to the store and publishes it to
+    /// the replication hub, in capture (= flip) order. Runs *without* the
+    /// state write lock, so storage I/O never stalls other threads'
+    /// queries — only fellow flippers queue here, on the WAL lock. The
+    /// outbox mutex itself is held only per pop, so a flipper pushing a
+    /// new record under the write lock never waits behind an append. Safe
+    /// to call while holding the state *read* lock. No-op for an engine
+    /// with neither a store nor subscribers.
     fn drain_outbox(&self) {
         if self.persist.is_some() || self.hub.is_active() {
-            // One appender at a time: group pops happen only under the
-            // WAL lock, in FIFO order, so append order is flip order —
-            // and so is publication order on the replication hub.
+            // One appender at a time: pops happen only under the WAL
+            // lock, in FIFO order, so append order is flip order — and so
+            // is publication order on the replication hub.
             let _appending = self.wal_lock.lock().expect(POISONED);
             loop {
-                let group = self.wal_outbox.lock().expect(POISONED).pop_front();
-                let Some(group) = group else { break };
+                let record = self.wal_outbox.lock().expect(POISONED).pop_front();
+                let Some(record) = record else { break };
                 if let Some(p) = &self.persist {
-                    // The whole flip group is one append (and one fsync
-                    // on disk-backed stores): a crash can tear at most
-                    // the final group, which recovery truncates exactly
-                    // like a torn single record.
-                    let mut bytes = Vec::new();
-                    for record in &group {
-                        bytes.extend_from_slice(&persist::encode_wal_record(record));
-                    }
-                    let seq = group.first().map_or(0, |r| r.seq);
+                    // One flip is one append (and one fsync on
+                    // disk-backed stores): a crash can tear at most the
+                    // final record, which recovery truncates.
+                    let bytes = persist::encode_wal_record(&record);
+                    let seq = record.seq;
                     if p.degraded.load(Ordering::Relaxed) {
                         // Degraded mode: appending past a possibly-torn
                         // tail would turn it into a mid-log hole recovery
-                        // must reject, and groups must land in flip order
-                        // behind the ones already quarantined. Quarantine
-                        // this group too, then attempt a backoff-gated
-                        // retry of the whole queue.
+                        // must reject, and records must land in flip
+                        // order behind the ones already quarantined.
+                        // Quarantine this record too, then attempt a
+                        // backoff-gated retry of the whole queue.
                         p.quarantine.lock().expect(POISONED).push_back((seq, bytes));
                         self.try_drain_quarantine(p);
                     } else {
@@ -1904,16 +1558,16 @@ impl<D: QueryDirection> Engine<D> {
                     }
                 }
                 // Replication tracks the *live* engine, not the disk: the
-                // group is published even when the local WAL is degraded
+                // flip is published even when the local WAL is degraded
                 // (followers mirror memory; durability is the primary's
                 // own problem). Publication after the append attempt keeps
                 // "what followers saw" always ≤ "what the primary wrote"
                 // on a healthy log.
                 if self.hub.is_active() {
                     self.hub.publish(DeltaGroup {
-                        seq: group.first().map_or(0, |r| r.seq),
+                        seq: record.seq,
                         bytes: persist::encode_group_binary(
-                            &group,
+                            &record,
                             self.epoch.load(Ordering::Relaxed),
                         )
                         .into(),
@@ -1924,7 +1578,7 @@ impl<D: QueryDirection> Engine<D> {
         }
     }
 
-    /// Enters degraded mode after a failed WAL append: the flip group is
+    /// Enters degraded mode after a failed WAL append: the flip's record is
     /// quarantined (not dropped), the reason recorded for
     /// [`EngineStats::degraded_reason`], and the on-disk tail marked
     /// suspect. Serving continues exactly; only durability of the
@@ -1945,7 +1599,7 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// One backoff-gated retry round over the quarantine: repair the
-    /// (possibly torn) on-disk tail first, then replay quarantined groups
+    /// (possibly torn) on-disk tail first, then replay quarantined records
     /// in flip order. Clears degraded mode when the queue fully drains; a
     /// failure anywhere re-arms the backoff and leaves the rest queued.
     /// Caller holds `wal_lock`.
@@ -1973,13 +1627,12 @@ impl<D: QueryDirection> Engine<D> {
         // Tail repair: a failed append may have left a partial record at
         // the end of the log. Rewriting the log minus the torn bytes
         // (compaction at seq 0 keeps every intact record) restores a
-        // clean append point before any quarantined group lands.
+        // clean append point before any quarantined record lands.
         if p.tail_suspect.load(Ordering::Relaxed) {
             let repaired = (|| -> Result<(), PersistError> {
                 let header = persist::WalHeader {
                     config_fp: p.config_fp,
                     dataset_fp: p.dataset_fp,
-                    shards: self.config.shards,
                     epoch: self.epoch.load(Ordering::Relaxed),
                 };
                 let (compacted, _) = persist::compact_wal(&p.store.load_wal()?, 0, &header);
@@ -2069,7 +1722,7 @@ impl<D: QueryDirection> Engine<D> {
         };
         let start = Instant::now();
         let data = {
-            // Under the read guards no flip can land, so the capture is
+            // Under the read lock no flip can land, so the capture is
             // flip-consistent; the drain (safe here: it takes no state
             // lock) first appends every flip captured so far.
             let g = self.lock_read();
@@ -2094,7 +1747,6 @@ impl<D: QueryDirection> Engine<D> {
             let header = persist::WalHeader {
                 config_fp: p.config_fp,
                 dataset_fp: p.dataset_fp,
-                shards: self.config.shards,
                 epoch: self.epoch.load(Ordering::Relaxed),
             };
             let (compacted, kept) = persist::compact_wal(&p.store.load_wal()?, seq, &header);
@@ -2174,29 +1826,22 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Snapshots the full durable state (the checkpoint payload and the
     /// single serialization path behind [`Engine::checkpoint`] and
-    /// [`Engine::export_entries`]). Caller holds the state locks; per-slot
+    /// [`Engine::export_entries`]). Caller holds the state lock; per-slot
     /// feature sets are read from the live `Isub` (a slot missing there
-    /// falls back to re-enumeration).
-    ///
-    /// The checkpoint stores one *global* slot namespace regardless of
-    /// shard count: per-shard entries are merged and sorted by slot, and
-    /// the slot/free geometry comes from the global allocator (from the
-    /// single cache at `shards == 1`). Recovery re-partitions entries by
-    /// the deterministic shard routing, so the payload itself carries no
-    /// ownership map — only the shard *count*, to reject mismatched
-    /// reopens.
+    /// falls back to re-enumeration). Entries come out in slot order.
     fn capture_state(
         &self,
-        g: &ReadGuards<'_>,
+        st: &State,
         config_fp: u64,
         dataset_fp: u64,
     ) -> persist::CheckpointData {
-        let mut entries: Vec<persist::PersistedEntry> = Vec::new();
-        for sh in g.shards.iter() {
-            entries.extend(sh.cache.iter().map(|(slot, e)| persist::PersistedEntry {
+        let entries = st
+            .cache
+            .iter()
+            .map(|(slot, e)| persist::PersistedEntry {
                 slot,
                 entry: e.clone(),
-                features: Some(match sh.isub.slot_features(slot) {
+                features: Some(match st.isub.slot_features(slot) {
                     Some((counts, complete_len)) => persist::SlotFeatureSet {
                         counts,
                         complete_len,
@@ -2209,32 +1854,19 @@ impl<D: QueryDirection> Engine<D> {
                         }
                     }
                 }),
-            }));
-        }
-        entries.sort_unstable_by_key(|p| p.slot);
-        let (round, slot_count, free) = if self.shards.len() == 1 {
-            let cache = &g.shards[0].cache;
-            (
-                cache.round(),
-                cache.slot_count(),
-                cache.free_slots().to_vec(),
-            )
-        } else {
-            let alloc = &g.ctl.alloc;
-            (alloc.round, alloc.slot_count, alloc.free.clone())
-        };
+            })
+            .collect();
         persist::CheckpointData {
-            seq: g.ctl.seq,
+            seq: st.seq,
             config_fp,
             dataset_fp,
             epoch: self.epoch.load(Ordering::Relaxed),
-            shards: self.config.shards,
-            labels: g.ctl.cost_model.label_universe(),
-            round,
-            slot_count,
-            free,
+            labels: st.cost_model.label_universe(),
+            round: st.cache.round(),
+            slot_count: st.cache.slot_count(),
+            free: st.cache.free_slots().to_vec(),
             entries,
-            window: g.ctl.window.clone(),
+            window: st.window.clone(),
         }
     }
 
@@ -2305,11 +1937,11 @@ impl<D: QueryDirection> Engine<D> {
         let admitted = admissible.len().min(self.config.cache_capacity);
         let skipped_capacity = admissible.len() - admitted;
         {
-            let mut g = self.lock_write();
+            let mut st = self.lock_write();
             // `record_stats: false` — imports are seeding, not paid
             // maintenance; they neither count a window flip nor record
-            // maintenance work, matching the pre-sharding behavior.
-            self.apply_incoming(&mut g, admissible, false);
+            // maintenance work.
+            self.apply_incoming(&mut st, admissible, false);
         }
         self.drain_outbox();
         self.maybe_auto_checkpoint();
@@ -2328,86 +1960,46 @@ impl<D: QueryDirection> Engine<D> {
     /// the index diff re-enumerates every cached graph, so call this at
     /// checkpoints rather than per query in large deployments.
     pub fn self_check(&self) -> Result<(), String> {
-        // Flips hold every write lock from the cache change through the
-        // index delta, so under the read guards cache and indexes are in
+        // Flips hold the write lock from the cache change through the
+        // index delta, so under the read lock cache and indexes are in
         // lockstep.
-        let g = self.lock_read();
-        let total_len: usize = g.shards.iter().map(|sh| sh.cache.len()).sum();
-        if total_len > self.config.cache_capacity {
+        let st = self.lock_read();
+        if st.cache.len() > self.config.cache_capacity {
             return Err(format!(
                 "cache over capacity: {} > {}",
-                total_len, self.config.cache_capacity
+                st.cache.len(),
+                self.config.cache_capacity
             ));
         }
-        for sh in g.shards.iter() {
-            for (slot, e) in sh.cache.iter() {
-                if !e.answers.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("slot {slot}: answers not sorted/unique"));
-                }
-                let n = D::store(&self.method).len() as u32;
-                if e.answers.iter().any(|id| id.raw() >= n) {
-                    return Err(format!("slot {slot}: answer id out of dataset range"));
-                }
+        for (slot, e) in st.cache.iter() {
+            if !e.answers.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("slot {slot}: answers not sorted/unique"));
+            }
+            let n = D::store(&self.method).len() as u32;
+            if e.answers.iter().any(|id| id.raw() >= n) {
+                return Err(format!("slot {slot}: answer id out of dataset range"));
             }
         }
-        if g.ctl.window.len() != g.ctl.window_signatures.len() {
+        if st.window.len() != st.window_signatures.len() {
             return Err("window/signature length mismatch".into());
         }
-        // Sharded geometry: the global allocator and ownership map must
-        // agree with the per-shard caches (at one shard the cache keeps
-        // its own free list and the allocator is unused).
-        if self.shards.len() > 1 {
-            let alloc = &g.ctl.alloc;
-            if alloc.len != total_len {
-                return Err(format!(
-                    "allocator len {} != sum of shard lens {}",
-                    alloc.len, total_len
-                ));
-            }
-            let mut seen = vec![false; alloc.slot_count];
-            for (shard, sh) in g.shards.iter().enumerate() {
-                for (slot, _) in sh.cache.iter() {
-                    if slot >= alloc.slot_count {
-                        return Err(format!("slot {slot} beyond allocator slot_count"));
-                    }
-                    if g.ctl.slot_owner.get(slot) != Some(&shard) {
-                        return Err(format!(
-                            "slot {slot} held by shard {shard} but owner map says {:?}",
-                            g.ctl.slot_owner.get(slot)
-                        ));
-                    }
-                    seen[slot] = true;
-                }
-            }
-            for &slot in &alloc.free {
-                if slot >= alloc.slot_count {
-                    return Err(format!("free slot {slot} beyond allocator slot_count"));
-                }
-                if seen[slot] {
-                    return Err(format!("free slot {slot} is occupied by a shard"));
-                }
-            }
-        }
-        // Index ≡ cache, per shard: each shard's indexes must hold
-        // exactly that shard's cached slots, with postings identical to a
-        // from-scratch rebuild over that shard alone.
-        for (shard, sh) in g.shards.iter().enumerate() {
-            let graphs = || {
-                sh.cache
-                    .iter()
-                    .map(|(slot, e)| (slot, Arc::clone(&e.graph)))
-            };
-            let fresh_isub = IsubIndex::build(graphs(), self.config.path_config);
-            sh.isub
-                .snapshot()
-                .diff(&fresh_isub.snapshot())
-                .map_err(|e| format!("shard {shard}: Isub drifted from shadow rebuild: {e}"))?;
-            let fresh_isuper = IsuperIndex::build(graphs(), self.config.path_config);
-            sh.isuper
-                .snapshot()
-                .diff(&fresh_isuper.snapshot())
-                .map_err(|e| format!("shard {shard}: Isuper drifted from shadow rebuild: {e}"))?;
-        }
+        // Index ≡ cache: both indexes must hold exactly the cached slots,
+        // with postings identical to a from-scratch rebuild.
+        let graphs = || {
+            st.cache
+                .iter()
+                .map(|(slot, e)| (slot, Arc::clone(&e.graph)))
+        };
+        let fresh_isub = IsubIndex::build(graphs(), self.config.path_config);
+        st.isub
+            .snapshot()
+            .diff(&fresh_isub.snapshot())
+            .map_err(|e| format!("Isub drifted from shadow rebuild: {e}"))?;
+        let fresh_isuper = IsuperIndex::build(graphs(), self.config.path_config);
+        st.isuper
+            .snapshot()
+            .diff(&fresh_isuper.snapshot())
+            .map_err(|e| format!("Isuper drifted from shadow rebuild: {e}"))?;
         Ok(())
     }
 }
@@ -2427,11 +2019,10 @@ impl<D: QueryDirection> Drop for Engine<D> {
 /// candidates their answers *exclude* (`CS \ Answer`). `bonus` optionally
 /// awards one slot the full candidate-set prune credit (optimal-case
 /// resolutions). A free function (not a method) so the disjoint borrows of
-/// the guard fields stay obvious; slots are resolved to their owning
-/// shard through the control block's ownership map.
+/// the state's fields (cost model, cache) stay obvious.
 fn credit_hits<D: QueryDirection>(
     engine: &Engine<D>,
-    g: &mut WriteGuards<'_>,
+    st: &mut State,
     q: &Graph,
     cs: &[GraphId],
     known_slots: &[usize],
@@ -2439,68 +2030,27 @@ fn credit_hits<D: QueryDirection>(
     bonus: Option<(usize, LogValue)>,
 ) {
     for &s in known_slots {
-        let prunes = intersect_sorted(cs, &slot_entry(&g.ctl, &g.shards, s).answers);
-        let cost = engine.cost_of(&mut g.ctl.cost_model, q, &prunes);
-        slot_entry_mut(&g.ctl, &mut g.shards, s)
+        let prunes = intersect_sorted(cs, &st.cache.entry(s).answers);
+        let cost = engine.cost_of(&mut st.cost_model, q, &prunes);
+        st.cache
+            .entry_mut(s)
             .meta
             .record_hit(prunes.len() as u64, cost);
     }
     for &s in bound_slots {
-        let prunes = subtract_sorted(cs, &slot_entry(&g.ctl, &g.shards, s).answers);
-        let cost = engine.cost_of(&mut g.ctl.cost_model, q, &prunes);
-        slot_entry_mut(&g.ctl, &mut g.shards, s)
+        let prunes = subtract_sorted(cs, &st.cache.entry(s).answers);
+        let cost = engine.cost_of(&mut st.cost_model, q, &prunes);
+        st.cache
+            .entry_mut(s)
             .meta
             .record_hit(prunes.len() as u64, cost);
     }
     if let Some((slot, credit)) = bonus {
-        slot_entry_mut(&g.ctl, &mut g.shards, slot)
+        st.cache
+            .entry_mut(slot)
             .meta
             .record_hit(cs.len() as u64, credit);
     }
-}
-
-/// One shard's probe results: `(Isub hits, Isuper hits)`, each a sorted
-/// slot list plus the iso-test counters the probe spent producing it.
-type ShardProbe = ((Vec<usize>, IsoStats), (Vec<usize>, IsoStats));
-
-/// Probes one shard's query indexes — the body of stage 2; the caller
-/// holds the shard's state lock.
-fn probe_pair(
-    isub: &IsubIndex,
-    isuper: &IsuperIndex,
-    q: &Graph,
-    qf: &PathFeatures,
-    plan_cache: &PlanCache,
-    qcode: Option<&CanonicalCode>,
-) -> ShardProbe {
-    (
-        isub.supergraphs_of_with_plans(q, qf, qcode.map(|c| (plan_cache, c))),
-        isuper.subgraphs_of_with_plans(q, qf, Some(plan_cache)),
-    )
-}
-
-/// Gathers per-shard probe results into one global candidate view. The
-/// single-shard case passes through untouched — bit-for-bit the
-/// unsharded behavior. With several shards the slot lists concatenate and
-/// sort (exact: shards hold disjoint slot sets, and each probe returns
-/// its slots ascending) and the iso counters sum.
-fn merge_probes(mut per_shard: Vec<ShardProbe>) -> ShardProbe {
-    if per_shard.len() == 1 {
-        return per_shard.pop().expect("one probe");
-    }
-    let mut sub_slots = Vec::new();
-    let mut super_slots = Vec::new();
-    let mut sub_stats = IsoStats::default();
-    let mut super_stats = IsoStats::default();
-    for ((sub, ss), (sup, ps)) in per_shard {
-        sub_slots.extend(sub);
-        super_slots.extend(sup);
-        sub_stats.merge(&ss);
-        super_stats.merge(&ps);
-    }
-    sub_slots.sort_unstable();
-    super_slots.sort_unstable();
-    ((sub_slots, sub_stats), (super_slots, super_stats))
 }
 
 #[cfg(test)]
@@ -3166,34 +2716,26 @@ mod tests {
 
     #[test]
     fn follower_converges_with_in_memory_primary() {
-        for shards in [1usize, 2] {
-            let config = IgqConfig::builder()
-                .cache_capacity(8)
-                .window(1)
-                .shards(shards)
-                .build()
-                .expect("valid config");
-            let (primary, follower, feed) = replication_pair(&config);
-            let queries = replication_queries();
-            let truths: Vec<Vec<GraphId>> =
-                queries.iter().map(|q| primary.query(q).answers).collect();
-            assert!(drain_feed(&feed, &follower) > 0, "shards={shards}");
+        let config = IgqConfig::builder()
+            .cache_capacity(8)
+            .window(1)
+            .build()
+            .expect("valid config");
+        let (primary, follower, feed) = replication_pair(&config);
+        let queries = replication_queries();
+        let truths: Vec<Vec<GraphId>> = queries.iter().map(|q| primary.query(q).answers).collect();
+        assert!(drain_feed(&feed, &follower) > 0);
+        assert_eq!(follower.cached_queries(), primary.cached_queries());
+        assert_eq!(follower.replication_lag(), Some(0));
+        follower.self_check().expect("follower invariants");
+        for (q, truth) in queries.iter().zip(&truths) {
+            let out = follower.query(q);
+            assert_eq!(&out.answers, truth);
             assert_eq!(
-                follower.cached_queries(),
-                primary.cached_queries(),
-                "shards={shards}"
+                out.resolution,
+                Resolution::ExactHit,
+                "replicated resident must exact-hit"
             );
-            assert_eq!(follower.replication_lag(), Some(0));
-            follower.self_check().expect("follower invariants");
-            for (q, truth) in queries.iter().zip(&truths) {
-                let out = follower.query(q);
-                assert_eq!(&out.answers, truth, "shards={shards}");
-                assert_eq!(
-                    out.resolution,
-                    Resolution::ExactHit,
-                    "replicated resident must exact-hit (shards={shards})"
-                );
-            }
         }
     }
 
@@ -3233,6 +2775,27 @@ mod tests {
         ));
         assert_eq!(follower.cached_queries(), cached_before);
         assert_eq!(follower.stats().last_applied_seq, seq_before);
+    }
+
+    #[test]
+    fn delta_group_with_two_records_is_rejected_whole() {
+        let config = IgqConfig::builder()
+            .cache_capacity(8)
+            .window(1)
+            .build()
+            .expect("valid config");
+        let (primary, follower, feed) = replication_pair(&config);
+        let _ = primary.query(&replication_queries()[0]);
+        let d = feed.try_recv().expect("group");
+        // Two `R` frames in one group — the shape a multi-shard primary
+        // once sent — is not a flip this replica can apply.
+        let doubled = [&d.bytes[..], &d.bytes[..]].concat();
+        assert!(matches!(
+            follower.apply_replica_delta(&doubled),
+            Err(ReplicaError::Corrupt(_))
+        ));
+        assert_eq!(follower.cached_queries(), 0, "nothing applied");
+        assert_eq!(follower.apply_replica_delta(&d.bytes), Ok(d.seq));
     }
 
     #[test]

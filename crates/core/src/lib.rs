@@ -105,7 +105,6 @@ pub mod outcome;
 pub mod persist;
 pub mod policy;
 pub mod replicate;
-mod shard;
 pub mod stats;
 pub mod super_engine;
 

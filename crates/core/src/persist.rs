@@ -134,15 +134,6 @@ pub enum PersistError {
         /// Fingerprint stored in the artifact.
         found: u64,
     },
-    /// The artifact was produced under a different state shard count.
-    /// Slot routing is shard-count-dependent, so a store written with one
-    /// `shards` setting cannot be reopened under another.
-    ShardMismatch {
-        /// Shard count of the opening engine's configuration.
-        expected: usize,
-        /// Shard count stored in the artifact.
-        found: usize,
-    },
     /// The engine configuration itself was invalid (persistence never
     /// started).
     Config(ConfigError),
@@ -171,11 +162,6 @@ impl fmt::Display for PersistError {
                 f,
                 "dataset fingerprint mismatch: engine {expected:016x} vs stored {found:016x} \
                  (persisted answers are only valid against the dataset that produced them)"
-            ),
-            PersistError::ShardMismatch { expected, found } => write!(
-                f,
-                "shard count mismatch: engine configured with {expected} shard(s) but the store \
-                 was written with {found} (reopen with the original shard count, or rebuild)"
             ),
             PersistError::Config(e) => write!(f, "invalid engine configuration: {e}"),
         }
@@ -553,9 +539,6 @@ pub(crate) struct CheckpointData {
     pub entries: Vec<PersistedEntry>,
     /// Pending admission window (`Itemp`), in arrival order.
     pub window: Vec<WindowEntry>,
-    /// State shard count of the writing engine. `1` means a single
-    /// partition.
-    pub shards: usize,
     /// Failover epoch of the writing engine: bumped on every follower
     /// promotion so a stale primary's stream is fenced. `0` (the
     /// pre-failover default, omitted from the encoding) means the engine
@@ -563,30 +546,18 @@ pub(crate) struct CheckpointData {
     pub epoch: u64,
 }
 
-/// One WAL record: everything a window flip changed *within one shard*.
-/// With a single shard (the default) a flip is exactly one record; a
-/// sharded engine multiplexes one record per touched shard into the same
-/// log, all sharing the flip's `seq` and each declaring the flip's total
-/// record count (`group`) so recovery can detect a partially appended
-/// flip group at the tail.
+/// One WAL record: everything one window flip changed.
 #[derive(Debug, Clone)]
 pub(crate) struct WalRecord {
-    /// Flip ordinal (1-based, contiguous; shared by every record of one
-    /// flip group).
+    /// Flip ordinal (1-based, contiguous).
     pub seq: u64,
-    /// Shard this record's deltas belong to (`0` for unsharded engines).
-    pub shard: usize,
-    /// Number of records in this flip's group (`1` for unsharded
-    /// engines).
-    pub group: usize,
     /// Slots whose occupant was evicted, in eviction order.
     pub evicted: Vec<usize>,
     /// Admitted entries, in admission order (no feature sets — replay
     /// re-enumerates the tail).
     pub admitted: Vec<PersistedEntry>,
-    /// Post-flip replacement metadata of every resident slot of this
-    /// record's shard. Replay applies the *last* table per shard; earlier
-    /// tables are superseded.
+    /// Post-flip replacement metadata of every resident slot. Replay
+    /// applies the *last* table; earlier tables are superseded.
     pub metas: Vec<(usize, GraphMeta)>,
 }
 
@@ -595,9 +566,6 @@ pub(crate) struct WalRecord {
 pub(crate) struct WalHeader {
     pub config_fp: u64,
     pub dataset_fp: u64,
-    /// State shard count of the writing engine (`1` for unsharded
-    /// engines).
-    pub shards: usize,
     /// Failover epoch of the writing engine (`0`, omitted from the
     /// encoding, for never-promoted engines).
     pub epoch: u64,
@@ -612,61 +580,6 @@ pub(crate) struct WalParse {
     pub records: Vec<WalRecord>,
     /// `true` when a torn final record was dropped (crash mid-append).
     pub torn_tail: bool,
-}
-
-/// Splits parsed WAL records into per-flip groups (consecutive records
-/// sharing one `seq`) and validates each group against its declared
-/// record count. An *incomplete trailing* group — a crash partway through
-/// a multi-record sharded append — is dropped and reported like a torn
-/// tail (`true` in the returned pair); an incomplete or over-full group
-/// anywhere else, or records of one group disagreeing on `seq`/`group`,
-/// is [`PersistError::Corrupt`].
-pub(crate) fn split_flip_groups(
-    records: Vec<WalRecord>,
-) -> Result<(Vec<Vec<WalRecord>>, bool), PersistError> {
-    let mut groups: Vec<Vec<WalRecord>> = Vec::new();
-    for record in records {
-        match groups.last_mut() {
-            Some(group) if group[0].seq == record.seq => {
-                if record.group != group[0].group {
-                    return Err(PersistError::Corrupt(format!(
-                        "WAL flip {} records disagree on group size ({} vs {})",
-                        record.seq, group[0].group, record.group
-                    )));
-                }
-                if group.len() == group[0].group {
-                    return Err(PersistError::Corrupt(format!(
-                        "WAL flip {} has more records than its declared group size {}",
-                        record.seq, group[0].group
-                    )));
-                }
-                group.push(record);
-            }
-            previous => {
-                if let Some(group) = previous {
-                    if group.len() != group[0].group {
-                        return Err(PersistError::Corrupt(format!(
-                            "WAL flip {} group incomplete mid-log ({} of {} records)",
-                            group[0].seq,
-                            group.len(),
-                            group[0].group
-                        )));
-                    }
-                }
-                groups.push(vec![record]);
-            }
-        }
-    }
-    let mut torn_group = false;
-    if let Some(group) = groups.last() {
-        if group.len() != group[0].group {
-            // The signature of a crash partway through appending a
-            // sharded flip group: drop the whole flip, like a torn tail.
-            torn_group = true;
-            groups.pop();
-        }
-    }
-    Ok((groups, torn_group))
 }
 
 // ---------------------------------------------------------------------------
@@ -684,7 +597,12 @@ pub(crate) fn split_flip_groups(
 // * **WAL** — `IGQBWAL1` magic, then self-delimiting frames: a tag byte
 //   (`H`/`R`), a `u32` LE payload length, a `u64` LE payload checksum,
 //   and the payload. A record payload serializes `seq` first so
-//   checkpoint-time compaction can read it without decoding the frame.
+//   checkpoint-time compaction can read it without decoding the frame,
+//   then a shard tag and a flip-group width that are always 0 and 1.
+//   Headers (checkpoint and WAL) likewise record a shard count of 1.
+//   These bytes are kept so stores and streams from builds whose engine
+//   state could be sharded still open; a multi-shard artifact is
+//   rejected as [`PersistError::Corrupt`].
 //
 // Torn-tail semantics: an incomplete or checksum-damaged **final** frame
 // is dropped and reported, the same damage mid-stream is
@@ -1064,7 +982,7 @@ pub(crate) fn encode_checkpoint(data: &CheckpointData) -> Vec<u8> {
     put_varint(&mut p, data.labels as u64);
     put_varint(&mut p, data.round);
     put_varint(&mut p, data.slot_count as u64);
-    put_varint(&mut p, data.shards as u64);
+    put_varint(&mut p, 1); // shard count
     put_varint(&mut p, data.free.len() as u64);
     for &s in &data.free {
         put_varint(&mut p, s as u64);
@@ -1127,7 +1045,7 @@ pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, PersistE
         let labels = r.varint()? as usize;
         let round = r.varint()?;
         let slot_count = r.varint()? as usize;
-        let shards = r.varint()? as usize;
+        single_shard(r.varint()?, 0)?;
         let nfree = r.count("free slot", 1)?;
         let mut free = Vec::with_capacity(nfree);
         for _ in 0..nfree {
@@ -1158,7 +1076,6 @@ pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, PersistE
             free,
             entries,
             window,
-            shards,
             epoch,
         })
     };
@@ -1169,6 +1086,20 @@ pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, PersistE
         },
         None => corrupt(m),
     })
+}
+
+/// Rejects state written by a multi-shard engine, which earlier builds
+/// could run: checkpoint and WAL headers must record a shard count of 1,
+/// and every WAL record a shard `tag` of 0 in a flip group of width
+/// (`shards`) 1. The error names the writer's shard count.
+fn single_shard(shards: u64, tag: u64) -> Result<(), String> {
+    if shards == 1 && tag == 0 {
+        return Ok(());
+    }
+    Err(format!(
+        "written by a {shards}-shard engine (shard tag {tag}); engine state is no longer \
+         sharded, so rebuild the store"
+    ))
 }
 
 /// One binary WAL frame: tag byte, `u32` LE payload length, `u64` LE
@@ -1192,7 +1123,8 @@ fn encode_wal_header(h: &WalHeader) -> Vec<u8> {
     put_varint(&mut p, WAL_VERSION);
     put_u64_le(&mut p, h.config_fp);
     put_u64_le(&mut p, h.dataset_fp);
-    put_varint(&mut p, h.shards as u64);
+    put_varint(&mut p, 1); // shard count
+
     // Trailing, presence-optional (see the checkpoint's epoch note).
     if h.epoch > 0 {
         put_varint(&mut p, h.epoch);
@@ -1209,8 +1141,8 @@ pub(crate) fn encode_wal_record(r: &WalRecord) -> Vec<u8> {
     // `seq` leads the payload: compaction reads it without decoding the
     // rest of the frame.
     put_varint(&mut p, r.seq);
-    put_varint(&mut p, r.shard as u64);
-    put_varint(&mut p, r.group as u64);
+    put_varint(&mut p, 0); // shard tag
+    put_varint(&mut p, 1); // flip-group width
     put_varint(&mut p, r.evicted.len() as u64);
     for &s in &r.evicted {
         put_varint(&mut p, s as u64);
@@ -1227,16 +1159,14 @@ fn wal_header_from_bin(payload: &[u8]) -> Result<WalHeader, PersistError> {
     let mut r = Reader::new(payload);
     let mut go = || -> Result<(u64, WalHeader), String> {
         let version = r.varint()?;
+        let config_fp = r.u64_le()?;
+        let dataset_fp = r.u64_le()?;
+        single_shard(r.varint()?, 0)?;
         let h = WalHeader {
-            config_fp: r.u64_le()?,
-            dataset_fp: r.u64_le()?,
-            shards: r.varint()? as usize,
-            epoch: 0,
-        };
-        // Optional trailing epoch (absent in pre-failover artifacts).
-        let h = WalHeader {
+            config_fp,
+            dataset_fp,
+            // Optional trailing epoch (absent in pre-failover artifacts).
             epoch: if r.remaining() > 0 { r.varint()? } else { 0 },
-            ..h
         };
         if r.remaining() != 0 {
             return Err(format!("{} trailing header bytes", r.remaining()));
@@ -1253,14 +1183,24 @@ fn wal_header_from_bin(payload: &[u8]) -> Result<WalHeader, PersistError> {
     Ok(h)
 }
 
+/// Checks the shard tag and flip-group width that follow a record's
+/// `seq`. Runs before [`record_from_bin`] on every checksum-valid `R`
+/// frame, so a multi-shard engine's final record is reported as such
+/// rather than dropped as a torn tail. Structural damage is left to
+/// [`record_from_bin`], which reports it in context.
+fn check_record_layout(payload: &[u8]) -> Result<(), PersistError> {
+    let mut r = Reader::new(payload);
+    if let (Ok(_seq), Ok(tag), Ok(width)) = (r.varint(), r.varint(), r.varint()) {
+        single_shard(width, tag).map_err(|m| PersistError::Corrupt(format!("WAL record: {m}")))?;
+    }
+    Ok(())
+}
+
 fn record_from_bin(payload: &[u8]) -> Result<WalRecord, String> {
     let mut r = Reader::new(payload);
     let seq = r.varint()?;
-    let shard = r.varint()? as usize;
-    let group = r.varint()? as usize;
-    if group == 0 {
-        return Err("WAL record with group == 0".into());
-    }
+    let (tag, width) = (r.varint()?, r.varint()?);
+    single_shard(width, tag)?;
     let nevicted = r.count("evicted slot", 1)?;
     let mut evicted = Vec::with_capacity(nevicted);
     for _ in 0..nevicted {
@@ -1277,8 +1217,6 @@ fn record_from_bin(payload: &[u8]) -> Result<WalRecord, String> {
     }
     Ok(WalRecord {
         seq,
-        shard,
-        group,
         evicted,
         admitted,
         metas,
@@ -1347,6 +1285,7 @@ pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
                 if header.is_none() {
                     return Err(PersistError::Corrupt("WAL record before header".into()));
                 }
+                check_record_layout(payload)?;
                 match record_from_bin(payload) {
                     Ok(r) => records.push(r),
                     Err(_) if is_last => torn_tail = true,
@@ -1418,7 +1357,7 @@ pub(crate) fn compact_wal(bytes: &[u8], keep_after: u64, header: &WalHeader) -> 
 
 /// Encodes a header plus records as a fresh WAL byte stream (open-time
 /// compaction).
-pub(crate) fn encode_wal(header: &WalHeader, records: &[&WalRecord]) -> Vec<u8> {
+pub(crate) fn encode_wal(header: &WalHeader, records: &[WalRecord]) -> Vec<u8> {
     let mut out = encode_wal_header(header);
     for r in records {
         out.extend_from_slice(&encode_wal_record(r));
@@ -1429,39 +1368,36 @@ pub(crate) fn encode_wal(header: &WalHeader, records: &[&WalRecord]) -> Vec<u8> 
 // ---------------------------------------------------------------------------
 // Replication delta-group codec
 //
-// The replication stream's wire unit is one committed flip group, encoded
-// as the WAL codec's `R` frames back to back — no magic, no header
-// (the subscription supplies both fingerprint checks and ordering). Decode
-// is strict: a replicated group travels over a reliable stream, so any
-// truncation or damage is an error and the whole group is rejected before
-// a single record applies — the remote analogue of "a torn tail drops the
-// whole flip group".
+// The replication stream's wire unit is one committed flip, encoded as
+// the WAL codec's `R` frame — no magic, no header (the subscription
+// supplies both fingerprint checks and ordering). Decode is strict: a
+// replicated group travels over a reliable stream, so any truncation or
+// damage is an error and the whole group is rejected before anything
+// applies.
 
-/// Encodes one flip group for the replication stream. A non-zero
-/// `epoch` (the primary has been promoted at least once) leads the group
-/// as an `E` frame — the group header followers fence stale primaries
-/// by; epoch-0 groups stay byte-identical to the pre-failover stream
-/// (and to the WAL's `R` frames).
-pub(crate) fn encode_group_binary(records: &[WalRecord], epoch: u64) -> Vec<u8> {
+/// Encodes one flip for the replication stream. A non-zero `epoch` (the
+/// primary has been promoted at least once) leads the group as an `E`
+/// frame — the group header followers fence stale primaries by; epoch-0
+/// groups stay byte-identical to the pre-failover stream (and to the
+/// WAL's `R` frame).
+pub(crate) fn encode_group_binary(record: &WalRecord, epoch: u64) -> Vec<u8> {
     let mut out = Vec::new();
     if epoch > 0 {
         let mut p = Vec::with_capacity(4);
         put_varint(&mut p, epoch);
         out.extend_from_slice(&frame_bin(b'E', &p));
     }
-    for r in records {
-        out.extend_from_slice(&encode_wal_record(r));
-    }
+    out.extend_from_slice(&encode_wal_record(record));
     out
 }
 
 /// Decodes a replication delta group: an optional leading `E` (epoch)
-/// frame, then `R` frames, strict. Returns the stream epoch (`0`
-/// when the `E` frame is absent — a never-promoted primary) alongside
-/// the records.
-pub(crate) fn decode_group_binary(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>), PersistError> {
+/// frame, then exactly one `R` frame, strict. Returns the stream epoch
+/// (`0` when the `E` frame is absent — a never-promoted primary)
+/// alongside the record.
+pub(crate) fn decode_group_binary(bytes: &[u8]) -> Result<(u64, WalRecord), PersistError> {
     let mut epoch = 0u64;
-    let mut records = Vec::new();
+    let mut record = None;
     let mut pos = 0usize;
     let mut index = 0usize;
     while pos < bytes.len() {
@@ -1500,8 +1436,12 @@ pub(crate) fn decode_group_binary(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>),
                     "delta-group epoch frame has trailing bytes".into(),
                 ));
             }
+        } else if record.is_some() {
+            return Err(PersistError::Corrupt(
+                "delta group carries more than one record".into(),
+            ));
         } else {
-            records.push(
+            record = Some(
                 record_from_bin(payload)
                     .map_err(|m| PersistError::Corrupt(format!("delta-group record: {m}")))?,
             );
@@ -1509,10 +1449,8 @@ pub(crate) fn decode_group_binary(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>),
         pos = start + len;
         index += 1;
     }
-    if records.is_empty() {
-        return Err(PersistError::Corrupt("empty delta group".into()));
-    }
-    Ok((epoch, records))
+    let record = record.ok_or_else(|| PersistError::Corrupt("empty delta group".into()))?;
+    Ok((epoch, record))
 }
 
 #[cfg(test)]
@@ -1567,7 +1505,6 @@ mod tests {
                 signature: None,
                 code: Some(None),
             }],
-            shards: 1,
             epoch: 0,
         }
     }
@@ -1627,8 +1564,6 @@ mod tests {
     fn wal_record(seq: u64) -> WalRecord {
         WalRecord {
             seq,
-            shard: 0,
-            group: 1,
             evicted: vec![1],
             admitted: vec![PersistedEntry {
                 features: None,
@@ -1643,7 +1578,6 @@ mod tests {
         let header = WalHeader {
             config_fp: 1,
             dataset_fp: 2,
-            shards: 1,
             epoch: 0,
         };
         let mut bytes = encode_wal_header(&header);
@@ -1674,79 +1608,83 @@ mod tests {
 
     #[test]
     fn unsharded_encodings_decode_to_defaults() {
+        // The shard fields are constants, pinned at their old single-shard
+        // values: checkpoint and WAL headers record one shard (the varint
+        // after the checkpoint's slot count; the last header varint),
+        // every record shard tag 0 in a flip group of width 1 (the two
+        // varints after `seq`).
         let ckpt = encode_checkpoint(&checkpoint_data());
-        assert_eq!(decode_checkpoint(&ckpt).unwrap().shards, 1);
+        let payload = &ckpt[24..];
+        // version 1, seq 7, two fingerprints, labels 5, round 9, slots 3.
+        assert_eq!(&payload[18..22], &[5, 9, 3, 1]);
+        assert!(decode_checkpoint(&ckpt).is_ok());
         let header = WalHeader {
             config_fp: 1,
             dataset_fp: 2,
-            shards: 1,
             epoch: 0,
         };
-        let parsed = parse_wal(&encode_wal(&header, &[&wal_record(3)])).expect("parses");
-        assert_eq!(parsed.header.unwrap().shards, 1);
-        assert_eq!(parsed.records[0].shard, 0);
-        assert_eq!(parsed.records[0].group, 1);
+        let head = encode_wal_header(&header);
+        assert_eq!(head.last(), Some(&1), "WAL header shard count");
+        let frame = encode_wal_record(&wal_record(3));
+        assert_eq!(&frame[BFRAME_HEADER..BFRAME_HEADER + 3], &[3, 0, 1]);
+        let parsed = parse_wal(&encode_wal(&header, &[wal_record(3)])).expect("parses");
+        assert_eq!(parsed.records[0].seq, 3);
+    }
+
+    /// Rewrites a record frame's shard tag and flip-group width (the two
+    /// single-byte varints after a one-byte `seq`), with a valid checksum.
+    fn retagged(record: &WalRecord, tag: u8, width: u8) -> Vec<u8> {
+        let mut payload = encode_wal_record(record)[BFRAME_HEADER..].to_vec();
+        payload[1] = tag;
+        payload[2] = width;
+        frame_bin(b'R', &payload)
     }
 
     #[test]
-    fn sharded_records_roundtrip_with_tags() {
+    fn multi_shard_artifacts_are_typed_corruption() {
         let header = WalHeader {
             config_fp: 1,
             dataset_fp: 2,
-            shards: 4,
             epoch: 0,
         };
-        let mut a = wal_record(5);
-        a.shard = 2;
-        a.group = 2;
-        let mut b = wal_record(5);
-        b.shard = 0;
-        b.group = 2;
-        let bytes = encode_wal(&header, &[&a, &b]);
-        let parsed = parse_wal(&bytes).expect("parses");
-        assert_eq!(parsed.header.unwrap().shards, 4);
-        assert_eq!(parsed.records[0].shard, 2);
-        assert_eq!(parsed.records[0].group, 2);
-        assert_eq!(parsed.records[1].shard, 0);
-        // `seq` still leads the payload so raw compaction keeps working
-        // on tagged records.
-        let frame = encode_wal_record(&a);
-        assert_eq!(Reader::new(&frame[BFRAME_HEADER..]).varint(), Ok(5));
-        let (compacted, kept) = compact_wal(&bytes, 4, &header);
-        assert_eq!(kept, 2);
-        assert_eq!(parse_wal(&compacted).unwrap().records.len(), 2);
-    }
-
-    #[test]
-    fn flip_groups_split_and_detect_incomplete_tails() {
-        let rec = |seq: u64, shard: usize, group: usize| {
-            let mut r = wal_record(seq);
-            r.shard = shard;
-            r.group = group;
-            r
+        let expect_shards = |result: Result<(), PersistError>, shards: &str| match result {
+            Err(PersistError::Corrupt(m)) => {
+                assert!(m.contains(&format!("{shards}-shard engine")), "{m}");
+            }
+            other => panic!("expected Corrupt naming {shards} shards, got {other:?}"),
         };
-        // Two complete groups.
-        let (groups, torn) =
-            split_flip_groups(vec![rec(1, 0, 2), rec(1, 1, 2), rec(2, 1, 1)]).expect("splits");
-        assert!(!torn);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].len(), 2);
-        // Incomplete trailing group: dropped, reported torn.
-        let (groups, torn) =
-            split_flip_groups(vec![rec(1, 0, 1), rec(2, 0, 3), rec(2, 1, 3)]).expect("splits");
-        assert!(torn, "partial trailing flip group dropped");
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0][0].seq, 1);
-        // Incomplete group mid-log is corruption.
-        match split_flip_groups(vec![rec(1, 0, 2), rec(2, 0, 1)]) {
-            Err(PersistError::Corrupt(_)) => {}
-            other => panic!("expected corruption, got {other:?}"),
+        for (tag, width) in [(2, 4), (0, 4), (2, 1)] {
+            let bad = retagged(&wal_record(2), tag, width);
+            // As the final frame (never mistaken for a torn tail) and
+            // mid-log.
+            let mut last = encode_wal(&header, &[wal_record(1)]);
+            last.extend_from_slice(&bad);
+            expect_shards(parse_wal(&last).map(drop), &width.to_string());
+            let mut mid = encode_wal(&header, &[]);
+            mid.extend_from_slice(&bad);
+            mid.extend_from_slice(&encode_wal_record(&wal_record(3)));
+            expect_shards(parse_wal(&mid).map(drop), &width.to_string());
+            // On the replication stream too.
+            expect_shards(decode_group_binary(&bad).map(drop), &width.to_string());
         }
-        // Disagreeing group sizes are corruption.
-        match split_flip_groups(vec![rec(1, 0, 2), rec(1, 1, 3)]) {
-            Err(PersistError::Corrupt(_)) => {}
-            other => panic!("expected corruption, got {other:?}"),
-        }
+        // A WAL header recording four shards.
+        let mut p = Vec::new();
+        put_varint(&mut p, WAL_VERSION);
+        put_u64_le(&mut p, 1);
+        put_u64_le(&mut p, 2);
+        put_varint(&mut p, 4);
+        let mut wal = BWAL_MAGIC.to_vec();
+        wal.extend_from_slice(&frame_bin(b'H', &p));
+        expect_shards(parse_wal(&wal).map(drop), "4");
+        // A checkpoint recording four shards.
+        let ckpt = encode_checkpoint(&checkpoint_data());
+        let mut payload = ckpt[24..].to_vec();
+        payload[21] = 4;
+        let mut forged = BCKPT_MAGIC.to_vec();
+        put_u64_le(&mut forged, fnv1a64(&payload));
+        put_u64_le(&mut forged, payload.len() as u64);
+        forged.extend_from_slice(&payload);
+        expect_shards(decode_checkpoint(&forged).map(drop), "4");
     }
 
     #[test]
@@ -1762,11 +1700,9 @@ mod tests {
         let header = WalHeader {
             config_fp: 5,
             dataset_fp: 6,
-            shards: 1,
             epoch: 0,
         };
-        let (r1, r2) = (wal_record(1), wal_record(2));
-        let bytes = encode_wal(&header, &[&r1, &r2]);
+        let bytes = encode_wal(&header, &[wal_record(1), wal_record(2)]);
         let parsed = parse_wal(&bytes).expect("parses");
         assert_eq!(parsed.records.len(), 2);
         assert_eq!(parsed.records[1].seq, 2);
@@ -1779,7 +1715,6 @@ mod tests {
         let header = WalHeader {
             config_fp: 9,
             dataset_fp: 10,
-            shards: 1,
             epoch: 0,
         };
         let mut bytes = encode_wal_header(&header);
@@ -1940,7 +1875,6 @@ mod tests {
         assert_eq!(back.round, 9);
         assert_eq!(back.slot_count, 3);
         assert_eq!(back.free, vec![2]);
-        assert_eq!(back.shards, 1);
         assert_eq!(back.entries.len(), 2);
         let (a, b) = (&data.entries[0].entry, &back.entries[0].entry);
         assert_eq!(a.graph.as_ref(), b.graph.as_ref());
@@ -1996,12 +1930,9 @@ mod tests {
         let header = WalHeader {
             config_fp: 1,
             dataset_fp: 2,
-            shards: 1,
             epoch: 0,
         };
-        let mut a = wal_record(1);
-        a.shard = 0;
-        let bytes = encode_wal(&header, &[&a, &wal_record(2)]);
+        let bytes = encode_wal(&header, &[wal_record(1), wal_record(2)]);
         assert!(bytes.starts_with(BWAL_MAGIC));
         let parsed = parse_wal(&bytes).expect("clean binary parse");
         assert_eq!(parsed.records.len(), 2);
@@ -2044,37 +1975,10 @@ mod tests {
     }
 
     #[test]
-    fn binary_wal_sharded_groups_roundtrip() {
-        let header = WalHeader {
-            config_fp: 1,
-            dataset_fp: 2,
-            shards: 4,
-            epoch: 0,
-        };
-        let mut a = wal_record(5);
-        a.shard = 2;
-        a.group = 2;
-        let mut b = wal_record(5);
-        b.shard = 0;
-        b.group = 2;
-        let bytes = encode_wal(&header, &[&a, &b]);
-        let parsed = parse_wal(&bytes).expect("parses");
-        assert_eq!(parsed.header.unwrap().shards, 4);
-        assert_eq!(parsed.records[0].shard, 2);
-        assert_eq!(parsed.records[0].group, 2);
-        assert_eq!(parsed.records[1].shard, 0);
-        let (groups, torn) = split_flip_groups(parsed.records).expect("splits");
-        assert!(!torn);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].len(), 2);
-    }
-
-    #[test]
     fn binary_raw_compaction_keeps_only_the_tail_and_drops_torn_bytes() {
         let header = WalHeader {
             config_fp: 9,
             dataset_fp: 10,
-            shards: 1,
             epoch: 0,
         };
         let mut bytes = encode_wal(&header, &[]);
@@ -2100,19 +2004,17 @@ mod tests {
     #[test]
     fn delta_group_roundtrips_and_rejects_any_damage() {
         let mut a = wal_record(9);
-        a.shard = 0;
-        a.group = 2;
-        let mut b = wal_record(9);
-        b.shard = 1;
-        b.group = 2;
-        b.evicted = vec![0];
-        let bytes = encode_group_binary(&[a.clone(), b.clone()], 0);
+        a.evicted = vec![0];
+        let bytes = encode_group_binary(&a, 0);
+        assert_eq!(
+            bytes,
+            encode_wal_record(&a),
+            "an epoch-0 group is the WAL frame"
+        );
         let (epoch, back) = decode_group_binary(&bytes).expect("round-trips");
         assert_eq!(epoch, 0, "no E frame decodes as epoch 0");
-        assert_eq!(back.len(), 2);
-        assert_eq!((back[0].seq, back[0].shard, back[0].group), (9, 0, 2));
-        assert_eq!((back[1].seq, back[1].shard, back[1].group), (9, 1, 2));
-        assert_eq!(back[1].evicted, vec![0]);
+        assert_eq!(back.seq, 9);
+        assert_eq!(back.evicted, vec![0]);
 
         // Replication is strict: truncation anywhere is an error, not a
         // tolerated torn tail...
@@ -2139,13 +2041,12 @@ mod tests {
     fn delta_group_epoch_frame_roundtrips() {
         let r = wal_record(3);
         // A promoted primary's group leads with the E frame...
-        let bytes = encode_group_binary(std::slice::from_ref(&r), 7);
+        let bytes = encode_group_binary(&r, 7);
         let (epoch, back) = decode_group_binary(&bytes).expect("round-trips");
         assert_eq!(epoch, 7);
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].seq, 3);
+        assert_eq!(back.seq, 3);
         // ...an epoch-0 group carries no E frame (pre-failover bytes)...
-        let plain = encode_group_binary(std::slice::from_ref(&r), 0);
+        let plain = encode_group_binary(&r, 0);
         assert!(bytes.len() > plain.len());
         assert_eq!(plain[0], b'R');
         // ...an E frame anywhere but first is rejected...
@@ -2180,10 +2081,9 @@ mod tests {
         let header = WalHeader {
             config_fp: 1,
             dataset_fp: 2,
-            shards: 1,
             epoch: 9,
         };
-        let bytes = encode_wal(&header, &[&wal_record(1)]);
+        let bytes = encode_wal(&header, &[wal_record(1)]);
         let parsed = parse_wal(&bytes).expect("parses");
         assert_eq!(parsed.header.expect("header").epoch, 9);
         // Compaction preserves the epoch through the fresh header.
@@ -2203,7 +2103,6 @@ mod tests {
         let header = WalHeader {
             config_fp: 1,
             dataset_fp: 2,
-            shards: 1,
             epoch: 0,
         };
         let json_era: &[u8] = b"H 0000000000000000 2 {}\nR 0000000000000000 2 {}\n";

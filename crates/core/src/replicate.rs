@@ -1,12 +1,12 @@
 //! Primary → follower replication: stream the window-delta WAL to
 //! read-only replica engines.
 //!
-//! A durable engine already externalizes every state change as a WAL
-//! **flip group** (one [`crate::persist`] record per shard, all sharing
-//! the flip's `seq`). Replication reuses that exact artifact as its wire
-//! unit: after a flip group has been handed to the store (post-fsync on
-//! disk-backed stores), the primary's `ReplicationHub` publishes the
-//! group — encoded in the binary WAL codec — to every subscribed
+//! A durable engine already externalizes every state change as one WAL
+//! record per window flip ([`crate::persist`], tagged with the flip's
+//! `seq`). Replication reuses that exact artifact as its wire unit, the
+//! **delta group**: after a flip's record has been handed to the store
+//! (post-fsync on disk-backed stores), the primary's `ReplicationHub`
+//! publishes it — encoded in the binary WAL codec — to every subscribed
 //! follower. A follower engine
 //! ([`Engine::open_follower`](crate::Engine::open_follower)) bootstraps
 //! from a primary checkpoint snapshot and then replays delta groups
@@ -34,8 +34,8 @@
 //!
 //! * Delta groups are applied **whole or not at all**: a truncated or
 //!   damaged group fails with [`ReplicaError::Corrupt`] before any state
-//!   changes (the same "whole flip group" rule recovery applies to a torn
-//!   WAL tail).
+//!   changes (the same "whole flip" rule recovery applies to a torn WAL
+//!   tail).
 //! * Seqs are contiguous: a group that is neither the next flip nor a
 //!   duplicate fails with [`ReplicaError::SeqGap`]; the follower must
 //!   resume from its `last_applied_seq` or re-bootstrap from a fresh
@@ -49,7 +49,7 @@
 //!   followers track the in-memory truth the primary itself serves.
 //!
 //! Subscribing is cheap and races are closed by construction: the hub is
-//! activated under the primary's control read lock (so no flip can
+//! activated under the primary's state read lock (so no flip can
 //! commit concurrently), and registration and ring-replay happen under
 //! one hub lock, so every group is delivered exactly once — through the
 //! backlog or through the live channel.
@@ -131,14 +131,15 @@ impl From<PersistError> for ReplicaError {
 }
 
 /// One committed window flip, encoded for the replication stream: the
-/// flip's WAL records (one per shard) as binary `R` frames, exactly as
-/// the binary WAL codec writes them. The bytes are `Arc`-shared so the
-/// hub can fan one group out to N followers and its ring without copying.
+/// flip's WAL record as a binary `R` frame, exactly as the binary WAL
+/// codec writes it (after an `E` epoch frame once the primary has been
+/// promoted). The bytes are `Arc`-shared so the hub can fan one group out
+/// to N followers and its ring without copying.
 #[derive(Debug, Clone)]
 pub struct DeltaGroup {
-    /// The flip ordinal every record of this group carries.
+    /// The flip ordinal the record carries.
     pub seq: u64,
-    /// Binary WAL `R` frames, one per shard of the flip.
+    /// The flip's binary WAL `R` frame.
     pub bytes: Arc<[u8]>,
 }
 

@@ -56,8 +56,8 @@
 //! Both only ever skip subtrees whose leaf codes were already seen, so the
 //! minimum — the code — is **byte-identical** to the exhaustive search this
 //! replaced (`tests/common/canon_oracle.rs`, compared by
-//! `tests/prop_canon.rs`); persisted checkpoints, WAL groups, shard routing
-//! and follower streams carry these words and need no migration.
+//! `tests/prop_canon.rs`); persisted checkpoints, WAL records and follower
+//! streams carry these words and need no migration.
 //!
 //! **The budget.** The search gives up (`None`) after `MAX_CANON_LEAVES`
 //! leaves *of the pruned tree*. Symmetry no longer spends it — a clique or

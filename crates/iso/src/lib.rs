@@ -15,7 +15,7 @@
 //!   allocations. [`find_one`] is its per-pair entry (a target-ordered
 //!   plan on the thread's scratch) behind [`is_subgraph`],
 //!   [`are_isomorphic`] and every one-off test;
-//! * [`plan_cache`] — a bounded, sharded [`PlanCache`] keyed by canonical
+//! * [`plan_cache`] — a bounded, lock-striped [`PlanCache`] keyed by canonical
 //!   code, so repeated (isomorphic) queries reuse one [`MatchPlan`] instead
 //!   of rebuilding it per query, with rarity-drift staleness detection;
 //! * [`budget`] — optional search-state budgets so harness code can bound

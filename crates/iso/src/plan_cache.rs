@@ -1,4 +1,4 @@
-//! A bounded, sharded cache of [`MatchPlan`]s keyed by canonical code.
+//! A bounded, striped cache of [`MatchPlan`]s keyed by canonical code.
 //!
 //! iGQ's premise is that query streams have locality: the same and
 //! near-same queries recur. PR 5 made each verification cheap by building
@@ -19,9 +19,9 @@
 //! pattern label, keeping plans pinned while the dataset's label mix is
 //! stable and refreshing them when it shifts.
 //!
-//! The cache is internally synchronized (shard mutexes plus atomic
+//! The cache is internally synchronized (stripe mutexes plus atomic
 //! counters): probes and verification threads share one `&PlanCache`.
-//! Capacity is bounded per shard with FIFO replacement, and the engine
+//! Capacity is bounded per stripe with FIFO replacement, and the engine
 //! additionally evicts a query's plans when the query cache evicts the
 //! entry with that code — cached plans die with their windows.
 
@@ -39,9 +39,9 @@ use std::sync::{Arc, Mutex};
 /// than this factor (with +1 smoothing so zeros compare sanely).
 pub const RARITY_DRIFT_FACTOR: u64 = 4;
 
-/// Shards the cache is split into. Lookups hash the code to a shard, so
+/// Stripes the cache is split into. Lookups hash the code to a stripe, so
 /// concurrent probe/verify threads rarely contend on one mutex.
-const SHARDS: usize = 16;
+const STRIPES: usize = 16;
 
 /// A plan plus the configuration and rarity snapshot it was built
 /// against. One code maps to a small set of these (at most
@@ -59,11 +59,11 @@ struct CachedPlan {
 const PLANS_PER_CODE: usize = 4;
 
 #[derive(Default)]
-struct Shard {
+struct Stripe {
     plans: FxHashMap<CanonicalCode, Vec<CachedPlan>>,
     /// Insertion order of codes, for FIFO replacement.
     order: VecDeque<CanonicalCode>,
-    /// Cached plans in this shard (entries across all code vectors).
+    /// Cached plans in this stripe (entries across all code vectors).
     len: usize,
 }
 
@@ -79,11 +79,11 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
-/// A bounded, sharded, internally synchronized map from canonical code to
+/// A bounded, striped, internally synchronized map from canonical code to
 /// [`Arc<MatchPlan>`]; see the module docs.
 pub struct PlanCache {
-    shards: Box<[Mutex<Shard>]>,
-    capacity_per_shard: usize,
+    stripes: Box<[Mutex<Stripe>]>,
+    capacity_per_stripe: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -92,7 +92,7 @@ pub struct PlanCache {
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
-            .field("capacity", &(self.capacity_per_shard * self.shards.len()))
+            .field("capacity", &(self.capacity_per_stripe * self.stripes.len()))
             .field("len", &self.len())
             .field("stats", &self.stats())
             .finish()
@@ -101,22 +101,24 @@ impl std::fmt::Debug for PlanCache {
 
 impl PlanCache {
     /// A cache bounded at (roughly) `capacity` plans, split over a fixed
-    /// shard count. A zero capacity disables insertion: every lookup
+    /// stripe count. A zero capacity disables insertion: every lookup
     /// builds and nothing is retained.
     pub fn new(capacity: usize) -> PlanCache {
-        let shards = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect();
+        let stripes = (0..STRIPES)
+            .map(|_| Mutex::new(Stripe::default()))
+            .collect();
         PlanCache {
-            shards,
-            capacity_per_shard: capacity.div_ceil(SHARDS),
+            stripes,
+            capacity_per_stripe: capacity.div_ceil(STRIPES),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &CanonicalCode) -> &Mutex<Shard> {
+    fn stripe(&self, key: &CanonicalCode) -> &Mutex<Stripe> {
         // FxHash-style mix of the first/last code words; codes are
-        // high-entropy, so any word mix spreads shards evenly.
+        // high-entropy, so any word mix spreads stripes evenly.
         let words = key.words();
         let h = words
             .first()
@@ -124,7 +126,7 @@ impl PlanCache {
             .unwrap_or(0)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ words.last().copied().unwrap_or(0);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        &self.stripes[(h >> 32) as usize % self.stripes.len()]
     }
 
     /// Returns the cached plan for `key` under `config` — or builds one
@@ -152,8 +154,8 @@ impl PlanCache {
         current.sort_unstable_by_key(|&(l, _)| l);
 
         {
-            let shard = self.shard(key).lock().expect("plan cache shard");
-            if let Some(plans) = shard.plans.get(key) {
+            let stripe = self.stripe(key).lock().expect("plan cache stripe");
+            if let Some(plans) = stripe.plans.get(key) {
                 if let Some(hit) = plans
                     .iter()
                     .find(|p| p.plan.config() == config && fresh(&p.snapshot, &current))
@@ -164,11 +166,11 @@ impl PlanCache {
             }
         }
 
-        // Build outside the shard lock; a racing builder of the same key
+        // Build outside the stripe lock; a racing builder of the same key
         // costs one redundant build, never a wrong plan.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(MatchPlan::build(pattern, config, &mut |l| rarity(l)));
-        if self.capacity_per_shard == 0 {
+        if self.capacity_per_stripe == 0 {
             return (plan, false);
         }
         let cached = CachedPlan {
@@ -177,9 +179,9 @@ impl PlanCache {
         };
         let mut evicted = 0u64;
         {
-            let mut shard = self.shard(key).lock().expect("plan cache shard");
-            let shard = &mut *shard;
-            match shard.plans.get_mut(key) {
+            let mut stripe = self.stripe(key).lock().expect("plan cache stripe");
+            let stripe = &mut *stripe;
+            match stripe.plans.get_mut(key) {
                 Some(plans) => {
                     if let Some(slot) = plans.iter_mut().find(|p| p.plan.config() == config) {
                         // Staleness rebuild: replace in place.
@@ -188,25 +190,25 @@ impl PlanCache {
                     } else {
                         if plans.len() == PLANS_PER_CODE {
                             plans.remove(0);
-                            shard.len -= 1;
+                            stripe.len -= 1;
                             evicted += 1;
                         }
                         plans.push(cached);
-                        shard.len += 1;
+                        stripe.len += 1;
                     }
                 }
                 None => {
-                    shard.plans.insert(key.clone(), vec![cached]);
-                    shard.order.push_back(key.clone());
-                    shard.len += 1;
+                    stripe.plans.insert(key.clone(), vec![cached]);
+                    stripe.order.push_back(key.clone());
+                    stripe.len += 1;
                 }
             }
-            while shard.len > self.capacity_per_shard {
-                let Some(victim) = shard.order.pop_front() else {
+            while stripe.len > self.capacity_per_stripe {
+                let Some(victim) = stripe.order.pop_front() else {
                     break;
                 };
-                if let Some(dropped) = shard.plans.remove(&victim) {
-                    shard.len -= dropped.len();
+                if let Some(dropped) = stripe.plans.remove(&victim) {
+                    stripe.len -= dropped.len();
                     evicted += dropped.len() as u64;
                 }
             }
@@ -222,11 +224,11 @@ impl PlanCache {
     /// returns how many plans died.
     pub fn evict_key(&self, key: &CanonicalCode) -> u64 {
         let dropped = {
-            let mut shard = self.shard(key).lock().expect("plan cache shard");
-            match shard.plans.remove(key) {
+            let mut stripe = self.stripe(key).lock().expect("plan cache stripe");
+            match stripe.plans.remove(key) {
                 Some(plans) => {
-                    shard.len -= plans.len();
-                    shard.order.retain(|c| c != key);
+                    stripe.len -= plans.len();
+                    stripe.order.retain(|c| c != key);
                     plans.len() as u64
                 }
                 None => 0,
@@ -238,11 +240,11 @@ impl PlanCache {
         dropped
     }
 
-    /// Cached plans across all shards.
+    /// Cached plans across all stripes.
     pub fn len(&self) -> usize {
-        self.shards
+        self.stripes
             .iter()
-            .map(|s| s.lock().expect("plan cache shard").len)
+            .map(|s| s.lock().expect("plan cache stripe").len)
             .sum()
     }
 
@@ -264,16 +266,16 @@ impl PlanCache {
     /// their rarity snapshots, in bytes.
     pub fn heap_size_bytes(&self) -> u64 {
         let mut bytes = 0u64;
-        for shard in self.shards.iter() {
-            let shard = shard.lock().expect("plan cache shard");
-            for (key, plans) in shard.plans.iter() {
+        for stripe in self.stripes.iter() {
+            let stripe = stripe.lock().expect("plan cache stripe");
+            for (key, plans) in stripe.plans.iter() {
                 bytes += std::mem::size_of_val(key.words()) as u64;
                 for p in plans {
                     bytes += p.plan.heap_size_bytes();
                     bytes += std::mem::size_of_val(&*p.snapshot) as u64;
                 }
             }
-            bytes += (shard.order.len() * std::mem::size_of::<CanonicalCode>()) as u64;
+            bytes += (stripe.order.len() * std::mem::size_of::<CanonicalCode>()) as u64;
         }
         bytes
     }

@@ -5,7 +5,7 @@
 //! ```text
 //! igq-server --dataset data.gfu [--listen 127.0.0.1:7461] [--method ggsx]
 //!            [--cache 500] [--window 100]
-//!            [--shards 1] [--batch-window-us 0] [--batch-max 64]
+//!            [--batch-window-us 0] [--batch-max 64]
 //!            [--max-connections 64]
 //!            [--follower-of <addr>[,<addr>...]]
 //!            [--heartbeat-timeout-ms 2000] [--promote-on-timeout]
@@ -67,7 +67,6 @@ options:
   --method <name>          ggsx|grapes|grapes6|ctindex|gcode (default ggsx)
   --cache <N>              query-cache capacity (default 500)
   --window <W>             maintenance window size (default 100)
-  --shards <N>             shard cache + indexes N ways (default 1)
   --batch-window-us <U>    micro-batching window in microseconds; 0 = off
                            (default 0)
   --batch-max <N>          cap on one coalesced batch (default 64)
@@ -244,7 +243,6 @@ fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
     IgqConfig::builder()
         .cache_capacity(parse_num(flags, "cache", 500)?)
         .window(parse_num(flags, "window", 100)?)
-        .shards(parse_num(flags, "shards", 1)?)
         .build()
         .map_err(|e| format!("invalid iGQ configuration: {e}"))
 }

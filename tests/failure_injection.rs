@@ -1,4 +1,4 @@
-//! Failure injection: verification budgets and concurrent sharded stress.
+//! Failure injection: verification budgets and concurrent stress.
 //!
 //! Every engine accepts a [`MatchConfig`] state budget so pathological iso
 //! tests can be bounded. Exhausting the budget yields `Aborted` — an
@@ -12,9 +12,8 @@
 //!    still returns exactly the oracle's answers — bounded verification
 //!    degrades coverage, never correctness.
 //!
-//! The second half stresses the sharded engine: closed-loop clients
-//! hammering a 4-shard engine stay oracle-exact and leave the cross-shard
-//! invariants clean.
+//! The second half stresses the one-lock engine: closed-loop clients
+//! hammering it stay oracle-exact and leave its invariants clean.
 
 mod common;
 
@@ -187,30 +186,23 @@ fn super_engine_aborts_are_not_cached_either() {
     assert_eq!(engine.cached_queries(), 0);
 }
 
-fn sharded_engine(store: &Arc<GraphStore>) -> IgqEngine<Ggsx> {
-    let method = Ggsx::build(store, GgsxConfig::default());
-    IgqEngine::new(
-        method,
+#[test]
+fn eight_closed_loop_clients_on_one_lock_stay_exact() {
+    // Eight threads query concurrently while window flips land underneath
+    // them. Every single answer must match the sequential oracle — the
+    // state lock may reorder work but can never expose a torn index — and
+    // after the threads drain, the consistency sweep (cache invariants,
+    // index ≡ shadow rebuild) must come back clean.
+    let store = Arc::new(DatasetKind::Aids.generate(80, 77));
+    let engine = IgqEngine::new(
+        Ggsx::build(&store, GgsxConfig::default()),
         IgqConfig::builder()
             .cache_capacity(32)
             .window(4)
-            .shards(4)
             .build()
-            .expect("valid sharded config"),
+            .expect("valid config"),
     )
-    .expect("valid engine")
-}
-
-#[test]
-fn eight_closed_loop_clients_on_four_shards_stay_exact() {
-    // Eight threads query concurrently while window flips land underneath
-    // them. Every single answer must match the
-    // sequential oracle — the per-shard locks may reorder work but can
-    // never expose a torn index — and after the threads drain, the full
-    // cross-shard consistency sweep (allocator geometry, slot ownership,
-    // per-shard index ≡ shadow rebuild) must come back clean.
-    let store = Arc::new(DatasetKind::Aids.generate(80, 77));
-    let engine = sharded_engine(&store);
+    .expect("valid engine");
 
     std::thread::scope(|s| {
         for t in 0..8u64 {

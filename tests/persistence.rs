@@ -75,29 +75,6 @@ fn corrupt_first_record(wal: &[u8]) -> Vec<u8> {
     out
 }
 
-fn sharded_config(capacity: usize, window: usize, shards: usize) -> IgqConfig {
-    IgqConfig {
-        shards,
-        ..sub_config(capacity, window)
-    }
-}
-
-fn open_sub_sharded(
-    store: &Arc<GraphStore>,
-    mem: &Arc<MemStore>,
-    capacity: usize,
-    window: usize,
-    shards: usize,
-) -> IgqEngine<Ggsx> {
-    let method = Ggsx::build(store, GgsxConfig::default());
-    IgqEngine::open(
-        method,
-        sharded_config(capacity, window, shards),
-        Arc::clone(mem) as Arc<dyn CacheStore>,
-    )
-    .expect("open sharded subgraph engine")
-}
-
 fn open_super(
     store: &Arc<GraphStore>,
     mem: &Arc<MemStore>,
@@ -111,6 +88,26 @@ fn open_super(
         Arc::clone(mem) as Arc<dyn CacheStore>,
     )
     .expect("open supergraph engine")
+}
+
+/// Opens a subgraph engine configured with `shards: 4`. The field is
+/// ignored, so this is the one-lock engine writing the one-shard format.
+fn open_sub_shards4(
+    store: &Arc<GraphStore>,
+    mem: &Arc<MemStore>,
+    capacity: usize,
+    window: usize,
+) -> IgqEngine<Ggsx> {
+    let method = Ggsx::build(store, GgsxConfig::default());
+    IgqEngine::open(
+        method,
+        IgqConfig {
+            shards: 4,
+            ..sub_config(capacity, window)
+        },
+        Arc::clone(mem) as Arc<dyn CacheStore>,
+    )
+    .expect("open subgraph engine with shards: 4")
 }
 
 fn aids_workload(n_store: usize, n_queries: usize, seed: u64) -> (Arc<GraphStore>, Vec<Graph>) {
@@ -617,124 +614,219 @@ proptest! {
 
 #[test]
 fn sharded_wal_roundtrip_matches_never_restarted_engine() {
-    // The multiplexed WAL (every flip = one group of N shard-tagged
-    // records) must round-trip: a shards=4 engine killed after a stream
-    // and reopened from its store behaves identically to the engine that
-    // never restarted.
+    // An engine configured with `shards: 4` writes exactly the store a
+    // default engine writes for the same stream, and a checkpoint plus
+    // its WAL tail recovers it: reopened without the field, it behaves
+    // like the engine that never restarted.
     let (store, queries) = aids_workload(60, 36, 43);
     let (prefix, rest) = queries.split_at(18);
     let (mid, suffix) = rest.split_at(8);
     let mem = Arc::new(MemStore::new());
-    let live = open_sub_sharded(&store, &mem, 10, 2, 4);
+    let plain_mem = Arc::new(MemStore::new());
+    let live = open_sub_shards4(&store, &mem, 10, 2);
+    let plain = open_sub(&store, &plain_mem, 10, 2);
     for q in prefix {
         let _ = live.query(q);
+        let _ = plain.query(q);
     }
-    // Checkpoint mid-stream so recovery must demultiplex the WAL
-    // tail (post-checkpoint groups) on top of a re-partitioned
-    // checkpoint image.
     live.checkpoint().expect("mid-run checkpoint");
+    plain.checkpoint().expect("mid-run checkpoint");
     for q in mid {
         let _ = live.query(q);
+        let _ = plain.query(q);
     }
     live.flush_window();
+    plain.flush_window();
+    assert!(
+        mem.load_checkpoint().unwrap() == plain_mem.load_checkpoint().unwrap(),
+        "checkpoint bytes"
+    );
+    assert!(mem.raw_wal() == plain_mem.raw_wal(), "WAL bytes");
+
     let fork = Arc::new(mem.fork());
-    let recovered = open_sub_sharded(&store, &fork, 10, 2, 4);
+    let recovered = open_sub(&store, &fork, 10, 2);
+    assert!(
+        recovered.stats().recovery_replayed_windows >= 1,
+        "post-checkpoint flips came back via WAL replay"
+    );
     assert_restart_equivalence(&live, &recovered, suffix).unwrap_or_else(|e| panic!("{e:?}"));
 }
 
 #[test]
 fn torn_tail_on_interleaved_multi_shard_wal_drops_the_whole_last_flip() {
-    // At shards=4 every flip appends a group of 4 records in one write.
-    // A crash can tear the group's final record; recovery must then drop
-    // the *entire* trailing group (a flip is atomic across shards — half
-    // a flip would desynchronize the global allocator) and stay exact.
+    // Each flip is one WAL record, whatever `shards` says, so a crash
+    // that tears the final record drops exactly the last flip.
     let (store, queries) = aids_workload(50, 28, 47);
     let mem = Arc::new(MemStore::new());
-    {
-        let e = open_sub_sharded(&store, &mem, 8, 2, 4);
+    let flips = {
+        let e = open_sub_shards4(&store, &mem, 8, 2);
         for q in &queries {
             let _ = e.query(q);
         }
-    }
+        e.stats().wal_appends
+    };
     let wal = mem.raw_wal();
     let records_before = wal_record_count(&wal);
-    assert!(
-        records_before >= 8 && records_before.is_multiple_of(4),
-        "expected whole 4-record groups, got {records_before}"
-    );
-    // Crash mid-append: the group's last record loses its tail bytes.
+    assert_eq!(records_before as u64, flips, "one record per flip");
+    assert!(records_before >= 3, "need a few flips to truncate");
     mem.set_wal(wal[..wal.len() - 9].to_vec());
 
-    let e = open_sub_sharded(&store, &mem, 8, 2, 4);
+    let e = open_sub_shards4(&store, &mem, 8, 2);
     assert_eq!(
         e.stats().recovery_replayed_windows,
-        (records_before / 4 - 1) as u64,
-        "exactly the torn flip group is dropped, not just its torn record"
+        flips - 1,
+        "exactly the torn flip is dropped"
     );
     e.self_check().expect("recovered engine invariants");
     for q in queries.iter().take(6) {
         assert_eq!(e.query(q).answers, oracle_answers(&store, q), "{q:?}");
     }
+
+    // A torn tail on a WAL that really is interleaved across four shards
+    // is not truncated into a shorter valid log: it stays a typed
+    // `Corrupt` naming the writer's shard count, and is left untouched.
+    let torn = {
+        let wal = golden_fixture("shards4", "wal.igq");
+        wal[..wal.len() - 9].to_vec()
+    };
+    let dir = scratch_dir("shards4_torn");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal.igq"), &torn).unwrap();
+    match open_golden(&dir).err() {
+        Some(PersistError::Corrupt(m)) => assert!(m.contains("4-shard engine"), "{m}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert!(
+        std::fs::read(dir.join("wal.igq")).unwrap() == torn,
+        "WAL untouched"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fixture stores under `tests/fixtures/golden_store/`, written by
+/// [`golden_stream`] when engine state could still be sharded: `default`
+/// by a one-shard engine, `shards4` by a four-shard one. They pin the
+/// store bytes across that change.
+fn golden_fixture(name: &str, file: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/golden_store")
+        .join(name)
+        .join(file);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// A fresh scratch directory (removed first if a previous run left it).
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("igq_golden_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn golden_workload() -> (Arc<GraphStore>, Vec<Graph>) {
+    let store: Arc<GraphStore> = Arc::new(DatasetKind::Aids.generate(40, 7));
+    let queries =
+        QueryGenerator::new(&store, Distribution::Zipf(1.4), Distribution::Uniform, 8).take(30);
+    (store, queries)
+}
+
+fn open_golden(dir: &std::path::Path) -> Result<IgqEngine<Ggsx>, PersistError> {
+    let (store, _) = golden_workload();
+    let disk: Arc<dyn CacheStore> = Arc::new(DirStore::open(dir).expect("dir store"));
+    IgqEngine::open(
+        Ggsx::build(&store, GgsxConfig::default()),
+        sub_config(8, 2),
+        disk,
+    )
+}
+
+/// The stream that wrote the `default` fixture: half the queries, an
+/// explicit checkpoint, the other half (seven more flips land in the
+/// WAL), then a clean drop.
+fn golden_stream(dir: &std::path::Path) {
+    let (_, queries) = golden_workload();
+    let e = open_golden(dir).expect("cold open");
+    for q in &queries[..15] {
+        let _ = e.query(q);
+    }
+    e.checkpoint().expect("checkpoint");
+    for q in &queries[15..] {
+        let _ = e.query(q);
+    }
+}
+
+#[test]
+fn golden_store_opens_exactly_and_replays_byte_identically() {
+    let (store, queries) = golden_workload();
+    let (ckpt, wal) = (
+        golden_fixture("default", "checkpoint.igq"),
+        golden_fixture("default", "wal.igq"),
+    );
+    assert_eq!(wal_record_count(&wal), 7, "the fixture's WAL tail");
+
+    // Opening the committed store recovers the pinned state. The fixture
+    // is copied first: `open` compacts the WAL in place.
+    let dir = scratch_dir("open");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("checkpoint.igq"), &ckpt).unwrap();
+    std::fs::write(dir.join("wal.igq"), &wal).unwrap();
+    let e = open_golden(&dir).expect("golden store opens");
+    assert_eq!(e.cached_queries(), 8);
+    assert_eq!(e.stats().recovery_replayed_windows, 7);
+    e.self_check().expect("recovered engine invariants");
+    for q in &queries {
+        assert_eq!(e.query(q).answers, oracle_answers(&store, q), "{q:?}");
+    }
+    drop(e);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Replaying the stream writes the same bytes.
+    let dir = scratch_dir("replay");
+    golden_stream(&dir);
+    assert!(
+        std::fs::read(dir.join("checkpoint.igq")).unwrap() == ckpt,
+        "checkpoint bytes"
+    );
+    assert!(
+        std::fs::read(dir.join("wal.igq")).unwrap() == wal,
+        "WAL bytes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn reopening_with_a_different_shard_count_is_a_typed_error() {
-    let (store, queries) = aids_workload(40, 16, 53);
-    // Checkpoint path: the checkpoint records shards=4; an open with 2
-    // must refuse with the typed mismatch, not misroute slots.
-    let mem = Arc::new(MemStore::new());
-    {
-        let e = open_sub_sharded(&store, &mem, 8, 2, 4);
-        for q in &queries {
-            let _ = e.query(q);
-        }
-        e.checkpoint().expect("checkpoint");
-    }
-    let method = Ggsx::build(&store, GgsxConfig::default());
-    let err = IgqEngine::<Ggsx>::open(
-        method,
-        sharded_config(8, 2, 2),
-        Arc::clone(&mem) as Arc<dyn CacheStore>,
-    )
-    .err()
-    .expect("shard-count mismatch must be rejected");
-    assert!(
-        matches!(
-            err,
-            PersistError::ShardMismatch {
-                expected: 2,
-                found: 4
-            }
-        ),
-        "expected ShardMismatch, got {err}"
+    // The `shards4` fixture was written by a four-shard engine: its
+    // checkpoint header, WAL header and WAL records all say so. Each
+    // artifact alone is refused with a typed `Corrupt` naming the count —
+    // no panic, no silent cold start — and the store is left untouched.
+    let (ckpt, wal) = (
+        golden_fixture("shards4", "checkpoint.igq"),
+        golden_fixture("shards4", "wal.igq"),
     );
-
-    // WAL-only path (no checkpoint yet): the WAL header carries the
-    // shard count and must be checked the same way — including by an
-    // unsharded open.
-    let mem = Arc::new(MemStore::new());
-    {
-        let e = open_sub_sharded(&store, &mem, 8, 2, 4);
-        for q in &queries {
-            let _ = e.query(q);
+    for (name, ckpt, wal) in [
+        ("both", Some(&ckpt), &wal),
+        ("checkpoint", Some(&ckpt), &Vec::new()),
+        ("wal", None, &wal),
+    ] {
+        let dir = scratch_dir(&format!("shards4_{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        if let Some(ckpt) = ckpt {
+            std::fs::write(dir.join("checkpoint.igq"), ckpt).unwrap();
         }
-    }
-    let method = Ggsx::build(&store, GgsxConfig::default());
-    let err = IgqEngine::<Ggsx>::open(
-        method,
-        sub_config(8, 2),
-        Arc::clone(&mem) as Arc<dyn CacheStore>,
-    )
-    .err()
-    .expect("WAL-header shard mismatch must be rejected");
-    assert!(
-        matches!(
-            err,
-            PersistError::ShardMismatch {
-                expected: 1,
-                found: 4
+        std::fs::write(dir.join("wal.igq"), wal).unwrap();
+        match open_golden(&dir).err() {
+            Some(PersistError::Corrupt(m)) => {
+                assert!(m.contains("4-shard engine"), "{name}: {m}");
             }
-        ),
-        "expected ShardMismatch, got {err}"
-    );
+            other => panic!("{name}: expected Corrupt, got {other:?}"),
+        }
+        if let Some(ckpt) = ckpt {
+            assert!(std::fs::read(dir.join("checkpoint.igq")).unwrap() == *ckpt);
+        }
+        assert!(
+            std::fs::read(dir.join("wal.igq")).unwrap() == *wal,
+            "{name}: WAL untouched"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
