@@ -1,8 +1,10 @@
-//! Minimal command-line options shared by every experiment binary.
+//! Command line of the `reproduce` binary.
 //!
 //! No external argument-parsing crate is needed for four flags:
 //!
 //! ```text
+//! reproduce <id>... | all | --list [flags]
+//!
 //! --scale <f64>   workload scale relative to the paper (default 0.1)
 //! --full          paper-scale workloads (equivalent to --scale 1.0)
 //! --seed <u64>    master seed (default 0x16092016)
@@ -31,55 +33,55 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `args` (without the program name). Unknown flags abort with a
-    /// usage message.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> ExpOptions {
+    /// Parses `args` (without the program name) into the options and the
+    /// positional targets (figure ids, `all`, or `--list`). Unknown flags
+    /// abort with a usage message.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> (ExpOptions, Vec<String>) {
         let mut opts = ExpOptions::default();
+        let mut targets = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--scale" => {
-                    let v = it.next().unwrap_or_else(|| usage("--scale needs a value"));
-                    opts.scale = v
-                        .parse()
-                        .unwrap_or_else(|_| usage("--scale expects a float"));
-                }
+                "--scale" => opts.scale = value(&mut it, "--scale"),
                 "--full" => opts.scale = 1.0,
-                "--seed" => {
-                    let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
-                    opts.seed = v.parse().unwrap_or_else(|_| usage("--seed expects a u64"));
-                }
-                "--threads" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--threads needs a value"));
-                    opts.threads = v
-                        .parse()
-                        .unwrap_or_else(|_| usage("--threads expects a usize"));
-                }
+                "--seed" => opts.seed = value(&mut it, "--seed"),
+                "--threads" => opts.threads = value(&mut it, "--threads"),
                 "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag {other:?}")),
+                "--list" => targets.push(arg),
+                other if other.starts_with('-') => usage(&format!("unknown flag {other:?}")),
+                _ => targets.push(arg),
             }
         }
-        if opts.scale <= 0.0 || opts.scale.is_nan() || !opts.scale.is_finite() {
+        if opts.scale <= 0.0 || !opts.scale.is_finite() {
             usage("--scale must be positive");
         }
-        opts
+        (opts, targets)
     }
 
     /// Parses the process arguments.
-    pub fn from_env() -> ExpOptions {
+    pub fn from_env() -> (ExpOptions, Vec<String>) {
         ExpOptions::parse(std::env::args().skip(1))
     }
 }
 
-fn usage(err: &str) -> ! {
+/// The next argument, parsed as `flag`'s value.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let v = args
+        .next()
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+    v.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag}: bad value {v:?}")))
+}
+
+/// Prints `err` (if any) and the usage text, then exits with status 2.
+pub fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: <experiment> [--scale <f64>] [--full] [--seed <u64>] [--threads <n>]\n\
+        "usage: reproduce <id>... | all | --list [--scale <f64>] [--full] [--seed <u64>] [--threads <n>]\n\
          \n\
+         --list    print every figure id with its caption\n\
          --scale   workload scale relative to the paper (default 0.1)\n\
          --full    paper-scale workloads (= --scale 1.0)\n\
          --seed    master RNG seed (default 0x16092016)\n\
@@ -93,7 +95,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> ExpOptions {
-        ExpOptions::parse(args.iter().map(|s| s.to_string()))
+        ExpOptions::parse(args.iter().map(|s| s.to_string())).0
     }
 
     #[test]
@@ -119,5 +121,19 @@ mod tests {
     fn threads() {
         let o = parse(&["--threads", "2"]);
         assert_eq!(o.threads, 2);
+    }
+
+    #[test]
+    fn targets_are_kept_in_order() {
+        let args = [
+            "fig07_iso_speedup_aids",
+            "--scale",
+            "0.5",
+            "table1",
+            "--list",
+        ];
+        let (o, targets) = ExpOptions::parse(args.iter().map(|s| s.to_string()));
+        assert_eq!(o.scale, 0.5);
+        assert_eq!(targets, ["fig07_iso_speedup_aids", "table1", "--list"]);
     }
 }

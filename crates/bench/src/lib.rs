@@ -1,22 +1,26 @@
 //! # igq_bench
 //!
-//! The experiment harness reproducing **every table and figure** of the
-//! iGQ paper's evaluation (Section 7). Performance measurement of the
-//! serving stack lives in the standalone `benchmark/` package, not here.
+//! Reproduces **every table and figure** of the iGQ paper's evaluation
+//! (Section 7) through one binary, `reproduce`. Performance measurement of
+//! the serving stack lives in the standalone `benchmark/` package, not
+//! here.
 //!
-//! * [`cli`] — shared `--scale/--full/--seed/--threads` flags;
+//! * [`experiments`] — the table of figure specs ([`FIGURES`]) and the
+//!   [`Session`] that runs them: one grid runner and renderer for every
+//!   speedup figure, bespoke bodies for the rest;
 //! * [`harness`] — the paired baseline-vs-iGQ protocol with warm-up
 //!   windows, per-query-size buckets, and speedup math;
 //! * [`report`] — console tables + JSON archives under
-//!   `target/experiments/`;
-//! * [`experiments`] — one module per figure family; the `src/bin`
-//!   wrappers are named after the figure or table they reproduce.
+//!   `target/experiments/<id>.json`;
+//! * [`cli`] — `<id>... | all | --list` plus `--scale/--full/--seed/--threads`.
 //!
-//! Run any figure directly, e.g.:
+//! `REPRODUCTION.md` at the repository root lists each figure's claim,
+//! command and measured numbers. For example:
 //!
 //! ```text
-//! cargo run -p igq_bench --release --bin fig07_iso_speedup_aids -- --scale 0.1
-//! cargo run -p igq_bench --release --bin run_all -- --full
+//! cargo run -p igq_bench --release --bin reproduce -- --list
+//! cargo run -p igq_bench --release --bin reproduce -- fig07_iso_speedup_aids --scale 0.1
+//! cargo run -p igq_bench --release --bin reproduce -- all --full
 //! ```
 
 pub mod cli;
@@ -25,5 +29,5 @@ pub mod harness;
 pub mod report;
 
 pub use cli::ExpOptions;
-pub use harness::{run_baseline, run_igq, run_paired, AggStats, MethodKind, PairedRun};
-pub use report::{Report, Table};
+pub use experiments::{figure, Session, FIGURES};
+pub use report::Report;

@@ -1,8 +1,8 @@
 //! Experiment report rendering: console tables plus JSON archives.
 //!
-//! Every figure binary prints the same rows/series the paper reports and
-//! archives a machine-readable copy under `target/experiments/` (consumed
-//! when updating EXPERIMENTS.md).
+//! Every figure prints the same rows/series the paper reports and archives
+//! a machine-readable copy under `target/experiments/<id>.json`; the
+//! numbers quoted in `REPRODUCTION.md` come from these archives.
 
 use serde_json::Value;
 use std::fmt::Write as _;
@@ -12,7 +12,8 @@ use std::path::PathBuf;
 /// A rendered experiment report.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Experiment id, e.g. `fig07_iso_speedup_aids`.
+    /// Figure id, e.g. `fig07_iso_speedup_aids`: the `reproduce` argument
+    /// and the archive's file name.
     pub id: String,
     /// Human title, e.g. the paper's figure caption.
     pub title: String,
@@ -36,6 +37,27 @@ impl Report {
     /// Appends a console line.
     pub fn line(&mut self, s: impl Into<String>) {
         self.lines.push(s.into());
+    }
+
+    /// Appends a rendered table.
+    pub fn table(&mut self, table: &Table) {
+        self.lines.extend(table.render());
+    }
+
+    /// Makes `records` (JSON objects with the same keys) the payload and
+    /// renders them as a table, one column per key.
+    pub fn records(&mut self, records: Vec<Value>) {
+        let fields = |r: &Value| match r {
+            Value::Object(m) => m.iter().map(|(k, v)| (k.clone(), cell(v))).collect(),
+            _ => Vec::new(),
+        };
+        let rows: Vec<Vec<(String, String)>> = records.iter().map(fields).collect();
+        let mut table = Table::new(rows.first().into_iter().flatten().map(|(k, _)| k.clone()));
+        for row in rows {
+            table.row(row.into_iter().map(|(_, v)| v));
+        }
+        self.table(&table);
+        self.json = Value::Array(records);
     }
 
     /// Renders to one string.
@@ -133,6 +155,16 @@ impl Table {
             out.push(fmt_row(row));
         }
         out
+    }
+}
+
+/// A JSON value as a table cell: strings verbatim, integers whole, other
+/// numbers to two decimals.
+fn cell(v: &Value) -> String {
+    match (v, v.as_u64()) {
+        (Value::String(s), _) => s.clone(),
+        (_, Some(n)) => n.to_string(),
+        _ => format!("{:.2}", v.as_f64().unwrap_or(f64::NAN)),
     }
 }
 
