@@ -132,14 +132,6 @@ pub struct IgqConfig {
     /// Cache-replacement policy (default: the paper's utility policy;
     /// alternatives exist for the `ablation_replacement` reproduction).
     pub policy: ReplacementPolicy,
-    /// Detect exact repeats (optimal case 1) via a canonical-code hash map
-    /// before any filtering or index probing. An engineering fast path on
-    /// top of the paper's design: repeats cost one canonicalization instead
-    /// of two index probes with isomorphism tests. Soundness is unaffected
-    /// (equal canonical codes ⇔ isomorphic); symmetric graphs whose
-    /// canonicalization exceeds its budget simply fall back to the probe
-    /// path.
-    pub exact_fastpath: bool,
     /// Worker threads used by [`crate::QueryEngine::query_batch`] to fan a
     /// batch of queries across one shared engine. `0` (the default) means
     /// "use the machine's available parallelism"; `1` degenerates to a
@@ -162,7 +154,6 @@ impl Default for IgqConfig {
             path_config: PathConfig::default(),
             label_universe: 0,
             policy: ReplacementPolicy::Utility,
-            exact_fastpath: true,
             batch_threads: 0,
             persistence: PersistenceConfig::default(),
             shards: 1,
@@ -259,13 +250,6 @@ impl IgqConfigBuilder {
         self
     }
 
-    /// Enables/disables the exact-repeat fast path (see
-    /// [`IgqConfig::exact_fastpath`]).
-    pub fn exact_fastpath(mut self, exact_fastpath: bool) -> Self {
-        self.config.exact_fastpath = exact_fastpath;
-        self
-    }
-
     /// Sets the batch fan-out width (see [`IgqConfig::batch_threads`]).
     pub fn batch_threads(mut self, batch_threads: usize) -> Self {
         self.config.batch_threads = batch_threads;
@@ -312,7 +296,6 @@ mod tests {
             .window(8)
             .label_universe(7)
             .policy(ReplacementPolicy::Lru)
-            .exact_fastpath(false)
             .batch_threads(4)
             .build()
             .expect("valid");
@@ -320,7 +303,6 @@ mod tests {
         assert_eq!(c.window, 8);
         assert_eq!(c.label_universe, 7);
         assert_eq!(c.policy, ReplacementPolicy::Lru);
-        assert!(!c.exact_fastpath);
         assert_eq!(c.batch_threads, 4);
     }
 

@@ -2,24 +2,28 @@
 //! one concurrently shareable pipeline, generic over the query
 //! [`QueryDirection`].
 //!
-//! [`Engine<D>`] wraps a dataset method and runs the full iGQ pipeline per
-//! query `g`:
+//! [`Engine<D>`] wraps a dataset method and runs each query `g` through
+//! one stage function after another over a per-query context:
 //!
-//! 1. the direction's filter produces the candidate set `CS(g)` (no false
-//!    negatives);
-//! 2. the query indexes are probed: one side yields cached queries whose
+//! 1. `canonicalize`: the canonical code keys the exact-repeat lookup,
+//!    the plan cache and admission;
+//! 2. `exact_lookup`: optimal case 1 (Section 4.3) by hash lookup — an
+//!    exact repeat returns its stored answer outright;
+//! 3. `filter`: one path enumeration feeds the direction's filter, which
+//!    produces the candidate set `CS(g)` (no false negatives);
+//! 4. `probe_and_prune`: one query index yields cached queries whose
 //!    stored answers are *known answers*, the other cached queries whose
 //!    answers *bound* the candidates (which side is which is the
-//!    direction's [`KNOWN_IS_ISUB`](QueryDirection::KNOWN_IS_ISUB));
-//! 3. optimal cases (Section 4.3): an exact repeat returns the stored
-//!    answer outright; a cached bounding query with an empty answer proves
-//!    the answer empty;
-//! 4. pruning: `CS_igq = (CS \ ∪ known) ∩ (∩ bounds)` (formulas (3) and
-//!    (5), inverted per Section 4.4 for supergraph queries);
-//! 5. verification of the survivors;
-//! 6. the final answer adds back the known answers (formula (4));
-//! 7. bookkeeping: metadata updates (Section 5.1) and window maintenance
-//!    (Section 5.2), applied to both query indexes on the flipping thread.
+//!    direction's [`KNOWN_IS_ISUB`](QueryDirection::KNOWN_IS_ISUB)). An
+//!    exact repeat `canonical_code` declined, or a bounding query with an
+//!    empty answer, settles `g`; otherwise `CS_igq = (CS \ ∪ known) ∩
+//!    (∩ bounds)` (formulas (3) and (5), inverted per Section 4.4). Every
+//!    hit's replacement metadata is credited (Section 5.1);
+//! 5. `verify`: verification of the survivors; the final answer adds back
+//!    the known answers (formula (4));
+//! 6. `finish`, the one epilogue of every resolution: window admission
+//!    and maintenance (Section 5.2), the flip's WAL drain, the
+//!    auto-checkpoint and the lifetime stats.
 //!
 //! # Concurrency model
 //!
@@ -53,8 +57,10 @@
 //! cadence ([`crate::config::PersistenceConfig`]) or explicitly
 //! ([`Engine::checkpoint`]), and a restart recovers the cache, both
 //! query indexes, and the replacement state warm — observationally
-//! identical to never restarting. See the [`crate::persist`] module docs
-//! for formats and the recovery protocol.
+//! identical to never restarting. A recorded flip — a WAL record at
+//! recovery, a delta group on a follower — is replayed by one function,
+//! `replay_flip`. See the [`crate::persist`] module docs for formats and
+//! the recovery protocol.
 //!
 //! Correctness (Theorems 1 and 2) is exercised end-to-end by the
 //! integration suite: the engine's answers are compared against the naive
@@ -73,13 +79,16 @@ use crate::outcome::{QueryOutcome, Resolution};
 use crate::persist::{self, CacheStore, PersistError};
 use crate::replicate::{DeltaGroup, ReplicaError, ReplicationHub, Subscription};
 use crate::stats::{AtomicEngineStats, EngineStats};
-use igq_features::{enumerate_paths, LabelSeq, PathFeatures};
+use igq_features::{enumerate_paths, PathFeatures};
 use igq_graph::canon::{canonical_code, CanonicalCode, GraphSignature};
 use igq_graph::stats::DatasetStats;
 use igq_graph::{Graph, GraphId};
 use igq_iso::plan_cache::PlanCache;
-use igq_iso::{CostModel, IsoStats, LogValue};
-use igq_methods::{intersect_into, intersect_sorted, subtract_into, subtract_sorted, PlanSource};
+use igq_iso::{CostModel, LogValue};
+use igq_methods::{
+    intersect_into, intersect_sorted, subtract_into, subtract_sorted, Filtered, PlanSource,
+    QueryContext,
+};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,7 +104,6 @@ pub type IgqEngine<M> = Engine<SubgraphQueries<M>>;
 struct State {
     /// `Itemp`: processed-but-not-yet-indexed queries.
     window: Vec<WindowEntry>,
-    window_signatures: Vec<GraphSignature>,
     cost_model: CostModel,
     /// Flip ordinal: how many non-empty window flips this engine's cache
     /// has absorbed (including recovered history). Each persisted WAL
@@ -112,7 +120,6 @@ impl State {
     fn empty(config: &IgqConfig, labels: usize) -> State {
         State {
             window: Vec::new(),
-            window_signatures: Vec::new(),
             cost_model: CostModel::new(labels),
             seq: 0,
             cache: QueryCache::with_policy(config.cache_capacity, config.policy),
@@ -120,6 +127,17 @@ impl State {
             isuper: IsuperIndex::new(config.path_config),
         }
     }
+}
+
+/// One query's pass through the stages of [`Engine::run`]: its inputs,
+/// wall-time origin and canonical code (unless `canonical_code` declined
+/// it), and the outcome the stages fill in.
+struct QueryCtx<'q> {
+    q: &'q Graph,
+    opts: &'q QueryOptions,
+    start: Instant,
+    code: Option<CanonicalCode>,
+    outcome: QueryOutcome,
 }
 
 /// Persistence control for a store-attached engine ([`Engine::open`]).
@@ -146,10 +164,11 @@ struct PersistCtl {
     /// failure's error text); empty when healthy. Surfaced through
     /// [`EngineStats::degraded_reason`].
     degraded_reason: Mutex<String>,
-    /// Encoded-but-unappended WAL records in flip order: `(seq, bytes)`
-    /// pairs held after an append failure so durability is restored —
-    /// not merely resumed — once the store recovers. All I/O on these
-    /// happens under `wal_lock`, preserving append order.
+    /// Encoded-but-unappended WAL records in flip order, as `(seq, bytes)`
+    /// pairs: the append queue, empty while the log is healthy; after an
+    /// append failure it holds every unwritten flip so durability is
+    /// restored — not merely resumed — once the store recovers. All I/O
+    /// on these happens under `wal_lock`, preserving append order.
     quarantine: Mutex<VecDeque<(u64, Vec<u8>)>>,
     /// Earliest instant the next quarantine retry may run (exponential
     /// backoff between failed retries, so a dead disk is not hammered on
@@ -164,6 +183,50 @@ struct PersistCtl {
     /// ([`persist::compact_wal`] at seq 0), then replays the
     /// quarantine.
     tail_suspect: AtomicBool,
+}
+
+/// What a persisted artifact must match to be restored into an engine,
+/// checked alike by [`Engine::open`] and [`Engine::open_follower`].
+struct StoreIdentity {
+    config_fp: u64,
+    dataset_fp: u64,
+    labels: usize,
+}
+
+impl StoreIdentity {
+    fn check_fingerprints(&self, config_fp: u64, dataset_fp: u64) -> Result<(), PersistError> {
+        if config_fp != self.config_fp {
+            return Err(PersistError::ConfigMismatch {
+                expected: self.config_fp,
+                found: config_fp,
+            });
+        }
+        if dataset_fp != self.dataset_fp {
+            return Err(PersistError::DatasetMismatch {
+                expected: self.dataset_fp,
+                found: dataset_fp,
+            });
+        }
+        Ok(())
+    }
+
+    /// Decodes a checkpoint-format artifact (`what` names it in errors)
+    /// and checks that it belongs to this engine.
+    fn decode(&self, what: &str, bytes: &[u8]) -> Result<persist::CheckpointData, PersistError> {
+        let data = persist::decode_checkpoint(bytes)?;
+        self.check_fingerprints(data.config_fp, data.dataset_fp)?;
+        // The persisted label universe is derived from the same config +
+        // dataset the fingerprints cover; a disagreement means the
+        // artifact is internally inconsistent (the replacement metadata
+        // was accumulated under a different cost model).
+        if data.labels != self.labels {
+            return Err(PersistError::Corrupt(format!(
+                "{what} label universe {} does not match the engine's {}",
+                data.labels, self.labels
+            )));
+        }
+        Ok(data)
+    }
 }
 
 /// Panic message for a lock whose holder panicked: the state behind it
@@ -245,7 +308,7 @@ impl<D: QueryDirection> Engine<D> {
         config.validate()?;
         let labels = Self::resolve_labels(&method, &config);
         let state = State::empty(&config, labels);
-        Ok(Self::assemble(method, config, state, None, false))
+        Ok(Self::assemble(method, config, state, None, false, 0))
     }
 
     /// Label-universe size for the cost model: configured, or derived
@@ -258,12 +321,24 @@ impl<D: QueryDirection> Engine<D> {
         }
     }
 
+    /// Validates `config` and derives what this engine's persisted
+    /// artifacts must carry.
+    fn identity(method: &D::Method, config: &IgqConfig) -> Result<StoreIdentity, PersistError> {
+        config.validate()?;
+        Ok(StoreIdentity {
+            config_fp: persist::config_fingerprint(config, D::direction_name()),
+            dataset_fp: persist::dataset_fingerprint(D::store(method)),
+            labels: Self::resolve_labels(method, config),
+        })
+    }
+
     fn assemble(
         method: D::Method,
         config: IgqConfig,
         state: State,
         persist: Option<PersistCtl>,
         follower: bool,
+        epoch: u64,
     ) -> Engine<D> {
         // Plans are cheap relative to cached answer sets: hold a few per
         // resident (distinct configs, probe-side patterns) with headroom
@@ -278,7 +353,7 @@ impl<D: QueryDirection> Engine<D> {
             persist,
             hub: ReplicationHub::new(),
             follower: AtomicBool::new(follower),
-            epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(epoch),
             plan_cache: PlanCache::new(plan_capacity),
             stats: AtomicEngineStats::default(),
             _direction: PhantomData,
@@ -325,48 +400,13 @@ impl<D: QueryDirection> Engine<D> {
         config: IgqConfig,
         store: Arc<dyn CacheStore>,
     ) -> Result<Engine<D>, PersistError> {
-        config.validate()?;
-        let labels = Self::resolve_labels(&method, &config);
-        let config_fp = persist::config_fingerprint(&config, D::direction_name());
-        let dataset_fp = persist::dataset_fingerprint(D::store(&method));
-        let check_fps = |found_config: u64, found_dataset: u64| -> Result<(), PersistError> {
-            if found_config != config_fp {
-                return Err(PersistError::ConfigMismatch {
-                    expected: config_fp,
-                    found: found_config,
-                });
-            }
-            if found_dataset != dataset_fp {
-                return Err(PersistError::DatasetMismatch {
-                    expected: dataset_fp,
-                    found: found_dataset,
-                });
-            }
-            Ok(())
-        };
-
-        let checkpoint = match store.load_checkpoint()? {
-            Some(bytes) => {
-                let data = persist::decode_checkpoint(&bytes)?;
-                check_fps(data.config_fp, data.dataset_fp)?;
-                // The persisted label universe is derived from the same
-                // config + dataset the fingerprints cover; a disagreement
-                // means the artifact is internally inconsistent (the
-                // replacement metadata was accumulated under a different
-                // cost model).
-                if data.labels != labels {
-                    return Err(PersistError::Corrupt(format!(
-                        "checkpoint label universe {} does not match the engine's {labels}",
-                        data.labels
-                    )));
-                }
-                Some(data)
-            }
-            None => None,
-        };
+        let id = Self::identity(&method, &config)?;
+        let checkpoint = (store.load_checkpoint()?)
+            .map(|bytes| id.decode("checkpoint", &bytes))
+            .transpose()?;
         let wal = persist::parse_wal(&store.load_wal()?)?;
         if let Some(h) = &wal.header {
-            check_fps(h.config_fp, h.dataset_fp)?;
+            id.check_fingerprints(h.config_fp, h.dataset_fp)?;
         }
         // The failover epoch survives restarts: a promoted-then-restarted
         // primary must keep fencing its predecessor's stream. Either
@@ -383,125 +423,14 @@ impl<D: QueryDirection> Engine<D> {
             );
         }
 
-        let mut st = Self::restore_from_checkpoint(&config, labels, checkpoint)?;
-
-        // Replay the WAL tail record by record (one record per flip):
-        // recorded evictions/admissions re-applied verbatim through the
-        // cache's own free list (the policy is not re-run), indexes
-        // updated incrementally, the final flip's metadata table restored
-        // last.
-        let mut replayed = 0u64;
-        let mut kept: Vec<persist::WalRecord> = Vec::new();
-        let mut previous: Option<u64> = None;
-        for record in wal.records {
-            if previous == Some(record.seq) {
-                return Err(PersistError::Corrupt(format!(
-                    "WAL records flip {} twice",
-                    record.seq
-                )));
-            }
-            previous = Some(record.seq);
-            if record.seq <= st.seq {
-                continue; // subsumed by the checkpoint
-            }
-            if record.seq != st.seq + 1 {
-                return Err(PersistError::Corrupt(format!(
-                    "WAL sequence gap: expected flip {}, found {}",
-                    st.seq + 1,
-                    record.seq
-                )));
-            }
-            let admitted: Vec<(usize, CacheEntry)> = record
-                .admitted
-                .iter()
-                .map(|p| (p.slot, p.entry.clone()))
-                .collect();
-            st.cache
-                .replay_window(&record.evicted, admitted)
-                .map_err(PersistError::Corrupt)?;
-            for &slot in &record.evicted {
-                st.isub.remove(slot);
-                st.isuper.remove(slot);
-            }
-            for p in &record.admitted {
-                // WAL records carry no feature sets (they are the short
-                // tail); one enumeration feeds both indexes, exactly as a
-                // live flip would.
-                let features = enumerate_paths(&p.entry.graph, &config.path_config);
-                let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
-                st.isub.insert_features(
-                    p.slot,
-                    Arc::clone(&p.entry.graph),
-                    &features,
-                    Arc::clone(&keys),
-                );
-                st.isuper.insert_features(
-                    p.slot,
-                    Arc::clone(&p.entry.graph),
-                    &features,
-                    keys,
-                    p.entry.code.clone(),
-                );
-            }
-            st.seq = record.seq;
-            replayed += 1;
-            kept.push(record);
-        }
-        if let Some(last) = kept.last() {
-            for &(slot, meta) in &last.metas {
-                match st.cache.get(slot) {
-                    Some(_) => st.cache.entry_mut(slot).meta = meta,
-                    None => {
-                        return Err(PersistError::Corrupt(format!(
-                            "WAL metadata for slot {slot}, which is not occupied after replay"
-                        )))
-                    }
-                }
-            }
-        }
-
-        // Compact the WAL to exactly the replayed tail (drops records the
-        // checkpoint subsumes and any torn bytes) and re-establish the
-        // header, so the file is clean from here on.
-        let header = persist::WalHeader {
-            config_fp,
-            dataset_fp,
-            epoch,
-        };
-        store.replace_wal(&persist::encode_wal(&header, &kept))?;
-
-        // The checkpoint's pending window is only current while no flip
-        // followed it: the first replayed WAL record's admission batch
-        // *contained* those entries (a flip drains the whole window), so
-        // keeping them would admit them a second time at the next flip —
-        // a duplicate resident the never-restarted engine does not have.
-        // After any replay the true state is "window empty as of the last
-        // flip" (entries enqueued after it are the documented loss
-        // window).
-        if replayed > 0 {
-            st.window.clear();
-        }
-        // Window signatures ride alongside the window entries; recompute
-        // any an old artifact did not carry.
-        st.window_signatures = st
-            .window
-            .iter_mut()
-            .map(|w| {
-                let sig = w.signature.unwrap_or_else(|| GraphSignature::of(&w.graph));
-                w.signature = Some(sig);
-                sig
-            })
-            .collect();
-
+        let st = Self::restore_from_checkpoint(&config, id.labels, checkpoint)?;
+        let every = config.persistence.checkpoint_every_windows;
         let pctl = PersistCtl {
             store,
-            config_fp,
-            dataset_fp,
-            checkpoint_every: config
-                .persistence
-                .checkpoint_every_windows
-                .map(|w| w as u64),
-            appends_since_checkpoint: AtomicU64::new(kept.len() as u64),
+            config_fp: id.config_fp,
+            dataset_fp: id.dataset_fp,
+            checkpoint_every: every.map(|w| w as u64),
+            appends_since_checkpoint: AtomicU64::new(0),
             checkpoint_lock: Mutex::new(()),
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
@@ -510,8 +439,65 @@ impl<D: QueryDirection> Engine<D> {
             retry_strikes: AtomicU64::new(0),
             tail_suspect: AtomicBool::new(false),
         };
-        let engine = Self::assemble(method, config, st, Some(pctl), false);
-        engine.epoch.store(epoch, Ordering::Relaxed);
+        let engine = Self::assemble(method, config, st, Some(pctl), false, epoch);
+
+        // Replay the WAL tail record by record (one record per flip)
+        // through the path a follower applies delta groups with.
+        let mut kept: Vec<persist::WalRecord> = Vec::new();
+        {
+            let mut guard = engine.lock_write();
+            let st = &mut *guard;
+            let mut previous: Option<u64> = None;
+            for record in wal.records {
+                let seq = record.seq;
+                if previous == Some(seq) {
+                    return Err(PersistError::Corrupt(format!(
+                        "WAL records flip {seq} twice"
+                    )));
+                }
+                previous = Some(seq);
+                if seq <= st.seq {
+                    continue; // subsumed by the checkpoint
+                }
+                if seq != st.seq + 1 {
+                    let expected = st.seq + 1;
+                    return Err(PersistError::Corrupt(format!(
+                        "WAL sequence gap: expected flip {expected}, found {seq}"
+                    )));
+                }
+                // Recovery rebuilds state; it is not maintenance work.
+                engine
+                    .replay_flip(st, &record, false)
+                    .map_err(PersistError::Corrupt)?;
+                kept.push(record);
+            }
+            // The checkpoint's pending window is only current while no
+            // flip followed it: the first replayed WAL record's admission
+            // batch *contained* those entries (a flip drains the whole
+            // window), so keeping them would admit them a second time at
+            // the next flip — a duplicate resident the never-restarted
+            // engine does not have. After any replay the true state is
+            // "window empty as of the last flip" (entries enqueued after
+            // it are the documented loss window).
+            if !kept.is_empty() {
+                st.window.clear();
+            }
+            // Recompute any window signature an old artifact did not carry.
+            for w in &mut st.window {
+                w.signature
+                    .get_or_insert_with(|| GraphSignature::of(&w.graph));
+            }
+        }
+
+        // Compact the WAL to exactly the replayed tail (drops records the
+        // checkpoint subsumes and any torn bytes) and re-establish the
+        // header, so the file is clean from here on.
+        let p = engine.persist.as_ref().expect("store attached above");
+        p.store
+            .replace_wal(&persist::encode_wal(&engine.wal_header(p), &kept))?;
+        let replayed = kept.len() as u64;
+        p.appends_since_checkpoint
+            .store(replayed, Ordering::Relaxed);
         engine.stats.set_recovery_replayed_windows(replayed);
         Ok(engine)
     }
@@ -532,11 +518,7 @@ impl<D: QueryDirection> Engine<D> {
         let Some(data) = checkpoint else {
             return Ok(st);
         };
-        let entries: Vec<(usize, CacheEntry)> = data
-            .entries
-            .iter()
-            .map(|p| (p.slot, p.entry.clone()))
-            .collect();
+        let entries = slot_entries(&data.entries);
         st.cache = QueryCache::restore(
             config.cache_capacity,
             config.policy,
@@ -547,37 +529,26 @@ impl<D: QueryDirection> Engine<D> {
         )
         .map_err(PersistError::Corrupt)?;
         for p in &data.entries {
-            match &p.features {
-                Some(f) => {
-                    let mut features = PathFeatures {
-                        complete_len: f.complete_len,
-                        ..PathFeatures::default()
-                    };
-                    for (seq_key, count) in &f.counts {
-                        features.counts.insert(seq_key.clone(), *count);
-                    }
-                    let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
-                    st.isub.insert_features(
-                        p.slot,
-                        Arc::clone(&p.entry.graph),
-                        &features,
-                        Arc::clone(&keys),
-                    );
-                    st.isuper.insert_features(
-                        p.slot,
-                        Arc::clone(&p.entry.graph),
-                        &features,
-                        keys,
-                        p.entry.code.clone(),
-                    );
+            // Older/foreign checkpoints without feature sets fall back to
+            // enumeration.
+            let features = p.features.as_ref().map(|f| {
+                let mut features = PathFeatures {
+                    complete_len: f.complete_len,
+                    ..PathFeatures::default()
+                };
+                for (seq_key, count) in &f.counts {
+                    features.counts.insert(seq_key.clone(), *count);
                 }
-                // Older/foreign checkpoints without feature sets:
-                // fall back to enumeration.
-                None => {
-                    st.isub.insert(p.slot, Arc::clone(&p.entry.graph));
-                    st.isuper.insert(p.slot, Arc::clone(&p.entry.graph));
-                }
-            }
+                features
+            });
+            crate::maintain::index_resident(
+                config.path_config,
+                &mut st.isub,
+                &mut st.isuper,
+                p.slot,
+                &p.entry,
+                features,
+            );
         }
         st.seq = data.seq;
         st.window = data.window;
@@ -605,37 +576,15 @@ impl<D: QueryDirection> Engine<D> {
         config: IgqConfig,
         snapshot: &[u8],
     ) -> Result<Engine<D>, PersistError> {
-        config.validate()?;
-        let labels = Self::resolve_labels(&method, &config);
-        let config_fp = persist::config_fingerprint(&config, D::direction_name());
-        let dataset_fp = persist::dataset_fingerprint(D::store(&method));
-        let data = persist::decode_checkpoint(snapshot)?;
-        if data.config_fp != config_fp {
-            return Err(PersistError::ConfigMismatch {
-                expected: config_fp,
-                found: data.config_fp,
-            });
-        }
-        if data.dataset_fp != dataset_fp {
-            return Err(PersistError::DatasetMismatch {
-                expected: dataset_fp,
-                found: data.dataset_fp,
-            });
-        }
-        if data.labels != labels {
-            return Err(PersistError::Corrupt(format!(
-                "snapshot label universe {} does not match the engine's {labels}",
-                data.labels
-            )));
-        }
+        let id = Self::identity(&method, &config)?;
+        let data = id.decode("snapshot", snapshot)?;
         // The follower starts at the primary's failover epoch: older
         // streams (a deposed primary) are fenced from the first group.
         let epoch = data.epoch;
-        let mut st = Self::restore_from_checkpoint(&config, labels, Some(data))?;
+        let mut st = Self::restore_from_checkpoint(&config, id.labels, Some(data))?;
         st.window.clear();
         let seq = st.seq;
-        let engine = Self::assemble(method, config, st, None, true);
-        engine.epoch.store(epoch, Ordering::Relaxed);
+        let engine = Self::assemble(method, config, st, None, true, epoch);
         engine.stats.set_last_applied_seq(seq);
         engine.stats.note_replica_heard(seq);
         Ok(engine)
@@ -794,65 +743,61 @@ impl<D: QueryDirection> Engine<D> {
                     found: seq,
                 });
             }
-            // Snapshot the evicted entries' canonical codes *before*
-            // replay frees their slots: plans die with their windows,
-            // exactly as on the primary. (The primary's own delta omits
-            // codes with a surviving isomorphic duplicate; evicting those
-            // plans here too costs only a re-plan, never correctness.)
-            let delta = WindowDelta {
-                evicted: record.evicted.clone(),
-                admitted: record.admitted.iter().map(|p| p.slot).collect(),
-                evicted_codes: record
-                    .evicted
-                    .iter()
-                    .filter_map(|&slot| st.cache.get(slot).and_then(|e| e.code.clone()))
-                    .collect(),
-            };
-            // Replay through the same machinery recovery uses: recorded
-            // evictions/admissions re-applied verbatim (the policy is not
-            // re-run), so the follower makes bit-for-bit the primary's
-            // slot decisions.
-            let admitted: Vec<(usize, CacheEntry)> = record
-                .admitted
-                .iter()
-                .map(|p| (p.slot, p.entry.clone()))
-                .collect();
-            st.cache
-                .replay_window(&record.evicted, admitted)
+            self.replay_flip(st, &record, true)
                 .map_err(ReplicaError::Corrupt)?;
-            // The group carries the full replacement-metadata table as of
-            // the flip; applying it keeps follower evictions (in later
-            // groups) trivially consistent, since the primary replays its
-            // own decisions into the stream anyway.
-            for &(slot, meta) in &record.metas {
-                match st.cache.get(slot) {
-                    Some(_) => st.cache.entry_mut(slot).meta = meta,
-                    None => {
-                        return Err(ReplicaError::Corrupt(format!(
-                            "delta metadata for slot {slot}, which is not occupied after replay"
-                        )))
-                    }
-                }
-            }
-            for code in &delta.evicted_codes {
-                self.plan_cache.evict_key(code);
-            }
-            // Index maintenance runs exactly like a live flip.
-            self.apply_index_delta(st, &delta, true);
-            st.seq = seq;
             self.stats.set_last_applied_seq(seq);
         }
         // Off the state locks: republish the same bytes for any chained
         // subscribers (a follower can itself feed further replicas).
-        if self.hub.is_active() {
-            self.hub.publish(DeltaGroup {
-                seq,
-                bytes: Arc::from(bytes),
-            });
-            self.stats.count_replica_group_published();
-        }
+        self.publish(seq, || Arc::from(bytes));
         self.stats.record_replica_group_applied(bytes.len() as u64);
         Ok(seq)
+    }
+
+    /// Replays one recorded flip — a WAL record at recovery, a delta
+    /// group on a follower: the recorded evictions/admissions re-applied
+    /// verbatim (the policy is not re-run, so slot decisions are the
+    /// recording engine's), its metadata table restored, evicted plans
+    /// dropped, both indexes updated like a live flip, and the state's
+    /// seq advanced to the record's. Seq, epoch and duplicate checks are
+    /// the caller's; `Err` means a corrupt record.
+    fn replay_flip(
+        &self,
+        st: &mut State,
+        record: &persist::WalRecord,
+        record_stats: bool,
+    ) -> Result<(), String> {
+        // Snapshot the evicted entries' codes *before* replay frees their
+        // slots. (The recording engine's delta omits codes with a
+        // surviving isomorphic duplicate; evicting those plans here too
+        // costs only a re-plan, never correctness.)
+        let delta = WindowDelta {
+            evicted: record.evicted.clone(),
+            admitted: record.admitted.iter().map(|p| p.slot).collect(),
+            evicted_codes: record
+                .evicted
+                .iter()
+                .filter_map(|&slot| st.cache.get(slot).and_then(|e| e.code.clone()))
+                .collect(),
+        };
+        st.cache
+            .replay_window(&record.evicted, slot_entries(&record.admitted))?;
+        // Each table lists every resident after its flip.
+        for &(slot, meta) in &record.metas {
+            if st.cache.get(slot).is_none() {
+                return Err(format!(
+                    "flip {} metadata for slot {slot}, which is not occupied after replay",
+                    record.seq
+                ));
+            }
+            st.cache.entry_mut(slot).meta = meta;
+        }
+        for code in &delta.evicted_codes {
+            self.plan_cache.evict_key(code);
+        }
+        self.apply_index_delta(st, &delta, record_stats);
+        st.seq = record.seq;
+        Ok(())
     }
 
     /// `true` if this engine is a read-only follower replica
@@ -1014,44 +959,10 @@ impl<D: QueryDirection> Engine<D> {
     /// [`execute_batch`](Engine::execute_batch).
     fn fan_out<T: Sync, R: Send>(&self, items: &[T], run: impl Fn(&T) -> R + Sync) -> Vec<R> {
         let threads = match self.config.batch_threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             n => n,
-        }
-        .min(items.len().max(1));
-        if threads <= 1 {
-            return items.iter().map(run).collect();
-        }
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
-        let run = &run;
-        let chunks = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            local.push((i, run(item)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker"))
-                .collect::<Vec<_>>()
-        });
-        for (i, out) in chunks.into_iter().flatten() {
-            results[i] = Some(out);
-        }
-        results
-            .into_iter()
-            .map(|o| o.expect("every index claimed exactly once"))
-            .collect()
+        };
+        igq_methods::par_map(items.len(), threads, |_, i| run(&items[i]))
     }
 
     /// Fans `queries` across worker threads sharing this engine
@@ -1085,95 +996,119 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// The shared pipeline behind [`query`](Engine::query) and
-    /// [`execute`](Engine::execute).
+    /// [`execute`](Engine::execute), one stage per function: canonicalize
+    /// → exact lookup → filter → probe and prune → verify. Each
+    /// resolution — a canonical-code exact hit, a probe-found exact hit,
+    /// the empty-answer shortcut, or verification — ends in
+    /// [`finish`](Self::finish).
     fn run(&self, q: &Graph, opts: &QueryOptions) -> QueryOutcome {
-        let wall_start = Instant::now();
-        let mut outcome = QueryOutcome::default();
-
-        // Optimal case 1 fast path: a canonical-code hash lookup detects
-        // exact repeats before any filtering or probing (see
-        // [`IgqConfig::exact_fastpath`]). The probe path below still
-        // catches repeats of the rare query `canonical_code` declines
-        // (over its vertex cap, or its orbit-pruned search still out of
-        // leaves). The canonicalization outcome is kept and threaded
-        // through to window admission so maintenance never recomputes it.
-        // The common miss pays only a read lock; a hit re-checks under the
-        // write lock (the slot may have been evicted in between).
-        let code: Option<Option<CanonicalCode>> = self.config.exact_fastpath.then(|| {
-            let code = canonical_code(q);
-            self.stats
-                .record_canonicalization(wall_start.elapsed(), code.is_none());
-            code
-        });
-        if let Some(Some(c)) = &code {
-            let probable_hit = self.lock_read().cache.slot_with_code(c).is_some();
-            if probable_hit {
-                let mut guard = self.lock_write();
-                let st = &mut *guard;
-                if let Some(slot) = st.cache.slot_with_code(c) {
-                    st.cache.tick_all();
-                    let answers = st.cache.entry(slot).answers.clone();
-                    // Credit: without running the filter the alleviated
-                    // candidate set is unknown; the stored answers are a
-                    // conservative lower bound on it.
-                    let credit = self.cost_of(&mut st.cost_model, q, &answers);
-                    st.cache
-                        .entry_mut(slot)
-                        .meta
-                        .record_hit(answers.len() as u64, credit);
-                    outcome.answers = answers;
-                    outcome.resolution = Resolution::ExactHit;
-                    outcome.igq_time = wall_start.elapsed();
-                    outcome.wall_time = wall_start.elapsed();
-                    self.stats.absorb(&outcome);
-                    return outcome;
-                }
-            }
+        let mut ctx = self.canonicalize(q, opts);
+        if self.exact_lookup(&mut ctx) {
+            return self.finish(ctx);
         }
+        let (qf, filtered) = self.filter(&mut ctx);
+        if let Some(survivors) = self.probe_and_prune(&mut ctx, &qf, &filtered.candidates) {
+            self.verify(&mut ctx, &filtered.context, survivors);
+        }
+        self.finish(ctx)
+    }
 
-        // Single-pass feature extraction: the query's paths are enumerated
-        // once here and shared by the base filter and both index probes.
-        let extract_start = Instant::now();
-        let qf = enumerate_paths(q, &self.config.path_config);
-        let extract_time = extract_start.elapsed();
+    /// Stage: the query's canonical code — the exact-repeat key, the
+    /// plan-cache key, and admitted with the query so maintenance never
+    /// recomputes it.
+    fn canonicalize<'q>(&self, q: &'q Graph, opts: &'q QueryOptions) -> QueryCtx<'q> {
+        let start = Instant::now();
+        let code = canonical_code(q);
+        self.stats
+            .record_canonicalization(start.elapsed(), code.is_none());
+        QueryCtx {
+            q,
+            opts,
+            start,
+            code,
+            outcome: QueryOutcome::default(),
+        }
+    }
+
+    /// Stage: optimal case 1 by hash lookup, before any filtering or
+    /// probing. The probes still catch repeats of the rare query
+    /// `canonical_code` declines (over its vertex cap, or out of leaves).
+    /// The common miss pays only a read lock; a hit re-checks under the
+    /// write lock (the slot may have been evicted in between). Returns
+    /// whether the query resolved.
+    fn exact_lookup(&self, ctx: &mut QueryCtx<'_>) -> bool {
+        let Some(code) = &ctx.code else { return false };
+        if self.lock_read().cache.slot_with_code(code).is_none() {
+            return false;
+        }
+        let mut guard = self.lock_write();
+        let st = &mut *guard;
+        let Some(slot) = st.cache.slot_with_code(code) else {
+            return false;
+        };
+        st.cache.tick_all();
+        let answers = st.cache.entry(slot).answers.clone();
+        // Credit: without running the filter the alleviated candidate set
+        // is unknown; the stored answers are a conservative lower bound
+        // on it.
+        let credit = self.cost_of(&mut st.cost_model, ctx.q, &answers);
+        st.cache
+            .entry_mut(slot)
+            .meta
+            .record_hit(answers.len() as u64, credit);
+        ctx.outcome.answers = answers;
+        ctx.outcome.resolution = Resolution::ExactHit;
+        ctx.outcome.igq_time = ctx.start.elapsed();
+        true
+    }
+
+    /// Stage: single-pass feature extraction (shared by the filter and
+    /// both probes), then the base method's filter, outside the locks.
+    fn filter(&self, ctx: &mut QueryCtx<'_>) -> (PathFeatures, Filtered) {
+        let start = Instant::now();
+        let qf = enumerate_paths(ctx.q, &self.config.path_config);
+        ctx.outcome.igq_time = start.elapsed();
         self.stats.count_feature_extraction();
+        let start = Instant::now();
+        let filtered = D::filter(&self.method, ctx.q, &qf);
+        ctx.outcome.filter_time = start.elapsed();
+        (qf, filtered)
+    }
 
-        // Stage 1: the base filter — expensive, and always outside the
-        // locks.
-        let f_start = Instant::now();
-        let filtered = D::filter(&self.method, q, &qf);
-        let filter_time = f_start.elapsed();
-
-        // The query's canonical code (when computed, and not declined)
-        // keys the plan cache for the `Isub` probe and the verify stage.
-        let qcode: Option<&CanonicalCode> = code.as_ref().and_then(|c| c.as_ref());
-
-        // Stage 2: query-index probes, under the state lock so the
-        // returned slots stay valid through the answer algebra below.
+    /// Stage: probe `Isub`/`Isuper` and apply the answer algebra to the
+    /// candidate set `cs`, all under one write lock so every probed slot
+    /// stays valid while its stored answers are used. Settles the query
+    /// outright on a probe-found exact repeat (optimal case 1) or a
+    /// cached bounding query with an empty answer (optimal case 2);
+    /// otherwise returns [`prune`]'s survivors.
+    fn probe_and_prune(
+        &self,
+        ctx: &mut QueryCtx<'_>,
+        qf: &PathFeatures,
+        cs: &[GraphId],
+    ) -> Option<(Vec<GraphId>, Vec<GraphId>)> {
+        let q = ctx.q;
         let mut guard = self.lock_write();
         let st = &mut *guard;
         let p_start = Instant::now();
-        let (sub_slots, sub_stats) =
-            st.isub
-                .supergraphs_of_with_plans(q, &qf, qcode.map(|c| (&self.plan_cache, c)));
+        let (sub_slots, sub_stats) = st.isub.supergraphs_of_with_plans(
+            q,
+            qf,
+            ctx.code.as_ref().map(|c| (&self.plan_cache, c)),
+        );
         let (super_slots, super_stats) =
             st.isuper
-                .subgraphs_of_with_plans(q, &qf, Some(&self.plan_cache));
+                .subgraphs_of_with_plans(q, qf, Some(&self.plan_cache));
         let probe_time = p_start.elapsed();
-        outcome.filter_time = filter_time;
-        let mut igq_stats = IsoStats::new();
-        igq_stats.merge(&sub_stats);
-        igq_stats.merge(&super_stats);
-        outcome.igq_iso_tests = igq_stats.tests;
-        outcome.isub_hits = sub_slots.len();
-        outcome.isuper_hits = super_slots.len();
-        outcome.candidates_before = filtered.candidates.len();
+        let o = &mut ctx.outcome;
+        o.igq_iso_tests = sub_stats.tests + super_stats.tests;
+        o.isub_hits = sub_slots.len();
+        o.isuper_hits = super_slots.len();
+        o.candidates_before = cs.len();
 
         let bookkeeping_start = Instant::now();
         // Every cached entry has now seen one more query.
         st.cache.tick_all();
-
-        let cs = &filtered.candidates;
 
         // The direction decides which probe feeds the *known answers*
         // path and which the *bounding* path (Section 4.4 inversion).
@@ -1185,270 +1120,167 @@ impl<D: QueryDirection> Engine<D> {
 
         // Optimal case 1: exact repeat — g isomorphic to a cached query.
         // g ⊆ G (or G ⊆ g) at equal vertex/edge counts is an isomorphism.
-        let exact_slot = sub_slots
+        // Optimal case 2: a cached bounding query with an empty answer set
+        // proves Answer(g) = ∅ (Section 4.3; roles inverted in the
+        // supergraph direction, Section 4.4).
+        let settled = sub_slots
             .iter()
             .chain(super_slots.iter())
             .copied()
             .find(|&s| {
                 let g = &st.cache.entry(s).graph;
                 g.vertex_count() == q.vertex_count() && g.edge_count() == q.edge_count()
+            })
+            .map(|s| (s, Resolution::ExactHit))
+            .or_else(|| {
+                bound_slots
+                    .iter()
+                    .copied()
+                    .find(|&s| st.cache.entry(s).answers.is_empty())
+                    .map(|s| (s, Resolution::EmptyAnswerShortcut))
             });
-        if let Some(slot) = exact_slot {
-            outcome.answers = st.cache.entry(slot).answers.clone();
-            outcome.resolution = Resolution::ExactHit;
-            outcome.candidates_after = 0;
-            outcome.pruned_by_isub = cs.len();
-            let credit = self.cost_of(&mut st.cost_model, q, cs);
-            credit_hits::<D>(
-                self,
-                st,
-                q,
-                cs,
-                known_slots,
-                bound_slots,
-                Some((slot, credit)),
-            );
-            outcome.igq_time = extract_time + probe_time + bookkeeping_start.elapsed();
-            outcome.wall_time = wall_start.elapsed();
-            self.stats.absorb(&outcome);
-            return outcome;
-        }
-
-        // Optimal case 2: a cached bounding query with an empty answer set
-        // proves Answer(g) = ∅ (Section 4.3; roles inverted in the
-        // supergraph direction, Section 4.4).
-        if let Some(&slot) = bound_slots
-            .iter()
-            .find(|&&s| st.cache.entry(s).answers.is_empty())
-        {
-            outcome.answers = Vec::new();
-            outcome.resolution = Resolution::EmptyAnswerShortcut;
-            outcome.candidates_after = 0;
-            if D::KNOWN_IS_ISUB {
-                outcome.pruned_by_isuper = cs.len();
-            } else {
-                outcome.pruned_by_isub = cs.len();
-            }
-            let credit = self.cost_of(&mut st.cost_model, q, cs);
-            credit_hits::<D>(
-                self,
-                st,
-                q,
-                cs,
-                known_slots,
-                bound_slots,
-                Some((slot, credit)),
-            );
-            // An empty-answer query is prime cache material.
-            if !opts.skip_admission {
-                if let Some(entry) = self.pending_admission(q, &[], code.clone()) {
-                    self.enqueue(st, entry);
+        let survivors = match settled {
+            Some((slot, resolution)) => {
+                o.resolution = resolution;
+                o.candidates_after = 0;
+                if resolution == Resolution::ExactHit {
+                    o.answers = st.cache.entry(slot).answers.clone();
+                    o.pruned_by_isub = cs.len();
+                } else if D::KNOWN_IS_ISUB {
+                    o.pruned_by_isuper = cs.len();
+                } else {
+                    o.pruned_by_isub = cs.len();
                 }
+                credit_hits::<D>(self, st, q, cs, known_slots, bound_slots, Some(slot));
+                None
             }
-            outcome.igq_time = extract_time + probe_time + bookkeeping_start.elapsed();
-            let maint_start = Instant::now();
-            let maintained = self.maybe_maintain(st);
-            drop(guard);
-            if maintained {
-                self.drain_outbox();
-                outcome.igq_time += maint_start.elapsed();
-                self.maybe_auto_checkpoint();
+            None => {
+                let survivors = prune::<D>(st, cs, known_slots, bound_slots, o);
+                // Metadata credit for every hit.
+                credit_hits::<D>(self, st, q, cs, known_slots, bound_slots, None);
+                Some(survivors)
             }
-            outcome.wall_time = wall_start.elapsed();
-            self.stats.absorb(&outcome);
-            return outcome;
-        }
+        };
+        ctx.outcome.igq_time += probe_time + bookkeeping_start.elapsed();
+        survivors
+    }
 
-        // Formula (3) (or its Section 4.4 inverse): known answers. The
-        // answer-set algebra below runs on two reused buffers (`pruned`
-        // and `spare`, swapped per step) with galloping intersection /
-        // subtraction — a handful of cached-answer probes against a large
-        // candidate set costs O(hits · log |CS|), not O(|CS|) per slot.
-        let mut known_answers: Vec<GraphId> = Vec::new();
-        for &s in known_slots {
-            known_answers.extend_from_slice(&st.cache.entry(s).answers);
-        }
-        known_answers.sort_unstable();
-        known_answers.dedup();
-        let mut known_in_cs = Vec::new();
-        intersect_into(cs, &known_answers, &mut known_in_cs);
-        let mut pruned = Vec::new();
-        let mut spare = Vec::new();
-        subtract_into(cs, &known_answers, &mut pruned);
-        let known_pruned = cs.len() - pruned.len();
-
-        // Formula (5): candidates must appear in every bounding answer set.
-        let before_bound = pruned.len();
-        for &s in bound_slots {
-            intersect_into(&pruned, &st.cache.entry(s).answers, &mut spare);
-            std::mem::swap(&mut pruned, &mut spare);
-            if pruned.is_empty() {
-                break;
-            }
-        }
-        let bound_pruned = before_bound - pruned.len();
-        if D::KNOWN_IS_ISUB {
-            outcome.pruned_by_isub = known_pruned;
-            outcome.pruned_by_isuper = bound_pruned;
-        } else {
-            outcome.pruned_by_isuper = known_pruned;
-            outcome.pruned_by_isub = bound_pruned;
-        }
-        outcome.candidates_after = pruned.len();
-
-        // Metadata credit for every hit.
-        credit_hits::<D>(self, st, q, cs, known_slots, bound_slots, None);
-        outcome.igq_time = extract_time + probe_time + bookkeeping_start.elapsed();
-        drop(guard); // verification runs outside the lock
-
-        // Verification of the surviving candidates, with the engine's
-        // plan cache keyed by the query's canonical code (a repeat query
-        // reuses its matching plan instead of rebuilding it).
-        let verify_start = Instant::now();
+    /// Stage: verification of the surviving candidates `pruned`, outside
+    /// the lock, with the engine's plan cache keyed by the query's
+    /// canonical code (a repeat query reuses its matching plan instead of
+    /// rebuilding it). The final answer adds back the known answers
+    /// `known_in_cs` (formula (4)).
+    fn verify(
+        &self,
+        ctx: &mut QueryCtx<'_>,
+        context: &QueryContext,
+        (pruned, known_in_cs): (Vec<GraphId>, Vec<GraphId>),
+    ) {
+        let start = Instant::now();
         let plan_source = PlanSource {
             cache: &self.plan_cache,
-            key: qcode,
+            key: ctx.code.as_ref(),
         };
-        let (results, batch_stats) = D::verify(
-            &self.method,
-            q,
-            &filtered.context,
-            &pruned,
-            Some(plan_source),
-        );
+        let (results, batch_stats) =
+            D::verify(&self.method, ctx.q, context, &pruned, Some(plan_source));
         self.stats.record_verify_batch(&batch_stats);
-        outcome.db_iso_tests = pruned.len() as u64;
-        outcome.aborted_tests = results.iter().filter(|r| r.aborted).count() as u64;
+        let o = &mut ctx.outcome;
+        o.db_iso_tests = pruned.len() as u64;
+        o.aborted_tests = results.iter().filter(|r| r.aborted).count() as u64;
         let mut answers: Vec<GraphId> = pruned
             .iter()
             .zip(results.iter())
             .filter(|(_, r)| r.contains)
             .map(|(&id, _)| id)
             .collect();
-        outcome.verify_time = verify_start.elapsed();
-
-        // Formula (4): add back the known answers.
+        o.verify_time = start.elapsed();
         answers.extend_from_slice(&known_in_cs);
         answers.sort_unstable();
         answers.dedup();
-        outcome.answers = answers;
+        o.answers = answers;
+    }
 
-        // Window admission and maintenance, under a fresh write lock. A
-        // query whose verification hit the abort budget has a
-        // possibly-incomplete answer set: caching it would let formulas
-        // (3)–(5) turn one bounded verification into wrong answers for
-        // *future* queries, so it is never admitted.
-        // The admission record (graph clone, WL signature) is built before
-        // the lock so concurrent callers do not serialize on it.
-        let maint_start = Instant::now();
-        let pending = (outcome.aborted_tests == 0 && !opts.skip_admission)
-            .then(|| self.pending_admission(q, &outcome.answers, code))
-            .flatten();
-        let maintained = {
-            let mut st = self.lock_write();
-            if let Some(entry) = pending {
+    /// The one epilogue of every resolution: admission and, on a full
+    /// window, the flip under the write lock; the WAL drain and
+    /// auto-checkpoint off it; then wall time and lifetime stats.
+    fn finish(&self, ctx: QueryCtx<'_>) -> QueryOutcome {
+        let mut outcome = ctx.outcome;
+        // An exact hit is cached already. A query whose verification hit
+        // the abort budget has a possibly-incomplete answer set: caching
+        // it would let formulas (3)–(5) turn one bounded verification
+        // into wrong answers for *future* queries. A follower's cache
+        // changes only by replaying the primary's groups (checked ahead of
+        // the lock, this can at worst skip one admission racing a
+        // promotion). An empty-answer query is prime cache material.
+        if outcome.resolution != Resolution::ExactHit
+            && outcome.aborted_tests == 0
+            && !ctx.opts.skip_admission
+            && !self.follower.load(Ordering::Relaxed)
+        {
+            let maint_start = Instant::now();
+            // The admission record (graph clone, WL signature) is built
+            // before the lock so concurrent callers do not serialize on it.
+            let entry = WindowEntry {
+                graph: Arc::new(ctx.q.clone()),
+                answers: outcome.answers.clone(),
+                signature: Some(GraphSignature::of(ctx.q)),
+                code: Some(ctx.code),
+            };
+            let flipped = {
+                let mut st = self.lock_write();
                 self.enqueue(&mut st, entry);
+                self.maybe_flip(&mut st, false)
+            };
+            if flipped {
+                self.drain_outbox();
             }
-            self.maybe_maintain(&mut st)
-        };
-        if maintained {
-            self.drain_outbox();
+            outcome.igq_time += maint_start.elapsed();
+            if flipped {
+                self.maybe_auto_checkpoint();
+            }
         }
-        outcome.igq_time += maint_start.elapsed();
-        if maintained {
-            self.maybe_auto_checkpoint();
-        }
-
-        outcome.wall_time = wall_start.elapsed();
+        outcome.wall_time = ctx.start.elapsed();
         self.stats.absorb(&outcome);
         outcome
     }
 
-    /// Builds the window entry admitting `(q, answers)`: the graph clone
-    /// and the WL signature need no lock, so the final-admission path
-    /// calls this before taking the write lock. `code` is the query-path
-    /// canonicalization outcome, reused at admission. `None` on a
-    /// follower, whose cache changes only by replaying the primary's delta
-    /// groups: local queries are answered (read-only) but never admitted,
-    /// or the replica would diverge from the primary. (Engines only ever
-    /// leave follower mode, so checking here, ahead of the lock, can at
-    /// worst skip one admission racing a promotion.)
-    fn pending_admission(
-        &self,
-        q: &Graph,
-        answers: &[GraphId],
-        code: Option<Option<CanonicalCode>>,
-    ) -> Option<WindowEntry> {
-        if self.follower.load(Ordering::Relaxed) {
-            return None;
-        }
-        Some(WindowEntry {
-            graph: Arc::new(q.clone()),
-            answers: answers.to_vec(),
-            signature: Some(GraphSignature::of(q)),
-            code,
-        })
-    }
-
-    /// Adds a [`pending_admission`](Self::pending_admission) to the window
-    /// unless its graph is an exact duplicate of a pending window entry
+    /// Adds an admission record to the window unless its graph is an
+    /// exact duplicate of a pending window entry
     /// (cache duplicates were already handled by the exact-hit path; two
     /// concurrent first-time callers of the same query can still both
     /// admit — duplicate residents are tolerated by the cache, see
     /// `duplicate_codes_survive_partial_eviction`).
     fn enqueue(&self, st: &mut State, entry: WindowEntry) {
-        let sig = entry
-            .signature
-            .expect("pending_admission computes the signature");
-        let dup = st
-            .window_signatures
-            .iter()
-            .zip(st.window.iter())
-            .any(|(s, e)| *s == sig && igq_iso::are_isomorphic(&entry.graph, &e.graph));
-        if dup {
-            return;
+        let dup = st.window.iter().any(|e| {
+            e.signature == entry.signature && igq_iso::are_isomorphic(&entry.graph, &e.graph)
+        });
+        if !dup {
+            st.window.push(entry);
         }
-        st.window.push(entry);
-        st.window_signatures.push(sig);
     }
 
-    /// Runs window maintenance when `W` queries have accumulated: evict,
-    /// admit, and bring both query indexes up to date.
-    fn maybe_maintain(&self, st: &mut State) -> bool {
-        if st.window.len() < self.config.window {
-            return false;
+    /// Flips the window once it holds `W` queries (any, when `force`d):
+    /// evicts/admits and brings `Isub`/`Isuper` in line with the resulting
+    /// slot delta — incrementally on this thread (remove evicted slots,
+    /// insert admitted ones; O(window delta)). Returns whether it flipped.
+    fn maybe_flip(&self, st: &mut State, force: bool) -> bool {
+        let due = st.window.len() >= if force { 1 } else { self.config.window };
+        if due {
+            let incoming = std::mem::take(&mut st.window);
+            self.apply_incoming(st, incoming, true);
         }
-        self.run_maintenance(st);
-        true
-    }
-
-    /// Evicts/admits the pending window and brings `Isub`/`Isuper` in line
-    /// with the resulting slot delta — incrementally on this thread
-    /// (remove evicted slots, insert admitted ones; O(window delta)).
-    fn run_maintenance(&self, st: &mut State) {
-        if st.window.is_empty() {
-            return;
-        }
-        let incoming = std::mem::take(&mut st.window);
-        st.window_signatures.clear();
-        self.apply_incoming(st, incoming, true);
+        due
     }
 
     /// Applies one admission batch as a window flip
     /// ([`QueryCache::apply_window`]): evicted plans are dropped, the flip
     /// is captured as one WAL record, and the index delta is applied
-    /// inline. Returns whether anything changed. `record_stats`
-    /// distinguishes regular maintenance from [`Engine::import_entries`],
-    /// which never counted as maintenance.
-    fn apply_incoming(
-        &self,
-        st: &mut State,
-        incoming: Vec<WindowEntry>,
-        record_stats: bool,
-    ) -> bool {
+    /// inline. `record_stats` distinguishes regular maintenance from
+    /// [`Engine::import_entries`], which never counted as maintenance.
+    fn apply_incoming(&self, st: &mut State, incoming: Vec<WindowEntry>, record_stats: bool) {
         let delta = st.cache.apply_window(incoming);
         if delta.is_empty() {
-            return false;
+            return;
         }
         // Cached plans die with their windows: drop every evicted query's
         // plans (codes with a surviving isomorphic duplicate are not
@@ -1461,7 +1293,6 @@ impl<D: QueryDirection> Engine<D> {
         }
         self.capture_wal(st, &delta);
         self.apply_index_delta(st, &delta, record_stats);
-        true
     }
 
     /// Brings `Isub`/`Isuper` in line with the cache after `delta` was
@@ -1535,26 +1366,21 @@ impl<D: QueryDirection> Engine<D> {
                 if let Some(p) = &self.persist {
                     // One flip is one append (and one fsync on
                     // disk-backed stores): a crash can tear at most the
-                    // final record, which recovery truncates.
+                    // final record, which recovery truncates. The record
+                    // joins the append queue; in degraded mode it waits
+                    // there behind the quarantined ones (appending past a
+                    // possibly-torn tail would turn it into a mid-log hole
+                    // recovery must reject) for a backoff-gated retry of
+                    // the whole queue.
                     let bytes = persist::encode_wal_record(&record);
-                    let seq = record.seq;
+                    p.quarantine
+                        .lock()
+                        .expect(POISONED)
+                        .push_back((record.seq, bytes));
                     if p.degraded.load(Ordering::Relaxed) {
-                        // Degraded mode: appending past a possibly-torn
-                        // tail would turn it into a mid-log hole recovery
-                        // must reject, and records must land in flip
-                        // order behind the ones already quarantined.
-                        // Quarantine this record too, then attempt a
-                        // backoff-gated retry of the whole queue.
-                        p.quarantine.lock().expect(POISONED).push_back((seq, bytes));
                         self.try_drain_quarantine(p);
-                    } else {
-                        match p.store.append_wal(&bytes) {
-                            Ok(()) => {
-                                self.stats.count_wal_append(bytes.len() as u64);
-                                p.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => self.enter_degraded(p, seq, bytes, &e),
-                        }
+                    } else if let Err(e) = self.reappend_quarantine(p, &mut 0) {
+                        self.enter_degraded(p, record.seq, &e);
                     }
                 }
                 // Replication tracks the *live* engine, not the disk: the
@@ -1563,35 +1389,37 @@ impl<D: QueryDirection> Engine<D> {
                 // own problem). Publication after the append attempt keeps
                 // "what followers saw" always ≤ "what the primary wrote"
                 // on a healthy log.
-                if self.hub.is_active() {
-                    self.hub.publish(DeltaGroup {
-                        seq: record.seq,
-                        bytes: persist::encode_group_binary(
-                            &record,
-                            self.epoch.load(Ordering::Relaxed),
-                        )
-                        .into(),
-                    });
-                    self.stats.count_replica_group_published();
-                }
+                self.publish(record.seq, || {
+                    persist::encode_group_binary(&record, self.epoch.load(Ordering::Relaxed)).into()
+                });
             }
         }
     }
 
-    /// Enters degraded mode after a failed WAL append: the flip's record is
-    /// quarantined (not dropped), the reason recorded for
+    /// Publishes one flip group to the replication hub's subscribers, if
+    /// it has been activated.
+    fn publish(&self, seq: u64, bytes: impl FnOnce() -> Arc<[u8]>) {
+        if self.hub.is_active() {
+            self.hub.publish(DeltaGroup {
+                seq,
+                bytes: bytes(),
+            });
+            self.stats.count_replica_group_published();
+        }
+    }
+
+    /// Enters degraded mode after a failed WAL append: the flip's record
+    /// stays quarantined (not dropped), the reason recorded for
     /// [`EngineStats::degraded_reason`], and the on-disk tail marked
     /// suspect. Serving continues exactly; only durability of the
     /// quarantined flips is deferred until the store recovers or a
     /// checkpoint re-covers them. Caller holds `wal_lock`.
-    fn enter_degraded(&self, p: &PersistCtl, seq: u64, bytes: Vec<u8>, cause: &PersistError) {
+    fn enter_degraded(&self, p: &PersistCtl, seq: u64, cause: &PersistError) {
         eprintln!(
             "igq: warning: WAL append failed ({cause}); entering degraded mode — \
              quarantining flip {seq} and retrying with backoff"
         );
         *p.degraded_reason.lock().expect(POISONED) = format!("WAL append failed: {cause}");
-        p.quarantine.lock().expect(POISONED).push_back((seq, bytes));
-        p.tail_suspect.store(true, Ordering::Relaxed);
         p.retry_strikes.store(1, Ordering::Relaxed);
         *p.retry_not_before.lock().expect(POISONED) = Some(Instant::now() + WAL_RETRY_FLOOR);
         p.degraded.store(true, Ordering::Relaxed);
@@ -1629,43 +1457,67 @@ impl<D: QueryDirection> Engine<D> {
         // (compaction at seq 0 keeps every intact record) restores a
         // clean append point before any quarantined record lands.
         if p.tail_suspect.load(Ordering::Relaxed) {
-            let repaired = (|| -> Result<(), PersistError> {
-                let header = persist::WalHeader {
-                    config_fp: p.config_fp,
-                    dataset_fp: p.dataset_fp,
-                    epoch: self.epoch.load(Ordering::Relaxed),
-                };
-                let (compacted, _) = persist::compact_wal(&p.store.load_wal()?, 0, &header);
-                p.store.replace_wal(&compacted)?;
-                Ok(())
-            })();
-            match repaired {
-                Ok(()) => p.tail_suspect.store(false, Ordering::Relaxed),
-                Err(e) => {
-                    fail(&e);
-                    return;
-                }
+            if let Err(e) = self.rewrite_wal(p, 0) {
+                fail(&e);
+                return;
             }
         }
-        loop {
-            let front = p.quarantine.lock().expect(POISONED).front().cloned();
-            let Some((_seq, bytes)) = front else { break };
-            match p.store.append_wal(&bytes) {
-                Ok(()) => {
-                    self.stats.count_wal_append(bytes.len() as u64);
-                    p.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-                    p.quarantine.lock().expect(POISONED).pop_front();
-                }
-                Err(e) => {
-                    // This retry itself may have torn the tail.
-                    p.tail_suspect.store(true, Ordering::Relaxed);
-                    fail(&e);
-                    return;
-                }
-            }
+        if let Err(e) = self.reappend_quarantine(p, &mut 0) {
+            fail(&e);
+            return;
         }
         self.clear_degraded(p);
         eprintln!("igq: info: degraded mode cleared — quarantined WAL flips replayed");
+    }
+
+    /// Appends the queued WAL records in flip order, counting each that
+    /// lands in `appended`. Stops at the first failure, leaving that
+    /// record and the rest queued and the on-disk tail marked suspect (the
+    /// failed append may have torn it). Caller holds `wal_lock`.
+    fn reappend_quarantine(&self, p: &PersistCtl, appended: &mut u64) -> Result<(), PersistError> {
+        loop {
+            let Some((seq, bytes)) = p.quarantine.lock().expect(POISONED).pop_front() else {
+                return Ok(());
+            };
+            if let Err(e) = p.store.append_wal(&bytes) {
+                p.tail_suspect.store(true, Ordering::Relaxed);
+                p.quarantine
+                    .lock()
+                    .expect(POISONED)
+                    .push_front((seq, bytes));
+                return Err(e);
+            }
+            self.stats.count_wal_append(bytes.len() as u64);
+            p.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
+            *appended += 1;
+        }
+    }
+
+    /// Rewrites the log to its intact records after flip `keep_after`
+    /// (0 keeps them all) under a fresh header, which also drops a torn
+    /// tail a failed append left behind, and drops the quarantined flips
+    /// at or below `keep_after` (a checkpoint covers them). Returns the
+    /// number of records kept. Caller holds `wal_lock`.
+    fn rewrite_wal(&self, p: &PersistCtl, keep_after: u64) -> Result<u64, PersistError> {
+        let header = self.wal_header(p);
+        let (compacted, kept) = persist::compact_wal(&p.store.load_wal()?, keep_after, &header);
+        p.store.replace_wal(&compacted)?;
+        p.tail_suspect.store(false, Ordering::Relaxed);
+        let mut q = p.quarantine.lock().expect(POISONED);
+        while q.front().is_some_and(|(seq, _)| *seq <= keep_after) {
+            q.pop_front();
+        }
+        Ok(kept)
+    }
+
+    /// The WAL header this engine writes: its fingerprints and current
+    /// failover epoch.
+    fn wal_header(&self, p: &PersistCtl) -> persist::WalHeader {
+        persist::WalHeader {
+            config_fp: p.config_fp,
+            dataset_fp: p.dataset_fp,
+            epoch: self.epoch.load(Ordering::Relaxed),
+        }
     }
 
     /// Leaves degraded mode: quarantine empty (drained or subsumed by a
@@ -1681,10 +1533,7 @@ impl<D: QueryDirection> Engine<D> {
     /// Forces maintenance regardless of window fill (used by harnesses at
     /// warm-up boundaries).
     pub fn flush_window(&self) {
-        {
-            let mut g = self.lock_write();
-            self.run_maintenance(&mut g);
-        }
+        self.maybe_flip(&mut self.lock_write(), true);
         self.drain_outbox();
         self.maybe_auto_checkpoint();
     }
@@ -1744,29 +1593,14 @@ impl<D: QueryDirection> Engine<D> {
         // rewrite drops the torn tail the failed append left behind.
         let kept_len = {
             let _appending = self.wal_lock.lock().expect(POISONED);
-            let header = persist::WalHeader {
-                config_fp: p.config_fp,
-                dataset_fp: p.dataset_fp,
-                epoch: self.epoch.load(Ordering::Relaxed),
-            };
-            let (compacted, kept) = persist::compact_wal(&p.store.load_wal()?, seq, &header);
-            p.store.replace_wal(&compacted)?;
-            // The rewrite healed any torn tail, and every quarantined
-            // flip at or below the checkpoint seq is covered by the
-            // snapshot just written; later ones re-append onto the
-            // freshly compacted log (still under the WAL lock, so order
-            // holds). Degraded mode clears unless a re-append fails.
-            {
-                let mut q = p.quarantine.lock().expect(POISONED);
-                while q.front().is_some_and(|(gseq, _)| *gseq <= seq) {
-                    q.pop_front();
-                }
-            }
-            p.tail_suspect.store(false, Ordering::Relaxed);
-            let mut kept = kept;
-            loop {
-                let front = p.quarantine.lock().expect(POISONED).front().cloned();
-                let Some((_gseq, bytes)) = front else {
+            // The rewrite heals any torn tail, and every quarantined flip
+            // at or below the checkpoint seq is covered by the snapshot
+            // just written; later ones re-append onto the freshly
+            // compacted log (still under the WAL lock, so order holds).
+            // Degraded mode clears unless a re-append fails.
+            let mut kept = self.rewrite_wal(p, seq)?;
+            match self.reappend_quarantine(p, &mut kept) {
+                Ok(()) => {
                     if p.degraded.load(Ordering::Relaxed) {
                         self.clear_degraded(p);
                         eprintln!(
@@ -1774,24 +1608,13 @@ impl<D: QueryDirection> Engine<D> {
                              quarantined WAL flips"
                         );
                     }
-                    break;
-                };
-                match p.store.append_wal(&bytes) {
-                    Ok(()) => {
-                        self.stats.count_wal_append(bytes.len() as u64);
-                        p.quarantine.lock().expect(POISONED).pop_front();
-                        kept += 1;
-                    }
-                    Err(e) => {
-                        // Store still faulty: the checkpoint itself
-                        // succeeded, so durability is current up to `seq`;
-                        // the rest stays quarantined for the next retry.
-                        p.tail_suspect.store(true, Ordering::Relaxed);
-                        *p.degraded_reason.lock().expect(POISONED) =
-                            format!("WAL retry failed: {e}");
-                        self.stats.count_wal_retry_failure();
-                        break;
-                    }
+                }
+                Err(e) => {
+                    // Store still faulty: the checkpoint itself succeeded,
+                    // so durability is current up to `seq`; the rest stays
+                    // quarantined for the next retry.
+                    *p.degraded_reason.lock().expect(POISONED) = format!("WAL retry failed: {e}");
+                    self.stats.count_wal_retry_failure();
                 }
             }
             kept
@@ -1827,8 +1650,8 @@ impl<D: QueryDirection> Engine<D> {
     /// Snapshots the full durable state (the checkpoint payload and the
     /// single serialization path behind [`Engine::checkpoint`] and
     /// [`Engine::export_entries`]). Caller holds the state lock; per-slot
-    /// feature sets are read from the live `Isub` (a slot missing there
-    /// falls back to re-enumeration). Entries come out in slot order.
+    /// feature sets are read from the live `Isub`, which indexes every
+    /// resident. Entries come out in slot order.
     fn capture_state(
         &self,
         st: &State,
@@ -1838,22 +1661,19 @@ impl<D: QueryDirection> Engine<D> {
         let entries = st
             .cache
             .iter()
-            .map(|(slot, e)| persist::PersistedEntry {
-                slot,
-                entry: e.clone(),
-                features: Some(match st.isub.slot_features(slot) {
-                    Some((counts, complete_len)) => persist::SlotFeatureSet {
+            .map(|(slot, e)| {
+                let (counts, complete_len) = st
+                    .isub
+                    .slot_features(slot)
+                    .expect("flips index every resident");
+                persist::PersistedEntry {
+                    slot,
+                    entry: e.clone(),
+                    features: Some(persist::SlotFeatureSet {
                         counts,
                         complete_len,
-                    },
-                    None => {
-                        let f = enumerate_paths(&e.graph, &self.config.path_config);
-                        persist::SlotFeatureSet {
-                            counts: f.counts.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-                            complete_len: f.complete_len,
-                        }
-                    }
-                }),
+                    }),
+                }
             })
             .collect();
         persist::CheckpointData {
@@ -1936,13 +1756,10 @@ impl<D: QueryDirection> Engine<D> {
         let skipped_invalid = total - admissible.len();
         let admitted = admissible.len().min(self.config.cache_capacity);
         let skipped_capacity = admissible.len() - admitted;
-        {
-            let mut st = self.lock_write();
-            // `record_stats: false` — imports are seeding, not paid
-            // maintenance; they neither count a window flip nor record
-            // maintenance work.
-            self.apply_incoming(&mut st, admissible, false);
-        }
+        // `record_stats: false` — imports are seeding, not paid
+        // maintenance; they neither count a window flip nor record
+        // maintenance work.
+        self.apply_incoming(&mut self.lock_write(), admissible, false);
         self.drain_outbox();
         self.maybe_auto_checkpoint();
         Ok(ImportReport {
@@ -1980,9 +1797,6 @@ impl<D: QueryDirection> Engine<D> {
                 return Err(format!("slot {slot}: answer id out of dataset range"));
             }
         }
-        if st.window.len() != st.window_signatures.len() {
-            return Err("window/signature length mismatch".into());
-        }
         // Index ≡ cache: both indexes must hold exactly the cached slots,
         // with postings identical to a from-scratch rebuild.
         let graphs = || {
@@ -2014,6 +1828,59 @@ impl<D: QueryDirection> Drop for Engine<D> {
     }
 }
 
+/// `(slot, entry)` pairs of persisted entries, as the cache restores them.
+fn slot_entries(entries: &[persist::PersistedEntry]) -> Vec<(usize, CacheEntry)> {
+    entries.iter().map(|p| (p.slot, p.entry.clone())).collect()
+}
+
+/// Formula (3) (or its Section 4.4 inverse) drops the candidates that
+/// are known answers; formula (5) keeps only candidates in every bounding
+/// answer set. Returns `CS_igq` and the known answers inside `cs`, and
+/// records the prune counts and `candidates_after` in `o`. The algebra
+/// runs on two reused buffers (`pruned` and `spare`, swapped per step)
+/// with galloping intersection / subtraction — a handful of cached-answer
+/// probes against a large candidate set costs O(hits · log |CS|), not
+/// O(|CS|) per slot.
+fn prune<D: QueryDirection>(
+    st: &State,
+    cs: &[GraphId],
+    known_slots: &[usize],
+    bound_slots: &[usize],
+    o: &mut QueryOutcome,
+) -> (Vec<GraphId>, Vec<GraphId>) {
+    let mut known_answers: Vec<GraphId> = Vec::new();
+    for &s in known_slots {
+        known_answers.extend_from_slice(&st.cache.entry(s).answers);
+    }
+    known_answers.sort_unstable();
+    known_answers.dedup();
+    let mut known_in_cs = Vec::new();
+    intersect_into(cs, &known_answers, &mut known_in_cs);
+    let mut pruned = Vec::new();
+    let mut spare = Vec::new();
+    subtract_into(cs, &known_answers, &mut pruned);
+    let known_pruned = cs.len() - pruned.len();
+
+    let before_bound = pruned.len();
+    for &s in bound_slots {
+        intersect_into(&pruned, &st.cache.entry(s).answers, &mut spare);
+        std::mem::swap(&mut pruned, &mut spare);
+        if pruned.is_empty() {
+            break;
+        }
+    }
+    let bound_pruned = before_bound - pruned.len();
+    if D::KNOWN_IS_ISUB {
+        o.pruned_by_isub = known_pruned;
+        o.pruned_by_isuper = bound_pruned;
+    } else {
+        o.pruned_by_isuper = known_pruned;
+        o.pruned_by_isub = bound_pruned;
+    }
+    o.candidates_after = pruned.len();
+    (pruned, known_in_cs)
+}
+
 /// Records hit metadata: known-path hits are credited with the candidates
 /// their answers *cover* (`CS ∩ Answer`), bounding hits with the
 /// candidates their answers *exclude* (`CS \ Answer`). `bonus` optionally
@@ -2027,7 +1894,7 @@ fn credit_hits<D: QueryDirection>(
     cs: &[GraphId],
     known_slots: &[usize],
     bound_slots: &[usize],
-    bonus: Option<(usize, LogValue)>,
+    bonus: Option<usize>,
 ) {
     for &s in known_slots {
         let prunes = intersect_sorted(cs, &st.cache.entry(s).answers);
@@ -2045,7 +1912,8 @@ fn credit_hits<D: QueryDirection>(
             .meta
             .record_hit(prunes.len() as u64, cost);
     }
-    if let Some((slot, credit)) = bonus {
+    if let Some(slot) = bonus {
+        let credit = engine.cost_of(&mut st.cost_model, q, cs);
         st.cache
             .entry_mut(slot)
             .meta
@@ -2142,42 +2010,76 @@ mod tests {
         assert_eq!(e.stats().exact_hits, 1);
     }
 
+    /// A path too long for `canonical_code` (over its vertex cap): its
+    /// repeats can only be found by the probes.
+    fn long_path() -> Graph {
+        let n = 129u32;
+        let edges: Vec<(u32, u32)> = (1..n).map(|v| (v - 1, v)).collect();
+        graph_from(&vec![0; n as usize], &edges)
+    }
+
     #[test]
     fn exact_fastpath_skips_probe_iso_tests() {
-        let s = store();
-        let mk = |fastpath| {
-            let method = Ggsx::build(&s, GgsxConfig::default());
-            IgqEngine::new(
-                method,
-                IgqConfig {
-                    cache_capacity: 8,
-                    window: 1,
-                    exact_fastpath: fastpath,
-                    ..Default::default()
-                },
-            )
-            .expect("valid engine")
-        };
+        let e = engine_sized(8, 1);
+        // A small repeat resolves by canonical code, without probing the
+        // query indexes at all.
         let q = graph_from(&[0, 1], &[(0, 1)]);
-        for fastpath in [true, false] {
-            let e = mk(fastpath);
-            let first = e.query(&q);
-            let repeat = e.query(&q);
+        let first = e.query(&q);
+        let repeat = e.query(&q);
+        assert_eq!(repeat.resolution, Resolution::ExactHit);
+        assert_eq!(repeat.answers, first.answers);
+        assert_eq!(repeat.db_iso_tests, 0);
+        assert_eq!(repeat.igq_iso_tests, 0, "no probe tests on the fast path");
+        // A repeat `canonical_code` declines still resolves, through the
+        // probes, which pay iso tests.
+        let long = long_path();
+        assert!(canonical_code(&long).is_none());
+        let first = e.query(&long);
+        let repeat = e.query(&long);
+        assert_eq!(repeat.resolution, Resolution::ExactHit);
+        assert_eq!(repeat.answers, first.answers);
+        assert_eq!(repeat.db_iso_tests, 0);
+        assert!(repeat.igq_iso_tests > 0, "probe path pays iso tests");
+    }
+
+    #[test]
+    fn every_resolution_ends_in_one_epilogue() {
+        use Resolution::{EmptyAnswerShortcut as Empty, ExactHit, Verified};
+        let e = engine(); // C = 8, W = 2
+        let edge = graph_from(&[0, 1], &[(0, 1)]);
+        let nines = |n: usize| graph_from(&vec![9; n], &[(0, 1), (1, 2), (2, 3)][..n - 1]);
+        // (query, expected resolution, whether it fills the window)
+        let steps = [
+            (nines(2), Verified, false),
+            (edge.clone(), Verified, true),
+            (nines(3), Empty, false),
+            (edge, ExactHit, false), // by canonical code
+            (nines(4), Empty, true),
+            (long_path(), Verified, false),
+            (graph_from(&[2, 2], &[(0, 1)]), Verified, true),
+            (long_path(), ExactHit, false), // through the probes
+        ];
+        for (i, (q, resolution, flips)) in steps.iter().enumerate() {
+            let before = e.stats();
+            let out = e.query(q);
+            assert_eq!(out.resolution, *resolution, "step {i}");
+            let after = e.stats();
+            let delta = |f: fn(&EngineStats) -> u64| f(&after) - f(&before);
+            assert_eq!(delta(|s| s.queries), 1, "step {i}");
             assert_eq!(
-                repeat.resolution,
-                Resolution::ExactHit,
-                "fastpath={fastpath}"
+                delta(|s| s.exact_hits),
+                u64::from(*resolution == ExactHit),
+                "step {i}"
             );
-            assert_eq!(repeat.answers, first.answers);
-            assert_eq!(repeat.db_iso_tests, 0);
-            if fastpath {
-                // The fast path resolves repeats without probing the query
-                // indexes at all.
-                assert_eq!(repeat.igq_iso_tests, 0, "no probe tests on the fast path");
-            } else {
-                assert!(repeat.igq_iso_tests > 0, "probe path pays iso tests");
-            }
+            assert_eq!(
+                delta(|s| s.empty_shortcuts),
+                u64::from(*resolution == Empty),
+                "step {i}"
+            );
+            assert_eq!(delta(|s| s.maintenances), u64::from(*flips), "step {i}");
         }
+        assert_eq!(e.cached_queries(), 6, "exact hits are never admitted");
+        e.self_check().expect("invariants hold");
     }
 
     #[test]
@@ -2647,6 +2549,103 @@ mod tests {
         )
         .err()
         .expect("open must fail")
+    }
+
+    /// A checkpoint of a warm engine over `store()`, re-encoded with a
+    /// label universe one larger than the engine's.
+    fn checkpoint_with_foreign_labels(mem: &Arc<crate::MemStore>) -> Vec<u8> {
+        use crate::CacheStore;
+        {
+            let e = open_engine(&store(), mem);
+            let _ = e.query(&graph_from(&[0, 1], &[(0, 1)]));
+            let _ = e.query(&graph_from(&[2, 2], &[(0, 1)]));
+            e.checkpoint().expect("checkpoint");
+        }
+        let bytes = mem.load_checkpoint().expect("load").expect("checkpoint");
+        let mut data = persist::decode_checkpoint(&bytes).expect("decode");
+        data.labels += 1;
+        persist::encode_checkpoint(&data)
+    }
+
+    #[test]
+    fn open_rejects_checkpoint_with_foreign_label_universe() {
+        use crate::CacheStore;
+        let mem = Arc::new(crate::MemStore::new());
+        let bytes = checkpoint_with_foreign_labels(&mem);
+        mem.save_checkpoint(&bytes).expect("save");
+        let err = open_engine_err(&store(), &mem);
+        assert!(
+            matches!(&err, PersistError::Corrupt(m) if m.contains("checkpoint label universe")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn open_follower_rejects_snapshot_with_foreign_label_universe() {
+        let mem = Arc::new(crate::MemStore::new());
+        let bytes = checkpoint_with_foreign_labels(&mem);
+        let err = IgqEngine::<Ggsx>::open_follower(
+            Ggsx::build(&store(), GgsxConfig::default()),
+            IgqConfig {
+                cache_capacity: 8,
+                window: 2,
+                persistence: crate::PersistenceConfig::manual(),
+                ..Default::default()
+            },
+            &bytes,
+        )
+        .err()
+        .expect("foreign snapshot rejected");
+        assert!(
+            matches!(&err, PersistError::Corrupt(m) if m.contains("snapshot label universe")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn open_rejects_wal_metadata_for_unoccupied_slot() {
+        use crate::CacheStore;
+        let s = store();
+        let mem = Arc::new(crate::MemStore::new());
+        {
+            let e = open_engine(&s, &mem);
+            for q in workload() {
+                let _ = e.query(&q);
+            }
+        }
+        let wal = persist::parse_wal(&mem.raw_wal()).expect("parse");
+        let header = wal.header.expect("header");
+        let mut records = wal.records;
+        assert!(records.len() >= 2, "the defect sits before the last record");
+        let meta = records[0].metas[0].1;
+        records[0].metas.push((99, meta));
+        mem.replace_wal(&persist::encode_wal(&header, &records))
+            .expect("replace");
+        let err = open_engine_err(&s, &mem);
+        assert!(
+            matches!(&err, PersistError::Corrupt(m) if m.contains("slot 99, which is not occupied")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn apply_replica_delta_rejects_metadata_for_unoccupied_slot() {
+        let config = IgqConfig::builder()
+            .cache_capacity(8)
+            .window(1)
+            .build()
+            .expect("valid config");
+        let (primary, follower, feed) = replication_pair(&config);
+        let _ = primary.query(&replication_queries()[0]);
+        let d = feed.try_recv().expect("group");
+        let (epoch, mut record) = persist::decode_group_binary(&d.bytes).expect("decode");
+        let meta = record.metas[0].1;
+        record.metas.push((99, meta));
+        let bytes = persist::encode_group_binary(&record, epoch);
+        assert!(matches!(
+            follower.apply_replica_delta(&bytes),
+            Err(ReplicaError::Corrupt(m)) if m.contains("slot 99, which is not occupied")
+        ));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! admitted ones — synchronously on the flipping query thread, in
 //! O(window delta) postings.
 
-use crate::cache::{QueryCache, WindowDelta};
+use crate::cache::{CacheEntry, QueryCache, WindowDelta};
 use crate::isub::IsubIndex;
 use crate::isuper::IsuperIndex;
-use igq_features::{enumerate_paths, LabelSeq, PathConfig};
+use igq_features::{enumerate_paths, LabelSeq, PathConfig, PathFeatures};
 use std::sync::Arc;
 
 /// What one maintenance did to the indexes, for [`crate::EngineStats`].
@@ -33,16 +33,29 @@ pub(crate) fn apply_delta(
         outcome.postings_touched += isuper.remove(slot);
     }
     for &slot in &delta.admitted {
-        // One enumeration feeds both indexes; the feature-key
-        // list is shared between their slot entries.
-        let entry = cache.entry(slot);
-        let graph = Arc::clone(&entry.graph);
-        let code = entry.code.clone();
-        let features = enumerate_paths(&graph, &path_config);
-        let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
         outcome.postings_touched +=
-            isub.insert_features(slot, Arc::clone(&graph), &features, Arc::clone(&keys));
-        outcome.postings_touched += isuper.insert_features(slot, graph, &features, keys, code);
+            index_resident(path_config, isub, isuper, slot, cache.entry(slot), None);
     }
     outcome
+}
+
+/// Indexes one resident `entry` under `slot` in both `isub` and `isuper`
+/// from one feature set: `features` when a checkpoint persisted them,
+/// otherwise one enumeration of the graph. The feature-key list is shared
+/// between the two slot entries, and the entry's canonical code rides
+/// into `Isuper` as the plan-cache key for its probe pairs. Returns the
+/// postings touched.
+pub(crate) fn index_resident(
+    path_config: PathConfig,
+    isub: &mut IsubIndex,
+    isuper: &mut IsuperIndex,
+    slot: usize,
+    entry: &CacheEntry,
+    features: Option<PathFeatures>,
+) -> u64 {
+    let graph = &entry.graph;
+    let features = features.unwrap_or_else(|| enumerate_paths(graph, &path_config));
+    let keys: Arc<[LabelSeq]> = features.counts.keys().cloned().collect();
+    isub.insert_features(slot, Arc::clone(graph), &features, Arc::clone(&keys))
+        + isuper.insert_features(slot, Arc::clone(graph), &features, keys, entry.code.clone())
 }

@@ -46,8 +46,10 @@
 //! version, checksum, and config/dataset fingerprints, then replays every
 //! WAL record with `seq` greater than the checkpoint's: evictions and
 //! admissions are re-applied to the cache **as recorded** (the replacement
-//! policy is not re-run), both query indexes are updated incrementally,
-//! and the final record's metadata table restores the replacement state.
+//! policy is not re-run), each record's metadata table is restored (each
+//! lists every resident after its flip, so the last one leaves the
+//! replacement state), and both query indexes are updated incrementally —
+//! through the same `replay_flip` a follower applies delta groups with.
 //! A torn *final* WAL record — the signature of a crash mid-append — is
 //! truncated with a warning; any other inconsistency (mid-log corruption,
 //! checksum or fingerprint mismatch, a sequence gap) is a typed
@@ -557,7 +559,7 @@ pub(crate) struct WalRecord {
     /// re-enumerates the tail).
     pub admitted: Vec<PersistedEntry>,
     /// Post-flip replacement metadata of every resident slot. Replay
-    /// applies the *last* table; earlier tables are superseded.
+    /// applies each table in turn, so the last one is what survives.
     pub metas: Vec<(usize, GraphMeta)>,
 }
 

@@ -104,7 +104,7 @@ pub struct EngineStats {
     /// query-index probes.
     pub feature_extractions: u64,
     /// Wall-clock spent computing the query's canonical code at the top of
-    /// the pipeline (`IgqConfig::exact_fastpath`) — paid by every query,
+    /// the pipeline (the exact-repeat lookup key) — paid by every query,
     /// hit or miss, before anything else runs, and part of no other stage
     /// timer.
     pub canonicalization_time: Duration,

@@ -347,9 +347,10 @@ impl MatchScratch {
         self.alloc_events
     }
 
-    /// Prepares for one match: ensures capacity (counting growths) and
-    /// opens a fresh `used` generation (O(1) — no clearing).
-    fn begin(&mut self, pattern_vertices: usize, target_vertices: usize) {
+    /// Grows the buffers (counting growths) to fit any match of a
+    /// `pattern_vertices`-vertex pattern into a target of at most
+    /// `target_vertices` vertices.
+    pub fn reserve(&mut self, pattern_vertices: usize, target_vertices: usize) {
         if self.mapping.len() < pattern_vertices {
             // The two pattern-sized buffers grow together: one event.
             self.mapping.resize(pattern_vertices, 0);
@@ -360,6 +361,12 @@ impl MatchScratch {
             self.used_stamp.resize(target_vertices, 0);
             self.alloc_events += 1;
         }
+    }
+
+    /// Prepares for one match: ensures capacity (counting growths) and
+    /// opens a fresh `used` generation (O(1) — no clearing).
+    fn begin(&mut self, pattern_vertices: usize, target_vertices: usize) {
+        self.reserve(pattern_vertices, target_vertices);
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Wrapped after ~4B matches: old stamps could collide with the

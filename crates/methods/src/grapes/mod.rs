@@ -31,7 +31,6 @@ use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId, GraphProfile, GraphStore, VertexId};
 use igq_iso::plan::{MatchPlan, MatchScratch};
 use igq_iso::{with_thread_scratch, MatchConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Panic message for a worker-pool lock whose holder (a build or
@@ -93,7 +92,7 @@ pub struct Grapes {
     /// One persistent [`MatchScratch`] per verification worker. Parallel
     /// batches spawn fresh scoped threads, so a thread-local scratch would
     /// be cold every batch; this pool keeps worker buffers warm across
-    /// queries (worker `i` locks slot `i` for the batch's duration), so
+    /// queries (worker `i` verifies on slot `i`), so
     /// `scratch_allocs` goes flat for `Grapes(k)` too. The sequential path
     /// runs on the caller's thread and uses its thread-local scratch.
     worker_scratch: Vec<Mutex<MatchScratch>>,
@@ -386,55 +385,42 @@ impl SubgraphMethod for Grapes {
             return (outcomes, stats);
         }
         // Shared work queue over candidate indexes, as in the original's
-        // parallel verification stage.
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<VerifyOutcome>>> =
-            (0..candidates.len()).map(|_| Mutex::new(None)).collect();
-        let worker_stats: Vec<Mutex<VerifyBatchStats>> =
-            (0..self.config.threads.min(candidates.len()))
-                .map(|_| Mutex::new(VerifyBatchStats::default()))
-                .collect();
-        std::thread::scope(|scope| {
-            let next = &next;
-            let results = &results;
-            let plan = &plan;
-            let query_profile = &query_profile;
-            for (worker, ws) in worker_stats.iter().enumerate() {
-                scope.spawn(move || {
-                    let mut local = VerifyBatchStats::default();
-                    // The worker's persistent scratch slot — warm across
-                    // batches even though the thread itself is fresh.
-                    let scratch = &mut *self.worker_scratch[worker].lock().expect(WORKER_PANICKED);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= candidates.len() {
-                            break;
-                        }
-                        let out = self.verify_candidate_planned(
-                            q,
-                            q_connected,
-                            features,
-                            plan,
-                            query_profile,
-                            candidates[i],
-                            scratch,
-                            &mut local,
-                        );
-                        *results[i].lock().expect(WORKER_PANICKED) = Some(out);
-                    }
-                    *ws.lock().expect(WORKER_PANICKED) = local;
-                });
-            }
-        });
-        for ws in &worker_stats {
-            stats.merge(&ws.lock().expect(WORKER_PANICKED));
+        // parallel verification stage. Worker `w` verifies on persistent
+        // scratch slot `w`, warm across batches even though the threads
+        // are fresh. Which candidates a worker claims depends on
+        // scheduling, so every slot is first sized for the batch's largest
+        // candidate (components are no larger than their graph).
+        let max_target = candidates
+            .iter()
+            .map(|&id| self.store.get(id).vertex_count())
+            .max()
+            .unwrap_or(0);
+        for slot in &self.worker_scratch {
+            let scratch = &mut *slot.lock().expect(WORKER_PANICKED);
+            let before = scratch.alloc_events();
+            scratch.reserve(q.vertex_count(), max_target);
+            stats.scratch_allocs += scratch.alloc_events() - before;
         }
-        let outcomes = results
+        let verified = crate::par_map(candidates.len(), self.config.threads, |worker, i| {
+            let mut local = VerifyBatchStats::default();
+            let scratch = &mut *self.worker_scratch[worker].lock().expect(WORKER_PANICKED);
+            let out = self.verify_candidate_planned(
+                q,
+                q_connected,
+                features,
+                &plan,
+                &query_profile,
+                candidates[i],
+                scratch,
+                &mut local,
+            );
+            (out, local)
+        });
+        let outcomes = verified
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect(WORKER_PANICKED)
-                    .expect("every slot filled")
+            .map(|(out, local)| {
+                stats.merge(&local);
+                out
             })
             .collect();
         (outcomes, stats)

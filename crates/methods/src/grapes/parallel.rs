@@ -5,11 +5,8 @@
 //! datasets have many graphs and enumeration dominates the build — and
 //! merge into a single trie afterwards; the resulting index is identical.
 
-use super::WORKER_PANICKED;
 use igq_features::{enumerate_paths_with_locations, PathConfig, PathFeatures};
-use igq_graph::GraphStore;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use igq_graph::{GraphId, GraphStore};
 
 /// Enumerates path features (with locations) of every graph in `store`
 /// using `threads` workers. Output is indexed by graph id.
@@ -18,40 +15,9 @@ pub fn parallel_enumerate(
     config: &PathConfig,
     threads: usize,
 ) -> Vec<PathFeatures> {
-    let n = store.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 || n == 1 {
-        return store
-            .iter()
-            .map(|(_, g)| enumerate_paths_with_locations(g, config))
-            .collect();
-    }
-
-    let slots: Vec<Mutex<Option<PathFeatures>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let g = store.get(igq_graph::GraphId::from_index(i));
-                let f = enumerate_paths_with_locations(g, config);
-                *slots[i].lock().expect(WORKER_PANICKED) = Some(f);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect(WORKER_PANICKED)
-                .expect("every graph enumerated")
-        })
-        .collect()
+    crate::par_map(store.len(), threads, |_, i| {
+        enumerate_paths_with_locations(store.get(GraphId::from_index(i)), config)
+    })
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@ pub mod ggsx;
 pub mod grapes;
 pub mod method;
 pub mod naive;
+pub mod par;
 pub mod supergraph;
 
 pub use batch::{
@@ -55,4 +56,5 @@ pub use method::{
     SubgraphMethod, VerifyOutcome,
 };
 pub use naive::NaiveMethod;
+pub use par::par_map;
 pub use supergraph::{ContainmentIndex, TrieSupergraphMethod};

@@ -18,7 +18,7 @@ pub const AIDS_LABELS: u32 = 62;
 /// C 70%, O 12%, N 10% — and Zipf(2.2) over 62 labels reproduces exactly
 /// that profile (0.67 / 0.15 / 0.06). The skew is the main driver of
 /// cross-query sub/supergraph relationships, and therefore of iGQ's
-/// speedup; the `probe_label_skew` binary measures the dependence.
+/// speedup.
 pub const AIDS_LABEL_ALPHA: f64 = 2.2;
 
 /// Generates an AIDS-like dataset of `graph_count` molecule graphs.
