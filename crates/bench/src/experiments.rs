@@ -9,8 +9,8 @@
 //! baseline profile once, however many figures show it.
 
 use crate::cli::ExpOptions;
+use crate::harness::PairedRun;
 use crate::harness::{measure, ratio, run_baseline, run_engine, run_paired, speedup, AggStats};
-use crate::harness::{MethodKind, PairedRun};
 use crate::report::{fmt_duration, fmt_mb, fmt_speedup, Report, Table};
 use igq_core::{IgqConfig, IgqEngine, IgqSuperEngine, QueryOutcome, ReplacementPolicy};
 use igq_features::PathConfig;
@@ -18,7 +18,7 @@ use igq_graph::stats::DatasetStats;
 use igq_graph::{Graph, GraphStore};
 use igq_iso::MatchConfig;
 use igq_methods::{CtIndex, CtIndexConfig, Ggsx, GgsxConfig, Grapes, GrapesConfig};
-use igq_methods::{SubgraphMethod, TrieSupergraphMethod};
+use igq_methods::{MethodKind, SubgraphMethod, TrieSupergraphMethod};
 use igq_workload::datasets::{aids_like, aids_like_bonds};
 use igq_workload::{DatasetKind, Distribution, QueryGenerator, QueryWorkloadSpec};
 use serde_json::{json, Value};

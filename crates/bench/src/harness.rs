@@ -10,76 +10,10 @@
 
 use igq_core::{Engine, IgqConfig, IgqEngine, QueryDirection, QueryOutcome, Resolution};
 use igq_graph::{Graph, GraphStore};
-use igq_iso::MatchConfig;
-use igq_methods::{
-    CtIndex, CtIndexConfig, GCode, GCodeConfig, Ggsx, GgsxConfig, Grapes, GrapesConfig,
-    SubgraphMethod,
-};
+use igq_methods::{MethodKind, SubgraphMethod};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which base method to wrap — the paper's four method columns plus gCode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MethodKind {
-    /// GraphGrepSX.
-    Ggsx,
-    /// Grapes with 1 thread.
-    Grapes1,
-    /// Grapes with `--threads` threads (6 in the paper).
-    GrapesN,
-    /// CT-Index.
-    CtIndex,
-    /// gCode-style vertex-signature method (extension; \[53\] in the
-    /// paper's related work, not part of the paper's own lineup).
-    GCode,
-}
-
-impl MethodKind {
-    /// The paper's lineup, in the figures' method order.
-    pub const PAPER: &'static [MethodKind] = MethodKind::EXTENDED.split_at(4).0;
-
-    /// The paper lineup plus the extension method this library adds.
-    pub const EXTENDED: [MethodKind; 5] = [
-        MethodKind::Ggsx,
-        MethodKind::Grapes1,
-        MethodKind::GrapesN,
-        MethodKind::CtIndex,
-        MethodKind::GCode,
-    ];
-
-    /// Display name; `threads` is Grapes(k)'s `k`.
-    pub fn name(self, threads: usize) -> String {
-        match self {
-            MethodKind::Ggsx => "GGSX".to_owned(),
-            MethodKind::Grapes1 => "Grapes".to_owned(),
-            MethodKind::GrapesN => format!("Grapes({threads})"),
-            MethodKind::CtIndex => "CT-Index".to_owned(),
-            MethodKind::GCode => "gCode".to_owned(),
-        }
-    }
-
-    /// Builds the method over `store`. A generous state budget guards
-    /// against pathological iso tests without affecting realistic ones.
-    pub fn build(self, store: &Arc<GraphStore>, threads: usize) -> Box<dyn SubgraphMethod> {
-        macro_rules! budgeted {
-            ($method:ident, $config:ident { $($field:ident: $value:expr),* }) => {
-                Box::new($method::build(store, $config {
-                    $($field: $value,)*
-                    match_config: MatchConfig::with_budget(200_000_000),
-                    ..Default::default()
-                }))
-            };
-        }
-        match self {
-            MethodKind::Ggsx => budgeted!(Ggsx, GgsxConfig {}),
-            MethodKind::Grapes1 => budgeted!(Grapes, GrapesConfig { threads: 1 }),
-            MethodKind::GrapesN => budgeted!(Grapes, GrapesConfig { threads: threads }),
-            MethodKind::CtIndex => budgeted!(CtIndex, CtIndexConfig {}),
-            MethodKind::GCode => budgeted!(GCode, GCodeConfig {}),
-        }
-    }
-}
 
 /// Aggregates of one (baseline or iGQ) run over the measured queries.
 #[derive(Debug, Clone, Default)]

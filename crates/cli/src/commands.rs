@@ -1,20 +1,19 @@
 //! Subcommand implementations for the `igq` CLI.
 
-use igq_core::{CacheStore, DirStore, IgqConfig, IgqEngine, IgqSuperEngine};
+use igq_core::{CacheStore, DirStore, IgqConfig, IgqEngine, IgqSuperEngine, QueryEngine};
 use igq_features::PathConfig;
 use igq_graph::stats::DatasetStats;
 use igq_graph::{io, GraphStore};
 use igq_iso::MatchConfig;
-use igq_methods::{
-    CtIndex, CtIndexConfig, GCode, GCodeConfig, Ggsx, GgsxConfig, Grapes, GrapesConfig,
-    SubgraphMethod, TrieSupergraphMethod,
-};
+use igq_methods::{MethodKind, SubgraphMethod, TrieSupergraphMethod};
+use igq_server::{BuildFollower, FailoverPolicy, Follower, Server, ServerConfig};
 use igq_workload::DatasetKind;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 type CmdResult = Result<(), String>;
 
@@ -38,6 +37,15 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     (flags, positional)
 }
 
+/// `--key`'s value as a number, `None` when the flag is absent.
+fn num<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|s| s.parse())
+        .transpose()
+        .map_err(|_| format!("--{key} expects a non-negative integer"))
+}
+
 fn load_store(path: &str) -> Result<GraphStore, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     io::read_store(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
@@ -57,17 +65,8 @@ pub fn generate(args: &[String]) -> CmdResult {
             ))
         }
     };
-    let count: usize = flags
-        .get("count")
-        .ok_or("--count is required")?
-        .parse()
-        .map_err(|_| "--count expects an integer")?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--seed expects a u64")?
-        .unwrap_or(42);
+    let count: usize = num(&flags, "count")?.ok_or("--count is required")?;
+    let seed: u64 = num(&flags, "seed")?.unwrap_or(42);
     let out = flags.get("out").ok_or("--out is required")?;
 
     let t = Instant::now();
@@ -96,48 +95,9 @@ pub fn stats(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn build_method(name: &str, store: &Arc<GraphStore>) -> Result<Box<dyn SubgraphMethod>, String> {
-    let match_config = MatchConfig::with_budget(200_000_000);
-    Ok(match name {
-        "ggsx" => Box::new(Ggsx::build(
-            store,
-            GgsxConfig {
-                match_config,
-                ..Default::default()
-            },
-        )),
-        "grapes" => Box::new(Grapes::build(
-            store,
-            GrapesConfig {
-                threads: 1,
-                match_config,
-                ..Default::default()
-            },
-        )),
-        "grapes6" => Box::new(Grapes::build(
-            store,
-            GrapesConfig {
-                threads: 6,
-                match_config,
-                ..Default::default()
-            },
-        )),
-        "ctindex" => Box::new(CtIndex::build(
-            store,
-            CtIndexConfig {
-                match_config,
-                ..Default::default()
-            },
-        )),
-        "gcode" => Box::new(GCode::build(
-            store,
-            GCodeConfig {
-                match_config,
-                ..Default::default()
-            },
-        )),
-        other => return Err(format!("unknown method {other:?}")),
-    })
+/// Builds a `--method` base method; `grapes6` runs Grapes with 6 threads.
+fn build_method(kind: MethodKind, store: &Arc<GraphStore>) -> Box<dyn SubgraphMethod> {
+    kind.build(store, 6)
 }
 
 /// `igq save`: run a workload like `igq query` and persist the resulting
@@ -165,9 +125,9 @@ pub fn load(args: &[String]) -> CmdResult {
     let dir = flags.get("store-dir").expect("checked above");
     let store = Arc::new(load_store(dataset_path)?);
     let method = build_method(
-        flags.get("method").map(String::as_str).unwrap_or("ggsx"),
+        flags.get("method").map_or("ggsx", String::as_str).parse()?,
         &store,
-    )?;
+    );
     let config = engine_config(&flags)?;
     let t = Instant::now();
     let disk: Arc<dyn CacheStore> =
@@ -192,21 +152,9 @@ pub fn load(args: &[String]) -> CmdResult {
 /// `--window`). `save`/`load` must be run with the same values (the
 /// store's config fingerprint covers cache geometry).
 fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
-    let cache: usize = flags
-        .get("cache")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--cache expects an integer")?
-        .unwrap_or(500);
-    let window: usize = flags
-        .get("window")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--window expects an integer")?
-        .unwrap_or(100);
     IgqConfig::builder()
-        .cache_capacity(cache)
-        .window(window)
+        .cache_capacity(num(flags, "cache")?.unwrap_or(500))
+        .window(num(flags, "window")?.unwrap_or(100))
         .build()
         .map_err(|e| format!("invalid iGQ configuration: {e}"))
 }
@@ -307,7 +255,7 @@ pub fn query(args: &[String]) -> CmdResult {
             }
         }
     } else {
-        let method = build_method(method_name, &store)?;
+        let method = build_method(method_name.parse()?, &store);
         println!(
             "index built in {:.2?} ({:.2} MB)",
             t_index.elapsed(),
@@ -367,7 +315,7 @@ pub fn query(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// `igq client`: drive a running `igq-server` over TCP. Runs a GFU query
+/// `igq client`: drive a running `igq serve` over TCP. Runs a GFU query
 /// file (one `query` frame each, or one `batch` frame with `--batch`),
 /// optionally fetches the serving stats, and optionally asks the server
 /// to shut down.
@@ -375,16 +323,8 @@ pub fn client(args: &[String]) -> CmdResult {
     let (flags, _) = parse_flags(args);
     let addr = flags.get("addr").ok_or("--addr is required")?;
     let verbose = flags.contains_key("verbose");
-    let deadline_ms: Option<u64> = flags
-        .get("deadline-ms")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--deadline-ms expects a u64")?;
-    let max_lag: Option<u64> = flags
-        .get("max-lag")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--max-lag expects a u64")?;
+    let deadline_ms: Option<u64> = num(&flags, "deadline-ms")?;
+    let max_lag: Option<u64> = num(&flags, "max-lag")?;
 
     let mut c = igq_server::Client::connect(addr.as_str(), "igq-cli")
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
@@ -393,16 +333,8 @@ pub fn client(args: &[String]) -> CmdResult {
         // The connection becomes a one-way push stream, so --replica runs
         // alone: subscribe, print the bootstrap, then tail deltas until
         // the stream goes idle (first heartbeat) or --follow-count is hit.
-        let follow_count: Option<u64> = flags
-            .get("follow-count")
-            .map(|s| s.parse())
-            .transpose()
-            .map_err(|_| "--follow-count expects a u64")?;
-        let from_seq: Option<u64> = flags
-            .get("from-seq")
-            .map(|s| s.parse())
-            .transpose()
-            .map_err(|_| "--from-seq expects a u64")?;
+        let follow_count: Option<u64> = num(&flags, "follow-count")?;
+        let from_seq: Option<u64> = num(&flags, "from-seq")?;
         let (start, mut sub) = c
             .subscribe(from_seq)
             .map_err(|e| format!("subscribe failed: {e}"))?;
@@ -592,6 +524,148 @@ pub fn client(args: &[String]) -> CmdResult {
     Ok(())
 }
 
+const SERVE_USAGE: &str = "\
+igq serve: TCP serving front end for the iGQ engine
+
+usage:
+  igq serve --dataset <data.gfu> [options]
+
+options:
+  --listen <addr>          bind address (default 127.0.0.1:7461)
+  --method <name>          ggsx|grapes|grapes6|ctindex|gcode (default ggsx)
+  --cache <N>              query-cache capacity (default 500)
+  --window <W>             maintenance window size (default 100)
+  --batch-window-us <U>    micro-batching window in microseconds; 0 = off
+                           (default 0)
+  --batch-max <N>          cap on one coalesced batch (default 64)
+  --max-connections <N>    bounded connection pool (default 64)
+  --io-timeout-ms <T>      per-socket read/write timeout, at least 1
+                           (default 30000)
+  --follower-of <addrs>    serve as a read replica; <addrs> is a
+                           comma-separated upstream list walked round-robin
+                           on failure (same --dataset and engine flags)
+  --heartbeat-timeout-ms <T>
+                           declare the stream hung after T ms of silence,
+                           at least 1 (default 2000)
+  --promote-on-timeout     promote to a writable primary when every
+                           upstream stays dark (default: keep retrying)
+  --promote-rounds <N>     full passes over the upstream list before
+                           promotion triggers (default 2)
+";
+
+/// `igq serve`'s listener settings plus, with `--follower-of`, the
+/// upstream list and failover policy.
+type ServeConfig = (ServerConfig, Option<(Vec<String>, FailoverPolicy)>);
+
+fn serve_config(flags: &HashMap<String, String>) -> Result<ServeConfig, String> {
+    let d = ServerConfig::default();
+    let server = ServerConfig {
+        addr: flags
+            .get("listen")
+            .map_or("127.0.0.1:7461", String::as_str)
+            .to_owned(),
+        max_connections: num(flags, "max-connections")?.unwrap_or(d.max_connections),
+        batch_window: Duration::from_micros(num(flags, "batch-window-us")?.unwrap_or(0)),
+        batch_max: num(flags, "batch-max")?.unwrap_or(d.batch_max),
+        io_timeout: Duration::from_millis(num(flags, "io-timeout-ms")?.unwrap_or(30_000)),
+        ..d
+    };
+    let Some(spec) = flags.get("follower-of") else {
+        return Ok((server, None));
+    };
+    let upstreams: Vec<String> = spec
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_owned)
+        .collect();
+    if upstreams.is_empty() {
+        return Err("--follower-of expects at least one address".into());
+    }
+    let d = FailoverPolicy::default();
+    let policy = FailoverPolicy {
+        heartbeat_timeout: num(flags, "heartbeat-timeout-ms")?
+            .map_or(d.heartbeat_timeout, Duration::from_millis),
+        promote_on_timeout: flags.contains_key("promote-on-timeout"),
+        rounds_before_promote: num(flags, "promote-rounds")?.unwrap_or(d.rounds_before_promote),
+    };
+    Ok((server, Some((upstreams, policy))))
+}
+
+/// `igq serve`: load a dataset, build a method and an iGQ engine (or
+/// follow a primary's), and serve it over TCP until a client sends a
+/// `shutdown` frame. Prints `listening on <addr>` on stdout once bound.
+pub fn serve(args: &[String]) -> CmdResult {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{SERVE_USAGE}");
+        return Ok(());
+    }
+    let (flags, positional) = parse_flags(args);
+    if let Some(a) = positional.first() {
+        return Err(format!(
+            "unexpected positional argument {a:?} (see igq serve --help)"
+        ));
+    }
+    let dataset = flags.get("dataset").ok_or("--dataset is required")?;
+    let method_name = flags.get("method").map_or("ggsx", String::as_str);
+    let kind: MethodKind = method_name.parse()?;
+    let engine_config = engine_config(&flags)?;
+    let (server_config, follow) = serve_config(&flags)?;
+
+    let t = Instant::now();
+    let store = Arc::new(load_store(dataset)?);
+    eprintln!(
+        "loaded {} graphs ({} vertices) from {dataset} in {:.2?}",
+        store.len(),
+        store.total_vertices(),
+        t.elapsed()
+    );
+    let (engine, follower): (Arc<dyn QueryEngine>, Option<Follower>) = match follow {
+        None => {
+            let t = Instant::now();
+            let method = build_method(kind, &store);
+            eprintln!("built {method_name} index in {:.2?}", t.elapsed());
+            let engine = IgqEngine::new(method, engine_config)
+                .map_err(|e| format!("invalid engine configuration: {e}"))?;
+            (Arc::new(engine), None)
+        }
+        Some((upstreams, policy)) => {
+            // The snapshot carries only iGQ state; the dataset and base
+            // method are rebuilt locally, once per (re)bootstrap.
+            let build: BuildFollower = Arc::new(move |snapshot: &[u8]| {
+                let engine =
+                    IgqEngine::open_follower(build_method(kind, &store), engine_config, snapshot)
+                        .map_err(|e| format!("snapshot rejected: {e}"))?;
+                Ok(Arc::new(engine) as Arc<dyn QueryEngine>)
+            });
+            let primary = upstreams.join(",");
+            let t = Instant::now();
+            let follower = Follower::connect_with_policy(
+                &upstreams,
+                "igq-server-replica",
+                build,
+                server_config.io_timeout,
+                policy,
+            )
+            .map_err(|e| format!("cannot follow {primary}: {e}"))?;
+            eprintln!("bootstrapped replica of {primary} in {:.2?}", t.elapsed());
+            (follower.engine(), Some(follower))
+        }
+    };
+
+    let addr = server_config.addr.clone();
+    let server =
+        Server::spawn(engine, server_config).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
+    // Parseable by harnesses (the CI smoke greps this line for the port).
+    println!("listening on {}", server.local_addr());
+    server.wait();
+    if let Some(f) = follower {
+        f.shutdown();
+    }
+    eprintln!("shutdown complete");
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,7 +801,86 @@ mod tests {
 
     #[test]
     fn unknown_method_errors() {
-        let store = Arc::new(DatasetKind::Aids.generate(2, 1));
-        assert!(build_method("nope", &store).is_err());
+        assert!("nope".parse::<MethodKind>().is_err());
+        let err = serve(&s(&["--dataset", "absent.gfu", "--method", "nope"])).unwrap_err();
+        assert!(err.contains("unknown method \"nope\""), "{err}");
+    }
+
+    fn serve_config_of(args: &str) -> Result<ServeConfig, String> {
+        let args: Vec<&str> = args.split_whitespace().collect();
+        serve_config(&parse_flags(&s(&args)).0)
+    }
+
+    #[test]
+    fn serve_flags_land_in_configs_with_defaults_when_absent() {
+        let (server, follow) = serve_config_of("").unwrap();
+        assert_eq!(server.addr, "127.0.0.1:7461");
+        assert_eq!(server.max_connections, 64);
+        assert_eq!(server.batch_window, Duration::ZERO);
+        assert_eq!(server.batch_max, 64);
+        assert_eq!(server.io_timeout, Duration::from_secs(30));
+        assert!(follow.is_none());
+        let engine = engine_config(&HashMap::new()).unwrap();
+        assert_eq!((engine.cache_capacity, engine.window), (500, 100));
+
+        let (_, follow) = serve_config_of("--follower-of a:1").unwrap();
+        let (upstreams, policy) = follow.unwrap();
+        assert_eq!(upstreams, ["a:1"]);
+        assert_eq!(policy.heartbeat_timeout, Duration::from_secs(2));
+        assert!(!policy.promote_on_timeout);
+        assert_eq!(policy.rounds_before_promote, 2);
+
+        let (server, follow) = serve_config_of(
+            "--listen 0.0.0.0:9 --max-connections 3 --batch-window-us 250 --batch-max 7 \
+             --io-timeout-ms 1500 --follower-of a:1,,b:2, --heartbeat-timeout-ms 900 \
+             --promote-on-timeout --promote-rounds 4",
+        )
+        .unwrap();
+        assert_eq!(server.addr, "0.0.0.0:9");
+        assert_eq!(server.max_connections, 3);
+        assert_eq!(server.batch_window, Duration::from_micros(250));
+        assert_eq!(server.batch_max, 7);
+        assert_eq!(server.io_timeout, Duration::from_millis(1500));
+        let (upstreams, policy) = follow.unwrap();
+        assert_eq!(upstreams, ["a:1", "b:2"]);
+        assert_eq!(policy.heartbeat_timeout, Duration::from_millis(900));
+        assert!(policy.promote_on_timeout);
+        assert_eq!(policy.rounds_before_promote, 4);
+    }
+
+    #[test]
+    fn serve_rejects_bad_arguments() {
+        let err = serve(&s(&["--dataset", "absent.gfu", "extra"])).unwrap_err();
+        assert!(
+            err.contains("unexpected positional argument \"extra\""),
+            "{err}"
+        );
+        let err = serve_config_of("--follower-of ,").unwrap_err();
+        assert!(err.contains("expects at least one address"), "{err}");
+        let err = serve_config_of("--batch-max many").unwrap_err();
+        assert!(err.contains("--batch-max expects"), "{err}");
+    }
+
+    /// Zero socket timeouts reach the library's typed refusals instead of
+    /// serving with no bound.
+    #[test]
+    fn serve_rejects_zero_timeouts() {
+        let dir = std::env::temp_dir().join(format!("igq_cli_serve_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join("db.gfu");
+        let db = db.to_str().unwrap();
+        generate(&s(&["--kind", "aids", "--count", "5", "--out", db])).unwrap();
+        let listen = ["--dataset", db, "--listen", "127.0.0.1:0"];
+        let err = serve(&s(&[&listen[..], &["--io-timeout-ms", "0"]].concat())).unwrap_err();
+        assert!(err.contains("io_timeout must be at least 1 ms"), "{err}");
+        let follow = [
+            "--follower-of",
+            "127.0.0.1:1",
+            "--heartbeat-timeout-ms",
+            "0",
+        ];
+        let err = serve(&s(&[&listen[..], &follow].concat())).unwrap_err();
+        assert!(err.contains("heartbeat_timeout must be non-zero"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

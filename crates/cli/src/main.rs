@@ -13,7 +13,12 @@
 //! igq client   --addr 127.0.0.1:7461 --queries q.gfu [--batch] [--deadline-ms 250]
 //!              [--max-lag 3] [--stats] [--shutdown] [--verbose]
 //!              [--replica [--from-seq N] [--follow-count N]]
-//!              # drive (or tail the replication stream of) a running igq-server
+//!              # drive (or tail the replication stream of) a running server
+//! igq serve    --dataset db.gfu [--listen 127.0.0.1:7461] [--method ggsx]
+//!              [--cache 500] [--window 100] [--batch-window-us 0] [--batch-max 64]
+//!              [--max-connections 64] [--io-timeout-ms 30000]
+//!              [--follower-of <addr>[,<addr>...]] [--heartbeat-timeout-ms 2000]
+//!              [--promote-on-timeout] [--promote-rounds 2]
 //! ```
 //!
 //! `--store-dir` makes the engine durable: it is recovered from the
@@ -22,6 +27,21 @@
 //! final checkpoint on exit. `save`/`load` are the explicit spellings of
 //! the two halves; both must use the same `--cache`/`--window`/`--method`
 //! configuration (the store is fingerprinted).
+//!
+//! `serve` runs the engine behind the TCP protocol of `igq_server` until a
+//! client sends a `shutdown` frame. With `--follower-of`, it comes up as a
+//! **read replica**: it subscribes to the primary, bootstraps from its
+//! snapshot, applies the pushed delta stream, and serves read-only
+//! queries (a follower engine admits nothing into its cache). Both
+//! servers must load the same dataset file and engine configuration; the
+//! snapshot's embedded fingerprints enforce this at bootstrap. The
+//! upstream list is comma-separated. A silent primary hang (no delta, no
+//! heartbeat for `--heartbeat-timeout-ms`) is treated like a disconnect,
+//! and the follower walks the list round-robin. With
+//! `--promote-on-timeout`, once every upstream has stayed unreachable for
+//! `--promote-rounds` full passes, the follower promotes itself to a
+//! writable primary under a new failover epoch, which fences stragglers
+//! from the deposed primary.
 //!
 //! Datasets and queries are exchanged in the GFU-like text format of
 //! `igq_graph::io` (the format the GraphGrepSX/Grapes distributions use).
@@ -39,6 +59,7 @@ fn main() -> ExitCode {
         Some("save") => commands::save(&args[1..]),
         Some("load") => commands::load(&args[1..]),
         Some("client") => commands::client(&args[1..]),
+        Some("serve") => commands::serve(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -93,6 +114,8 @@ fn print_usage() {
                      [--follow-count <N>] with --replica: stop after N deltas\n\
                      [--shutdown]        ask the server to shut down\n\
                      [--verbose]         per-query output\n\
-                     drive a running igq-server over TCP (see igq-server --help)"
+                     drive a running `igq serve` over TCP\n\
+           igq serve --dataset <db.gfu> [--listen <addr>] [--follower-of <addrs>] [...]\n\
+                     serve the engine over TCP (see igq serve --help)"
     );
 }

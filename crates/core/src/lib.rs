@@ -96,7 +96,6 @@ pub mod cache;
 pub mod config;
 pub mod direction;
 pub mod engine;
-pub mod fault;
 pub mod isub;
 pub mod isuper;
 pub mod maintain;
@@ -115,7 +114,6 @@ pub use cache::{CacheEntry, QueryCache, WindowDelta};
 pub use config::{ConfigError, IgqConfig, IgqConfigBuilder, PersistenceConfig};
 pub use direction::{QueryDirection, SubgraphQueries, SupergraphQueries};
 pub use engine::{Engine, IgqEngine, ImportReport};
-pub use fault::{FaultOp, FaultStats, FaultyStore};
 pub use isub::{IndexSnapshot, IsubIndex};
 pub use isuper::IsuperIndex;
 pub use metadata::GraphMeta;

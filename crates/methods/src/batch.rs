@@ -190,19 +190,10 @@ pub(crate) fn acquire_plan(
 impl<'a> BatchVerifier<'a> {
     /// Builds the per-query state: one plan (ordered by the candidate
     /// batch's aggregated label rarity), one profile, one captured config.
-    pub fn new(
-        store: &'a GraphStore,
-        q: &'a Graph,
-        config: &MatchConfig,
-        candidates: &[GraphId],
-    ) -> BatchVerifier<'a> {
-        Self::with_plans(store, q, config, candidates, None)
-    }
-
-    /// Like [`BatchVerifier::new`], but consults the engine's plan cache
-    /// first: a fresh cached plan for the query's canonical code skips the
-    /// build entirely (`plan_builds` stays 0, `plan_cache_hits` becomes
-    /// 1).
+    /// With `plans`, the engine's plan cache is consulted first: a fresh
+    /// cached plan for the query's canonical code skips the build entirely
+    /// (`plan_builds` stays 0, `plan_cache_hits` becomes 1). Without a
+    /// cache, [`verify_batch_plain`] is the usual entry.
     pub fn with_plans(
         store: &'a GraphStore,
         q: &'a Graph,

@@ -38,6 +38,7 @@ pub mod ctindex;
 pub mod gcode;
 pub mod ggsx;
 pub mod grapes;
+pub mod kind;
 pub mod method;
 pub mod naive;
 pub mod par;
@@ -51,6 +52,7 @@ pub use ctindex::{CtIndex, CtIndexConfig};
 pub use gcode::{GCode, GCodeConfig};
 pub use ggsx::{Ggsx, GgsxConfig};
 pub use grapes::{Grapes, GrapesConfig};
+pub use kind::MethodKind;
 pub use method::{
     intersect_into, intersect_sorted, subtract_into, subtract_sorted, Filtered, QueryContext,
     SubgraphMethod, VerifyOutcome,

@@ -1,4 +1,4 @@
-//! A typed blocking client for the `igq-server` wire protocol.
+//! A typed blocking client for the iGQ server's wire protocol.
 //!
 //! One [`Client`] = one TCP connection, used synchronously: each call
 //! writes one frame and blocks for its reply. Admission-control sheds are

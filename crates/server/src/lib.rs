@@ -28,10 +28,6 @@
 //!   heartbeat-timeout hang detection, round-robin upstream rotation, and
 //!   (opt-in) automatic promotion to a writable primary under a fenced
 //!   epoch.
-//! * [`chaos`] — a fault-injecting TCP proxy ([`ChaosProxy`]) for tests
-//!   and `bench_robustness`: freeze (silent hang), delay, garble,
-//!   truncate-mid-reply, and kill-connection, all seeded and scriptable
-//!   at runtime.
 //!
 //! Everything is `std` + workspace shims; there is no async runtime and no
 //! external networking dependency.
@@ -62,14 +58,12 @@
 #![warn(missing_docs)]
 
 pub mod batcher;
-pub mod chaos;
 pub mod client;
 pub mod protocol;
 pub mod replicate;
 pub mod server;
 
 pub use batcher::Batcher;
-pub use chaos::{ChaosProxy, ChaosStats};
 pub use client::{
     BatchVerdict, Client, ClientError, QueryVerdict, ReconnectingClient, ReplicaEvent,
     ReplicaSubscriber, RetryPolicy, SubscribeStart,

@@ -1,4 +1,4 @@
-//! The `igq-server` wire protocol: versioned, line-framed JSON.
+//! The iGQ server's wire protocol: versioned, line-framed JSON.
 //!
 //! # Framing
 //!

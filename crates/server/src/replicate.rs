@@ -5,10 +5,10 @@
 //! # Topology
 //!
 //! ```text
-//!   primary igq-server ──deltas──▶ Follower feed thread
+//!   primary igq serve ───deltas──▶ Follower feed thread
 //!                                      │ apply_replica_delta
 //!                                      ▼
-//!                                 SharedEngine  ◀── igq-server (read-only)
+//!                                 SharedEngine  ◀── igq serve (read-only)
 //!                                      ▲               │
 //!                                      └── swap on ────┘
 //!                                          re-bootstrap
@@ -213,7 +213,7 @@ const BACKOFF_CEIL: Duration = Duration::from_secs(2);
 #[derive(Debug, Clone)]
 pub struct FailoverPolicy {
     /// Longest silence (no delta, no heartbeat) tolerated on the stream
-    /// before it is declared hung.
+    /// before it is declared hung. Must be non-zero.
     pub heartbeat_timeout: Duration,
     /// Promote this follower to a writable primary once every upstream
     /// has stayed unreachable for `rounds_before_promote` full passes.
@@ -285,7 +285,8 @@ impl Follower {
     /// [`FailoverPolicy`]: bootstraps from the first reachable upstream,
     /// rotates through the list on stream failure or epoch fencing, and —
     /// when the policy says so — promotes itself once the whole list
-    /// stays dark.
+    /// stays dark. A zero `policy.heartbeat_timeout` fails with
+    /// [`FollowerError::Bootstrap`] before any upstream is dialled.
     pub fn connect_with_policy(
         addrs: &[String],
         name: &str,
@@ -293,6 +294,13 @@ impl Follower {
         io_timeout: Duration,
         policy: FailoverPolicy,
     ) -> Result<Follower, FollowerError> {
+        if policy.heartbeat_timeout.is_zero() {
+            // A socket cannot time out after zero: hang detection would
+            // silently fall back to `io_timeout`.
+            return Err(FollowerError::Bootstrap(
+                "heartbeat_timeout must be non-zero".into(),
+            ));
+        }
         let mut last_err = FollowerError::Bootstrap("no upstream addresses given".into());
         for (i, addr) in addrs.iter().enumerate() {
             match Follower::bootstrap(addr, name, &build, io_timeout) {

@@ -81,7 +81,7 @@ pub struct ServerConfig {
     /// Backoff hint carried in `overloaded` replies.
     pub retry_after: Duration,
     /// Socket read/write timeout: the longest a handler thread will wait
-    /// on a slow client before closing the connection.
+    /// on a slow client before closing the connection. At least 1 ms.
     pub io_timeout: Duration,
     /// Bound on one frame's encoded size (oversized frames get a typed
     /// `too_large` error).
@@ -133,7 +133,20 @@ impl Server {
     /// listener is live; the returned handle's
     /// [`local_addr`](Server::local_addr) is the resolved address
     /// (useful with an ephemeral `:0` bind).
+    ///
+    /// Fails with [`std::io::ErrorKind::InvalidInput`] when
+    /// `config.io_timeout` is below 1 ms: sockets cannot honour a zero
+    /// timeout, and deadline tightening needs a 1 ms floor under it.
     pub fn spawn(engine: Arc<dyn QueryEngine>, config: ServerConfig) -> std::io::Result<Server> {
+        if config.io_timeout < Duration::from_millis(1) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "io_timeout must be at least 1 ms, got {:?}",
+                    config.io_timeout
+                ),
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -186,8 +199,8 @@ impl Server {
     }
 
     /// Blocks until the server stops — i.e. until a client sends a
-    /// `shutdown` frame (or the process is killed). The `igq-server`
-    /// binary parks on this.
+    /// `shutdown` frame (or the process is killed). `igq serve`
+    /// parks on this.
     pub fn wait(mut self) {
         if let Some(h) = self.accept.take() {
             let _ = h.join();

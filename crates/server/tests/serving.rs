@@ -6,7 +6,10 @@
 use igq_core::{IgqConfig, IgqEngine, QueryEngine};
 use igq_graph::{Graph, GraphStore};
 use igq_methods::{Ggsx, GgsxConfig};
-use igq_server::{Client, ClientError, QueryVerdict, Server, ServerConfig};
+use igq_server::{
+    BuildFollower, Client, ClientError, FailoverPolicy, Follower, FollowerError, QueryVerdict,
+    Server, ServerConfig,
+};
 use igq_workload::{DatasetKind, QueryWorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -348,4 +351,53 @@ fn stats_frame_and_client_driven_shutdown() {
     engine
         .self_check()
         .expect("engine consistent after shutdown");
+}
+
+/// A socket cannot honour a zero timeout, and deadline tightening clamps
+/// to a 1 ms floor: `spawn` refuses anything below it instead of serving
+/// with no bound or panicking a handler.
+#[test]
+fn spawn_rejects_sub_millisecond_io_timeout() {
+    let (store, _) = dataset();
+    for io_timeout in [Duration::ZERO, Duration::from_micros(500)] {
+        let config = ServerConfig {
+            io_timeout,
+            ..loopback()
+        };
+        let err = Server::spawn(build_engine(&store), config)
+            .err()
+            .expect("sub-millisecond io_timeout must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+}
+
+/// A zero heartbeat timeout would silently fall back to `io_timeout` for
+/// hang detection; the follower refuses it even with a live primary.
+#[test]
+fn follower_rejects_zero_heartbeat_timeout() {
+    let (store, _) = dataset();
+    let server = Server::spawn(build_engine(&store), loopback()).expect("bind");
+    let build: BuildFollower = Arc::new(move |snapshot: &[u8]| {
+        let method = Ggsx::build(&store, GgsxConfig::default());
+        let config = IgqConfig::builder().cache_capacity(100).window(5).build();
+        let engine = IgqEngine::open_follower(method, config.map_err(|e| e.to_string())?, snapshot)
+            .map_err(|e| e.to_string())?;
+        Ok(Arc::new(engine) as Arc<dyn QueryEngine>)
+    });
+    let policy = FailoverPolicy {
+        heartbeat_timeout: Duration::ZERO,
+        ..FailoverPolicy::default()
+    };
+    let result = Follower::connect_with_policy(
+        &[server.local_addr().to_string()],
+        "zero-heartbeat",
+        build,
+        Duration::from_secs(5),
+        policy,
+    );
+    assert!(
+        matches!(result, Err(FollowerError::Bootstrap(_))),
+        "zero heartbeat_timeout must be refused"
+    );
+    server.shutdown();
 }

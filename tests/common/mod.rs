@@ -2,6 +2,8 @@
 #![allow(dead_code)] // each test binary uses a different helper subset
 
 pub mod canon_oracle;
+pub mod chaos;
+pub mod fault;
 pub mod filter_oracle;
 pub mod ullmann_oracle;
 pub mod vf2_oracle;

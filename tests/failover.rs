@@ -5,10 +5,13 @@
 
 mod common;
 
+use common::chaos::ChaosProxy;
 use common::oracle_answers;
 use igq::core::{CacheStore, MemStore, PersistenceConfig, ReplicaError, ReplicaFeed, Subscription};
 use igq::prelude::*;
-use igq::server::{BuildFollower, ChaosProxy, FailoverPolicy, Follower, Server, ServerConfig};
+use igq::server::{BuildFollower, FailoverPolicy, Follower, Server, ServerConfig};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -313,7 +316,66 @@ fn silent_primary_hang_triggers_automatic_promotion() {
         );
     }
 
-    proxy.heal();
+    proxy.freeze(false);
     follower.shutdown();
     server.shutdown();
+}
+
+// The proxy's own contract: transparent while thawed, a silent hang
+// while frozen.
+
+/// A trivial upstream echoing every byte back.
+fn echo_upstream() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind echo");
+    let addr = listener.local_addr().expect("echo addr").to_string();
+    std::thread::spawn(move || {
+        while let Ok((mut s, _)) = listener.accept() {
+            std::thread::spawn(move || {
+                let mut buf = [0u8; 1024];
+                while let Ok(n) = s.read(&mut buf) {
+                    if n == 0 || s.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn healthy_proxy_is_transparent() {
+    let proxy = ChaosProxy::spawn(&echo_upstream()).expect("spawn proxy");
+    let mut s = TcpStream::connect(proxy.addr()).expect("dial");
+    s.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    s.write_all(b"hello chaos").expect("write");
+    let mut got = [0u8; 11];
+    s.read_exact(&mut got).expect("echo");
+    assert_eq!(&got, b"hello chaos");
+}
+
+#[test]
+fn freeze_hangs_silently_and_thaw_recovers() {
+    let proxy = ChaosProxy::spawn(&echo_upstream()).expect("spawn proxy");
+    proxy.freeze(true);
+    let mut s = TcpStream::connect(proxy.addr()).expect("dial");
+    s.set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("timeout");
+    s.write_all(b"ping").expect("write");
+    let mut buf = [0u8; 4];
+    // Frozen: the read times out, the connection does NOT reset.
+    let err = s.read_exact(&mut buf).expect_err("must hang");
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "unexpected error kind: {err:?}"
+    );
+    proxy.freeze(false);
+    s.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    s.read_exact(&mut buf).expect("thawed reply");
+    assert_eq!(&buf, b"ping");
 }
