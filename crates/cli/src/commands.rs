@@ -631,7 +631,7 @@ pub fn serve(args: &[String]) -> CmdResult {
         }
         Some((upstreams, policy)) => {
             // The snapshot carries only iGQ state; the dataset and base
-            // method are rebuilt locally, once per (re)bootstrap.
+            // method are built locally, once, at the first bootstrap.
             let build: BuildFollower = Arc::new(move |snapshot: &[u8]| {
                 let engine =
                     IgqEngine::open_follower(build_method(kind, &store), engine_config, snapshot)

@@ -1,14 +1,13 @@
 //! The shared-service query API: the [`QueryEngine`] trait both engine
-//! directions implement, typed [`QueryRequest`]/[`QueryResponse`]
-//! wrappers, and the cheap cloneable [`EngineHandle`] for fanning one
-//! engine out across threads.
+//! directions implement, and typed [`QueryRequest`]/[`QueryResponse`]
+//! wrappers.
 //!
 //! # Serving model
 //!
 //! An iGQ engine is a shared, concurrently queryable service:
 //! [`QueryEngine::query`] takes `&self` and every implementor is
 //! `Send + Sync`, so N threads can drive one engine through clones of an
-//! [`EngineHandle`] (or plain `Arc`/scoped borrows). For whole batches,
+//! `Arc` (or scoped borrows). For whole batches,
 //! [`QueryEngine::query_batch`] does the fan-out internally across
 //! [`IgqConfig::batch_threads`](crate::IgqConfig::batch_threads) workers.
 //!
@@ -27,19 +26,19 @@
 //!     .window(10)
 //!     .build()
 //!     .expect("valid config");
-//! let handle = IgqEngine::new(method, config).expect("valid engine").into_handle();
+//! let engine = Arc::new(IgqEngine::new(method, config).expect("valid engine"));
 //!
 //! // Fan the same engine out across threads; answers stay exact.
 //! std::thread::scope(|s| {
 //!     for _ in 0..4 {
-//!         let h = handle.clone();
+//!         let e = Arc::clone(&engine);
 //!         s.spawn(move || {
-//!             let out = h.query(&graph_from(&[0, 1], &[(0, 1)]));
+//!             let out = e.query(&graph_from(&[0, 1], &[(0, 1)]));
 //!             assert_eq!(out.answers.len(), 1);
 //!         });
 //!     }
 //! });
-//! assert_eq!(handle.stats().queries, 4);
+//! assert_eq!(engine.stats().queries, 4);
 //! ```
 
 use crate::config::IgqConfig;
@@ -47,7 +46,6 @@ use crate::engine::Engine;
 use crate::outcome::QueryOutcome;
 use crate::stats::EngineStats;
 use igq_graph::{Graph, GraphId};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-query options carried by a [`QueryRequest`] — the growth point for
@@ -133,7 +131,7 @@ impl QueryResponse {
 ///
 /// Every implementor is a shared-handle concurrent service: all methods
 /// take `&self`, and the `Send + Sync` supertrait bound means a reference
-/// (or [`EngineHandle`] clone) can cross threads freely. Generic clients —
+/// (or `Arc` clone) can cross threads freely. Generic clients —
 /// harnesses, servers, benches — can drive either direction through this
 /// trait without caring which algebra runs underneath.
 pub trait QueryEngine: Send + Sync {
@@ -230,6 +228,14 @@ pub trait QueryEngine: Send + Sync {
     fn promote(&self) -> Result<u64, crate::replicate::ReplicaError> {
         Err(crate::replicate::ReplicaError::NotFollower)
     }
+
+    /// Re-bootstraps a follower in place from a primary's snapshot (see
+    /// [`Engine::install_snapshot`]). Returns the installed seq. Defaults
+    /// to [`ReplicaError::NotFollower`](crate::replicate::ReplicaError::NotFollower).
+    fn install_snapshot(&self, snapshot: &[u8]) -> Result<u64, crate::replicate::ReplicaError> {
+        let _ = snapshot;
+        Err(crate::replicate::ReplicaError::NotFollower)
+    }
 }
 
 impl<D: crate::direction::QueryDirection> QueryEngine for crate::engine::Engine<D> {
@@ -303,51 +309,11 @@ impl<D: crate::direction::QueryDirection> QueryEngine for crate::engine::Engine<
     fn promote(&self) -> Result<u64, crate::replicate::ReplicaError> {
         Engine::promote(self)
     }
-}
 
-/// A cheap cloneable handle to a shared [`QueryEngine`]: an `Arc` under
-/// the hood, `Deref`ing to the engine. Clone one per worker thread; the
-/// engine shuts down when the last clone drops.
-#[derive(Debug)]
-pub struct EngineHandle<E: QueryEngine> {
-    inner: Arc<E>,
-}
-
-impl<E: QueryEngine> EngineHandle<E> {
-    /// Wraps `engine` for shared fan-out.
-    pub fn new(engine: E) -> EngineHandle<E> {
-        EngineHandle {
-            inner: Arc::new(engine),
-        }
-    }
-
-    /// The shared engine.
-    pub fn engine(&self) -> &E {
-        &self.inner
+    fn install_snapshot(&self, snapshot: &[u8]) -> Result<u64, crate::replicate::ReplicaError> {
+        Engine::install_snapshot(self, snapshot)
     }
 }
-
-impl<E: QueryEngine> Clone for EngineHandle<E> {
-    fn clone(&self) -> EngineHandle<E> {
-        EngineHandle {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<E: QueryEngine> std::ops::Deref for EngineHandle<E> {
-    type Target = E;
-
-    fn deref(&self) -> &E {
-        &self.inner
-    }
-}
-
-/// Handle to a shared subgraph-query engine.
-pub type IgqHandle<M> = EngineHandle<crate::IgqEngine<M>>;
-
-/// Handle to a shared supergraph-query engine.
-pub type IgqSuperHandle = EngineHandle<crate::IgqSuperEngine>;
 
 #[cfg(test)]
 mod tests {

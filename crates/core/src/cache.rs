@@ -84,18 +84,6 @@ pub struct WindowEntry {
     pub code: Option<Option<CanonicalCode>>,
 }
 
-impl WindowEntry {
-    /// An entry with nothing precomputed (import paths, tests).
-    pub fn bare(graph: Arc<Graph>, answers: Vec<GraphId>) -> WindowEntry {
-        WindowEntry {
-            graph,
-            answers,
-            signature: None,
-            code: None,
-        }
-    }
-}
-
 /// The slot-level outcome of one window maintenance: which slots lost
 /// their entry and which gained one. A slot may appear in both lists
 /// (evicted, then immediately reused for an admission).
@@ -383,9 +371,10 @@ impl QueryCache {
         self.free.push(slot);
         self.len -= 1;
         if let Some(code) = entry.code {
-            // Two residents can share a canonical code (imports are not
-            // deduplicated); only drop the mapping if it points here, or
-            // the surviving duplicate would lose its fast-path entry.
+            // Two residents can share a canonical code (concurrent first
+            // callers can both admit); only drop the mapping if it points
+            // here, or the surviving duplicate would lose its fast-path
+            // entry.
             if self.code_index.get(&code) == Some(&slot) {
                 self.code_index.remove(&code);
                 return Some(code);
@@ -454,17 +443,24 @@ mod tests {
         raw.iter().map(|&r| GraphId::new(r)).collect()
     }
 
+    /// A window entry with nothing precomputed.
+    fn bare(graph: Arc<Graph>, answers: Vec<GraphId>) -> WindowEntry {
+        WindowEntry {
+            graph,
+            answers,
+            signature: None,
+            code: None,
+        }
+    }
+
     #[test]
     fn fills_until_capacity_without_eviction() {
         let mut c = QueryCache::new(3);
-        let d = c.apply_window(vec![
-            WindowEntry::bare(g(0), ids(&[1])),
-            WindowEntry::bare(g(1), ids(&[2])),
-        ]);
+        let d = c.apply_window(vec![bare(g(0), ids(&[1])), bare(g(1), ids(&[2]))]);
         assert_eq!(d.admitted, vec![0, 1]);
         assert!(d.evicted.is_empty());
         assert_eq!(c.len(), 2);
-        let d = c.apply_window(vec![WindowEntry::bare(g(2), ids(&[3]))]);
+        let d = c.apply_window(vec![bare(g(2), ids(&[3]))]);
         assert_eq!(d.admitted, vec![2]);
         assert_eq!(c.len(), 3);
     }
@@ -472,16 +468,13 @@ mod tests {
     #[test]
     fn evicts_lowest_utility_on_overflow_and_reuses_slot() {
         let mut c = QueryCache::new(2);
-        c.apply_window(vec![
-            WindowEntry::bare(g(0), ids(&[1])),
-            WindowEntry::bare(g(1), ids(&[2])),
-        ]);
+        c.apply_window(vec![bare(g(0), ids(&[1])), bare(g(1), ids(&[2]))]);
         // Give slot 1 (graph g(1)) high utility.
         c.entry_mut(1).meta.tick();
         c.entry_mut(1)
             .meta
             .record_hit(5, LogValue::from_linear(1e9));
-        let d = c.apply_window(vec![WindowEntry::bare(g(2), ids(&[3]))]);
+        let d = c.apply_window(vec![bare(g(2), ids(&[3]))]);
         // g(0) (zero utility) is evicted from slot 0, which is then reused.
         assert_eq!(d.evicted, vec![0]);
         assert_eq!(d.admitted, vec![0]);
@@ -497,7 +490,7 @@ mod tests {
     #[test]
     fn answers_are_sorted_and_deduped() {
         let mut c = QueryCache::new(1);
-        c.apply_window(vec![WindowEntry::bare(g(0), ids(&[3, 1, 3, 2]))]);
+        c.apply_window(vec![bare(g(0), ids(&[3, 1, 3, 2]))]);
         assert_eq!(c.entry(0).answers, ids(&[1, 2, 3]));
     }
 
@@ -511,9 +504,9 @@ mod tests {
     fn oversized_window_is_truncated_to_capacity() {
         let mut c = QueryCache::new(2);
         let d = c.apply_window(vec![
-            WindowEntry::bare(g(0), ids(&[1])),
-            WindowEntry::bare(g(1), ids(&[2])),
-            WindowEntry::bare(g(2), ids(&[3])),
+            bare(g(0), ids(&[1])),
+            bare(g(1), ids(&[2])),
+            bare(g(2), ids(&[3])),
         ]);
         assert_eq!(c.len(), 2);
         assert_eq!(d.admitted.len(), 2);
@@ -522,10 +515,7 @@ mod tests {
     #[test]
     fn signature_lookup() {
         let mut c = QueryCache::new(4);
-        c.apply_window(vec![
-            WindowEntry::bare(g(0), ids(&[1])),
-            WindowEntry::bare(g(5), ids(&[2])),
-        ]);
+        c.apply_window(vec![bare(g(0), ids(&[1])), bare(g(5), ids(&[2]))]);
         let slots = c.slots_with_signature(&GraphSignature::of(&g(5)));
         assert_eq!(slots.len(), 1);
         assert_eq!(c.entry(slots[0]).answers, ids(&[2]));
@@ -534,10 +524,10 @@ mod tests {
     #[test]
     fn code_index_follows_evictions() {
         let mut c = QueryCache::new(1);
-        c.apply_window(vec![WindowEntry::bare(g(0), ids(&[1]))]);
+        c.apply_window(vec![bare(g(0), ids(&[1]))]);
         let code0 = canonical_code(&g(0)).expect("small graph canonicalizes");
         assert_eq!(c.slot_with_code(&code0), Some(0));
-        let d = c.apply_window(vec![WindowEntry::bare(g(5), ids(&[2]))]);
+        let d = c.apply_window(vec![bare(g(5), ids(&[2]))]);
         assert_eq!(c.slot_with_code(&code0), None, "evicted code unindexed");
         assert_eq!(
             d.evicted_codes,
@@ -555,9 +545,9 @@ mod tests {
         // fast-path mapping.
         let mut c = QueryCache::new(3);
         c.apply_window(vec![
-            WindowEntry::bare(g(0), ids(&[1])), // slot 0
-            WindowEntry::bare(g(0), ids(&[2])), // slot 1: isomorphic duplicate
-            WindowEntry::bare(g(7), ids(&[3])), // slot 2
+            bare(g(0), ids(&[1])), // slot 0
+            bare(g(0), ids(&[2])), // slot 1: isomorphic duplicate
+            bare(g(7), ids(&[3])), // slot 2
         ]);
         let code = canonical_code(&g(0)).expect("small graph canonicalizes");
         // The duplicate's admission left the mapping at slot 1.
@@ -569,7 +559,7 @@ mod tests {
                 .meta
                 .record_hit(9, LogValue::from_linear(1e9));
         }
-        let d = c.apply_window(vec![WindowEntry::bare(g(8), ids(&[4]))]);
+        let d = c.apply_window(vec![bare(g(8), ids(&[4]))]);
         assert_eq!(d.evicted, vec![0]);
         assert_eq!(
             c.slot_with_code(&code),
@@ -585,7 +575,7 @@ mod tests {
     #[test]
     fn tick_all_advances_clocks() {
         let mut c = QueryCache::new(2);
-        c.apply_window(vec![WindowEntry::bare(g(0), ids(&[1]))]);
+        c.apply_window(vec![bare(g(0), ids(&[1]))]);
         c.tick_all();
         c.tick_all();
         assert_eq!(c.entry(0).meta.queries_seen, 2);
@@ -594,10 +584,10 @@ mod tests {
     #[test]
     fn heap_size_positive_and_capacity_aware() {
         let mut c = QueryCache::new(2);
-        c.apply_window(vec![WindowEntry::bare(g(0), ids(&[1]))]);
+        c.apply_window(vec![bare(g(0), ids(&[1]))]);
         let one = c.heap_size_bytes();
         assert!(one > 0);
-        c.apply_window(vec![WindowEntry::bare(g(1), ids(&[1, 2, 3, 4]))]);
+        c.apply_window(vec![bare(g(1), ids(&[1, 2, 3, 4]))]);
         assert!(c.heap_size_bytes() > one);
     }
 
@@ -618,10 +608,7 @@ mod tests {
     #[test]
     fn restore_then_replay_tracks_the_live_cache() {
         let mut live = QueryCache::new(2);
-        live.apply_window(vec![
-            WindowEntry::bare(g(0), ids(&[1])),
-            WindowEntry::bare(g(1), ids(&[2])),
-        ]);
+        live.apply_window(vec![bare(g(0), ids(&[1])), bare(g(1), ids(&[2]))]);
         // Protect slot 1 so the next window evicts slot 0 deterministically.
         live.entry_mut(1).meta.tick();
         live.entry_mut(1)
@@ -633,7 +620,7 @@ mod tests {
 
         // The live cache flips a window; the restored one replays the
         // recorded delta — both must land in identical states.
-        let d = live.apply_window(vec![WindowEntry::bare(g(7), ids(&[3]))]);
+        let d = live.apply_window(vec![bare(g(7), ids(&[3]))]);
         let admitted: Vec<(usize, CacheEntry)> = d
             .admitted
             .iter()
@@ -655,7 +642,7 @@ mod tests {
     #[test]
     fn restore_rejects_broken_geometry() {
         let mut c = QueryCache::new(2);
-        c.apply_window(vec![WindowEntry::bare(g(0), ids(&[1]))]);
+        c.apply_window(vec![bare(g(0), ids(&[1]))]);
         let entries: Vec<(usize, CacheEntry)> = c.iter().map(|(s, e)| (s, e.clone())).collect();
         // Free list overlaps an occupied slot.
         assert!(QueryCache::restore(
@@ -679,7 +666,7 @@ mod tests {
     #[test]
     fn replay_rejects_divergent_slots() {
         let mut c = QueryCache::new(2);
-        c.apply_window(vec![WindowEntry::bare(g(0), ids(&[1]))]);
+        c.apply_window(vec![bare(g(0), ids(&[1]))]);
         let entry = c.entry(0).clone();
         // Log claims the admission went to slot 7; mechanics put it at 1.
         assert!(c.replay_window(&[], vec![(7, entry)]).is_err());
@@ -691,9 +678,9 @@ mod tests {
     fn stable_slots_under_churn() {
         let mut c = QueryCache::new(3);
         c.apply_window(vec![
-            WindowEntry::bare(g(0), ids(&[1])),
-            WindowEntry::bare(g(1), ids(&[2])),
-            WindowEntry::bare(g(2), ids(&[3])),
+            bare(g(0), ids(&[1])),
+            bare(g(1), ids(&[2])),
+            bare(g(2), ids(&[3])),
         ]);
         // Pin slot 2 with utility; churn the rest repeatedly.
         c.entry_mut(2).meta.tick();
@@ -706,7 +693,7 @@ mod tests {
             c.entry_mut(2)
                 .meta
                 .record_hit(9, LogValue::from_linear(1e12));
-            let d = c.apply_window(vec![WindowEntry::bare(g(round), ids(&[round]))]);
+            let d = c.apply_window(vec![bare(g(round), ids(&[round]))]);
             assert_eq!(d.evicted.len(), 1);
             assert_eq!(d.admitted.len(), 1);
             assert!(!d.evicted.contains(&2), "high-utility slot survives");

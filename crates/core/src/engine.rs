@@ -28,10 +28,9 @@
 //! # Concurrency model
 //!
 //! `query` takes `&self`: the engine is a shared service, `Send + Sync`,
-//! fanned out across threads through a cheap [`crate::EngineHandle`]
-//! clone. All mutable state — the admission window, the cost model, the
-//! flip ordinal, the [`QueryCache`] and the live `Isub`/`Isuper` pair over
-//! it — sits behind **one** [`std::sync::RwLock`]; lifetime counters are
+//! fanned out across threads through an `Arc`. All mutable state — the
+//! admission window, the cost model, the flip ordinal, the [`QueryCache`]
+//! and the live `Isub`/`Isuper` pair over it — sits behind **one** [`std::sync::RwLock`]; lifetime counters are
 //! lock-free atomics ([`crate::EngineStats`]). The expensive stages
 //! (canonicalization, feature extraction, the base filter, verification)
 //! run outside the lock. The index probes, the answer algebra and the
@@ -42,6 +41,12 @@
 //! snapshot and export capture, `self_check`) take the read side. A lock
 //! whose holder panicked is poisoned and panics every later caller. See
 //! `ARCHITECTURE.md` for the lock layout.
+//!
+//! A follower's re-bootstrap ([`Engine::install_snapshot`]) swaps the
+//! whole state under the write side. A query in flight may run its early
+//! stages against the old state and its later ones against the new; its
+//! answers stay exact because every slot it uses is found and consumed
+//! inside one write-lock section (`exact_lookup`, `probe_and_prune`).
 //!
 //! The concrete engines are type aliases over the two directions:
 //! [`IgqEngine`] (subgraph queries over any [`SubgraphMethod`]) and
@@ -236,21 +241,6 @@ const POISONED: &str = "engine lock poisoned";
 /// Backoff floor/ceiling between quarantine retry rounds.
 const WAL_RETRY_FLOOR: Duration = Duration::from_millis(50);
 const WAL_RETRY_CEIL: Duration = Duration::from_secs(5);
-
-/// What [`Engine::import_entries`] did with each input entry. Every entry
-/// is accounted for: `admitted + skipped_capacity + skipped_invalid`
-/// equals the input length — nothing is dropped silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImportReport {
-    /// Entries admitted into the cache (in input order).
-    pub admitted: usize,
-    /// Valid entries skipped because the batch exceeded the cache
-    /// capacity; the skipped entries are the **tail** of the valid input.
-    pub skipped_capacity: usize,
-    /// Entries rejected because an answer id lies outside this engine's
-    /// dataset (they cannot be correct here).
-    pub skipped_invalid: usize,
-}
 
 /// The unified, concurrently shareable iGQ engine; see the module docs.
 /// Use the [`IgqEngine`] / [`crate::IgqSuperEngine`] aliases.
@@ -557,11 +547,13 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Opens a **follower** read replica from a primary's snapshot — the
     /// `checkpoint` payload of [`Subscription::Snapshot`] (any durable
-    /// checkpoint of the same engine works too). The follower serves
+    /// checkpoint of the same engine works too): a cold follower that
+    /// then installs the snapshot like
+    /// [`install_snapshot`](Engine::install_snapshot). The follower serves
     /// read-only queries over the replicated cache: its state advances
-    /// only through [`Engine::apply_replica_delta`], local queries are
-    /// never admitted to a window, and write-path operations are rejected
-    /// with a typed [`ReplicaError`].
+    /// only through [`Engine::apply_replica_delta`] and
+    /// [`Engine::install_snapshot`], and local queries are never admitted
+    /// to a window.
     ///
     /// `method` and `config` must match the primary's: the snapshot's
     /// config/dataset fingerprints and label universe are validated
@@ -577,17 +569,98 @@ impl<D: QueryDirection> Engine<D> {
         snapshot: &[u8],
     ) -> Result<Engine<D>, PersistError> {
         let id = Self::identity(&method, &config)?;
-        let data = id.decode("snapshot", snapshot)?;
-        // The follower starts at the primary's failover epoch: older
-        // streams (a deposed primary) are fenced from the first group.
-        let epoch = data.epoch;
-        let mut st = Self::restore_from_checkpoint(&config, id.labels, Some(data))?;
-        st.window.clear();
-        let seq = st.seq;
-        let engine = Self::assemble(method, config, st, None, true, epoch);
-        engine.stats.set_last_applied_seq(seq);
-        engine.stats.note_replica_heard(seq);
+        let (st, epoch) = Self::rebuild(&config, &id, snapshot)?;
+        let cold = State::empty(&config, id.labels);
+        let engine = Self::assemble(method, config, cold, None, true, 0);
+        engine
+            .install(st, epoch)
+            .expect("a cold follower accepts any snapshot epoch");
         Ok(engine)
+    }
+
+    /// Re-bootstraps this follower **in place** from a primary's snapshot
+    /// (the same payload [`open_follower`](Engine::open_follower) takes),
+    /// for a follower whose stream can no longer be proven contiguous.
+    /// The snapshot is decoded and the state rebuilt off every lock; the
+    /// swap itself runs under the write lock. Replication position
+    /// (`last_applied_seq` and the heard gauge) is *set* to the
+    /// snapshot's seq, which may be lower than before (a primary that
+    /// restarted without history); the replaced residents' plans are
+    /// evicted; the replication hub is reset, which disconnects every
+    /// downstream feed (their subscribers re-bootstrap in turn). Lifetime
+    /// counters carry on. Returns the installed seq.
+    ///
+    /// Refusals leave the engine untouched:
+    /// [`ReplicaError::NotFollower`] on a primary,
+    /// [`ReplicaError::Corrupt`] for a snapshot that does not decode or
+    /// belongs to another config or dataset, and
+    /// [`ReplicaError::EpochFenced`] for a snapshot from an older
+    /// failover epoch — a deposed primary's state never replaces the
+    /// current one.
+    pub fn install_snapshot(&self, snapshot: &[u8]) -> Result<u64, ReplicaError> {
+        if !self.is_follower() {
+            return Err(ReplicaError::NotFollower);
+        }
+        let id = Self::identity(&self.method, &self.config)?;
+        let (st, epoch) = Self::rebuild(&self.config, &id, snapshot)?;
+        self.install(st, epoch)
+    }
+
+    /// Decodes a snapshot and rebuilds the state it describes (window
+    /// cleared: a follower never admits), with its failover epoch.
+    fn rebuild(
+        config: &IgqConfig,
+        id: &StoreIdentity,
+        snapshot: &[u8],
+    ) -> Result<(State, u64), PersistError> {
+        let data = id.decode("snapshot", snapshot)?;
+        let epoch = data.epoch;
+        let mut st = Self::restore_from_checkpoint(config, id.labels, Some(data))?;
+        st.window.clear();
+        Ok((st, epoch))
+    }
+
+    /// The locked half of [`install_snapshot`](Engine::install_snapshot):
+    /// checks role and epoch, then swaps `st` in.
+    fn install(&self, st: State, epoch: u64) -> Result<u64, ReplicaError> {
+        let seq = st.seq;
+        let old = {
+            let mut guard = self.lock_write();
+            self.check_stream(epoch)?;
+            self.epoch.store(epoch, Ordering::Relaxed);
+            self.stats.set_replica_position(seq);
+            self.hub.reset();
+            std::mem::replace(&mut *guard, st)
+        };
+        // Off the lock: drop the replaced residents' plans, then the
+        // replaced state itself.
+        for (_, e) in old.cache.iter() {
+            if let Some(code) = &e.code {
+                self.plan_cache.evict_key(code);
+            }
+        }
+        Ok(seq)
+    }
+
+    /// Whether this engine may take state stamped with `epoch`: refuses a
+    /// primary, and — seq fencing — a sender from an older failover epoch,
+    /// a deposed primary (this replica promoted, or follows a promoted
+    /// one) whose flips the current primary never sequenced. A *newer*
+    /// epoch is the new primary announcing itself; the caller adopts it
+    /// once its state applies. Called under the write lock, which
+    /// `promote` holds to flip the role.
+    fn check_stream(&self, epoch: u64) -> Result<(), ReplicaError> {
+        if !self.follower.load(Ordering::Relaxed) {
+            return Err(ReplicaError::NotFollower);
+        }
+        let local = self.epoch.load(Ordering::Relaxed);
+        if epoch < local {
+            return Err(ReplicaError::EpochFenced {
+                stream: epoch,
+                local,
+            });
+        }
+        Ok(())
     }
 
     /// Subscribes a replica to this engine's committed window flips,
@@ -708,32 +781,15 @@ impl<D: QueryDirection> Engine<D> {
             return Err(ReplicaError::NotFollower);
         }
         let (stream_epoch, record) = persist::decode_group_binary(bytes)?;
-        // Seq fencing: a group stamped with an older failover epoch comes
-        // from a deposed primary (this replica promoted, or follows a
-        // promoted one) and must never apply — its flips were not
-        // sequenced by the current primary. A *newer* epoch is the new
-        // primary announcing itself: adopt it.
-        let local = self.epoch.load(Ordering::Relaxed);
-        if stream_epoch < local {
-            return Err(ReplicaError::EpochFenced {
-                stream: stream_epoch,
-                local,
-            });
-        }
-        if stream_epoch > local {
-            self.epoch.store(stream_epoch, Ordering::Relaxed);
-        }
         let seq = record.seq;
-        self.stats.note_replica_heard(seq);
         {
             let mut guard = self.lock_write();
             let st = &mut *guard;
-            // Re-check under the write lock: `promote` flips the flag
-            // while holding it, so a group racing a promotion is rejected
-            // rather than applied to a now-writable primary.
-            if !self.follower.load(Ordering::Relaxed) {
-                return Err(ReplicaError::NotFollower);
-            }
+            // Re-checked under the write lock, so a group racing a
+            // promotion is rejected rather than applied to a now-writable
+            // primary.
+            self.check_stream(stream_epoch)?;
+            self.stats.note_replica_heard(seq);
             if seq <= st.seq {
                 return Ok(st.seq);
             }
@@ -745,6 +801,7 @@ impl<D: QueryDirection> Engine<D> {
             }
             self.replay_flip(st, &record, true)
                 .map_err(ReplicaError::Corrupt)?;
+            self.epoch.store(stream_epoch, Ordering::Relaxed);
             self.stats.set_last_applied_seq(seq);
         }
         // Off the state locks: republish the same bytes for any chained
@@ -851,12 +908,6 @@ impl<D: QueryDirection> Engine<D> {
     /// should report both sides.
     pub fn note_replica_heard(&self, seq: u64) {
         self.stats.note_replica_heard(seq);
-    }
-
-    /// Moves the engine behind a cheap cloneable [`crate::EngineHandle`]
-    /// for fan-out across threads.
-    pub fn into_handle(self) -> crate::EngineHandle<Engine<D>> {
-        crate::EngineHandle::new(self)
     }
 
     /// The wrapped method.
@@ -1267,7 +1318,7 @@ impl<D: QueryDirection> Engine<D> {
         let due = st.window.len() >= if force { 1 } else { self.config.window };
         if due {
             let incoming = std::mem::take(&mut st.window);
-            self.apply_incoming(st, incoming, true);
+            self.apply_incoming(st, incoming);
         }
         due
     }
@@ -1275,9 +1326,8 @@ impl<D: QueryDirection> Engine<D> {
     /// Applies one admission batch as a window flip
     /// ([`QueryCache::apply_window`]): evicted plans are dropped, the flip
     /// is captured as one WAL record, and the index delta is applied
-    /// inline. `record_stats` distinguishes regular maintenance from
-    /// [`Engine::import_entries`], which never counted as maintenance.
-    fn apply_incoming(&self, st: &mut State, incoming: Vec<WindowEntry>, record_stats: bool) {
+    /// inline.
+    fn apply_incoming(&self, st: &mut State, incoming: Vec<WindowEntry>) {
         let delta = st.cache.apply_window(incoming);
         if delta.is_empty() {
             return;
@@ -1288,11 +1338,9 @@ impl<D: QueryDirection> Engine<D> {
         for code in &delta.evicted_codes {
             self.plan_cache.evict_key(code);
         }
-        if record_stats {
-            self.stats.count_maintenance();
-        }
+        self.stats.count_maintenance();
         self.capture_wal(st, &delta);
-        self.apply_index_delta(st, &delta, record_stats);
+        self.apply_index_delta(st, &delta, true);
     }
 
     /// Brings `Isub`/`Isuper` in line with the cache after `delta` was
@@ -1694,15 +1742,6 @@ impl<D: QueryDirection> Engine<D> {
     /// slot order, then pending window entries in arrival order — through
     /// the same state capture the checkpoint uses. Does not mutate the
     /// engine (in particular, the window is *not* flushed).
-    ///
-    /// Note for full-cache round-trips: [`Engine::import_entries`]
-    /// head-truncates at the target's capacity, so an export of `C`
-    /// residents plus `w` window entries imported into a same-capacity
-    /// engine reports the `w` window pairs as
-    /// [`skipped_capacity`](ImportReport::skipped_capacity). Call
-    /// [`flush_window`](Engine::flush_window) before exporting if the
-    /// replacement policy should arbitrate between residents and the
-    /// pending window instead.
     pub fn export_entries(&self) -> Vec<(Graph, Vec<GraphId>)> {
         let data = {
             let g = self.lock_read();
@@ -1717,56 +1756,6 @@ impl<D: QueryDirection> Engine<D> {
                     .map(|w| (w.graph.as_ref().clone(), w.answers)),
             )
             .collect()
-    }
-
-    /// Seeds the cache with previously exported `(query, answers)` pairs
-    /// and updates the query indexes. Intended for warm starts; the
-    /// caller is responsible for the answers matching this engine's
-    /// dataset (a mismatched import would violate the correctness
-    /// guarantees, so entries whose answer ids exceed the dataset are
-    /// rejected and reported in
-    /// [`skipped_invalid`](ImportReport::skipped_invalid)).
-    ///
-    /// **Truncation order**: valid entries are admitted in input order;
-    /// once `cache_capacity` of them have been taken, the *tail* of the
-    /// batch is skipped and reported in
-    /// [`skipped_capacity`](ImportReport::skipped_capacity) — nothing is
-    /// dropped silently. (Admitting into a non-empty cache may also evict
-    /// current residents per the replacement policy; that is regular
-    /// cache behavior, not a skip.) On a store-attached engine the import
-    /// is persisted like any window flip.
-    ///
-    /// On a follower ([`Engine::open_follower`]) the call is rejected
-    /// with [`ReplicaError::ReadOnly`]: a replica's cache changes only by
-    /// replaying the primary's delta groups.
-    pub fn import_entries(
-        &self,
-        entries: Vec<(Graph, Vec<GraphId>)>,
-    ) -> Result<ImportReport, ReplicaError> {
-        if self.is_follower() {
-            return Err(ReplicaError::ReadOnly("import_entries"));
-        }
-        let n = D::store(&self.method).len() as u32;
-        let total = entries.len();
-        let admissible: Vec<WindowEntry> = entries
-            .into_iter()
-            .filter(|(_, answers)| answers.iter().all(|id| id.raw() < n))
-            .map(|(g, answers)| WindowEntry::bare(Arc::new(g), answers))
-            .collect();
-        let skipped_invalid = total - admissible.len();
-        let admitted = admissible.len().min(self.config.cache_capacity);
-        let skipped_capacity = admissible.len() - admitted;
-        // `record_stats: false` — imports are seeding, not paid
-        // maintenance; they neither count a window flip nor record
-        // maintenance work.
-        self.apply_incoming(&mut self.lock_write(), admissible, false);
-        self.drain_outbox();
-        self.maybe_auto_checkpoint();
-        Ok(ImportReport {
-            admitted,
-            skipped_capacity,
-            skipped_invalid,
-        })
     }
 
     /// Debug/production sanity check: verifies the engine's internal
@@ -2203,89 +2192,6 @@ mod tests {
         assert!(e.igq_index_size_bytes() > empty);
     }
 
-    #[test]
-    fn export_import_warm_start() {
-        let warm = engine();
-        let q = graph_from(&[0, 1], &[(0, 1)]);
-        let first = warm.query(&q);
-        let exported = warm.export_entries();
-        assert_eq!(exported.len(), 1, "window entries are exported too");
-
-        let cold = engine();
-        let report = cold.import_entries(exported).expect("primary import");
-        assert_eq!(report.admitted, 1);
-        assert_eq!(report.skipped_capacity, 0);
-        assert_eq!(report.skipped_invalid, 0);
-        let out = cold.query(&q);
-        assert_eq!(out.resolution, Resolution::ExactHit);
-        assert_eq!(out.answers, first.answers);
-        cold.self_check().expect("invariants hold after import");
-    }
-
-    #[test]
-    fn flushed_export_import_round_trip() {
-        let warm = engine();
-        let q = graph_from(&[0, 1], &[(0, 1)]);
-        let first = warm.query(&q);
-        warm.flush_window();
-        let exported = warm.export_entries();
-        assert_eq!(exported.len(), 1);
-        let cold = engine();
-        let report = cold.import_entries(exported).expect("primary import");
-        assert_eq!(report.admitted, 1);
-        assert_eq!(cold.query(&q).answers, first.answers);
-    }
-
-    #[test]
-    fn import_rejects_out_of_range_answers() {
-        let e = engine();
-        let alien = vec![(graph_from(&[0, 1], &[(0, 1)]), vec![GraphId::new(999)])];
-        let report = e.import_entries(alien).expect("primary import");
-        assert_eq!(report.admitted, 0);
-        assert_eq!(report.skipped_invalid, 1);
-        assert_eq!(e.cached_queries(), 0);
-    }
-
-    #[test]
-    fn import_reports_capacity_truncation_in_order() {
-        // Capacity 2, four valid entries: the first two are admitted, the
-        // tail is reported skipped — the documented truncation order.
-        let s = store();
-        let method = Ggsx::build(&s, GgsxConfig::default());
-        let e = IgqEngine::new(
-            method,
-            IgqConfig {
-                cache_capacity: 2,
-                window: 1,
-                ..Default::default()
-            },
-        )
-        .expect("valid engine");
-        let mk = |l: u32| (graph_from(&[l, l + 1], &[(0, 1)]), vec![GraphId::new(0)]);
-        let report = e
-            .import_entries(vec![mk(0), mk(10), mk(20), mk(30)])
-            .expect("primary import");
-        assert_eq!(
-            report,
-            ImportReport {
-                admitted: 2,
-                skipped_capacity: 2,
-                skipped_invalid: 0
-            }
-        );
-        assert_eq!(e.cached_queries(), 2);
-        // The residents are the *head* of the batch.
-        let sigs: Vec<GraphSignature> = {
-            let exported = e.export_entries();
-            exported
-                .iter()
-                .map(|(g, _)| GraphSignature::of(g))
-                .collect()
-        };
-        assert!(sigs.contains(&GraphSignature::of(&mk(0).0)));
-        assert!(sigs.contains(&GraphSignature::of(&mk(10).0)));
-    }
-
     fn workload() -> Vec<Graph> {
         vec![
             graph_from(&[0, 1], &[(0, 1)]),
@@ -2630,12 +2536,7 @@ mod tests {
 
     #[test]
     fn apply_replica_delta_rejects_metadata_for_unoccupied_slot() {
-        let config = IgqConfig::builder()
-            .cache_capacity(8)
-            .window(1)
-            .build()
-            .expect("valid config");
-        let (primary, follower, feed) = replication_pair(&config);
+        let (primary, follower, feed) = replication_pair();
         let _ = primary.query(&replication_queries()[0]);
         let d = feed.try_recv().expect("group");
         let (epoch, mut record) = persist::decode_group_binary(&d.bytes).expect("decode");
@@ -2686,21 +2587,33 @@ mod tests {
         ]
     }
 
-    fn replication_pair(
-        config: &IgqConfig,
-    ) -> (IgqEngine<Ggsx>, IgqEngine<Ggsx>, crate::ReplicaFeed) {
-        let s = store();
-        let primary =
-            IgqEngine::new(Ggsx::build(&s, GgsxConfig::default()), *config).expect("valid primary");
-        let (checkpoint, feed) = match primary.subscribe_replication(None) {
+    fn snapshot_of(engine: &IgqEngine<Ggsx>) -> (Vec<u8>, crate::ReplicaFeed) {
+        match engine.subscribe_replication(None) {
             Subscription::Snapshot {
                 checkpoint, feed, ..
             } => (checkpoint, feed),
             Subscription::Live { .. } => panic!("fresh subscriber must get a snapshot"),
-        };
-        let follower =
-            IgqEngine::open_follower(Ggsx::build(&s, GgsxConfig::default()), *config, &checkpoint)
-                .expect("valid follower");
+        }
+    }
+
+    fn replica_config() -> IgqConfig {
+        IgqConfig::builder()
+            .cache_capacity(8)
+            .window(1)
+            .build()
+            .expect("valid config")
+    }
+
+    fn follower_of(snapshot: &[u8]) -> IgqEngine<Ggsx> {
+        let method = Ggsx::build(&store(), GgsxConfig::default());
+        IgqEngine::open_follower(method, replica_config(), snapshot).expect("valid follower")
+    }
+
+    fn replication_pair() -> (IgqEngine<Ggsx>, IgqEngine<Ggsx>, crate::ReplicaFeed) {
+        let method = Ggsx::build(&store(), GgsxConfig::default());
+        let primary = IgqEngine::new(method, replica_config()).expect("valid primary");
+        let (checkpoint, feed) = snapshot_of(&primary);
+        let follower = follower_of(&checkpoint);
         (primary, follower, feed)
     }
 
@@ -2715,12 +2628,7 @@ mod tests {
 
     #[test]
     fn follower_converges_with_in_memory_primary() {
-        let config = IgqConfig::builder()
-            .cache_capacity(8)
-            .window(1)
-            .build()
-            .expect("valid config");
-        let (primary, follower, feed) = replication_pair(&config);
+        let (primary, follower, feed) = replication_pair();
         let queries = replication_queries();
         let truths: Vec<Vec<GraphId>> = queries.iter().map(|q| primary.query(q).answers).collect();
         assert!(drain_feed(&feed, &follower) > 0);
@@ -2740,12 +2648,7 @@ mod tests {
 
     #[test]
     fn apply_replica_delta_skips_duplicates_and_detects_gaps() {
-        let config = IgqConfig::builder()
-            .cache_capacity(8)
-            .window(1)
-            .build()
-            .expect("valid config");
-        let (primary, follower, feed) = replication_pair(&config);
+        let (primary, follower, feed) = replication_pair();
         for q in replication_queries().iter().take(3) {
             let _ = primary.query(q);
         }
@@ -2778,12 +2681,7 @@ mod tests {
 
     #[test]
     fn delta_group_with_two_records_is_rejected_whole() {
-        let config = IgqConfig::builder()
-            .cache_capacity(8)
-            .window(1)
-            .build()
-            .expect("valid config");
-        let (primary, follower, feed) = replication_pair(&config);
+        let (primary, follower, feed) = replication_pair();
         let _ = primary.query(&replication_queries()[0]);
         let d = feed.try_recv().expect("group");
         // Two `R` frames in one group — the shape a multi-shard primary
@@ -2799,21 +2697,16 @@ mod tests {
 
     #[test]
     fn follower_rejects_writes_and_tracks_staleness() {
-        let config = IgqConfig::builder()
-            .cache_capacity(8)
-            .window(1)
-            .build()
-            .expect("valid config");
-        let (primary, follower, feed) = replication_pair(&config);
+        let (primary, follower, feed) = replication_pair();
         assert!(!primary.is_follower());
         assert!(follower.is_follower());
         assert_eq!(primary.replication_lag(), None);
         assert_eq!(
-            follower.import_entries(vec![(graph_from(&[0], &[]), vec![])]),
-            Err(ReplicaError::ReadOnly("import_entries"))
+            primary.apply_replica_delta(b"whatever"),
+            Err(ReplicaError::NotFollower)
         );
         assert_eq!(
-            primary.apply_replica_delta(b"whatever"),
+            primary.install_snapshot(b"whatever"),
             Err(ReplicaError::NotFollower)
         );
         // Local queries on a follower are answered but never admitted.
@@ -2837,12 +2730,7 @@ mod tests {
 
     #[test]
     fn resume_within_ring_is_live_and_beyond_requires_snapshot() {
-        let config = IgqConfig::builder()
-            .cache_capacity(8)
-            .window(1)
-            .build()
-            .expect("valid config");
-        let (primary, follower, feed) = replication_pair(&config);
+        let (primary, follower, feed) = replication_pair();
         for q in replication_queries().iter().take(2) {
             let _ = primary.query(q);
         }
@@ -2867,21 +2755,131 @@ mod tests {
 
     #[test]
     fn follower_chains_groups_to_downstream_subscribers() {
-        let config = IgqConfig::builder()
-            .cache_capacity(8)
-            .window(1)
-            .build()
-            .expect("valid config");
-        let (primary, follower, feed) = replication_pair(&config);
-        let downstream_feed = match follower.subscribe_replication(None) {
-            Subscription::Snapshot { feed, .. } => feed,
-            Subscription::Live { .. } => panic!("fresh subscriber must get a snapshot"),
-        };
+        let (primary, follower, feed) = replication_pair();
+        let (_, downstream_feed) = snapshot_of(&follower);
         let _ = primary.query(&graph_from(&[0, 1], &[(0, 1)]));
         let d = feed.try_recv().expect("group");
         follower.apply_replica_delta(&d.bytes).expect("apply");
         let chained = downstream_feed.try_recv().expect("chained group");
         assert_eq!(chained.seq, d.seq);
         assert_eq!(chained.bytes, d.bytes);
+    }
+
+    #[test]
+    fn install_snapshot_rebootstraps_in_place_and_keeps_counters() {
+        let (primary, follower, feed) = replication_pair();
+        let queries = replication_queries();
+        let truths: Vec<Vec<GraphId>> = queries.iter().map(|q| primary.query(q).answers).collect();
+        drain_feed(&feed, &follower);
+        let (_, downstream) = snapshot_of(&follower);
+        for q in &queries {
+            let _ = follower.execute(&QueryRequest::new(q.clone()));
+        }
+        let before = follower.stats();
+        assert!(before.last_applied_seq > 1);
+
+        // A primary restarted without history (a subscriber activated its
+        // hub): one flip, then a snapshot.
+        let restarted = replication_pair().0;
+        let _ = restarted.query(&queries[0]);
+        let (checkpoint, restarted_feed) = snapshot_of(&restarted);
+        assert_eq!(follower.install_snapshot(&checkpoint), Ok(1));
+
+        let after = follower.stats();
+        assert_eq!(after.last_applied_seq, 1, "the seq is set, not maxed");
+        assert_eq!(follower.replication_lag(), Some(0));
+        assert_eq!(follower.cached_queries(), restarted.cached_queries());
+        assert!(follower.is_follower());
+        assert_eq!(after.queries, before.queries);
+        assert_eq!(after.requests_served, before.requests_served);
+        assert_eq!(after.replica_groups_applied, before.replica_groups_applied);
+        assert_eq!(
+            downstream.recv_timeout(Duration::from_secs(1)).err(),
+            Some(crate::RecvTimeoutError::Disconnected),
+            "the hub reset closes downstream feeds"
+        );
+        follower.self_check().expect("installed invariants");
+        for (q, truth) in queries.iter().zip(&truths) {
+            assert_eq!(&follower.query(q).answers, truth);
+        }
+        // The new stream applies on top of the installed state.
+        let _ = restarted.query(&queries[1]);
+        assert_eq!(drain_feed(&restarted_feed, &follower), 1);
+        assert_eq!(follower.stats().last_applied_seq, 2);
+        assert_eq!(follower.cached_queries(), restarted.cached_queries());
+    }
+
+    #[test]
+    fn install_snapshot_refuses_an_older_epoch() {
+        // A replica of an engine promoted past its epoch-0 primary.
+        let (primary, promoted, feed) = replication_pair();
+        let _ = primary.query(&replication_queries()[0]);
+        drain_feed(&feed, &promoted);
+        assert_eq!(promoted.promote(), Ok(1));
+        let _ = primary.query(&replication_queries()[1]);
+        let (deposed_snapshot, _) = snapshot_of(&primary);
+        let follower = follower_of(&snapshot_of(&promoted).0);
+        let (seq, cached) = (follower.stats().last_applied_seq, follower.cached_queries());
+        let q = replication_queries()[0].clone();
+        let answers = follower.query(&q).answers;
+        assert_eq!(
+            follower.install_snapshot(&deposed_snapshot),
+            Err(ReplicaError::EpochFenced {
+                stream: 0,
+                local: 1
+            })
+        );
+        assert_eq!(follower.epoch(), 1);
+        assert_eq!(follower.stats().last_applied_seq, seq);
+        assert_eq!(follower.cached_queries(), cached);
+        assert_eq!(follower.query(&q).answers, answers);
+    }
+
+    #[test]
+    fn install_snapshot_refuses_corrupt_or_foreign_snapshots() {
+        let (primary, follower, feed) = replication_pair();
+        let _ = primary.query(&replication_queries()[0]);
+        drain_feed(&feed, &follower);
+        let (_, downstream) = snapshot_of(&follower);
+        let (good, _) = snapshot_of(&primary);
+        // `engine()` runs with another window: a foreign config.
+        let (foreign, _) = snapshot_of(&engine());
+        let (seq, cached) = (follower.stats().last_applied_seq, follower.cached_queries());
+        for bad in [&b"garbage"[..], &good[..good.len() - 1], &foreign[..]] {
+            assert!(matches!(
+                follower.install_snapshot(bad),
+                Err(ReplicaError::Corrupt(_))
+            ));
+            assert_eq!(follower.stats().last_applied_seq, seq);
+            assert_eq!(follower.cached_queries(), cached);
+            assert_eq!(follower.epoch(), 0);
+        }
+        follower.self_check().expect("untouched invariants");
+        // The hub was not reset: the next group still chains downstream.
+        let _ = primary.query(&replication_queries()[1]);
+        assert_eq!(drain_feed(&feed, &follower), 1);
+        assert_eq!(downstream.try_recv().map(|g| g.seq), Some(seq + 1));
+    }
+
+    #[test]
+    fn rejected_gap_group_leaves_the_epoch_alone() {
+        let (primary, follower, _feed) = replication_pair();
+        let promoted = follower_of(&snapshot_of(&primary).0);
+        assert_eq!(promoted.promote(), Ok(1));
+        let (_, promoted_feed) = snapshot_of(&promoted);
+        let _ = promoted.query(&replication_queries()[0]);
+        let _ = promoted.query(&replication_queries()[1]);
+        let g1 = promoted_feed.try_recv().expect("first epoch-1 group");
+        let g2 = promoted_feed.try_recv().expect("second epoch-1 group");
+        assert_eq!(
+            follower.apply_replica_delta(&g2.bytes),
+            Err(ReplicaError::SeqGap {
+                expected: 1,
+                found: 2
+            })
+        );
+        assert_eq!(follower.epoch(), 0, "a rejected group changes nothing");
+        assert_eq!(follower.apply_replica_delta(&g1.bytes), Ok(1));
+        assert_eq!(follower.epoch(), 1, "an applied group adopts its epoch");
     }
 }

@@ -53,8 +53,7 @@ impl IsubIndex {
     }
 
     /// Cold-start build over `(slot, graph)` pairs — a sequence of
-    /// [`IsubIndex::insert`]s, used at engine construction, import, and as
-    /// the `self_check` oracle.
+    /// [`IsubIndex::insert`]s, used by the `self_check` oracle.
     pub fn build(
         entries: impl IntoIterator<Item = (usize, Arc<Graph>)>,
         path_config: PathConfig,

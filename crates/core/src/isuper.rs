@@ -58,8 +58,8 @@ impl IsuperIndex {
         }
     }
 
-    /// Cold-start build over `(slot, graph)` pairs (engine construction,
-    /// import, and the `self_check` oracle).
+    /// Cold-start build over `(slot, graph)` pairs (the `self_check`
+    /// oracle).
     pub fn build(
         entries: impl IntoIterator<Item = (usize, Arc<Graph>)>,
         path_config: PathConfig,

@@ -25,9 +25,9 @@
 //!   type parameter, not a second engine);
 //! * the shared-service API ([`api`]): `query(&self)` on a `Send + Sync`
 //!   engine, the [`QueryEngine`] trait for direction-agnostic clients,
-//!   typed [`QueryRequest`]/[`QueryResponse`] wrappers, batch fan-out
-//!   ([`QueryEngine::query_batch`]), and the cloneable [`EngineHandle`]
-//!   for serving queries from many threads at once;
+//!   typed [`QueryRequest`]/[`QueryResponse`] wrappers, and batch
+//!   fan-out ([`QueryEngine::query_batch`]); an `Arc` shares one engine
+//!   across many threads;
 //! * durability ([`persist`]): [`Engine::open`] over a [`CacheStore`]
 //!   ([`DirStore`]/[`MemStore`]) recovers a warm engine from a versioned,
 //!   checksummed checkpoint plus a window-delta write-ahead log, with
@@ -37,8 +37,9 @@
 //!   window flip as a binary delta group
 //!   ([`Engine::subscribe_replication`]); a follower
 //!   ([`Engine::open_follower`]) bootstraps from its snapshot, replays
-//!   the stream ([`Engine::apply_replica_delta`]), and serves read-only
-//!   queries with a measurable staleness bound
+//!   the stream ([`Engine::apply_replica_delta`]), re-bootstraps in place
+//!   behind the epoch fence ([`Engine::install_snapshot`]), and serves
+//!   read-only queries with a measurable staleness bound
 //!   ([`EngineStats::replication_lag_windows`]).
 //!
 //! Configuration goes through the validating [`IgqConfig::builder`];
@@ -52,7 +53,7 @@
 //! # Example
 //!
 //! Wrap a filter-then-verify method (here GGSX) in the iGQ engine and
-//! serve it from multiple threads through a shared handle:
+//! serve it from multiple threads through an `Arc`:
 //!
 //! ```
 //! use igq_core::{IgqConfig, IgqEngine, QueryEngine};
@@ -74,19 +75,17 @@
 //!     .window(10)
 //!     .build()
 //!     .expect("valid config");
-//! let handle = IgqEngine::new(method, config)
-//!     .expect("valid engine")
-//!     .into_handle();
+//! let engine = Arc::new(IgqEngine::new(method, config).expect("valid engine"));
 //!
 //! let q = graph_from(&[0, 1], &[(0, 1)]);
-//! let first = handle.query(&q);
-//! // Clone the handle into as many threads as you like...
-//! let worker = handle.clone();
+//! let first = engine.query(&q);
+//! // Clone the Arc into as many threads as you like...
+//! let worker = Arc::clone(&engine);
 //! let repeat = std::thread::spawn(move || worker.query(&q))
 //!     .join()
 //!     .expect("worker"); // resolved from the shared cache
 //! assert_eq!(first.answers, repeat.answers);
-//! assert_eq!(handle.stats().queries, 2);
+//! assert_eq!(engine.stats().queries, 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -107,13 +106,11 @@ pub mod replicate;
 pub mod stats;
 pub mod super_engine;
 
-pub use api::{
-    EngineHandle, IgqHandle, IgqSuperHandle, QueryEngine, QueryOptions, QueryRequest, QueryResponse,
-};
+pub use api::{QueryEngine, QueryOptions, QueryRequest, QueryResponse};
 pub use cache::{CacheEntry, QueryCache, WindowDelta};
 pub use config::{ConfigError, IgqConfig, IgqConfigBuilder, PersistenceConfig};
 pub use direction::{QueryDirection, SubgraphQueries, SupergraphQueries};
-pub use engine::{Engine, IgqEngine, ImportReport};
+pub use engine::{Engine, IgqEngine};
 pub use isub::{IndexSnapshot, IsubIndex};
 pub use isuper::IsuperIndex;
 pub use metadata::GraphMeta;

@@ -13,6 +13,10 @@
 //! through the same `replay_window` path recovery uses, so a drained
 //! follower is observationally identical to the primary as of the last
 //! applied flip — the restart-equivalence guarantee, applied remotely.
+//! A follower that can no longer prove its stream contiguous
+//! re-bootstraps in place
+//! ([`Engine::install_snapshot`](crate::Engine::install_snapshot)): the
+//! same engine, a new state, its lifetime counters intact.
 //!
 //! # Topology and flow
 //!
@@ -40,6 +44,9 @@
 //!   duplicate fails with [`ReplicaError::SeqGap`]; the follower must
 //!   resume from its `last_applied_seq` or re-bootstrap from a fresh
 //!   snapshot.
+//! * Epochs fence: a group or snapshot from an older failover epoch
+//!   fails with [`ReplicaError::EpochFenced`]; a newer epoch is adopted
+//!   with the group or snapshot that carries it.
 //! * Followers serve reads at a bounded, observable staleness:
 //!   `replication_lag_windows` (highest seq heard from the primary minus
 //!   last applied seq) feeds the serving edge's lag-gated admission
@@ -72,9 +79,6 @@ pub const REPLICATION_RING_GROUPS: usize = 256;
 pub enum ReplicaError {
     /// A follower-only operation was invoked on a primary engine.
     NotFollower,
-    /// A write-path operation was invoked on a read-only follower; the
-    /// payload names the rejected operation.
-    ReadOnly(&'static str),
     /// The delta stream skipped a flip: the follower must resume from its
     /// `last_applied_seq` (the primary's ring may still cover it) or
     /// re-bootstrap from a fresh snapshot.
@@ -87,10 +91,10 @@ pub enum ReplicaError {
     /// The delta group or snapshot failed to decode or validate; the
     /// follower state is unchanged (groups apply whole or not at all).
     Corrupt(String),
-    /// The delta group carries an older failover epoch than the engine:
-    /// its sender is a deposed primary (a follower was promoted past it)
-    /// and its flips must not be applied. The stream should be dropped —
-    /// resubscribing to the stale sender cannot help.
+    /// The delta group or snapshot carries an older failover epoch than
+    /// the engine: its sender is a deposed primary (a follower was
+    /// promoted past it) and its state must not be applied. The stream
+    /// should be dropped — resubscribing to the stale sender cannot help.
     EpochFenced {
         /// Epoch the rejected group was stamped with.
         stream: u64,
@@ -104,9 +108,6 @@ impl std::fmt::Display for ReplicaError {
         match self {
             ReplicaError::NotFollower => {
                 write!(f, "engine is not a follower (no replica source attached)")
-            }
-            ReplicaError::ReadOnly(op) => {
-                write!(f, "follower engines are read-only: {op} rejected")
             }
             ReplicaError::SeqGap { expected, found } => write!(
                 f,
@@ -215,7 +216,7 @@ pub(crate) struct ReplicationHub {
 /// Panic message for a hub lock whose holder panicked.
 const POISONED: &str = "replication hub lock poisoned";
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct HubInner {
     active: bool,
     /// Seq of the newest published group; groups at or below
@@ -229,13 +230,16 @@ impl ReplicationHub {
     pub(crate) fn new() -> ReplicationHub {
         ReplicationHub {
             active: AtomicBool::new(false),
-            inner: Mutex::new(HubInner {
-                active: false,
-                last: 0,
-                ring: VecDeque::new(),
-                subs: Vec::new(),
-            }),
+            inner: Mutex::new(HubInner::default()),
         }
+    }
+
+    /// Returns the hub to its inert state: the ring empties and every
+    /// feed disconnects. For a follower installing a snapshot, whose
+    /// published seqs start over from it.
+    pub(crate) fn reset(&self) {
+        *self.inner.lock().expect(POISONED) = HubInner::default();
+        self.active.store(false, Ordering::Release);
     }
 
     /// Whether any subscription has ever activated this hub. A `true`
@@ -474,9 +478,6 @@ mod tests {
         assert!(ReplicaError::NotFollower
             .to_string()
             .contains("not a follower"));
-        assert!(ReplicaError::ReadOnly("import_entries")
-            .to_string()
-            .contains("import_entries"));
         let fenced = ReplicaError::EpochFenced {
             stream: 1,
             local: 2,

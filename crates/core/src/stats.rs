@@ -168,75 +168,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Merges another engine's snapshot into this one — for aggregating
-    /// a replication fleet (a primary plus its followers, or several
-    /// followers) into one view. Work counters **sum**; the staleness
-    /// gauge `replication_lag_windows` takes the **max** (the fleet is as
-    /// stale as its worst member), and `last_applied_seq` takes the **min**
-    /// of the engines that have a flip history at all (the fleet has served
-    /// every flip only up to its slowest member; an engine still at zero
-    /// has no history and does not drag the floor down).
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.queries += other.queries;
-        self.db_iso_tests += other.db_iso_tests;
-        self.igq_iso_tests += other.igq_iso_tests;
-        self.aborted_tests += other.aborted_tests;
-        self.candidates_before += other.candidates_before;
-        self.candidates_after += other.candidates_after;
-        self.pruned_by_isub += other.pruned_by_isub;
-        self.pruned_by_isuper += other.pruned_by_isuper;
-        self.exact_hits += other.exact_hits;
-        self.empty_shortcuts += other.empty_shortcuts;
-        self.maintenances += other.maintenances;
-        self.maintenance_postings_touched += other.maintenance_postings_touched;
-        self.maintenance_time += other.maintenance_time;
-        self.wal_appends += other.wal_appends;
-        self.wal_bytes_appended += other.wal_bytes_appended;
-        self.checkpoint_bytes_written += other.checkpoint_bytes_written;
-        self.checkpoint_time += other.checkpoint_time;
-        self.last_applied_seq = match (self.last_applied_seq, other.last_applied_seq) {
-            (0, s) | (s, 0) => s,
-            (a, b) => a.min(b),
-        };
-        self.replication_lag_windows = self
-            .replication_lag_windows
-            .max(other.replication_lag_windows);
-        self.replica_groups_published += other.replica_groups_published;
-        self.replica_groups_applied += other.replica_groups_applied;
-        self.replica_bytes_applied += other.replica_bytes_applied;
-        self.recovery_replayed_windows += other.recovery_replayed_windows;
-        self.replica_wal_catchups += other.replica_wal_catchups;
-        // Failover/degradation gauges: the fleet view reports the newest
-        // epoch anyone has adopted, and is degraded if any member is
-        // (first non-empty reason wins — one member's story is better
-        // than none).
-        self.epoch = self.epoch.max(other.epoch);
-        if other.degraded && !self.degraded {
-            self.degraded = true;
-        }
-        if self.degraded_reason.is_empty() && !other.degraded_reason.is_empty() {
-            self.degraded_reason = other.degraded_reason.clone();
-        }
-        self.wal_quarantined_groups += other.wal_quarantined_groups;
-        self.wal_retry_failures += other.wal_retry_failures;
-        self.feature_extractions += other.feature_extractions;
-        self.canonicalization_time += other.canonicalization_time;
-        self.canonical_code_budget_misses += other.canonical_code_budget_misses;
-        self.plan_builds += other.plan_builds;
-        self.scratch_allocs += other.scratch_allocs;
-        self.preverify_rejections += other.preverify_rejections;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.plan_cache_evictions += other.plan_cache_evictions;
-        self.requests_served += other.requests_served;
-        self.requests_rejected_overload += other.requests_rejected_overload;
-        self.batches_coalesced += other.batches_coalesced;
-        self.filter_time += other.filter_time;
-        self.igq_time += other.igq_time;
-        self.verify_time += other.verify_time;
-        self.wall_time += other.wall_time;
-    }
-
     /// Folds one query outcome into the totals.
     pub fn absorb(&mut self, o: &QueryOutcome) {
         self.queries += 1;
@@ -256,24 +187,6 @@ impl EngineStats {
         self.igq_time += o.igq_time;
         self.verify_time += o.verify_time;
         self.wall_time += o.total_time();
-    }
-
-    /// Average DB iso tests per query.
-    pub fn avg_db_iso_tests(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.db_iso_tests as f64 / self.queries as f64
-        }
-    }
-
-    /// Average end-to-end wall-clock per query.
-    pub fn avg_wall_time(&self) -> Duration {
-        if self.queries == 0 {
-            Duration::ZERO
-        } else {
-            self.wall_time / self.queries as u32
-        }
     }
 }
 
@@ -408,6 +321,13 @@ impl AtomicEngineStats {
     /// [`EngineStats::replication_lag_windows`] from it.
     pub(crate) fn note_replica_heard(&self, seq: u64) {
         self.replica_last_heard.fetch_max(seq, Ordering::Relaxed);
+    }
+
+    /// Restarts both replication gauges at an installed snapshot's seq —
+    /// stored, not maxed: a re-bootstrap may move a follower backwards.
+    pub(crate) fn set_replica_position(&self, seq: u64) {
+        self.last_applied_seq.store(seq, Ordering::Relaxed);
+        self.replica_last_heard.store(seq, Ordering::Relaxed);
     }
 
     /// Current replication staleness (heard − applied, saturating) from
@@ -566,14 +486,7 @@ mod tests {
         assert_eq!(s.queries, 2);
         assert_eq!(s.db_iso_tests, 10);
         assert_eq!(s.exact_hits, 2);
-        assert_eq!(s.avg_db_iso_tests(), 5.0);
-    }
-
-    #[test]
-    fn empty_stats_averages() {
-        let s = EngineStats::default();
-        assert_eq!(s.avg_db_iso_tests(), 0.0);
-        assert_eq!(s.avg_wall_time(), Duration::ZERO);
+        assert_eq!(s.candidates_after, 10);
     }
 
     #[test]
@@ -681,49 +594,6 @@ mod tests {
         // A caught-up follower reports zero lag, not underflow.
         atomic.set_last_applied_seq(9);
         assert_eq!(atomic.snapshot().replication_lag_windows, 0);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_takes_worst_case_gauges() {
-        let primary = EngineStats {
-            queries: 10,
-            wal_appends: 4,
-            wal_bytes_appended: 400,
-            last_applied_seq: 9,
-            replica_groups_published: 9,
-            ..Default::default()
-        };
-        let follower = EngineStats {
-            queries: 6,
-            last_applied_seq: 7,
-            replication_lag_windows: 2,
-            replica_groups_applied: 7,
-            replica_bytes_applied: 700,
-            ..Default::default()
-        };
-        let mut fleet = EngineStats::default();
-        fleet.merge(&primary);
-        fleet.merge(&follower);
-        assert_eq!(fleet.queries, 16);
-        assert_eq!(fleet.wal_appends, 4);
-        assert_eq!(fleet.wal_bytes_appended, 400);
-        assert_eq!(fleet.replica_groups_published, 9);
-        assert_eq!(fleet.replica_groups_applied, 7);
-        assert_eq!(fleet.replica_bytes_applied, 700);
-        // Worst-case gauges: lag maxes, applied-seq floors over engines
-        // with history (the fresh `fleet` zero does not drag it down).
-        assert_eq!(fleet.replication_lag_windows, 2);
-        assert_eq!(fleet.last_applied_seq, 7);
-        // Merge order does not matter.
-        let mut reversed = EngineStats::default();
-        reversed.merge(&follower);
-        reversed.merge(&primary);
-        assert_eq!(reversed.last_applied_seq, fleet.last_applied_seq);
-        assert_eq!(reversed.queries, fleet.queries);
-        assert_eq!(
-            reversed.replication_lag_windows,
-            fleet.replication_lag_windows
-        );
     }
 
     #[test]

@@ -27,8 +27,8 @@ use crate::engine::Engine;
 
 /// The iGQ engine for supergraph queries, wrapping the trie-based
 /// supergraph method of Section 6.2. A [`crate::QueryEngine`] like its
-/// subgraph sibling: `Send + Sync`, queried through `&self`, shareable
-/// via [`crate::IgqSuperHandle`].
+/// subgraph sibling: `Send + Sync`, queried through `&self`, shared
+/// through an `Arc`.
 pub type IgqSuperEngine = Engine<SupergraphQueries>;
 
 #[cfg(test)]
@@ -151,31 +151,26 @@ mod tests {
 
     #[test]
     fn unified_engine_surface_works_in_super_direction() {
-        // The API-redesign dividend: export/import, self_check, and typed
+        // The API-redesign dividend: export, self_check, and typed
         // requests — previously subgraph-only — now come with the shared
         // pipeline.
-        let warm = engine();
+        let e = engine();
         let q = graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]);
-        let first = warm.query(&q);
-        let exported = warm.export_entries();
-        assert_eq!(exported.len(), 1);
-        let cold = engine();
-        assert_eq!(
-            cold.import_entries(exported)
-                .expect("primary import")
-                .admitted,
-            1
-        );
-        let out = cold.query(&q);
+        let first = e.query(&q);
+        assert_eq!(e.export_entries().len(), 1, "window entries export too");
+        e.flush_window();
+        let out = e.query(&q);
         assert_eq!(out.resolution, Resolution::ExactHit);
         assert_eq!(out.answers, first.answers);
-        cold.self_check().expect("invariants hold after import");
+        e.self_check().expect("invariants hold after warm-up");
 
-        let resp =
-            cold.execute(&QueryRequest::new(graph_from(&[2, 2], &[(0, 1)])).skip_admission());
+        let cached = e.cached_queries();
+        let resp = e.execute(&QueryRequest::new(graph_from(&[2, 2], &[(0, 1)])).skip_admission());
         assert_eq!(
             resp.outcome.answers,
             naive_super(&graph_from(&[2, 2], &[(0, 1)]))
         );
+        e.flush_window();
+        assert_eq!(e.cached_queries(), cached, "skip_admission leaves no trace");
     }
 }

@@ -21,9 +21,9 @@
 //!   command, the equivalence tests, and the serving bench.
 //! * [`replicate`] — follower serving: [`Follower`] bootstraps a
 //!   read-only replica engine from a primary's `snapshot` frame, applies
-//!   its pushed `delta` stream, survives torn streams by resuming (or
-//!   re-bootstrapping) with backoff, and hands the server a
-//!   [`SharedEngine`] that swaps atomically on re-bootstrap.
+//!   its pushed `delta` stream, and survives torn streams by resuming
+//!   with backoff or re-bootstrapping that same engine in place from a
+//!   fresh snapshot (one from an older failover epoch is refused).
 //!   A [`FailoverPolicy`] turns a follower into a failure detector:
 //!   heartbeat-timeout hang detection, round-robin upstream rotation, and
 //!   (opt-in) automatic promotion to a writable primary under a fenced
@@ -71,5 +71,5 @@ pub use client::{
 pub use protocol::{
     Reply, Request, ServingStats, WireError, WireResult, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-pub use replicate::{BuildFollower, FailoverPolicy, Follower, FollowerError, SharedEngine};
+pub use replicate::{BuildFollower, FailoverPolicy, Follower, FollowerError};
 pub use server::{Server, ServerConfig};

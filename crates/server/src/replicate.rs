@@ -6,23 +6,22 @@
 //!
 //! ```text
 //!   primary igq serve ───deltas──▶ Follower feed thread
-//!                                      │ apply_replica_delta
+//!                     ──snapshot─▶     │ apply_replica_delta
+//!                                      │ install_snapshot
 //!                                      ▼
-//!                                 SharedEngine  ◀── igq serve (read-only)
-//!                                      ▲               │
-//!                                      └── swap on ────┘
-//!                                          re-bootstrap
+//!                                   engine  ◀── igq serve (read-only)
 //! ```
 //!
-//! [`Follower::connect`] dials the primary, subscribes, installs the
-//! bootstrap snapshot via a caller-supplied engine builder (the builder
-//! owns the dataset and base method — the wire only carries iGQ state),
-//! and spawns a feed thread that applies every pushed delta group. The
-//! served engine lives behind a [`SharedEngine`] — a [`QueryEngine`]
-//! whose inner engine is atomically swappable — because a torn stream
-//! that has fallen out of the primary's resume ring forces a fresh
-//! snapshot bootstrap *while the server keeps serving*: readers finish on
-//! the old engine, new requests land on the new one.
+//! [`Follower::connect`] dials the primary, subscribes, builds the
+//! follower engine from the bootstrap snapshot via a caller-supplied
+//! builder (the builder owns the dataset and base method — the wire only
+//! carries iGQ state), and spawns a feed thread that applies every pushed
+//! delta group. That one engine serves for the follower's whole life: a
+//! torn stream that has fallen out of the primary's resume ring forces a
+//! fresh snapshot, which the feed installs in place
+//! ([`QueryEngine::install_snapshot`]) *while the server keeps serving*,
+//! lifetime counters intact. A snapshot from an older failover epoch is
+//! refused like a fenced delta.
 //!
 //! # Reconnect semantics
 //!
@@ -46,133 +45,21 @@
 //! ([`igq_core::Engine::promote`]), the feed thread ends, and any
 //! straggler delta the deposed primary later emits is fenced by that
 //! epoch on every replica that adopted it. A follower that receives an
-//! [`EpochFenced`](ReplicaError::EpochFenced) delta rotates away from
-//! the deposed upstream instead of re-bootstrapping from it.
+//! [`EpochFenced`](ReplicaError::EpochFenced) delta or snapshot rotates
+//! away from the deposed upstream instead of re-bootstrapping from it.
 
 use crate::client::{Client, ClientError, ReplicaEvent, ReplicaSubscriber, SubscribeStart};
-use igq_core::{
-    EngineStats, IgqConfig, QueryEngine, QueryOutcome, QueryRequest, QueryResponse, ReplicaError,
-    Subscription,
-};
-use igq_graph::Graph;
+use igq_core::{QueryEngine, ReplicaError};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Builds a follower engine from an encoded primary checkpoint. The
 /// closure owns everything the wire does not carry — the dataset, the
 /// base filter-then-verify method, and the engine config — and is
-/// invoked once at bootstrap plus once per forced re-bootstrap.
+/// invoked once, at the first bootstrap.
 pub type BuildFollower = Arc<dyn Fn(&[u8]) -> Result<Arc<dyn QueryEngine>, String> + Send + Sync>;
-
-/// A [`QueryEngine`] whose inner engine can be atomically replaced —
-/// the indirection that lets a follower re-bootstrap from a fresh
-/// snapshot without restarting its serving front end. Cheap on the read
-/// path: one `RwLock` read and an `Arc` clone per call.
-pub struct SharedEngine {
-    inner: RwLock<Arc<dyn QueryEngine>>,
-    /// Config is identical across re-bootstraps (the snapshot embeds a
-    /// config fingerprint the engine validates), so a by-value copy
-    /// satisfies the trait's `&IgqConfig` accessor without borrowing
-    /// through the lock.
-    config: IgqConfig,
-}
-
-impl SharedEngine {
-    /// Wraps an engine for swappable serving.
-    pub fn new(engine: Arc<dyn QueryEngine>) -> SharedEngine {
-        let config = *engine.config();
-        SharedEngine {
-            inner: RwLock::new(engine),
-            config,
-        }
-    }
-
-    /// The currently installed engine. Poison-tolerant: a panic on some
-    /// other serving thread must not cascade into every reader of the
-    /// shared engine (the `Arc` swap itself is atomic either way).
-    pub fn current(&self) -> Arc<dyn QueryEngine> {
-        Arc::clone(&self.inner.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Atomically installs a replacement engine (re-bootstrap). In-flight
-    /// calls finish on the engine they started with.
-    pub fn swap(&self, engine: Arc<dyn QueryEngine>) {
-        *self.inner.write().unwrap_or_else(|e| e.into_inner()) = engine;
-    }
-}
-
-impl QueryEngine for SharedEngine {
-    fn query(&self, q: &Graph) -> QueryOutcome {
-        self.current().query(q)
-    }
-
-    fn execute(&self, request: &QueryRequest) -> QueryResponse {
-        self.current().execute(request)
-    }
-
-    fn query_batch(&self, queries: &[Graph]) -> Vec<QueryOutcome> {
-        self.current().query_batch(queries)
-    }
-
-    fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
-        self.current().execute_batch(requests)
-    }
-
-    fn note_overload_rejection(&self) {
-        self.current().note_overload_rejection()
-    }
-
-    fn stats(&self) -> EngineStats {
-        self.current().stats()
-    }
-
-    fn config(&self) -> &IgqConfig {
-        &self.config
-    }
-
-    fn cached_queries(&self) -> usize {
-        self.current().cached_queries()
-    }
-
-    fn flush_window(&self) {
-        self.current().flush_window()
-    }
-
-    fn checkpoint(&self) -> Result<(), igq_core::PersistError> {
-        self.current().checkpoint()
-    }
-
-    fn self_check(&self) -> Result<(), String> {
-        self.current().self_check()
-    }
-
-    fn is_follower(&self) -> bool {
-        self.current().is_follower()
-    }
-
-    fn replication_lag(&self) -> Option<u64> {
-        self.current().replication_lag()
-    }
-
-    fn subscribe_replication(&self, from_seq: Option<u64>) -> Option<Subscription> {
-        // Chaining: a downstream replica can subscribe to this follower.
-        self.current().subscribe_replication(from_seq)
-    }
-
-    fn apply_replica_delta(&self, bytes: &[u8]) -> Result<u64, ReplicaError> {
-        self.current().apply_replica_delta(bytes)
-    }
-
-    fn note_replica_heard(&self, seq: u64) {
-        self.current().note_replica_heard(seq)
-    }
-
-    fn promote(&self) -> Result<u64, ReplicaError> {
-        self.current().promote()
-    }
-}
 
 /// A follower bootstrap/feed failure.
 #[derive(Debug)]
@@ -180,7 +67,7 @@ pub enum FollowerError {
     /// Dialing or subscribing to the primary failed.
     Connect(ClientError),
     /// The primary's bootstrap was not a snapshot, or the engine builder
-    /// rejected it.
+    /// (first bootstrap) or the engine (re-bootstrap) refused it.
     Bootstrap(String),
 }
 
@@ -234,25 +121,24 @@ impl Default for FailoverPolicy {
     }
 }
 
-/// A running follower: the swappable served engine plus the feed thread
-/// applying the primary's delta stream.
+/// A running follower: the served engine plus the feed thread applying
+/// the primary's delta stream.
 pub struct Follower {
-    engine: Arc<SharedEngine>,
+    engine: Arc<dyn QueryEngine>,
     stop: Arc<AtomicBool>,
     promoted: Arc<AtomicBool>,
     feed: Option<JoinHandle<()>>,
 }
 
 /// Everything the feed thread needs; bundled so the reconnect/promotion
-/// logic can rotate upstreams without threading eight parameters around.
+/// logic can rotate upstreams without threading seven parameters around.
 struct FeedCtx {
-    shared: Arc<SharedEngine>,
+    engine: Arc<dyn QueryEngine>,
     /// Upstream candidates in preference order; `current` indexes the one
     /// being followed and rotates on failure/fencing.
     addrs: Vec<String>,
     current: usize,
     name: String,
-    build: BuildFollower,
     io_timeout: Duration,
     policy: FailoverPolicy,
     stop: Arc<AtomicBool>,
@@ -306,15 +192,13 @@ impl Follower {
             match Follower::bootstrap(addr, name, &build, io_timeout) {
                 Ok((engine, subscriber)) => {
                     let _ = subscriber.set_read_timeout(Some(policy.heartbeat_timeout));
-                    let engine = Arc::new(SharedEngine::new(engine));
                     let stop = Arc::new(AtomicBool::new(false));
                     let promoted = Arc::new(AtomicBool::new(false));
                     let ctx = FeedCtx {
-                        shared: Arc::clone(&engine),
+                        engine: Arc::clone(&engine),
                         addrs: addrs.to_vec(),
                         current: i,
                         name: name.to_owned(),
-                        build: Arc::clone(&build),
                         io_timeout,
                         policy,
                         stop: Arc::clone(&stop),
@@ -357,9 +241,9 @@ impl Follower {
         Ok((engine, subscriber))
     }
 
-    /// The served (swappable, read-only — until promotion) engine — hand
-    /// this to [`Server::spawn`](crate::Server::spawn).
-    pub fn engine(&self) -> Arc<SharedEngine> {
+    /// The served (read-only — until promotion) engine — hand this to
+    /// [`Server::spawn`](crate::Server::spawn).
+    pub fn engine(&self) -> Arc<dyn QueryEngine> {
         Arc::clone(&self.engine)
     }
 
@@ -394,16 +278,13 @@ impl Drop for Follower {
 /// re-bootstrapping) with backoff, rotating upstreams and promoting per
 /// the [`FailoverPolicy`]. Runs until `stop` or promotion.
 fn feed_loop(mut ctx: FeedCtx, mut sub: ReplicaSubscriber) {
-    loop {
-        if ctx.stop.load(Ordering::Acquire) {
-            return;
-        }
-        match sub.next_event() {
+    while !ctx.stop.load(Ordering::Acquire) {
+        // An event that ends the stream names where to resubscribe from.
+        let from = match sub.next_event() {
             Ok(ReplicaEvent::Delta { seq, bytes }) => {
-                let engine = ctx.shared.current();
-                engine.note_replica_heard(seq);
-                match engine.apply_replica_delta(&bytes) {
-                    Ok(_) => {}
+                ctx.engine.note_replica_heard(seq);
+                match ctx.engine.apply_replica_delta(&bytes) {
+                    Ok(_) => continue,
                     Err(e @ ReplicaError::EpochFenced { .. }) => {
                         // The upstream is a deposed primary. Never
                         // re-bootstrap from it — its post-deposition flips
@@ -415,48 +296,40 @@ fn feed_loop(mut ctx: FeedCtx, mut sub: ReplicaSubscriber) {
                             ctx.addrs[ctx.current]
                         );
                         ctx.current = (ctx.current + 1) % ctx.addrs.len();
-                        let from = Some(ctx.shared.current().stats().last_applied_seq);
-                        match reconnect(&mut ctx, from) {
-                            Some(next) => sub = next,
-                            None => return, // stopped or promoted
-                        }
+                        Some(ctx.engine.stats().last_applied_seq)
                     }
                     Err(e) => {
                         // A gap or corrupt group means local state can no
                         // longer be proven contiguous with the stream:
                         // force a fresh snapshot bootstrap.
                         eprintln!("igq-replica: delta {seq} rejected ({e}); re-bootstrapping");
-                        match reconnect(&mut ctx, None) {
-                            Some(next) => sub = next,
-                            None => return, // stopped or promoted
-                        }
+                        None
                     }
                 }
             }
             Ok(ReplicaEvent::Heartbeat { seq }) => {
-                ctx.shared.current().note_replica_heard(seq);
+                ctx.engine.note_replica_heard(seq);
+                continue;
             }
-            Ok(ReplicaEvent::Closed) | Err(_) => {
-                // Torn, closed, or *silently hung* stream (a read timeout
-                // after `heartbeat_timeout` of no frames): resume after
-                // the last applied flip. The primary answers live when it
-                // can prove the gap covered (ring or WAL), with a fresh
-                // snapshot otherwise.
-                let from = Some(ctx.shared.current().stats().last_applied_seq);
-                match reconnect(&mut ctx, from) {
-                    Some(next) => sub = next,
-                    None => return, // stopped or promoted
-                }
-            }
+            // Torn, closed, or *silently hung* stream (a read timeout
+            // after `heartbeat_timeout` of no frames): resume after the
+            // last applied flip. The primary answers live when it can
+            // prove the gap covered (ring or WAL), with a fresh snapshot
+            // otherwise.
+            Ok(ReplicaEvent::Closed) | Err(_) => Some(ctx.engine.stats().last_applied_seq),
+        };
+        match reconnect(&mut ctx, from) {
+            Some(next) => sub = next,
+            None => return, // stopped or promoted
         }
     }
 }
 
 /// Redials with exponential backoff until subscribed (installing a fresh
-/// snapshot into the shared engine when the upstream sends one), rotating
-/// through the upstream list. Returns `None` when `stop` was set — or
-/// when the whole list stayed unreachable long enough that the policy
-/// promoted this follower instead.
+/// snapshot in place when the upstream sends one; a refused snapshot is a
+/// failed attempt), rotating through the upstream list. Returns `None`
+/// when `stop` was set — or when the whole list stayed unreachable long
+/// enough that the policy promoted this follower instead.
 fn reconnect(ctx: &mut FeedCtx, from_seq: Option<u64>) -> Option<ReplicaSubscriber> {
     let mut backoff = BACKOFF_FLOOR;
     let mut failures = 0u32;
@@ -478,23 +351,19 @@ fn reconnect(ctx: &mut FeedCtx, from_seq: Option<u64>) -> Option<ReplicaSubscrib
                 if ctx.policy.promote_on_timeout
                     && rounds >= ctx.policy.rounds_before_promote.max(1)
                 {
-                    match ctx.shared.current().promote() {
-                        Ok(epoch) => {
-                            eprintln!(
-                                "igq-replica: no upstream reachable after {rounds} round(s); \
-                                 promoted to primary at epoch {epoch}"
-                            );
-                            ctx.promoted.store(true, Ordering::Release);
-                            return None;
-                        }
+                    match ctx.engine.promote() {
+                        Ok(epoch) => eprintln!(
+                            "igq-replica: no upstream reachable after {rounds} round(s); \
+                             promoted to primary at epoch {epoch}"
+                        ),
+                        // Already writable (e.g. a racing promote):
+                        // nothing left to follow.
                         Err(err) => {
-                            // Already writable (e.g. a racing promote):
-                            // nothing left to follow.
-                            eprintln!("igq-replica: promotion skipped ({err}); feed ending");
-                            ctx.promoted.store(true, Ordering::Release);
-                            return None;
+                            eprintln!("igq-replica: promotion skipped ({err}); feed ending")
                         }
                     }
+                    ctx.promoted.store(true, Ordering::Release);
+                    return None;
                 }
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(BACKOFF_CEIL);
@@ -512,9 +381,84 @@ fn try_subscribe(
     match client.subscribe(from_seq)? {
         (SubscribeStart::Live { .. }, sub) => Ok(sub),
         (SubscribeStart::Snapshot { seq: _, checkpoint }, sub) => {
-            let engine = (ctx.build)(&checkpoint).map_err(FollowerError::Bootstrap)?;
-            ctx.shared.swap(engine);
+            ctx.engine
+                .install_snapshot(&checkpoint)
+                .map_err(|e| FollowerError::Bootstrap(format!("snapshot refused: {e}")))?;
             Ok(sub)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Server, ServerConfig};
+    use igq_core::{IgqConfig, IgqEngine, Subscription};
+    use igq_graph::{graph_from, GraphStore};
+    use igq_methods::{Ggsx, GgsxConfig};
+
+    /// A re-subscribe that lands on a deposed primary is answered with a
+    /// snapshot from an older epoch: refused, so the feed rotates on, and
+    /// the follower's epoch, seq and answers stay as they were.
+    #[test]
+    fn resubscribe_to_a_deposed_primary_refuses_its_snapshot() {
+        let queries = [
+            graph_from(&[0, 1], &[(0, 1)]),
+            graph_from(&[2, 2], &[(0, 1)]),
+        ];
+        let store: Arc<GraphStore> = Arc::new(queries.iter().cloned().collect());
+        let config = IgqConfig {
+            cache_capacity: 8,
+            window: 1,
+            ..Default::default()
+        };
+        let snapshot = |e: &dyn QueryEngine| match e.subscribe_replication(None) {
+            Some(Subscription::Snapshot { checkpoint, .. }) => checkpoint,
+            _ => unreachable!("a fresh subscriber gets a snapshot"),
+        };
+        let follower_of = |snapshot: &[u8]| -> Arc<dyn QueryEngine> {
+            let method = Ggsx::build(&store, GgsxConfig::default());
+            Arc::new(IgqEngine::open_follower(method, config, snapshot).expect("valid follower"))
+        };
+        // A replica promoted past the primary flips twice at epoch 1; the
+        // follower under test replicates it.
+        let deposed = IgqEngine::new(Ggsx::build(&store, GgsxConfig::default()), config)
+            .expect("valid engine");
+        let promoted = follower_of(&snapshot(&deposed));
+        assert_eq!(promoted.promote(), Ok(1));
+        let _ = snapshot(&*promoted);
+        for q in &queries {
+            let _ = promoted.query(q);
+        }
+        let follower = follower_of(&snapshot(&*promoted));
+        let answers: Vec<_> = queries.iter().map(|q| follower.query(q).answers).collect();
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            ..ServerConfig::default()
+        };
+        let server = Server::spawn(Arc::new(deposed), config).expect("bind deposed primary");
+        let ctx = FeedCtx {
+            engine: Arc::clone(&follower),
+            addrs: vec![server.local_addr().to_string()],
+            current: 0,
+            name: "fenced".to_owned(),
+            io_timeout: Duration::from_secs(5),
+            policy: FailoverPolicy::default(),
+            stop: Arc::default(),
+            promoted: Arc::default(),
+        };
+
+        // The deposed primary cannot resume after flip 2: it sends a snapshot.
+        let err = try_subscribe(&ctx, &ctx.addrs[0], Some(2))
+            .err()
+            .expect("an older-epoch snapshot is refused");
+        assert!(err.to_string().contains("fenced"), "{err}");
+        let stats = follower.stats();
+        assert_eq!((stats.epoch, stats.last_applied_seq), (1, 2));
+        assert_eq!(follower.cached_queries(), 2);
+        for (q, a) in queries.iter().zip(&answers) {
+            assert_eq!(&follower.query(q).answers, a);
+        }
+        server.shutdown();
     }
 }

@@ -25,17 +25,14 @@ fn main() {
     );
 
     // 3. Wrap the method with the iGQ engine: a 64-query cache, windows
-    //    of 8. The builder validates (window ≤ capacity etc.) and
-    //    `into_handle()` turns the engine into a cheap cloneable handle
-    //    for fan-out.
+    //    of 8. The builder validates (window ≤ capacity etc.); an `Arc`
+    //    shares the engine for fan-out.
     let config = IgqConfig::builder()
         .cache_capacity(64)
         .window(8)
         .build()
         .expect("valid config");
-    let handle = IgqEngine::new(method, config)
-        .expect("valid engine")
-        .into_handle();
+    let engine = Arc::new(IgqEngine::new(method, config).expect("valid engine"));
 
     // 4. Fire a workload with repetition (Zipf picks), as real query logs
     //    have — from four threads sharing the one engine, as a service
@@ -46,10 +43,10 @@ fn main() {
 
     std::thread::scope(|scope| {
         for (worker, chunk) in queries.chunks(queries.len().div_ceil(4)).enumerate() {
-            let h = handle.clone();
+            let e = Arc::clone(&engine);
             scope.spawn(move || {
                 for (i, q) in chunk.iter().enumerate() {
-                    let out = h.query(q);
+                    let out = e.query(q);
                     if i % 40 == 0 {
                         println!(
                             "worker {worker}, query {:>3}: |answers|={:<3} candidates {:>3} -> \
@@ -66,7 +63,6 @@ fn main() {
             });
         }
     });
-    let engine = handle.engine();
 
     // 5. The numbers the paper is about.
     let s = engine.stats();

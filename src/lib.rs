@@ -31,8 +31,8 @@
 //! );
 //!
 //! // Wrap any filter-then-verify method with the iGQ engine. The engine
-//! // is a shared service: `query` takes `&self`, and `into_handle()`
-//! // yields a cheap cloneable handle for fan-out across threads.
+//! // is a shared service: `query` takes `&self`, so an `Arc` fans it
+//! // out across threads.
 //! let method = Ggsx::build(&store, GgsxConfig::default());
 //! let config = IgqConfig::builder().build().expect("valid config");
 //! let engine = IgqEngine::new(method, config).expect("valid engine");
@@ -54,9 +54,9 @@ pub use igq_workload as workload;
 /// One-stop imports for examples and tests.
 pub mod prelude {
     pub use igq_core::{
-        CacheStore, ConfigError, DirStore, EngineHandle, IgqConfig, IgqEngine, IgqHandle,
-        IgqSuperEngine, IgqSuperHandle, ImportReport, MemStore, PersistError, PersistenceConfig,
-        QueryEngine, QueryOutcome, QueryRequest, QueryResponse, ReplacementPolicy,
+        CacheStore, ConfigError, DirStore, IgqConfig, IgqEngine, IgqSuperEngine, MemStore,
+        PersistError, PersistenceConfig, QueryEngine, QueryOutcome, QueryRequest, QueryResponse,
+        ReplacementPolicy,
     };
     pub use igq_features::PathConfig;
     pub use igq_graph::{

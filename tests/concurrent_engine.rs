@@ -1,18 +1,17 @@
-//! Concurrency tests for the shared-handle engine API.
+//! Concurrency tests for the shared engine API.
 //!
 //! The engines are `Send + Sync` services queried through `&self`; these
 //! tests drive one shared engine from many threads at once and hold it to
 //! the same oracle the sequential suites use:
 //!
-//! * **N-thread equivalence** — ≥ 4 threads share one [`IgqHandle`] and
+//! * **N-thread equivalence** — ≥ 4 threads share one `Arc`'d engine and
 //!   split a Zipf workload; *every* answer (the union across threads) must
 //!   equal the naive oracle's. Concurrency may change the accounting (who flips a window, who gets a cache hit)
 //!   but never an answer.
 //! * **Batch equivalence** — [`QueryEngine::query_batch`] returns
 //!   index-aligned outcomes identical in answers to a sequential loop.
-//! * **`Send + Sync` static assertions** for both engine directions and
-//!   their handles — a compile-time regression guard on the concurrency
-//!   contract.
+//! * **`Send + Sync` static assertions** for both engine directions — a
+//!   compile-time regression guard on the concurrency contract.
 
 mod common;
 
@@ -23,16 +22,13 @@ use igq::methods::TrieSupergraphMethod;
 use igq::prelude::*;
 use std::sync::Arc;
 
-/// Compile-time guard: both engine directions and their handles cross
-/// threads.
+/// Compile-time guard: both engine directions cross threads.
 #[test]
 fn engines_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<IgqEngine<Ggsx>>();
     assert_send_sync::<IgqEngine<NaiveMethod>>();
     assert_send_sync::<IgqSuperEngine>();
-    assert_send_sync::<IgqHandle<Ggsx>>();
-    assert_send_sync::<IgqSuperHandle>();
 }
 
 fn setup(seed: u64) -> (Arc<GraphStore>, Vec<Graph>) {
@@ -47,31 +43,29 @@ fn setup(seed: u64) -> (Arc<GraphStore>, Vec<Graph>) {
     (store, queries)
 }
 
-fn shared_engine(store: &Arc<GraphStore>, capacity: usize, window: usize) -> IgqHandle<Ggsx> {
+fn shared_engine(store: &Arc<GraphStore>, capacity: usize, window: usize) -> Arc<IgqEngine<Ggsx>> {
     let method = Ggsx::build(store, GgsxConfig::default());
     let config = IgqConfig::builder()
         .cache_capacity(capacity)
         .window(window)
         .build()
         .expect("valid config");
-    IgqEngine::new(method, config)
-        .expect("valid engine")
-        .into_handle()
+    Arc::new(IgqEngine::new(method, config).expect("valid engine"))
 }
 
 /// The core satellite requirement: N threads (≥ 4) hammer one shared
-/// handle; the union of their answers is identical to the sequential
+/// engine; the union of their answers is identical to the sequential
 /// oracle, per query.
 #[test]
 fn four_threads_shared_handle_match_oracle_in_all_modes() {
     let (store, queries) = setup(41);
     // Tiny cache + window maximize churn (evictions, window flips) while
     // the threads interleave.
-    let handle = shared_engine(&store, 12, 3);
+    let engine = shared_engine(&store, 12, 3);
     let n_threads = 4;
     std::thread::scope(|scope| {
         for t in 0..n_threads {
-            let h = handle.clone();
+            let h = Arc::clone(&engine);
             let store = &store;
             let queries = &queries;
             scope.spawn(move || {
@@ -89,9 +83,9 @@ fn four_threads_shared_handle_match_oracle_in_all_modes() {
             });
         }
     });
-    let stats = handle.stats();
+    let stats = engine.stats();
     assert_eq!(stats.queries, queries.len() as u64);
-    handle
+    engine
         .self_check()
         .unwrap_or_else(|e| panic!("invariants violated after concurrent run: {e}"));
 }
@@ -112,12 +106,10 @@ fn supergraph_shared_handle_matches_sequential_oracle() {
         .window(2)
         .build()
         .expect("valid config");
-    let handle = IgqSuperEngine::new(method, config)
-        .expect("valid engine")
-        .into_handle();
+    let engine = Arc::new(IgqSuperEngine::new(method, config).expect("valid engine"));
     std::thread::scope(|scope| {
         for t in 0..4 {
-            let h = handle.clone();
+            let h = Arc::clone(&engine);
             let queries = &queries;
             let truth = &truth;
             scope.spawn(move || {
@@ -131,7 +123,7 @@ fn supergraph_shared_handle_matches_sequential_oracle() {
             });
         }
     });
-    handle
+    engine
         .self_check()
         .expect("supergraph invariants after concurrent run");
 }
@@ -173,10 +165,10 @@ fn query_batch_equals_sequential_loop() {
 #[test]
 fn concurrent_skip_admission_requests_leave_no_trace() {
     let (store, queries) = setup(13);
-    let handle = shared_engine(&store, 16, 2);
+    let engine = shared_engine(&store, 16, 2);
     std::thread::scope(|scope| {
         for t in 0..4 {
-            let h = handle.clone();
+            let h = Arc::clone(&engine);
             let queries = &queries;
             let store = &store;
             scope.spawn(move || {
@@ -187,9 +179,9 @@ fn concurrent_skip_admission_requests_leave_no_trace() {
             });
         }
     });
-    handle.flush_window();
+    engine.flush_window();
     assert_eq!(
-        handle.cached_queries(),
+        engine.cached_queries(),
         0,
         "skip-admission queries must never be cached"
     );

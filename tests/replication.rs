@@ -6,7 +6,7 @@
 mod common;
 
 use common::{arb_graph, arb_store, oracle_answers, oracle_super_answers};
-use igq::core::{EngineStats, ReplicaError, ReplicaFeed, Resolution, Subscription};
+use igq::core::{ReplicaError, ReplicaFeed, Resolution, Subscription};
 use igq::iso::MatchConfig;
 use igq::methods::TrieSupergraphMethod;
 use igq::prelude::*;
@@ -240,21 +240,45 @@ fn resume_is_live_inside_ring_and_snapshot_beyond() {
     }
 }
 
-/// A follower's cache changes only by replaying the primary; local
-/// writes are rejected with a typed error.
+/// A follower's cache changes only by replaying the primary: local
+/// queries are answered exactly but never admitted, and the
+/// follower-only `install_snapshot` is refused on the primary.
 #[test]
 fn follower_rejects_local_writes() {
     let store = fixed_store();
     let (primary, follower, _feed) = sub_pair(&store, replica_config());
-    let entry = (graph_from(&[0, 1], &[(0, 1)]), vec![GraphId::new(0)]);
-    assert_eq!(
-        follower.import_entries(vec![entry.clone()]),
-        Err(ReplicaError::ReadOnly("import_entries"))
-    );
     assert!(follower.is_follower());
-    // The same call on the primary is ordinary seeding.
-    assert!(primary.import_entries(vec![entry]).is_ok());
+    let cached = follower.cached_queries();
+    for q in probe_queries() {
+        assert_eq!(follower.query(&q).answers, oracle_answers(&store, &q));
+    }
+    follower.flush_window();
+    assert_eq!(follower.cached_queries(), cached);
+    assert_eq!(
+        primary.install_snapshot(b"snapshot"),
+        Err(ReplicaError::NotFollower)
+    );
     assert!(!primary.is_follower());
+}
+
+/// Polls `done` until it holds, failing after a generous deadline.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting: {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Builds a GGSX follower engine over `store` from a snapshot.
+fn build_follower(store: &Arc<GraphStore>, config: IgqConfig) -> BuildFollower {
+    let store = Arc::clone(store);
+    Arc::new(move |snapshot: &[u8]| {
+        let method = Ggsx::build(&store, GgsxConfig::default());
+        let engine = IgqEngine::open_follower(method, config, snapshot)
+            .map_err(|e| format!("snapshot rejected: {e}"))?;
+        Ok(Arc::new(engine) as Arc<dyn QueryEngine>)
+    })
 }
 
 fn loopback() -> ServerConfig {
@@ -319,13 +343,7 @@ fn follower_serves_identical_answers_over_tcp() {
     );
     let primary = Server::spawn(Arc::clone(&primary_engine), loopback()).expect("bind primary");
 
-    let build_store = Arc::clone(&store);
-    let build: BuildFollower = Arc::new(move |snapshot: &[u8]| {
-        let method = Ggsx::build(&build_store, GgsxConfig::default());
-        let engine = IgqEngine::open_follower(method, config, snapshot)
-            .map_err(|e| format!("snapshot rejected: {e}"))?;
-        Ok(Arc::new(engine) as Arc<dyn QueryEngine>)
-    });
+    let build = build_follower(&store, config);
     let follower = Follower::connect(
         &primary.local_addr().to_string(),
         "test-replica",
@@ -347,11 +365,9 @@ fn follower_serves_identical_answers_over_tcp() {
         .collect();
 
     // Wait for the replica to catch up (pushed asynchronously).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while follower.engine().cached_queries() < primary_engine.cached_queries() {
-        assert!(Instant::now() < deadline, "replica did not catch up");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("replica catches up", || {
+        follower.engine().cached_queries() >= primary_engine.cached_queries()
+    });
 
     let mut rc = Client::connect(replica.local_addr(), "replica-reader").expect("connect replica");
     for (q, truth) in queries.iter().zip(&truths) {
@@ -375,52 +391,78 @@ fn follower_serves_identical_answers_over_tcp() {
     primary.shutdown();
 }
 
-/// A stub replica pinned at a fixed replication lag, for deterministic
-/// staleness-shed coverage.
-struct LaggedReplica {
-    inner: Arc<dyn QueryEngine>,
-}
+/// A primary restarts on the same address with no history. The
+/// follower's stream tears, the restarted primary cannot resume it and
+/// sends a snapshot, and the follower installs it in place: the same
+/// engine, its seq lower than before, its lifetime counters intact, its
+/// answers exact.
+#[test]
+fn follower_rebootstraps_in_place_from_a_restarted_primary() {
+    let store = fixed_store();
+    let config = replica_config();
+    let primary_engine = || {
+        Arc::new(
+            IgqEngine::new(Ggsx::build(&store, GgsxConfig::default()), config)
+                .expect("valid engine"),
+        )
+    };
+    let first = primary_engine();
+    let server = Server::spawn(Arc::clone(&first) as Arc<dyn QueryEngine>, loopback())
+        .expect("bind primary");
+    let addr = server.local_addr().to_string();
+    let build = build_follower(&store, config);
+    let follower = Follower::connect(&addr, "restart-test", build, Duration::from_secs(5))
+        .expect("bootstrap replica");
+    let served = follower.engine();
 
-impl QueryEngine for LaggedReplica {
-    fn query(&self, q: &Graph) -> igq::core::QueryOutcome {
-        self.inner.query(q)
+    let queries = probe_queries();
+    for q in &queries {
+        let _ = first.query(q);
     }
-    fn execute(&self, request: &QueryRequest) -> QueryResponse {
-        self.inner.execute(request)
+    let seq = first.stats().last_applied_seq;
+    wait_for("replica catches up", || {
+        served.stats().last_applied_seq == seq
+    });
+    for q in &queries {
+        let response = served.execute(&QueryRequest::new(q.clone()));
+        assert_eq!(response.answers(), oracle_answers(&store, q));
     }
-    fn query_batch(&self, queries: &[Graph]) -> Vec<igq::core::QueryOutcome> {
-        self.inner.query_batch(queries)
+    let before = served.stats();
+    assert_eq!(served.cached_queries(), queries.len());
+
+    // Restart: a fresh, empty primary on the same address. Its snapshot
+    // empties the replica's cache, which nothing else can do.
+    server.shutdown();
+    drop(first);
+    let second = primary_engine();
+    let config = ServerConfig {
+        addr: addr.clone(),
+        ..loopback()
+    };
+    let server =
+        Server::spawn(Arc::clone(&second) as Arc<dyn QueryEngine>, config).expect("rebind");
+    wait_for("replica re-bootstraps", || served.cached_queries() == 0);
+    for q in queries.iter().take(2) {
+        let _ = second.query(q);
     }
-    fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
-        self.inner.execute_batch(requests)
+    let seq = second.stats().last_applied_seq;
+    wait_for("replica follows the restarted primary", || {
+        served.stats().last_applied_seq == seq && served.replication_lag() == Some(0)
+    });
+
+    let after = served.stats();
+    assert!(after.last_applied_seq < before.last_applied_seq);
+    assert_eq!(served.cached_queries(), second.cached_queries());
+    assert!(served.is_follower());
+    assert!(after.queries >= before.queries);
+    assert!(after.requests_served >= before.requests_served);
+    assert!(after.replica_groups_applied > before.replica_groups_applied);
+    for q in &queries {
+        assert_eq!(served.query(q).answers, oracle_answers(&store, q));
     }
-    fn note_overload_rejection(&self) {
-        self.inner.note_overload_rejection()
-    }
-    fn stats(&self) -> EngineStats {
-        self.inner.stats()
-    }
-    fn config(&self) -> &IgqConfig {
-        self.inner.config()
-    }
-    fn cached_queries(&self) -> usize {
-        self.inner.cached_queries()
-    }
-    fn flush_window(&self) {
-        self.inner.flush_window()
-    }
-    fn checkpoint(&self) -> Result<(), PersistError> {
-        self.inner.checkpoint()
-    }
-    fn self_check(&self) -> Result<(), String> {
-        self.inner.self_check()
-    }
-    fn is_follower(&self) -> bool {
-        true
-    }
-    fn replication_lag(&self) -> Option<u64> {
-        Some(5)
-    }
+    served.self_check().expect("re-bootstrapped invariants");
+    follower.shutdown();
+    server.shutdown();
 }
 
 /// Bounded-staleness admission control: a replica lagging past the
@@ -429,11 +471,10 @@ impl QueryEngine for LaggedReplica {
 #[test]
 fn stale_replica_sheds_bounded_staleness_reads() {
     let store = fixed_store();
-    let inner: Arc<dyn QueryEngine> = Arc::new(
-        IgqEngine::new(Ggsx::build(&store, GgsxConfig::default()), replica_config())
-            .expect("valid engine"),
-    );
-    let engine: Arc<dyn QueryEngine> = Arc::new(LaggedReplica { inner });
+    let (_primary, follower, _feed) = sub_pair(&store, replica_config());
+    // Heard of flip 5, applied none: a follower pinned at lag 5.
+    follower.note_replica_heard(5);
+    let engine: Arc<dyn QueryEngine> = Arc::new(follower);
     let config = ServerConfig {
         retry_after: Duration::from_millis(7),
         ..loopback()
