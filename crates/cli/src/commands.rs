@@ -406,7 +406,6 @@ pub fn client(args: &[String]) -> CmdResult {
                 );
             }
         };
-        let mut retries = 0u64;
         if flags.contains_key("batch") {
             match c
                 .query_batch_opts(&graphs, deadline_ms, max_lag)
@@ -419,32 +418,6 @@ pub fn client(args: &[String]) -> CmdResult {
                 }
                 igq_server::BatchVerdict::Overloaded { .. } => overloaded = graphs.len(),
             }
-        } else if flags.contains_key("retry") {
-            // Jittered exponential backoff around sheds and torn
-            // connections; the server's retry_after_ms hint is a floor.
-            let mut rc = igq_server::ReconnectingClient::new(
-                addr.as_str(),
-                "igq-cli-retry",
-                std::time::Duration::from_secs(30),
-                igq_server::RetryPolicy::default(),
-            );
-            for (qid, q) in graphs.iter().enumerate() {
-                match rc
-                    .query_opts(q, deadline_ms, false, max_lag)
-                    .map_err(|e| format!("query {qid} failed: {e}"))?
-                {
-                    igq_server::QueryVerdict::Answered(r) => report(qid, &r),
-                    igq_server::QueryVerdict::Overloaded { retry_after_ms, .. } => {
-                        overloaded += 1;
-                        if verbose {
-                            println!(
-                                "q{qid}: still overloaded after retries ({retry_after_ms}ms hint)"
-                            );
-                        }
-                    }
-                }
-            }
-            retries = rc.retries();
         } else {
             for (qid, q) in graphs.iter().enumerate() {
                 match c
@@ -469,9 +442,6 @@ pub fn client(args: &[String]) -> CmdResult {
             total_tests,
             overloaded
         );
-        if retries > 0 {
-            println!("({retries} retries slept through under backoff)");
-        }
     }
 
     if flags.contains_key("stats") {

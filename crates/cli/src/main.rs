@@ -105,9 +105,6 @@ fn print_usage() {
                                          exceeds L window flips\n\
                      [--stats]           print the server's serving stats (incl.\n\
                                          replication, health, + codec counters)\n\
-                     [--retry]           retry overloaded/torn queries with\n\
-                                         jittered exponential backoff, honoring\n\
-                                         the server's retry_after_ms hint\n\
                      [--replica]         subscribe to the server's replication\n\
                                          stream and tail it until caught up\n\
                      [--from-seq <N>]    with --replica: resume after flip N\n\

@@ -160,7 +160,8 @@ pub trait QueryEngine: Send + Sync {
     /// count belongs with the engine's other totals.
     fn note_overload_rejection(&self);
 
-    /// Aggregate statistics so far (owned snapshot; lock-free).
+    /// Aggregate statistics so far: an owned copy of the engine's ledger,
+    /// in which every per-query counter covers the same finished queries.
     fn stats(&self) -> EngineStats;
 
     /// The engine configuration.
@@ -181,61 +182,36 @@ pub trait QueryEngine: Send + Sync {
     /// Verifies internal invariants and index/cache agreement.
     fn self_check(&self) -> Result<(), String>;
 
-    /// `true` if this engine is a read-only follower replica. Defaults to
-    /// `false` — only [`Engine::open_follower`] engines report otherwise.
-    fn is_follower(&self) -> bool {
-        false
-    }
+    /// `true` if this engine is a read-only follower replica.
+    fn is_follower(&self) -> bool;
 
     /// Follower staleness in window flips (highest flip heard from the
     /// primary minus last flip applied locally); `None` on a primary.
     /// A serving edge gates bounded-staleness reads on this.
-    fn replication_lag(&self) -> Option<u64> {
-        None
-    }
+    fn replication_lag(&self) -> Option<u64>;
 
     /// Subscribes a replica to this engine's committed window flips (see
-    /// [`Engine::subscribe_replication`]); `None` when the engine does
-    /// not support replication.
-    fn subscribe_replication(
-        &self,
-        from_seq: Option<u64>,
-    ) -> Option<crate::replicate::Subscription> {
-        let _ = from_seq;
-        None
-    }
+    /// [`Engine::subscribe_replication`]).
+    fn subscribe_replication(&self, from_seq: Option<u64>) -> crate::replicate::Subscription;
 
     /// Applies one replicated delta group to a follower (see
-    /// [`Engine::apply_replica_delta`]). Defaults to
-    /// [`ReplicaError::NotFollower`](crate::replicate::ReplicaError::NotFollower).
-    fn apply_replica_delta(&self, bytes: &[u8]) -> Result<u64, crate::replicate::ReplicaError> {
-        let _ = bytes;
-        Err(crate::replicate::ReplicaError::NotFollower)
-    }
+    /// [`Engine::apply_replica_delta`]).
+    fn apply_replica_delta(&self, bytes: &[u8]) -> Result<u64, crate::replicate::ReplicaError>;
 
     /// Records that the primary's stream has reached `seq` without
     /// applying it (heartbeats keep the staleness gauge honest while no
-    /// flips happen). No-op by default.
-    fn note_replica_heard(&self, seq: u64) {
-        let _ = seq;
-    }
+    /// flips happen).
+    fn note_replica_heard(&self, seq: u64);
 
     /// Promotes a read-only follower into a writable primary, bumping
     /// the failover epoch so any delta group the deposed primary still
     /// emits is fenced (see [`Engine::promote`]). Returns the new
-    /// epoch. Defaults to
-    /// [`ReplicaError::NotFollower`](crate::replicate::ReplicaError::NotFollower).
-    fn promote(&self) -> Result<u64, crate::replicate::ReplicaError> {
-        Err(crate::replicate::ReplicaError::NotFollower)
-    }
+    /// epoch.
+    fn promote(&self) -> Result<u64, crate::replicate::ReplicaError>;
 
     /// Re-bootstraps a follower in place from a primary's snapshot (see
-    /// [`Engine::install_snapshot`]). Returns the installed seq. Defaults
-    /// to [`ReplicaError::NotFollower`](crate::replicate::ReplicaError::NotFollower).
-    fn install_snapshot(&self, snapshot: &[u8]) -> Result<u64, crate::replicate::ReplicaError> {
-        let _ = snapshot;
-        Err(crate::replicate::ReplicaError::NotFollower)
-    }
+    /// [`Engine::install_snapshot`]). Returns the installed seq.
+    fn install_snapshot(&self, snapshot: &[u8]) -> Result<u64, crate::replicate::ReplicaError>;
 }
 
 impl<D: crate::direction::QueryDirection> QueryEngine for crate::engine::Engine<D> {
@@ -291,11 +267,8 @@ impl<D: crate::direction::QueryDirection> QueryEngine for crate::engine::Engine<
         Engine::replication_lag(self)
     }
 
-    fn subscribe_replication(
-        &self,
-        from_seq: Option<u64>,
-    ) -> Option<crate::replicate::Subscription> {
-        Some(Engine::subscribe_replication(self, from_seq))
+    fn subscribe_replication(&self, from_seq: Option<u64>) -> crate::replicate::Subscription {
+        Engine::subscribe_replication(self, from_seq)
     }
 
     fn apply_replica_delta(&self, bytes: &[u8]) -> Result<u64, crate::replicate::ReplicaError> {

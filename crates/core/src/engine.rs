@@ -30,8 +30,10 @@
 //! `query` takes `&self`: the engine is a shared service, `Send + Sync`,
 //! fanned out across threads through an `Arc`. All mutable state — the
 //! admission window, the cost model, the flip ordinal, the [`QueryCache`]
-//! and the live `Isub`/`Isuper` pair over it — sits behind **one** [`std::sync::RwLock`]; lifetime counters are
-//! lock-free atomics ([`crate::EngineStats`]). The expensive stages
+//! and the live `Isub`/`Isuper` pair over it — sits behind **one**
+//! [`std::sync::RwLock`]. The lifetime counters are one
+//! [`crate::EngineStats`] behind a leaf `Mutex`, which a query takes once,
+//! in `finish`, to fold its tallies. The expensive stages
 //! (canonicalization, feature extraction, the base filter, verification)
 //! run outside the lock. The index probes, the answer algebra and the
 //! metadata credit run under the write side, so every probed slot stays
@@ -83,7 +85,7 @@ use crate::isuper::IsuperIndex;
 use crate::outcome::{QueryOutcome, Resolution};
 use crate::persist::{self, CacheStore, PersistError};
 use crate::replicate::{DeltaGroup, ReplicaError, ReplicationHub, Subscription};
-use crate::stats::{AtomicEngineStats, EngineStats};
+use crate::stats::{EngineStats, QueryTally};
 use igq_features::{enumerate_paths, PathFeatures};
 use igq_graph::canon::{canonical_code, CanonicalCode, GraphSignature};
 use igq_graph::stats::DatasetStats;
@@ -136,13 +138,14 @@ impl State {
 
 /// One query's pass through the stages of [`Engine::run`]: its inputs,
 /// wall-time origin and canonical code (unless `canonical_code` declined
-/// it), and the outcome the stages fill in.
+/// it), and the outcome and tallies the stages fill in.
 struct QueryCtx<'q> {
     q: &'q Graph,
     opts: &'q QueryOptions,
     start: Instant,
     code: Option<CanonicalCode>,
     outcome: QueryOutcome,
+    tally: QueryTally,
 }
 
 /// Persistence control for a store-attached engine ([`Engine::open`]).
@@ -283,7 +286,9 @@ pub struct Engine<D: QueryDirection> {
     /// so it lives outside the state lock; entries are evicted alongside
     /// their queries via [`WindowDelta::evicted_codes`].
     plan_cache: PlanCache,
-    stats: AtomicEngineStats,
+    /// The lifetime counters: a leaf lock, never held across I/O or
+    /// while taking another lock. Written through [`Engine::tally`].
+    stats: Mutex<EngineStats>,
     _direction: PhantomData<fn() -> D>,
 }
 
@@ -345,9 +350,15 @@ impl<D: QueryDirection> Engine<D> {
             follower: AtomicBool::new(follower),
             epoch: AtomicU64::new(epoch),
             plan_cache: PlanCache::new(plan_capacity),
-            stats: AtomicEngineStats::default(),
+            stats: Mutex::default(),
             _direction: PhantomData,
         }
+    }
+
+    /// Writes the ledger: `f` runs under the stats lock, so it must only
+    /// update fields.
+    fn tally(&self, f: impl FnOnce(&mut EngineStats)) {
+        f(&mut self.stats.lock().expect(POISONED));
     }
 
     /// Takes the state lock's write side.
@@ -457,7 +468,7 @@ impl<D: QueryDirection> Engine<D> {
                 }
                 // Recovery rebuilds state; it is not maintenance work.
                 engine
-                    .replay_flip(st, &record, false)
+                    .replay_flip(st, &record)
                     .map_err(PersistError::Corrupt)?;
                 kept.push(record);
             }
@@ -488,7 +499,7 @@ impl<D: QueryDirection> Engine<D> {
         let replayed = kept.len() as u64;
         p.appends_since_checkpoint
             .store(replayed, Ordering::Relaxed);
-        engine.stats.set_recovery_replayed_windows(replayed);
+        engine.tally(|s| s.recovery_replayed_windows = replayed);
         Ok(engine)
     }
 
@@ -628,7 +639,7 @@ impl<D: QueryDirection> Engine<D> {
             let mut guard = self.lock_write();
             self.check_stream(epoch)?;
             self.epoch.store(epoch, Ordering::Relaxed);
-            self.stats.set_replica_position(seq);
+            self.tally(|s| s.set_position(seq));
             self.hub.reset();
             std::mem::replace(&mut *guard, st)
         };
@@ -704,7 +715,7 @@ impl<D: QueryDirection> Engine<D> {
             // the live ring, so the follower catches up over the stream
             // instead of re-transferring a full snapshot.
             if let Some(feed) = self.wal_backlog_feed(after) {
-                self.stats.count_replica_wal_catchup();
+                self.tally(|s| s.replica_wal_catchups += 1);
                 return Subscription::Live { feed };
             }
         }
@@ -789,7 +800,7 @@ impl<D: QueryDirection> Engine<D> {
             // promotion is rejected rather than applied to a now-writable
             // primary.
             self.check_stream(stream_epoch)?;
-            self.stats.note_replica_heard(seq);
+            self.tally(|s| s.note_heard(seq));
             if seq <= st.seq {
                 return Ok(st.seq);
             }
@@ -799,15 +810,21 @@ impl<D: QueryDirection> Engine<D> {
                     found: seq,
                 });
             }
-            self.replay_flip(st, &record, true)
+            let (postings, elapsed) = self
+                .replay_flip(st, &record)
                 .map_err(ReplicaError::Corrupt)?;
             self.epoch.store(stream_epoch, Ordering::Relaxed);
-            self.stats.set_last_applied_seq(seq);
+            self.tally(|s| {
+                s.note_applied(seq);
+                s.maintenance_postings_touched += postings;
+                s.maintenance_time += elapsed;
+                s.replica_groups_applied += 1;
+                s.replica_bytes_applied += bytes.len() as u64;
+            });
         }
         // Off the state locks: republish the same bytes for any chained
         // subscribers (a follower can itself feed further replicas).
         self.publish(seq, || Arc::from(bytes));
-        self.stats.record_replica_group_applied(bytes.len() as u64);
         Ok(seq)
     }
 
@@ -817,13 +834,13 @@ impl<D: QueryDirection> Engine<D> {
     /// recording engine's), its metadata table restored, evicted plans
     /// dropped, both indexes updated like a live flip, and the state's
     /// seq advanced to the record's. Seq, epoch and duplicate checks are
-    /// the caller's; `Err` means a corrupt record.
+    /// the caller's; `Err` means a corrupt record. Returns the index work
+    /// (postings touched, time) for the caller to record or not.
     fn replay_flip(
         &self,
         st: &mut State,
         record: &persist::WalRecord,
-        record_stats: bool,
-    ) -> Result<(), String> {
+    ) -> Result<(u64, Duration), String> {
         // Snapshot the evicted entries' codes *before* replay frees their
         // slots. (The recording engine's delta omits codes with a
         // surviving isomorphic duplicate; evicting those plans here too
@@ -852,9 +869,9 @@ impl<D: QueryDirection> Engine<D> {
         for code in &delta.evicted_codes {
             self.plan_cache.evict_key(code);
         }
-        self.apply_index_delta(st, &delta, record_stats);
+        let work = self.apply_index_delta(st, &delta);
         st.seq = record.seq;
-        Ok(())
+        Ok(work)
     }
 
     /// `true` if this engine is a read-only follower replica
@@ -895,11 +912,11 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Follower staleness in window flips — the highest flip heard from
     /// the primary's stream minus the last flip applied locally. `None`
-    /// on a primary. Cheap (two atomic loads): intended for per-request
-    /// bounded-staleness admission checks.
+    /// on a primary. Cheap (one short ledger read): intended for
+    /// per-request bounded-staleness admission checks.
     pub fn replication_lag(&self) -> Option<u64> {
         self.is_follower()
-            .then(|| self.stats.replication_lag_windows())
+            .then(|| self.stats.lock().expect(POISONED).replication_lag_windows)
     }
 
     /// Records that the primary's stream has reached `seq` without
@@ -907,7 +924,7 @@ impl<D: QueryDirection> Engine<D> {
     /// queued): the staleness gauge measures heard-vs-applied, so feeds
     /// should report both sides.
     pub fn note_replica_heard(&self, seq: u64) {
-        self.stats.note_replica_heard(seq);
+        self.tally(|s| s.note_heard(seq));
     }
 
     /// The wrapped method.
@@ -915,10 +932,11 @@ impl<D: QueryDirection> Engine<D> {
         &self.method
     }
 
-    /// Aggregate statistics so far (an owned snapshot, assembled from
-    /// lock-free atomics — safe to call from any thread at any time).
+    /// Aggregate statistics so far: an owned clone of the ledger, safe to
+    /// call from any thread at any time. Every per-query counter in it
+    /// covers the same set of finished queries.
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.stats.snapshot();
+        let mut stats = self.stats.lock().expect(POISONED).clone();
         // The plan cache's own counters are authoritative (they also see
         // index-probe lookups, which never flow through a
         // `VerifyBatchStats`); overlay them at snapshot time.
@@ -994,7 +1012,7 @@ impl<D: QueryDirection> Engine<D> {
         let start = Instant::now();
         let outcome = self.run(&request.graph, &request.options);
         let elapsed = start.elapsed();
-        self.stats.count_request_served();
+        self.tally(|s| s.requests_served += 1);
         let deadline_exceeded = request.options.deadline.is_some_and(|d| elapsed > d);
         QueryResponse {
             outcome,
@@ -1033,7 +1051,7 @@ impl<D: QueryDirection> Engine<D> {
     /// coalescing window through.
     pub fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
         if requests.len() >= 2 {
-            self.stats.count_batch_coalesced();
+            self.tally(|s| s.batches_coalesced += 1);
         }
         self.fan_out(requests, |r| self.execute(r))
     }
@@ -1043,7 +1061,7 @@ impl<D: QueryDirection> Engine<D> {
     /// edge, which owns the shed decision; the engine only keeps the
     /// ledger.
     pub fn note_overload_rejection(&self) {
-        self.stats.count_overload_rejection();
+        self.tally(|s| s.requests_rejected_overload += 1);
     }
 
     /// The shared pipeline behind [`query`](Engine::query) and
@@ -1070,14 +1088,18 @@ impl<D: QueryDirection> Engine<D> {
     fn canonicalize<'q>(&self, q: &'q Graph, opts: &'q QueryOptions) -> QueryCtx<'q> {
         let start = Instant::now();
         let code = canonical_code(q);
-        self.stats
-            .record_canonicalization(start.elapsed(), code.is_none());
+        let tally = QueryTally {
+            canonicalization_time: start.elapsed(),
+            canonical_code_declined: code.is_none(),
+            ..QueryTally::default()
+        };
         QueryCtx {
             q,
             opts,
             start,
             code,
             outcome: QueryOutcome::default(),
+            tally,
         }
     }
 
@@ -1119,7 +1141,7 @@ impl<D: QueryDirection> Engine<D> {
         let start = Instant::now();
         let qf = enumerate_paths(ctx.q, &self.config.path_config);
         ctx.outcome.igq_time = start.elapsed();
-        self.stats.count_feature_extraction();
+        ctx.tally.features_extracted = true;
         let start = Instant::now();
         let filtered = D::filter(&self.method, ctx.q, &qf);
         ctx.outcome.filter_time = start.elapsed();
@@ -1234,7 +1256,7 @@ impl<D: QueryDirection> Engine<D> {
         };
         let (results, batch_stats) =
             D::verify(&self.method, ctx.q, context, &pruned, Some(plan_source));
-        self.stats.record_verify_batch(&batch_stats);
+        ctx.tally.verify = batch_stats;
         let o = &mut ctx.outcome;
         o.db_iso_tests = pruned.len() as u64;
         o.aborted_tests = results.iter().filter(|r| r.aborted).count() as u64;
@@ -1253,7 +1275,8 @@ impl<D: QueryDirection> Engine<D> {
 
     /// The one epilogue of every resolution: admission and, on a full
     /// window, the flip under the write lock; the WAL drain and
-    /// auto-checkpoint off it; then wall time and lifetime stats.
+    /// auto-checkpoint off it; then wall time, and the query's one fold
+    /// into the ledger.
     fn finish(&self, ctx: QueryCtx<'_>) -> QueryOutcome {
         let mut outcome = ctx.outcome;
         // An exact hit is cached already. A query whose verification hit
@@ -1291,7 +1314,7 @@ impl<D: QueryDirection> Engine<D> {
             }
         }
         outcome.wall_time = ctx.start.elapsed();
-        self.stats.absorb(&outcome);
+        self.tally(|s| s.fold_query(&outcome, &ctx.tally));
         outcome
     }
 
@@ -1338,16 +1361,22 @@ impl<D: QueryDirection> Engine<D> {
         for code in &delta.evicted_codes {
             self.plan_cache.evict_key(code);
         }
-        self.stats.count_maintenance();
         self.capture_wal(st, &delta);
-        self.apply_index_delta(st, &delta, true);
+        let (postings, elapsed) = self.apply_index_delta(st, &delta);
+        self.tally(|s| {
+            s.maintenances += 1;
+            s.maintenance_postings_touched += postings;
+            s.maintenance_time += elapsed;
+            s.note_applied(st.seq);
+        });
     }
 
     /// Brings `Isub`/`Isuper` in line with the cache after `delta` was
-    /// applied to it; the caller holds the state write lock.
-    fn apply_index_delta(&self, st: &mut State, delta: &WindowDelta, record_stats: bool) {
+    /// applied to it; the caller holds the state write lock. Returns the
+    /// postings touched and the time it took.
+    fn apply_index_delta(&self, st: &mut State, delta: &WindowDelta) -> (u64, Duration) {
         if delta.is_empty() {
-            return;
+            return (0, Duration::ZERO);
         }
         let maint_start = Instant::now();
         let outcome = crate::maintain::apply_delta(
@@ -1357,10 +1386,7 @@ impl<D: QueryDirection> Engine<D> {
             &mut st.isub,
             &mut st.isuper,
         );
-        if record_stats {
-            self.stats
-                .record_maintenance_work(outcome.postings_touched, maint_start.elapsed());
-        }
+        (outcome.postings_touched, maint_start.elapsed())
     }
 
     /// Captures one window flip as a WAL record tagged with the flip's
@@ -1376,7 +1402,6 @@ impl<D: QueryDirection> Engine<D> {
             return;
         }
         st.seq += 1;
-        self.stats.set_last_applied_seq(st.seq);
         let record = persist::WalRecord {
             seq: st.seq,
             evicted: delta.evicted.clone(),
@@ -1452,7 +1477,7 @@ impl<D: QueryDirection> Engine<D> {
                 seq,
                 bytes: bytes(),
             });
-            self.stats.count_replica_group_published();
+            self.tally(|s| s.replica_groups_published += 1);
         }
     }
 
@@ -1471,7 +1496,7 @@ impl<D: QueryDirection> Engine<D> {
         p.retry_strikes.store(1, Ordering::Relaxed);
         *p.retry_not_before.lock().expect(POISONED) = Some(Instant::now() + WAL_RETRY_FLOOR);
         p.degraded.store(true, Ordering::Relaxed);
-        self.stats.count_wal_retry_failure();
+        self.tally(|s| s.wal_retry_failures += 1);
     }
 
     /// One backoff-gated retry round over the quarantine: repair the
@@ -1498,7 +1523,7 @@ impl<D: QueryDirection> Engine<D> {
                 .min(WAL_RETRY_CEIL);
             *p.retry_not_before.lock().expect(POISONED) = Some(Instant::now() + backoff);
             *p.degraded_reason.lock().expect(POISONED) = format!("WAL retry failed: {e}");
-            self.stats.count_wal_retry_failure();
+            self.tally(|s| s.wal_retry_failures += 1);
         };
         // Tail repair: a failed append may have left a partial record at
         // the end of the log. Rewriting the log minus the torn bytes
@@ -1535,7 +1560,10 @@ impl<D: QueryDirection> Engine<D> {
                     .push_front((seq, bytes));
                 return Err(e);
             }
-            self.stats.count_wal_append(bytes.len() as u64);
+            self.tally(|s| {
+                s.wal_appends += 1;
+                s.wal_bytes_appended += bytes.len() as u64;
+            });
             p.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
             *appended += 1;
         }
@@ -1662,15 +1690,18 @@ impl<D: QueryDirection> Engine<D> {
                     // so durability is current up to `seq`; the rest stays
                     // quarantined for the next retry.
                     *p.degraded_reason.lock().expect(POISONED) = format!("WAL retry failed: {e}");
-                    self.stats.count_wal_retry_failure();
+                    self.tally(|s| s.wal_retry_failures += 1);
                 }
             }
             kept
         };
         p.appends_since_checkpoint
             .store(kept_len, Ordering::Relaxed);
-        self.stats
-            .record_checkpoint(start.elapsed(), bytes.len() as u64);
+        let elapsed = start.elapsed();
+        self.tally(|s| {
+            s.checkpoint_time += elapsed;
+            s.checkpoint_bytes_written += bytes.len() as u64;
+        });
         Ok(())
     }
 
@@ -1911,13 +1942,13 @@ fn credit_hits<D: QueryDirection>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use igq_graph::{graph_from, GraphStore};
     use igq_methods::{Ggsx, GgsxConfig, NaiveMethod, SubgraphMethod};
     use std::sync::Arc;
 
-    fn store() -> Arc<GraphStore> {
+    pub(crate) fn store() -> Arc<GraphStore> {
         Arc::new(
             vec![
                 graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]),            // g0
@@ -2345,7 +2376,10 @@ mod tests {
         assert_eq!(e.stats().queries, queries.len() as u64);
     }
 
-    fn open_engine(s: &Arc<GraphStore>, store: &Arc<crate::MemStore>) -> IgqEngine<Ggsx> {
+    pub(crate) fn open_engine(
+        s: &Arc<GraphStore>,
+        store: &Arc<crate::MemStore>,
+    ) -> IgqEngine<Ggsx> {
         let method = Ggsx::build(s, GgsxConfig::default());
         IgqEngine::open(
             method,
@@ -2577,7 +2611,7 @@ mod tests {
         assert!(parsed_wal.len() < 2048, "compacted WAL stays small");
     }
 
-    fn replication_queries() -> Vec<Graph> {
+    pub(crate) fn replication_queries() -> Vec<Graph> {
         vec![
             graph_from(&[0, 1], &[(0, 1)]),
             graph_from(&[2, 2], &[(0, 1)]),
@@ -2609,7 +2643,7 @@ mod tests {
         IgqEngine::open_follower(method, replica_config(), snapshot).expect("valid follower")
     }
 
-    fn replication_pair() -> (IgqEngine<Ggsx>, IgqEngine<Ggsx>, crate::ReplicaFeed) {
+    pub(crate) fn replication_pair() -> (IgqEngine<Ggsx>, IgqEngine<Ggsx>, crate::ReplicaFeed) {
         let method = Ggsx::build(&store(), GgsxConfig::default());
         let primary = IgqEngine::new(method, replica_config()).expect("valid primary");
         let (checkpoint, feed) = snapshot_of(&primary);

@@ -1118,6 +1118,66 @@ fn frame_bin(tag: u8, payload: &[u8]) -> Vec<u8> {
 /// Bytes of the frame header preceding each binary WAL payload.
 const BFRAME_HEADER: usize = 13;
 
+/// One complete frame of a binary stream, as [`frames`] yields it.
+struct Frame<'a> {
+    tag: u8,
+    /// The whole frame, header included.
+    raw: &'a [u8],
+    /// Whether the frame ends the stream.
+    last: bool,
+}
+
+impl<'a> Frame<'a> {
+    fn payload(&self) -> &'a [u8] {
+        &self.raw[BFRAME_HEADER..]
+    }
+
+    /// The payload, or the checksum in the frame header and the
+    /// payload's own when they differ.
+    fn checked_payload(&self) -> Result<&'a [u8], (u64, u64)> {
+        let expected = u64::from_le_bytes(self.raw[5..13].try_into().expect("8 bytes"));
+        let found = fnv1a64(self.payload());
+        if found != expected {
+            return Err((expected, found));
+        }
+        Ok(self.payload())
+    }
+}
+
+/// The stream ends inside a frame (a torn tail): inside its header
+/// (`tag` unknown) or inside the payload of a frame tagged `tag`.
+struct Torn {
+    tag: Option<u8>,
+}
+
+/// Walks the frames of a binary stream whose magic is already stripped:
+/// complete frames in order, then `Err(Torn)` if the stream ends inside
+/// one. Checksums are checked on request, so each caller keeps its own
+/// policy for damage and torn tails.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = Result<Frame<'_>, Torn>> {
+    let mut rest = bytes;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let frame = rest.get(..BFRAME_HEADER).map_or(Err(None), |h| {
+            let len = u32::from_le_bytes(h[1..5].try_into().expect("4 bytes")) as usize;
+            rest.get(..BFRAME_HEADER + len).ok_or(Some(h[0]))
+        });
+        match frame {
+            Ok(raw) => {
+                rest = &rest[raw.len()..];
+                let (tag, last) = (raw[0], rest.is_empty());
+                Some(Ok(Frame { tag, raw, last }))
+            }
+            Err(tag) => {
+                rest = &[];
+                Some(Err(Torn { tag }))
+            }
+        }
+    })
+}
+
 /// Encodes the stream prefix: the WAL magic plus the header frame binding
 /// the log to an engine identity.
 fn encode_wal_header(h: &WalHeader) -> Vec<u8> {
@@ -1244,37 +1304,26 @@ pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
     let mut header = None;
     let mut records = Vec::new();
     let mut torn_tail = false;
-    let mut pos = 0usize;
-    let mut index = 0usize;
-    while pos < bytes.len() {
-        let rem = bytes.len() - pos;
-        if rem < BFRAME_HEADER {
+    for (index, frame) in frames(bytes).enumerate() {
+        let Ok(frame) = frame else {
             torn_tail = true;
             break;
-        }
-        let tag = bytes[pos];
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-        let expected = u64::from_le_bytes(bytes[pos + 5..pos + 13].try_into().expect("8 bytes"));
-        let start = pos + BFRAME_HEADER;
-        if rem - BFRAME_HEADER < len {
-            torn_tail = true;
-            break;
-        }
-        let payload = &bytes[start..start + len];
-        let is_last = start + len == bytes.len();
-        let found = fnv1a64(payload);
-        if found != expected {
-            if is_last {
+        };
+        let payload = match frame.checked_payload() {
+            Ok(payload) => payload,
+            Err(_) if frame.last => {
                 torn_tail = true;
                 break;
             }
-            return Err(PersistError::Corrupt(format!(
-                "WAL frame {} damaged mid-log: checksum mismatch \
-                 ({expected:016x} vs {found:016x})",
-                index + 1
-            )));
-        }
-        match tag {
+            Err((expected, found)) => {
+                return Err(PersistError::Corrupt(format!(
+                    "WAL frame {} damaged mid-log: checksum mismatch \
+                     ({expected:016x} vs {found:016x})",
+                    index + 1
+                )));
+            }
+        };
+        match frame.tag {
             b'H' => {
                 if index != 0 {
                     return Err(PersistError::Corrupt(
@@ -1290,7 +1339,7 @@ pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
                 check_record_layout(payload)?;
                 match record_from_bin(payload) {
                     Ok(r) => records.push(r),
-                    Err(_) if is_last => torn_tail = true,
+                    Err(_) if frame.last => torn_tail = true,
                     Err(reason) => {
                         return Err(PersistError::Corrupt(format!(
                             "WAL frame {} damaged mid-log: {reason}",
@@ -1305,8 +1354,6 @@ pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
                 )));
             }
         }
-        pos = start + len;
-        index += 1;
     }
     if header.is_none() && (!records.is_empty() || !torn_tail) {
         return Err(PersistError::Corrupt("WAL has no header record".into()));
@@ -1329,27 +1376,16 @@ pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
 pub(crate) fn compact_wal(bytes: &[u8], keep_after: u64, header: &WalHeader) -> (Vec<u8>, u64) {
     let mut out = encode_wal_header(header);
     let mut kept = 0u64;
-    let frames = bytes.strip_prefix(BWAL_MAGIC).unwrap_or(&[]);
-    let mut pos = 0usize;
-    while pos < frames.len() {
-        let rem = frames.len() - pos;
-        if rem < BFRAME_HEADER {
-            break; // torn final append; checkpoint covers its flip
-        }
-        let len =
-            u32::from_le_bytes(frames[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-        if rem - BFRAME_HEADER < len {
-            break; // torn final append
-        }
-        let frame = &frames[pos..pos + BFRAME_HEADER + len];
-        pos += BFRAME_HEADER + len;
-        if frame[0] != b'R' {
+    let stream = bytes.strip_prefix(BWAL_MAGIC).unwrap_or(&[]);
+    // A torn final append ends the walk; the checkpoint covers its flip.
+    for frame in frames(stream).map_while(Result::ok) {
+        if frame.tag != b'R' {
             continue; // old header
         }
-        match Reader::new(&frame[BFRAME_HEADER..]).varint() {
+        match Reader::new(frame.payload()).varint() {
             Ok(seq) if seq <= keep_after => {}
             _ => {
-                out.extend_from_slice(frame);
+                out.extend_from_slice(frame.raw);
                 kept += 1;
             }
         }
@@ -1400,34 +1436,29 @@ pub(crate) fn encode_group_binary(record: &WalRecord, epoch: u64) -> Vec<u8> {
 pub(crate) fn decode_group_binary(bytes: &[u8]) -> Result<(u64, WalRecord), PersistError> {
     let mut epoch = 0u64;
     let mut record = None;
-    let mut pos = 0usize;
-    let mut index = 0usize;
-    while pos < bytes.len() {
-        let rem = bytes.len() - pos;
-        if rem < BFRAME_HEADER {
-            return Err(PersistError::Corrupt(
-                "delta group ends in a truncated frame header".into(),
-            ));
-        }
-        let tag = bytes[pos];
+    for (index, frame) in frames(bytes).enumerate() {
+        let tag = match &frame {
+            Ok(f) => f.tag,
+            Err(Torn { tag: Some(tag) }) => *tag,
+            Err(Torn { tag: None }) => {
+                return Err(PersistError::Corrupt(
+                    "delta group ends in a truncated frame header".into(),
+                ));
+            }
+        };
         if tag != b'R' && !(tag == b'E' && index == 0) {
             return Err(PersistError::Corrupt(format!(
                 "unexpected delta-group frame tag {tag:#04x}"
             )));
         }
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-        let expected = u64::from_le_bytes(bytes[pos + 5..pos + 13].try_into().expect("8 bytes"));
-        let start = pos + BFRAME_HEADER;
-        if rem - BFRAME_HEADER < len {
+        let Ok(frame) = frame else {
             return Err(PersistError::Corrupt(
                 "delta group ends in a truncated frame payload".into(),
             ));
-        }
-        let payload = &bytes[start..start + len];
-        let found = fnv1a64(payload);
-        if found != expected {
-            return Err(PersistError::Checksum { expected, found });
-        }
+        };
+        let payload = frame
+            .checked_payload()
+            .map_err(|(expected, found)| PersistError::Checksum { expected, found })?;
         if tag == b'E' {
             let mut r = Reader::new(payload);
             epoch = r
@@ -1448,8 +1479,6 @@ pub(crate) fn decode_group_binary(bytes: &[u8]) -> Result<(u64, WalRecord), Pers
                     .map_err(|m| PersistError::Corrupt(format!("delta-group record: {m}")))?,
             );
         }
-        pos = start + len;
-        index += 1;
     }
     let record = record.ok_or_else(|| PersistError::Corrupt("empty delta group".into()))?;
     Ok((epoch, record))
@@ -2019,11 +2048,22 @@ mod tests {
         assert_eq!(back.evicted, vec![0]);
 
         // Replication is strict: truncation anywhere is an error, not a
-        // tolerated torn tail...
-        assert!(matches!(
-            decode_group_binary(&bytes[..bytes.len() - 3]),
-            Err(PersistError::Corrupt(_))
-        ));
+        // tolerated torn tail, and a bad tag is named before truncation...
+        let corrupt = |b: &[u8]| match decode_group_binary(b) {
+            Err(PersistError::Corrupt(m)) => m,
+            other => panic!("expected corruption, got {other:?}"),
+        };
+        let torn = &bytes[..bytes.len() - 3];
+        assert_eq!(
+            corrupt(torn),
+            "delta group ends in a truncated frame payload"
+        );
+        assert_eq!(
+            corrupt(&bytes[..5]),
+            "delta group ends in a truncated frame header"
+        );
+        let retagged = [b"X", &torn[1..]].concat();
+        assert_eq!(corrupt(&retagged), "unexpected delta-group frame tag 0x58");
         // ...as is a flipped payload bit (checksum)...
         let mut flipped = bytes.clone();
         let at = flipped.len() - 2;

@@ -421,210 +421,3 @@ impl ReplicaSubscriber {
         }
     }
 }
-
-/// Jittered exponential retry/backoff for client calls: how many times
-/// to retry an [`Overloaded`](QueryVerdict::Overloaded) shed or a broken
-/// connection, and how long to sleep between attempts. The sleep honors
-/// the server's `retry_after_ms` hint when one arrives (taking the max
-/// of hint and schedule — the hint is a floor, not a cap), and adds
-/// deterministic jitter (seeded xorshift) so a thundering herd of
-/// identical clients decorrelates without making test runs flaky.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Attempts beyond the first (0 = fail fast, the old behavior).
-    pub max_retries: u32,
-    /// First backoff; doubles per retry.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-    /// Jitter fraction in `[0, 1]`: each sleep is scaled by a uniform
-    /// factor from `[1 - jitter, 1]`.
-    pub jitter: f64,
-    /// Seed for the jitter stream (same seed → same schedule).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 5,
-            base: Duration::from_millis(25),
-            cap: Duration::from_secs(2),
-            jitter: 0.5,
-            seed: 0x1975_0604,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The sleep before retry number `attempt` (0-based), folding in the
-    /// server's `retry_after_ms` hint if any.
-    fn backoff(&self, attempt: u32, hint_ms: Option<u64>, rng: &mut u64) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-            .min(self.cap);
-        let jittered = {
-            let mut x = *rng;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *rng = x;
-            let unit = (x >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-            let scale = 1.0 - self.jitter.clamp(0.0, 1.0) * unit;
-            exp.mul_f64(scale)
-        };
-        match hint_ms {
-            Some(ms) => jittered.max(Duration::from_millis(ms)),
-            None => jittered,
-        }
-    }
-}
-
-/// A [`Client`] that survives sheds and dead connections: each call runs
-/// under a [`RetryPolicy`], reconnecting (with the same backoff
-/// schedule) when the transport breaks and re-sending after an
-/// `overloaded` shed. Server-reported typed errors and protocol
-/// violations are **not** retried — they are deterministic, so a retry
-/// would just repeat them.
-pub struct ReconnectingClient {
-    addr: String,
-    name: String,
-    io_timeout: Duration,
-    policy: RetryPolicy,
-    rng: u64,
-    conn: Option<Client>,
-    /// Cumulative retries actually slept through (observability).
-    retries: u64,
-}
-
-impl ReconnectingClient {
-    /// Creates the wrapper; the first connection is established lazily on
-    /// the first call (and re-established after any transport failure).
-    pub fn new(addr: &str, name: &str, io_timeout: Duration, policy: RetryPolicy) -> Self {
-        ReconnectingClient {
-            addr: addr.to_owned(),
-            name: name.to_owned(),
-            io_timeout,
-            rng: policy.seed.max(1),
-            policy,
-            conn: None,
-            retries: 0,
-        }
-    }
-
-    /// Total retries slept through so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    fn conn(&mut self) -> Result<&mut Client, ClientError> {
-        match self.conn {
-            Some(ref mut c) => Ok(c),
-            None => {
-                let c =
-                    Client::connect_with_timeout(self.addr.as_str(), &self.name, self.io_timeout)?;
-                Ok(self.conn.insert(c))
-            }
-        }
-    }
-
-    /// Runs one query under the retry policy (see [`Client::query_opts`]
-    /// for the option semantics). Returns the last verdict when the
-    /// budget runs out while still overloaded.
-    pub fn query_opts(
-        &mut self,
-        graph: &Graph,
-        deadline_ms: Option<u64>,
-        skip_admission: bool,
-        max_lag: Option<u64>,
-    ) -> Result<QueryVerdict, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self
-                .conn()
-                .and_then(|c| c.query_opts(graph, deadline_ms, skip_admission, max_lag));
-            let hint = match outcome {
-                Ok(QueryVerdict::Overloaded { retry_after_ms, .. })
-                    if attempt < self.policy.max_retries =>
-                {
-                    Some(retry_after_ms)
-                }
-                Ok(v) => return Ok(v),
-                Err(ClientError::Wire(_) | ClientError::UnexpectedReply(_))
-                    if attempt < self.policy.max_retries =>
-                {
-                    // The connection state is unknown mid-call: drop it
-                    // and redial after the backoff. (Queries are
-                    // idempotent reads, so a re-send is always safe.)
-                    self.conn = None;
-                    None
-                }
-                Err(e) => return Err(e),
-            };
-            std::thread::sleep(self.policy.backoff(attempt, hint, &mut self.rng));
-            self.retries += 1;
-            attempt += 1;
-        }
-    }
-
-    /// Runs one query with default options under the retry policy.
-    pub fn query(&mut self, graph: &Graph) -> Result<QueryVerdict, ClientError> {
-        self.query_opts(graph, None, false, None)
-    }
-
-    /// Fetches serving stats under the retry policy (reconnects on
-    /// transport failure; stats are never shed).
-    pub fn stats(&mut self) -> Result<ServingStats, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.conn().and_then(|c| c.stats()) {
-                Ok(s) => return Ok(s),
-                Err(ClientError::Wire(_) | ClientError::UnexpectedReply(_))
-                    if attempt < self.policy.max_retries =>
-                {
-                    self.conn = None;
-                }
-                Err(e) => return Err(e),
-            }
-            std::thread::sleep(self.policy.backoff(attempt, None, &mut self.rng));
-            self.retries += 1;
-            attempt += 1;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_doubles_caps_and_honors_the_hint() {
-        let p = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        let mut rng = 1;
-        assert_eq!(p.backoff(0, None, &mut rng), Duration::from_millis(25));
-        assert_eq!(p.backoff(1, None, &mut rng), Duration::from_millis(50));
-        assert_eq!(p.backoff(10, None, &mut rng), Duration::from_secs(2));
-        // The server hint is a floor.
-        assert_eq!(
-            p.backoff(0, Some(400), &mut rng),
-            Duration::from_millis(400)
-        );
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed_and_bounded() {
-        let p = RetryPolicy::default();
-        let (mut a, mut b) = (p.seed, p.seed);
-        for attempt in 0..8 {
-            let da = p.backoff(attempt, None, &mut a);
-            let db = p.backoff(attempt, None, &mut b);
-            assert_eq!(da, db, "same seed, same schedule");
-            let full = p.base.saturating_mul(1 << attempt).min(p.cap);
-            assert!(da <= full && da >= full.mul_f64(1.0 - p.jitter));
-        }
-    }
-}

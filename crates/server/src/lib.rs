@@ -65,8 +65,8 @@ pub mod server;
 
 pub use batcher::Batcher;
 pub use client::{
-    BatchVerdict, Client, ClientError, QueryVerdict, ReconnectingClient, ReplicaEvent,
-    ReplicaSubscriber, RetryPolicy, SubscribeStart,
+    BatchVerdict, Client, ClientError, QueryVerdict, ReplicaEvent, ReplicaSubscriber,
+    SubscribeStart,
 };
 pub use protocol::{
     Reply, Request, ServingStats, WireError, WireResult, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,

@@ -126,7 +126,6 @@ impl Default for FailoverPolicy {
 pub struct Follower {
     engine: Arc<dyn QueryEngine>,
     stop: Arc<AtomicBool>,
-    promoted: Arc<AtomicBool>,
     feed: Option<JoinHandle<()>>,
 }
 
@@ -142,7 +141,6 @@ struct FeedCtx {
     io_timeout: Duration,
     policy: FailoverPolicy,
     stop: Arc<AtomicBool>,
-    promoted: Arc<AtomicBool>,
 }
 
 impl Follower {
@@ -193,7 +191,6 @@ impl Follower {
                 Ok((engine, subscriber)) => {
                     let _ = subscriber.set_read_timeout(Some(policy.heartbeat_timeout));
                     let stop = Arc::new(AtomicBool::new(false));
-                    let promoted = Arc::new(AtomicBool::new(false));
                     let ctx = FeedCtx {
                         engine: Arc::clone(&engine),
                         addrs: addrs.to_vec(),
@@ -202,7 +199,6 @@ impl Follower {
                         io_timeout,
                         policy,
                         stop: Arc::clone(&stop),
-                        promoted: Arc::clone(&promoted),
                     };
                     let feed = std::thread::Builder::new()
                         .name("igq-replica-feed".into())
@@ -213,7 +209,6 @@ impl Follower {
                     return Ok(Follower {
                         engine,
                         stop,
-                        promoted,
                         feed: Some(feed),
                     });
                 }
@@ -247,11 +242,11 @@ impl Follower {
         Arc::clone(&self.engine)
     }
 
-    /// `true` once the failover policy promoted this follower to a
-    /// writable primary (the feed thread has ended; the served engine now
-    /// admits queries and publishes deltas under a new epoch).
+    /// `true` once the served engine is no longer a follower: the
+    /// failover policy promoted it (and the feed thread has ended), so it
+    /// admits queries and publishes deltas under a new epoch.
     pub fn promoted(&self) -> bool {
-        self.promoted.load(Ordering::Acquire)
+        !self.engine.is_follower()
     }
 
     /// Stops the feed thread and joins it. Idempotent; also runs on drop.
@@ -362,7 +357,6 @@ fn reconnect(ctx: &mut FeedCtx, from_seq: Option<u64>) -> Option<ReplicaSubscrib
                             eprintln!("igq-replica: promotion skipped ({err}); feed ending")
                         }
                     }
-                    ctx.promoted.store(true, Ordering::Release);
                     return None;
                 }
                 std::thread::sleep(backoff);
@@ -413,8 +407,8 @@ mod tests {
             ..Default::default()
         };
         let snapshot = |e: &dyn QueryEngine| match e.subscribe_replication(None) {
-            Some(Subscription::Snapshot { checkpoint, .. }) => checkpoint,
-            _ => unreachable!("a fresh subscriber gets a snapshot"),
+            Subscription::Snapshot { checkpoint, .. } => checkpoint,
+            Subscription::Live { .. } => unreachable!("a fresh subscriber gets a snapshot"),
         };
         let follower_of = |snapshot: &[u8]| -> Arc<dyn QueryEngine> {
             let method = Ggsx::build(&store, GgsxConfig::default());
@@ -445,7 +439,6 @@ mod tests {
             io_timeout: Duration::from_secs(5),
             policy: FailoverPolicy::default(),
             stop: Arc::default(),
-            promoted: Arc::default(),
         };
 
         // The deposed primary cannot resume after flip 2: it sends a snapshot.

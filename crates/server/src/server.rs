@@ -540,12 +540,7 @@ const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);
 /// `heartbeat`s on idle gaps. Returns when the peer stops taking writes,
 /// the engine drops the feed, or the server stops.
 fn serve_subscription(from_seq: Option<u64>, writer: &mut TcpStream, shared: &Shared) {
-    let Some(sub) = shared.engine.subscribe_replication(from_seq) else {
-        let e = WireError::Protocol("engine does not publish a replication stream".into());
-        let _ = write_frame(writer, &Reply::error(&e));
-        return;
-    };
-    let (mut last_seq, feed) = match sub {
+    let (mut last_seq, feed) = match shared.engine.subscribe_replication(from_seq) {
         Subscription::Live { feed } => {
             let resume_from = from_seq.unwrap_or(0);
             if write_frame(writer, &Reply::SubscribeOk { resume_from }).is_err() {

@@ -8,6 +8,8 @@
 //!   split a Zipf workload; *every* answer (the union across threads) must
 //!   equal the naive oracle's. Concurrency may change the accounting (who flips a window, who gets a cache hit)
 //!   but never an answer.
+//! * **Consistent stats** — a snapshot taken while queries run counts
+//!   the same finished queries in every per-query counter.
 //! * **Batch equivalence** — [`QueryEngine::query_batch`] returns
 //!   index-aligned outcomes identical in answers to a sequential loop.
 //! * **`Send + Sync` static assertions** for both engine directions — a
@@ -20,6 +22,7 @@ use igq::features::PathConfig;
 use igq::iso::MatchConfig;
 use igq::methods::TrieSupergraphMethod;
 use igq::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Compile-time guard: both engine directions cross threads.
@@ -63,31 +66,78 @@ fn four_threads_shared_handle_match_oracle_in_all_modes() {
     // the threads interleave.
     let engine = shared_engine(&store, 12, 3);
     let n_threads = 4;
-    std::thread::scope(|scope| {
-        for t in 0..n_threads {
-            let h = Arc::clone(&engine);
-            let store = &store;
-            let queries = &queries;
-            scope.spawn(move || {
-                // Interleaved partition: thread t takes queries
-                // t, t+N, t+2N, ... so hot repeats collide across
-                // threads rather than staying thread-local.
-                for q in queries.iter().skip(t).step_by(n_threads) {
-                    let out = h.query(q);
-                    assert_eq!(
-                        out.answers,
-                        oracle_answers(store, q),
-                        "concurrent answer diverged for {q:?}"
-                    );
-                }
-            });
-        }
+    let tests: u64 = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n_threads)
+            .map(|t| {
+                let h = Arc::clone(&engine);
+                let store = &store;
+                let queries = &queries;
+                scope.spawn(move || {
+                    // Interleaved partition: thread t takes queries
+                    // t, t+N, t+2N, ... so hot repeats collide across
+                    // threads rather than staying thread-local.
+                    let mut tests = 0;
+                    for q in queries.iter().skip(t).step_by(n_threads) {
+                        let out = h.query(q);
+                        assert_eq!(
+                            out.answers,
+                            oracle_answers(store, q),
+                            "concurrent answer diverged for {q:?}"
+                        );
+                        tests += out.db_iso_tests;
+                    }
+                    tests
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker")).sum()
     });
     let stats = engine.stats();
     assert_eq!(stats.queries, queries.len() as u64);
+    assert_eq!(stats.db_iso_tests, tests, "ledger vs the outcomes returned");
     engine
         .self_check()
         .unwrap_or_else(|e| panic!("invariants violated after concurrent run: {e}"));
+}
+
+/// Four threads query one engine while a fifth snapshots `stats()` in a
+/// loop: every snapshot is a cut over finished queries, so no per-query
+/// counter runs ahead of `queries` and pruning never exceeds the
+/// candidates it started from.
+#[test]
+fn stats_snapshots_are_consistent_cuts_under_concurrent_queries() {
+    let (store, queries) = setup(23);
+    let engine = shared_engine(&store, 12, 3);
+    let running = AtomicUsize::new(4);
+    let snapshots = std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (engine, queries, running) = (&engine, &queries, &running);
+            scope.spawn(move || {
+                for q in queries
+                    .iter()
+                    .cycle()
+                    .skip(t)
+                    .step_by(4)
+                    .take(2 * queries.len() / 4)
+                {
+                    let _ = engine.query(q);
+                }
+                running.fetch_sub(1, Ordering::Release);
+            });
+        }
+        let mut snapshots = 0u64;
+        while running.load(Ordering::Acquire) > 0 {
+            let s = engine.stats();
+            assert!(s.feature_extractions <= s.queries, "{s:?}");
+            assert!(s.canonical_code_budget_misses <= s.queries, "{s:?}");
+            assert!(s.exact_hits + s.empty_shortcuts <= s.queries, "{s:?}");
+            assert!(s.candidates_after <= s.candidates_before, "{s:?}");
+            snapshots += 1;
+        }
+        snapshots
+    });
+    assert!(snapshots > 0);
+    assert_eq!(engine.stats().queries, 2 * queries.len() as u64);
 }
 
 /// Concurrent supergraph queries through the unified pipeline.
