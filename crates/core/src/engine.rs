@@ -30,7 +30,7 @@
 //! `query` takes `&self`: the engine is a shared service, `Send + Sync`,
 //! fanned out across threads through an `Arc`. All mutable state — the
 //! admission window, the cost model, the flip ordinal, the [`QueryCache`]
-//! and the live `Isub`/`Isuper` pair over it — sits behind **one**
+//! and the live query index (`Isub` and `Isuper`) over it — sits behind **one**
 //! [`std::sync::RwLock`]. The lifetime counters are one
 //! [`crate::EngineStats`] behind a leaf `Mutex`, which a query takes once,
 //! in `finish`, to fold its tallies. The expensive stages
@@ -80,10 +80,9 @@ use crate::api::{QueryOptions, QueryRequest, QueryResponse};
 use crate::cache::{CacheEntry, QueryCache, WindowDelta, WindowEntry};
 use crate::config::{ConfigError, IgqConfig};
 use crate::direction::{QueryDirection, SubgraphQueries};
-use crate::isub::IsubIndex;
-use crate::isuper::IsuperIndex;
 use crate::outcome::{QueryOutcome, Resolution};
 use crate::persist::{self, CacheStore, PersistError};
+use crate::query_index::QueryIndex;
 use crate::replicate::{DeltaGroup, ReplicaError, ReplicationHub, Subscription};
 use crate::stats::{EngineStats, QueryTally};
 use igq_features::{enumerate_paths, PathFeatures};
@@ -118,8 +117,8 @@ struct State {
     /// replayed value.
     seq: u64,
     cache: QueryCache,
-    isub: IsubIndex,
-    isuper: IsuperIndex,
+    /// `Isub` and `Isuper`: one index over the cache's residents.
+    index: QueryIndex,
 }
 
 impl State {
@@ -130,8 +129,7 @@ impl State {
             cost_model: CostModel::new(labels),
             seq: 0,
             cache: QueryCache::with_policy(config.cache_capacity, config.policy),
-            isub: IsubIndex::new(config.path_config),
-            isuper: IsuperIndex::new(config.path_config),
+            index: QueryIndex::new(config.path_config),
         }
     }
 }
@@ -504,12 +502,13 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// The shared restore half of [`Engine::open`] and
-    /// [`Engine::open_follower`]: reconstitutes the cache and both query
-    /// indexes from a decoded checkpoint — no re-enumeration, no
+    /// [`Engine::open_follower`]: reconstitutes the cache and the query
+    /// index from a decoded checkpoint — no re-enumeration, no
     /// re-canonicalization (the persisted feature sets feed
-    /// `insert_features` directly). The checkpoint's pending window is
-    /// restored as-is (its signatures are the caller's job). `None`
-    /// yields a cold start.
+    /// [`QueryIndex::insert`] directly, once each is checked against the
+    /// configured `max_len`). The checkpoint's pending window is restored
+    /// as-is (its signatures are the caller's job). `None` yields a cold
+    /// start.
     fn restore_from_checkpoint(
         config: &IgqConfig,
         labels: usize,
@@ -529,27 +528,41 @@ impl<D: QueryDirection> Engine<D> {
             entries,
         )
         .map_err(PersistError::Corrupt)?;
+        let max_len = config.path_config.max_len;
         for p in &data.entries {
             // Older/foreign checkpoints without feature sets fall back to
             // enumeration.
-            let features = p.features.as_ref().map(|f| {
-                let mut features = PathFeatures {
-                    complete_len: f.complete_len,
-                    ..PathFeatures::default()
-                };
-                for (seq_key, count) in &f.counts {
-                    features.counts.insert(seq_key.clone(), *count);
+            let features = match &p.features {
+                None => enumerate_paths(&p.entry.graph, &config.path_config),
+                Some(f) => {
+                    // Outside input: a sequence longer than `max_len` edges
+                    // would index past the per-length table, and a zero
+                    // count would plant a tombstone counted as live.
+                    let bad = f.complete_len > max_len
+                        || f.counts.iter().any(|(seq, count)| {
+                            !(1..=max_len + 1).contains(&seq.len()) || *count == 0
+                        });
+                    if bad {
+                        return Err(PersistError::Corrupt(format!(
+                            "slot {}: persisted feature set does not fit max_len {max_len}",
+                            p.slot
+                        )));
+                    }
+                    let mut features = PathFeatures {
+                        complete_len: f.complete_len,
+                        ..PathFeatures::default()
+                    };
+                    // One insert at a time into an unsized map: the map's
+                    // key order is the order the next checkpoint writes.
+                    for (seq, count) in &f.counts {
+                        features.counts.insert(seq.clone(), *count);
+                    }
+                    features
                 }
-                features
-            });
-            crate::maintain::index_resident(
-                config.path_config,
-                &mut st.isub,
-                &mut st.isuper,
-                p.slot,
-                &p.entry,
-                features,
-            );
+            };
+            let graph = Arc::clone(&p.entry.graph);
+            st.index
+                .insert(p.slot, graph, &features, p.entry.code.clone());
         }
         st.seq = data.seq;
         st.window = data.window;
@@ -832,7 +845,7 @@ impl<D: QueryDirection> Engine<D> {
     /// group on a follower: the recorded evictions/admissions re-applied
     /// verbatim (the policy is not re-run, so slot decisions are the
     /// recording engine's), its metadata table restored, evicted plans
-    /// dropped, both indexes updated like a live flip, and the state's
+    /// dropped, the query index updated like a live flip, and the state's
     /// seq advanced to the record's. Seq, epoch and duplicate checks are
     /// the caller's; `Err` means a corrupt record. Returns the index work
     /// (postings touched, time) for the caller to record or not.
@@ -971,13 +984,10 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// Approximate footprint of iGQ's own structures (query graphs, answer
-    /// sets, and both query indexes) — the iGQ bar of Figure 18.
+    /// sets, and the query index) — the iGQ bar of Figure 18.
     pub fn igq_index_size_bytes(&self) -> u64 {
         let st = self.lock_read();
-        self.plan_cache.heap_size_bytes()
-            + st.cache.heap_size_bytes()
-            + st.isub.heap_size_bytes()
-            + st.isuper.heap_size_bytes()
+        self.plan_cache.heap_size_bytes() + st.cache.heap_size_bytes() + st.index.heap_size_bytes()
     }
 
     /// Estimated cost (log space) of iso-testing `q` against each graph in
@@ -1164,13 +1174,13 @@ impl<D: QueryDirection> Engine<D> {
         let mut guard = self.lock_write();
         let st = &mut *guard;
         let p_start = Instant::now();
-        let (sub_slots, sub_stats) = st.isub.supergraphs_of_with_plans(
+        let (sub_slots, sub_stats) = st.index.supergraphs_of_with_plans(
             q,
             qf,
             ctx.code.as_ref().map(|c| (&self.plan_cache, c)),
         );
         let (super_slots, super_stats) =
-            st.isuper
+            st.index
                 .subgraphs_of_with_plans(q, qf, Some(&self.plan_cache));
         let probe_time = p_start.elapsed();
         let o = &mut ctx.outcome;
@@ -1334,7 +1344,7 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// Flips the window once it holds `W` queries (any, when `force`d):
-    /// evicts/admits and brings `Isub`/`Isuper` in line with the resulting
+    /// evicts/admits and brings the query index in line with the resulting
     /// slot delta — incrementally on this thread (remove evicted slots,
     /// insert admitted ones; O(window delta)). Returns whether it flipped.
     fn maybe_flip(&self, st: &mut State, force: bool) -> bool {
@@ -1371,22 +1381,16 @@ impl<D: QueryDirection> Engine<D> {
         });
     }
 
-    /// Brings `Isub`/`Isuper` in line with the cache after `delta` was
+    /// Brings the query index in line with the cache after `delta` was
     /// applied to it; the caller holds the state write lock. Returns the
-    /// postings touched and the time it took.
+    /// postings touched (each once) and the time it took.
     fn apply_index_delta(&self, st: &mut State, delta: &WindowDelta) -> (u64, Duration) {
         if delta.is_empty() {
             return (0, Duration::ZERO);
         }
         let maint_start = Instant::now();
-        let outcome = crate::maintain::apply_delta(
-            self.config.path_config,
-            &st.cache,
-            delta,
-            &mut st.isub,
-            &mut st.isuper,
-        );
-        (outcome.postings_touched, maint_start.elapsed())
+        let touched = st.index.apply_delta(&st.cache, delta);
+        (touched, maint_start.elapsed())
     }
 
     /// Captures one window flip as a WAL record tagged with the flip's
@@ -1729,8 +1733,8 @@ impl<D: QueryDirection> Engine<D> {
     /// Snapshots the full durable state (the checkpoint payload and the
     /// single serialization path behind [`Engine::checkpoint`] and
     /// [`Engine::export_entries`]). Caller holds the state lock; per-slot
-    /// feature sets are read from the live `Isub`, which indexes every
-    /// resident. Entries come out in slot order.
+    /// feature sets are read from the live query index, which indexes
+    /// every resident. Entries come out in slot order.
     fn capture_state(
         &self,
         st: &State,
@@ -1742,7 +1746,7 @@ impl<D: QueryDirection> Engine<D> {
             .iter()
             .map(|(slot, e)| {
                 let (counts, complete_len) = st
-                    .isub
+                    .index
                     .slot_features(slot)
                     .expect("flips index every resident");
                 persist::PersistedEntry {
@@ -1791,7 +1795,7 @@ impl<D: QueryDirection> Engine<D> {
 
     /// Debug/production sanity check: verifies the engine's internal
     /// invariants (cache within capacity, sorted answer sets), then diffs
-    /// the incrementally maintained query indexes against a fresh shadow
+    /// the incrementally maintained query index against a fresh shadow
     /// rebuild over the cache — any drift between delta maintenance and
     /// the ground-truth rebuild is reported. The invariant part is cheap;
     /// the index diff re-enumerates every cached graph, so call this at
@@ -1817,24 +1821,17 @@ impl<D: QueryDirection> Engine<D> {
                 return Err(format!("slot {slot}: answer id out of dataset range"));
             }
         }
-        // Index ≡ cache: both indexes must hold exactly the cached slots,
+        // Index ≡ cache: the index must hold exactly the cached slots,
         // with postings identical to a from-scratch rebuild.
-        let graphs = || {
-            st.cache
-                .iter()
-                .map(|(slot, e)| (slot, Arc::clone(&e.graph)))
-        };
-        let fresh_isub = IsubIndex::build(graphs(), self.config.path_config);
-        st.isub
+        let graphs = st
+            .cache
+            .iter()
+            .map(|(slot, e)| (slot, Arc::clone(&e.graph)));
+        let fresh = QueryIndex::build(graphs, self.config.path_config);
+        st.index
             .snapshot()
-            .diff(&fresh_isub.snapshot())
-            .map_err(|e| format!("Isub drifted from shadow rebuild: {e}"))?;
-        let fresh_isuper = IsuperIndex::build(graphs(), self.config.path_config);
-        st.isuper
-            .snapshot()
-            .diff(&fresh_isuper.snapshot())
-            .map_err(|e| format!("Isuper drifted from shadow rebuild: {e}"))?;
-        Ok(())
+            .diff(&fresh.snapshot())
+            .map_err(|e| format!("query index drifted from shadow rebuild: {e}"))
     }
 }
 
@@ -2539,6 +2536,117 @@ pub(crate) mod tests {
         assert!(
             matches!(&err, PersistError::Corrupt(m) if m.contains("snapshot label universe")),
             "{err}"
+        );
+    }
+
+    /// `bytes`, a checkpoint, re-encoded (with a valid checksum) after
+    /// `tamper` edited its first slot's feature set.
+    fn with_tampered_features(
+        bytes: &[u8],
+        tamper: impl FnOnce(&mut persist::SlotFeatureSet),
+    ) -> (Vec<u8>, usize) {
+        let mut data = persist::decode_checkpoint(bytes).expect("decode");
+        let first = &mut data.entries[0];
+        tamper(first.features.as_mut().expect("checkpoints carry features"));
+        let slot = first.slot;
+        (persist::encode_checkpoint(&data), slot)
+    }
+
+    /// Adds a 20-label sequence: a feature far longer than `max_len`.
+    fn add_overlong_feature(f: &mut persist::SlotFeatureSet) {
+        let labels = [igq_graph::LabelId::new(0); 20];
+        f.counts
+            .push((igq_features::LabelSeq::canonical(&labels), 1));
+    }
+
+    #[test]
+    fn open_rejects_a_malformed_persisted_feature_set() {
+        use crate::CacheStore;
+        let s = store();
+        let mem = Arc::new(crate::MemStore::new());
+        {
+            let e = open_engine(&s, &mem);
+            let _ = e.query(&graph_from(&[0, 1], &[(0, 1)]));
+            let _ = e.query(&graph_from(&[2, 2], &[(0, 1)]));
+            e.checkpoint().expect("checkpoint");
+        }
+        let bytes = mem.load_checkpoint().expect("load").expect("checkpoint");
+        let tampers: [fn(&mut persist::SlotFeatureSet); 3] = [
+            add_overlong_feature,
+            |f| f.complete_len = 20,
+            |f| f.counts[0].1 = 0,
+        ];
+        for tamper in tampers {
+            let (tampered, slot) = with_tampered_features(&bytes, tamper);
+            mem.save_checkpoint(&tampered).expect("save");
+            let err = open_engine_err(&s, &mem);
+            assert!(
+                matches!(&err, PersistError::Corrupt(m) if m.contains(&format!("slot {slot}"))),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn install_snapshot_rejects_a_feature_longer_than_max_len() {
+        let (primary, follower, feed) = replication_pair();
+        for q in replication_queries().iter().take(3) {
+            let _ = primary.query(q);
+        }
+        drain_feed(&feed, &follower);
+        let (tampered, _) = with_tampered_features(&snapshot_of(&primary).0, add_overlong_feature);
+        let (seq, cached) = (follower.stats().last_applied_seq, follower.cached_queries());
+        assert!(matches!(
+            follower.install_snapshot(&tampered),
+            Err(ReplicaError::Corrupt(m)) if m.contains("max_len")
+        ));
+        assert_eq!(follower.stats().last_applied_seq, seq);
+        assert_eq!(follower.cached_queries(), cached);
+        assert_eq!(follower.epoch(), 0);
+        follower.self_check().expect("untouched invariants");
+        let _ = primary.query(&replication_queries()[3]);
+        assert_eq!(drain_feed(&feed, &follower), 1, "the stream still applies");
+    }
+
+    #[test]
+    fn a_flip_touches_each_posting_once() {
+        let e = engine_sized(2, 1);
+        let path_config = e.config().path_config;
+        let distinct = |g: &Graph| enumerate_paths(g, &path_config).counts.len() as u64;
+        let residents = || -> Vec<(usize, Arc<Graph>)> {
+            let st = e.lock_read();
+            st.cache
+                .iter()
+                .map(|(s, en)| (s, Arc::clone(&en.graph)))
+                .collect()
+        };
+        let (mut admitted, mut evicted) = (0, 0);
+        for q in workload() {
+            let (before, stats_before) = (residents(), e.stats());
+            let _ = e.query(&q);
+            let (after, stats_after) = (residents(), e.stats());
+            let gone = |from: &[(usize, Arc<Graph>)], to: &[(usize, Arc<Graph>)]| {
+                from.iter()
+                    .filter(|(s, g)| !to.iter().any(|(t, h)| s == t && Arc::ptr_eq(g, h)))
+                    .map(|(_, g)| Arc::clone(g))
+                    .collect::<Vec<_>>()
+            };
+            let (out, new) = (gone(&before, &after), gone(&after, &before));
+            let expected: u64 = out.iter().chain(&new).map(|g| distinct(g)).sum();
+            assert_eq!(
+                stats_after.maintenance_postings_touched
+                    - stats_before.maintenance_postings_touched,
+                expected,
+                "query {q:?}: {} evicted, {} admitted",
+                out.len(),
+                new.len()
+            );
+            admitted += new.len();
+            evicted += out.len();
+        }
+        assert!(
+            admitted > 0 && evicted > 0,
+            "{admitted} admitted, {evicted} evicted"
         );
     }
 

@@ -7,17 +7,18 @@
 //!
 //! The system (paper Fig. 6) comprises:
 //!
-//! * [`IsubIndex`] — finds cached queries that are **supergraphs** of a new
-//!   query; their stored answers are known answers (Section 4.2.1);
-//! * [`IsuperIndex`] — finds cached queries that are **subgraphs** of a new
-//!   query via the occurrence-counting trie of Algorithms 1 & 2; their
-//!   stored answers bound the candidates (Section 4.2.2);
+//! * [`QueryIndex`] — one path-feature trie and one slot table over the
+//!   cached queries, probed two ways: `Isub` finds cached queries that are
+//!   **supergraphs** of a new query, whose stored answers are known
+//!   answers (Section 4.2.1); `Isuper` finds cached queries that are
+//!   **subgraphs** of it via the occurrence counting of Algorithms 1 & 2,
+//!   whose stored answers bound the candidates (Section 4.2.2);
 //! * [`QueryCache`] — the stored query graphs, answer sets, and
 //!   replacement metadata (`Igraphs` + `Stat(iGQ Graph)`, Section 5);
 //! * the utility-based replacement policy `U(g) = C(g)/M(g)` with costs in
 //!   log space (Section 5.1, [`metadata`]);
 //! * windowed maintenance (Section 5.2) with **incremental delta updates**
-//!   of both query indexes on the flipping query thread ([`maintain`]);
+//!   of the query index on the flipping query thread ([`query_index`]);
 //! * [`Engine`] — **one** pipeline implementing formulas (3)–(5) and the
 //!   optimal cases of Section 4.3, generic over the query
 //!   [`QueryDirection`]; [`IgqEngine`] and [`IgqSuperEngine`] are its two
@@ -95,13 +96,11 @@ pub mod cache;
 pub mod config;
 pub mod direction;
 pub mod engine;
-pub mod isub;
-pub mod isuper;
-pub mod maintain;
 pub mod metadata;
 pub mod outcome;
 pub mod persist;
 pub mod policy;
+pub mod query_index;
 pub mod replicate;
 pub mod stats;
 pub mod super_engine;
@@ -111,12 +110,20 @@ pub use cache::{CacheEntry, QueryCache, WindowDelta};
 pub use config::{ConfigError, IgqConfig, IgqConfigBuilder, PersistenceConfig};
 pub use direction::{QueryDirection, SubgraphQueries, SupergraphQueries};
 pub use engine::{Engine, IgqEngine};
-pub use isub::{IndexSnapshot, IsubIndex};
-pub use isuper::IsuperIndex;
 pub use metadata::GraphMeta;
 pub use outcome::{QueryOutcome, Resolution};
 pub use persist::{CacheStore, DirStore, MemStore, PersistError};
 pub use policy::ReplacementPolicy;
+pub use query_index::{IndexSnapshot, IsubIndex, IsuperIndex, QueryIndex};
 pub use replicate::{DeltaGroup, RecvTimeoutError, ReplicaError, ReplicaFeed, Subscription};
 pub use stats::EngineStats;
 pub use super_engine::IgqSuperEngine;
+
+// The unit tests of `QueryIndex`'s two probes, under the module names
+// `isub` and `isuper` so that their test ids stay stable.
+#[cfg(test)]
+#[path = "query_index_tests/supergraphs_of.rs"]
+mod isub;
+#[cfg(test)]
+#[path = "query_index_tests/subgraphs_of.rs"]
+mod isuper;

@@ -37,7 +37,8 @@ pub struct EngineStats {
     /// Window maintenances performed (index delta applications).
     pub maintenances: u64,
     /// Index postings inserted or removed during incremental delta
-    /// application.
+    /// application: one per distinct path feature of every admitted and
+    /// every evicted graph, since `Isub` and `Isuper` share one trie.
     pub maintenance_postings_touched: u64,
     /// Wall-clock the flipping query thread spent applying index updates
     /// (also part of that query's `igq_time`). Cache eviction/admission is

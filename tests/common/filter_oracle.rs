@@ -1,6 +1,6 @@
-//! The four hand-written posting-list loops the library shipped through
-//! PR 20 — `Ggsx::trie_filter`, `IsubIndex::filter`,
-//! `IsuperIndex::candidates` and `ContainmentIndex::candidates` — kept
+//! The four hand-written posting-list loops the library shipped before
+//! its posting-list kernels — `Ggsx::trie_filter`, the `Isub` filter, the
+//! `Isuper` candidates and `ContainmentIndex::candidates` — kept
 //! verbatim as the test oracle for the two kernels that replaced them
 //! ([`FeatureTrie::containing`], [`FeatureTrie::covered_by`]). Every loop
 //! materialises one `Vec` per query feature and merges it linearly, so it
@@ -141,8 +141,8 @@ impl OracleGgsx {
     }
 }
 
-/// One slot of [`OracleQueryIndex`]: the union of what `IsubIndex` and
-/// `IsuperIndex` keep per slot.
+/// One slot of [`OracleQueryIndex`]: what `QueryIndex` keeps per resident,
+/// less the canonical code.
 pub struct OracleSlot {
     pub graph: Arc<Graph>,
     pub features: Vec<LabelSeq>,
@@ -150,9 +150,9 @@ pub struct OracleSlot {
     pub nf_by_len: Vec<u32>,
 }
 
-/// The query index with PR 20's two probes. `IsubIndex` and `IsuperIndex`
-/// insert the same `(feature, slot, count)` postings, so one trie serves
-/// both oracle loops.
+/// The query index with the two loop-based probes: the reference implementation
+/// `QueryIndex` is checked against. Like `QueryIndex`, one trie of
+/// `(feature, slot, count)` postings serves both probes.
 pub struct OracleQueryIndex {
     pub path_config: PathConfig,
     pub trie: FeatureTrie,
@@ -168,13 +168,13 @@ impl OracleQueryIndex {
         }
     }
 
-    /// `IsubIndex::insert` + `IsuperIndex::insert`.
+    /// `QueryIndex::insert` after one path enumeration.
     pub fn insert(&mut self, slot: usize, graph: Arc<Graph>) {
         let features = enumerate_paths(&graph, &self.path_config);
         self.insert_features(slot, graph, &features);
     }
 
-    /// `insert_features` of both indexes.
+    /// `QueryIndex::insert`.
     pub fn insert_features(&mut self, slot: usize, graph: Arc<Graph>, features: &PathFeatures) {
         if self.slots.len() <= slot {
             self.slots.resize_with(slot + 1, || None);
@@ -197,7 +197,7 @@ impl OracleQueryIndex {
         });
     }
 
-    /// `remove` of both indexes.
+    /// `QueryIndex::remove`.
     pub fn remove(&mut self, slot: usize) {
         let Some(entry) = self.slots.get_mut(slot).and_then(Option::take) else {
             return;
@@ -208,7 +208,8 @@ impl OracleQueryIndex {
         }
     }
 
-    /// `IsubIndex::supergraphs_of`: verified slots and `IsoStats::tests`.
+    /// `QueryIndex::supergraphs_of` (`Isub`): verified slots and
+    /// `IsoStats::tests`.
     pub fn supergraphs_of(&self, q: &Graph, qf: &PathFeatures) -> (Vec<usize>, u64) {
         let filtered = self.isub_filter(q, qf);
         let tests = filtered.len() as u64;
@@ -219,7 +220,8 @@ impl OracleQueryIndex {
         (slots, tests)
     }
 
-    /// `IsuperIndex::subgraphs_of`: verified slots and `IsoStats::tests`.
+    /// `QueryIndex::subgraphs_of` (`Isuper`): verified slots and
+    /// `IsoStats::tests`.
     pub fn subgraphs_of(&self, q: &Graph, qf: &PathFeatures) -> (Vec<usize>, u64) {
         let mut tests = 0;
         let mut slots = Vec::new();
@@ -236,7 +238,7 @@ impl OracleQueryIndex {
         (slots, tests)
     }
 
-    /// `IsubIndex::filter`, verbatim.
+    /// The loop-based `Isub` filter, verbatim.
     pub fn isub_filter(&self, q: &Graph, qf: &PathFeatures) -> Vec<usize> {
         let max_len = self.path_config.max_len;
         let query_features: Vec<(&LabelSeq, u32)> = qf
@@ -308,7 +310,7 @@ impl OracleQueryIndex {
         candidates
     }
 
-    /// `IsuperIndex::candidates`, verbatim.
+    /// The loop-based `Isuper` candidates (Algorithm 2), verbatim.
     pub fn isuper_candidates(&self, qf: &PathFeatures) -> Vec<usize> {
         let ql = qf.complete_len;
         let mut covered: FxHashMap<usize, u32> = FxHashMap::default();
@@ -337,7 +339,8 @@ impl OracleQueryIndex {
     }
 }
 
-/// Sorted intersection of two ascending slot lists (`isub.rs`, verbatim).
+/// Sorted intersection of two ascending slot lists (the loop-based `Isub`
+/// filter's, verbatim).
 fn intersect_sorted_usize(a: &[usize], b: &[usize]) -> Vec<usize> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);

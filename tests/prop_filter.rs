@@ -1,7 +1,7 @@
 //! Property tests pinning the two posting-list kernels —
 //! `FeatureTrie::containing` and `FeatureTrie::covered_by` — and the four
-//! call sites routed through them (`Ggsx`/`Grapes` filter, `IsubIndex`,
-//! `IsuperIndex`, `ContainmentIndex`) to the hand-written loops they
+//! call sites routed through them (`Ggsx`/`Grapes` filter, the two probes
+//! of `QueryIndex`, `ContainmentIndex`) to the hand-written loops they
 //! replaced (`common::filter_oracle`): candidate lists must be the same
 //! ids in the same order, so iso-test counts and everything downstream of
 //! them are unchanged.
@@ -10,7 +10,7 @@ mod common;
 
 use common::filter_oracle::{containment_candidates, OracleGgsx, OracleQueryIndex};
 use common::{arb_graph, arb_store};
-use igq::core::{IsubIndex, IsuperIndex};
+use igq::core::QueryIndex;
 use igq::features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
 use igq::graph::{graph_from, Graph, GraphId, GraphStore, LabelId};
 use igq::methods::{ContainmentIndex, Ggsx, GgsxConfig, Grapes, GrapesConfig, SubgraphMethod};
@@ -22,6 +22,13 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const MAX_LEN: usize = 4;
+
+/// Indexes `graph` under `slot` from one enumeration of its paths, as
+/// `OracleQueryIndex::insert` does.
+fn insert(index: &mut QueryIndex, path_config: PathConfig, slot: usize, graph: Arc<Graph>) {
+    let features = enumerate_paths(&graph, &path_config);
+    index.insert(slot, graph, &features, None);
+}
 
 fn seq(raws: &[u32]) -> LabelSeq {
     let labels: Vec<LabelId> = raws.iter().map(|&r| LabelId::new(r)).collect();
@@ -142,7 +149,7 @@ fn check_containing(index: &OracleQueryIndex, features: &[(LabelSeq, u32)]) {
     assert_eq!(got, want, "containing vs oracle for {features:?}");
 }
 
-/// `covered_by` against `IsuperIndex::candidates`.
+/// `covered_by` against the loop-based `Isuper` candidates.
 fn check_covered_by(index: &OracleQueryIndex, qf: &PathFeatures) {
     let ql = qf.complete_len;
     let got = index.trie.covered_by(
@@ -192,31 +199,27 @@ proptest! {
         let path_config = PathConfig { budget, ..PathConfig::default() };
         let ggsx = Ggsx::build(&store, GgsxConfig { path_budget: budget, ..Default::default() });
         let oracle_ggsx = OracleGgsx::build(&store, path_config);
-        let mut isub = IsubIndex::new(path_config);
-        let mut isuper = IsuperIndex::new(path_config);
+        let mut index = QueryIndex::new(path_config);
         let mut oracle = OracleQueryIndex::new(path_config);
         // Cache the dataset graphs themselves, evict every third, then
         // refill the first evicted slot.
         let graphs: Vec<Arc<Graph>> = store.iter().map(|(_, g)| Arc::new(g.clone())).collect();
         for (slot, g) in graphs.iter().enumerate() {
-            isub.insert(slot, Arc::clone(g));
-            isuper.insert(slot, Arc::clone(g));
+            insert(&mut index, path_config, slot, Arc::clone(g));
             oracle.insert(slot, Arc::clone(g));
         }
         for slot in (0..graphs.len()).step_by(3) {
-            isub.remove(slot);
-            isuper.remove(slot);
+            index.remove(slot);
             oracle.remove(slot);
         }
-        isub.insert(0, Arc::clone(&graphs[graphs.len() - 1]));
-        isuper.insert(0, Arc::clone(&graphs[graphs.len() - 1]));
+        insert(&mut index, path_config, 0, Arc::clone(&graphs[graphs.len() - 1]));
         oracle.insert(0, Arc::clone(&graphs[graphs.len() - 1]));
         for q in &queries {
             prop_assert_eq!(ggsx.filter(q).candidates, oracle_ggsx.filter(q), "{:?}", q);
             let qf = enumerate_paths(q, &path_config);
-            let (slots, stats) = isub.supergraphs_of(q, &qf);
+            let (slots, stats) = index.supergraphs_of(q, &qf);
             prop_assert_eq!((slots, stats.tests), oracle.supergraphs_of(q, &qf), "Isub {:?}", q);
-            let (slots, stats) = isuper.subgraphs_of(q, &qf);
+            let (slots, stats) = index.subgraphs_of(q, &qf);
             prop_assert_eq!((slots, stats.tests), oracle.subgraphs_of(q, &qf), "Isuper {:?}", q);
         }
     }
@@ -335,16 +338,14 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
         .map(|s| s.as_ref().expect("every member inserted").nf_by_len.clone())
         .collect();
 
-    let mut isub = IsubIndex::new(path_config);
-    let mut isuper = IsuperIndex::new(path_config);
+    let mut index = QueryIndex::new(path_config);
     let mut oracle = OracleQueryIndex::new(path_config);
     let mut rng = StdRng::seed_from_u64(0xF11D);
     let (mut flips, mut probes, mut isub_hits, mut isuper_hits) = (0, 0, 0, 0);
     for (i, q) in queries.iter().enumerate() {
         let shared = Arc::new(q.clone());
         if i < CACHE {
-            isub.insert(i, Arc::clone(&shared));
-            isuper.insert(i, Arc::clone(&shared));
+            insert(&mut index, path_config, i, Arc::clone(&shared));
             oracle.insert(i, shared);
             continue;
         }
@@ -367,14 +368,14 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
             "ContainmentIndex {q:?}"
         );
 
-        let (slots, stats) = isub.supergraphs_of(q, &qf);
+        let (slots, stats) = index.supergraphs_of(q, &qf);
         isub_hits += slots.len();
         assert_eq!(
             (slots, stats.tests),
             oracle.supergraphs_of(q, &qf),
             "Isub {q:?}"
         );
-        let (slots, stats) = isuper.subgraphs_of(q, &qf);
+        let (slots, stats) = index.subgraphs_of(q, &qf);
         isuper_hits += slots.len();
         assert_eq!(
             (slots, stats.tests),
@@ -390,11 +391,9 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
             victims.shuffle(&mut rng);
             for (&slot, admitted) in victims.iter().zip(&queries[i + 1 - WINDOW..=i]) {
                 let admitted = Arc::new(admitted.clone());
-                isub.remove(slot);
-                isuper.remove(slot);
+                index.remove(slot);
                 oracle.remove(slot);
-                isub.insert(slot, Arc::clone(&admitted));
-                isuper.insert(slot, Arc::clone(&admitted));
+                insert(&mut index, path_config, slot, Arc::clone(&admitted));
                 oracle.insert(slot, admitted);
             }
             flips += 1;
