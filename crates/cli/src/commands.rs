@@ -9,13 +9,44 @@ use igq_methods::{MethodKind, SubgraphMethod, TrieSupergraphMethod};
 use igq_server::{BuildFollower, FailoverPolicy, Follower, Server, ServerConfig};
 use igq_workload::DatasetKind;
 use std::collections::HashMap;
+use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-type CmdResult = Result<(), String>;
+/// Why a subcommand failed. Only a usage error is the command line's
+/// fault, so only it is followed by the usage text.
+#[derive(Debug)]
+pub enum CliError {
+    /// An unknown subcommand, a bad or missing flag, or a missing or
+    /// unexpected positional argument.
+    Usage(String),
+    /// A well-formed command that failed while running (a missing file, a
+    /// damaged store, a refused connection, ...).
+    Runtime(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Runtime(message)
+    }
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Usage(message) | CliError::Runtime(message) => f.write_str(message),
+        }
+    }
+}
+
+type CmdResult = Result<(), CliError>;
+
+fn usage(message: impl Into<String>) -> CliError {
+    CliError::Usage(message.into())
+}
 
 /// Parses `--flag value` pairs plus positional arguments.
 fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
@@ -37,13 +68,29 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     (flags, positional)
 }
 
+/// `--key`'s value; its absence is a usage error.
+fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a String, CliError> {
+    flags
+        .get(key)
+        .ok_or_else(|| usage(format!("--{key} is required")))
+}
+
 /// `--key`'s value as a number, `None` when the flag is absent.
-fn num<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<Option<T>, String> {
+fn num<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<Option<T>, CliError> {
     flags
         .get(key)
         .map(|s| s.parse())
         .transpose()
-        .map_err(|_| format!("--{key} expects a non-negative integer"))
+        .map_err(|_| usage(format!("--{key} expects a non-negative integer")))
+}
+
+/// `--method`'s base method, `ggsx` when the flag is absent.
+fn method_kind(flags: &HashMap<String, String>) -> Result<MethodKind, CliError> {
+    flags
+        .get("method")
+        .map_or("ggsx", String::as_str)
+        .parse()
+        .map_err(CliError::Usage)
 }
 
 fn load_store(path: &str) -> Result<GraphStore, String> {
@@ -60,14 +107,14 @@ pub fn generate(args: &[String]) -> CmdResult {
         Some("ppi") => DatasetKind::Ppi,
         Some("synthetic") => DatasetKind::Synthetic,
         other => {
-            return Err(format!(
+            return Err(usage(format!(
                 "--kind must be aids|pdbs|ppi|synthetic, got {other:?}"
-            ))
+            )))
         }
     };
-    let count: usize = num(&flags, "count")?.ok_or("--count is required")?;
+    let count: usize = num(&flags, "count")?.ok_or_else(|| usage("--count is required"))?;
     let seed: u64 = num(&flags, "seed")?.unwrap_or(42);
-    let out = flags.get("out").ok_or("--out is required")?;
+    let out = required(&flags, "out")?;
 
     let t = Instant::now();
     let store = kind.generate(count, seed);
@@ -88,7 +135,9 @@ pub fn generate(args: &[String]) -> CmdResult {
 /// `igq stats`: Table 1-style dataset summary.
 pub fn stats(args: &[String]) -> CmdResult {
     let (_, positional) = parse_flags(args);
-    let path = positional.first().ok_or("usage: igq stats <dataset.gfu>")?;
+    let path = positional
+        .first()
+        .ok_or_else(|| usage("igq stats expects a <dataset.gfu> argument"))?;
     let store = load_store(path)?;
     let s = DatasetStats::of(&store);
     println!("{}", s.table_row(path));
@@ -105,7 +154,7 @@ fn build_method(kind: MethodKind, store: &Arc<GraphStore>) -> Box<dyn SubgraphMe
 pub fn save(args: &[String]) -> CmdResult {
     let (flags, _) = parse_flags(args);
     if !flags.contains_key("store-dir") {
-        return Err("save requires --store-dir <dir>".into());
+        return Err(usage("save requires --store-dir <dir>"));
     }
     query(args)
 }
@@ -116,18 +165,16 @@ pub fn save(args: &[String]) -> CmdResult {
 pub fn load(args: &[String]) -> CmdResult {
     let (flags, _) = parse_flags(args);
     if !flags.contains_key("store-dir") {
-        return Err("load requires --store-dir <dir>".into());
+        return Err(usage("load requires --store-dir <dir>"));
     }
     if flags.contains_key("queries") {
         return query(args);
     }
-    let dataset_path = flags.get("dataset").ok_or("--dataset is required")?;
+    let dataset_path = required(&flags, "dataset")?;
     let dir = flags.get("store-dir").expect("checked above");
+    let kind = method_kind(&flags)?;
     let store = Arc::new(load_store(dataset_path)?);
-    let method = build_method(
-        flags.get("method").map_or("ggsx", String::as_str).parse()?,
-        &store,
-    );
+    let method = build_method(kind, &store);
     let config = engine_config(&flags)?;
     let t = Instant::now();
     let disk: Arc<dyn CacheStore> =
@@ -151,12 +198,12 @@ pub fn load(args: &[String]) -> CmdResult {
 /// Builds the iGQ engine config from the shared CLI flags (`--cache`,
 /// `--window`). `save`/`load` must be run with the same values (the
 /// store's config fingerprint covers cache geometry).
-fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, String> {
+fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, CliError> {
     IgqConfig::builder()
         .cache_capacity(num(flags, "cache")?.unwrap_or(500))
         .window(num(flags, "window")?.unwrap_or(100))
         .build()
-        .map_err(|e| format!("invalid iGQ configuration: {e}"))
+        .map_err(|e| usage(format!("invalid iGQ configuration: {e}")))
 }
 
 /// Prints what a store-attached engine recovered at open.
@@ -187,8 +234,8 @@ fn persist_final<E: igq_core::QueryEngine>(engine: &E, store_dir: Option<&String
 /// `igq query`: run a query file against a dataset.
 pub fn query(args: &[String]) -> CmdResult {
     let (flags, _) = parse_flags(args);
-    let dataset_path = flags.get("dataset").ok_or("--dataset is required")?;
-    let queries_path = flags.get("queries").ok_or("--queries is required")?;
+    let dataset_path = required(&flags, "dataset")?;
+    let queries_path = required(&flags, "queries")?;
     let method_name = flags.get("method").map(String::as_str).unwrap_or("ggsx");
     let use_igq = !flags.contains_key("no-igq");
     let verbose = flags.contains_key("verbose");
@@ -255,7 +302,7 @@ pub fn query(args: &[String]) -> CmdResult {
             }
         }
     } else {
-        let method = build_method(method_name.parse()?, &store);
+        let method = build_method(method_kind(&flags)?, &store);
         println!(
             "index built in {:.2?} ({:.2} MB)",
             t_index.elapsed(),
@@ -321,7 +368,7 @@ pub fn query(args: &[String]) -> CmdResult {
 /// to shut down.
 pub fn client(args: &[String]) -> CmdResult {
     let (flags, _) = parse_flags(args);
-    let addr = flags.get("addr").ok_or("--addr is required")?;
+    let addr = required(&flags, "addr")?;
     let verbose = flags.contains_key("verbose");
     let deadline_ms: Option<u64> = num(&flags, "deadline-ms")?;
     let max_lag: Option<u64> = num(&flags, "max-lag")?;
@@ -527,7 +574,7 @@ options:
 /// upstream list and failover policy.
 type ServeConfig = (ServerConfig, Option<(Vec<String>, FailoverPolicy)>);
 
-fn serve_config(flags: &HashMap<String, String>) -> Result<ServeConfig, String> {
+fn serve_config(flags: &HashMap<String, String>) -> Result<ServeConfig, CliError> {
     let d = ServerConfig::default();
     let server = ServerConfig {
         addr: flags
@@ -550,7 +597,7 @@ fn serve_config(flags: &HashMap<String, String>) -> Result<ServeConfig, String> 
         .map(str::to_owned)
         .collect();
     if upstreams.is_empty() {
-        return Err("--follower-of expects at least one address".into());
+        return Err(usage("--follower-of expects at least one address"));
     }
     let d = FailoverPolicy::default();
     let policy = FailoverPolicy {
@@ -572,13 +619,13 @@ pub fn serve(args: &[String]) -> CmdResult {
     }
     let (flags, positional) = parse_flags(args);
     if let Some(a) = positional.first() {
-        return Err(format!(
+        return Err(usage(format!(
             "unexpected positional argument {a:?} (see igq serve --help)"
-        ));
+        )));
     }
-    let dataset = flags.get("dataset").ok_or("--dataset is required")?;
+    let dataset = required(&flags, "dataset")?;
     let method_name = flags.get("method").map_or("ggsx", String::as_str);
-    let kind: MethodKind = method_name.parse()?;
+    let kind = method_kind(&flags)?;
     let engine_config = engine_config(&flags)?;
     let (server_config, follow) = serve_config(&flags)?;
 
@@ -760,23 +807,53 @@ mod tests {
         load(&s(&base)).unwrap();
         load(&s(&save_args)).unwrap();
         // Both subcommands demand a store directory.
-        assert!(save(&s(&["--dataset", db.to_str().unwrap()])).is_err());
-        assert!(load(&s(&["--dataset", db.to_str().unwrap()])).is_err());
-        // A mismatched geometry is rejected, not silently cold-started.
+        let no_store = s(&["--dataset", db.to_str().unwrap()]);
+        assert!(matches!(save(&no_store), Err(CliError::Usage(_))));
+        assert!(matches!(load(&no_store), Err(CliError::Usage(_))));
+        // A mismatched geometry is rejected, not silently cold-started;
+        // the command line itself was fine.
         let mut wrong = base.to_vec();
         wrong[3] = "32"; // different --cache
-        assert!(load(&s(&wrong)).is_err());
+        assert!(matches!(load(&s(&wrong)), Err(CliError::Runtime(_))));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The message of a usage error; panics on success or a runtime error.
+    fn usage_message<T: fmt::Debug>(result: Result<T, CliError>) -> String {
+        match result {
+            Err(CliError::Usage(message)) => message,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]
     fn unknown_method_errors() {
         assert!("nope".parse::<MethodKind>().is_err());
-        let err = serve(&s(&["--dataset", "absent.gfu", "--method", "nope"])).unwrap_err();
+        let err = usage_message(serve(&s(&["--dataset", "absent.gfu", "--method", "nope"])));
         assert!(err.contains("unknown method \"nope\""), "{err}");
     }
 
-    fn serve_config_of(args: &str) -> Result<ServeConfig, String> {
+    /// Bad or missing flags and arguments are usage errors; a well-formed
+    /// command that fails while running is not.
+    #[test]
+    fn usage_errors_are_told_apart_from_runtime_errors() {
+        let err = usage_message(query(&s(&["--queries", "q.gfu"])));
+        assert_eq!(err, "--dataset is required");
+        let err = usage_message(generate(&s(&["--kind", "aids", "--count", "x"])));
+        assert_eq!(err, "--count expects a non-negative integer");
+        let err = usage_message(stats(&s(&[])));
+        assert!(err.contains("<dataset.gfu>"), "{err}");
+        let err = usage_message(engine_config(&parse_flags(&s(&["--cache", "0"])).0));
+        assert!(err.starts_with("invalid iGQ configuration"), "{err}");
+        match stats(&s(&["absent.gfu"])) {
+            Err(CliError::Runtime(err)) => {
+                assert!(err.starts_with("cannot open absent.gfu"), "{err}")
+            }
+            other => panic!("expected a runtime error, got {other:?}"),
+        }
+    }
+
+    fn serve_config_of(args: &str) -> Result<ServeConfig, CliError> {
         let args: Vec<&str> = args.split_whitespace().collect();
         serve_config(&parse_flags(&s(&args)).0)
     }
@@ -820,14 +897,14 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_arguments() {
-        let err = serve(&s(&["--dataset", "absent.gfu", "extra"])).unwrap_err();
+        let err = usage_message(serve(&s(&["--dataset", "absent.gfu", "extra"])));
         assert!(
             err.contains("unexpected positional argument \"extra\""),
             "{err}"
         );
-        let err = serve_config_of("--follower-of ,").unwrap_err();
+        let err = usage_message(serve_config_of("--follower-of ,"));
         assert!(err.contains("expects at least one address"), "{err}");
-        let err = serve_config_of("--batch-max many").unwrap_err();
+        let err = usage_message(serve_config_of("--batch-max many"));
         assert!(err.contains("--batch-max expects"), "{err}");
     }
 
@@ -841,7 +918,9 @@ mod tests {
         let db = db.to_str().unwrap();
         generate(&s(&["--kind", "aids", "--count", "5", "--out", db])).unwrap();
         let listen = ["--dataset", db, "--listen", "127.0.0.1:0"];
-        let err = serve(&s(&[&listen[..], &["--io-timeout-ms", "0"]].concat())).unwrap_err();
+        let err = serve(&s(&[&listen[..], &["--io-timeout-ms", "0"]].concat()))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("io_timeout must be at least 1 ms"), "{err}");
         let follow = [
             "--follower-of",
@@ -849,7 +928,9 @@ mod tests {
             "--heartbeat-timeout-ms",
             "0",
         ];
-        let err = serve(&s(&[&listen[..], &follow].concat())).unwrap_err();
+        let err = serve(&s(&[&listen[..], &follow].concat()))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("heartbeat_timeout must be non-zero"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

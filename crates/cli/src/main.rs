@@ -48,6 +48,7 @@
 
 mod commands;
 
+use commands::CliError;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -64,13 +65,15 @@ fn main() -> ExitCode {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}")),
+        Some(other) => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            print_usage();
+            if let CliError::Usage(_) = e {
+                print_usage();
+            }
             ExitCode::from(2)
         }
     }

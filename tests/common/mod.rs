@@ -5,6 +5,7 @@ pub mod canon_oracle;
 pub mod chaos;
 pub mod fault;
 pub mod filter_oracle;
+pub mod paths_oracle;
 pub mod ullmann_oracle;
 pub mod vf2_oracle;
 

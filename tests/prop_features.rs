@@ -1,20 +1,151 @@
 //! Property tests over feature extraction and index filters: the
-//! no-false-negative contracts everything else rests on.
+//! no-false-negative contracts everything else rests on, and the path
+//! enumerator pinned to the level-by-level one it replaced
+//! (`common::paths_oracle`).
 
 mod common;
 
+use common::paths_oracle::oracle_paths;
 use common::{arb_graph, arb_store, oracle_answers, oracle_is_subgraph, oracle_super_answers};
 use igq::features::{
-    enumerate_cycles, enumerate_trees, CycleConfig, FeatureSet, PathConfig, TreeConfig,
+    enumerate_cycles, enumerate_paths, enumerate_paths_with_locations, enumerate_trees,
+    CycleConfig, FeatureSet, PathConfig, TreeConfig,
 };
+use igq::graph::{graph_from, Graph};
 use igq::methods::{
     ContainmentIndex, CtIndex, CtIndexConfig, Ggsx, GgsxConfig, Grapes, GrapesConfig,
     SubgraphMethod,
 };
 use proptest::prelude::*;
 
+/// Asserts that `enumerate_paths` and `enumerate_paths_with_locations`
+/// return the oracle's features exactly — `counts` and `locations` in the
+/// same iteration order (it reaches checkpoint bytes), and `complete_len` —
+/// for every `max_len` in 0..=5, with and without vertex features, under
+/// budgets that land on and next to every level's cumulative cost V(ℓ).
+fn assert_paths_match_oracle(g: &Graph) {
+    for max_len in 0..=5 {
+        let mut budgets = vec![0, u64::MAX];
+        for level in 1..=max_len {
+            let unbudgeted = PathConfig {
+                max_len: level,
+                include_vertices: true,
+                budget: u64::MAX,
+            };
+            let cost = oracle_paths(g, &unbudgeted, false).1; // V(level)
+            budgets.extend([cost.saturating_sub(1), cost, cost + 1]);
+        }
+        budgets.sort_unstable();
+        budgets.dedup();
+        for budget in budgets {
+            for include_vertices in [true, false] {
+                let config = PathConfig {
+                    max_len,
+                    include_vertices,
+                    budget,
+                };
+                for want_locations in [false, true] {
+                    let (expected, _) = oracle_paths(g, &config, want_locations);
+                    let actual = if want_locations {
+                        enumerate_paths_with_locations(g, &config)
+                    } else {
+                        enumerate_paths(g, &config)
+                    };
+                    let context = format!("{config:?} locations={want_locations} on {g:?}");
+                    assert_eq!(actual.complete_len, expected.complete_len, "{context}");
+                    assert_eq!(
+                        actual.counts.iter().collect::<Vec<_>>(),
+                        expected.counts.iter().collect::<Vec<_>>(),
+                        "{context}"
+                    );
+                    assert_eq!(
+                        actual.locations.iter().collect::<Vec<_>>(),
+                        expected.locations.iter().collect::<Vec<_>>(),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A graph on `2..=max_n` vertices keeping each possible edge with
+/// probability `keep`/8: near-complete at 7, sparse at 2.
+fn arb_graph_density(max_n: usize, labels: u32, keep: u8) -> impl Strategy<Value = Graph> {
+    (2..=max_n).prop_flat_map(move |n| {
+        let pairs: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|i| ((i + 1)..n as u32).map(move |j| (i, j)))
+            .collect();
+        let drop = proptest::collection::vec(0u8..8, pairs.len());
+        let label_vec = proptest::collection::vec(0..labels, n);
+        (label_vec, drop).prop_map(move |(ls, drop)| {
+            let edges: Vec<(u32, u32)> = pairs
+                .iter()
+                .zip(&drop)
+                .filter(|(_, &d)| d < keep)
+                .map(|(&e, _)| e)
+                .collect();
+            graph_from(&ls, &edges)
+        })
+    })
+}
+
+/// The disjoint union of two graphs.
+fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+    let offset = a.vertex_count() as u32;
+    let labels: Vec<u32> = a
+        .labels()
+        .iter()
+        .chain(b.labels())
+        .map(|l| l.raw())
+        .collect();
+    let edges: Vec<(u32, u32)> = a
+        .edges()
+        .iter()
+        .map(|&(u, v)| (u.raw(), v.raw()))
+        .chain(
+            b.edges()
+                .iter()
+                .map(|&(u, v)| (u.raw() + offset, v.raw() + offset)),
+        )
+        .collect();
+    graph_from(&labels, &edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The path enumerator equals the oracle on random graphs.
+    #[test]
+    fn paths_match_oracle_on_random_graphs(g in arb_graph(8, 3)) {
+        assert_paths_match_oracle(&g);
+    }
+
+    /// ... on near-complete graphs, where every level has many paths and
+    /// most budgets trip the single walk.
+    #[test]
+    fn paths_match_oracle_on_dense_graphs(g in arb_graph_density(7, 3, 7)) {
+        assert_paths_match_oracle(&g);
+    }
+
+    /// ... on sparse graphs, where the degree floors are loose, so capped
+    /// walks and the level-by-level fallback run.
+    #[test]
+    fn paths_match_oracle_on_sparse_graphs(g in arb_graph_density(12, 3, 2)) {
+        assert_paths_match_oracle(&g);
+    }
+
+    /// ... on disconnected graphs.
+    #[test]
+    fn paths_match_oracle_on_disconnected_graphs(a in arb_graph(5, 3), b in arb_graph(5, 3)) {
+        assert_paths_match_oracle(&disjoint_union(&a, &b));
+    }
+
+    /// ... on edgeless graphs, where every level commits at zero cost.
+    #[test]
+    fn paths_match_oracle_on_edgeless_graphs(labels in proptest::collection::vec(0u32..3, 1..7)) {
+        assert_paths_match_oracle(&graph_from(&labels, &[]));
+    }
 
     /// Subgraph containment implies path-feature count dominance
     /// (the `Isub` filter invariant).
