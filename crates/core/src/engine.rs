@@ -50,6 +50,13 @@
 //! answers stay exact because every slot it uses is found and consumed
 //! inside one write-lock section (`exact_lookup`, `probe_and_prune`).
 //!
+//! Two state machines sit beside the state lock. The role (`Follower {
+//! epoch }` or `Primary { epoch }`) is one atomic word, changed only under
+//! the write side by its transitions: adopt a sender's epoch, promote. The
+//! WAL log (unappended records, health, appends since the last checkpoint)
+//! sits behind one mutex that also orders appends; its transitions write
+//! the health gauges into the ledger.
+//!
 //! The concrete engines are type aliases over the two directions:
 //! [`IgqEngine`] (subgraph queries over any [`SubgraphMethod`]) and
 //! [`crate::IgqSuperEngine`] (supergraph queries); the seed's duplicated
@@ -68,6 +75,10 @@
 //! recovery, a delta group on a follower — is replayed by one function,
 //! `replay_flip`. See the [`crate::persist`] module docs for formats and
 //! the recovery protocol.
+//!
+//! A failed store write degrades durability, never answers: the log keeps
+//! every unwritten flip queued and retries on one backoff clock. With a
+//! checkpoint cadence, the retry that comes due is a checkpoint.
 //!
 //! Correctness (Theorems 1 and 2) is exercised end-to-end by the
 //! integration suite: the engine's answers are compared against the naive
@@ -97,7 +108,7 @@ use igq_methods::{
 };
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -149,46 +160,266 @@ struct QueryCtx<'q> {
 /// Persistence control for a store-attached engine ([`Engine::open`]).
 struct PersistCtl {
     store: Arc<dyn CacheStore>,
-    config_fp: u64,
-    dataset_fp: u64,
+    /// The header WAL rewrites write: a store-attached engine is a primary
+    /// for life, so its epoch is fixed at [`Engine::open`].
+    header: persist::WalHeader,
     /// Auto-checkpoint cadence in WAL appends; `None` = manual only.
     checkpoint_every: Option<u64>,
-    /// WAL records appended since the last checkpoint (reset on
-    /// checkpoint to the compacted tail length).
-    appends_since_checkpoint: AtomicU64,
     /// One checkpointer at a time; the auto path skips (try-lock) rather
     /// than queue up behind an in-flight checkpoint.
     checkpoint_lock: Mutex<()>,
-    /// Typed degraded mode: set when a WAL append fails. The engine keeps
-    /// serving exactly; the failed flip's record (and every later one) is
-    /// **quarantined** in [`PersistCtl::quarantine`] rather than dropped,
-    /// and retried with exponential backoff on subsequent drains. Cleared
-    /// when the quarantine fully replays or a checkpoint — which rewrites
-    /// the WAL wholesale and re-covers every flip — succeeds.
-    degraded: AtomicBool,
-    /// Human-readable cause of the current degraded mode (the first
-    /// failure's error text); empty when healthy. Surfaced through
-    /// [`EngineStats::degraded_reason`].
-    degraded_reason: Mutex<String>,
-    /// Encoded-but-unappended WAL records in flip order, as `(seq, bytes)`
-    /// pairs: the append queue, empty while the log is healthy; after an
-    /// append failure it holds every unwritten flip so durability is
-    /// restored — not merely resumed — once the store recovers. All I/O
-    /// on these happens under `wal_lock`, preserving append order.
-    quarantine: Mutex<VecDeque<(u64, Vec<u8>)>>,
-    /// Earliest instant the next quarantine retry may run (exponential
-    /// backoff between failed retries, so a dead disk is not hammered on
-    /// every flip).
-    retry_not_before: Mutex<Option<Instant>>,
-    /// Consecutive failed retry rounds; drives the backoff exponent.
-    retry_strikes: AtomicU64,
-    /// Set when a failed append may have left a partial record at the end
-    /// of the on-disk log: appending more before repairing would turn a
-    /// tolerable torn tail into a mid-log hole recovery must reject. The
-    /// retry path first rewrites the log minus the torn bytes
-    /// ([`persist::compact_wal`] at seq 0), then replays the
-    /// quarantine.
-    tail_suspect: AtomicBool,
+}
+
+/// The engine's replication role with its failover epoch. Degraded is not
+/// a role: only a store-attached primary can degrade, so that state
+/// belongs to the [`WalLog`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Role {
+    Follower { epoch: u64 },
+    Primary { epoch: u64 },
+}
+
+/// The highest epoch an artifact or a stream may carry: [`RoleCell`]
+/// keeps the role in the bit below the epoch, and a promotion adds one.
+const MAX_EPOCH: u64 = u64::MAX >> 2;
+
+impl Role {
+    fn epoch(self) -> u64 {
+        match self {
+            Role::Follower { epoch } | Role::Primary { epoch } => epoch,
+        }
+    }
+
+    fn is_follower(self) -> bool {
+        matches!(self, Role::Follower { .. })
+    }
+
+    /// Transition: take state stamped with the sender's epoch `stream`.
+    /// Refuses a primary, and a deposed primary's older epoch; a newer one
+    /// is the new primary announcing itself.
+    fn adopt(self, stream: u64) -> Result<Role, ReplicaError> {
+        match self {
+            Role::Primary { .. } => Err(ReplicaError::NotFollower),
+            Role::Follower { epoch } if stream < epoch => Err(ReplicaError::EpochFenced {
+                stream,
+                local: epoch,
+            }),
+            Role::Follower { .. } => checked_epoch(stream)
+                .map(|epoch| Role::Follower { epoch })
+                .map_err(ReplicaError::Corrupt),
+        }
+    }
+
+    /// Transition: a follower becomes a writable primary one epoch on.
+    fn promote(self) -> Result<Role, ReplicaError> {
+        match self {
+            Role::Follower { epoch } => Ok(Role::Primary { epoch: epoch + 1 }),
+            Role::Primary { .. } => Err(ReplicaError::NotFollower),
+        }
+    }
+}
+
+fn checked_epoch(epoch: u64) -> Result<u64, String> {
+    if epoch > MAX_EPOCH {
+        return Err(format!("failover epoch {epoch} is out of range"));
+    }
+    Ok(epoch)
+}
+
+/// One [`Role`] in one atomic word (epoch shifted left, follower flag in
+/// bit 0), so no reader pairs a new epoch with an old role. Stored only
+/// under the state write lock. `Relaxed`: the word publishes no other
+/// data, and a reader that needs the state with it holds the state lock.
+struct RoleCell(AtomicU64);
+
+impl RoleCell {
+    fn pack(role: Role) -> u64 {
+        role.epoch() << 1 | u64::from(role.is_follower())
+    }
+
+    fn load(&self) -> Role {
+        let word = self.0.load(Ordering::Relaxed);
+        let epoch = word >> 1;
+        if word & 1 == 1 {
+            Role::Follower { epoch }
+        } else {
+            Role::Primary { epoch }
+        }
+    }
+
+    fn store(&self, role: Role) {
+        self.0.store(Self::pack(role), Ordering::Relaxed);
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Health {
+    Healthy,
+    /// A store write failed: the failed flip and every later one wait in
+    /// the queue for a retry at `retry_at`, backed off per strike.
+    Degraded {
+        strikes: u32,
+        retry_at: Instant,
+        /// A failed append may have left a partial record, which a
+        /// rewrite must drop before the next append (or it is a mid-log
+        /// hole recovery rejects).
+        torn_tail: bool,
+    },
+}
+
+/// The WAL's write side, whose methods are the log's transitions. Its
+/// mutex orders appends and publication; never taken under the state
+/// write lock.
+struct WalLog {
+    /// Encoded-but-unappended records in flip order, as `(seq, bytes)`;
+    /// empty while healthy.
+    queue: VecDeque<(u64, Vec<u8>)>,
+    health: Health,
+    /// Records appended since the last checkpoint.
+    appends_since_checkpoint: u64,
+}
+
+impl WalLog {
+    fn is_degraded(&self) -> bool {
+        matches!(self.health, Health::Degraded { .. })
+    }
+
+    fn retry_due(&self) -> bool {
+        matches!(self.health, Health::Degraded { retry_at, .. } if Instant::now() >= retry_at)
+    }
+
+    /// On the cadence while healthy; as the retry while degraded (a
+    /// checkpoint re-covers every queued flip at once).
+    fn checkpoint_due(&self, p: &PersistCtl) -> bool {
+        match (p.checkpoint_every, self.health) {
+            (None, _) => false,
+            (Some(every), Health::Healthy) => self.appends_since_checkpoint >= every,
+            (Some(_), Health::Degraded { .. }) => self.retry_due(),
+        }
+    }
+
+    /// Transition: append one encoded flip. A degraded log queues it and,
+    /// with no checkpoint to retry for it, replays the queue when due.
+    fn append(&mut self, p: &PersistCtl, seq: u64, bytes: Vec<u8>, ledger: &Ledger) {
+        self.queue.push_back((seq, bytes));
+        if !self.is_degraded() || (p.checkpoint_every.is_none() && self.retry_due()) {
+            self.replay(p, ledger);
+        } else {
+            let queued = self.queue.len() as u64;
+            tally(ledger, |s| s.wal_quarantined_groups = queued);
+        }
+    }
+
+    /// Transition: a write failed; the backoff doubles per strike.
+    fn degrade(&mut self, reason: String, torn: bool, ledger: &Ledger) {
+        let (strikes, torn_tail) = match self.health {
+            Health::Healthy => (0, false),
+            Health::Degraded {
+                strikes, torn_tail, ..
+            } => (strikes, torn_tail),
+        };
+        if strikes == 0 {
+            eprintln!("igq: warning: {reason}; entering degraded mode");
+        }
+        let backoff = WAL_RETRY_FLOOR
+            .saturating_mul(1 << strikes.min(10))
+            .min(WAL_RETRY_CEIL);
+        self.health = Health::Degraded {
+            strikes: strikes + 1,
+            retry_at: Instant::now() + backoff,
+            torn_tail: torn || torn_tail,
+        };
+        let queued = self.queue.len() as u64;
+        tally(ledger, |s| {
+            s.degraded = true;
+            s.degraded_reason = reason;
+            s.wal_retry_failures += 1;
+            s.wal_quarantined_groups = queued;
+        });
+    }
+
+    /// Transition: repair a torn tail, then append the queue.
+    fn replay(&mut self, p: &PersistCtl, ledger: &Ledger) {
+        if let Health::Degraded {
+            torn_tail: true, ..
+        } = self.health
+        {
+            if let Err(e) = self.rewrite(p, 0) {
+                return self.degrade(format!("WAL tail repair failed: {e}"), false, ledger);
+            }
+        }
+        self.flush(p, "quarantined WAL flips replayed", ledger);
+    }
+
+    /// Transition: a checkpoint of flip `seq` was saved (or failed to
+    /// be). Rewrites the log to the records after it and appends the
+    /// queued flips after it. On a degraded log this is the checkpoint
+    /// retry: a failure is a strike, a drained queue heals.
+    fn checkpointed(
+        &mut self,
+        p: &PersistCtl,
+        saved: Result<u64, PersistError>,
+        ledger: &Ledger,
+    ) -> Result<(), PersistError> {
+        match saved.and_then(|seq| self.rewrite(p, seq)) {
+            Ok(kept) => self.appends_since_checkpoint = kept,
+            Err(e) if self.is_degraded() => {
+                self.degrade(format!("checkpoint retry failed: {e}"), false, ledger);
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        }
+        self.flush(p, "checkpoint re-covered the quarantined WAL flips", ledger);
+        Ok(())
+    }
+
+    /// Appends the queue in flip order. A failure leaves the rest queued
+    /// and degrades the log; a drained queue heals it (`how` says how).
+    fn flush(&mut self, p: &PersistCtl, how: &str, ledger: &Ledger) {
+        while let Some((seq, bytes)) = self.queue.pop_front() {
+            if let Err(e) = p.store.append_wal(&bytes) {
+                self.queue.push_front((seq, bytes));
+                return self.degrade(format!("WAL append failed: {e}"), true, ledger);
+            }
+            self.appends_since_checkpoint += 1;
+            tally(ledger, |s| {
+                s.wal_appends += 1;
+                s.wal_bytes_appended += bytes.len() as u64;
+            });
+        }
+        if self.is_degraded() {
+            self.health = Health::Healthy;
+            eprintln!("igq: info: degraded mode cleared — {how}");
+            tally(ledger, |s| {
+                s.degraded = false;
+                s.degraded_reason.clear();
+                s.wal_quarantined_groups = 0;
+            });
+        }
+    }
+
+    /// Rewrites the log to its intact records after flip `after` (0 keeps
+    /// them all), which drops a torn tail, and drops the queued flips a
+    /// checkpoint at `after` covers. Returns the number of records kept.
+    fn rewrite(&mut self, p: &PersistCtl, after: u64) -> Result<u64, PersistError> {
+        let (compacted, kept) = persist::compact_wal(&p.store.load_wal()?, after, &p.header);
+        p.store.replace_wal(&compacted)?;
+        if let Health::Degraded { torn_tail, .. } = &mut self.health {
+            *torn_tail = false;
+        }
+        self.queue.retain(|(seq, _)| *seq > after);
+        Ok(kept)
+    }
+}
+
+/// The lifetime counters: a leaf lock, never held across I/O or while
+/// taking another lock.
+type Ledger = Mutex<EngineStats>;
+
+/// Writes the ledger: `f` runs under its lock, so it must only update
+/// fields.
+fn tally(ledger: &Ledger, f: impl FnOnce(&mut EngineStats)) {
+    f(&mut ledger.lock().expect(POISONED));
 }
 
 /// What a persisted artifact must match to be restored into an engine,
@@ -256,10 +487,10 @@ pub struct Engine<D: QueryDirection> {
     /// the lock is released, so storage I/O never sits on the state lock.
     /// Empty for engines with neither a [`CacheStore`] nor subscribers.
     wal_outbox: Mutex<VecDeque<persist::WalRecord>>,
-    /// Serializes WAL appends (and compaction) so records land in exactly
-    /// their outbox (= flip) order; never acquired while holding the
-    /// state write lock.
-    wal_lock: Mutex<()>,
+    /// The WAL's write side; its mutex serializes the outbox drain, so
+    /// records land and publish in exactly their outbox (= flip) order.
+    /// Stays empty and healthy without a store.
+    wal: Mutex<WalLog>,
     /// `Some` iff the engine was attached to a [`CacheStore`] via
     /// [`Engine::open`].
     persist: Option<PersistCtl>,
@@ -268,25 +499,18 @@ pub struct Engine<D: QueryDirection> {
     /// activates it; from then on every committed flip group is
     /// published through it, post-append, in flip order.
     hub: ReplicationHub,
-    /// `true` for a follower ([`Engine::open_follower`]): the engine
-    /// replays delta groups from a primary, serves read-only queries
-    /// (no window admission), and rejects write-path operations with a
-    /// typed [`ReplicaError`]. Atomic because [`Engine::promote`] flips
-    /// it to `false` at failover.
-    follower: AtomicBool,
-    /// Failover epoch: bumped by every [`Engine::promote`], persisted in
-    /// checkpoints and the WAL header, and stamped on every published
-    /// delta group so a deposed primary's stream is fenced
-    /// ([`ReplicaError::EpochFenced`]) instead of silently applied.
-    epoch: AtomicU64,
+    /// Follower ([`Engine::open_follower`]: replays a primary's groups,
+    /// admits nothing) or primary, with the failover epoch: bumped by
+    /// [`Engine::promote`], persisted, and stamped on every published
+    /// group so a deposed primary's stream is fenced.
+    role: RoleCell,
     /// Canonical-code keyed matching-plan cache, shared by the verify
     /// stage and both index probes. Internally lock-striped,
     /// so it lives outside the state lock; entries are evicted alongside
     /// their queries via [`WindowDelta::evicted_codes`].
     plan_cache: PlanCache,
-    /// The lifetime counters: a leaf lock, never held across I/O or
-    /// while taking another lock. Written through [`Engine::tally`].
-    stats: Mutex<EngineStats>,
+    /// The lifetime counters, written through [`tally`].
+    stats: Ledger,
     _direction: PhantomData<fn() -> D>,
 }
 
@@ -299,9 +523,9 @@ impl<D: QueryDirection> Engine<D> {
     /// the builder would have raised.
     pub fn new(method: D::Method, config: IgqConfig) -> Result<Engine<D>, ConfigError> {
         config.validate()?;
-        let labels = Self::resolve_labels(&method, &config);
-        let state = State::empty(&config, labels);
-        Ok(Self::assemble(method, config, state, None, false, 0))
+        let state = State::empty(&config, Self::resolve_labels(&method, &config));
+        let primary = Role::Primary { epoch: 0 };
+        Ok(Self::assemble(method, config, state, None, primary))
     }
 
     /// Label-universe size for the cost model: configured, or derived
@@ -330,8 +554,7 @@ impl<D: QueryDirection> Engine<D> {
         config: IgqConfig,
         state: State,
         persist: Option<PersistCtl>,
-        follower: bool,
-        epoch: u64,
+        role: Role,
     ) -> Engine<D> {
         // Plans are cheap relative to cached answer sets: hold a few per
         // resident (distinct configs, probe-side patterns) with headroom
@@ -342,21 +565,21 @@ impl<D: QueryDirection> Engine<D> {
             config,
             state: RwLock::new(state),
             wal_outbox: Mutex::new(VecDeque::new()),
-            wal_lock: Mutex::new(()),
+            wal: Mutex::new(WalLog {
+                queue: VecDeque::new(),
+                health: Health::Healthy,
+                appends_since_checkpoint: 0,
+            }),
             persist,
             hub: ReplicationHub::new(),
-            follower: AtomicBool::new(follower),
-            epoch: AtomicU64::new(epoch),
+            role: RoleCell(AtomicU64::new(RoleCell::pack(role))),
             plan_cache: PlanCache::new(plan_capacity),
-            stats: Mutex::default(),
+            stats: Mutex::new(EngineStats {
+                epoch: role.epoch(),
+                ..EngineStats::default()
+            }),
             _direction: PhantomData,
         }
-    }
-
-    /// Writes the ledger: `f` runs under the stats lock, so it must only
-    /// update fields.
-    fn tally(&self, f: impl FnOnce(&mut EngineStats)) {
-        f(&mut self.stats.lock().expect(POISONED));
     }
 
     /// Takes the state lock's write side.
@@ -415,6 +638,7 @@ impl<D: QueryDirection> Engine<D> {
             .as_ref()
             .map_or(0, |d| d.epoch)
             .max(wal.header.as_ref().map_or(0, |h| h.epoch));
+        checked_epoch(epoch).map_err(PersistError::Corrupt)?;
         if wal.torn_tail {
             eprintln!(
                 "igq: warning: WAL ends in a torn record (crash mid-append); \
@@ -423,22 +647,20 @@ impl<D: QueryDirection> Engine<D> {
         }
 
         let st = Self::restore_from_checkpoint(&config, id.labels, checkpoint)?;
-        let every = config.persistence.checkpoint_every_windows;
         let pctl = PersistCtl {
             store,
-            config_fp: id.config_fp,
-            dataset_fp: id.dataset_fp,
-            checkpoint_every: every.map(|w| w as u64),
-            appends_since_checkpoint: AtomicU64::new(0),
+            header: persist::WalHeader {
+                config_fp: id.config_fp,
+                dataset_fp: id.dataset_fp,
+                epoch,
+            },
+            checkpoint_every: config
+                .persistence
+                .checkpoint_every_windows
+                .map(|w| w as u64),
             checkpoint_lock: Mutex::new(()),
-            degraded: AtomicBool::new(false),
-            degraded_reason: Mutex::new(String::new()),
-            quarantine: Mutex::new(VecDeque::new()),
-            retry_not_before: Mutex::new(None),
-            retry_strikes: AtomicU64::new(0),
-            tail_suspect: AtomicBool::new(false),
         };
-        let engine = Self::assemble(method, config, st, Some(pctl), false, epoch);
+        let mut engine = Self::assemble(method, config, st, Some(pctl), Role::Primary { epoch });
 
         // Replay the WAL tail record by record (one record per flip)
         // through the path a follower applies delta groups with.
@@ -493,11 +715,11 @@ impl<D: QueryDirection> Engine<D> {
         // header, so the file is clean from here on.
         let p = engine.persist.as_ref().expect("store attached above");
         p.store
-            .replace_wal(&persist::encode_wal(&engine.wal_header(p), &kept))?;
+            .replace_wal(&persist::encode_wal(&p.header, &kept))?;
         let replayed = kept.len() as u64;
-        p.appends_since_checkpoint
-            .store(replayed, Ordering::Relaxed);
-        engine.tally(|s| s.recovery_replayed_windows = replayed);
+        tally(&engine.stats, |s| s.recovery_replayed_windows = replayed);
+        let log = engine.wal.get_mut().expect(POISONED);
+        log.appends_since_checkpoint = replayed;
         Ok(engine)
     }
 
@@ -595,10 +817,10 @@ impl<D: QueryDirection> Engine<D> {
         let id = Self::identity(&method, &config)?;
         let (st, epoch) = Self::rebuild(&config, &id, snapshot)?;
         let cold = State::empty(&config, id.labels);
-        let engine = Self::assemble(method, config, cold, None, true, 0);
+        let engine = Self::assemble(method, config, cold, None, Role::Follower { epoch: 0 });
         engine
             .install(st, epoch)
-            .expect("a cold follower accepts any snapshot epoch");
+            .map_err(|e| PersistError::Corrupt(e.to_string()))?;
         Ok(engine)
     }
 
@@ -645,14 +867,17 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// The locked half of [`install_snapshot`](Engine::install_snapshot):
-    /// checks role and epoch, then swaps `st` in.
+    /// adopts the snapshot's epoch, then swaps `st` in.
     fn install(&self, st: State, epoch: u64) -> Result<u64, ReplicaError> {
         let seq = st.seq;
         let old = {
             let mut guard = self.lock_write();
-            self.check_stream(epoch)?;
-            self.epoch.store(epoch, Ordering::Relaxed);
-            self.tally(|s| s.set_position(seq));
+            let role = self.role.load().adopt(epoch)?;
+            self.role.store(role);
+            tally(&self.stats, |s| {
+                s.set_position(seq);
+                s.epoch = epoch;
+            });
             self.hub.reset();
             std::mem::replace(&mut *guard, st)
         };
@@ -664,27 +889,6 @@ impl<D: QueryDirection> Engine<D> {
             }
         }
         Ok(seq)
-    }
-
-    /// Whether this engine may take state stamped with `epoch`: refuses a
-    /// primary, and — seq fencing — a sender from an older failover epoch,
-    /// a deposed primary (this replica promoted, or follows a promoted
-    /// one) whose flips the current primary never sequenced. A *newer*
-    /// epoch is the new primary announcing itself; the caller adopts it
-    /// once its state applies. Called under the write lock, which
-    /// `promote` holds to flip the role.
-    fn check_stream(&self, epoch: u64) -> Result<(), ReplicaError> {
-        if !self.follower.load(Ordering::Relaxed) {
-            return Err(ReplicaError::NotFollower);
-        }
-        let local = self.epoch.load(Ordering::Relaxed);
-        if epoch < local {
-            return Err(ReplicaError::EpochFenced {
-                stream: epoch,
-                local,
-            });
-        }
-        Ok(())
     }
 
     /// Subscribes a replica to this engine's committed window flips,
@@ -719,7 +923,7 @@ impl<D: QueryDirection> Engine<D> {
         self.drain_outbox();
         self.hub.activate(g.seq);
         if let Some(after) = from_seq {
-            if let Some(feed) = self.hub.try_resume(after) {
+            if let Some(feed) = self.hub.try_resume(after, Vec::new()) {
                 return Subscription::Live { feed };
             }
             // The subscriber is older than the in-memory resume ring. On
@@ -728,7 +932,7 @@ impl<D: QueryDirection> Engine<D> {
             // the live ring, so the follower catches up over the stream
             // instead of re-transferring a full snapshot.
             if let Some(feed) = self.wal_backlog_feed(after) {
-                self.tally(|s| s.replica_wal_catchups += 1);
+                tally(&self.stats, |s| s.replica_wal_catchups += 1);
                 return Subscription::Live { feed };
             }
         }
@@ -754,18 +958,16 @@ impl<D: QueryDirection> Engine<D> {
     /// gap-free.
     fn wal_backlog_feed(&self, after: u64) -> Option<crate::replicate::ReplicaFeed> {
         let p = self.persist.as_ref()?;
-        if p.degraded.load(Ordering::Relaxed) {
+        // Under the WAL lock no appender is writing, so the log read here
+        // is a clean prefix of the stream.
+        let log = self.wal.lock().expect(POISONED);
+        if log.is_degraded() {
             return None;
         }
-        // Under the WAL lock no appender is concurrently writing, so the
-        // log read here is a clean prefix of the stream; the caller holds
-        // the state *read* lock (never the write side), matching the
-        // `wal_lock` ordering rule.
-        let _appending = self.wal_lock.lock().expect(POISONED);
         // A torn tail only drops the final (never-committed) record; the
         // intact prefix is still a valid backlog source.
         let wal = persist::parse_wal(&p.store.load_wal().ok()?).ok()?;
-        let epoch = self.epoch.load(Ordering::Relaxed);
+        let epoch = self.role.load().epoch();
         let mut backlog = Vec::new();
         let mut next = after + 1;
         for record in wal.records {
@@ -784,10 +986,7 @@ impl<D: QueryDirection> Engine<D> {
                 bytes: persist::encode_group_binary(&record, epoch).into(),
             });
         }
-        if backlog.is_empty() {
-            return None;
-        }
-        self.hub.attach_with_backlog(after, backlog)
+        self.hub.try_resume(after, backlog)
     }
 
     /// Applies one replicated flip group (the `bytes` of a
@@ -801,7 +1000,7 @@ impl<D: QueryDirection> Engine<D> {
     ///
     /// Returns the follower's last applied seq.
     pub fn apply_replica_delta(&self, bytes: &[u8]) -> Result<u64, ReplicaError> {
-        if !self.follower.load(Ordering::Relaxed) {
+        if !self.is_follower() {
             return Err(ReplicaError::NotFollower);
         }
         let (stream_epoch, record) = persist::decode_group_binary(bytes)?;
@@ -812,8 +1011,8 @@ impl<D: QueryDirection> Engine<D> {
             // Re-checked under the write lock, so a group racing a
             // promotion is rejected rather than applied to a now-writable
             // primary.
-            self.check_stream(stream_epoch)?;
-            self.tally(|s| s.note_heard(seq));
+            let role = self.role.load().adopt(stream_epoch)?;
+            tally(&self.stats, |s| s.note_heard(seq));
             if seq <= st.seq {
                 return Ok(st.seq);
             }
@@ -826,8 +1025,9 @@ impl<D: QueryDirection> Engine<D> {
             let (postings, elapsed) = self
                 .replay_flip(st, &record)
                 .map_err(ReplicaError::Corrupt)?;
-            self.epoch.store(stream_epoch, Ordering::Relaxed);
-            self.tally(|s| {
+            self.role.store(role);
+            tally(&self.stats, |s| {
+                s.epoch = stream_epoch;
                 s.note_applied(seq);
                 s.maintenance_postings_touched += postings;
                 s.maintenance_time += elapsed;
@@ -891,7 +1091,7 @@ impl<D: QueryDirection> Engine<D> {
     /// ([`Engine::open_follower`]) that has not been
     /// [`promote`](Engine::promote)d.
     pub fn is_follower(&self) -> bool {
-        self.follower.load(Ordering::Relaxed)
+        self.role.load().is_follower()
     }
 
     /// Promotes this follower into a writable primary (automatic
@@ -907,20 +1107,17 @@ impl<D: QueryDirection> Engine<D> {
     /// is already a primary (including a second `promote` call).
     pub fn promote(&self) -> Result<u64, ReplicaError> {
         let _g = self.lock_write();
-        if !self.follower.load(Ordering::Relaxed) {
-            return Err(ReplicaError::NotFollower);
-        }
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        self.epoch.store(epoch, Ordering::Relaxed);
-        self.follower.store(false, Ordering::Relaxed);
-        Ok(epoch)
+        let role = self.role.load().promote()?;
+        self.role.store(role);
+        tally(&self.stats, |s| s.epoch = role.epoch());
+        Ok(role.epoch())
     }
 
     /// The current failover epoch: 0 until a promotion happens anywhere
     /// in the replication tree; bumped by [`promote`](Engine::promote),
     /// adopted from the stream by followers.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.role.load().epoch()
     }
 
     /// Follower staleness in window flips — the highest flip heard from
@@ -937,7 +1134,7 @@ impl<D: QueryDirection> Engine<D> {
     /// queued): the staleness gauge measures heard-vs-applied, so feeds
     /// should report both sides.
     pub fn note_replica_heard(&self, seq: u64) {
-        self.tally(|s| s.note_heard(seq));
+        tally(&self.stats, |s| s.note_heard(seq));
     }
 
     /// The wrapped method.
@@ -957,14 +1154,6 @@ impl<D: QueryDirection> Engine<D> {
         stats.plan_cache_hits = plans.hits;
         stats.plan_cache_misses = plans.misses;
         stats.plan_cache_evictions = plans.evictions;
-        stats.epoch = self.epoch.load(Ordering::Relaxed);
-        if let Some(p) = &self.persist {
-            stats.wal_quarantined_groups = p.quarantine.lock().expect(POISONED).len() as u64;
-            if p.degraded.load(Ordering::Relaxed) {
-                stats.degraded = true;
-                stats.degraded_reason = p.degraded_reason.lock().expect(POISONED).clone();
-            }
-        }
         stats
     }
 
@@ -1022,7 +1211,7 @@ impl<D: QueryDirection> Engine<D> {
         let start = Instant::now();
         let outcome = self.run(&request.graph, &request.options);
         let elapsed = start.elapsed();
-        self.tally(|s| s.requests_served += 1);
+        tally(&self.stats, |s| s.requests_served += 1);
         let deadline_exceeded = request.options.deadline.is_some_and(|d| elapsed > d);
         QueryResponse {
             outcome,
@@ -1061,7 +1250,7 @@ impl<D: QueryDirection> Engine<D> {
     /// coalescing window through.
     pub fn execute_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
         if requests.len() >= 2 {
-            self.tally(|s| s.batches_coalesced += 1);
+            tally(&self.stats, |s| s.batches_coalesced += 1);
         }
         self.fan_out(requests, |r| self.execute(r))
     }
@@ -1071,7 +1260,7 @@ impl<D: QueryDirection> Engine<D> {
     /// edge, which owns the shed decision; the engine only keeps the
     /// ledger.
     pub fn note_overload_rejection(&self) {
-        self.tally(|s| s.requests_rejected_overload += 1);
+        tally(&self.stats, |s| s.requests_rejected_overload += 1);
     }
 
     /// The shared pipeline behind [`query`](Engine::query) and
@@ -1299,7 +1488,7 @@ impl<D: QueryDirection> Engine<D> {
         if outcome.resolution != Resolution::ExactHit
             && outcome.aborted_tests == 0
             && !ctx.opts.skip_admission
-            && !self.follower.load(Ordering::Relaxed)
+            && !self.is_follower()
         {
             let maint_start = Instant::now();
             // The admission record (graph clone, WL signature) is built
@@ -1315,16 +1504,14 @@ impl<D: QueryDirection> Engine<D> {
                 self.enqueue(&mut st, entry);
                 self.maybe_flip(&mut st, false)
             };
-            if flipped {
-                self.drain_outbox();
-            }
+            let checkpoint_due = flipped && self.drain_outbox();
             outcome.igq_time += maint_start.elapsed();
-            if flipped {
+            if checkpoint_due {
                 self.maybe_auto_checkpoint();
             }
         }
         outcome.wall_time = ctx.start.elapsed();
-        self.tally(|s| s.fold_query(&outcome, &ctx.tally));
+        tally(&self.stats, |s| s.fold_query(&outcome, &ctx.tally));
         outcome
     }
 
@@ -1373,7 +1560,7 @@ impl<D: QueryDirection> Engine<D> {
         }
         self.capture_wal(st, &delta);
         let (postings, elapsed) = self.apply_index_delta(st, &delta);
-        self.tally(|s| {
+        tally(&self.stats, |s| {
             s.maintenances += 1;
             s.maintenance_postings_touched += postings;
             s.maintenance_time += elapsed;
@@ -1430,47 +1617,37 @@ impl<D: QueryDirection> Engine<D> {
     /// outbox mutex itself is held only per pop, so a flipper pushing a
     /// new record under the write lock never waits behind an append. Safe
     /// to call while holding the state *read* lock. No-op for an engine
-    /// with neither a store nor subscribers.
-    fn drain_outbox(&self) {
-        if self.persist.is_some() || self.hub.is_active() {
-            // One appender at a time: pops happen only under the WAL
-            // lock, in FIFO order, so append order is flip order — and so
-            // is publication order on the replication hub.
-            let _appending = self.wal_lock.lock().expect(POISONED);
-            loop {
-                let record = self.wal_outbox.lock().expect(POISONED).pop_front();
-                let Some(record) = record else { break };
-                if let Some(p) = &self.persist {
-                    // One flip is one append (and one fsync on
-                    // disk-backed stores): a crash can tear at most the
-                    // final record, which recovery truncates. The record
-                    // joins the append queue; in degraded mode it waits
-                    // there behind the quarantined ones (appending past a
-                    // possibly-torn tail would turn it into a mid-log hole
-                    // recovery must reject) for a backoff-gated retry of
-                    // the whole queue.
-                    let bytes = persist::encode_wal_record(&record);
-                    p.quarantine
-                        .lock()
-                        .expect(POISONED)
-                        .push_back((record.seq, bytes));
-                    if p.degraded.load(Ordering::Relaxed) {
-                        self.try_drain_quarantine(p);
-                    } else if let Err(e) = self.reappend_quarantine(p, &mut 0) {
-                        self.enter_degraded(p, record.seq, &e);
-                    }
-                }
-                // Replication tracks the *live* engine, not the disk: the
-                // flip is published even when the local WAL is degraded
-                // (followers mirror memory; durability is the primary's
-                // own problem). Publication after the append attempt keeps
-                // "what followers saw" always ≤ "what the primary wrote"
-                // on a healthy log.
-                self.publish(record.seq, || {
-                    persist::encode_group_binary(&record, self.epoch.load(Ordering::Relaxed)).into()
-                });
-            }
+    /// with neither a store nor subscribers. Returns whether an
+    /// auto-checkpoint is due, read under the WAL lock it already holds.
+    fn drain_outbox(&self) -> bool {
+        if self.persist.is_none() && !self.hub.is_active() {
+            return false;
         }
+        // One appender at a time: pops happen only under the WAL lock, in
+        // FIFO order, so append order is flip order — and so is
+        // publication order on the replication hub.
+        let mut log = self.wal.lock().expect(POISONED);
+        loop {
+            let record = self.wal_outbox.lock().expect(POISONED).pop_front();
+            let Some(record) = record else { break };
+            if let Some(p) = &self.persist {
+                // One flip is one append (and one fsync on disk-backed
+                // stores): a crash can tear at most the final record,
+                // which recovery truncates.
+                let bytes = persist::encode_wal_record(&record);
+                log.append(p, record.seq, bytes, &self.stats);
+            }
+            // Replication tracks the *live* engine, not the disk: the
+            // flip is published even when the local WAL is degraded
+            // (followers mirror memory; durability is the primary's own
+            // problem). Publication after the append attempt keeps "what
+            // followers saw" always ≤ "what the primary wrote" on a
+            // healthy log.
+            self.publish(record.seq, || {
+                persist::encode_group_binary(&record, self.epoch()).into()
+            });
+        }
+        self.persist.as_ref().is_some_and(|p| log.checkpoint_due(p))
     }
 
     /// Publishes one flip group to the replication hub's subscribers, if
@@ -1481,141 +1658,17 @@ impl<D: QueryDirection> Engine<D> {
                 seq,
                 bytes: bytes(),
             });
-            self.tally(|s| s.replica_groups_published += 1);
+            tally(&self.stats, |s| s.replica_groups_published += 1);
         }
-    }
-
-    /// Enters degraded mode after a failed WAL append: the flip's record
-    /// stays quarantined (not dropped), the reason recorded for
-    /// [`EngineStats::degraded_reason`], and the on-disk tail marked
-    /// suspect. Serving continues exactly; only durability of the
-    /// quarantined flips is deferred until the store recovers or a
-    /// checkpoint re-covers them. Caller holds `wal_lock`.
-    fn enter_degraded(&self, p: &PersistCtl, seq: u64, cause: &PersistError) {
-        eprintln!(
-            "igq: warning: WAL append failed ({cause}); entering degraded mode — \
-             quarantining flip {seq} and retrying with backoff"
-        );
-        *p.degraded_reason.lock().expect(POISONED) = format!("WAL append failed: {cause}");
-        p.retry_strikes.store(1, Ordering::Relaxed);
-        *p.retry_not_before.lock().expect(POISONED) = Some(Instant::now() + WAL_RETRY_FLOOR);
-        p.degraded.store(true, Ordering::Relaxed);
-        self.tally(|s| s.wal_retry_failures += 1);
-    }
-
-    /// One backoff-gated retry round over the quarantine: repair the
-    /// (possibly torn) on-disk tail first, then replay quarantined records
-    /// in flip order. Clears degraded mode when the queue fully drains; a
-    /// failure anywhere re-arms the backoff and leaves the rest queued.
-    /// Caller holds `wal_lock`.
-    fn try_drain_quarantine(&self, p: &PersistCtl) {
-        if !p.degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        {
-            let not_before = p.retry_not_before.lock().expect(POISONED);
-            if let Some(t) = *not_before {
-                if Instant::now() < t {
-                    return;
-                }
-            }
-        }
-        let fail = |e: &PersistError| {
-            let strikes = p.retry_strikes.fetch_add(1, Ordering::Relaxed);
-            let backoff = WAL_RETRY_FLOOR
-                .saturating_mul(1u32 << strikes.min(10) as u32)
-                .min(WAL_RETRY_CEIL);
-            *p.retry_not_before.lock().expect(POISONED) = Some(Instant::now() + backoff);
-            *p.degraded_reason.lock().expect(POISONED) = format!("WAL retry failed: {e}");
-            self.tally(|s| s.wal_retry_failures += 1);
-        };
-        // Tail repair: a failed append may have left a partial record at
-        // the end of the log. Rewriting the log minus the torn bytes
-        // (compaction at seq 0 keeps every intact record) restores a
-        // clean append point before any quarantined record lands.
-        if p.tail_suspect.load(Ordering::Relaxed) {
-            if let Err(e) = self.rewrite_wal(p, 0) {
-                fail(&e);
-                return;
-            }
-        }
-        if let Err(e) = self.reappend_quarantine(p, &mut 0) {
-            fail(&e);
-            return;
-        }
-        self.clear_degraded(p);
-        eprintln!("igq: info: degraded mode cleared — quarantined WAL flips replayed");
-    }
-
-    /// Appends the queued WAL records in flip order, counting each that
-    /// lands in `appended`. Stops at the first failure, leaving that
-    /// record and the rest queued and the on-disk tail marked suspect (the
-    /// failed append may have torn it). Caller holds `wal_lock`.
-    fn reappend_quarantine(&self, p: &PersistCtl, appended: &mut u64) -> Result<(), PersistError> {
-        loop {
-            let Some((seq, bytes)) = p.quarantine.lock().expect(POISONED).pop_front() else {
-                return Ok(());
-            };
-            if let Err(e) = p.store.append_wal(&bytes) {
-                p.tail_suspect.store(true, Ordering::Relaxed);
-                p.quarantine
-                    .lock()
-                    .expect(POISONED)
-                    .push_front((seq, bytes));
-                return Err(e);
-            }
-            self.tally(|s| {
-                s.wal_appends += 1;
-                s.wal_bytes_appended += bytes.len() as u64;
-            });
-            p.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
-            *appended += 1;
-        }
-    }
-
-    /// Rewrites the log to its intact records after flip `keep_after`
-    /// (0 keeps them all) under a fresh header, which also drops a torn
-    /// tail a failed append left behind, and drops the quarantined flips
-    /// at or below `keep_after` (a checkpoint covers them). Returns the
-    /// number of records kept. Caller holds `wal_lock`.
-    fn rewrite_wal(&self, p: &PersistCtl, keep_after: u64) -> Result<u64, PersistError> {
-        let header = self.wal_header(p);
-        let (compacted, kept) = persist::compact_wal(&p.store.load_wal()?, keep_after, &header);
-        p.store.replace_wal(&compacted)?;
-        p.tail_suspect.store(false, Ordering::Relaxed);
-        let mut q = p.quarantine.lock().expect(POISONED);
-        while q.front().is_some_and(|(seq, _)| *seq <= keep_after) {
-            q.pop_front();
-        }
-        Ok(kept)
-    }
-
-    /// The WAL header this engine writes: its fingerprints and current
-    /// failover epoch.
-    fn wal_header(&self, p: &PersistCtl) -> persist::WalHeader {
-        persist::WalHeader {
-            config_fp: p.config_fp,
-            dataset_fp: p.dataset_fp,
-            epoch: self.epoch.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Leaves degraded mode: quarantine empty (drained or subsumed by a
-    /// checkpoint), log healthy.
-    fn clear_degraded(&self, p: &PersistCtl) {
-        p.degraded.store(false, Ordering::Relaxed);
-        *p.degraded_reason.lock().expect(POISONED) = String::new();
-        *p.retry_not_before.lock().expect(POISONED) = None;
-        p.retry_strikes.store(0, Ordering::Relaxed);
-        p.tail_suspect.store(false, Ordering::Relaxed);
     }
 
     /// Forces maintenance regardless of window fill (used by harnesses at
     /// warm-up boundaries).
     pub fn flush_window(&self) {
         self.maybe_flip(&mut self.lock_write(), true);
-        self.drain_outbox();
-        self.maybe_auto_checkpoint();
+        if self.drain_outbox() {
+            self.maybe_auto_checkpoint();
+        }
     }
 
     /// Writes a checkpoint to the attached [`CacheStore`] and compacts
@@ -1624,31 +1677,22 @@ impl<D: QueryDirection> Engine<D> {
     /// window, replacement metadata, free-slot geometry — **without**
     /// flushing the window or otherwise perturbing engine behavior, so a
     /// checkpointed engine and an untouched one remain observationally
-    /// identical.
+    /// identical. Runs whatever the log's retry clock says.
     ///
     /// State capture runs under the state *read* lock (concurrent queries
     /// proceed; flips wait); encoding, storage I/O, and WAL compaction
     /// run with no engine lock held. A no-op `Ok(())` for engines
     /// constructed without a store ([`Engine::new`]).
     pub fn checkpoint(&self) -> Result<(), PersistError> {
-        self.checkpoint_inner(true)
-    }
-
-    fn checkpoint_inner(&self, blocking: bool) -> Result<(), PersistError> {
         let Some(p) = &self.persist else {
             return Ok(());
         };
-        let _one_at_a_time = if blocking {
-            p.checkpoint_lock.lock().expect(POISONED)
-        } else {
-            match p.checkpoint_lock.try_lock() {
-                Ok(guard) => guard,
-                // An auto-checkpoint is already in flight; this flip's
-                // state will be covered by the next cadence hit.
-                Err(TryLockError::WouldBlock) => return Ok(()),
-                Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
-            }
-        };
+        let _one_at_a_time = p.checkpoint_lock.lock().expect(POISONED);
+        self.write_checkpoint(p)
+    }
+
+    /// The body of a checkpoint; the caller holds `checkpoint_lock`.
+    fn write_checkpoint(&self, p: &PersistCtl) -> Result<(), PersistError> {
         let start = Instant::now();
         let data = {
             // Under the read lock no flip can land, so the capture is
@@ -1656,76 +1700,47 @@ impl<D: QueryDirection> Engine<D> {
             // lock) first appends every flip captured so far.
             let g = self.lock_read();
             self.drain_outbox();
-            self.capture_state(&g, p.config_fp, p.dataset_fp)
+            self.capture_state(&g, p.header.config_fp, p.header.dataset_fp)
         };
         let seq = data.seq;
         let bytes = persist::encode_checkpoint(&data);
-        p.store.save_checkpoint(&bytes)?;
-        // Compact the WAL down to records the checkpoint does not cover.
-        // Under the WAL lock no appender is concurrently writing, so
-        // the rewrite cannot drop a record newer than the checkpoint;
-        // captured-but-undrained records are safe either way (their seq
-        // decides replay). The compaction works on raw bytes (each line's
-        // seq read from its payload prefix, no per-record decode) because
-        // this section blocks WAL appends. It is also the recovery path
-        // for an unhealthy log (failed append earlier): every flip up to
-        // `seq` is covered by the checkpoint just written, and the
-        // rewrite drops the torn tail the failed append left behind.
-        let kept_len = {
-            let _appending = self.wal_lock.lock().expect(POISONED);
-            // The rewrite heals any torn tail, and every quarantined flip
-            // at or below the checkpoint seq is covered by the snapshot
-            // just written; later ones re-append onto the freshly
-            // compacted log (still under the WAL lock, so order holds).
-            // Degraded mode clears unless a re-append fails.
-            let mut kept = self.rewrite_wal(p, seq)?;
-            match self.reappend_quarantine(p, &mut kept) {
-                Ok(()) => {
-                    if p.degraded.load(Ordering::Relaxed) {
-                        self.clear_degraded(p);
-                        eprintln!(
-                            "igq: info: degraded mode cleared — checkpoint re-covered the \
-                             quarantined WAL flips"
-                        );
-                    }
-                }
-                Err(e) => {
-                    // Store still faulty: the checkpoint itself succeeded,
-                    // so durability is current up to `seq`; the rest stays
-                    // quarantined for the next retry.
-                    *p.degraded_reason.lock().expect(POISONED) = format!("WAL retry failed: {e}");
-                    self.tally(|s| s.wal_retry_failures += 1);
-                }
-            }
-            kept
-        };
-        p.appends_since_checkpoint
-            .store(kept_len, Ordering::Relaxed);
+        let saved = p.store.save_checkpoint(&bytes).map(|()| seq);
+        // Under the WAL lock no appender is writing, so compaction cannot
+        // drop a record newer than the checkpoint; it works on raw bytes
+        // because it blocks appends.
+        self.wal
+            .lock()
+            .expect(POISONED)
+            .checkpointed(p, saved, &self.stats)?;
         let elapsed = start.elapsed();
-        self.tally(|s| {
+        tally(&self.stats, |s| {
             s.checkpoint_time += elapsed;
             s.checkpoint_bytes_written += bytes.len() as u64;
         });
         Ok(())
     }
 
-    /// Auto-checkpoint when the configured cadence has elapsed. Called
-    /// off the state lock after outbox drains; failures are reported to
-    /// stderr (the engine keeps serving — an explicit
-    /// [`checkpoint`](Engine::checkpoint) call surfaces the error).
+    /// Auto-checkpoint when the log's clock says so: on the configured
+    /// cadence while healthy, and as the backoff-gated retry while
+    /// degraded. Called off the state lock after a drain found one due;
+    /// failures are reported to stderr (the engine keeps serving — an
+    /// explicit [`checkpoint`](Engine::checkpoint) call surfaces the
+    /// error).
     fn maybe_auto_checkpoint(&self) {
         let Some(p) = &self.persist else { return };
-        let Some(every) = p.checkpoint_every else {
-            return;
+        let _one_at_a_time = match p.checkpoint_lock.try_lock() {
+            Ok(guard) => guard,
+            // A checkpoint is in flight; a due one stays due for the next
+            // flip.
+            Err(TryLockError::WouldBlock) => return,
+            Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
         };
-        // A degraded WAL (quarantined flips) checkpoints immediately —
-        // the wholesale rewrite is the fastest path back to durability.
-        if !p.degraded.load(Ordering::Relaxed)
-            && p.appends_since_checkpoint.load(Ordering::Relaxed) < every
-        {
+        // Re-checked under the lock: a checkpoint that just finished may
+        // have covered this flip, or failed and re-armed the clock.
+        if !self.wal.lock().expect(POISONED).checkpoint_due(p) {
             return;
         }
-        if let Err(e) = self.checkpoint_inner(false) {
+        if let Err(e) = self.write_checkpoint(p) {
             eprintln!("igq: warning: auto-checkpoint failed: {e}");
         }
     }
@@ -1763,7 +1778,7 @@ impl<D: QueryDirection> Engine<D> {
             seq: st.seq,
             config_fp,
             dataset_fp,
-            epoch: self.epoch.load(Ordering::Relaxed),
+            epoch: self.role.load().epoch(),
             labels: st.cost_model.label_universe(),
             round: st.cache.round(),
             slot_count: st.cache.slot_count(),
@@ -2951,30 +2966,138 @@ pub(crate) mod tests {
         assert_eq!(follower.cached_queries(), restarted.cached_queries());
     }
 
+    /// The role machine: one row per starting role, one column per
+    /// transition. Each cell checks the typed result, then `epoch()`, the
+    /// ledger's epoch and `is_follower()`; a refusal must also leave the
+    /// position and the cached entries alone.
     #[test]
-    fn install_snapshot_refuses_an_older_epoch() {
-        // A replica of an engine promoted past its epoch-0 primary.
-        let (primary, promoted, feed) = replication_pair();
-        let _ = primary.query(&replication_queries()[0]);
-        drain_feed(&feed, &promoted);
-        assert_eq!(promoted.promote(), Ok(1));
-        let _ = primary.query(&replication_queries()[1]);
-        let (deposed_snapshot, _) = snapshot_of(&primary);
-        let follower = follower_of(&snapshot_of(&promoted).0);
-        let (seq, cached) = (follower.stats().last_applied_seq, follower.cached_queries());
-        let q = replication_queries()[0].clone();
-        let answers = follower.query(&q).answers;
-        assert_eq!(
-            follower.install_snapshot(&deposed_snapshot),
-            Err(ReplicaError::EpochFenced {
-                stream: 0,
-                local: 1
+    fn role_machine_table() {
+        use ReplicaError::{EpochFenced, NotFollower};
+        const COLUMNS: [&str; 7] = [
+            "apply older",
+            "apply equal",
+            "apply newer",
+            "install older",
+            "install equal",
+            "install newer",
+            "promote",
+        ];
+        // Senders at epochs 0, 1 and 2 that all hold flip 1 and send flip
+        // 2: a primary, a promoted follower of it, and a promoted follower
+        // of that.
+        let queries = replication_queries();
+        let (p0, p1, feed0) = replication_pair();
+        let _ = p0.query(&queries[0]);
+        drain_feed(&feed0, &p1);
+        let (snap0, _) = snapshot_of(&p0);
+        assert_eq!(p1.promote(), Ok(1));
+        let (snap1, feed1) = snapshot_of(&p1);
+        let p2 = follower_of(&snap1);
+        assert_eq!(p2.promote(), Ok(2));
+        let (snap2, feed2) = snapshot_of(&p2);
+        let groups: Vec<Arc<[u8]>> = [(&p0, &feed0), (&p1, &feed1), (&p2, &feed2)]
+            .into_iter()
+            .map(|(sender, feed)| {
+                let _ = sender.query(&queries[1]);
+                feed.try_recv().expect("flip 2").bytes
             })
-        );
-        assert_eq!(follower.epoch(), 1);
-        assert_eq!(follower.stats().last_applied_seq, seq);
-        assert_eq!(follower.cached_queries(), cached);
-        assert_eq!(follower.query(&q).answers, answers);
+            .collect();
+        let snaps = [snap0, snap1, snap2];
+
+        let method = || Ggsx::build(&store(), GgsxConfig::default());
+        let fenced = || {
+            Err(EpochFenced {
+                stream: 0,
+                local: 1,
+            })
+        };
+        let refused = |epoch| std::array::from_fn(|_| (Err(NotFollower), epoch, false));
+        type Make<'a> = Box<dyn Fn() -> IgqEngine<Ggsx> + 'a>;
+        type Cells = [(Result<u64, ReplicaError>, u64, bool); 7];
+        let rows: [(&str, Make, Cells, bool); 4] = [
+            (
+                "fresh follower",
+                Box::new(|| follower_of(&snaps[1])),
+                [
+                    (fenced(), 1, true),
+                    (Ok(2), 1, true),
+                    (Ok(2), 2, true),
+                    (fenced(), 1, true),
+                    (Ok(1), 1, true),
+                    (Ok(1), 2, true),
+                    (Ok(2), 2, false),
+                ],
+                false,
+            ),
+            (
+                "promoted follower",
+                Box::new(|| {
+                    let e = follower_of(&snaps[0]);
+                    e.promote().expect("promote");
+                    e
+                }),
+                refused(1),
+                true,
+            ),
+            (
+                "in-memory primary",
+                Box::new(|| IgqEngine::new(method(), replica_config()).expect("primary")),
+                refused(0),
+                true,
+            ),
+            (
+                "durable primary",
+                Box::new(|| {
+                    let mem = Arc::new(crate::MemStore::new());
+                    mem.save_checkpoint(&snaps[1]).expect("save");
+                    IgqEngine::open(method(), replica_config(), mem).expect("open")
+                }),
+                refused(1),
+                true,
+            ),
+        ];
+        for (row, make, cells, admits) in &rows {
+            for (col, (want, epoch, follower)) in cells.iter().enumerate() {
+                let e = make();
+                let before = (e.stats().last_applied_seq, e.export_entries());
+                let got = match col {
+                    0..=2 => e.apply_replica_delta(&groups[col]),
+                    3..=5 => e.install_snapshot(&snaps[col - 3]),
+                    _ => e.promote(),
+                };
+                let cell = format!("{row}, {}", COLUMNS[col]);
+                assert_eq!(&got, want, "{cell}");
+                assert_eq!(e.epoch(), *epoch, "{cell}");
+                assert_eq!(e.stats().epoch, *epoch, "{cell}: the ledger's epoch");
+                assert_eq!(e.is_follower(), *follower, "{cell}");
+                if got.is_err() {
+                    let after = (e.stats().last_applied_seq, e.export_entries());
+                    assert!(after == before, "{cell}: a refusal changes nothing");
+                }
+            }
+            let e = make();
+            let cached = e.cached_queries();
+            let _ = e.query(&queries[2]);
+            assert_eq!(e.cached_queries() > cached, *admits, "{row}: admission");
+        }
+    }
+
+    #[test]
+    fn role_cell_holds_every_epoch_a_role_can_reach() {
+        for role in [
+            Role::Follower { epoch: 0 },
+            Role::Primary { epoch: 7 },
+            Role::Follower { epoch: MAX_EPOCH },
+            Role::Follower { epoch: MAX_EPOCH }
+                .promote()
+                .expect("promote"),
+        ] {
+            assert_eq!(RoleCell(AtomicU64::new(RoleCell::pack(role))).load(), role);
+        }
+        assert!(matches!(
+            Role::Follower { epoch: 0 }.adopt(MAX_EPOCH + 1),
+            Err(ReplicaError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -279,63 +279,32 @@ impl ReplicationHub {
     }
 
     /// Attaches a resuming follower that has applied every flip up to and
-    /// including `after`. Returns `None` when the ring no longer covers
-    /// `after + 1` (or the follower claims flips the primary never
-    /// published) — the caller falls back to a snapshot. Registration
-    /// and backlog replay are atomic under the hub lock, so no group is
-    /// missed or duplicated around the attach point.
-    pub(crate) fn try_resume(&self, after: u64) -> Option<ReplicaFeed> {
+    /// including `after`, splicing `backlog` (flip groups `after + 1 ..`
+    /// re-encoded from the primary's WAL; empty when the ring alone must
+    /// cover the gap) in front of the ring. Succeeds only when the
+    /// stream is provably gap-free: the backlog's end (or `after`) is the
+    /// newest published flip, or the ring still holds the next one.
+    /// `None` — also for a follower claiming flips the primary never
+    /// published — sends the caller to the snapshot path. Splice and
+    /// registration are atomic under the hub lock, so no group is missed
+    /// or duplicated around the seam.
+    pub(crate) fn try_resume(&self, after: u64, backlog: Vec<DeltaGroup>) -> Option<ReplicaFeed> {
         let mut inner = self.inner.lock().expect(POISONED);
-        let covered = after == inner.last
-            || (after < inner.last && inner.ring.front().is_some_and(|g| g.seq <= after + 1));
+        let last = backlog.last().map_or(after, |g| g.seq);
+        let covered = last == inner.last
+            || (last < inner.last && inner.ring.front().is_some_and(|g| g.seq <= last + 1));
         if !covered {
             return None;
         }
-        Some(attach(&mut inner, after))
+        let backlog = backlog.into_iter().filter(|g| g.seq > after);
+        Some(attach(&mut inner, last, backlog))
     }
 
     /// Attaches a bootstrapping follower that holds a snapshot of flip
     /// `after`: backlog-replays any already-published newer groups and
     /// registers for the rest. Always succeeds.
     pub(crate) fn attach_after(&self, after: u64) -> ReplicaFeed {
-        attach(&mut self.inner.lock().expect(POISONED), after)
-    }
-
-    /// Attaches a resuming follower whose gap the ring no longer covers,
-    /// splicing a caller-supplied backlog (flip groups `after + 1 ..`,
-    /// re-encoded from the primary's WAL) in front of the ring. Succeeds
-    /// only when the backlog's end connects to the ring — its last seq is
-    /// the newest published flip, or the ring still holds the next one —
-    /// so the spliced stream is provably gap-free; `None` sends the
-    /// caller to the snapshot path. Splice and registration are atomic
-    /// under the hub lock, so no group is missed or duplicated around the
-    /// seam.
-    pub(crate) fn attach_with_backlog(
-        &self,
-        after: u64,
-        backlog: Vec<DeltaGroup>,
-    ) -> Option<ReplicaFeed> {
-        let mut inner = self.inner.lock().expect(POISONED);
-        let backlog_last = backlog.last().map(|g| g.seq).unwrap_or(after);
-        let covered = backlog_last == inner.last
-            || (backlog_last < inner.last
-                && inner
-                    .ring
-                    .front()
-                    .is_some_and(|g| g.seq <= backlog_last + 1));
-        if !covered {
-            return None;
-        }
-        let (tx, rx) = mpsc::channel();
-        for g in backlog.into_iter().filter(|g| g.seq > after) {
-            // Sending to our own fresh channel cannot fail.
-            let _ = tx.send(g);
-        }
-        for g in inner.ring.iter().filter(|g| g.seq > backlog_last) {
-            let _ = tx.send(g.clone());
-        }
-        inner.subs.push(tx);
-        Some(ReplicaFeed { rx })
+        attach(&mut self.inner.lock().expect(POISONED), after, None)
     }
 
     /// Live subscriber count (post-prune accuracy is best-effort: dead
@@ -346,11 +315,18 @@ impl ReplicationHub {
     }
 }
 
-fn attach(inner: &mut HubInner, after: u64) -> ReplicaFeed {
+/// Registers a feed that first replays `backlog`, then the ring's groups
+/// after `after`.
+fn attach(
+    inner: &mut HubInner,
+    after: u64,
+    backlog: impl IntoIterator<Item = DeltaGroup>,
+) -> ReplicaFeed {
     let (tx, rx) = mpsc::channel();
-    for g in inner.ring.iter().filter(|g| g.seq > after) {
+    let ring = inner.ring.iter().filter(|g| g.seq > after).cloned();
+    for g in backlog.into_iter().chain(ring) {
         // Sending to our own fresh channel cannot fail.
-        let _ = tx.send(g.clone());
+        let _ = tx.send(g);
     }
     inner.subs.push(tx);
     ReplicaFeed { rx }
@@ -374,8 +350,8 @@ mod tests {
         hub.publish(group(1));
         hub.activate(0);
         // Nothing published while inactive is replayable.
-        assert!(hub.try_resume(0).is_some());
-        let feed = hub.try_resume(0).unwrap();
+        assert!(hub.try_resume(0, Vec::new()).is_some());
+        let feed = hub.try_resume(0, Vec::new()).unwrap();
         assert!(feed.try_recv().is_none());
     }
 
@@ -386,7 +362,7 @@ mod tests {
         for s in 1..=5 {
             hub.publish(group(s));
         }
-        let feed = hub.try_resume(2).expect("ring covers 3..=5");
+        let feed = hub.try_resume(2, Vec::new()).expect("ring covers 3..=5");
         let got: Vec<u64> = std::iter::from_fn(|| feed.try_recv().map(|g| g.seq)).collect();
         assert_eq!(got, vec![3, 4, 5]);
         hub.publish(group(6));
@@ -402,15 +378,21 @@ mod tests {
             hub.publish(group(s));
         }
         // Seq 1 has been popped from the ring.
-        assert!(hub.try_resume(0).is_none(), "fell out of the ring");
-        assert!(hub.try_resume(9).is_none(), "fell out of the ring");
         assert!(
-            hub.try_resume(REPLICATION_RING_GROUPS as u64 + 100)
+            hub.try_resume(0, Vec::new()).is_none(),
+            "fell out of the ring"
+        );
+        assert!(
+            hub.try_resume(9, Vec::new()).is_none(),
+            "fell out of the ring"
+        );
+        assert!(
+            hub.try_resume(REPLICATION_RING_GROUPS as u64 + 100, Vec::new())
                 .is_none(),
             "claims flips never published"
         );
         assert!(hub
-            .try_resume(REPLICATION_RING_GROUPS as u64 + 10)
+            .try_resume(REPLICATION_RING_GROUPS as u64 + 10, Vec::new())
             .is_some());
     }
 
@@ -421,10 +403,13 @@ mod tests {
         // flips 1..=7 committed under persistence before replication).
         hub.activate(7);
         assert!(
-            hub.try_resume(3).is_none(),
+            hub.try_resume(3, Vec::new()).is_none(),
             "pre-activation flips unavailable"
         );
-        assert!(hub.try_resume(7).is_some(), "caught-up resume is fine");
+        assert!(
+            hub.try_resume(7, Vec::new()).is_some(),
+            "caught-up resume is fine"
+        );
     }
 
     #[test]
@@ -450,7 +435,7 @@ mod tests {
         // Ring holds 11..=266; a follower at 4 splices a WAL backlog
         // 5..=12 that overlaps the ring seam.
         let backlog: Vec<DeltaGroup> = (5..=12).map(group).collect();
-        let feed = hub.attach_with_backlog(4, backlog).expect("splices");
+        let feed = hub.try_resume(4, backlog).expect("splices");
         let got: Vec<u64> = std::iter::from_fn(|| feed.try_recv().map(|g| g.seq)).collect();
         let want: Vec<u64> = (5..=(REPLICATION_RING_GROUPS as u64 + 10)).collect();
         assert_eq!(got, want, "backlog + ring, exactly once each");
@@ -462,9 +447,9 @@ mod tests {
 
         // A backlog that stops short of the ring leaves a gap: refused.
         let short: Vec<DeltaGroup> = (5..=8).map(group).collect();
-        assert!(hub.attach_with_backlog(4, short).is_none());
-        // An empty backlog degenerates to try_resume semantics.
-        assert!(hub.attach_with_backlog(4, Vec::new()).is_none());
+        assert!(hub.try_resume(4, short).is_none());
+        // An empty backlog leaves the ring to cover the gap alone.
+        assert!(hub.try_resume(4, Vec::new()).is_none());
     }
 
     #[test]

@@ -98,8 +98,8 @@ pub struct EngineStats {
     /// Encoded flip groups currently quarantined in memory awaiting a
     /// store retry. A gauge; zero when healthy.
     pub wal_quarantined_groups: u64,
-    /// Quarantine flush attempts that re-failed (the store was still
-    /// unhealthy at retry time).
+    /// Failed store writes on the WAL path: the append that degraded the
+    /// log, then every replay or checkpoint retry that failed again.
     pub wal_retry_failures: u64,
     /// Query path-feature extractions performed by the engine. On the
     /// filter+probe path this is exactly one per query: the same

@@ -7,8 +7,8 @@
 //! only be contained in `G` if `bits(q) & bits(G) == bits(q)`. Verification
 //! uses VF2.
 //!
-//! Deviation from the original, documented in DESIGN.md: we keep one bitmap
-//! *per feature size* instead of one global bitmap. Functionally this is the
+//! Deviation from the original: we keep one bitmap *per feature size*
+//! instead of one global bitmap. Functionally this is the
 //! same filter (a union of per-size subset tests), but it lets a graph whose
 //! feature enumeration was budget-truncated at size `k` remain comparable on
 //! sizes `≤ k` — preserving the no-false-negative contract on inputs too

@@ -3,9 +3,10 @@
 //! The paper evaluates on three real datasets (AIDS, PDBS, PPI) and one
 //! synthetic one. The raw files are not redistributable here, so each
 //! synthesizer reproduces the corresponding dataset's *shape* — graph
-//! count, label-universe size, node/edge moments, and density regime — per
-//! the substitution policy in DESIGN.md. All generators are deterministic
-//! in their seed.
+//! count, label-universe size, node/edge moments, and density regime.
+//! The `table1` section of `REPRODUCTION.md` compares the synthesized
+//! shapes with the paper's. All generators are deterministic in their
+//! seed.
 
 mod aids;
 mod pdbs;

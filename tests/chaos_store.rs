@@ -214,6 +214,68 @@ fn seeded_fault_storm_stays_oracle_exact_and_recovers_when_it_passes() {
     }
 }
 
+/// While the log is degraded, an auto-checkpoint is one more retry under
+/// the log's backoff clock: a store that fails every write sees a couple
+/// of attempts per backoff floor, not a full checkpoint per flip, and a
+/// failed checkpoint retry counts and says so.
+#[test]
+fn degraded_auto_checkpoints_wait_for_the_retry_backoff() {
+    let store = Arc::new(DatasetKind::Aids.generate(40, 41));
+    let faulty = FaultyStore::new(Arc::new(MemStore::new()));
+    let config = IgqConfig {
+        cache_capacity: 64,
+        window: 1,
+        persistence: PersistenceConfig::every(50),
+        ..Default::default()
+    };
+    let engine = IgqEngine::open(
+        Ggsx::build(&store, GgsxConfig::default()),
+        config,
+        Arc::clone(&faulty) as Arc<dyn CacheStore>,
+    )
+    .expect("open engine over faulty store");
+    faulty.fail_next(FaultOp::Append, u64::MAX);
+    faulty.fail_next(FaultOp::SaveCheckpoint, u64::MAX);
+
+    // 54 distinct single-vertex queries: each one is admitted and flips.
+    let start = Instant::now();
+    for label in 0..54u32 {
+        let q = graph_from(&[label], &[]);
+        assert_eq!(engine.query(&q).answers, oracle_answers(&store, &q));
+    }
+    let elapsed = start.elapsed();
+    let io_errors = faulty.injected().io_errors;
+    let floors = elapsed.as_millis().div_ceil(50) as u64;
+    assert!(
+        io_errors <= 2 + 2 * floors,
+        "{io_errors} store writes failed in {elapsed:?}: degraded checkpoints ignored the backoff"
+    );
+    let before = engine.stats();
+    assert!(before.degraded);
+
+    // Once the backoff passes, the retry that comes due is a checkpoint.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut probe = 1000u32;
+    while engine.stats().wal_retry_failures == before.wal_retry_failures {
+        assert!(Instant::now() < deadline, "no checkpoint retry came due");
+        std::thread::sleep(Duration::from_millis(60));
+        let _ = engine.query(&graph_from(&[probe], &[]));
+        probe += 1;
+    }
+    let after = engine.stats();
+    assert!(
+        after.degraded_reason.contains("checkpoint"),
+        "a failed checkpoint retry names itself, got {:?}",
+        after.degraded_reason
+    );
+    assert!(faulty.injected().io_errors > io_errors);
+
+    // The store heals: the next due checkpoint re-covers every flip.
+    faulty.heal();
+    drive_until_healthy(&engine, Duration::from_secs(15));
+    assert!(faulty.injected().io_errors > 0);
+}
+
 // The harness's own contract: every knob does what the engine tests
 // above rely on.
 

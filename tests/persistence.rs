@@ -5,6 +5,7 @@
 
 mod common;
 
+use common::fault::{FaultOp, FaultyStore};
 use common::{arb_graph, arb_store, oracle_answers};
 use igq::core::IgqSuperEngine;
 use igq::features::PathConfig;
@@ -298,53 +299,13 @@ fn checkpoint_plus_wal_tail_recovers_later_flips() {
     }
 }
 
-/// A store whose appends can be made to fail (and even leave partial
-/// bytes, like a half-completed `write_all`), for WAL-health testing.
-#[derive(Debug)]
-struct FlakyStore {
-    inner: MemStore,
-    fail_appends: std::sync::atomic::AtomicBool,
-}
-
-impl FlakyStore {
-    fn new() -> FlakyStore {
-        FlakyStore {
-            inner: MemStore::new(),
-            fail_appends: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-}
-
-impl CacheStore for FlakyStore {
-    fn load_checkpoint(&self) -> Result<Option<Vec<u8>>, PersistError> {
-        self.inner.load_checkpoint()
-    }
-    fn save_checkpoint(&self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.inner.save_checkpoint(bytes)
-    }
-    fn load_wal(&self) -> Result<Vec<u8>, PersistError> {
-        self.inner.load_wal()
-    }
-    fn append_wal(&self, record: &[u8]) -> Result<(), PersistError> {
-        if self.fail_appends.load(std::sync::atomic::Ordering::Relaxed) {
-            // Half the record lands before the "disk" fails — the torn
-            // shape a real partial write_all leaves behind.
-            self.inner.append_wal(&record[..record.len() / 2])?;
-            return Err(PersistError::Io(std::io::Error::other(
-                "injected append failure",
-            )));
-        }
-        self.inner.append_wal(record)
-    }
-    fn replace_wal(&self, bytes: &[u8]) -> Result<(), PersistError> {
-        self.inner.replace_wal(bytes)
-    }
-}
-
 #[test]
 fn failed_wal_append_suspends_the_log_and_a_checkpoint_heals_it() {
     let (store, queries) = aids_workload(50, 30, 31);
-    let flaky = Arc::new(FlakyStore::new());
+    // Failed appends leave half the record behind, the torn shape a
+    // partial `write_all` leaves on disk.
+    let flaky = FaultyStore::new(Arc::new(MemStore::new()));
+    flaky.tear_writes(50);
     {
         let method = Ggsx::build(&store, GgsxConfig::default());
         let e = IgqEngine::open(
@@ -362,9 +323,7 @@ fn failed_wal_append_suspends_the_log_and_a_checkpoint_heals_it() {
         // Disk starts failing: flips keep serving exactly, records are
         // dropped loudly, and crucially NO further bytes land after the
         // partial record (no mid-log hole).
-        flaky
-            .fail_appends
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        flaky.fail_next(FaultOp::Append, u64::MAX);
         for q in queries.iter().skip(10).take(10) {
             let _ = e.query(q);
         }
@@ -377,9 +336,7 @@ fn failed_wal_append_suspends_the_log_and_a_checkpoint_heals_it() {
 
         // Disk recovers; an explicit checkpoint rewrites the WAL
         // wholesale and restores health.
-        flaky
-            .fail_appends
-            .store(false, std::sync::atomic::Ordering::Relaxed);
+        flaky.heal();
         e.checkpoint().expect("healing checkpoint");
         for q in queries.iter().skip(20) {
             let _ = e.query(q); // appends flow again
