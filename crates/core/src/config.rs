@@ -135,7 +135,9 @@ pub struct IgqConfig {
     /// Worker threads used by [`crate::QueryEngine::query_batch`] to fan a
     /// batch of queries across one shared engine. `0` (the default) means
     /// "use the machine's available parallelism"; `1` degenerates to a
-    /// sequential loop.
+    /// sequential loop. With more than one worker, each query of the
+    /// batch verifies its candidates serially: a fan-out never nests
+    /// inside another.
     pub batch_threads: usize,
     /// Durability cadence for store-attached engines (see
     /// [`PersistenceConfig`]); inert without a store.

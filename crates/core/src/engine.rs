@@ -50,6 +50,13 @@
 //! answers stay exact because every slot it uses is found and consumed
 //! inside one write-lock section (`exact_lookup`, `probe_and_prune`).
 //!
+//! Verification fans a large candidate batch out over the cores no other
+//! query of this engine is using: `run` raises and lowers one in-flight
+//! count, and the verify stage turns it into a width
+//! ([`igq_methods::fanout_width`]). Queries of a batch
+//! ([`Engine::query_batch`]) already run on a fan-out's workers and
+//! verify serially.
+//!
 //! Two state machines sit beside the state lock. The role (`Follower {
 //! epoch }` or `Primary { epoch }`) is one atomic word, changed only under
 //! the write side by its transitions: adopt a sender's epoch, promote. The
@@ -103,12 +110,12 @@ use igq_graph::{Graph, GraphId};
 use igq_iso::plan_cache::PlanCache;
 use igq_iso::{CostModel, LogValue};
 use igq_methods::{
-    intersect_into, intersect_sorted, subtract_into, subtract_sorted, Filtered, PlanSource,
-    QueryContext,
+    available_cores, fanout_width, intersect_into, intersect_sorted, subtract_into,
+    subtract_sorted, Filtered, PlanSource, QueryContext,
 };
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -423,7 +430,10 @@ fn tally(ledger: &Ledger, f: impl FnOnce(&mut EngineStats)) {
 }
 
 /// What a persisted artifact must match to be restored into an engine,
-/// checked alike by [`Engine::open`] and [`Engine::open_follower`].
+/// checked alike by [`Engine::open`], [`Engine::open_follower`] and
+/// [`Engine::install_snapshot`], and stamped on every checkpoint and
+/// snapshot. Computed once at construction: the dataset cannot change
+/// under a live engine.
 struct StoreIdentity {
     config_fp: u64,
     dataset_fp: u64,
@@ -470,6 +480,25 @@ impl StoreIdentity {
 /// may be half-updated, so every later caller fails loudly too.
 const POISONED: &str = "engine lock poisoned";
 
+/// One query's place in [`Engine`]'s in-flight count: raised on entry,
+/// lowered on drop, so a query that panics still leaves.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicUsize) -> InFlight<'a> {
+        // Relaxed: the count publishes no other data; a stale read only
+        // picks a different (always correct) width.
+        count.fetch_add(1, Ordering::Relaxed);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Backoff floor/ceiling between quarantine retry rounds.
 const WAL_RETRY_FLOOR: Duration = Duration::from_millis(50);
 const WAL_RETRY_CEIL: Duration = Duration::from_secs(5);
@@ -511,6 +540,11 @@ pub struct Engine<D: QueryDirection> {
     plan_cache: PlanCache,
     /// The lifetime counters, written through [`tally`].
     stats: Ledger,
+    /// The fingerprints and label universe this engine's artifacts carry.
+    identity: StoreIdentity,
+    /// Queries inside [`Engine::run`] right now, this one included: the
+    /// verification fan-out's gate ([`igq_methods::fanout_width`]).
+    in_flight: AtomicUsize,
     _direction: PhantomData<fn() -> D>,
 }
 
@@ -523,9 +557,10 @@ impl<D: QueryDirection> Engine<D> {
     /// the builder would have raised.
     pub fn new(method: D::Method, config: IgqConfig) -> Result<Engine<D>, ConfigError> {
         config.validate()?;
-        let state = State::empty(&config, Self::resolve_labels(&method, &config));
+        let id = Self::identity(&method, &config);
+        let state = State::empty(&config, id.labels);
         let primary = Role::Primary { epoch: 0 };
-        Ok(Self::assemble(method, config, state, None, primary))
+        Ok(Self::assemble(method, config, id, state, None, primary))
     }
 
     /// Label-universe size for the cost model: configured, or derived
@@ -538,20 +573,20 @@ impl<D: QueryDirection> Engine<D> {
         }
     }
 
-    /// Validates `config` and derives what this engine's persisted
-    /// artifacts must carry.
-    fn identity(method: &D::Method, config: &IgqConfig) -> Result<StoreIdentity, PersistError> {
-        config.validate()?;
-        Ok(StoreIdentity {
+    /// Derives what this engine's persisted artifacts must carry (one
+    /// pass over the dataset).
+    fn identity(method: &D::Method, config: &IgqConfig) -> StoreIdentity {
+        StoreIdentity {
             config_fp: persist::config_fingerprint(config, D::direction_name()),
             dataset_fp: persist::dataset_fingerprint(D::store(method)),
             labels: Self::resolve_labels(method, config),
-        })
+        }
     }
 
     fn assemble(
         method: D::Method,
         config: IgqConfig,
+        identity: StoreIdentity,
         state: State,
         persist: Option<PersistCtl>,
         role: Role,
@@ -578,6 +613,8 @@ impl<D: QueryDirection> Engine<D> {
                 epoch: role.epoch(),
                 ..EngineStats::default()
             }),
+            identity,
+            in_flight: AtomicUsize::new(0),
             _direction: PhantomData,
         }
     }
@@ -622,7 +659,8 @@ impl<D: QueryDirection> Engine<D> {
         config: IgqConfig,
         store: Arc<dyn CacheStore>,
     ) -> Result<Engine<D>, PersistError> {
-        let id = Self::identity(&method, &config)?;
+        config.validate()?;
+        let id = Self::identity(&method, &config);
         let checkpoint = (store.load_checkpoint()?)
             .map(|bytes| id.decode("checkpoint", &bytes))
             .transpose()?;
@@ -660,7 +698,8 @@ impl<D: QueryDirection> Engine<D> {
                 .map(|w| w as u64),
             checkpoint_lock: Mutex::new(()),
         };
-        let mut engine = Self::assemble(method, config, st, Some(pctl), Role::Primary { epoch });
+        let primary = Role::Primary { epoch };
+        let mut engine = Self::assemble(method, config, id, st, Some(pctl), primary);
 
         // Replay the WAL tail record by record (one record per flip)
         // through the path a follower applies delta groups with.
@@ -814,10 +853,12 @@ impl<D: QueryDirection> Engine<D> {
         config: IgqConfig,
         snapshot: &[u8],
     ) -> Result<Engine<D>, PersistError> {
-        let id = Self::identity(&method, &config)?;
+        config.validate()?;
+        let id = Self::identity(&method, &config);
         let (st, epoch) = Self::rebuild(&config, &id, snapshot)?;
         let cold = State::empty(&config, id.labels);
-        let engine = Self::assemble(method, config, cold, None, Role::Follower { epoch: 0 });
+        let follower = Role::Follower { epoch: 0 };
+        let engine = Self::assemble(method, config, id, cold, None, follower);
         engine
             .install(st, epoch)
             .map_err(|e| PersistError::Corrupt(e.to_string()))?;
@@ -847,8 +888,7 @@ impl<D: QueryDirection> Engine<D> {
         if !self.is_follower() {
             return Err(ReplicaError::NotFollower);
         }
-        let id = Self::identity(&self.method, &self.config)?;
-        let (st, epoch) = Self::rebuild(&self.config, &id, snapshot)?;
+        let (st, epoch) = Self::rebuild(&self.config, &self.identity, snapshot)?;
         self.install(st, epoch)
     }
 
@@ -936,9 +976,8 @@ impl<D: QueryDirection> Engine<D> {
                 return Subscription::Live { feed };
             }
         }
-        let config_fp = persist::config_fingerprint(&self.config, D::direction_name());
-        let dataset_fp = persist::dataset_fingerprint(D::store(&self.method));
-        let data = self.capture_state(&g, config_fp, dataset_fp);
+        let id = &self.identity;
+        let data = self.capture_state(&g, id.config_fp, id.dataset_fp);
         let seq = data.seq;
         let feed = self.hub.attach_after(seq);
         Subscription::Snapshot {
@@ -1227,7 +1266,7 @@ impl<D: QueryDirection> Engine<D> {
     /// [`execute_batch`](Engine::execute_batch).
     fn fan_out<T: Sync, R: Send>(&self, items: &[T], run: impl Fn(&T) -> R + Sync) -> Vec<R> {
         let threads = match self.config.batch_threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            0 => available_cores(),
             n => n,
         };
         igq_methods::par_map(items.len(), threads, |_, i| run(&items[i]))
@@ -1270,6 +1309,7 @@ impl<D: QueryDirection> Engine<D> {
     /// the empty-answer shortcut, or verification — ends in
     /// [`finish`](Self::finish).
     fn run(&self, q: &Graph, opts: &QueryOptions) -> QueryOutcome {
+        let _flight = InFlight::enter(&self.in_flight);
         let mut ctx = self.canonicalize(q, opts);
         if self.exact_lookup(&mut ctx) {
             return self.finish(ctx);
@@ -1440,8 +1480,9 @@ impl<D: QueryDirection> Engine<D> {
     /// Stage: verification of the surviving candidates `pruned`, outside
     /// the lock, with the engine's plan cache keyed by the query's
     /// canonical code (a repeat query reuses its matching plan instead of
-    /// rebuilding it). The final answer adds back the known answers
-    /// `known_in_cs` (formula (4)).
+    /// rebuilding it), fanned out over the cores no other query of this
+    /// engine is using ([`igq_methods::fanout_width`]). The final answer
+    /// adds back the known answers `known_in_cs` (formula (4)).
     fn verify(
         &self,
         ctx: &mut QueryCtx<'_>,
@@ -1449,9 +1490,11 @@ impl<D: QueryDirection> Engine<D> {
         (pruned, known_in_cs): (Vec<GraphId>, Vec<GraphId>),
     ) {
         let start = Instant::now();
+        let in_flight = self.in_flight.load(Ordering::Relaxed);
         let plan_source = PlanSource {
             cache: &self.plan_cache,
             key: ctx.code.as_ref(),
+            width: fanout_width(available_cores(), in_flight, pruned.len()),
         };
         let (results, batch_stats) =
             D::verify(&self.method, ctx.q, context, &pruned, Some(plan_source));

@@ -122,6 +122,14 @@ pub struct EngineStats {
     /// In the supergraph direction: one per candidate (the pattern
     /// varies). Zero for fully-pruned queries.
     pub plan_builds: u64,
+    /// Verification batches fanned out over more than one worker. On the
+    /// plain path, a batch of at least
+    /// [`igq_methods::FANOUT_MIN_CANDIDATES`] survivors whose query had an
+    /// idle core beside it (zero on a one-core machine); `Grapes(k)`
+    /// fans out any batch of two or more on its `k` workers. Never a
+    /// query run inside another fan-out (a
+    /// [`crate::Engine::query_batch`] worker).
+    pub verify_fanouts: u64,
     /// Scratch-buffer allocations/growths in the verification stage.
     /// Flat (zero per candidate) once the per-thread workspaces have
     /// warmed to the workload's largest query and target.
@@ -200,6 +208,7 @@ impl EngineStats {
         self.canonical_code_budget_misses += u64::from(t.canonical_code_declined);
         self.feature_extractions += u64::from(t.features_extracted);
         self.plan_builds += t.verify.plan_builds;
+        self.verify_fanouts += t.verify.fanouts;
         self.scratch_allocs += t.verify.scratch_allocs;
         self.preverify_rejections += t.verify.preverify_rejections;
     }

@@ -2,8 +2,8 @@
 //! methods.
 //!
 //! iGQ's whole contribution is shrinking the *number* of DB iso tests;
-//! this module makes each surviving test cheap. A [`BatchVerifier`] is
-//! constructed once per query and carries:
+//! this module makes each surviving test cheap. A batch is verified with
+//! per-query state built once:
 //!
 //! * one [`MatchPlan`] built from the precomputed label statistics of the
 //!   **candidate batch itself** (summed over a sample of the candidates'
@@ -25,11 +25,31 @@
 //! for the batch. That cache-or-build step is one function
 //! (`acquire_plan`), shared with Grapes' component-restricted batches.
 //!
-//! The caller supplies a [`MatchScratch`] (usually the thread-local one
-//! via [`igq_iso::with_thread_scratch`]), so the steady-state loop is
-//! allocation-free. [`VerifyBatchStats`] reports the amortization
-//! evidence: plans built, scratch buffer growths, and screen rejections —
-//! surfaced through `EngineStats` in `igq-core`.
+//! # Fan-out
+//!
+//! Every candidate's verdict is independent of the others, so one helper
+//! (`verify_candidates`) verifies a batch on several workers: the plain
+//! path (GGSX, CT-Index, gCode, Naive) on [`PlanSource::width`] workers,
+//! Grapes on its paper width `k`. The batch is cut into chunks of at most
+//! `MAX_CHUNK` candidates that the workers claim from one cursor
+//! ([`crate::par_map`]); they share the one plan and query profile,
+//! outcomes come back index-aligned, and the per-chunk
+//! [`VerifyBatchStats`] are merged, so a fanned-out batch reports exactly
+//! what a serial one does apart from `scratch_allocs` and `fanouts`. The
+//! engine decides the width with [`fanout_width`]: batches below
+//! [`FANOUT_MIN_CANDIDATES`] and queries without an idle core verify
+//! serially, and a fan-out never nests inside another.
+//!
+//! A serial batch searches on the caller's thread-local
+//! [`MatchScratch`] ([`igq_iso::with_thread_scratch`]). A fan-out's
+//! workers are fresh scoped threads, so each calling thread keeps a pool
+//! of worker scratch instead (worker `i` searches on slot `i`), and every
+//! slot a batch uses is first sized for the batch's largest target. So
+//! `scratch_allocs` — scratch buffer growths — is zero in steady state on
+//! both paths once the workload's largest query and target have been
+//! seen. [`VerifyBatchStats`] reports that amortization evidence with
+//! plans built and screen rejections, surfaced through `EngineStats` in
+//! `igq-core`.
 
 use crate::method::VerifyOutcome;
 use igq_graph::canon::CanonicalCode;
@@ -38,7 +58,8 @@ use igq_graph::{Graph, GraphId, GraphProfile, GraphStore, LabelId};
 use igq_iso::plan::{matches_with_plan, MatchPlan, MatchScratch};
 use igq_iso::plan_cache::PlanCache;
 use igq_iso::{with_thread_scratch, MatchConfig};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Amortization accounting for one `verify_batch` call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,7 +69,8 @@ pub struct VerifyBatchStats {
     /// where the pattern varies).
     pub plan_builds: u64,
     /// Scratch buffer allocations/growths during the batch. Zero in
-    /// steady state once the thread's workspace has warmed up.
+    /// steady state once the thread's workspace (or, for a fanned-out
+    /// batch, its worker pool) has warmed up.
     pub scratch_allocs: u64,
     /// Candidates rejected by the pre-verify screen (label-count or
     /// degree-sequence dominance) without starting a search.
@@ -57,6 +79,8 @@ pub struct VerifyBatchStats {
     pub plan_cache_hits: u64,
     /// Batches that consulted the plan cache and had to (re)build.
     pub plan_cache_misses: u64,
+    /// Batches verified on more than one worker.
+    pub fanouts: u64,
 }
 
 impl VerifyBatchStats {
@@ -67,6 +91,7 @@ impl VerifyBatchStats {
         self.preverify_rejections += other.preverify_rejections;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
+        self.fanouts += other.fanouts;
     }
 }
 
@@ -82,6 +107,44 @@ pub struct PlanSource<'a> {
     pub cache: &'a PlanCache,
     /// The query's canonical code, if canonicalizable.
     pub key: Option<&'a CanonicalCode>,
+    /// Workers the plain path may verify this batch on
+    /// ([`fanout_width`]); 1 verifies serially. Grapes ignores it and
+    /// verifies on its configured width.
+    pub width: usize,
+}
+
+/// Smallest batch the engine fans out. Each extra worker costs one
+/// scoped-thread spawn and join, about 31 µs on the 2-core reference box
+/// (`par_map` over two trivial items); two workers save half the batch's
+/// search time, at `methods.verify_us_per_candidate` ≈ 1.45 µs on
+/// `aids_uniform_inproc` (seed 7). They break even near 43 candidates;
+/// 64 keeps a margin for the spawned worker's cold caches and wake-up.
+/// In four alternating benchmark pairs on that workload, 64 read a
+/// median 1 422 qps and 128 read 1 353, against 1 142 serial.
+pub const FANOUT_MIN_CANDIDATES: usize = 64;
+
+/// Most candidates one claim takes: few enough that a thousand-candidate
+/// batch still balances when a handful of its candidates dominate the
+/// search time.
+const MAX_CHUNK: usize = 16;
+
+/// The fan-out's width rule: how many workers a batch of `candidates`
+/// verifies on when `in_flight` queries (the caller's included) share a
+/// machine with `cores` cores. Below [`FANOUT_MIN_CANDIDATES`], or with
+/// no idle core, one; otherwise the query's own core plus every idle one,
+/// `cores − (in_flight − 1)`. Never below 1.
+pub fn fanout_width(cores: usize, in_flight: usize, candidates: usize) -> usize {
+    if candidates < FANOUT_MIN_CANDIDATES {
+        return 1;
+    }
+    cores.saturating_sub(in_flight.saturating_sub(1)).max(1)
+}
+
+/// [`std::thread::available_parallelism`], read once per process (it
+/// queries the affinity mask and cgroup quota on every call).
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Target size (vertices) above which a candidate gets its own
@@ -104,25 +167,19 @@ pub fn matches_adaptive(
     target: &Graph,
     scratch: &mut MatchScratch,
     stats: &mut VerifyBatchStats,
-) -> (igq_iso::Verdict, u64) {
-    if target.vertex_count() >= PER_TARGET_PLAN_MIN_VERTICES {
+) -> VerifyOutcome {
+    let (verdict, states) = if target.vertex_count() >= PER_TARGET_PLAN_MIN_VERTICES {
         stats.plan_builds += 1;
         let plan = MatchPlan::for_target(pattern, target, shared.config());
         matches_with_plan(&plan, target, scratch)
     } else {
         matches_with_plan(shared, target, scratch)
+    };
+    VerifyOutcome {
+        contains: verdict.is_found(),
+        aborted: verdict.is_aborted(),
+        states,
     }
-}
-
-/// Per-query verification state for a batch of store candidates: plan,
-/// query profile, and match configuration, all built exactly once (the
-/// plan possibly zero times, via the cache).
-pub struct BatchVerifier<'a> {
-    store: &'a GraphStore,
-    query: &'a Graph,
-    plan: Arc<MatchPlan>,
-    query_profile: GraphProfile,
-    stats: VerifyBatchStats,
 }
 
 /// How many candidate profiles feed the batch-level label statistic. The
@@ -170,6 +227,7 @@ pub(crate) fn acquire_plan(
         Some(PlanSource {
             cache,
             key: Some(key),
+            ..
         }) => {
             let (plan, hit) = cache.get_or_build(key, q, config, &mut rarity);
             if hit {
@@ -187,72 +245,98 @@ pub(crate) fn acquire_plan(
     }
 }
 
-impl<'a> BatchVerifier<'a> {
-    /// Builds the per-query state: one plan (ordered by the candidate
-    /// batch's aggregated label rarity), one profile, one captured config.
-    /// With `plans`, the engine's plan cache is consulted first: a fresh
-    /// cached plan for the query's canonical code skips the build entirely
-    /// (`plan_builds` stays 0, `plan_cache_hits` becomes 1). Without a
-    /// cache, [`verify_batch_plain`] is the usual entry.
-    pub fn with_plans(
-        store: &'a GraphStore,
-        q: &'a Graph,
-        config: &MatchConfig,
-        candidates: &[GraphId],
-        plans: Option<PlanSource<'_>>,
-    ) -> BatchVerifier<'a> {
-        let mut stats = VerifyBatchStats::default();
-        let plan = acquire_plan(store, q, config, candidates, plans, &mut stats);
-        BatchVerifier {
-            store,
-            query: q,
-            plan,
-            query_profile: GraphProfile::of(q),
-            stats,
-        }
-    }
+thread_local! {
+    /// The scratch this thread lends to the workers of its fan-outs
+    /// (worker `i` searches on slot `i`). The workers are fresh scoped
+    /// threads, so their own thread-local scratch would be cold in every
+    /// batch; the pool keeps it warm across the caller's queries.
+    static WORKER_SCRATCH: RefCell<Vec<Mutex<MatchScratch>>> = const { RefCell::new(Vec::new()) };
+}
 
-    /// Verifies one candidate: pre-verify screen, then the plan-amortized
-    /// search through `scratch`. Zero heap allocations.
-    pub fn verify(&mut self, candidate: GraphId, scratch: &mut MatchScratch) -> VerifyOutcome {
-        if !self
-            .store
-            .profile(candidate)
-            .may_contain(&self.query_profile)
-        {
-            self.stats.preverify_rejections += 1;
-            return VerifyOutcome {
-                contains: false,
-                aborted: false,
-                states: 0,
-            };
+/// Panic message for a worker-scratch slot whose worker panicked.
+const WORKER_PANICKED: &str = "a verification worker panicked holding its scratch";
+
+/// Verifies `candidates` against the query `q` on up to `width` workers,
+/// returning index-aligned outcomes: each candidate is screened against
+/// the query's profile, and a survivor is decided by `search` on a
+/// scratch the helper supplies and accounts in `stats.scratch_allocs`.
+/// A batch too small to split, a width of 1 and a call from inside
+/// another fan-out all run serially on the thread's own scratch.
+pub(crate) fn verify_candidates(
+    store: &GraphStore,
+    q: &Graph,
+    candidates: &[GraphId],
+    width: usize,
+    stats: &mut VerifyBatchStats,
+    search: impl Fn(GraphId, &mut MatchScratch, &mut VerifyBatchStats) -> VerifyOutcome + Sync,
+) -> Vec<VerifyOutcome> {
+    let query_profile = GraphProfile::of(q);
+    let verify = |id: GraphId, scratch: &mut MatchScratch, stats: &mut VerifyBatchStats| {
+        if !store.profile(id).may_contain(&query_profile) {
+            stats.preverify_rejections += 1;
+            return VerifyOutcome::REJECTED;
         }
         let before = scratch.alloc_events();
-        let (verdict, states) = matches_adaptive(
-            &self.plan,
-            self.query,
-            self.store.get(candidate),
-            scratch,
-            &mut self.stats,
-        );
-        self.stats.scratch_allocs += scratch.alloc_events() - before;
-        VerifyOutcome {
-            contains: verdict.is_found(),
-            aborted: verdict.is_aborted(),
-            states,
-        }
+        let out = search(id, scratch, stats);
+        stats.scratch_allocs += scratch.alloc_events() - before;
+        out
+    };
+    let width = width.max(1);
+    // At least four chunks per worker, so a worker stuck on a slow chunk
+    // leaves the rest to the others.
+    let chunk = (candidates.len() / (4 * width)).clamp(1, MAX_CHUNK);
+    let chunks = candidates.len().div_ceil(chunk);
+    let workers = crate::par::workers(chunks, width);
+    if workers == 1 {
+        return with_thread_scratch(|scratch| {
+            candidates
+                .iter()
+                .map(|&id| verify(id, scratch, stats))
+                .collect()
+        });
     }
-
-    /// The batch's accounting.
-    pub fn finish(self) -> VerifyBatchStats {
-        self.stats
+    // Which chunks a worker claims depends on scheduling, so every slot
+    // in use is first sized for the batch's largest target (a Grapes
+    // component is no larger than its graph).
+    let max_target = candidates
+        .iter()
+        .map(|&id| store.get(id).vertex_count())
+        .max()
+        .unwrap_or(0);
+    let mut pool = WORKER_SCRATCH.take();
+    if pool.len() < workers {
+        pool.resize_with(workers, Mutex::default);
     }
+    for slot in &mut pool[..workers] {
+        let scratch = slot.get_mut().expect(WORKER_PANICKED);
+        let before = scratch.alloc_events();
+        scratch.reserve(q.vertex_count(), max_target);
+        stats.scratch_allocs += scratch.alloc_events() - before;
+    }
+    let verified = crate::par_map(chunks, workers, |worker, c| {
+        let scratch = &mut *pool[worker].lock().expect(WORKER_PANICKED);
+        let mut local = VerifyBatchStats::default();
+        let outcomes: Vec<VerifyOutcome> = candidates[c * chunk..]
+            .iter()
+            .take(chunk)
+            .map(|&id| verify(id, scratch, &mut local))
+            .collect();
+        (outcomes, local)
+    });
+    WORKER_SCRATCH.set(pool);
+    stats.fanouts += 1;
+    let mut outcomes = Vec::with_capacity(candidates.len());
+    for (chunk_outcomes, local) in verified {
+        stats.merge(&local);
+        outcomes.extend(chunk_outcomes);
+    }
+    outcomes
 }
 
 /// The standard plan-amortized batch body used by every method whose
 /// verification is a plain VF2 test against the stored candidate (GGSX,
-/// CT-Index, gCode, Naive): one [`BatchVerifier`], the thread's scratch,
-/// one pass over the candidates.
+/// CT-Index, gCode, Naive): one plan, one profile, one serial pass over
+/// the candidates on the thread's scratch.
 pub fn verify_batch_plain(
     store: &GraphStore,
     q: &Graph,
@@ -263,7 +347,8 @@ pub fn verify_batch_plain(
 }
 
 /// [`verify_batch_plain`] with a plan-cache handle: the shared plan comes
-/// from the cache on repeats.
+/// from the cache on repeats (acquired once, whatever the width), and the
+/// batch fans out to [`PlanSource::width`] workers.
 pub fn verify_batch_plain_with(
     store: &GraphStore,
     q: &Graph,
@@ -277,14 +362,13 @@ pub fn verify_batch_plain_with(
         // case.
         return (Vec::new(), VerifyBatchStats::default());
     }
-    let mut verifier = BatchVerifier::with_plans(store, q, config, candidates, plans);
-    let outcomes = with_thread_scratch(|scratch| {
-        candidates
-            .iter()
-            .map(|&id| verifier.verify(id, scratch))
-            .collect()
+    let mut stats = VerifyBatchStats::default();
+    let plan = acquire_plan(store, q, config, candidates, plans, &mut stats);
+    let width = plans.map_or(1, |p| p.width);
+    let outcomes = verify_candidates(store, q, candidates, width, &mut stats, |id, s, stats| {
+        matches_adaptive(&plan, q, store.get(id), s, stats)
     });
-    (outcomes, verifier.finish())
+    (outcomes, stats)
 }
 
 #[cfg(test)]
@@ -328,6 +412,7 @@ mod tests {
         let plans = PlanSource {
             cache: &cache,
             key: Some(&key),
+            width: 1,
         };
         let (baseline, _) = verify_batch_plain(&s, &q, &config, &all);
 
@@ -351,6 +436,7 @@ mod tests {
         let plans = PlanSource {
             cache: &cache,
             key: None,
+            width: 1,
         };
         let (_, stats) =
             verify_batch_plain_with(&s, &q, &MatchConfig::default(), &all, Some(plans));
@@ -371,5 +457,68 @@ mod tests {
             stats.scratch_allocs, 0,
             "warm steady state allocates nothing"
         );
+    }
+
+    /// A fanned-out batch warms its calling thread's worker pool once;
+    /// repeating it allocates nothing, and its plan is acquired once.
+    #[test]
+    fn fanned_out_scratch_allocs_settle_to_zero() {
+        let s = store();
+        let batch: Vec<GraphId> = s.ids().cycle().take(3 * MAX_CHUNK).collect();
+        let q = graph_from(&[0, 1], &[(0, 1)]);
+        let config = MatchConfig::default();
+        let cache = igq_iso::PlanCache::new(8);
+        let key = igq_graph::canon::canonical_code(&q).unwrap();
+        let plans = Some(PlanSource {
+            cache: &cache,
+            key: Some(&key),
+            width: 2,
+        });
+        let (serial, _) = verify_batch_plain(&s, &q, &config, &batch);
+        let (cold, cold_stats) = verify_batch_plain_with(&s, &q, &config, &batch, plans);
+        let (warm, warm_stats) = verify_batch_plain_with(&s, &q, &config, &batch, plans);
+        assert_eq!((cold, warm), (serial.clone(), serial));
+        assert_eq!(cold_stats.fanouts, 1);
+        assert_eq!(cold_stats.plan_builds, 1);
+        assert_eq!(warm_stats.plan_cache_hits, 1);
+        assert_eq!(warm_stats.plan_builds, 0);
+        assert_eq!(warm_stats.scratch_allocs, 0, "worker pool stays warm");
+    }
+
+    /// The width rule: one worker below the threshold or without an idle
+    /// core, otherwise the caller's core plus every idle one.
+    #[test]
+    fn fanout_width_table() {
+        let below = FANOUT_MIN_CANDIDATES - 1;
+        let at = FANOUT_MIN_CANDIDATES;
+        // (cores, in flight, candidates, width)
+        let table = [
+            (1, 1, below, 1),
+            (1, 1, at, 1),
+            (1, 2, at, 1),
+            (1, 3, at, 1),
+            (2, 1, below, 1),
+            (2, 1, at, 2),
+            (2, 2, below, 1),
+            (2, 2, at, 1),
+            (2, 3, at, 1),
+            (4, 1, below, 1),
+            (4, 1, at, 4),
+            (4, 2, below, 1),
+            (4, 2, at, 3),
+            (4, 3, at, 2),
+            (4, 5, at, 1),
+            (4, 0, at, 4),
+        ];
+        for (cores, in_flight, candidates, width) in table {
+            let got = fanout_width(cores, in_flight, candidates);
+            assert_eq!(
+                got, width,
+                "cores {cores}, in flight {in_flight}, {candidates} candidates"
+            );
+            let idle = cores > in_flight.max(1);
+            assert!(got >= 1);
+            assert_eq!(got > 1, idle && candidates >= FANOUT_MIN_CANDIDATES);
+        }
     }
 }

@@ -23,19 +23,15 @@ mod parallel;
 
 pub use components::components_within;
 
-use crate::batch::{acquire_plan, VerifyBatchStats};
+use crate::batch::{acquire_plan, verify_candidates, VerifyBatchStats};
 use crate::ggsx::Ggsx;
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
 use igq_features::{LabelSeq, PathConfig};
 use igq_graph::fxhash::FxHashMap;
-use igq_graph::{Graph, GraphId, GraphProfile, GraphStore, VertexId};
+use igq_graph::{Graph, GraphId, GraphStore, VertexId};
 use igq_iso::plan::{MatchPlan, MatchScratch};
-use igq_iso::{with_thread_scratch, MatchConfig};
-use std::sync::{Arc, Mutex};
-
-/// Panic message for a worker-pool lock whose holder (a build or
-/// verification worker) panicked.
-const WORKER_PANICKED: &str = "a Grapes worker panicked holding this lock";
+use igq_iso::MatchConfig;
+use std::sync::Arc;
 
 /// Grapes configuration.
 #[derive(Debug, Clone, Copy)]
@@ -89,13 +85,6 @@ pub struct Grapes {
     shallow: Vec<GraphId>,
     /// Per graph: feature → sorted endpoint vertices.
     locations: Vec<FxHashMap<LabelSeq, Vec<VertexId>>>,
-    /// One persistent [`MatchScratch`] per verification worker. Parallel
-    /// batches spawn fresh scoped threads, so a thread-local scratch would
-    /// be cold every batch; this pool keeps worker buffers warm across
-    /// queries (worker `i` verifies on slot `i`), so
-    /// `scratch_allocs` goes flat for `Grapes(k)` too. The sequential path
-    /// runs on the caller's thread and uses its thread-local scratch.
-    worker_scratch: Vec<Mutex<MatchScratch>>,
 }
 
 impl Grapes {
@@ -124,9 +113,6 @@ impl Grapes {
             complete_len,
             shallow,
             locations,
-            worker_scratch: (0..config.threads)
-                .map(|_| Mutex::new(MatchScratch::new()))
-                .collect(),
         }
     }
 
@@ -149,49 +135,11 @@ impl Grapes {
         vertices
     }
 
-    /// Plan-amortized component verification: the shared query-side `plan`
-    /// is target-independent, so one plan serves the whole candidate graph
-    /// *and* every induced component, with `scratch` reused throughout.
-    /// Query connectivity is decided once per batch by the caller.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_candidate_planned(
-        &self,
-        q: &Graph,
-        q_connected: bool,
-        features: &[(LabelSeq, u32)],
-        plan: &MatchPlan,
-        query_profile: &GraphProfile,
-        candidate: GraphId,
-        scratch: &mut MatchScratch,
-        stats: &mut VerifyBatchStats,
-    ) -> VerifyOutcome {
-        // Pre-verify screen against the whole stored graph: sound for the
-        // component path too (an embedding into a component is one into
-        // the graph).
-        if !self.store.profile(candidate).may_contain(query_profile) {
-            stats.preverify_rejections += 1;
-            return VerifyOutcome {
-                contains: false,
-                aborted: false,
-                states: 0,
-            };
-        }
-        let g = self.store.get(candidate);
-        let before = scratch.alloc_events();
-        let out = self.planned_component_search(
-            q,
-            q_connected,
-            features,
-            plan,
-            g,
-            candidate,
-            scratch,
-            stats,
-        );
-        stats.scratch_allocs += scratch.alloc_events() - before;
-        out
-    }
-
+    /// Plan-amortized component search of one screened candidate: the
+    /// shared query-side `plan` is target-independent, so one plan serves
+    /// the whole candidate graph *and* every induced component, with
+    /// `scratch` reused throughout. Query connectivity is decided once per
+    /// batch by the caller.
     #[allow(clippy::too_many_arguments)]
     fn planned_component_search(
         &self,
@@ -199,30 +147,21 @@ impl Grapes {
         q_connected: bool,
         features: &[(LabelSeq, u32)],
         plan: &MatchPlan,
-        g: &Graph,
         candidate: GraphId,
         scratch: &mut MatchScratch,
         stats: &mut VerifyBatchStats,
     ) -> VerifyOutcome {
+        let g = self.store.get(candidate);
         // Component-restricted verification is sound only for connected
         // queries (the embedding image of a connected query lies in one
         // component of the feature-located vertex set — every image vertex
         // hosts the query's single-vertex features).
         if !q_connected || features.is_empty() {
-            let (verdict, states) = crate::batch::matches_adaptive(plan, q, g, scratch, stats);
-            return VerifyOutcome {
-                contains: verdict.is_found(),
-                aborted: verdict.is_aborted(),
-                states,
-            };
+            return crate::batch::matches_adaptive(plan, q, g, scratch, stats);
         }
         let vertices = self.candidate_vertices(features, candidate);
         if vertices.len() < q.vertex_count() {
-            return VerifyOutcome {
-                contains: false,
-                aborted: false,
-                states: 0,
-            };
+            return VerifyOutcome::REJECTED;
         }
         let mut states = 0u64;
         let mut aborted = false;
@@ -234,19 +173,12 @@ impl Grapes {
             if sub.edge_count() < q.edge_count() {
                 continue;
             }
-            let (verdict, s) = crate::batch::matches_adaptive(plan, q, &sub, scratch, stats);
-            states += s;
-            match verdict {
-                igq_iso::Verdict::Found => {
-                    return VerifyOutcome {
-                        contains: true,
-                        aborted: false,
-                        states,
-                    };
-                }
-                igq_iso::Verdict::Aborted => aborted = true,
-                igq_iso::Verdict::NotFound => {}
+            let out = crate::batch::matches_adaptive(plan, q, &sub, scratch, stats);
+            states += out.states;
+            if out.contains {
+                return VerifyOutcome { states, ..out };
             }
+            aborted |= out.aborted;
         }
         VerifyOutcome {
             contains: false,
@@ -321,11 +253,14 @@ impl SubgraphMethod for Grapes {
     /// profile built per query — or zero plan builds, when `plans` holds
     /// the engine's canonical-code cache and the query is a repeat — and
     /// shared by every candidate (and every worker thread — the plan is
-    /// target-independent). Multi-threaded configurations process
-    /// candidates from a shared work queue, as the original system's
-    /// parallel verification stage does, each worker on its own
-    /// thread-local scratch. Candidates are screened against their whole
-    /// store profile, then searched only inside the located
+    /// target-independent). `Grapes(k)` verifies on `k` workers claiming
+    /// candidates from one shared queue, as the original system's
+    /// parallel verification stage does, through the helper every method
+    /// shares (`batch::verify_candidates`); it keeps its paper width and
+    /// ignores [`PlanSource::width`](crate::batch::PlanSource::width).
+    /// Candidates are screened against their whole store profile (sound
+    /// for the component path too: an embedding into a component is one
+    /// into the graph), then searched only inside the located
     /// *components*.
     fn verify_batch_with_plans(
         &self,
@@ -361,68 +296,17 @@ impl SubgraphMethod for Grapes {
             plans,
             &mut stats,
         );
-        let query_profile = GraphProfile::of(q);
         let q_connected = q.is_connected();
-
-        if self.config.threads <= 1 || candidates.len() < 2 {
-            let outcomes = with_thread_scratch(|scratch| {
-                candidates
-                    .iter()
-                    .map(|&id| {
-                        self.verify_candidate_planned(
-                            q,
-                            q_connected,
-                            features,
-                            &plan,
-                            &query_profile,
-                            id,
-                            scratch,
-                            &mut stats,
-                        )
-                    })
-                    .collect()
-            });
-            return (outcomes, stats);
-        }
-        // Shared work queue over candidate indexes, as in the original's
-        // parallel verification stage. Worker `w` verifies on persistent
-        // scratch slot `w`, warm across batches even though the threads
-        // are fresh. Which candidates a worker claims depends on
-        // scheduling, so every slot is first sized for the batch's largest
-        // candidate (components are no larger than their graph).
-        let max_target = candidates
-            .iter()
-            .map(|&id| self.store.get(id).vertex_count())
-            .max()
-            .unwrap_or(0);
-        for slot in &self.worker_scratch {
-            let scratch = &mut *slot.lock().expect(WORKER_PANICKED);
-            let before = scratch.alloc_events();
-            scratch.reserve(q.vertex_count(), max_target);
-            stats.scratch_allocs += scratch.alloc_events() - before;
-        }
-        let verified = crate::par_map(candidates.len(), self.config.threads, |worker, i| {
-            let mut local = VerifyBatchStats::default();
-            let scratch = &mut *self.worker_scratch[worker].lock().expect(WORKER_PANICKED);
-            let out = self.verify_candidate_planned(
-                q,
-                q_connected,
-                features,
-                &plan,
-                &query_profile,
-                candidates[i],
-                scratch,
-                &mut local,
-            );
-            (out, local)
-        });
-        let outcomes = verified
-            .into_iter()
-            .map(|(out, local)| {
-                stats.merge(&local);
-                out
-            })
-            .collect();
+        let outcomes = verify_candidates(
+            &self.store,
+            q,
+            candidates,
+            self.config.threads,
+            &mut stats,
+            |id, scratch, stats| {
+                self.planned_component_search(q, q_connected, features, &plan, id, scratch, stats)
+            },
+        );
         (outcomes, stats)
     }
 

@@ -28,8 +28,9 @@
 //! [`SubgraphMethod::verify_batch_with_plans`] is the primary entry
 //! point, and every built-in method routes it through the plan-amortized
 //! hot path in [`batch`] — one matching plan per query (zero on a
-//! canonical-code plan-cache hit, via [`PlanSource`]), thread-local
-//! zero-allocation scratch, and profile-based pre-verify screening.
+//! canonical-code plan-cache hit, via [`PlanSource`]), zero-allocation
+//! scratch, profile-based pre-verify screening, and one gated fan-out of
+//! large batches across idle cores.
 //! Single-candidate [`SubgraphMethod::verify`] is a provided method over
 //! the same matcher (`igq_iso::find_one`); only Grapes overrides it.
 
@@ -45,8 +46,8 @@ pub mod par;
 pub mod supergraph;
 
 pub use batch::{
-    batch_label_rarity, verify_batch_plain, verify_batch_plain_with, BatchVerifier, PlanSource,
-    VerifyBatchStats,
+    available_cores, batch_label_rarity, fanout_width, verify_batch_plain, verify_batch_plain_with,
+    PlanSource, VerifyBatchStats, FANOUT_MIN_CANDIDATES,
 };
 pub use ctindex::{CtIndex, CtIndexConfig};
 pub use gcode::{GCode, GCodeConfig};

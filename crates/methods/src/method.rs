@@ -55,6 +55,14 @@ pub struct VerifyOutcome {
 }
 
 impl VerifyOutcome {
+    /// A candidate decided without a search (screened out, or too small
+    /// to host the query): not contained, no states.
+    pub(crate) const REJECTED: VerifyOutcome = VerifyOutcome {
+        contains: false,
+        aborted: false,
+        states: 0,
+    };
+
     pub(crate) fn from_match(r: &igq_iso::semantics::MatchResult) -> VerifyOutcome {
         VerifyOutcome {
             contains: r.outcome.is_found(),

@@ -11,7 +11,8 @@
 //! * **Consistent stats** — a snapshot taken while queries run counts
 //!   the same finished queries in every per-query counter.
 //! * **Batch equivalence** — [`QueryEngine::query_batch`] returns
-//!   index-aligned outcomes identical in answers to a sequential loop.
+//!   index-aligned outcomes identical in answers to a sequential loop,
+//!   and its workers verify serially.
 //! * **`Send + Sync` static assertions** for both engine directions — a
 //!   compile-time regression guard on the concurrency contract.
 
@@ -208,6 +209,60 @@ fn query_batch_equals_sequential_loop() {
         );
     }
     assert_eq!(concurrent.stats().queries, queries.len() as u64);
+}
+
+/// Queries of a `query_batch` verify serially. A lone query with an idle
+/// core beside it fans its large candidate batches out; with
+/// `batch_threads` = cores every core already runs a query, and the
+/// batch's workers never fan out again. Answers are the sequential ones
+/// either way.
+#[test]
+fn query_batch_workers_never_fan_out_verification() {
+    let store = Arc::new(DatasetKind::Aids.generate(400, 5));
+    // Every distinct one-edge query: the common label pairs occur in most
+    // graphs, so their batches are far above the fan-out threshold.
+    let mut pairs: Vec<(u32, u32)> = store
+        .iter()
+        .flat_map(|(_, g)| {
+            g.edges()
+                .iter()
+                .map(|&(u, v)| {
+                    let (a, b) = (g.label(u).raw(), g.label(v).raw());
+                    (a.min(b), a.max(b))
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let queries: Vec<Graph> = pairs
+        .iter()
+        .map(|&(a, b)| graph_from(&[a, b], &[(0, 1)]))
+        .collect();
+    let cores = igq::methods::available_cores();
+    let mk = |threads: usize| {
+        let method = Ggsx::build(&store, GgsxConfig::default());
+        let config = IgqConfig::builder()
+            .cache_capacity(queries.len())
+            .window(queries.len())
+            .batch_threads(threads)
+            .build()
+            .expect("valid config");
+        IgqEngine::new(method, config).expect("valid engine")
+    };
+    let sequential = mk(1);
+    let seq_outs: Vec<QueryOutcome> = queries.iter().map(|q| sequential.query(q)).collect();
+    let largest = seq_outs.iter().map(|o| o.candidates_after).max();
+    assert!(largest >= Some(igq::methods::FANOUT_MIN_CANDIDATES));
+    assert_eq!(sequential.stats().verify_fanouts > 0, cores > 1);
+
+    let batched = mk(cores);
+    let outs = batched.query_batch(&queries);
+    for (i, (a, b)) in seq_outs.iter().zip(outs.iter()).enumerate() {
+        assert_eq!(a.answers, b.answers, "batch answers diverge at index {i}");
+        assert_eq!(a.answers, oracle_answers(&store, &queries[i]));
+    }
+    assert_eq!(batched.stats().verify_fanouts, 0, "nested queries fan out");
 }
 
 /// Typed requests from multiple threads: skip-admission queries stay out

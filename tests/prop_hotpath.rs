@@ -2,8 +2,9 @@
 //! (`igq_iso::find_one`) and the plan-amortized matcher against the VF2
 //! oracle kept in `tests/common/vf2_oracle.rs` (the contract is
 //! `common::assert_oracle_contract`), the batch verifiers
-//! against per-pair oracle verdicts, and the galloping set operations
-//! against their linear-merge definitions.
+//! against per-pair oracle verdicts, fanned-out batches against serial
+//! ones, and the galloping set operations against their linear-merge
+//! definitions.
 
 mod common;
 
@@ -14,6 +15,7 @@ use igq::iso::plan::{find_with_plan, matches_with_plan, MatchPlan, MatchScratch}
 use igq::iso::{find_one, MatchConfig};
 use igq::methods::{
     intersect_into, intersect_sorted, subtract_into, subtract_sorted, NaiveMethod, SubgraphMethod,
+    FANOUT_MIN_CANDIDATES,
 };
 use igq::prelude::*;
 use proptest::prelude::*;
@@ -197,11 +199,57 @@ proptest! {
                     q,
                     &filtered.context,
                     &filtered.candidates,
-                    Some(PlanSource { cache: &cache, key: code.as_ref() }),
+                    Some(PlanSource { cache: &cache, key: code.as_ref(), width: 1 }),
                 );
                 prop_assert_eq!(plain, cached, "query {:?}", q);
             }
         }
+    }
+
+    /// A batch fanned out over 1..=4 workers is the serial batch: the
+    /// same outcome at every index (verdict, abort, states) and the same
+    /// accounting apart from `scratch_allocs` and `fanouts`, with the
+    /// plan acquired once whatever the width. Batch sizes straddle the
+    /// engine's fan-out threshold; both plan sources are covered — a
+    /// keyed [`PlanSource`] (cache miss) against the same source at
+    /// width 1, and one without a code (planned fresh, no cache) against
+    /// the no-cache serial entry.
+    #[test]
+    fn fanned_out_batches_equal_serial_ones(
+        store in arb_store(12, 7, 3),
+        q in arb_graph(5, 3),
+        size in 1usize..2 * FANOUT_MIN_CANDIDATES,
+        width in 1usize..=4,
+        budget in proptest::option::of(1u64..40),
+    ) {
+        use igq::methods::{verify_batch_plain, verify_batch_plain_with, PlanSource, VerifyBatchStats};
+        let config = budget.map_or_else(MatchConfig::default, MatchConfig::with_budget);
+        let batch: Vec<GraphId> = store.ids().cycle().take(size).collect();
+        let code = igq::graph::canon::canonical_code(&q);
+        let fanned = u64::from(width > 1 && size > 1);
+        let comparable = |s: VerifyBatchStats| VerifyBatchStats { scratch_allocs: 0, fanouts: 0, ..s };
+        let keyed = |width| {
+            let cache = igq::iso::PlanCache::new(4);
+            let source = PlanSource { cache: &cache, key: code.as_ref(), width };
+            verify_batch_plain_with(&store, &q, &config, &batch, Some(source))
+        };
+        let (serial, serial_stats) = keyed(1);
+        let (outcomes, stats) = keyed(width);
+        prop_assert_eq!(&outcomes, &serial, "keyed, width {}", width);
+        prop_assert_eq!(comparable(stats), comparable(serial_stats));
+        prop_assert_eq!(stats.fanouts, fanned);
+        prop_assert_eq!(serial_stats.fanouts, 0);
+
+        let cache = igq::iso::PlanCache::new(4);
+        let unkeyed = PlanSource { cache: &cache, key: None, width };
+        let (serial, serial_stats) = verify_batch_plain(&store, &q, &config, &batch);
+        let (outcomes, stats) =
+            verify_batch_plain_with(&store, &q, &config, &batch, Some(unkeyed));
+        prop_assert_eq!(&outcomes, &serial, "no cache, width {}", width);
+        prop_assert_eq!(comparable(stats), comparable(serial_stats));
+        prop_assert_eq!(stats.plan_builds, 1);
+        prop_assert_eq!(stats.fanouts, fanned);
+        prop_assert!(cache.is_empty());
     }
 
     /// Galloping set operations agree with the sorted-merge definitions on
