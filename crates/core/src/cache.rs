@@ -93,11 +93,6 @@ pub struct WindowDelta {
     pub evicted: Vec<usize>,
     /// Slots that received a new entry, in admission order.
     pub admitted: Vec<usize>,
-    /// Canonical codes of the evicted entries that had one, in eviction
-    /// order — the engine evicts these queries' cached matching plans so
-    /// plans die with their windows. A code whose mapping survived (a
-    /// still-resident isomorphic duplicate) is not listed.
-    pub evicted_codes: Vec<CanonicalCode>,
 }
 
 impl WindowDelta {
@@ -243,9 +238,7 @@ impl QueryCache {
                 .victims(&metas, overflow, self.maintenance_round);
             for dense in victims {
                 let slot = occupied[dense];
-                if let Some(code) = self.evict(slot) {
-                    delta.evicted_codes.push(code);
-                }
+                self.evict(slot);
                 delta.evicted.push(slot);
             }
         }
@@ -366,7 +359,7 @@ impl QueryCache {
     /// Returns the evictee's canonical code when its fast-path mapping was
     /// dropped with it (a still-resident isomorphic duplicate keeps the
     /// mapping — and its cached plans — alive).
-    fn evict(&mut self, slot: usize) -> Option<CanonicalCode> {
+    fn evict(&mut self, slot: usize) {
         let entry = self.slots[slot].take().expect("evicting a free slot");
         self.free.push(slot);
         self.len -= 1;
@@ -377,10 +370,8 @@ impl QueryCache {
             // entry.
             if self.code_index.get(&code) == Some(&slot) {
                 self.code_index.remove(&code);
-                return Some(code);
             }
         }
-        None
     }
 
     fn admit(&mut self, entry: CacheEntry) -> usize {
@@ -527,13 +518,8 @@ mod tests {
         c.apply_window(vec![bare(g(0), ids(&[1]))]);
         let code0 = canonical_code(&g(0)).expect("small graph canonicalizes");
         assert_eq!(c.slot_with_code(&code0), Some(0));
-        let d = c.apply_window(vec![bare(g(5), ids(&[2]))]);
+        c.apply_window(vec![bare(g(5), ids(&[2]))]);
         assert_eq!(c.slot_with_code(&code0), None, "evicted code unindexed");
-        assert_eq!(
-            d.evicted_codes,
-            vec![code0],
-            "delta reports the dead code for plan-cache eviction"
-        );
         let code5 = canonical_code(&g(5)).expect("small graph canonicalizes");
         assert_eq!(c.slot_with_code(&code5), Some(0), "reused slot indexed");
     }
@@ -565,10 +551,6 @@ mod tests {
             c.slot_with_code(&code),
             Some(1),
             "survivor keeps its exact-repeat mapping"
-        );
-        assert!(
-            d.evicted_codes.is_empty(),
-            "shared code stays alive with the duplicate, plans survive"
         );
     }
 

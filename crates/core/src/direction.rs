@@ -59,10 +59,8 @@ pub trait QueryDirection: Send + Sync {
 
     /// Verification stage over the pruned candidates, index-aligned, plus
     /// the batch's plan/scratch amortization accounting. `plans` carries
-    /// the engine's canonical-code plan cache (and the query's code when
-    /// it canonicalized within budget) so a repeated query verifies with a
-    /// cached matching plan instead of rebuilding one; directions whose
-    /// verification plans per candidate pair ignore it.
+    /// the width the batch may fan out to; directions that verify
+    /// serially ignore it.
     fn verify(
         method: &Self::Method,
         q: &Graph,
@@ -145,8 +143,7 @@ impl QueryDirection for SupergraphQueries {
         _plans: Option<PlanSource<'_>>,
     ) -> (Vec<VerifyOutcome>, VerifyBatchStats) {
         // Supergraph verification builds one plan per *candidate* (each
-        // stored graph is the pattern), so the query-keyed cache does not
-        // apply here.
+        // stored graph is the pattern) and verifies serially.
         method.verify_super_batch(q, candidates)
     }
 

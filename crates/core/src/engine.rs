@@ -5,8 +5,8 @@
 //! [`Engine<D>`] wraps a dataset method and runs each query `g` through
 //! one stage function after another over a per-query context:
 //!
-//! 1. `canonicalize`: the canonical code keys the exact-repeat lookup,
-//!    the plan cache and admission;
+//! 1. `canonicalize`: the canonical code keys the exact-repeat lookup
+//!    and admission;
 //! 2. `exact_lookup`: optimal case 1 (Section 4.3) by hash lookup — an
 //!    exact repeat returns its stored answer outright;
 //! 3. `filter`: one path enumeration feeds the direction's filter, which
@@ -84,8 +84,9 @@
 //! the recovery protocol.
 //!
 //! A failed store write degrades durability, never answers: the log keeps
-//! every unwritten flip queued and retries on one backoff clock. With a
-//! checkpoint cadence, the retry that comes due is a checkpoint.
+//! up to [`WAL_QUEUE_LIMIT`] unwritten flips queued and retries on one
+//! backoff clock. With a checkpoint cadence, or once a full queue was
+//! dropped, the retry that comes due is a checkpoint.
 //!
 //! Correctness (Theorems 1 and 2) is exercised end-to-end by the
 //! integration suite: the engine's answers are compared against the naive
@@ -107,7 +108,6 @@ use igq_features::{enumerate_paths, PathFeatures};
 use igq_graph::canon::{canonical_code, CanonicalCode, GraphSignature};
 use igq_graph::stats::DatasetStats;
 use igq_graph::{Graph, GraphId};
-use igq_iso::plan_cache::PlanCache;
 use igq_iso::{CostModel, LogValue};
 use igq_methods::{
     available_cores, fanout_width, intersect_into, intersect_sorted, subtract_into,
@@ -271,8 +271,18 @@ enum Health {
         /// rewrite must drop before the next append (or it is a mid-log
         /// hole recovery rejects).
         torn_tail: bool,
+        /// The last flip dropped with an overflowing queue: the log has a
+        /// hole only a checkpoint at or after that flip can cover, so the
+        /// retry is a checkpoint from then on.
+        dropped_through: Option<u64>,
     },
 }
+
+/// Most encoded flips a degraded log queues. Each record carries the
+/// metadata of every resident (O(cache) bytes); the flip that would
+/// exceed the bound drops the queue instead, and the checkpoint that
+/// heals the log re-covers every dropped flip.
+pub const WAL_QUEUE_LIMIT: usize = 64;
 
 /// The WAL's write side, whose methods are the log's transitions. Its
 /// mutex orders appends and publication; never taken under the state
@@ -295,21 +305,45 @@ impl WalLog {
         matches!(self.health, Health::Degraded { retry_at, .. } if Instant::now() >= retry_at)
     }
 
-    /// On the cadence while healthy; as the retry while degraded (a
-    /// checkpoint re-covers every queued flip at once).
+    /// Whether a degraded log retries with a checkpoint: with a cadence,
+    /// or once it dropped its queue.
+    fn retries_by_checkpoint(&self, p: &PersistCtl) -> bool {
+        p.checkpoint_every.is_some()
+            || matches!(
+                self.health,
+                Health::Degraded {
+                    dropped_through: Some(_),
+                    ..
+                }
+            )
+    }
+
+    /// On the cadence while healthy; as the retry while degraded, when
+    /// that is a checkpoint (it re-covers every queued and dropped flip
+    /// at once).
     fn checkpoint_due(&self, p: &PersistCtl) -> bool {
-        match (p.checkpoint_every, self.health) {
-            (None, _) => false,
-            (Some(every), Health::Healthy) => self.appends_since_checkpoint >= every,
-            (Some(_), Health::Degraded { .. }) => self.retry_due(),
+        match self.health {
+            Health::Healthy => p
+                .checkpoint_every
+                .is_some_and(|every| self.appends_since_checkpoint >= every),
+            Health::Degraded { .. } => self.retries_by_checkpoint(p) && self.retry_due(),
         }
     }
 
-    /// Transition: append one encoded flip. A degraded log queues it and,
-    /// with no checkpoint to retry for it, replays the queue when due.
+    /// Transition: append one encoded flip. A degraded log queues it, or
+    /// drops a full queue instead ([`WAL_QUEUE_LIMIT`]), and replays the
+    /// queue when due unless its retry is a checkpoint.
     fn append(&mut self, p: &PersistCtl, seq: u64, bytes: Vec<u8>, ledger: &Ledger) {
-        self.queue.push_back((seq, bytes));
-        if !self.is_degraded() || (p.checkpoint_every.is_none() && self.retry_due()) {
+        match &mut self.health {
+            Health::Degraded {
+                dropped_through, ..
+            } if self.queue.len() >= WAL_QUEUE_LIMIT => {
+                self.queue.clear();
+                *dropped_through = Some(seq);
+            }
+            _ => self.queue.push_back((seq, bytes)),
+        }
+        if !self.is_degraded() || (!self.retries_by_checkpoint(p) && self.retry_due()) {
             self.replay(p, ledger);
         } else {
             let queued = self.queue.len() as u64;
@@ -319,11 +353,14 @@ impl WalLog {
 
     /// Transition: a write failed; the backoff doubles per strike.
     fn degrade(&mut self, reason: String, torn: bool, ledger: &Ledger) {
-        let (strikes, torn_tail) = match self.health {
-            Health::Healthy => (0, false),
+        let (strikes, torn_tail, dropped_through) = match self.health {
+            Health::Healthy => (0, false, None),
             Health::Degraded {
-                strikes, torn_tail, ..
-            } => (strikes, torn_tail),
+                strikes,
+                torn_tail,
+                dropped_through,
+                ..
+            } => (strikes, torn_tail, dropped_through),
         };
         if strikes == 0 {
             eprintln!("igq: warning: {reason}; entering degraded mode");
@@ -335,6 +372,7 @@ impl WalLog {
             strikes: strikes + 1,
             retry_at: Instant::now() + backoff,
             torn_tail: torn || torn_tail,
+            dropped_through,
         };
         let queued = self.queue.len() as u64;
         tally(ledger, |s| {
@@ -361,7 +399,9 @@ impl WalLog {
     /// Transition: a checkpoint of flip `seq` was saved (or failed to
     /// be). Rewrites the log to the records after it and appends the
     /// queued flips after it. On a degraded log this is the checkpoint
-    /// retry: a failure is a strike, a drained queue heals.
+    /// retry: a failure is a strike, a drained queue heals. A checkpoint
+    /// older than the last dropped flip leaves the hole for the next
+    /// retry.
     fn checkpointed(
         &mut self,
         p: &PersistCtl,
@@ -369,7 +409,16 @@ impl WalLog {
         ledger: &Ledger,
     ) -> Result<(), PersistError> {
         match saved.and_then(|seq| self.rewrite(p, seq)) {
-            Ok(kept) => self.appends_since_checkpoint = kept,
+            Ok(kept) => {
+                self.appends_since_checkpoint = kept;
+                if let Health::Degraded {
+                    dropped_through: Some(_),
+                    ..
+                } = self.health
+                {
+                    return Ok(());
+                }
+            }
             Err(e) if self.is_degraded() => {
                 self.degrade(format!("checkpoint retry failed: {e}"), false, ledger);
                 return Err(e);
@@ -406,13 +455,22 @@ impl WalLog {
     }
 
     /// Rewrites the log to its intact records after flip `after` (0 keeps
-    /// them all), which drops a torn tail, and drops the queued flips a
-    /// checkpoint at `after` covers. Returns the number of records kept.
+    /// them all), which drops a torn tail, and drops the queued and
+    /// dropped flips a checkpoint at `after` covers. Returns the number of
+    /// records kept.
     fn rewrite(&mut self, p: &PersistCtl, after: u64) -> Result<u64, PersistError> {
         let (compacted, kept) = persist::compact_wal(&p.store.load_wal()?, after, &p.header);
         p.store.replace_wal(&compacted)?;
-        if let Health::Degraded { torn_tail, .. } = &mut self.health {
+        if let Health::Degraded {
+            torn_tail,
+            dropped_through,
+            ..
+        } = &mut self.health
+        {
             *torn_tail = false;
+            if dropped_through.is_some_and(|seq| seq <= after) {
+                *dropped_through = None;
+            }
         }
         self.queue.retain(|(seq, _)| *seq > after);
         Ok(kept)
@@ -533,11 +591,6 @@ pub struct Engine<D: QueryDirection> {
     /// [`Engine::promote`], persisted, and stamped on every published
     /// group so a deposed primary's stream is fenced.
     role: RoleCell,
-    /// Canonical-code keyed matching-plan cache, shared by the verify
-    /// stage and both index probes. Internally lock-striped,
-    /// so it lives outside the state lock; entries are evicted alongside
-    /// their queries via [`WindowDelta::evicted_codes`].
-    plan_cache: PlanCache,
     /// The lifetime counters, written through [`tally`].
     stats: Ledger,
     /// The fingerprints and label universe this engine's artifacts carry.
@@ -591,10 +644,6 @@ impl<D: QueryDirection> Engine<D> {
         persist: Option<PersistCtl>,
         role: Role,
     ) -> Engine<D> {
-        // Plans are cheap relative to cached answer sets: hold a few per
-        // resident (distinct configs, probe-side patterns) with headroom
-        // for small caches so repeated streams never thrash.
-        let plan_capacity = (4 * config.cache_capacity).max(512);
         Engine {
             method,
             config,
@@ -608,7 +657,6 @@ impl<D: QueryDirection> Engine<D> {
             persist,
             hub: ReplicationHub::new(),
             role: RoleCell(AtomicU64::new(RoleCell::pack(role))),
-            plan_cache: PlanCache::new(plan_capacity),
             stats: Mutex::new(EngineStats {
                 epoch: role.epoch(),
                 ..EngineStats::default()
@@ -821,9 +869,8 @@ impl<D: QueryDirection> Engine<D> {
                     features
                 }
             };
-            let graph = Arc::clone(&p.entry.graph);
             st.index
-                .insert(p.slot, graph, &features, p.entry.code.clone());
+                .insert(p.slot, Arc::clone(&p.entry.graph), &features);
         }
         st.seq = data.seq;
         st.window = data.window;
@@ -872,10 +919,10 @@ impl<D: QueryDirection> Engine<D> {
     /// swap itself runs under the write lock. Replication position
     /// (`last_applied_seq` and the heard gauge) is *set* to the
     /// snapshot's seq, which may be lower than before (a primary that
-    /// restarted without history); the replaced residents' plans are
-    /// evicted; the replication hub is reset, which disconnects every
-    /// downstream feed (their subscribers re-bootstrap in turn). Lifetime
-    /// counters carry on. Returns the installed seq.
+    /// restarted without history), and the replaced residents' plans go
+    /// with their index; the replication hub is reset, which disconnects
+    /// every downstream feed (their subscribers re-bootstrap in turn).
+    /// Lifetime counters carry on. Returns the installed seq.
     ///
     /// Refusals leave the engine untouched:
     /// [`ReplicaError::NotFollower`] on a primary,
@@ -921,13 +968,8 @@ impl<D: QueryDirection> Engine<D> {
             self.hub.reset();
             std::mem::replace(&mut *guard, st)
         };
-        // Off the lock: drop the replaced residents' plans, then the
-        // replaced state itself.
-        for (_, e) in old.cache.iter() {
-            if let Some(code) = &e.code {
-                self.plan_cache.evict_key(code);
-            }
-        }
+        // Off the lock: drop the replaced state.
+        drop(old);
         Ok(seq)
     }
 
@@ -1083,28 +1125,19 @@ impl<D: QueryDirection> Engine<D> {
     /// Replays one recorded flip — a WAL record at recovery, a delta
     /// group on a follower: the recorded evictions/admissions re-applied
     /// verbatim (the policy is not re-run, so slot decisions are the
-    /// recording engine's), its metadata table restored, evicted plans
-    /// dropped, the query index updated like a live flip, and the state's
-    /// seq advanced to the record's. Seq, epoch and duplicate checks are
-    /// the caller's; `Err` means a corrupt record. Returns the index work
+    /// recording engine's), its metadata table restored, the query index
+    /// updated like a live flip, and the state's seq advanced to the
+    /// record's. Seq, epoch and duplicate checks are the caller's; `Err`
+    /// means a corrupt record. Returns the index work
     /// (postings touched, time) for the caller to record or not.
     fn replay_flip(
         &self,
         st: &mut State,
         record: &persist::WalRecord,
     ) -> Result<(u64, Duration), String> {
-        // Snapshot the evicted entries' codes *before* replay frees their
-        // slots. (The recording engine's delta omits codes with a
-        // surviving isomorphic duplicate; evicting those plans here too
-        // costs only a re-plan, never correctness.)
         let delta = WindowDelta {
             evicted: record.evicted.clone(),
             admitted: record.admitted.iter().map(|p| p.slot).collect(),
-            evicted_codes: record
-                .evicted
-                .iter()
-                .filter_map(|&slot| st.cache.get(slot).and_then(|e| e.code.clone()))
-                .collect(),
         };
         st.cache
             .replay_window(&record.evicted, slot_entries(&record.admitted))?;
@@ -1117,9 +1150,6 @@ impl<D: QueryDirection> Engine<D> {
                 ));
             }
             st.cache.entry_mut(slot).meta = meta;
-        }
-        for code in &delta.evicted_codes {
-            self.plan_cache.evict_key(code);
         }
         let work = self.apply_index_delta(st, &delta);
         st.seq = record.seq;
@@ -1185,15 +1215,7 @@ impl<D: QueryDirection> Engine<D> {
     /// call from any thread at any time. Every per-query counter in it
     /// covers the same set of finished queries.
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.stats.lock().expect(POISONED).clone();
-        // The plan cache's own counters are authoritative (they also see
-        // index-probe lookups, which never flow through a
-        // `VerifyBatchStats`); overlay them at snapshot time.
-        let plans = self.plan_cache.stats();
-        stats.plan_cache_hits = plans.hits;
-        stats.plan_cache_misses = plans.misses;
-        stats.plan_cache_evictions = plans.evictions;
-        stats
+        self.stats.lock().expect(POISONED).clone()
     }
 
     /// Does nothing: index maintenance is synchronous, so the indexes are
@@ -1212,10 +1234,11 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// Approximate footprint of iGQ's own structures (query graphs, answer
-    /// sets, and the query index) — the iGQ bar of Figure 18.
+    /// sets, and the query index with its residents' plans) — the iGQ bar
+    /// of Figure 18.
     pub fn igq_index_size_bytes(&self) -> u64 {
         let st = self.lock_read();
-        self.plan_cache.heap_size_bytes() + st.cache.heap_size_bytes() + st.index.heap_size_bytes()
+        st.cache.heap_size_bytes() + st.index.heap_size_bytes()
     }
 
     /// Estimated cost (log space) of iso-testing `q` against each graph in
@@ -1321,9 +1344,8 @@ impl<D: QueryDirection> Engine<D> {
         self.finish(ctx)
     }
 
-    /// Stage: the query's canonical code — the exact-repeat key, the
-    /// plan-cache key, and admitted with the query so maintenance never
-    /// recomputes it.
+    /// Stage: the query's canonical code — the exact-repeat key, admitted
+    /// with the query so maintenance never recomputes it.
     fn canonicalize<'q>(&self, q: &'q Graph, opts: &'q QueryOptions) -> QueryCtx<'q> {
         let start = Instant::now();
         let code = canonical_code(q);
@@ -1403,15 +1425,10 @@ impl<D: QueryDirection> Engine<D> {
         let mut guard = self.lock_write();
         let st = &mut *guard;
         let p_start = Instant::now();
-        let (sub_slots, sub_stats) = st.index.supergraphs_of_with_plans(
-            q,
-            qf,
-            ctx.code.as_ref().map(|c| (&self.plan_cache, c)),
-        );
-        let (super_slots, super_stats) =
-            st.index
-                .subgraphs_of_with_plans(q, qf, Some(&self.plan_cache));
+        let (sub_slots, sub_stats) = st.index.supergraphs_of(q, qf);
+        let (super_slots, super_stats) = st.index.subgraphs_of(q, qf);
         let probe_time = p_start.elapsed();
+        ctx.tally.isuper = super_stats;
         let o = &mut ctx.outcome;
         o.igq_iso_tests = sub_stats.tests + super_stats.tests;
         o.isub_hits = sub_slots.len();
@@ -1478,11 +1495,10 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// Stage: verification of the surviving candidates `pruned`, outside
-    /// the lock, with the engine's plan cache keyed by the query's
-    /// canonical code (a repeat query reuses its matching plan instead of
-    /// rebuilding it), fanned out over the cores no other query of this
-    /// engine is using ([`igq_methods::fanout_width`]). The final answer
-    /// adds back the known answers `known_in_cs` (formula (4)).
+    /// the lock, with one matching plan for the query, fanned out over the
+    /// cores no other query of this engine is using
+    /// ([`igq_methods::fanout_width`]). The final answer adds back the
+    /// known answers `known_in_cs` (formula (4)).
     fn verify(
         &self,
         ctx: &mut QueryCtx<'_>,
@@ -1491,11 +1507,8 @@ impl<D: QueryDirection> Engine<D> {
     ) {
         let start = Instant::now();
         let in_flight = self.in_flight.load(Ordering::Relaxed);
-        let plan_source = PlanSource {
-            cache: &self.plan_cache,
-            key: ctx.code.as_ref(),
-            width: fanout_width(available_cores(), in_flight, pruned.len()),
-        };
+        let plan_source =
+            PlanSource::with_width(fanout_width(available_cores(), in_flight, pruned.len()));
         let (results, batch_stats) =
             D::verify(&self.method, ctx.q, context, &pruned, Some(plan_source));
         ctx.tally.verify = batch_stats;
@@ -1587,19 +1600,13 @@ impl<D: QueryDirection> Engine<D> {
     }
 
     /// Applies one admission batch as a window flip
-    /// ([`QueryCache::apply_window`]): evicted plans are dropped, the flip
-    /// is captured as one WAL record, and the index delta is applied
-    /// inline.
+    /// ([`QueryCache::apply_window`]): the flip is captured as one WAL
+    /// record, and the index delta is applied inline (evicted residents'
+    /// plans go with their slots).
     fn apply_incoming(&self, st: &mut State, incoming: Vec<WindowEntry>) {
         let delta = st.cache.apply_window(incoming);
         if delta.is_empty() {
             return;
-        }
-        // Cached plans die with their windows: drop every evicted query's
-        // plans (codes with a surviving isomorphic duplicate are not
-        // listed, so their plans correctly live on).
-        for code in &delta.evicted_codes {
-            self.plan_cache.evict_key(code);
         }
         self.capture_wal(st, &delta);
         let (postings, elapsed) = self.apply_index_delta(st, &delta);
@@ -3189,5 +3196,79 @@ pub(crate) mod tests {
         assert_eq!(follower.epoch(), 0, "a rejected group changes nothing");
         assert_eq!(follower.apply_replica_delta(&g1.bytes), Ok(1));
         assert_eq!(follower.epoch(), 1, "an applied group adopts its epoch");
+    }
+
+    /// Each resident's `Isuper` plan lives and dies with its slot: after
+    /// flips that evict and reuse slots, a restart, and a follower's
+    /// re-bootstrap, the live index's probe, run twice (cold, then on
+    /// built plans), agrees with a fresh build over the same residents.
+    #[test]
+    fn resident_plans_live_and_die_with_their_slots() {
+        let probes = [
+            graph_from(
+                &[0, 1, 2, 0, 1, 2],
+                &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+            ),
+            graph_from(&[2, 2, 2, 0], &[(0, 1), (1, 2), (0, 2), (2, 3)]),
+            graph_from(&[1, 0, 0, 2], &[(0, 1), (0, 2), (0, 3)]),
+        ];
+        let agrees = |e: &IgqEngine<Ggsx>| {
+            let st = e.lock_read();
+            let path_config = e.config().path_config;
+            let residents = st
+                .cache
+                .iter()
+                .map(|(slot, c)| (slot, Arc::clone(&c.graph)));
+            let fresh = QueryIndex::build(residents, path_config);
+            for q in &probes {
+                let qf = enumerate_paths(q, &path_config);
+                let (want, want_stats) = fresh.subgraphs_of(q, &qf);
+                for _ in 0..2 {
+                    let (got, stats) = st.index.subgraphs_of(q, &qf);
+                    assert_eq!(got, want, "probe {q:?}");
+                    assert_eq!(
+                        (stats.tests, stats.states),
+                        (want_stats.tests, want_stats.states)
+                    );
+                }
+            }
+        };
+        // Distinct three-vertex paths over labels {0, 1, 2}: more than the
+        // cache holds, so flips evict residents and reuse their slots.
+        let paths = (0..27u32).map(|i| graph_from(&[i % 3, i / 3 % 3, i / 9], &[(0, 1), (1, 2)]));
+        let s = store();
+        let mem = Arc::new(crate::MemStore::new());
+        let primary = open_engine(&s, &mem);
+        for q in paths {
+            let _ = primary.query(&q);
+            agrees(&primary);
+        }
+        // `agrees` built every plan the first two probes test, and they
+        // flip nothing before their probes run.
+        primary.flush_window();
+        let before = primary.stats();
+        for q in &probes[..2] {
+            let _ = primary.query(q);
+        }
+        let after = primary.stats();
+        assert_eq!(after.plan_cache_misses, before.plan_cache_misses);
+        assert!(after.plan_cache_hits > before.plan_cache_hits);
+        primary.checkpoint().expect("checkpoint");
+        let reopened = open_engine(&s, &mem);
+        agrees(&reopened);
+
+        let snapshot = |e: &IgqEngine<Ggsx>| snapshot_of(e).0;
+        let method = Ggsx::build(&s, GgsxConfig::default());
+        let follower = IgqEngine::open_follower(method, *reopened.config(), &snapshot(&reopened))
+            .expect("valid follower");
+        agrees(&follower);
+        for q in &probes {
+            let _ = reopened.query(q);
+        }
+        reopened.flush_window();
+        follower
+            .install_snapshot(&snapshot(&reopened))
+            .expect("re-bootstrap");
+        agrees(&follower);
     }
 }

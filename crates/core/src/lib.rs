@@ -109,7 +109,7 @@ pub use api::{QueryEngine, QueryOptions, QueryRequest, QueryResponse};
 pub use cache::{CacheEntry, QueryCache, WindowDelta};
 pub use config::{ConfigError, IgqConfig, IgqConfigBuilder, PersistenceConfig};
 pub use direction::{QueryDirection, SubgraphQueries, SupergraphQueries};
-pub use engine::{Engine, IgqEngine};
+pub use engine::{Engine, IgqEngine, WAL_QUEUE_LIMIT};
 pub use metadata::GraphMeta;
 pub use outcome::{QueryOutcome, Resolution};
 pub use persist::{CacheStore, DirStore, MemStore, PersistError};

@@ -24,16 +24,22 @@
 //! shadow rebuild survives as [`QueryIndex::build`]: the cold-start path
 //! and the oracle [`Engine::self_check`](crate::Engine::self_check) diffs
 //! the live index against. Graphs are shared with the cache via `Arc`.
+//!
+//! Each resident keeps the "related key information" the paper stores
+//! beside a cached query: its own `Isuper` matching plan. In an `Isuper`
+//! test the resident is always the pattern, so the plan is built on the
+//! resident's first test, ordered by the resident's own label histogram,
+//! and reused by every later probe. It lives and dies with the slot, so a
+//! reused slot never inherits an evicted query's plan. The `Isub` probe's
+//! pattern is the new query, so it builds one plan per probe.
 
 use crate::cache::{QueryCache, WindowDelta};
 use igq_features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
-use igq_graph::canon::CanonicalCode;
 use igq_graph::{Graph, GraphId};
 use igq_iso::plan::{matches_with_plan, MatchPlan};
-use igq_iso::plan_cache::PlanCache;
 use igq_iso::{with_thread_scratch, IsoStats, MatchConfig};
 use std::mem::{size_of, size_of_val};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The `Isub` and `Isuper` names of [`QueryIndex`], kept only because
 /// `benchmark/src/layers.rs` still builds one of each; ROADMAP item A(f)
@@ -54,10 +60,9 @@ struct Resident {
     /// #distinct features with `edge_len ≤ l`). `NF[gi]` of Algorithm 1
     /// is the last entry.
     nf_by_len: Box<[u32]>,
-    /// The cached query's canonical code, when the cache computed one:
-    /// the plan-cache key of the `Isuper` probe pairs this graph is the
-    /// pattern of.
-    code: Option<CanonicalCode>,
+    /// The graph's `Isuper` matching plan (it is the pattern of every
+    /// `Isuper` test), built on its first test.
+    plan: OnceLock<MatchPlan>,
 }
 
 /// The query index over the cached queries, maintained incrementally.
@@ -78,8 +83,7 @@ impl QueryIndex {
     }
 
     /// Cold-start build over `(slot, graph)` pairs, enumerating each
-    /// graph's paths: the shadow rebuild `self_check` diffs against. No
-    /// canonical codes are attached, so `Isuper` probe pairs plan fresh.
+    /// graph's paths: the shadow rebuild `self_check` diffs against.
     pub fn build(
         entries: impl IntoIterator<Item = (usize, Arc<Graph>)>,
         path_config: PathConfig,
@@ -87,22 +91,15 @@ impl QueryIndex {
         let mut index = QueryIndex::new(path_config);
         for (slot, graph) in entries {
             let features = enumerate_paths(&graph, &path_config);
-            index.insert(slot, graph, &features, None);
+            index.insert(slot, graph, &features);
         }
         index
     }
 
     /// Indexes `graph` under the empty `slot` from its path `features`
-    /// (Algorithm 1 for one member), with the cached query's canonical
-    /// `code` when the cache holds one. Every feature must be at most
+    /// (Algorithm 1 for one member). Every feature must be at most
     /// `max_len` edges long. Returns the postings touched.
-    pub fn insert(
-        &mut self,
-        slot: usize,
-        graph: Arc<Graph>,
-        features: &PathFeatures,
-        code: Option<CanonicalCode>,
-    ) -> u64 {
+    pub fn insert(&mut self, slot: usize, graph: Arc<Graph>, features: &PathFeatures) -> u64 {
         if self.residents.len() <= slot {
             self.residents.resize_with(slot + 1, || None);
         }
@@ -123,7 +120,7 @@ impl QueryIndex {
             features: keys,
             complete_len: features.complete_len as u8,
             nf_by_len: nf_by_len.into_boxed_slice(),
-            code,
+            plan: OnceLock::new(),
         });
         touched
     }
@@ -143,22 +140,16 @@ impl QueryIndex {
 
     /// Brings the index in line with `cache` after `delta` was applied to
     /// it: removes the evicted slots, then indexes every admitted resident
-    /// from one enumeration of its graph, with its canonical code. Returns
-    /// the postings touched.
+    /// from one enumeration of its graph. Returns the postings touched.
     pub(crate) fn apply_delta(&mut self, cache: &QueryCache, delta: &WindowDelta) -> u64 {
         let mut touched = 0;
         for &slot in &delta.evicted {
             touched += self.remove(slot);
         }
         for &slot in &delta.admitted {
-            let entry = cache.entry(slot);
-            let features = enumerate_paths(&entry.graph, &self.path_config);
-            touched += self.insert(
-                slot,
-                Arc::clone(&entry.graph),
-                &features,
-                entry.code.clone(),
-            );
+            let graph = &cache.entry(slot).graph;
+            let features = enumerate_paths(graph, &self.path_config);
+            touched += self.insert(slot, Arc::clone(graph), &features);
         }
         touched
     }
@@ -193,30 +184,14 @@ impl QueryIndex {
     /// own label histogram, is shared across all filtered slots with the
     /// thread's scratch: the probe performs no per-candidate allocations.
     pub fn supergraphs_of(&self, q: &Graph, qf: &PathFeatures) -> (Vec<usize>, IsoStats) {
-        self.supergraphs_of_with_plans(q, qf, None)
-    }
-
-    /// [`QueryIndex::supergraphs_of`] with the engine's plan cache: a
-    /// repeated query reuses its probe plan under its canonical code
-    /// (`plans` is the cache plus the query's code).
-    pub fn supergraphs_of_with_plans(
-        &self,
-        q: &Graph,
-        qf: &PathFeatures,
-        plans: Option<(&PlanCache, &CanonicalCode)>,
-    ) -> (Vec<usize>, IsoStats) {
         let mut stats = IsoStats::new();
         let mut slots = Vec::new();
         let filtered = self.supergraph_candidates(q, qf);
         if filtered.is_empty() {
             return (slots, stats);
         }
-        let config = MatchConfig::default();
-        let mut rarity = |l| q.vertices_with_label(l).len() as u64;
-        let plan = match plans {
-            Some((cache, code)) => cache.get_or_build(code, q, &config, &mut rarity).0,
-            None => Arc::new(MatchPlan::build(q, &config, &mut rarity)),
-        };
+        let plan = own_plan(q);
+        stats.plan_builds += 1;
         with_thread_scratch(|scratch| {
             for slot in filtered {
                 let (verdict, states) =
@@ -290,28 +265,13 @@ impl QueryIndex {
     /// `Isuper`: cache slots whose graph is a (verified) subgraph of `q`,
     /// plus the iGQ-internal iso work performed. `qf` is shared as in
     /// [`QueryIndex::supergraphs_of`].
+    ///
+    /// The inverted probe: each cached graph is the pattern, searched
+    /// inside the fixed query with the resident's own plan (built on its
+    /// first test and counted in `plan_builds`), on the thread's scratch.
     pub fn subgraphs_of(&self, q: &Graph, qf: &PathFeatures) -> (Vec<usize>, IsoStats) {
-        self.subgraphs_of_with_plans(q, qf, None)
-    }
-
-    /// [`QueryIndex::subgraphs_of`] with the engine's plan cache: cached
-    /// patterns recur across probes (every query probes the same resident
-    /// set), so each pattern's per-pair plan is cached under *its own*
-    /// canonical code and rebuilt only when the rarity statistic, the
-    /// probing query's label index, drifts.
-    pub fn subgraphs_of_with_plans(
-        &self,
-        q: &Graph,
-        qf: &PathFeatures,
-        plans: Option<&PlanCache>,
-    ) -> (Vec<usize>, IsoStats) {
         let mut stats = IsoStats::new();
         let mut slots = Vec::new();
-        let config = MatchConfig::default();
-        // The inverted probe: each cached graph is the pattern, searched
-        // inside the fixed query. Plans are per pair, ordered by the
-        // query's label index (the best statistic since the target is
-        // known); the thread scratch is reused throughout.
         with_thread_scratch(|scratch| {
             for slot in self.subgraph_candidates(qf) {
                 let resident = self.resident(slot);
@@ -320,14 +280,11 @@ impl QueryIndex {
                 {
                     continue;
                 }
-                let mut rarity = |l| q.vertices_with_label(l).len() as u64;
-                let plan = match (plans, resident.code.as_ref()) {
-                    (Some(cache), Some(code)) => {
-                        cache.get_or_build(code, cached, &config, &mut rarity).0
-                    }
-                    _ => Arc::new(MatchPlan::build(cached, &config, &mut rarity)),
-                };
-                let (verdict, states) = matches_with_plan(&plan, q, scratch);
+                let plan = resident.plan.get_or_init(|| {
+                    stats.plan_builds += 1;
+                    own_plan(cached)
+                });
+                let (verdict, states) = matches_with_plan(plan, q, scratch);
                 stats.record_verdict(verdict, states);
                 if verdict.is_found() {
                     slots.push(slot);
@@ -362,7 +319,7 @@ impl QueryIndex {
                 .map(LabelSeq::heap_size_bytes)
                 .sum::<u64>();
             bytes += size_of_val(&*r.nf_by_len) as u64;
-            bytes += r.code.as_ref().map_or(0, |c| size_of_val(c.words()) as u64);
+            bytes += r.plan.get().map_or(0, MatchPlan::heap_size_bytes);
         }
         bytes
     }
@@ -388,6 +345,13 @@ impl QueryIndex {
             .collect();
         IndexSnapshot { slots, postings }
     }
+}
+
+/// The probe plan of `pattern` under the default configuration, ordered
+/// by `pattern`'s own label histogram.
+fn own_plan(pattern: &Graph) -> MatchPlan {
+    let mut rarity = |l| pattern.vertices_with_label(l).len() as u64;
+    MatchPlan::build(pattern, &MatchConfig::default(), &mut rarity)
 }
 
 /// Canonical index contents for equivalence checks (see

@@ -4,9 +4,7 @@
 mod tests {
     use crate::query_index::QueryIndex;
     use igq_features::{enumerate_paths, PathConfig};
-    use igq_graph::canon::canonical_code;
     use igq_graph::{graph_from, Graph};
-    use igq_iso::plan_cache::PlanCache;
     use igq_iso::IsoStats;
     use std::sync::Arc;
 
@@ -81,7 +79,7 @@ mod tests {
         idx.remove(0);
         let newcomer = Arc::new(graph_from(&[9], &[]));
         let features = enumerate_paths(&newcomer, &PathConfig::default());
-        idx.insert(0, Arc::clone(&newcomer), &features, None);
+        idx.insert(0, Arc::clone(&newcomer), &features);
 
         let fresh = QueryIndex::build(
             [
@@ -101,6 +99,9 @@ mod tests {
         assert_eq!(slots, vec![0]);
     }
 
+    /// Resident plans are built on a resident's first `Isuper` test and
+    /// reused after: a probe over built plans agrees with a fresh index's
+    /// cold probe, and a slot reused by another graph plans afresh.
     #[test]
     fn plan_cached_probe_agrees_with_fresh_probe() {
         let specs: &[GraphSpec] = &[
@@ -109,30 +110,43 @@ mod tests {
             (&[0, 0], &[(0, 1)]),
             (&[7, 7], &[(0, 1)]),
         ];
-        let mut idx = QueryIndex::new(PathConfig::default());
-        for (slot, (ls, es)) in specs.iter().enumerate() {
-            let g = Arc::new(graph_from(ls, es));
-            let features = enumerate_paths(&g, &PathConfig::default());
-            let code = canonical_code(&g);
-            idx.insert(slot, g, &features, code);
-        }
-        let cache = PlanCache::new(64);
-        for q in [
+        let queries = [
             graph_from(&[0, 1, 0, 2], &[(0, 1), (1, 2), (2, 3)]),
             graph_from(&[0, 0, 1], &[(0, 1), (1, 2)]),
             graph_from(&[7, 7, 7], &[(0, 1), (1, 2)]),
-        ] {
-            let qf = enumerate_paths(&q, &PathConfig::default());
-            let (fresh, fresh_stats) = idx.subgraphs_of(&q, &qf);
-            // Twice with the cache: cold (build) then warm (hit).
-            let (cold, _) = idx.subgraphs_of_with_plans(&q, &qf, Some(&cache));
-            let (warm, warm_stats) = idx.subgraphs_of_with_plans(&q, &qf, Some(&cache));
-            assert_eq!(cold, fresh, "query {q:?}");
-            assert_eq!(warm, fresh, "query {q:?}");
-            assert_eq!(warm_stats.tests, fresh_stats.tests);
-        }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "repeat probes hit cached pattern plans");
+        ];
+        let agree = |live: &QueryIndex, residents: &[(usize, Arc<Graph>)]| {
+            let fresh = QueryIndex::build(residents.iter().cloned(), PathConfig::default());
+            for q in &queries {
+                let (slots, stats) = probe(live, q);
+                let (fresh_slots, fresh_stats) = probe(&fresh, q);
+                assert_eq!(slots, fresh_slots, "query {q:?}");
+                assert_eq!(stats.tests, fresh_stats.tests, "query {q:?}");
+                assert_eq!(stats.states, fresh_stats.states, "same plans");
+                let (_, again) = probe(live, q);
+                assert_eq!(again.plan_builds, 0, "a second probe reuses every plan");
+            }
+        };
+        let mut residents: Vec<(usize, Arc<Graph>)> = specs
+            .iter()
+            .enumerate()
+            .map(|(slot, (ls, es))| (slot, Arc::new(graph_from(ls, es))))
+            .collect();
+        let mut idx = QueryIndex::build(residents.iter().cloned(), PathConfig::default());
+        let (_, cold) = probe(&idx, &queries[0]);
+        assert_eq!(cold.plan_builds, cold.tests, "the first tests build");
+        agree(&idx, &residents);
+
+        // Slot 0 (0-1 edge, a subgraph of query 0) is reused by a 7-7 edge.
+        idx.remove(0);
+        let newcomer = Arc::new(graph_from(&[7, 7], &[(0, 1)]));
+        let features = enumerate_paths(&newcomer, &PathConfig::default());
+        idx.insert(0, Arc::clone(&newcomer), &features);
+        residents[0].1 = newcomer;
+        let (slots, reused) = probe(&idx, &queries[2]);
+        assert_eq!(slots, vec![0, 3]);
+        assert_eq!(reused.plan_builds, 1, "the reused slot plans afresh");
+        agree(&idx, &residents);
     }
 
     #[test]

@@ -15,7 +15,7 @@ mod tests {
 
     fn insert(idx: &mut QueryIndex, slot: usize, g: Arc<Graph>) -> u64 {
         let features = enumerate_paths(&g, &PathConfig::default());
-        idx.insert(slot, g, &features, None)
+        idx.insert(slot, g, &features)
     }
 
     /// `(labels, edges)` shorthand for building test graphs.

@@ -112,8 +112,8 @@ pub struct EngineStats {
     /// timer.
     pub canonicalization_time: Duration,
     /// Queries `canonical_code` declined (over its vertex cap, or its
-    /// pruned search out of leaf budget): they skip the exact fast path
-    /// and the plan cache, and each one paid for a full budget of leaves.
+    /// pruned search out of leaf budget): they skip the exact fast path,
+    /// and each one paid for a full budget of leaves.
     pub canonical_code_budget_misses: u64,
     /// Matching plans built in the verification stage. In the subgraph
     /// direction: one per verified query with a non-empty candidate batch
@@ -139,16 +139,13 @@ pub struct EngineStats {
     /// still count as `db_iso_tests` — the screen makes tests cheaper, it
     /// does not change the paper's headline test counts.
     pub preverify_rejections: u64,
-    /// Canonical-code plan-cache lookups answered by a fresh cached plan
-    /// (the query skipped its plan build). Covers the verify stage and
-    /// both query-index probes.
+    /// `Isuper` tests run on a cached query's already-built matching
+    /// plan. Each resident keeps its own plan, built on its first `Isuper`
+    /// test; the name predates that design.
     pub plan_cache_hits: u64,
-    /// Plan-cache lookups that had to build — cold codes, staleness
-    /// rebuilds after label-frequency drift, and config mismatches.
+    /// Resident `Isuper` plans built (one per resident's first `Isuper`
+    /// test, again after a restart or re-bootstrap).
     pub plan_cache_misses: u64,
-    /// Plans dropped from the plan cache: capacity replacement plus
-    /// window-eviction of their queries from the query cache.
-    pub plan_cache_evictions: u64,
     /// Typed requests answered through [`crate::Engine::execute`] /
     /// [`crate::Engine::execute_batch`] — the serving-edge request count.
     /// Plain [`crate::Engine::query`] calls are *not* requests; they show
@@ -211,6 +208,8 @@ impl EngineStats {
         self.verify_fanouts += t.verify.fanouts;
         self.scratch_allocs += t.verify.scratch_allocs;
         self.preverify_rejections += t.verify.preverify_rejections;
+        self.plan_cache_hits += t.isuper.tests - t.isuper.plan_builds;
+        self.plan_cache_misses += t.isuper.plan_builds;
     }
 
     /// The highest flip a follower has heard of. It is kept as
@@ -249,6 +248,8 @@ pub(crate) struct QueryTally {
     pub(crate) canonical_code_declined: bool,
     pub(crate) features_extracted: bool,
     pub(crate) verify: igq_methods::VerifyBatchStats,
+    /// The `Isuper` probe's iso work, with the resident plans it built.
+    pub(crate) isuper: igq_iso::IsoStats,
 }
 
 #[cfg(test)]

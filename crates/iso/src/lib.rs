@@ -15,9 +15,6 @@
 //!   allocations. [`find_one`] is its per-pair entry (a target-ordered
 //!   plan on the thread's scratch) behind [`is_subgraph`],
 //!   [`are_isomorphic`] and every one-off test;
-//! * [`plan_cache`] — a bounded, lock-striped [`PlanCache`] keyed by canonical
-//!   code, so repeated (isomorphic) queries reuse one [`MatchPlan`] instead
-//!   of rebuilding it per query, with rarity-drift staleness detection;
 //! * [`budget`] — optional search-state budgets so harness code can bound
 //!   pathological instances *without* silently changing answers (exhausting
 //!   a budget yields [`Outcome::Aborted`], never a fabricated no);
@@ -34,7 +31,6 @@ pub mod budget;
 pub mod cost;
 pub mod logmath;
 pub mod plan;
-pub mod plan_cache;
 pub mod semantics;
 pub mod stats;
 
@@ -45,7 +41,6 @@ pub use plan::{
     find_one, find_with_plan, matches_with_plan, with_thread_scratch, MatchPlan, MatchScratch,
     Verdict,
 };
-pub use plan_cache::{PlanCache, PlanCacheStats, RARITY_DRIFT_FACTOR};
 pub use semantics::{MatchConfig, MatchSemantics, Outcome};
 pub use stats::IsoStats;
 

@@ -15,6 +15,9 @@ pub struct IsoStats {
     pub aborted: u64,
     /// Total search states explored across all tests.
     pub states: u64,
+    /// Matching plans built for these tests (a plan built once and
+    /// reused by later tests counts once).
+    pub plan_builds: u64,
 }
 
 impl IsoStats {
@@ -52,6 +55,7 @@ impl IsoStats {
         self.matches += other.matches;
         self.aborted += other.aborted;
         self.states += other.states;
+        self.plan_builds += other.plan_builds;
     }
 
     /// Average states per test (0.0 when no tests ran).
@@ -97,12 +101,14 @@ mod tests {
             matches: 1,
             aborted: 0,
             states: 10,
+            plan_builds: 1,
         };
         let b = IsoStats {
             tests: 2,
             matches: 0,
             aborted: 1,
             states: 20,
+            plan_builds: 0,
         };
         a.merge(&b);
         assert_eq!(
@@ -111,7 +117,8 @@ mod tests {
                 tests: 3,
                 matches: 1,
                 aborted: 1,
-                states: 30
+                states: 30,
+                plan_builds: 1,
             }
         );
     }
@@ -120,9 +127,8 @@ mod tests {
     fn avg_states() {
         let s = IsoStats {
             tests: 4,
-            matches: 0,
-            aborted: 0,
             states: 10,
+            ..IsoStats::default()
         };
         assert_eq!(s.avg_states(), 2.5);
         assert_eq!(IsoStats::new().avg_states(), 0.0);

@@ -19,18 +19,18 @@
 //! * the method's [`MatchConfig`], captured once per query instead of
 //!   being rebuilt per `verify` call.
 //!
-//! When the caller passes a [`PlanSource`] (the engine's canonical-code
-//! [`PlanCache`] plus the query's code), a repeated query reuses its
-//! cached plan — the build is skipped entirely and `plan_builds` stays 0
-//! for the batch. That cache-or-build step is one function
-//! (`acquire_plan`), shared with Grapes' component-restricted batches.
+//! The plan is built once per batch by one function (`acquire_plan`),
+//! shared with Grapes' component-restricted batches. Queries do not share
+//! plans: the only plans that outlive a query are the cached queries' own
+//! `Isuper` probe plans, kept beside them in the engine's query index.
 //!
 //! # Fan-out
 //!
 //! Every candidate's verdict is independent of the others, so one helper
 //! (`verify_candidates`) verifies a batch on several workers: the plain
 //! path (GGSX, CT-Index, gCode, Naive) on [`PlanSource::width`] workers,
-//! Grapes on its paper width `k`. The batch is cut into chunks of at most
+//! Grapes on `min(k, width)`, its paper width `k` capped by the same
+//! rule. The batch is cut into chunks of at most
 //! `MAX_CHUNK` candidates that the workers claim from one cursor
 //! ([`crate::par_map`]); they share the one plan and query profile,
 //! outcomes come back index-aligned, and the per-chunk
@@ -52,20 +52,19 @@
 //! `igq-core`.
 
 use crate::method::VerifyOutcome;
-use igq_graph::canon::CanonicalCode;
 use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId, GraphProfile, GraphStore, LabelId};
 use igq_iso::plan::{matches_with_plan, MatchPlan, MatchScratch};
-use igq_iso::plan_cache::PlanCache;
 use igq_iso::{with_thread_scratch, MatchConfig};
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::marker::PhantomData;
+use std::sync::{Mutex, OnceLock};
 
 /// Amortization accounting for one `verify_batch` call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyBatchStats {
-    /// Matching plans built (0 on a plan-cache hit, 1 per query otherwise
-    /// on the subgraph path; one per candidate on the supergraph path,
+    /// Matching plans built (1 per query on the subgraph path, plus one
+    /// per large candidate; one per candidate on the supergraph path,
     /// where the pattern varies).
     pub plan_builds: u64,
     /// Scratch buffer allocations/growths during the batch. Zero in
@@ -75,10 +74,6 @@ pub struct VerifyBatchStats {
     /// Candidates rejected by the pre-verify screen (label-count or
     /// degree-sequence dominance) without starting a search.
     pub preverify_rejections: u64,
-    /// Batches whose shared plan came from the canonical-code plan cache.
-    pub plan_cache_hits: u64,
-    /// Batches that consulted the plan cache and had to (re)build.
-    pub plan_cache_misses: u64,
     /// Batches verified on more than one worker.
     pub fanouts: u64,
 }
@@ -89,28 +84,29 @@ impl VerifyBatchStats {
         self.plan_builds += other.plan_builds;
         self.scratch_allocs += other.scratch_allocs;
         self.preverify_rejections += other.preverify_rejections;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
         self.fanouts += other.fanouts;
     }
 }
 
-/// A borrowed handle to the engine's canonical-code plan cache, handed
-/// down the verification path so a batch can reuse the query's plan
-/// across repeats. `key` is the query's canonical code when it has one (a
-/// query `canonical_code` declines — over 128 vertices, or still out of
-/// leaves after orbit pruning — simply plans fresh: a missed
-/// optimization, never an error).
-#[derive(Clone, Copy)]
+/// What the engine hands down the verification path: the width a batch
+/// may fan out to. The lifetime parameter is part of the type's public
+/// name and borrows nothing.
+#[derive(Clone, Copy, Debug)]
 pub struct PlanSource<'a> {
-    /// The shared, internally synchronized plan cache.
-    pub cache: &'a PlanCache,
-    /// The query's canonical code, if canonicalizable.
-    pub key: Option<&'a CanonicalCode>,
-    /// Workers the plain path may verify this batch on
-    /// ([`fanout_width`]); 1 verifies serially. Grapes ignores it and
-    /// verifies on its configured width.
+    /// Workers a batch may verify on ([`fanout_width`]); 1 verifies
+    /// serially. Grapes verifies on the smaller of this and its `k`.
     pub width: usize,
+    _borrows: PhantomData<&'a ()>,
+}
+
+impl PlanSource<'_> {
+    /// A source allowing `width` workers.
+    pub fn with_width(width: usize) -> Self {
+        PlanSource {
+            width,
+            _borrows: PhantomData,
+        }
+    }
 }
 
 /// Smallest batch the engine fans out. Each extra worker costs one
@@ -210,39 +206,17 @@ pub fn batch_label_rarity<'s>(
     }
 }
 
-/// The query's shared plan for one batch: served from `plans`' cache when
-/// the query has a canonical code (counting the hit or miss), built fresh
-/// otherwise, ranked by [`batch_label_rarity`] either way. Every build is
-/// counted in `stats.plan_builds`.
+/// The query's shared plan for one batch, ranked by
+/// [`batch_label_rarity`] and counted in `stats.plan_builds`.
 pub(crate) fn acquire_plan(
     store: &GraphStore,
     q: &Graph,
     config: &MatchConfig,
     candidates: &[GraphId],
-    plans: Option<PlanSource<'_>>,
     stats: &mut VerifyBatchStats,
-) -> Arc<MatchPlan> {
-    let mut rarity = batch_label_rarity(store, candidates);
-    match plans {
-        Some(PlanSource {
-            cache,
-            key: Some(key),
-            ..
-        }) => {
-            let (plan, hit) = cache.get_or_build(key, q, config, &mut rarity);
-            if hit {
-                stats.plan_cache_hits += 1;
-            } else {
-                stats.plan_cache_misses += 1;
-                stats.plan_builds += 1;
-            }
-            plan
-        }
-        _ => {
-            stats.plan_builds += 1;
-            Arc::new(MatchPlan::build(q, config, &mut rarity))
-        }
-    }
+) -> MatchPlan {
+    stats.plan_builds += 1;
+    MatchPlan::build(q, config, &mut batch_label_rarity(store, candidates))
 }
 
 thread_local! {
@@ -346,9 +320,8 @@ pub fn verify_batch_plain(
     verify_batch_plain_with(store, q, config, candidates, None)
 }
 
-/// [`verify_batch_plain`] with a plan-cache handle: the shared plan comes
-/// from the cache on repeats (acquired once, whatever the width), and the
-/// batch fans out to [`PlanSource::width`] workers.
+/// [`verify_batch_plain`] with the engine's [`PlanSource`]: the batch
+/// fans out to [`PlanSource::width`] workers, sharing one plan.
 pub fn verify_batch_plain_with(
     store: &GraphStore,
     q: &Graph,
@@ -363,7 +336,7 @@ pub fn verify_batch_plain_with(
         return (Vec::new(), VerifyBatchStats::default());
     }
     let mut stats = VerifyBatchStats::default();
-    let plan = acquire_plan(store, q, config, candidates, plans, &mut stats);
+    let plan = acquire_plan(store, q, config, candidates, &mut stats);
     let width = plans.map_or(1, |p| p.width);
     let outcomes = verify_candidates(store, q, candidates, width, &mut stats, |id, s, stats| {
         matches_adaptive(&plan, q, store.get(id), s, stats)
@@ -402,50 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_path_is_observationally_identical() {
-        let s = store();
-        let all: Vec<GraphId> = s.ids().collect();
-        let config = MatchConfig::default();
-        let cache = igq_iso::PlanCache::new(64);
-        let q = graph_from(&[0, 1, 0], &[(0, 1), (1, 2)]);
-        let key = igq_graph::canon::canonical_code(&q).unwrap();
-        let plans = PlanSource {
-            cache: &cache,
-            key: Some(&key),
-            width: 1,
-        };
-        let (baseline, _) = verify_batch_plain(&s, &q, &config, &all);
-
-        let (cold, cold_stats) = verify_batch_plain_with(&s, &q, &config, &all, Some(plans));
-        assert_eq!(cold, baseline);
-        assert_eq!(cold_stats.plan_cache_misses, 1);
-        assert_eq!(cold_stats.plan_builds, 1);
-
-        let (warm, warm_stats) = verify_batch_plain_with(&s, &q, &config, &all, Some(plans));
-        assert_eq!(warm, baseline, "cached plan changes no verdict");
-        assert_eq!(warm_stats.plan_cache_hits, 1);
-        assert_eq!(warm_stats.plan_builds, 0, "hit skips the build");
-    }
-
-    #[test]
-    fn missing_code_plans_fresh() {
-        let s = store();
-        let all: Vec<GraphId> = s.ids().collect();
-        let cache = igq_iso::PlanCache::new(64);
-        let q = graph_from(&[0, 1], &[(0, 1)]);
-        let plans = PlanSource {
-            cache: &cache,
-            key: None,
-            width: 1,
-        };
-        let (_, stats) =
-            verify_batch_plain_with(&s, &q, &MatchConfig::default(), &all, Some(plans));
-        assert_eq!(stats.plan_builds, 1);
-        assert_eq!(stats.plan_cache_hits + stats.plan_cache_misses, 0);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn scratch_allocs_settle_to_zero() {
         let s = store();
         let all: Vec<GraphId> = s.ids().collect();
@@ -460,28 +389,21 @@ mod tests {
     }
 
     /// A fanned-out batch warms its calling thread's worker pool once;
-    /// repeating it allocates nothing, and its plan is acquired once.
+    /// repeating it allocates nothing, and its plan is built once.
     #[test]
     fn fanned_out_scratch_allocs_settle_to_zero() {
         let s = store();
         let batch: Vec<GraphId> = s.ids().cycle().take(3 * MAX_CHUNK).collect();
         let q = graph_from(&[0, 1], &[(0, 1)]);
         let config = MatchConfig::default();
-        let cache = igq_iso::PlanCache::new(8);
-        let key = igq_graph::canon::canonical_code(&q).unwrap();
-        let plans = Some(PlanSource {
-            cache: &cache,
-            key: Some(&key),
-            width: 2,
-        });
+        let plans = Some(PlanSource::with_width(2));
         let (serial, _) = verify_batch_plain(&s, &q, &config, &batch);
         let (cold, cold_stats) = verify_batch_plain_with(&s, &q, &config, &batch, plans);
         let (warm, warm_stats) = verify_batch_plain_with(&s, &q, &config, &batch, plans);
         assert_eq!((cold, warm), (serial.clone(), serial));
         assert_eq!(cold_stats.fanouts, 1);
         assert_eq!(cold_stats.plan_builds, 1);
-        assert_eq!(warm_stats.plan_cache_hits, 1);
-        assert_eq!(warm_stats.plan_builds, 0);
+        assert_eq!(warm_stats.plan_builds, 1);
         assert_eq!(warm_stats.scratch_allocs, 0, "worker pool stays warm");
     }
 

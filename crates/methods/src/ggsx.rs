@@ -175,9 +175,9 @@ impl SubgraphMethod for Ggsx {
         }
     }
 
-    /// Plan-amortized batch verification: one matching plan per query
-    /// (zero on a plan-cache hit), thread-local scratch, profile
-    /// pre-verify screening (see [`crate::batch`]).
+    /// Plan-amortized batch verification: one matching plan per query,
+    /// thread-local scratch, profile pre-verify screening (see
+    /// [`crate::batch`]).
     fn verify_batch_with_plans(
         &self,
         q: &Graph,

@@ -250,14 +250,14 @@ impl SubgraphMethod for Grapes {
     }
 
     /// Plan-amortized batch verification: one [`MatchPlan`] + query
-    /// profile built per query — or zero plan builds, when `plans` holds
-    /// the engine's canonical-code cache and the query is a repeat — and
-    /// shared by every candidate (and every worker thread — the plan is
-    /// target-independent). `Grapes(k)` verifies on `k` workers claiming
-    /// candidates from one shared queue, as the original system's
-    /// parallel verification stage does, through the helper every method
-    /// shares (`batch::verify_candidates`); it keeps its paper width and
-    /// ignores [`PlanSource::width`](crate::batch::PlanSource::width).
+    /// profile built per query and shared by every candidate (and every
+    /// worker thread — the plan is target-independent). `Grapes(k)`
+    /// verifies on `k` workers claiming candidates from one shared queue,
+    /// as the original system's parallel verification stage does, through
+    /// the helper every method shares (`batch::verify_candidates`). With
+    /// the engine's `plans` it verifies on the smaller of `k` and
+    /// [`PlanSource::width`](crate::batch::PlanSource::width), the width
+    /// rule every method follows.
     /// Candidates are screened against their whole store profile (sound
     /// for the component path too: an embedding into a component is one
     /// into the graph), then searched only inside the located
@@ -293,15 +293,15 @@ impl SubgraphMethod for Grapes {
             q,
             &self.config.match_config,
             candidates,
-            plans,
             &mut stats,
         );
         let q_connected = q.is_connected();
+        let k = self.config.threads;
         let outcomes = verify_candidates(
             &self.store,
             q,
             candidates,
-            self.config.threads,
+            plans.map_or(k, |p| p.width.min(k)),
             &mut stats,
             |id, scratch, stats| {
                 self.planned_component_search(q, q_connected, features, &plan, id, scratch, stats)
@@ -419,6 +419,23 @@ mod tests {
         let (outcomes, stats) = g6.verify_batch_with(&q, &f.context, &[]);
         assert!(outcomes.is_empty());
         assert_eq!(stats, VerifyBatchStats::default());
+    }
+
+    /// Under the engine's width rule Grapes(k) verifies on `min(k,
+    /// width)` workers: width 1 never fans out, and changes no outcome.
+    #[test]
+    fn engine_width_caps_the_paper_width() {
+        let s = store();
+        let g6 = Grapes::build(&s, GrapesConfig::six_threads());
+        let q = graph_from(&[2, 2], &[(0, 1)]);
+        let f = g6.filter(&q);
+        assert!(f.candidates.len() >= 2, "a fan-out needs >= 2 candidates");
+        let (at_k, k_stats) = g6.verify_batch_with(&q, &f.context, &f.candidates);
+        assert_eq!(k_stats.fanouts, 1, "a direct call keeps k");
+        let serial = Some(crate::batch::PlanSource::with_width(1));
+        let (at_1, stats) = g6.verify_batch_with_plans(&q, &f.context, &f.candidates, serial);
+        assert_eq!(stats.fanouts, 0);
+        assert_eq!(at_1, at_k);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //! Verification is batch-first:
 //! [`SubgraphMethod::verify_batch_with_plans`] is the primary entry
 //! point, and every built-in method routes it through the plan-amortized
-//! hot path in [`batch`] — one matching plan per query (zero on a
-//! canonical-code plan-cache hit, via [`PlanSource`]), zero-allocation
+//! hot path in [`batch`] — one matching plan per query, zero-allocation
 //! scratch, profile-based pre-verify screening, and one gated fan-out of
-//! large batches across idle cores.
+//! large batches across idle cores (the width the engine's
+//! [`PlanSource`] allows).
 //! Single-candidate [`SubgraphMethod::verify`] is a provided method over
 //! the same matcher (`igq_iso::find_one`); only Grapes overrides it.
 

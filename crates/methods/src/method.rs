@@ -130,10 +130,9 @@ pub trait SubgraphMethod: Send + Sync {
     /// The primary verification entry point: verifies many candidates,
     /// returning index-aligned outcomes plus the batch's amortization
     /// accounting ([`VerifyBatchStats`]). Built-in methods override this
-    /// with the plan-amortized hot path (one [`MatchPlan`] per query —
-    /// or zero, when `plans` carries the engine's canonical-code plan
-    /// cache and the query is a repeat — thread-local scratch, profile
-    /// pre-verify screening); the default ignores `plans` and walks
+    /// with the plan-amortized hot path (one [`MatchPlan`] per query,
+    /// thread-local scratch, profile pre-verify screening, and a fan-out
+    /// to the width `plans` allows); the default ignores `plans` and walks
     /// [`Self::verify`] sequentially so external implementations stay
     /// correct unmodified.
     ///
@@ -154,7 +153,8 @@ pub trait SubgraphMethod: Send + Sync {
         (outcomes, crate::batch::VerifyBatchStats::default())
     }
 
-    /// [`Self::verify_batch_with_plans`] without a plan-cache handle.
+    /// [`Self::verify_batch_with_plans`] without the engine's
+    /// [`PlanSource`](crate::batch::PlanSource).
     fn verify_batch_with(
         &self,
         q: &Graph,

@@ -4,7 +4,7 @@
 //! # Why batch at the serving edge
 //!
 //! The engine's batch entry point fans queries across worker threads and
-//! amortizes per-call overhead (snapshot loads, plan-cache probes). Under
+//! amortizes per-call overhead (snapshot loads). Under
 //! concurrent clients, requests naturally cluster in time; holding the
 //! first request of a cluster for at most `window` lets the rest of the
 //! cluster ride the same fan-out. The trade is explicit: up to `window`

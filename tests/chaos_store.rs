@@ -14,7 +14,7 @@ mod common;
 
 use common::fault::{FaultOp, FaultStats, FaultyStore};
 use common::oracle_answers;
-use igq::core::{CacheStore, EngineStats, MemStore, PersistenceConfig};
+use igq::core::{CacheStore, EngineStats, MemStore, PersistenceConfig, WAL_QUEUE_LIMIT};
 use igq::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -274,6 +274,50 @@ fn degraded_auto_checkpoints_wait_for_the_retry_backoff() {
     faulty.heal();
     drive_until_healthy(&engine, Duration::from_secs(15));
     assert!(faulty.injected().io_errors > 0);
+}
+
+/// A store down for more flips than the WAL queue holds: the queue stays
+/// bounded, and with no checkpoint cadence configured the healed store
+/// still clears degraded mode through a checkpoint that re-covers every
+/// dropped flip.
+#[test]
+fn overflowing_wal_queue_is_dropped_and_healed_by_a_checkpoint() {
+    let store = Arc::new(DatasetKind::Aids.generate(40, 43));
+    let faulty = FaultyStore::new(Arc::new(MemStore::new()));
+    let engine = open_engine(&store, Arc::clone(&faulty) as Arc<dyn CacheStore>);
+    faulty.fail_next(FaultOp::Append, u64::MAX);
+    faulty.fail_next(FaultOp::SaveCheckpoint, u64::MAX);
+
+    // Distinct single-vertex queries: each one is admitted and flips.
+    for label in 0..(WAL_QUEUE_LIMIT as u32 + 20) {
+        let q = graph_from(&[label], &[]);
+        assert_eq!(engine.query(&q).answers, oracle_answers(&store, &q));
+        let queued = engine.stats().wal_quarantined_groups;
+        assert!(queued <= WAL_QUEUE_LIMIT as u64, "{queued} flips queued");
+    }
+    let down = engine.stats();
+    assert!(down.degraded);
+    assert_eq!(down.checkpoint_bytes_written, 0);
+
+    faulty.heal();
+    let healed = drive_until_healthy(&engine, Duration::from_secs(15));
+    assert!(
+        healed.checkpoint_bytes_written > 0,
+        "the dropped flips are re-covered by a checkpoint"
+    );
+
+    let codes = |engine: &IgqEngine<Ggsx>| {
+        let mut codes: Vec<_> = engine
+            .export_entries()
+            .iter()
+            .map(|(g, _)| igq::graph::canon::canonical_code(g).map(|c| c.words().to_vec()))
+            .collect();
+        codes.sort();
+        codes
+    };
+    let reopened = open_engine(&store, Arc::clone(&faulty) as Arc<dyn CacheStore>);
+    assert_eq!(codes(&reopened), codes(&engine));
+    reopened.self_check().expect("reopened invariants");
 }
 
 // The harness's own contract: every knob does what the engine tests

@@ -27,7 +27,7 @@ const MAX_LEN: usize = 4;
 /// `OracleQueryIndex::insert` does.
 fn insert(index: &mut QueryIndex, path_config: PathConfig, slot: usize, graph: Arc<Graph>) {
     let features = enumerate_paths(&graph, &path_config);
-    index.insert(slot, graph, &features, None);
+    index.insert(slot, graph, &features);
 }
 
 fn seq(raws: &[u32]) -> LabelSeq {
@@ -387,6 +387,17 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
         // A flip every WINDOW queries: this query and the five before it
         // replace six randomly chosen residents.
         if (i - CACHE) % WINDOW == WINDOW - 1 {
+            // The live probe above ran on resident plans that earlier
+            // probes built, across earlier flips that reused their slots:
+            // a fresh build over the same residents agrees.
+            let residents = (oracle.slots.iter().enumerate())
+                .filter_map(|(s, o)| Some((s, Arc::clone(&o.as_ref()?.graph))));
+            let (slots, stats) = QueryIndex::build(residents, path_config).subgraphs_of(q, &qf);
+            assert_eq!(
+                (slots, stats.tests),
+                oracle.subgraphs_of(q, &qf),
+                "fresh {q:?}"
+            );
             let mut victims: Vec<usize> = (0..CACHE).collect();
             victims.shuffle(&mut rng);
             for (&slot, admitted) in victims.iter().zip(&queries[i + 1 - WINDOW..=i]) {

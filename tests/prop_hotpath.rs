@@ -146,74 +146,12 @@ proptest! {
         }
     }
 
-    /// A plan served from the canonical-code cache — including a stale
-    /// snapshot kept fresh within the drift bound — is observationally
-    /// identical to a freshly built one: same verdict, same mapping, same
-    /// abort behavior, under both semantics. The second lookup must be a
-    /// hit sharing the first build's allocation.
-    #[test]
-    fn plan_cache_hit_is_observationally_identical(
-        store in arb_store(6, 7, 3),
-        q in arb_graph(5, 3),
-        induced in any::<bool>(),
-    ) {
-        let config = config(induced);
-        let Some(code) = igq::graph::canon::canonical_code(&q) else {
-            return Ok(());
-        };
-        let cache = igq::iso::PlanCache::new(8);
-        let mut rarity = |l| store.label_frequency(l);
-        let (cold, cold_hit) = cache.get_or_build(&code, &q, &config, &mut rarity);
-        let (warm, warm_hit) = cache.get_or_build(&code, &q, &config, &mut rarity);
-        prop_assert!(!cold_hit);
-        prop_assert!(warm_hit);
-        prop_assert!(std::sync::Arc::ptr_eq(&cold, &warm), "hit must share the built plan");
-        let fresh = MatchPlan::build(&q, &config, &mut |l| store.label_frequency(l));
-        let mut cached_scratch = MatchScratch::new();
-        let mut fresh_scratch = MatchScratch::new();
-        for (_, g) in store.iter() {
-            let a = matches_with_plan(&warm, g, &mut cached_scratch);
-            let b = matches_with_plan(&fresh, g, &mut fresh_scratch);
-            prop_assert_eq!(a, b, "cached plan diverged on {:?}", g);
-        }
-    }
-
-    /// The engine-facing batch entry with a [`PlanSource`] (cold miss,
-    /// then warm hits) returns exactly the outcomes of the plain batch
-    /// path, per candidate.
-    #[test]
-    fn batch_with_plan_cache_matches_plain_batch(
-        store in arb_store(6, 7, 3),
-        queries in proptest::collection::vec(arb_graph(5, 3), 1..5),
-    ) {
-        use igq::methods::PlanSource;
-        let method = NaiveMethod::build(&store);
-        let cache = igq::iso::PlanCache::new(16);
-        for _round in 0..2 {
-            for q in &queries {
-                let filtered = method.filter(q);
-                let code = igq::graph::canon::canonical_code(q);
-                let (plain, _) =
-                    method.verify_batch_with(q, &filtered.context, &filtered.candidates);
-                let (cached, _) = method.verify_batch_with_plans(
-                    q,
-                    &filtered.context,
-                    &filtered.candidates,
-                    Some(PlanSource { cache: &cache, key: code.as_ref(), width: 1 }),
-                );
-                prop_assert_eq!(plain, cached, "query {:?}", q);
-            }
-        }
-    }
-
     /// A batch fanned out over 1..=4 workers is the serial batch: the
     /// same outcome at every index (verdict, abort, states) and the same
     /// accounting apart from `scratch_allocs` and `fanouts`, with the
-    /// plan acquired once whatever the width. Batch sizes straddle the
-    /// engine's fan-out threshold; both plan sources are covered — a
-    /// keyed [`PlanSource`] (cache miss) against the same source at
-    /// width 1, and one without a code (planned fresh, no cache) against
-    /// the no-cache serial entry.
+    /// plan built once whatever the width. Batch sizes straddle the
+    /// engine's fan-out threshold; the engine-facing entry at width 1 is
+    /// the plain serial entry.
     #[test]
     fn fanned_out_batches_equal_serial_ones(
         store in arb_store(12, 7, 3),
@@ -225,31 +163,22 @@ proptest! {
         use igq::methods::{verify_batch_plain, verify_batch_plain_with, PlanSource, VerifyBatchStats};
         let config = budget.map_or_else(MatchConfig::default, MatchConfig::with_budget);
         let batch: Vec<GraphId> = store.ids().cycle().take(size).collect();
-        let code = igq::graph::canon::canonical_code(&q);
         let fanned = u64::from(width > 1 && size > 1);
         let comparable = |s: VerifyBatchStats| VerifyBatchStats { scratch_allocs: 0, fanouts: 0, ..s };
-        let keyed = |width| {
-            let cache = igq::iso::PlanCache::new(4);
-            let source = PlanSource { cache: &cache, key: code.as_ref(), width };
-            verify_batch_plain_with(&store, &q, &config, &batch, Some(source))
+        let at = |width| {
+            verify_batch_plain_with(&store, &q, &config, &batch, Some(PlanSource::with_width(width)))
         };
-        let (serial, serial_stats) = keyed(1);
-        let (outcomes, stats) = keyed(width);
-        prop_assert_eq!(&outcomes, &serial, "keyed, width {}", width);
-        prop_assert_eq!(comparable(stats), comparable(serial_stats));
-        prop_assert_eq!(stats.fanouts, fanned);
+        let (serial, serial_stats) = verify_batch_plain(&store, &q, &config, &batch);
+        let (one, one_stats) = at(1);
+        prop_assert_eq!(&one, &serial, "width 1");
+        prop_assert_eq!(comparable(one_stats), comparable(serial_stats));
+        prop_assert_eq!(one_stats.fanouts, 0);
         prop_assert_eq!(serial_stats.fanouts, 0);
 
-        let cache = igq::iso::PlanCache::new(4);
-        let unkeyed = PlanSource { cache: &cache, key: None, width };
-        let (serial, serial_stats) = verify_batch_plain(&store, &q, &config, &batch);
-        let (outcomes, stats) =
-            verify_batch_plain_with(&store, &q, &config, &batch, Some(unkeyed));
-        prop_assert_eq!(&outcomes, &serial, "no cache, width {}", width);
+        let (outcomes, stats) = at(width);
+        prop_assert_eq!(&outcomes, &serial, "width {}", width);
         prop_assert_eq!(comparable(stats), comparable(serial_stats));
-        prop_assert_eq!(stats.plan_builds, 1);
         prop_assert_eq!(stats.fanouts, fanned);
-        prop_assert!(cache.is_empty());
     }
 
     /// Galloping set operations agree with the sorted-merge definitions on
