@@ -18,7 +18,8 @@ use crate::policy::ReplacementPolicy;
 use igq_graph::canon::{canonical_code, CanonicalCode, GraphSignature};
 use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId};
-use std::sync::Arc;
+use igq_iso::LogValue;
+use std::sync::{Arc, OnceLock};
 
 /// One cached query.
 #[derive(Debug, Clone)]
@@ -35,6 +36,27 @@ pub struct CacheEntry {
     pub answers: Vec<GraphId>,
     /// Replacement-policy counters.
     pub meta: GraphMeta,
+    /// What the engine derives from the answers, built on first use.
+    pub(crate) memo: ResidentMemo,
+}
+
+/// Values derived from one resident's answers, each built on first use.
+/// Never persisted: they die with the slot, and a clone starts empty
+/// (clones feed checkpoints, WAL records and restores), so a restored
+/// or replicated resident builds them afresh.
+#[derive(Debug, Default)]
+pub(crate) struct ResidentMemo {
+    /// The credit of one exact repeat: the cost of the whole answer list
+    /// at the resident's own size.
+    exact_credit: OnceLock<LogValue>,
+    /// The answers as a dense bitset, one bit per dataset graph.
+    answer_bits: OnceLock<Box<[u64]>>,
+}
+
+impl Clone for ResidentMemo {
+    fn clone(&self) -> ResidentMemo {
+        ResidentMemo::default()
+    }
 }
 
 impl CacheEntry {
@@ -64,7 +86,42 @@ impl CacheEntry {
             code,
             answers,
             meta: GraphMeta::new(),
+            memo: ResidentMemo::default(),
         }
+    }
+
+    /// The credit of one exact repeat, `cost_of(answers)`, computed on the
+    /// first call. An exact repeat is isomorphic to the resident, so its
+    /// size, and with it the cost of every answer, is fixed per resident.
+    pub(crate) fn exact_credit(&self, cost_of: impl FnOnce(&[GraphId]) -> LogValue) -> LogValue {
+        *self
+            .memo
+            .exact_credit
+            .get_or_init(|| cost_of(&self.answers))
+    }
+
+    /// The answers as a bitset over a dataset of `graphs` graphs (bit `i`
+    /// of word `i / 64` is graph `i`), built on the first call. Ids past
+    /// the dataset are left out: no candidate can equal them.
+    pub(crate) fn answer_bits(&self, graphs: usize) -> &[u64] {
+        self.memo.answer_bits.get_or_init(|| {
+            let mut words = vec![0u64; graphs.div_ceil(64)];
+            for id in self.answers.iter().map(|id| id.index()) {
+                if id < graphs {
+                    words[id / 64] |= 1 << (id % 64);
+                }
+            }
+            words.into_boxed_slice()
+        })
+    }
+
+    /// Whether the exact credit and the answer bitset are built yet.
+    #[cfg(test)]
+    pub(crate) fn memos_built(&self) -> (bool, bool) {
+        (
+            self.memo.exact_credit.get().is_some(),
+            self.memo.answer_bits.get().is_some(),
+        )
     }
 }
 
@@ -399,8 +456,8 @@ impl QueryCache {
     ///
     /// Accounts the slot table and code index by *capacity* and each entry
     /// by its real constituents (graph heap, answer-vector capacity, the
-    /// canonical code's words) instead of the flat per-entry constant this
-    /// method originally used.
+    /// canonical code's words, the answer bitset once built) instead of
+    /// the flat per-entry constant this method originally used.
     pub fn heap_size_bytes(&self) -> u64 {
         let mut bytes = (self.slots.capacity() * std::mem::size_of::<Option<CacheEntry>>()) as u64;
         bytes += (self.free.capacity() * std::mem::size_of::<usize>()) as u64;
@@ -409,6 +466,9 @@ impl QueryCache {
             bytes += (e.answers.capacity() * std::mem::size_of::<GraphId>()) as u64;
             if let Some(code) = &e.code {
                 bytes += std::mem::size_of_val(code.words()) as u64;
+            }
+            if let Some(bits) = e.memo.answer_bits.get() {
+                bytes += std::mem::size_of_val(&**bits) as u64;
             }
         }
         // Code index: SwissTable buckets of (key, slot) pairs plus one

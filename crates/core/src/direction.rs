@@ -24,7 +24,7 @@
 
 use igq_features::PathFeatures;
 use igq_graph::{Graph, GraphId, GraphStore};
-use igq_iso::{CostModel, LogValue};
+use igq_iso::{iso_cost_ln, LogValue};
 use igq_methods::{
     Filtered, PlanSource, QueryContext, SubgraphMethod, TrieSupergraphMethod, VerifyBatchStats,
     VerifyOutcome,
@@ -72,8 +72,8 @@ pub trait QueryDirection: Send + Sync {
     /// `ln c(·, ·)` for one candidate test, with the pattern/target roles
     /// ordered for this direction: subgraph queries test the **query**
     /// inside the stored graph, supergraph queries test the **stored
-    /// graph** inside the query.
-    fn cost_ln(model: &mut CostModel, query_vertices: usize, stored_vertices: usize) -> LogValue;
+    /// graph** inside the query. `labels` is the label universe `L`.
+    fn cost_ln(labels: usize, query_vertices: usize, stored_vertices: usize) -> LogValue;
 }
 
 /// Subgraph-query direction over any [`SubgraphMethod`] `M` (paper
@@ -107,9 +107,9 @@ impl<M: SubgraphMethod> QueryDirection for SubgraphQueries<M> {
         method.verify_batch_with_plans(q, context, candidates, plans)
     }
 
-    fn cost_ln(model: &mut CostModel, query_vertices: usize, stored_vertices: usize) -> LogValue {
+    fn cost_ln(labels: usize, query_vertices: usize, stored_vertices: usize) -> LogValue {
         // The query is the pattern, the stored graph the target.
-        model.cost_ln(query_vertices, stored_vertices)
+        iso_cost_ln(query_vertices, stored_vertices, labels)
     }
 }
 
@@ -147,10 +147,10 @@ impl QueryDirection for SupergraphQueries {
         method.verify_super_batch(q, candidates)
     }
 
-    fn cost_ln(model: &mut CostModel, query_vertices: usize, stored_vertices: usize) -> LogValue {
+    fn cost_ln(labels: usize, query_vertices: usize, stored_vertices: usize) -> LogValue {
         // Inverted: the stored candidate is the pattern searched for
         // inside the query graph.
-        model.cost_ln(stored_vertices, query_vertices)
+        iso_cost_ln(stored_vertices, query_vertices, labels)
     }
 }
 
@@ -163,9 +163,8 @@ mod tests {
         // Sub: pattern = 2-vertex query, target = 4-vertex stored graph —
         // a real cost. Super swaps the roles: a 4-vertex candidate cannot
         // embed in a 2-vertex query, so the cost model reports zero.
-        let mut m = CostModel::new(2);
-        let sub = SubgraphQueries::<igq_methods::NaiveMethod>::cost_ln(&mut m, 2, 4);
-        let sup = SupergraphQueries::cost_ln(&mut m, 2, 4);
+        let sub = SubgraphQueries::<igq_methods::NaiveMethod>::cost_ln(2, 2, 4);
+        let sup = SupergraphQueries::cost_ln(2, 2, 4);
         assert!(!sub.is_zero());
         assert!(sup.is_zero());
     }

@@ -29,11 +29,13 @@
 //!
 //! `query` takes `&self`: the engine is a shared service, `Send + Sync`,
 //! fanned out across threads through an `Arc`. All mutable state — the
-//! admission window, the cost model, the flip ordinal, the [`QueryCache`]
-//! and the live query index (`Isub` and `Isuper`) over it — sits behind **one**
-//! [`std::sync::RwLock`]. The lifetime counters are one
-//! [`crate::EngineStats`] behind a leaf `Mutex`, which a query takes once,
-//! in `finish`, to fold its tallies. The expensive stages
+//! admission window, the flip ordinal, the [`QueryCache`] and the live
+//! query index (`Isub` and `Isuper`) over it — sits behind **one**
+//! [`std::sync::RwLock`]. Iso-test costs come from a row per query,
+//! indexed by the stored graph's vertex count (from a table built at
+//! construction), so no cost memo lives in the state. The lifetime
+//! counters are one [`crate::EngineStats`] behind a leaf `Mutex`, which a
+//! query takes once, in `finish`, to fold its tallies. The expensive stages
 //! (canonicalization, feature extraction, the base filter, verification)
 //! run outside the lock. The index probes, the answer algebra and the
 //! metadata credit run under the write side, so every probed slot stays
@@ -108,10 +110,9 @@ use igq_features::{enumerate_paths, PathFeatures};
 use igq_graph::canon::{canonical_code, CanonicalCode, GraphSignature};
 use igq_graph::stats::DatasetStats;
 use igq_graph::{Graph, GraphId};
-use igq_iso::{CostModel, LogValue};
+use igq_iso::LogValue;
 use igq_methods::{
-    available_cores, fanout_width, intersect_into, intersect_sorted, subtract_into,
-    subtract_sorted, Filtered, PlanSource, QueryContext,
+    available_cores, fanout_width, intersect_positions, Filtered, PlanSource, QueryContext,
 };
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -128,7 +129,6 @@ pub type IgqEngine<M> = Engine<SubgraphQueries<M>>;
 struct State {
     /// `Itemp`: processed-but-not-yet-indexed queries.
     window: Vec<WindowEntry>,
-    cost_model: CostModel,
     /// Flip ordinal: how many non-empty window flips this engine's cache
     /// has absorbed (including recovered history). Each persisted WAL
     /// record carries the flip's `seq`; recovery resumes from the highest
@@ -141,10 +141,9 @@ struct State {
 
 impl State {
     /// A cold state: empty window, cache and indexes.
-    fn empty(config: &IgqConfig, labels: usize) -> State {
+    fn empty(config: &IgqConfig) -> State {
         State {
             window: Vec::new(),
-            cost_model: CostModel::new(labels),
             seq: 0,
             cache: QueryCache::with_policy(config.cache_capacity, config.policy),
             index: QueryIndex::new(config.path_config),
@@ -595,6 +594,9 @@ pub struct Engine<D: QueryDirection> {
     stats: Ledger,
     /// The fingerprints and label universe this engine's artifacts carry.
     identity: StoreIdentity,
+    /// Each dataset graph's vertex count `Ni`, by id: what the cost rows
+    /// are indexed by.
+    vertex_counts: Box<[u32]>,
     /// Queries inside [`Engine::run`] right now, this one included: the
     /// verification fan-out's gate ([`igq_methods::fanout_width`]).
     in_flight: AtomicUsize,
@@ -611,7 +613,7 @@ impl<D: QueryDirection> Engine<D> {
     pub fn new(method: D::Method, config: IgqConfig) -> Result<Engine<D>, ConfigError> {
         config.validate()?;
         let id = Self::identity(&method, &config);
-        let state = State::empty(&config, id.labels);
+        let state = State::empty(&config);
         let primary = Role::Primary { epoch: 0 };
         Ok(Self::assemble(method, config, id, state, None, primary))
     }
@@ -644,6 +646,10 @@ impl<D: QueryDirection> Engine<D> {
         persist: Option<PersistCtl>,
         role: Role,
     ) -> Engine<D> {
+        let vertex_counts = D::store(&method)
+            .iter()
+            .map(|(_, g)| g.vertex_count() as u32)
+            .collect();
         Engine {
             method,
             config,
@@ -662,6 +668,7 @@ impl<D: QueryDirection> Engine<D> {
                 ..EngineStats::default()
             }),
             identity,
+            vertex_counts,
             in_flight: AtomicUsize::new(0),
             _direction: PhantomData,
         }
@@ -732,7 +739,7 @@ impl<D: QueryDirection> Engine<D> {
             );
         }
 
-        let st = Self::restore_from_checkpoint(&config, id.labels, checkpoint)?;
+        let st = Self::restore_from_checkpoint(&config, checkpoint)?;
         let pctl = PersistCtl {
             store,
             header: persist::WalHeader {
@@ -820,10 +827,9 @@ impl<D: QueryDirection> Engine<D> {
     /// start.
     fn restore_from_checkpoint(
         config: &IgqConfig,
-        labels: usize,
         checkpoint: Option<persist::CheckpointData>,
     ) -> Result<State, PersistError> {
-        let mut st = State::empty(config, labels);
+        let mut st = State::empty(config);
         let Some(data) = checkpoint else {
             return Ok(st);
         };
@@ -903,7 +909,7 @@ impl<D: QueryDirection> Engine<D> {
         config.validate()?;
         let id = Self::identity(&method, &config);
         let (st, epoch) = Self::rebuild(&config, &id, snapshot)?;
-        let cold = State::empty(&config, id.labels);
+        let cold = State::empty(&config);
         let follower = Role::Follower { epoch: 0 };
         let engine = Self::assemble(method, config, id, cold, None, follower);
         engine
@@ -948,7 +954,7 @@ impl<D: QueryDirection> Engine<D> {
     ) -> Result<(State, u64), PersistError> {
         let data = id.decode("snapshot", snapshot)?;
         let epoch = data.epoch;
-        let mut st = Self::restore_from_checkpoint(config, id.labels, Some(data))?;
+        let mut st = Self::restore_from_checkpoint(config, Some(data))?;
         st.window.clear();
         Ok((st, epoch))
     }
@@ -1241,16 +1247,17 @@ impl<D: QueryDirection> Engine<D> {
         st.cache.heap_size_bytes() + st.index.heap_size_bytes()
     }
 
-    /// Estimated cost (log space) of iso-testing `q` against each graph in
-    /// `ids`, with the pattern/target roles ordered by the direction.
-    fn cost_of(&self, model: &mut CostModel, q: &Graph, ids: &[GraphId]) -> LogValue {
-        let n = q.vertex_count();
-        let mut total = LogValue::ZERO;
-        for &id in ids {
-            let ni = D::store(&self.method).get(id).vertex_count();
-            total = total.add(D::cost_ln(model, n, ni));
+    /// The cost row of a query with `n` vertices: estimated iso-test costs
+    /// against dataset graphs, with the pattern/target roles ordered by
+    /// the direction.
+    fn cost_row(&self, n: usize) -> CostRow<'_> {
+        CostRow {
+            cost_ln: D::cost_ln,
+            labels: self.identity.labels,
+            n,
+            vertex_counts: &self.vertex_counts,
+            cells: Vec::new(),
         }
-        total
     }
 
     /// Processes one query, returning the exact answer set plus accounting
@@ -1368,29 +1375,30 @@ impl<D: QueryDirection> Engine<D> {
     /// probing. The probes still catch repeats of the rare query
     /// `canonical_code` declines (over its vertex cap, or out of leaves).
     /// The common miss pays only a read lock; a hit re-checks under the
-    /// write lock (the slot may have been evicted in between). Returns
-    /// whether the query resolved.
+    /// write lock (the slot may have been evicted in between), which then
+    /// covers the query clock, the copy of the stored answers and the
+    /// hit's credit. That credit is the resident's memoized exact credit
+    /// ([`CacheEntry::exact_credit`]), summed on its first exact hit only.
+    /// Returns whether the query resolved.
     fn exact_lookup(&self, ctx: &mut QueryCtx<'_>) -> bool {
         let Some(code) = &ctx.code else { return false };
         if self.lock_read().cache.slot_with_code(code).is_none() {
             return false;
         }
-        let mut guard = self.lock_write();
-        let st = &mut *guard;
+        let mut st = self.lock_write();
         let Some(slot) = st.cache.slot_with_code(code) else {
             return false;
         };
         st.cache.tick_all();
-        let answers = st.cache.entry(slot).answers.clone();
+        let entry = st.cache.entry_mut(slot);
         // Credit: without running the filter the alleviated candidate set
         // is unknown; the stored answers are a conservative lower bound
-        // on it.
-        let credit = self.cost_of(&mut st.cost_model, ctx.q, &answers);
-        st.cache
-            .entry_mut(slot)
-            .meta
-            .record_hit(answers.len() as u64, credit);
-        ctx.outcome.answers = answers;
+        // on it. The repeat is isomorphic to the resident, so it has the
+        // resident's size and the credit is the same on every repeat.
+        let n = entry.graph.vertex_count();
+        let credit = entry.exact_credit(|answers| self.cost_row(n).sum(answers.iter().copied()));
+        entry.meta.record_hit(entry.answers.len() as u64, credit);
+        ctx.outcome.answers = entry.answers.clone();
         ctx.outcome.resolution = Resolution::ExactHit;
         ctx.outcome.igq_time = ctx.start.elapsed();
         true
@@ -1414,7 +1422,8 @@ impl<D: QueryDirection> Engine<D> {
     /// stays valid while its stored answers are used. Settles the query
     /// outright on a probe-found exact repeat (optimal case 1) or a
     /// cached bounding query with an empty answer (optimal case 2);
-    /// otherwise returns [`prune`]'s survivors.
+    /// otherwise returns [`prune_and_credit`]'s survivors and the known
+    /// answers inside `cs`. Every hit is credited either way.
     fn probe_and_prune(
         &self,
         ctx: &mut QueryCtx<'_>,
@@ -1468,6 +1477,14 @@ impl<D: QueryDirection> Engine<D> {
                     .find(|&s| st.cache.entry(s).answers.is_empty())
                     .map(|s| (s, Resolution::EmptyAnswerShortcut))
             });
+        let pruned = prune_and_credit(
+            &mut st.cache,
+            &mut self.cost_row(q.vertex_count()),
+            self.vertex_counts.len(),
+            cs,
+            (known_slots, bound_slots),
+            settled.map(|(slot, _)| slot),
+        );
         let survivors = match settled {
             Some((slot, resolution)) => {
                 o.resolution = resolution;
@@ -1480,15 +1497,9 @@ impl<D: QueryDirection> Engine<D> {
                 } else {
                     o.pruned_by_isub = cs.len();
                 }
-                credit_hits::<D>(self, st, q, cs, known_slots, bound_slots, Some(slot));
                 None
             }
-            None => {
-                let survivors = prune::<D>(st, cs, known_slots, bound_slots, o);
-                // Metadata credit for every hit.
-                credit_hits::<D>(self, st, q, cs, known_slots, bound_slots, None);
-                Some(survivors)
-            }
+            None => Some(pruned.report::<D>(o)),
         };
         ctx.outcome.igq_time += probe_time + bookkeeping_start.elapsed();
         survivors
@@ -1829,7 +1840,7 @@ impl<D: QueryDirection> Engine<D> {
             config_fp,
             dataset_fp,
             epoch: self.role.load().epoch(),
-            labels: st.cost_model.label_universe(),
+            labels: self.identity.labels,
             round: st.cache.round(),
             slot_count: st.cache.slot_count(),
             free: st.cache.free_slots().to_vec(),
@@ -1915,93 +1926,156 @@ fn slot_entries(entries: &[persist::PersistedEntry]) -> Vec<(usize, CacheEntry)>
     entries.iter().map(|p| (p.slot, p.entry.clone())).collect()
 }
 
+/// `ln c(n, Ni)` for one query size `n`, as a row indexed by the stored
+/// graph's vertex count `Ni` whose cells are computed on first use.
+struct CostRow<'e> {
+    /// [`QueryDirection::cost_ln`]: the roles ordered by the direction.
+    cost_ln: fn(usize, usize, usize) -> LogValue,
+    labels: usize,
+    n: usize,
+    /// `Ni` by dataset graph id.
+    vertex_counts: &'e [u32],
+    /// `ln c(n, Ni)` by `Ni`; NaN until computed.
+    cells: Vec<f64>,
+}
+
+impl CostRow<'_> {
+    /// The estimated cost of testing graph `id`.
+    fn cost(&mut self, id: GraphId) -> LogValue {
+        let ni = self.vertex_counts[id.index()] as usize;
+        if ni >= self.cells.len() {
+            self.cells.resize(ni + 1, f64::NAN);
+        }
+        let cell = &mut self.cells[ni];
+        if cell.is_nan() {
+            *cell = (self.cost_ln)(self.labels, self.n, ni).ln();
+        }
+        LogValue::from_ln(*cell)
+    }
+
+    /// The summed cost of testing every graph in `ids`, added one at a
+    /// time in the given order: `GraphMeta::cost_alleviated` reaches
+    /// checkpoints and WAL records, so its bits must not depend on how
+    /// the sum is grouped.
+    fn sum(&mut self, ids: impl IntoIterator<Item = GraphId>) -> LogValue {
+        ids.into_iter()
+            .fold(LogValue::ZERO, |total, id| total.add(self.cost(id)))
+    }
+}
+
+/// What [`prune_and_credit`] leaves of a candidate set `CS`.
+struct Pruned {
+    /// `CS_igq`: the candidates left to verify.
+    survivors: Vec<GraphId>,
+    /// The known answers inside `CS`, added back after verification
+    /// (formula (4)).
+    known_in_cs: Vec<GraphId>,
+    /// Candidates removed as known answers (formula (3)).
+    by_known: usize,
+    /// Candidates removed by the bounding answer sets (formula (5)).
+    by_bound: usize,
+}
+
+impl Pruned {
+    /// Records the prune counts (per probe, as the direction assigns the
+    /// paths) and `candidates_after` in `o`; returns `CS_igq` and the
+    /// known answers inside `CS`.
+    fn report<D: QueryDirection>(self, o: &mut QueryOutcome) -> (Vec<GraphId>, Vec<GraphId>) {
+        let (by_isub, by_isuper) = if D::KNOWN_IS_ISUB {
+            (self.by_known, self.by_bound)
+        } else {
+            (self.by_bound, self.by_known)
+        };
+        o.pruned_by_isub = by_isub;
+        o.pruned_by_isuper = by_isuper;
+        o.candidates_after = self.survivors.len();
+        (self.survivors, self.known_in_cs)
+    }
+}
+
 /// Formula (3) (or its Section 4.4 inverse) drops the candidates that
 /// are known answers; formula (5) keeps only candidates in every bounding
-/// answer set. Returns `CS_igq` and the known answers inside `cs`, and
-/// records the prune counts and `candidates_after` in `o`. The algebra
-/// runs on two reused buffers (`pruned` and `spare`, swapped per step)
-/// with galloping intersection / subtraction — a handful of cached-answer
-/// probes against a large candidate set costs O(hits · log |CS|), not
-/// O(|CS|) per slot.
-fn prune<D: QueryDirection>(
-    st: &State,
+/// answer set. Each hit's replacement metadata is credited on the way
+/// (Section 5.1), known hits first, then bounding hits, each in probe
+/// order, then `bonus` (the slot that settled the query, if one did)
+/// with the whole candidate set. One pass per hit:
+///
+/// * a known hit's answers `A` are few, so `CS ∩ A` is found once by
+///   galloping from the smaller side. Its positions in `cs` mark the
+///   known answers, and its candidates are the hit's credit (those its
+///   answers *cover*);
+/// * a bounding hit's answers are many, so one pass over `cs` tests each
+///   candidate against the resident's answer bitset. The misses `CS \ A`
+///   are both the hit's credit (those its answers *exclude*) and the
+///   candidates it removes from the survivors.
+///
+/// Each credit is summed in candidate (= id) order, so the stored costs
+/// keep their bits. `graphs` is the dataset size (the bitsets' width).
+fn prune_and_credit(
+    cache: &mut QueryCache,
+    costs: &mut CostRow<'_>,
+    graphs: usize,
     cs: &[GraphId],
-    known_slots: &[usize],
-    bound_slots: &[usize],
-    o: &mut QueryOutcome,
-) -> (Vec<GraphId>, Vec<GraphId>) {
-    let mut known_answers: Vec<GraphId> = Vec::new();
+    (known_slots, bound_slots): (&[usize], &[usize]),
+    bonus: Option<usize>,
+) -> Pruned {
+    const ALIVE: u8 = 0;
+    const KNOWN: u8 = 1;
+    const BOUNDED: u8 = 2;
+    let mut fate = vec![ALIVE; cs.len()];
+    let mut positions = Vec::new();
     for &s in known_slots {
-        known_answers.extend_from_slice(&st.cache.entry(s).answers);
+        intersect_positions(cs, &cache.entry(s).answers, &mut positions);
+        for &i in &positions {
+            fate[i] = KNOWN;
+        }
+        let cost = costs.sum(positions.iter().map(|&i| cs[i]));
+        cache
+            .entry_mut(s)
+            .meta
+            .record_hit(positions.len() as u64, cost);
     }
-    known_answers.sort_unstable();
-    known_answers.dedup();
-    let mut known_in_cs = Vec::new();
-    intersect_into(cs, &known_answers, &mut known_in_cs);
-    let mut pruned = Vec::new();
-    let mut spare = Vec::new();
-    subtract_into(cs, &known_answers, &mut pruned);
-    let known_pruned = cs.len() - pruned.len();
-
-    let before_bound = pruned.len();
     for &s in bound_slots {
-        intersect_into(&pruned, &st.cache.entry(s).answers, &mut spare);
-        std::mem::swap(&mut pruned, &mut spare);
-        if pruned.is_empty() {
-            break;
+        let bits = cache.entry(s).answer_bits(graphs);
+        let mut excluded = 0u64;
+        let mut cost = LogValue::ZERO;
+        for (fate, &id) in fate.iter_mut().zip(cs) {
+            let i = id.index();
+            if bits[i / 64] >> (i % 64) & 1 == 0 {
+                excluded += 1;
+                cost = cost.add(costs.cost(id));
+                if *fate == ALIVE {
+                    *fate = BOUNDED;
+                }
+            }
+        }
+        cache.entry_mut(s).meta.record_hit(excluded, cost);
+    }
+    if let Some(s) = bonus {
+        let cost = costs.sum(cs.iter().copied());
+        cache.entry_mut(s).meta.record_hit(cs.len() as u64, cost);
+    }
+    let mut survivors = Vec::new();
+    let mut known_in_cs = Vec::new();
+    let mut by_bound = 0;
+    for (&fate, &id) in fate.iter().zip(cs) {
+        match fate {
+            ALIVE => survivors.push(id),
+            KNOWN => known_in_cs.push(id),
+            _ => by_bound += 1,
         }
     }
-    let bound_pruned = before_bound - pruned.len();
-    if D::KNOWN_IS_ISUB {
-        o.pruned_by_isub = known_pruned;
-        o.pruned_by_isuper = bound_pruned;
-    } else {
-        o.pruned_by_isuper = known_pruned;
-        o.pruned_by_isub = bound_pruned;
+    Pruned {
+        by_known: known_in_cs.len(),
+        by_bound,
+        survivors,
+        known_in_cs,
     }
-    o.candidates_after = pruned.len();
-    (pruned, known_in_cs)
 }
 
-/// Records hit metadata: known-path hits are credited with the candidates
-/// their answers *cover* (`CS ∩ Answer`), bounding hits with the
-/// candidates their answers *exclude* (`CS \ Answer`). `bonus` optionally
-/// awards one slot the full candidate-set prune credit (optimal-case
-/// resolutions). A free function (not a method) so the disjoint borrows of
-/// the state's fields (cost model, cache) stay obvious.
-fn credit_hits<D: QueryDirection>(
-    engine: &Engine<D>,
-    st: &mut State,
-    q: &Graph,
-    cs: &[GraphId],
-    known_slots: &[usize],
-    bound_slots: &[usize],
-    bonus: Option<usize>,
-) {
-    for &s in known_slots {
-        let prunes = intersect_sorted(cs, &st.cache.entry(s).answers);
-        let cost = engine.cost_of(&mut st.cost_model, q, &prunes);
-        st.cache
-            .entry_mut(s)
-            .meta
-            .record_hit(prunes.len() as u64, cost);
-    }
-    for &s in bound_slots {
-        let prunes = subtract_sorted(cs, &st.cache.entry(s).answers);
-        let cost = engine.cost_of(&mut st.cost_model, q, &prunes);
-        st.cache
-            .entry_mut(s)
-            .meta
-            .record_hit(prunes.len() as u64, cost);
-    }
-    if let Some(slot) = bonus {
-        let credit = engine.cost_of(&mut st.cost_model, q, cs);
-        st.cache
-            .entry_mut(slot)
-            .meta
-            .record_hit(cs.len() as u64, credit);
-    }
-}
+#[cfg(test)]
+#[path = "engine_tests/answer_algebra.rs"]
+mod answer_algebra;
 
 #[cfg(test)]
 pub(crate) mod tests {

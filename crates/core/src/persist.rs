@@ -906,6 +906,7 @@ fn entry_from_bin(r: &mut Reader) -> Result<PersistedEntry, String> {
             code,
             answers,
             meta,
+            memo: Default::default(),
         },
         features,
     })
@@ -1506,6 +1507,7 @@ mod tests {
                     m.record_hit(3, LogValue::from_linear(1e30));
                     m
                 },
+                memo: Default::default(),
             },
             features: Some(SlotFeatureSet {
                 counts: vec![

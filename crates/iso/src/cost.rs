@@ -13,6 +13,10 @@
 //!
 //! `Ni!` overflows everything for PDBS/PPI-sized graphs, so the value is
 //! produced directly in natural-log space.
+//!
+//! The function holds no memo. A cost depends only on `(n, Ni)`, so its
+//! caller keeps one row per query size, indexed by `Ni` (the engine's
+//! per-query cost row in `igq_core`).
 
 use crate::logmath::{ln_factorial, LogValue};
 
@@ -32,42 +36,6 @@ pub fn iso_cost_ln(n: usize, ni: usize, labels: usize) -> LogValue {
         - ln_factorial((ni - n) as u64)
         - (n as f64 + 1.0) * l.ln();
     LogValue::from_ln(ln)
-}
-
-/// A memoizing cost model bound to a dataset's label-universe size.
-///
-/// Costs depend only on `(n, Ni)` pairs; experiments evaluate the same pairs
-/// millions of times, so a small hash cache pays for itself.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    labels: usize,
-    cache: igq_graph::fxhash::FxHashMap<(u32, u32), LogValue>,
-}
-
-impl CostModel {
-    /// A model for a dataset whose label universe has `labels` members.
-    pub fn new(labels: usize) -> CostModel {
-        CostModel {
-            labels: labels.max(1),
-            cache: Default::default(),
-        }
-    }
-
-    /// The label-universe size the model was built with.
-    pub fn label_universe(&self) -> usize {
-        self.labels
-    }
-
-    /// `ln c(g′, Gi)` with memoization.
-    pub fn cost_ln(&mut self, query_vertices: usize, stored_vertices: usize) -> LogValue {
-        let key = (query_vertices as u32, stored_vertices as u32);
-        if let Some(&v) = self.cache.get(&key) {
-            return v;
-        }
-        let v = iso_cost_ln(query_vertices, stored_vertices, self.labels);
-        self.cache.insert(key, v);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -110,18 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn memoized_model_agrees_with_direct() {
-        let mut m = CostModel::new(10);
-        let direct = iso_cost_ln(8, 300, 10);
-        assert_eq!(m.cost_ln(8, 300), direct);
-        assert_eq!(m.cost_ln(8, 300), direct); // cached path
-        assert_eq!(m.label_universe(), 10);
-    }
-
-    #[test]
     fn zero_label_universe_clamps_to_one() {
-        let m = CostModel::new(0);
-        assert_eq!(m.label_universe(), 1);
         assert!(!iso_cost_ln(2, 4, 0).is_zero());
+        assert_eq!(iso_cost_ln(2, 4, 0), iso_cost_ln(2, 4, 1));
     }
 }

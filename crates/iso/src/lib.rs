@@ -35,7 +35,7 @@ pub mod semantics;
 pub mod stats;
 
 pub use budget::Budget;
-pub use cost::{iso_cost_ln, CostModel};
+pub use cost::iso_cost_ln;
 pub use logmath::LogValue;
 pub use plan::{
     find_one, find_with_plan, matches_with_plan, with_thread_scratch, MatchPlan, MatchScratch,

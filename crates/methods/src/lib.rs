@@ -55,8 +55,8 @@ pub use ggsx::{Ggsx, GgsxConfig};
 pub use grapes::{Grapes, GrapesConfig};
 pub use kind::MethodKind;
 pub use method::{
-    intersect_into, intersect_sorted, subtract_into, subtract_sorted, Filtered, QueryContext,
-    SubgraphMethod, VerifyOutcome,
+    intersect_into, intersect_positions, intersect_sorted, subtract_into, subtract_sorted,
+    Filtered, QueryContext, SubgraphMethod, VerifyOutcome,
 };
 pub use naive::NaiveMethod;
 pub use par::par_map;

@@ -338,6 +338,51 @@ pub fn subtract_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     }
 }
 
+/// Computes the positions in `a` (sorted, no duplicates) of the values
+/// `b` (sorted) also holds, in increasing order, into `out` (cleared
+/// first): [`intersect_into`]'s result as indexes into `a`. Galloping
+/// from the smaller side when the sizes are skewed by more than
+/// `GALLOP_SKEW`; linear merge otherwise.
+pub fn intersect_positions<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<usize>) {
+    out.clear();
+    if a.len() >= GALLOP_SKEW * b.len().max(1) {
+        let mut cursor = 0;
+        for x in b {
+            cursor = gallop_lower_bound(a, cursor, x);
+            if cursor >= a.len() {
+                break;
+            }
+            if a[cursor] == *x && out.last() != Some(&cursor) {
+                out.push(cursor);
+            }
+        }
+    } else if b.len() >= GALLOP_SKEW * a.len().max(1) {
+        let mut cursor = 0;
+        for (i, x) in a.iter().enumerate() {
+            cursor = gallop_lower_bound(b, cursor, x);
+            if cursor >= b.len() {
+                break;
+            }
+            if b[cursor] == *x {
+                out.push(i);
+            }
+        }
+    } else {
+        let mut j = 0;
+        for (i, x) in a.iter().enumerate() {
+            while j < b.len() && b[j] < *x {
+                j += 1;
+            }
+            if j >= b.len() {
+                break;
+            }
+            if b[j] == *x {
+                out.push(i);
+            }
+        }
+    }
+}
+
 /// Computes the sorted intersection of `a` (sorted) and `b` (sorted).
 pub fn intersect_sorted(a: &[GraphId], b: &[GraphId]) -> Vec<GraphId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
@@ -381,6 +426,29 @@ mod tests {
             subtract_sorted(&ids(&[1, 2]), &ids(&[0, 1, 2, 9])),
             ids(&[])
         );
+    }
+
+    #[test]
+    fn intersect_positions_index_the_intersection() {
+        let a: Vec<u32> = (0..200).map(|i| i * 3).collect();
+        let mut out = Vec::new();
+        // Each side driving the gallop, the merge, duplicates in `b`, and
+        // empty sides.
+        for b in [
+            vec![0, 3, 4, 597, 598],
+            (0..600).collect::<Vec<u32>>(),
+            (0..400).map(|i| i * 2).collect(),
+            vec![9, 9, 9, 12, 12],
+            vec![],
+        ] {
+            intersect_positions(&a, &b, &mut out);
+            let got: Vec<u32> = out.iter().map(|&i| a[i]).collect();
+            let mut want = Vec::new();
+            intersect_into(&a, &b, &mut want);
+            assert_eq!(got, want, "b = {b:?}");
+        }
+        intersect_positions(&[] as &[u32], &[1, 2], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
