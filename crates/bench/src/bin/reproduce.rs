@@ -7,6 +7,8 @@
 //! Prints each report and archives it as `target/experiments/<id>.json`.
 //! Unknown ids exit 2 with the list of known ones.
 
+#![forbid(unsafe_code)]
+
 use igq_bench::{cli, figure, ExpOptions, Session, FIGURES};
 use std::time::Instant;
 

@@ -23,6 +23,8 @@
 //! cargo run -p igq_bench --release --bin reproduce -- all --full
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod experiments;
 pub mod harness;

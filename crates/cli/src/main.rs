@@ -46,6 +46,8 @@
 //! Datasets and queries are exchanged in the GFU-like text format of
 //! `igq_graph::io` (the format the GraphGrepSX/Grapes distributions use).
 
+#![forbid(unsafe_code)]
+
 mod commands;
 
 use commands::CliError;

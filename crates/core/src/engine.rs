@@ -495,6 +495,23 @@ struct StoreIdentity {
     config_fp: u64,
     dataset_fp: u64,
     labels: usize,
+    /// Dataset size: every installed answer id must lie below it.
+    graphs: usize,
+}
+
+/// `Err` when `answers` names a graph at or past `graphs`, the dataset
+/// size. Decoded lists are strictly increasing, so only the last id needs
+/// checking; an id outside the dataset would index past the engine's
+/// per-graph tables when the list is credited. Callers add where the list
+/// came from in `map_err`, so nothing is formatted when the check passes.
+fn check_answer_ids(answers: &[GraphId], graphs: usize) -> Result<(), String> {
+    match answers.last() {
+        Some(id) if id.index() >= graphs => Err(format!(
+            "answer id {} is outside the dataset of {graphs} graphs",
+            id.raw()
+        )),
+        _ => Ok(()),
+    }
 }
 
 impl StoreIdentity {
@@ -528,6 +545,14 @@ impl StoreIdentity {
                 "{what} label universe {} does not match the engine's {}",
                 data.labels, self.labels
             )));
+        }
+        for p in &data.entries {
+            check_answer_ids(&p.entry.answers, self.graphs)
+                .map_err(|m| PersistError::Corrupt(format!("{what} slot {}: {m}", p.slot)))?;
+        }
+        for w in &data.window {
+            check_answer_ids(&w.answers, self.graphs)
+                .map_err(|m| PersistError::Corrupt(format!("{what} window: {m}")))?;
         }
         Ok(data)
     }
@@ -635,6 +660,7 @@ impl<D: QueryDirection> Engine<D> {
             config_fp: persist::config_fingerprint(config, D::direction_name()),
             dataset_fp: persist::dataset_fingerprint(D::store(method)),
             labels: Self::resolve_labels(method, config),
+            graphs: D::store(method).len(),
         }
     }
 
@@ -1141,6 +1167,10 @@ impl<D: QueryDirection> Engine<D> {
         st: &mut State,
         record: &persist::WalRecord,
     ) -> Result<(u64, Duration), String> {
+        for p in &record.admitted {
+            check_answer_ids(&p.entry.answers, self.identity.graphs)
+                .map_err(|m| format!("flip {} slot {}: {m}", record.seq, p.slot))?;
+        }
         let delta = WindowDelta {
             evicted: record.evicted.clone(),
             admitted: record.admitted.iter().map(|p| p.slot).collect(),
@@ -3248,6 +3278,94 @@ pub(crate) mod tests {
         let _ = primary.query(&replication_queries()[1]);
         assert_eq!(drain_feed(&feed, &follower), 1);
         assert_eq!(downstream.try_recv().map(|g| g.seq), Some(seq + 1));
+    }
+
+    /// Appends `id` to the first entry's answers of a decoded checkpoint
+    /// and re-encodes it (with a valid checksum), returning the slot.
+    fn with_extra_answer(bytes: &[u8], id: GraphId) -> (Vec<u8>, usize) {
+        let mut data = persist::decode_checkpoint(bytes).expect("decode");
+        let first = &mut data.entries[0];
+        first.entry.answers.push(id);
+        let slot = first.slot;
+        (persist::encode_checkpoint(&data), slot)
+    }
+
+    #[test]
+    fn open_and_install_snapshot_refuse_answer_ids_outside_the_dataset() {
+        use crate::CacheStore;
+        let s = store();
+        let outside = GraphId::new(s.len() as u32);
+        let mem = Arc::new(crate::MemStore::new());
+        {
+            let e = open_engine(&s, &mem);
+            let _ = e.query(&graph_from(&[0, 1], &[(0, 1)]));
+            let _ = e.query(&graph_from(&[2, 2], &[(0, 1)]));
+            e.checkpoint().expect("checkpoint");
+        }
+        let bytes = mem.load_checkpoint().expect("load").expect("checkpoint");
+        let (damaged, slot) = with_extra_answer(&bytes, outside);
+        mem.save_checkpoint(&damaged).expect("save");
+        let err = open_engine_err(&s, &mem);
+        assert!(
+            matches!(&err, PersistError::Corrupt(m)
+                if m.contains(&format!("checkpoint slot {slot}")) && m.contains("outside the dataset")),
+            "{err}"
+        );
+
+        let (primary, follower, feed) = replication_pair();
+        let _ = primary.query(&replication_queries()[0]);
+        drain_feed(&feed, &follower);
+        let (snapshot, _) = snapshot_of(&primary);
+        let cached = follower.cached_queries();
+        let (damaged, slot) = with_extra_answer(&snapshot, outside);
+        assert!(matches!(
+            follower.install_snapshot(&damaged),
+            Err(ReplicaError::Corrupt(m))
+                if m.contains(&format!("snapshot slot {slot}")) && m.contains("outside the dataset")
+        ));
+        assert_eq!(
+            follower.cached_queries(),
+            cached,
+            "refused state is not installed"
+        );
+        follower.self_check().expect("untouched invariants");
+    }
+
+    #[test]
+    fn wal_replay_and_delta_apply_refuse_answer_ids_outside_the_dataset() {
+        use crate::CacheStore;
+        let s = store();
+        let outside = GraphId::new(s.len() as u32);
+        let mem = Arc::new(crate::MemStore::new());
+        {
+            let e = open_engine(&s, &mem);
+            let _ = e.query(&graph_from(&[0, 1], &[(0, 1)]));
+            let _ = e.query(&graph_from(&[2, 2], &[(0, 1)]));
+        }
+        let wal = persist::parse_wal(&mem.load_wal().expect("load")).expect("parse");
+        let mut records = wal.records;
+        records[0].admitted[0].entry.answers.push(outside);
+        let header = wal.header.expect("header");
+        mem.replace_wal(&persist::encode_wal(&header, &records))
+            .expect("replace");
+        let err = open_engine_err(&s, &mem);
+        assert!(
+            matches!(&err, PersistError::Corrupt(m)
+                if m.contains("flip 1 slot") && m.contains("outside the dataset")),
+            "{err}"
+        );
+
+        let (primary, follower, feed) = replication_pair();
+        let _ = primary.query(&replication_queries()[0]);
+        let d = feed.try_recv().expect("group");
+        let (epoch, mut record) = persist::decode_group_binary(&d.bytes).expect("decode");
+        record.admitted[0].entry.answers.push(outside);
+        let bytes = persist::encode_group_binary(&record, epoch);
+        assert!(matches!(
+            follower.apply_replica_delta(&bytes),
+            Err(ReplicaError::Corrupt(m)) if m.contains("outside the dataset")
+        ));
+        assert_eq!(follower.cached_queries(), 0, "refused group is not applied");
     }
 
     #[test]

@@ -89,6 +89,7 @@
 //! assert_eq!(engine.stats().queries, 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

@@ -747,10 +747,13 @@ fn graph_from_bin(r: &mut Reader) -> Result<Graph, String> {
     b.try_build().map_err(|e| e.to_string())
 }
 
-/// Answer ids are kept sorted by the engine, so consecutive deltas are
-/// small; wrapping arithmetic keeps the round trip exact even for an
-/// unsorted sequence (the delta simply goes wide).
+/// Answer ids are kept strictly increasing by the engine, so consecutive
+/// deltas are small and positive (the first is the first id itself).
 fn answers_to_bin(out: &mut Vec<u8>, answers: &[GraphId]) {
+    debug_assert!(
+        answers.windows(2).all(|w| w[0] < w[1]),
+        "answer ids must be strictly increasing"
+    );
     put_varint(out, answers.len() as u64);
     let mut prev = 0u32;
     for id in answers {
@@ -759,13 +762,26 @@ fn answers_to_bin(out: &mut Vec<u8>, answers: &[GraphId]) {
     }
 }
 
+/// Decodes an answer list, refusing one the engine cannot have written:
+/// ids must be strictly increasing (the galloping intersections of the
+/// answer algebra rely on it), so after the first id every delta is
+/// positive, and no delta may carry an id past `u32`. Whether the ids lie
+/// inside the dataset is checked where the state is installed.
 fn answers_from_bin(r: &mut Reader) -> Result<Vec<GraphId>, String> {
     let n = r.count("answer", 1)?;
     let mut out = Vec::with_capacity(n);
-    let mut prev = 0u32;
+    let mut prev: Option<u32> = None;
     for _ in 0..n {
-        prev = prev.wrapping_add(r.varint()? as u32);
-        out.push(GraphId::new(prev));
+        let delta = r.varint()?;
+        let id = u32::try_from(delta)
+            .ok()
+            .and_then(|d| prev.map_or(Some(d), |p| p.checked_add(d)))
+            .ok_or_else(|| format!("answer delta {delta} overflows a graph id"))?;
+        if prev.is_some_and(|p| id <= p) {
+            return Err(format!("answer ids not strictly increasing at {id}"));
+        }
+        out.push(GraphId::new(id));
+        prev = Some(id);
     }
     Ok(out)
 }
@@ -1289,8 +1305,9 @@ fn record_from_bin(payload: &[u8]) -> Result<WalRecord, String> {
 /// Parses a WAL byte stream: magic, header frame, then record frames in
 /// order. An incomplete or checksum-damaged **final** frame is tolerated
 /// (dropped, reported via [`WalParse::torn_tail`]) — that is what a crash
-/// mid-append leaves behind; damage anywhere else, or a non-empty stream
-/// that does not start with the magic, is [`PersistError::Corrupt`].
+/// mid-append leaves behind; damage anywhere else, a checksum-valid frame
+/// that does not decode, or a non-empty stream that does not start with
+/// the magic, is [`PersistError::Corrupt`].
 pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
     if bytes.is_empty() {
         return Ok(WalParse {
@@ -1338,16 +1355,13 @@ pub(crate) fn parse_wal(bytes: &[u8]) -> Result<WalParse, PersistError> {
                     return Err(PersistError::Corrupt("WAL record before header".into()));
                 }
                 check_record_layout(payload)?;
-                match record_from_bin(payload) {
-                    Ok(r) => records.push(r),
-                    Err(_) if frame.last => torn_tail = true,
-                    Err(reason) => {
-                        return Err(PersistError::Corrupt(format!(
-                            "WAL frame {} damaged mid-log: {reason}",
-                            index + 1
-                        )));
-                    }
-                }
+                // A frame that passed its checksum was written whole, so
+                // one that then fails to decode is corruption even at the
+                // tail: dropping it would lose a durable flip silently.
+                let record = record_from_bin(payload).map_err(|reason| {
+                    PersistError::Corrupt(format!("WAL frame {} damaged: {reason}", index + 1))
+                })?;
+                records.push(record);
             }
             other => {
                 return Err(PersistError::Corrupt(format!(
@@ -1896,6 +1910,38 @@ mod tests {
     }
 
     #[test]
+    fn answer_lists_decode_only_as_strictly_increasing_ids() {
+        let decode = |bytes: &[u8]| answers_from_bin(&mut Reader::new(bytes));
+        let ids = |raws: &[u32]| raws.iter().map(|&r| GraphId::new(r)).collect::<Vec<_>>();
+        for list in [&[][..], &[0], &[0, 1, 7], &[3, u32::MAX]] {
+            let mut buf = Vec::new();
+            answers_to_bin(&mut buf, &ids(list));
+            assert_eq!(decode(&buf), Ok(ids(list)));
+        }
+        // Hand-damaged lists: a repeated id (zero delta after the first),
+        // a delta past `u32::MAX` from the previous id, one wider than
+        // `u32` on its own, and a descending pair as the wrapping encoder
+        // would write it.
+        let varints = |vs: &[u64]| {
+            let mut buf = Vec::new();
+            for &v in vs {
+                put_varint(&mut buf, v);
+            }
+            buf
+        };
+        let repeat = decode(&varints(&[2, 5, 0])).unwrap_err();
+        assert!(repeat.contains("strictly increasing"), "{repeat}");
+        for damaged in [
+            varints(&[2, u32::MAX as u64, 1]),
+            varints(&[1, 1 << 32]),
+            varints(&[2, 5, 3u32.wrapping_sub(5) as u64]),
+        ] {
+            let err = decode(&damaged).unwrap_err();
+            assert!(err.contains("overflows a graph id"), "{err}");
+        }
+    }
+
+    #[test]
     fn binary_checkpoint_roundtrip_preserves_everything() {
         let data = checkpoint_data();
         let bytes = encode_checkpoint(&data);
@@ -2004,6 +2050,49 @@ mod tests {
         match parse_wal(&mid) {
             Err(PersistError::Corrupt(_)) => {}
             other => panic!("expected corruption error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checksum_valid_final_frame_that_fails_to_decode_is_corrupt() {
+        let header = WalHeader {
+            config_fp: 1,
+            dataset_fp: 2,
+            epoch: 0,
+        };
+        let record = wal_record(2);
+        let admitted = &record.admitted[0];
+        // The admitted entry's answers [1, 4] follow its slot and graph;
+        // rewrite their deltas from (1, 3) to (4, 0), a repeated id, and
+        // re-frame the payload so its checksum is valid again.
+        let mut at = Vec::new();
+        put_varint(&mut at, admitted.slot as u64);
+        graph_to_bin(&mut at, &admitted.entry.graph);
+        let clean_len = at.len();
+        answers_to_bin(&mut at, &admitted.entry.answers);
+        assert_eq!(&at[clean_len..], &[2, 1, 3]);
+        let frame = encode_wal_record(&record);
+        let mut payload = frame[BFRAME_HEADER..].to_vec();
+        let starts: Vec<usize> = payload
+            .windows(at.len())
+            .enumerate()
+            .filter(|(_, w)| *w == &at[..])
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(starts.len(), 1, "the answer list is found once");
+        let answers = starts[0] + clean_len;
+        payload[answers..answers + 3].copy_from_slice(&[2, 4, 0]);
+
+        let mut bytes = encode_wal(&header, &[wal_record(1)]);
+        bytes.extend_from_slice(&frame_bin(b'R', &payload));
+        match parse_wal(&bytes) {
+            Err(PersistError::Corrupt(m)) => {
+                assert!(
+                    m.contains("frame 3") && m.contains("strictly increasing"),
+                    "{m}"
+                )
+            }
+            other => panic!("expected corruption, not a torn tail: {other:?}"),
         }
     }
 

@@ -26,6 +26,8 @@
 //! enumerated feature size, so downstream filters remain sound (no false
 //! negatives) even on graphs too dense to enumerate fully.
 
+#![forbid(unsafe_code)]
+
 pub mod cycles;
 pub mod featureset;
 pub mod fingerprint;

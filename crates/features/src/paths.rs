@@ -261,8 +261,8 @@ impl PathScratch {
         want_locations: bool,
     ) -> (PathFeatures, u64) {
         self.alphabet.clear();
+        // Ascending: `label_groups` yields labels in order.
         self.alphabet.extend(g.label_groups().map(|(l, _)| l));
-        self.alphabet.sort_unstable();
         let alphabet = &self.alphabet;
         self.rank.clear();
         self.rank.extend(g.labels().iter().map(|l| {

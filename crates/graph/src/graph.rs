@@ -4,7 +4,13 @@
 //! with one label per vertex. Adjacency is stored in CSR form (offset array +
 //! flat sorted neighbor array) so that neighbor scans — the inner loop of
 //! both isomorphism search and feature enumeration — touch contiguous memory,
-//! and `has_edge` is a binary search over a vertex's neighbor slice.
+//! and `has_edge` is a binary search over a vertex's neighbor slice (one
+//! shift-and-mask on bitset rows for graphs of at most 64 vertices). The
+//! label index is flat too: sorted `(label, end)` keys over one
+//! label-grouped member array. Verification walks these arrays for every
+//! candidate, so a graph is a handful of allocations whatever its label
+//! count, and [`Graph::touch`] can pull all of a small graph's in ahead of
+//! the search.
 
 use crate::fxhash::FxHashMap;
 use crate::{LabelId, VertexId};
@@ -20,6 +26,7 @@ use std::fmt;
 /// [`crate::graph_from_el`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
+    /// Vertex labels, indexed by vertex.
     labels: Box<[LabelId]>,
     /// CSR offsets: neighbors of `v` are `neighbors[offsets[v]..offsets[v+1]]`.
     offsets: Box<[u32]>,
@@ -31,8 +38,16 @@ pub struct Graph {
     /// default label 0" — construction normalizes an all-zero label vector
     /// to `None`, so the derived equality stays canonical.
     edge_labels: Option<Box<[LabelId]>>,
-    /// Vertices grouped by label, each group sorted ascending.
-    label_index: FxHashMap<LabelId, Box<[VertexId]>>,
+    /// The label index, keys half: one `(label, end)` pair per distinct
+    /// label, ascending by label; `end` is where the label's group ends in
+    /// `label_members` (it starts where the previous key's group ends).
+    /// `vertices_with_label` is a binary search here, and the whole index
+    /// is two allocations however many labels the graph has.
+    label_keys: Box<[(LabelId, u32)]>,
+    /// The label index, members half: every vertex once, grouped by label
+    /// in `label_keys` order, each group sorted ascending. Both halves are
+    /// derived from `labels`, so the derived equality stays canonical.
+    label_members: Box<[VertexId]>,
     /// Bitset adjacency rows for graphs with at most 64 vertices
     /// (`bitset[u] >> v & 1`): the isomorphism engines' `has_edge` inner
     /// loop becomes a single shift-and-mask instead of a binary search.
@@ -41,8 +56,24 @@ pub struct Graph {
     bitset: Option<Box<[u64]>>,
 }
 
-/// Vertex-count ceiling for the bitset adjacency fast path.
-const BITSET_MAX_VERTICES: usize = 64;
+/// Vertex-count ceiling for the bitset adjacency fast path (and for
+/// [`Graph::touch`]).
+pub(crate) const BITSET_MAX_VERTICES: usize = 64;
+
+/// Reads one element of every 64-byte line `s` spans (the first, one
+/// per line's worth of elements after it, and the last, which may sit on
+/// a line of its own when `s` does not start on a line boundary) through
+/// [`std::hint::black_box`], so the loads are neither elided nor used.
+#[inline]
+pub(crate) fn touch_lines<T: Copy>(s: &[T]) {
+    let step = (64 / std::mem::size_of::<T>().max(1)).max(1);
+    for x in s.iter().step_by(step) {
+        std::hint::black_box(*x);
+    }
+    if let Some(last) = s.last() {
+        std::hint::black_box(*last);
+    }
+}
 
 impl Graph {
     pub(crate) fn from_parts(labels: Vec<LabelId>, edge_list: Vec<(VertexId, VertexId)>) -> Self {
@@ -109,17 +140,17 @@ impl Graph {
             neighbors[s..e].sort_unstable();
         }
 
-        let mut label_groups: FxHashMap<LabelId, Vec<VertexId>> = FxHashMap::default();
-        for (i, &l) in labels.iter().enumerate() {
-            label_groups
-                .entry(l)
-                .or_default()
-                .push(VertexId::from_index(i));
+        // A stable sort by label keeps each group in ascending vertex order.
+        let mut label_members: Vec<VertexId> = (0..n).map(VertexId::from_index).collect();
+        label_members.sort_by_key(|v| labels[v.index()]);
+        let mut label_keys: Vec<(LabelId, u32)> = Vec::new();
+        for (i, v) in label_members.iter().enumerate() {
+            let l = labels[v.index()];
+            match label_keys.last_mut() {
+                Some((last, end)) if *last == l => *end = i as u32 + 1,
+                _ => label_keys.push((l, i as u32 + 1)),
+            }
         }
-        let label_index = label_groups
-            .into_iter()
-            .map(|(l, vs)| (l, vs.into_boxed_slice()))
-            .collect();
 
         let bitset = if n <= BITSET_MAX_VERTICES {
             let mut rows = vec![0u64; n];
@@ -138,7 +169,8 @@ impl Graph {
             neighbors: neighbors.into_boxed_slice(),
             edges: edge_list.into_boxed_slice(),
             edge_labels,
-            label_index,
+            label_keys: label_keys.into_boxed_slice(),
+            label_members: label_members.into_boxed_slice(),
             bitset,
         })
     }
@@ -279,26 +311,58 @@ impl Graph {
     /// Vertices carrying `label`, sorted ascending (empty if absent).
     #[inline]
     pub fn vertices_with_label(&self, label: LabelId) -> &[VertexId] {
-        self.label_index.get(&label).map(|b| &**b).unwrap_or(&[])
+        match self.label_keys.binary_search_by_key(&label, |&(l, _)| l) {
+            Ok(i) => {
+                let start = i.checked_sub(1).map_or(0, |p| self.label_keys[p].1);
+                &self.label_members[start as usize..self.label_keys[i].1 as usize]
+            }
+            Err(_) => &[],
+        }
     }
 
     /// Number of distinct labels present in this graph.
     #[inline]
     pub fn distinct_label_count(&self) -> usize {
-        self.label_index.len()
+        self.label_keys.len()
     }
 
-    /// Iterator over `(label, vertices)` groups (arbitrary order).
+    /// Iterator over `(label, vertices)` groups, in ascending label order.
     pub fn label_groups(&self) -> impl Iterator<Item = (LabelId, &[VertexId])> {
-        self.label_index.iter().map(|(l, vs)| (*l, &**vs))
+        let mut start = 0;
+        self.label_keys.iter().map(move |&(l, end)| {
+            let group = &self.label_members[start as usize..end as usize];
+            start = end;
+            (l, group)
+        })
     }
 
     /// Histogram `label -> multiplicity` of vertex labels.
     pub fn label_histogram(&self) -> FxHashMap<LabelId, u32> {
-        self.label_index
-            .iter()
-            .map(|(l, vs)| (*l, vs.len() as u32))
+        self.label_groups()
+            .map(|(l, vs)| (l, vs.len() as u32))
             .collect()
+    }
+
+    /// Reads one word of every 64-byte line of the arrays the matcher
+    /// walks — labels, CSR offsets and neighbors, the label index and the
+    /// bitset rows — and discards it. Verification calls this on the next
+    /// candidate before it screens and searches the current one, so the
+    /// next graph's lines are loaded while this one is searched rather
+    /// than missed one dependent load at a time. Safe reads only: a
+    /// `black_box` keeps each load alive.
+    ///
+    /// Only graphs with bitset rows (at most 64 vertices) are touched. A
+    /// larger graph spans far more lines than one search reads: touching
+    /// all of a PDBS-like target's arrays made its verification slower,
+    /// not faster.
+    pub fn touch(&self) {
+        let Some(rows) = &self.bitset else { return };
+        touch_lines(&self.labels);
+        touch_lines(&self.offsets);
+        touch_lines(&self.neighbors);
+        touch_lines(&self.label_keys);
+        touch_lines(&self.label_members);
+        touch_lines(rows);
     }
 
     /// Maximum vertex degree (0 for the empty graph).
@@ -393,11 +457,8 @@ impl Graph {
             .edge_labels
             .as_ref()
             .map_or(0, |ls| ls.len() * std::mem::size_of::<LabelId>());
-        let idx: usize = self
-            .label_index
-            .values()
-            .map(|v| v.len() * std::mem::size_of::<VertexId>() + 16)
-            .sum();
+        let idx =
+            std::mem::size_of_val(&*self.label_keys) + std::mem::size_of_val(&*self.label_members);
         let bitset = self
             .bitset
             .as_ref()

@@ -22,6 +22,8 @@
 //! Everything downstream (isomorphism engines, feature extraction, the three
 //! filter-then-verify methods, and iGQ itself) builds on these types.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod canon;
 pub mod error;

@@ -37,15 +37,15 @@ pub struct GraphProfile {
 impl GraphProfile {
     /// Computes the profile of `g` (`O(|V| log |V|)`).
     pub fn of(g: &Graph) -> GraphProfile {
-        let mut label_counts: Vec<(LabelId, u32)> = g
+        // `label_groups` yields labels in ascending order already.
+        let label_counts: Box<[(LabelId, u32)]> = g
             .label_groups()
             .map(|(l, vs)| (l, vs.len() as u32))
             .collect();
-        label_counts.sort_unstable_by_key(|&(l, _)| l);
         let mut degree_desc: Vec<u32> = g.vertices().map(|v| g.degree(v) as u32).collect();
         degree_desc.sort_unstable_by(|a, b| b.cmp(a));
         GraphProfile {
-            label_counts: label_counts.into_boxed_slice(),
+            label_counts,
             degree_desc: degree_desc.into_boxed_slice(),
         }
     }
@@ -66,6 +66,18 @@ impl GraphProfile {
     #[inline]
     pub fn max_degree(&self) -> u32 {
         self.degree_desc.first().copied().unwrap_or(0)
+    }
+
+    /// Reads one word of every 64-byte line of both arrays the screen
+    /// reads and discards it: the profile half of verification's
+    /// touch-ahead. Like [`Graph::touch`], only profiles of graphs with at
+    /// most 64 vertices are touched.
+    pub fn touch(&self) {
+        if self.degree_desc.len() > crate::graph::BITSET_MAX_VERTICES {
+            return;
+        }
+        crate::graph::touch_lines(&self.label_counts);
+        crate::graph::touch_lines(&self.degree_desc);
     }
 
     /// Approximate heap footprint of this profile, in bytes.

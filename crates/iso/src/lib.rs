@@ -27,6 +27,8 @@
 //! under `tests/common/`: the per-pair VF2 engine it replaced, and
 //! Ullmann's 1976 algorithm (\[39\] in the paper).
 
+#![forbid(unsafe_code)]
+
 pub mod budget;
 pub mod cost;
 pub mod logmath;

@@ -24,6 +24,20 @@
 //! plans: the only plans that outlive a query are the cached queries' own
 //! `Isuper` probe plans, kept beside them in the engine's query index.
 //!
+//! # Touch-ahead
+//!
+//! On AIDS-sized targets a candidate costs more in cold memory than in
+//! search: the matcher walks the target's labels, CSR arrays, label index
+//! and bitset rows as dependent loads. So before a candidate is screened
+//! and searched, the next one's arrays and store profile are read one
+//! word per cache line ([`Graph::touch`], [`GraphProfile::touch`]); those
+//! misses then overlap with the current search. Every run of candidates
+//! goes through this one loop (`touching_ahead`): the serial batch, each
+//! fan-out chunk, and so Grapes' component batches too. Only targets of
+//! at most 64 vertices (those with bitset rows) are touched: a PDBS- or
+//! PPI-sized target spans thousands of lines, most of which one search
+//! never reads, and touching them all made PDBS verification slower.
+//!
 //! # Fan-out
 //!
 //! Every candidate's verdict is independent of the others, so one helper
@@ -112,11 +126,15 @@ impl PlanSource<'_> {
 /// Smallest batch the engine fans out. Each extra worker costs one
 /// scoped-thread spawn and join, about 31 µs on the 2-core reference box
 /// (`par_map` over two trivial items); two workers save half the batch's
-/// search time, at `methods.verify_us_per_candidate` ≈ 1.45 µs on
-/// `aids_uniform_inproc` (seed 7). They break even near 43 candidates;
-/// 64 keeps a margin for the spawned worker's cold caches and wake-up.
-/// In four alternating benchmark pairs on that workload, 64 read a
-/// median 1 422 qps and 128 read 1 353, against 1 142 serial.
+/// search time, at `methods.verify_us_per_candidate` ≈ 0.82–0.99 µs on
+/// `aids_uniform_inproc` (seed 7, two traced runs with the flat label
+/// index and the touch-ahead; 1.05–1.28 µs before them). They break even
+/// near 2 × 31 / 0.99 ≈ 63 to 2 × 31 / 0.82 ≈ 76 candidates, so 64 now
+/// sits at break-even rather than with a margin. In six alternating
+/// benchmark pairs on that workload, 96 read a median 1 433 qps against
+/// 64's 1 413, inside 64's quartile spread of 436, so 64 stays. Before
+/// the touch-ahead, four pairs read 1 422 qps at 64 and 1 353 at 128,
+/// against 1 142 serial.
 pub const FANOUT_MIN_CANDIDATES: usize = 64;
 
 /// Most candidates one claim takes: few enough that a thousand-candidate
@@ -230,6 +248,26 @@ thread_local! {
 /// Panic message for a worker-scratch slot whose worker panicked.
 const WORKER_PANICKED: &str = "a verification worker panicked holding its scratch";
 
+/// Runs `verify` over `ids` in order, touching candidate `i + 1`'s graph
+/// and store profile before candidate `i` is verified (see "Touch-ahead"
+/// in the module docs). One ahead: two and four ahead were no faster.
+fn touching_ahead(
+    store: &GraphStore,
+    ids: &[GraphId],
+    mut verify: impl FnMut(GraphId) -> VerifyOutcome,
+) -> Vec<VerifyOutcome> {
+    ids.iter()
+        .enumerate()
+        .map(|(i, &id)| {
+            if let Some(&next) = ids.get(i + 1) {
+                store.get(next).touch();
+                store.profile(next).touch();
+            }
+            verify(id)
+        })
+        .collect()
+}
+
 /// Verifies `candidates` against the query `q` on up to `width` workers,
 /// returning index-aligned outcomes: each candidate is screened against
 /// the query's profile, and a survivor is decided by `search` on a
@@ -263,10 +301,7 @@ pub(crate) fn verify_candidates(
     let workers = crate::par::workers(chunks, width);
     if workers == 1 {
         return with_thread_scratch(|scratch| {
-            candidates
-                .iter()
-                .map(|&id| verify(id, scratch, stats))
-                .collect()
+            touching_ahead(store, candidates, |id| verify(id, scratch, stats))
         });
     }
     // Which chunks a worker claims depends on scheduling, so every slot
@@ -290,11 +325,8 @@ pub(crate) fn verify_candidates(
     let verified = crate::par_map(chunks, workers, |worker, c| {
         let scratch = &mut *pool[worker].lock().expect(WORKER_PANICKED);
         let mut local = VerifyBatchStats::default();
-        let outcomes: Vec<VerifyOutcome> = candidates[c * chunk..]
-            .iter()
-            .take(chunk)
-            .map(|&id| verify(id, scratch, &mut local))
-            .collect();
+        let run = &candidates[c * chunk..candidates.len().min((c + 1) * chunk)];
+        let outcomes = touching_ahead(store, run, |id| verify(id, scratch, &mut local));
         (outcomes, local)
     });
     WORKER_SCRATCH.set(pool);

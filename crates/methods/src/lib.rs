@@ -34,6 +34,8 @@
 //! Single-candidate [`SubgraphMethod::verify`] is a provided method over
 //! the same matcher (`igq_iso::find_one`); only Grapes overrides it.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod ctindex;
 pub mod gcode;

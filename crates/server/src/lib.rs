@@ -55,6 +55,7 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batcher;

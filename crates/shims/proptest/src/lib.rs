@@ -10,6 +10,8 @@
 //! Deviations from real proptest: no shrinking (a failing case reports its
 //! seed, not a minimized input) and panics instead of error returns.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Deterministic generator handed to strategies (splitmix64 core).

@@ -8,6 +8,8 @@
 //! with the real `rand` crate (seeds produce different but equally valid
 //! workloads).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core entropy source: 64 random bits per call.

@@ -11,6 +11,8 @@
 //! text format is unchanged, so files produced by the real serde_json
 //! remain readable and vice versa.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

@@ -16,6 +16,8 @@
 //! Everything is deterministic in its seed, and dataset generation is
 //! prefix-stable: scaling a dataset up leaves its earlier graphs unchanged.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod querygen;
 pub mod spec;

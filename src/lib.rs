@@ -43,6 +43,8 @@
 //! assert_eq!(out.answers.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use igq_core as core;
 pub use igq_features as features;
 pub use igq_graph as graph;
