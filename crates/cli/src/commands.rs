@@ -3,7 +3,7 @@
 use igq_core::{CacheStore, DirStore, IgqConfig, IgqEngine, IgqSuperEngine, QueryEngine};
 use igq_features::PathConfig;
 use igq_graph::stats::DatasetStats;
-use igq_graph::{io, GraphStore};
+use igq_graph::{io as gfu, GraphStore};
 use igq_iso::MatchConfig;
 use igq_methods::{MethodKind, SubgraphMethod, TrieSupergraphMethod};
 use igq_server::{BuildFollower, FailoverPolicy, Follower, Server, ServerConfig};
@@ -11,7 +11,7 @@ use igq_workload::DatasetKind;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,6 +26,16 @@ pub enum CliError {
     /// A well-formed command that failed while running (a missing file, a
     /// damaged store, a refused connection, ...).
     Runtime(String),
+    /// The command's output could not be written.
+    Output(io::Error),
+}
+
+impl CliError {
+    /// True when the output's reader went away (`igq query ... | head`),
+    /// which is not a failure.
+    pub fn is_closed_pipe(&self) -> bool {
+        matches!(self, CliError::Output(e) if e.kind() == io::ErrorKind::BrokenPipe)
+    }
 }
 
 impl From<String> for CliError {
@@ -38,11 +48,61 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Usage(message) | CliError::Runtime(message) => f.write_str(message),
+            CliError::Output(e) => write!(f, "cannot write output: {e}"),
         }
     }
 }
 
 type CmdResult = Result<(), CliError>;
+
+/// `writeln!` to a command's output, a failed write being
+/// [`CliError::Output`]: only writes to the output can end a command
+/// quietly on a closed pipe, never a file or socket error.
+macro_rules! emit {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(CliError::Output)
+    };
+}
+
+/// The output of a run that must finish its work after its reader has
+/// gone away: a store-attached `igq query`/`save` still runs its
+/// remaining queries and writes its final checkpoint. From the first
+/// `BrokenPipe` on, writes are dropped; the error is kept in `closed` for
+/// the end of the run.
+struct FinishOnClosedPipe<'a> {
+    out: &'a mut dyn Write,
+    closed: Option<io::Error>,
+}
+
+impl FinishOnClosedPipe<'_> {
+    fn absorb(&mut self, result: io::Result<()>) -> io::Result<()> {
+        match result {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = Some(e);
+                Ok(())
+            }
+            other => other,
+        }
+    }
+}
+
+impl Write for FinishOnClosedPipe<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed.is_none() {
+            let written = self.out.write_all(buf);
+            self.absorb(written)?;
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed.is_some() {
+            return Ok(());
+        }
+        let flushed = self.out.flush();
+        self.absorb(flushed)
+    }
+}
 
 fn usage(message: impl Into<String>) -> CliError {
     CliError::Usage(message.into())
@@ -95,11 +155,11 @@ fn method_kind(flags: &HashMap<String, String>) -> Result<MethodKind, CliError> 
 
 fn load_store(path: &str) -> Result<GraphStore, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    io::read_store(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
+    gfu::read_store(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// `igq generate`: synthesize a dataset and write it as GFU text.
-pub fn generate(args: &[String]) -> CmdResult {
+pub fn generate(args: &[String], out: &mut dyn Write) -> CmdResult {
     let (flags, _) = parse_flags(args);
     let kind = match flags.get("kind").map(String::as_str) {
         Some("aids") => DatasetKind::Aids,
@@ -114,33 +174,34 @@ pub fn generate(args: &[String]) -> CmdResult {
     };
     let count: usize = num(&flags, "count")?.ok_or_else(|| usage("--count is required"))?;
     let seed: u64 = num(&flags, "seed")?.unwrap_or(42);
-    let out = required(&flags, "out")?;
+    let path = required(&flags, "out")?;
 
     let t = Instant::now();
     let store = kind.generate(count, seed);
-    let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     let mut w = BufWriter::new(file);
-    io::write_store(&mut w, &store).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {} {} graphs ({} vertices, {} edges) to {out} in {:.2?}",
+    gfu::write_store(&mut w, &store).map_err(|e| e.to_string())?;
+    emit!(
+        out,
+        "wrote {} {} graphs ({} vertices, {} edges) to {path} in {:.2?}",
         store.len(),
         kind.name(),
         store.total_vertices(),
         store.total_edges(),
         t.elapsed()
-    );
+    )?;
     Ok(())
 }
 
 /// `igq stats`: Table 1-style dataset summary.
-pub fn stats(args: &[String]) -> CmdResult {
+pub fn stats(args: &[String], out: &mut dyn Write) -> CmdResult {
     let (_, positional) = parse_flags(args);
     let path = positional
         .first()
         .ok_or_else(|| usage("igq stats expects a <dataset.gfu> argument"))?;
     let store = load_store(path)?;
     let s = DatasetStats::of(&store);
-    println!("{}", s.table_row(path));
+    emit!(out, "{}", s.table_row(path))?;
     Ok(())
 }
 
@@ -151,24 +212,24 @@ fn build_method(kind: MethodKind, store: &Arc<GraphStore>) -> Box<dyn SubgraphMe
 
 /// `igq save`: run a workload like `igq query` and persist the resulting
 /// engine state (checkpoint + WAL) into `--store-dir`.
-pub fn save(args: &[String]) -> CmdResult {
+pub fn save(args: &[String], out: &mut dyn Write) -> CmdResult {
     let (flags, _) = parse_flags(args);
     if !flags.contains_key("store-dir") {
         return Err(usage("save requires --store-dir <dir>"));
     }
-    query(args)
+    query(args, out)
 }
 
 /// `igq load`: warm-restart an engine from `--store-dir` and report what
 /// was recovered; with `--queries` it also runs the workload warm
 /// (equivalent to `igq query --store-dir`).
-pub fn load(args: &[String]) -> CmdResult {
+pub fn load(args: &[String], out: &mut dyn Write) -> CmdResult {
     let (flags, _) = parse_flags(args);
     if !flags.contains_key("store-dir") {
         return Err(usage("load requires --store-dir <dir>"));
     }
     if flags.contains_key("queries") {
-        return query(args);
+        return query(args, out);
     }
     let dataset_path = required(&flags, "dataset")?;
     let dir = flags.get("store-dir").expect("checked above");
@@ -182,16 +243,17 @@ pub fn load(args: &[String]) -> CmdResult {
     let engine = IgqEngine::open(method, config, disk)
         .map_err(|e| format!("cannot recover engine from {dir}: {e}"))?;
     let s = engine.stats();
-    println!(
+    emit!(
+        out,
         "recovered {} cached queries from {dir} in {:.2?} ({} WAL windows replayed)",
         engine.cached_queries(),
         t.elapsed(),
         s.recovery_replayed_windows
-    );
+    )?;
     engine
         .self_check()
         .map_err(|e| format!("recovered engine failed self-check: {e}"))?;
-    println!("self-check passed");
+    emit!(out, "self-check passed")?;
     Ok(())
 }
 
@@ -207,35 +269,60 @@ fn engine_config(flags: &HashMap<String, String>) -> Result<IgqConfig, CliError>
 }
 
 /// Prints what a store-attached engine recovered at open.
-fn report_recovery(durable: bool, cached: usize, stats: &igq_core::EngineStats) {
+fn report_recovery(
+    out: &mut dyn Write,
+    durable: bool,
+    cached: usize,
+    stats: &igq_core::EngineStats,
+) -> CmdResult {
     if durable {
-        println!(
+        emit!(
+            out,
             "store: recovered {cached} cached queries ({} WAL windows replayed)",
             stats.recovery_replayed_windows
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Final checkpoint for `--store-dir` runs (captures the pending window
 /// too, so nothing processed this session is lost).
-fn persist_final<E: igq_core::QueryEngine>(engine: &E, store_dir: Option<&String>) -> CmdResult {
+fn persist_final<E: igq_core::QueryEngine>(
+    out: &mut dyn Write,
+    engine: &E,
+    store_dir: Option<&String>,
+) -> CmdResult {
     let Some(dir) = store_dir else { return Ok(()) };
     engine
         .checkpoint()
         .map_err(|e| format!("final checkpoint failed: {e}"))?;
     let s = engine.stats();
-    println!(
+    emit!(
+        out,
         "store: checkpoint written to {dir} ({} WAL appends this run, {:.2?} checkpointing)",
-        s.wal_appends, s.checkpoint_time
-    );
+        s.wal_appends,
+        s.checkpoint_time
+    )?;
     Ok(())
 }
 
-/// `igq query`: run a query file against a dataset.
-pub fn query(args: &[String]) -> CmdResult {
+/// `igq query`: run a query file against a dataset. With `--store-dir`,
+/// a closed output does not stop the run before its final checkpoint:
+/// the run finishes unheard and then reports the closed pipe.
+pub fn query(args: &[String], out: &mut dyn Write) -> CmdResult {
     let (flags, _) = parse_flags(args);
-    let dataset_path = required(&flags, "dataset")?;
-    let queries_path = required(&flags, "queries")?;
+    if !flags.contains_key("store-dir") {
+        return run_queries(&flags, out);
+    }
+    let mut out = FinishOnClosedPipe { out, closed: None };
+    run_queries(&flags, &mut out)?;
+    out.closed.map_or(Ok(()), |e| Err(CliError::Output(e)))
+}
+
+/// The body of [`query`].
+fn run_queries(flags: &HashMap<String, String>, out: &mut dyn Write) -> CmdResult {
+    let dataset_path = required(flags, "dataset")?;
+    let queries_path = required(flags, "queries")?;
     let method_name = flags.get("method").map(String::as_str).unwrap_or("ggsx");
     let use_igq = !flags.contains_key("no-igq");
     let verbose = flags.contains_key("verbose");
@@ -244,15 +331,16 @@ pub fn query(args: &[String]) -> CmdResult {
 
     let store = Arc::new(load_store(dataset_path)?);
     let queries = load_store(queries_path)?;
-    println!(
+    emit!(
+        out,
         "dataset: {} graphs; queries: {}; method: {method_name}; iGQ: {}",
         store.len(),
         queries.len(),
         if use_igq { "on" } else { "off" }
-    );
+    )?;
 
     let t_index = Instant::now();
-    let config = engine_config(&flags)?;
+    let config = engine_config(flags)?;
     // Durable mode: the engine is recovered from (and keeps updating) a
     // checkpoint + WAL store on disk.
     let disk: Option<Arc<dyn CacheStore>> = match store_dir {
@@ -268,7 +356,7 @@ pub fn query(args: &[String]) -> CmdResult {
     if supergraph {
         let method =
             TrieSupergraphMethod::build(&store, PathConfig::default(), MatchConfig::default());
-        println!("index built in {:.2?}", t_index.elapsed());
+        emit!(out, "index built in {:.2?}", t_index.elapsed())?;
         t_queries = Instant::now();
         if use_igq {
             let engine = match &disk {
@@ -277,37 +365,48 @@ pub fn query(args: &[String]) -> CmdResult {
                 None => IgqSuperEngine::new(method, config)
                     .map_err(|e| format!("invalid iGQ configuration: {e}"))?,
             };
-            report_recovery(disk.is_some(), engine.cached_queries(), &engine.stats());
+            report_recovery(
+                out,
+                disk.is_some(),
+                engine.cached_queries(),
+                &engine.stats(),
+            )?;
             for (qid, q) in queries.iter() {
-                let out = engine.query(q);
-                total_answers += out.answers.len();
-                total_tests += out.db_iso_tests;
+                let outcome = engine.query(q);
+                total_answers += outcome.answers.len();
+                total_tests += outcome.db_iso_tests;
                 if verbose {
-                    println!(
+                    emit!(
+                        out,
                         "q{qid}: {} contained graphs, {} tests",
-                        out.answers.len(),
-                        out.db_iso_tests
-                    );
+                        outcome.answers.len(),
+                        outcome.db_iso_tests
+                    )?;
                 }
             }
-            persist_final(&engine, store_dir)?;
+            persist_final(out, &engine, store_dir)?;
         } else {
             for (qid, q) in queries.iter() {
                 let (answers, tests) = method.query_super(q);
                 total_answers += answers.len();
                 total_tests += tests;
                 if verbose {
-                    println!("q{qid}: {} contained graphs, {tests} tests", answers.len());
+                    emit!(
+                        out,
+                        "q{qid}: {} contained graphs, {tests} tests",
+                        answers.len()
+                    )?;
                 }
             }
         }
     } else {
-        let method = build_method(method_kind(&flags)?, &store);
-        println!(
+        let method = build_method(method_kind(flags)?, &store);
+        emit!(
+            out,
             "index built in {:.2?} ({:.2} MB)",
             t_index.elapsed(),
             method.index_size_bytes() as f64 / 1048576.0
-        );
+        )?;
         t_queries = Instant::now();
         if use_igq {
             let engine = match &disk {
@@ -316,49 +415,57 @@ pub fn query(args: &[String]) -> CmdResult {
                 None => IgqEngine::new(method, config)
                     .map_err(|e| format!("invalid iGQ configuration: {e}"))?,
             };
-            report_recovery(disk.is_some(), engine.cached_queries(), &engine.stats());
+            report_recovery(
+                out,
+                disk.is_some(),
+                engine.cached_queries(),
+                &engine.stats(),
+            )?;
             for (qid, q) in queries.iter() {
-                let out = engine.query(q);
-                total_answers += out.answers.len();
-                total_tests += out.db_iso_tests;
+                let outcome = engine.query(q);
+                total_answers += outcome.answers.len();
+                total_tests += outcome.db_iso_tests;
                 if verbose {
-                    println!(
+                    emit!(
+                        out,
                         "q{qid}: {} answers, {} tests ({:?})",
-                        out.answers.len(),
-                        out.db_iso_tests,
-                        out.resolution
-                    );
+                        outcome.answers.len(),
+                        outcome.db_iso_tests,
+                        outcome.resolution
+                    )?;
                 }
             }
             let s = engine.stats();
-            println!(
+            emit!(
+                out,
                 "iGQ: {} exact hits, {} empty shortcuts, {} cached, pruned {}+{}",
                 s.exact_hits,
                 s.empty_shortcuts,
                 engine.cached_queries(),
                 s.pruned_by_isub,
                 s.pruned_by_isuper
-            );
-            persist_final(&engine, store_dir)?;
+            )?;
+            persist_final(out, &engine, store_dir)?;
         } else {
             for (qid, q) in queries.iter() {
                 let (answers, tests) = method.query(q);
                 total_answers += answers.len();
                 total_tests += tests;
                 if verbose {
-                    println!("q{qid}: {} answers, {tests} tests", answers.len());
+                    emit!(out, "q{qid}: {} answers, {tests} tests", answers.len())?;
                 }
             }
         }
     }
 
-    println!(
+    emit!(
+        out,
         "{} queries in {:.2?}: {} total answers, {} iso tests",
         queries.len(),
         t_queries.elapsed(),
         total_answers,
         total_tests
-    );
+    )?;
     Ok(())
 }
 
@@ -366,7 +473,7 @@ pub fn query(args: &[String]) -> CmdResult {
 /// file (one `query` frame each, or one `batch` frame with `--batch`),
 /// optionally fetches the serving stats, and optionally asks the server
 /// to shut down.
-pub fn client(args: &[String]) -> CmdResult {
+pub fn client(args: &[String], out: &mut dyn Write) -> CmdResult {
     let (flags, _) = parse_flags(args);
     let addr = required(&flags, "addr")?;
     let verbose = flags.contains_key("verbose");
@@ -387,13 +494,14 @@ pub fn client(args: &[String]) -> CmdResult {
             .map_err(|e| format!("subscribe failed: {e}"))?;
         match &start {
             igq_server::SubscribeStart::Live { resume_from } => {
-                println!("subscribed live, resuming after flip {resume_from}");
+                emit!(out, "subscribed live, resuming after flip {resume_from}")?;
             }
             igq_server::SubscribeStart::Snapshot { seq, checkpoint } => {
-                println!(
+                emit!(
+                    out,
                     "subscribed with snapshot: flip {seq}, {} checkpoint bytes",
                     checkpoint.len()
-                );
+                )?;
             }
         }
         let mut deltas = 0u64;
@@ -404,19 +512,19 @@ pub fn client(args: &[String]) -> CmdResult {
             {
                 igq_server::ReplicaEvent::Delta { seq, bytes } => {
                     deltas += 1;
-                    println!("delta: flip {seq}, {} bytes", bytes.len());
+                    emit!(out, "delta: flip {seq}, {} bytes", bytes.len())?;
                     if follow_count.is_some_and(|n| deltas >= n) {
                         break;
                     }
                 }
                 igq_server::ReplicaEvent::Heartbeat { seq } => {
                     if follow_count.is_none() {
-                        println!("caught up at flip {seq} ({deltas} deltas)");
+                        emit!(out, "caught up at flip {seq} ({deltas} deltas)")?;
                         break;
                     }
                 }
                 igq_server::ReplicaEvent::Closed => {
-                    println!("stream closed by server ({deltas} deltas)");
+                    emit!(out, "stream closed by server ({deltas} deltas)")?;
                     break;
                 }
             }
@@ -431,11 +539,12 @@ pub fn client(args: &[String]) -> CmdResult {
         let mut total_answers = 0usize;
         let mut total_tests = 0u64;
         let mut overloaded = 0usize;
-        let mut report = |qid: usize, r: &igq_server::WireResult| {
+        let mut report = |out: &mut dyn Write, qid: usize, r: &igq_server::WireResult| {
             total_answers += r.answers.len();
             total_tests += r.db_iso_tests;
             if verbose {
-                println!(
+                emit!(
+                    out,
                     "q{qid}: {} answers, {} tests, {}us{}{}",
                     r.answers.len(),
                     r.db_iso_tests,
@@ -450,8 +559,9 @@ pub fn client(args: &[String]) -> CmdResult {
                     } else {
                         ""
                     },
-                );
+                )?;
             }
+            Ok::<(), CliError>(())
         };
         if flags.contains_key("batch") {
             match c
@@ -460,7 +570,7 @@ pub fn client(args: &[String]) -> CmdResult {
             {
                 igq_server::BatchVerdict::Answered(results) => {
                     for (qid, r) in results.iter().enumerate() {
-                        report(qid, r);
+                        report(out, qid, r)?;
                     }
                 }
                 igq_server::BatchVerdict::Overloaded { .. } => overloaded = graphs.len(),
@@ -471,49 +581,62 @@ pub fn client(args: &[String]) -> CmdResult {
                     .query_opts(q, deadline_ms, false, max_lag)
                     .map_err(|e| format!("query {qid} failed: {e}"))?
                 {
-                    igq_server::QueryVerdict::Answered(r) => report(qid, &r),
+                    igq_server::QueryVerdict::Answered(r) => report(out, qid, &r)?,
                     igq_server::QueryVerdict::Overloaded { retry_after_ms, .. } => {
                         overloaded += 1;
                         if verbose {
-                            println!("q{qid}: overloaded (retry after {retry_after_ms}ms)");
+                            emit!(out, "q{qid}: overloaded (retry after {retry_after_ms}ms)")?;
                         }
                     }
                 }
             }
         }
-        println!(
+        emit!(
+            out,
             "{} queries in {:.2?}: {} total answers, {} iso tests, {} shed by admission control",
             graphs.len(),
             t.elapsed(),
             total_answers,
             total_tests,
             overloaded
-        );
+        )?;
     }
 
     if flags.contains_key("stats") {
         let s = c.stats().map_err(|e| format!("stats failed: {e}"))?;
-        println!(
+        emit!(
+            out,
             "server stats: {} queries, {} served, {} rejected overloaded, {} batches coalesced",
-            s.queries, s.requests_served, s.requests_rejected_overload, s.batches_coalesced
-        );
-        println!(
+            s.queries,
+            s.requests_served,
+            s.requests_rejected_overload,
+            s.batches_coalesced
+        )?;
+        emit!(
+            out,
             "              {} exact hits, {} empty shortcuts, {} iso tests, {} cached",
-            s.exact_hits, s.empty_shortcuts, s.db_iso_tests, s.cached_queries
-        );
-        println!(
+            s.exact_hits,
+            s.empty_shortcuts,
+            s.db_iso_tests,
+            s.cached_queries
+        )?;
+        emit!(
+            out,
             "  replication: {}, flip {}, replication lag {}, {} groups published, {} applied",
             if s.follower { "follower" } else { "primary" },
             s.last_applied_seq,
             s.replication_lag,
             s.replica_groups_published,
             s.replica_groups_applied
-        );
-        println!(
+        )?;
+        emit!(
+            out,
             "        codec: {} WAL bytes appended, {} checkpoint bytes written",
-            s.wal_bytes_appended, s.checkpoint_bytes_written
-        );
-        println!(
+            s.wal_bytes_appended,
+            s.checkpoint_bytes_written
+        )?;
+        emit!(
+            out,
             "       health: epoch {}, {}{}",
             s.epoch,
             if s.degraded {
@@ -526,17 +649,17 @@ pub fn client(args: &[String]) -> CmdResult {
             } else {
                 String::new()
             }
-        );
+        )?;
         // Counters from a newer server reach the operator instead of
         // being silently dropped.
         for (name, value) in &s.extra {
-            println!("        extra: {name} = {value}");
+            emit!(out, "        extra: {name} = {value}")?;
         }
     }
 
     if flags.contains_key("shutdown") {
         c.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
-        println!("server acknowledged shutdown");
+        emit!(out, "server acknowledged shutdown")?;
     }
     Ok(())
 }
@@ -612,9 +735,9 @@ fn serve_config(flags: &HashMap<String, String>) -> Result<ServeConfig, CliError
 /// `igq serve`: load a dataset, build a method and an iGQ engine (or
 /// follow a primary's), and serve it over TCP until a client sends a
 /// `shutdown` frame. Prints `listening on <addr>` on stdout once bound.
-pub fn serve(args: &[String]) -> CmdResult {
+pub fn serve(args: &[String], out: &mut dyn Write) -> CmdResult {
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{SERVE_USAGE}");
+        write!(out, "{SERVE_USAGE}").map_err(CliError::Output)?;
         return Ok(());
     }
     let (flags, positional) = parse_flags(args);
@@ -674,7 +797,7 @@ pub fn serve(args: &[String]) -> CmdResult {
     let server =
         Server::spawn(engine, server_config).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     // Parseable by harnesses (the CI smoke greps this line for the port).
-    println!("listening on {}", server.local_addr());
+    emit!(out, "listening on {}", server.local_addr())?;
     server.wait();
     if let Some(f) = follower {
         f.shutdown();
@@ -705,58 +828,73 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let db = dir.join("db.gfu");
         let qf = dir.join("q.gfu");
-        generate(&s(&[
-            "--kind",
-            "aids",
-            "--count",
-            "30",
-            "--seed",
-            "7",
-            "--out",
-            db.to_str().unwrap(),
-        ]))
+        generate(
+            &s(&[
+                "--kind",
+                "aids",
+                "--count",
+                "30",
+                "--seed",
+                "7",
+                "--out",
+                db.to_str().unwrap(),
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
         // Queries: reuse a few dataset graphs' fragments via generate again.
-        generate(&s(&[
-            "--kind",
-            "aids",
-            "--count",
-            "3",
-            "--seed",
-            "7",
-            "--out",
-            qf.to_str().unwrap(),
-        ]))
+        generate(
+            &s(&[
+                "--kind",
+                "aids",
+                "--count",
+                "3",
+                "--seed",
+                "7",
+                "--out",
+                qf.to_str().unwrap(),
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
-        stats(&s(&[db.to_str().unwrap()])).unwrap();
-        query(&s(&[
-            "--dataset",
-            db.to_str().unwrap(),
-            "--queries",
-            qf.to_str().unwrap(),
-            "--method",
-            "ggsx",
-            "--cache",
-            "10",
-            "--window",
-            "2",
-        ]))
+        stats(&s(&[db.to_str().unwrap()]), &mut io::sink()).unwrap();
+        query(
+            &s(&[
+                "--dataset",
+                db.to_str().unwrap(),
+                "--queries",
+                qf.to_str().unwrap(),
+                "--method",
+                "ggsx",
+                "--cache",
+                "10",
+                "--window",
+                "2",
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
-        query(&s(&[
-            "--dataset",
-            db.to_str().unwrap(),
-            "--queries",
-            qf.to_str().unwrap(),
-            "--no-igq",
-        ]))
+        query(
+            &s(&[
+                "--dataset",
+                db.to_str().unwrap(),
+                "--queries",
+                qf.to_str().unwrap(),
+                "--no-igq",
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
-        query(&s(&[
-            "--dataset",
-            db.to_str().unwrap(),
-            "--queries",
-            qf.to_str().unwrap(),
-            "--supergraph",
-        ]))
+        query(
+            &s(&[
+                "--dataset",
+                db.to_str().unwrap(),
+                "--queries",
+                qf.to_str().unwrap(),
+                "--supergraph",
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
     }
 
@@ -768,27 +906,33 @@ mod tests {
         let db = dir.join("db.gfu");
         let qf = dir.join("q.gfu");
         let sd = dir.join("state");
-        generate(&s(&[
-            "--kind",
-            "aids",
-            "--count",
-            "40",
-            "--seed",
-            "3",
-            "--out",
-            db.to_str().unwrap(),
-        ]))
+        generate(
+            &s(&[
+                "--kind",
+                "aids",
+                "--count",
+                "40",
+                "--seed",
+                "3",
+                "--out",
+                db.to_str().unwrap(),
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
-        generate(&s(&[
-            "--kind",
-            "aids",
-            "--count",
-            "5",
-            "--seed",
-            "3",
-            "--out",
-            qf.to_str().unwrap(),
-        ]))
+        generate(
+            &s(&[
+                "--kind",
+                "aids",
+                "--count",
+                "5",
+                "--seed",
+                "3",
+                "--out",
+                qf.to_str().unwrap(),
+            ]),
+            &mut io::sink(),
+        )
         .unwrap();
         let base = [
             "--dataset",
@@ -803,18 +947,27 @@ mod tests {
         // save → kill (process state gone) → load (summary) → load+query.
         let mut save_args = base.to_vec();
         save_args.extend(["--queries", qf.to_str().unwrap()]);
-        save(&s(&save_args)).unwrap();
-        load(&s(&base)).unwrap();
-        load(&s(&save_args)).unwrap();
+        save(&s(&save_args), &mut io::sink()).unwrap();
+        load(&s(&base), &mut io::sink()).unwrap();
+        load(&s(&save_args), &mut io::sink()).unwrap();
         // Both subcommands demand a store directory.
         let no_store = s(&["--dataset", db.to_str().unwrap()]);
-        assert!(matches!(save(&no_store), Err(CliError::Usage(_))));
-        assert!(matches!(load(&no_store), Err(CliError::Usage(_))));
+        assert!(matches!(
+            save(&no_store, &mut io::sink()),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            load(&no_store, &mut io::sink()),
+            Err(CliError::Usage(_))
+        ));
         // A mismatched geometry is rejected, not silently cold-started;
         // the command line itself was fine.
         let mut wrong = base.to_vec();
         wrong[3] = "32"; // different --cache
-        assert!(matches!(load(&s(&wrong)), Err(CliError::Runtime(_))));
+        assert!(matches!(
+            load(&s(&wrong), &mut io::sink()),
+            Err(CliError::Runtime(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -829,7 +982,10 @@ mod tests {
     #[test]
     fn unknown_method_errors() {
         assert!("nope".parse::<MethodKind>().is_err());
-        let err = usage_message(serve(&s(&["--dataset", "absent.gfu", "--method", "nope"])));
+        let err = usage_message(serve(
+            &s(&["--dataset", "absent.gfu", "--method", "nope"]),
+            &mut io::sink(),
+        ));
         assert!(err.contains("unknown method \"nope\""), "{err}");
     }
 
@@ -837,20 +993,111 @@ mod tests {
     /// command that fails while running is not.
     #[test]
     fn usage_errors_are_told_apart_from_runtime_errors() {
-        let err = usage_message(query(&s(&["--queries", "q.gfu"])));
+        let err = usage_message(query(&s(&["--queries", "q.gfu"]), &mut io::sink()));
         assert_eq!(err, "--dataset is required");
-        let err = usage_message(generate(&s(&["--kind", "aids", "--count", "x"])));
+        let err = usage_message(generate(
+            &s(&["--kind", "aids", "--count", "x"]),
+            &mut io::sink(),
+        ));
         assert_eq!(err, "--count expects a non-negative integer");
-        let err = usage_message(stats(&s(&[])));
+        let err = usage_message(stats(&s(&[]), &mut io::sink()));
         assert!(err.contains("<dataset.gfu>"), "{err}");
         let err = usage_message(engine_config(&parse_flags(&s(&["--cache", "0"])).0));
         assert!(err.starts_with("invalid iGQ configuration"), "{err}");
-        match stats(&s(&["absent.gfu"])) {
+        match stats(&s(&["absent.gfu"]), &mut io::sink()) {
             Err(CliError::Runtime(err)) => {
                 assert!(err.starts_with("cannot open absent.gfu"), "{err}")
             }
             other => panic!("expected a runtime error, got {other:?}"),
         }
+    }
+
+    /// A stdout whose reader has gone away: every write fails with
+    /// `BrokenPipe`, as under `igq ... | head -1` once `head` exits.
+    #[derive(Default)]
+    struct ClosedPipe {
+        writes: usize,
+    }
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A closed pipe stops a command at its first line with an error that
+    /// `main` turns into a quiet exit 0, instead of `println!`'s panic.
+    #[test]
+    fn a_closed_pipe_stops_the_command_quietly() {
+        let dir = std::env::temp_dir().join(format!("igq_cli_pipe_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join("db.gfu");
+        let db = db.to_str().unwrap();
+        generate(
+            &s(&["--kind", "aids", "--count", "12", "--out", db]),
+            &mut io::sink(),
+        )
+        .unwrap();
+        let mut pipe = ClosedPipe::default();
+        let args = ["--dataset", db, "--queries", db, "--verbose"];
+        let err = query(&s(&args), &mut pipe).unwrap_err();
+        assert!(err.is_closed_pipe(), "{err}");
+        assert_eq!(pipe.writes, 1, "the command stops at its first line");
+        let err = stats(&s(&[db]), &mut ClosedPipe::default()).unwrap_err();
+        assert!(err.is_closed_pipe(), "{err}");
+        // Only a vanished reader is quiet: other write errors still fail.
+        assert!(!CliError::Output(io::ErrorKind::WriteZero.into()).is_closed_pipe());
+        assert!(!CliError::Runtime("broken pipe".into()).is_closed_pipe());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store-attached run whose reader has gone away (`igq save ... |
+    /// head -1`) still runs every query and writes its final checkpoint,
+    /// and only then reports the closed pipe: its store recovers what the
+    /// same run with its output read does.
+    #[test]
+    fn a_closed_pipe_does_not_cut_a_store_attached_run_short() {
+        let dir = std::env::temp_dir().join(format!("igq_cli_pipe_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (db, qf) = (path("db.gfu"), path("q.gfu"));
+        for (out, count, seed) in [(&db, "40", "3"), (&qf, "12", "5")] {
+            let args = [
+                "--kind", "aids", "--count", count, "--seed", seed, "--out", out,
+            ];
+            generate(&s(&args), &mut io::sink()).unwrap();
+        }
+        let config = ["--dataset", &db, "--cache", "16", "--window", "4"];
+        let run = |store: &str, out: &mut dyn Write| {
+            let mut args = config.to_vec();
+            args.extend(["--queries", &qf, "--store-dir", store, "--verbose"]);
+            save(&s(&args), out)
+        };
+        let recovered = |store: &str| {
+            let mut args = config.to_vec();
+            args.extend(["--store-dir", store]);
+            let mut text = Vec::new();
+            load(&s(&args), &mut text).unwrap();
+            let text = String::from_utf8(text).unwrap();
+            let count = text.split_whitespace().nth(1).map(str::parse::<usize>);
+            count.expect("a recovery line").unwrap()
+        };
+        let (heard, unheard) = (path("heard"), path("unheard"));
+        run(&heard, &mut io::sink()).unwrap();
+        let mut pipe = ClosedPipe::default();
+        let err = run(&unheard, &mut pipe).unwrap_err();
+        assert!(err.is_closed_pipe(), "{err}");
+        assert_eq!(pipe.writes, 1, "nothing is written after the pipe closed");
+        let cached = recovered(&heard);
+        assert!(cached > 0);
+        assert_eq!(recovered(&unheard), cached);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn serve_config_of(args: &str) -> Result<ServeConfig, CliError> {
@@ -897,7 +1144,10 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_arguments() {
-        let err = usage_message(serve(&s(&["--dataset", "absent.gfu", "extra"])));
+        let err = usage_message(serve(
+            &s(&["--dataset", "absent.gfu", "extra"]),
+            &mut io::sink(),
+        ));
         assert!(
             err.contains("unexpected positional argument \"extra\""),
             "{err}"
@@ -916,11 +1166,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let db = dir.join("db.gfu");
         let db = db.to_str().unwrap();
-        generate(&s(&["--kind", "aids", "--count", "5", "--out", db])).unwrap();
+        generate(
+            &s(&["--kind", "aids", "--count", "5", "--out", db]),
+            &mut io::sink(),
+        )
+        .unwrap();
         let listen = ["--dataset", db, "--listen", "127.0.0.1:0"];
-        let err = serve(&s(&[&listen[..], &["--io-timeout-ms", "0"]].concat()))
-            .unwrap_err()
-            .to_string();
+        let err = serve(
+            &s(&[&listen[..], &["--io-timeout-ms", "0"]].concat()),
+            &mut io::sink(),
+        )
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("io_timeout must be at least 1 ms"), "{err}");
         let follow = [
             "--follower-of",
@@ -928,7 +1185,7 @@ mod tests {
             "--heartbeat-timeout-ms",
             "0",
         ];
-        let err = serve(&s(&[&listen[..], &follow].concat()))
+        let err = serve(&s(&[&listen[..], &follow].concat()), &mut io::sink())
             .unwrap_err()
             .to_string();
         assert!(err.contains("heartbeat_timeout must be non-zero"), "{err}");

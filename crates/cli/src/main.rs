@@ -55,14 +55,17 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every subcommand writes through one locked stdout and returns its
+    // write errors instead of panicking in `println!`.
+    let mut out = std::io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => commands::generate(&args[1..]),
-        Some("stats") => commands::stats(&args[1..]),
-        Some("query") => commands::query(&args[1..]),
-        Some("save") => commands::save(&args[1..]),
-        Some("load") => commands::load(&args[1..]),
-        Some("client") => commands::client(&args[1..]),
-        Some("serve") => commands::serve(&args[1..]),
+        Some("generate") => commands::generate(&args[1..], &mut out),
+        Some("stats") => commands::stats(&args[1..], &mut out),
+        Some("query") => commands::query(&args[1..], &mut out),
+        Some("save") => commands::save(&args[1..], &mut out),
+        Some("load") => commands::load(&args[1..], &mut out),
+        Some("client") => commands::client(&args[1..], &mut out),
+        Some("serve") => commands::serve(&args[1..], &mut out),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -71,6 +74,8 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader stopped reading (`igq query ... | head`): a quiet stop.
+        Err(e) if e.is_closed_pipe() => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             if let CliError::Usage(_) = e {

@@ -80,9 +80,9 @@ impl FeatureTrie {
         }
     }
 
-    fn walk_or_create(&mut self, seq: &LabelSeq) -> u32 {
+    fn walk_or_create(&mut self, labels: &[LabelId]) -> u32 {
         let mut node = 0u32;
-        for &label in seq.labels() {
+        for &label in labels {
             let next_free = self.nodes.len() as u32;
             let entry = self.nodes[node as usize]
                 .children
@@ -111,8 +111,15 @@ impl FeatureTrie {
     /// pay a binary search plus shift). Repeated inserts for the same graph
     /// accumulate; inserting over a tombstone revives it in place.
     pub fn insert(&mut self, seq: &LabelSeq, graph: GraphId, count: u32) {
+        self.insert_labels(seq.labels(), graph, count);
+    }
+
+    /// [`FeatureTrie::insert`] of the sequence whose canonical labels
+    /// ([`LabelSeq::labels`]) are `labels`, so that a build can carry its
+    /// features as one flat label array instead of a boxed key each.
+    pub fn insert_labels(&mut self, labels: &[LabelId], graph: GraphId, count: u32) {
         debug_assert!(count > 0, "a zero-count insert would create a tombstone");
-        let node = self.walk_or_create(seq);
+        let node = self.walk_or_create(labels);
         let n = &mut self.nodes[node as usize];
         let was_dead = n.live == 0;
         match n.postings.last_mut() {

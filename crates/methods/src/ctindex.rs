@@ -16,7 +16,9 @@
 //! footprint (13 buckets × 512 bits ≈ 832 B/graph) is comparable to the
 //! original's 4096-bit default.
 
+use crate::batch::available_cores;
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
+use crate::par::map_in_order;
 use igq_features::{
     enumerate_cycles, enumerate_trees, CycleConfig, CycleFeatures, Fingerprint, TreeConfig,
     TreeFeatures,
@@ -83,6 +85,7 @@ impl CtIndexConfig {
 }
 
 /// Per-graph fingerprint record.
+#[derive(Debug)]
 struct GraphPrint {
     trees: Vec<Fingerprint>,
     cycles: Vec<Fingerprint>,
@@ -98,16 +101,30 @@ pub struct CtIndex {
 }
 
 impl CtIndex {
-    /// Builds the index over `store`.
+    /// Builds the index over `store` on every core.
     pub fn build(store: &Arc<GraphStore>, config: CtIndexConfig) -> CtIndex {
-        let prints = store
-            .iter()
-            .map(|(_, g)| {
+        CtIndex::build_at(store, config, available_cores())
+    }
+
+    /// [`CtIndex::build`] on `width` workers; the index is the same at
+    /// any width.
+    pub(crate) fn build_at(
+        store: &Arc<GraphStore>,
+        config: CtIndexConfig,
+        width: usize,
+    ) -> CtIndex {
+        let mut prints = Vec::with_capacity(store.len());
+        map_in_order(
+            store.len(),
+            width,
+            |i| {
+                let g = store.get(GraphId::from_index(i));
                 let trees = enumerate_trees(g, &config.tree_config());
                 let cycles = enumerate_cycles(g, &config.cycle_config());
                 Self::make_print(&config, &trees, &cycles)
-            })
-            .collect();
+            },
+            |_, print| prints.push(print),
+        );
         CtIndex {
             store: Arc::clone(store),
             config,
@@ -319,5 +336,28 @@ mod tests {
         let q = graph_from(&[0; 4], &[(0, 1), (1, 2), (2, 3), (3, 0)]); // C4
         let (answers, _) = ct.query(&q);
         assert_eq!(answers, vec![GraphId::new(0)]);
+    }
+
+    /// Every graph's print is the serial build's at any width, over many
+    /// windows. Small budgets keep the subtree enumeration cheap
+    /// and truncate the dense graphs.
+    #[test]
+    fn build_is_bit_identical_at_any_width() {
+        let s = crate::build_fixture::store();
+        let config = CtIndexConfig {
+            tree_budget: 200,
+            cycle_budget: 200,
+            ..Default::default()
+        };
+        let serial = CtIndex::build_at(&s, config, 1);
+        assert!((serial.prints[0].tree_complete as usize) < config.max_tree_edges);
+        for width in crate::build_fixture::widths() {
+            let built = CtIndex::build_at(&s, config, width);
+            assert_eq!(
+                format!("{:?}", built.prints),
+                format!("{:?}", serial.prints),
+                "width {width}"
+            );
+        }
     }
 }

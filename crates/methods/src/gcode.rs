@@ -36,7 +36,9 @@
 //!    proves non-containment). Stage 3 is the `matching` config toggle and
 //!    is ablated in the benchmark suite.
 
+use crate::batch::available_cores;
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
+use crate::par::map_in_order;
 use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId, GraphStore, LabelId, VertexId};
 use igq_iso::MatchConfig;
@@ -109,16 +111,28 @@ fn vertex_signatures(g: &Graph, buckets: usize) -> Box<[u16]> {
 }
 
 impl GCode {
-    /// Builds the gCode index over `store`.
+    /// Builds the gCode index over `store` on every core.
     pub fn build(store: &Arc<GraphStore>, config: GCodeConfig) -> GCode {
+        GCode::build_at(store, config, available_cores())
+    }
+
+    /// [`GCode::build`] on `width` workers; the index is the same at any
+    /// width.
+    pub(crate) fn build_at(store: &Arc<GraphStore>, config: GCodeConfig, width: usize) -> GCode {
         assert!(config.label_buckets > 0, "label_buckets must be positive");
-        let codes = store
-            .iter()
-            .map(|(_, g)| GraphCode {
-                label_hist: g.label_histogram(),
-                sigs: vertex_signatures(g, config.label_buckets),
-            })
-            .collect();
+        let mut codes = Vec::with_capacity(store.len());
+        map_in_order(
+            store.len(),
+            width,
+            |i| {
+                let g = store.get(GraphId::from_index(i));
+                GraphCode {
+                    label_hist: g.label_histogram(),
+                    sigs: vertex_signatures(g, config.label_buckets),
+                }
+            },
+            |_, code| codes.push(code),
+        );
         GCode {
             store: Arc::clone(store),
             config,
@@ -539,5 +553,21 @@ mod tests {
         assert!(perfect_matching_exists(&[vec![v(0), v(1)], vec![v(0)]], 2));
         // Empty query side is vacuously matched.
         assert!(perfect_matching_exists(&[], 3));
+    }
+
+    /// Every graph's code is the serial build's at any width, over many
+    /// windows.
+    #[test]
+    fn build_is_bit_identical_at_any_width() {
+        let s = crate::build_fixture::store();
+        let serial = GCode::build_at(&s, GCodeConfig::default(), 1);
+        for width in crate::build_fixture::widths() {
+            let built = GCode::build_at(&s, GCodeConfig::default(), width);
+            assert_eq!(
+                format!("{:?}", built.codes),
+                format!("{:?}", serial.codes),
+                "width {width}"
+            );
+        }
     }
 }

@@ -11,10 +11,18 @@
 //! tracked per graph: a feature longer than a graph's exhaustively
 //! enumerated depth never excludes that graph, preserving the no-false-
 //! negative contract at the price of filtering power.
+//!
+//! The build enumerates graphs on every core, a few per worker ahead of
+//! the trie (`par::map_in_order`), and inserts their features into the
+//! trie in id order, so the index is identical to the serial build's,
+//! down to its byte size.
 
+use crate::batch::available_cores;
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
-use igq_features::{enumerate_paths, FeatureTrie, PathConfig, PathFeatures};
-use igq_graph::{Graph, GraphId, GraphStore};
+use crate::par::map_in_order;
+use igq_features::{enumerate_paths, FeatureTrie, LabelSeq, PathConfig, PathFeatures};
+use igq_graph::fxhash::FxHashMap;
+use igq_graph::{Graph, GraphId, GraphStore, LabelId};
 use igq_iso::MatchConfig;
 use std::sync::Arc;
 
@@ -50,6 +58,72 @@ impl GgsxConfig {
     }
 }
 
+/// One graph's path counts in map order, flattened on the worker that
+/// enumerated them: every feature's labels back to back, and each
+/// feature's end offset into them with its count. The serial insert reads
+/// two arrays instead of a map of boxed keys, and the keys are freed by
+/// the thread that allocated them.
+struct FlatCounts {
+    labels: Vec<LabelId>,
+    ends: Vec<(u32, u32)>,
+}
+
+impl FlatCounts {
+    fn of(counts: &FxHashMap<LabelSeq, u32>) -> FlatCounts {
+        let mut flat = FlatCounts {
+            labels: Vec::with_capacity(counts.keys().map(|seq| seq.labels().len()).sum()),
+            ends: Vec::with_capacity(counts.len()),
+        };
+        for (seq, &count) in counts {
+            flat.labels.extend_from_slice(seq.labels());
+            flat.ends.push((flat.labels.len() as u32, count));
+        }
+        flat
+    }
+}
+
+/// What GGSX and Grapes build from their path features: the trie of
+/// per-graph counts, each graph's exhaustively enumerated depth, and the
+/// graphs whose enumeration stopped short of `max_path_len`. Graphs are
+/// enumerated with `enumerate` on `width` workers and their counts
+/// inserted in id order; `keep` then receives each graph's features with
+/// the counts taken out. The insert sequence is the serial one, so the
+/// trie is bit-identical at any width.
+pub(crate) fn build_path_trie(
+    store: &GraphStore,
+    max_path_len: usize,
+    width: usize,
+    enumerate: impl Fn(&Graph) -> PathFeatures + Sync,
+    mut keep: impl FnMut(PathFeatures),
+) -> (FeatureTrie, Vec<u8>, Vec<GraphId>) {
+    let mut trie = FeatureTrie::new();
+    let mut complete_len = Vec::with_capacity(store.len());
+    let mut shallow = Vec::new();
+    map_in_order(
+        store.len(),
+        width,
+        |i| {
+            let mut features = enumerate(store.get(GraphId::from_index(i)));
+            let counts = FlatCounts::of(&std::mem::take(&mut features.counts));
+            (counts, features)
+        },
+        |i, (counts, features)| {
+            let id = GraphId::from_index(i);
+            let mut start = 0;
+            for &(end, count) in &counts.ends {
+                trie.insert_labels(&counts.labels[start..end as usize], id, count);
+                start = end as usize;
+            }
+            complete_len.push(features.complete_len as u8);
+            if features.complete_len < max_path_len {
+                shallow.push(id);
+            }
+            keep(features);
+        },
+    );
+    (trie, complete_len, shallow)
+}
+
 /// The GGSX index.
 pub struct Ggsx {
     store: Arc<GraphStore>,
@@ -62,22 +136,22 @@ pub struct Ggsx {
 }
 
 impl Ggsx {
-    /// Builds the index over `store`.
+    /// Builds the index over `store` on every core.
     pub fn build(store: &Arc<GraphStore>, config: GgsxConfig) -> Ggsx {
+        Ggsx::build_at(store, config, available_cores())
+    }
+
+    /// [`Ggsx::build`] on `width` workers; the index is the same at any
+    /// width.
+    pub(crate) fn build_at(store: &Arc<GraphStore>, config: GgsxConfig, width: usize) -> Ggsx {
         let path_config = config.path_config();
-        let mut trie = FeatureTrie::new();
-        let mut complete_len = Vec::with_capacity(store.len());
-        let mut shallow = Vec::new();
-        for (id, g) in store.iter() {
-            let features = enumerate_paths(g, &path_config);
-            for (seq, count) in &features.counts {
-                trie.insert(seq, id, *count);
-            }
-            complete_len.push(features.complete_len as u8);
-            if features.complete_len < config.max_path_len {
-                shallow.push(id);
-            }
-        }
+        let (trie, complete_len, shallow) = build_path_trie(
+            store,
+            config.max_path_len,
+            width,
+            |g| enumerate_paths(g, &path_config),
+            |_| {},
+        );
         Ggsx {
             store: Arc::clone(store),
             config,
@@ -285,6 +359,50 @@ mod tests {
     fn index_size_is_positive() {
         let m = Ggsx::build(&store(), GgsxConfig::default());
         assert!(m.index_size_bytes() > 0);
+    }
+
+    /// The trie, depths and shallow list are the serial build's at any
+    /// width, over many windows, on molecules and on dense graphs a
+    /// small budget truncates; and the serial build's trie is the one a
+    /// plain loop of `FeatureTrie::insert` over each graph's map builds.
+    #[test]
+    fn build_is_bit_identical_at_any_width() {
+        let s = crate::build_fixture::store();
+        let small_budget = GgsxConfig {
+            path_budget: 2_000,
+            ..Default::default()
+        };
+        for config in [GgsxConfig::default(), small_budget] {
+            let serial = Ggsx::build_at(&s, config, 1);
+            let mut reference = FeatureTrie::new();
+            for (id, g) in s.iter() {
+                for (seq, count) in &enumerate_paths(g, &config.path_config()).counts {
+                    reference.insert(seq, id, *count);
+                }
+            }
+            assert_eq!(format!("{:?}", serial.trie), format!("{reference:?}"));
+            for width in crate::build_fixture::widths() {
+                let built = Ggsx::build_at(&s, config, width);
+                assert_eq!(
+                    format!("{:?}", built.trie),
+                    format!("{:?}", serial.trie),
+                    "width {width}"
+                );
+                assert_eq!(built.trie.node_count(), serial.trie.node_count());
+                assert_eq!(built.trie.heap_size_bytes(), serial.trie.heap_size_bytes());
+                assert_eq!(built.complete_len, serial.complete_len);
+                assert_eq!(built.shallow, serial.shallow);
+            }
+        }
+        let truncated = Ggsx::build_at(&s, small_budget, 1).shallow;
+        assert!(
+            truncated.contains(&GraphId::new(0)),
+            "the dense graphs trip the budget"
+        );
+        assert!(
+            truncated.len() < s.len() / 2,
+            "most molecules stay complete"
+        );
     }
 
     #[test]

@@ -13,20 +13,20 @@
 //!
 //! Parallelism mirrors the original: index construction distributes graphs
 //! across `threads` workers (the original builds per-thread tries and
-//! merges; we enumerate in parallel and merge into one trie, an equivalent
-//! formulation), and the verification stage processes candidates from a
-//! shared work queue. `Grapes(1)` and `Grapes(6)` in the experiments are
-//! this type with `threads` = 1 / 6.
+//! merges; we enumerate graphs in parallel, a few per worker ahead of one
+//! trie, and insert their features into it in id order, so the index is
+//! identical to the serial build's at any `threads`), and the
+//! verification stage processes candidates from a shared work queue. `Grapes(1)` and
+//! `Grapes(6)` in the experiments are this type with `threads` = 1 / 6.
 
 mod components;
-mod parallel;
 
 pub use components::components_within;
 
 use crate::batch::{acquire_plan, verify_candidates, VerifyBatchStats};
-use crate::ggsx::Ggsx;
+use crate::ggsx::{build_path_trie, Ggsx};
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
-use igq_features::{LabelSeq, PathConfig};
+use igq_features::{enumerate_paths_with_locations, LabelSeq, PathConfig};
 use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId, GraphStore, VertexId};
 use igq_iso::plan::{MatchPlan, MatchScratch};
@@ -88,24 +88,18 @@ pub struct Grapes {
 }
 
 impl Grapes {
-    /// Builds the index over `store`, using `config.threads` workers.
+    /// Builds the index over `store`, enumerating on `config.threads`
+    /// workers.
     pub fn build(store: &Arc<GraphStore>, config: GrapesConfig) -> Grapes {
-        let features = parallel::parallel_enumerate(store, &config.path_config(), config.threads);
-        let mut trie = igq_features::FeatureTrie::new();
-        let mut complete_len = Vec::with_capacity(store.len());
-        let mut shallow = Vec::new();
+        let path_config = config.path_config();
         let mut locations = Vec::with_capacity(store.len());
-        for (idx, f) in features.into_iter().enumerate() {
-            let id = GraphId::from_index(idx);
-            for (seq, count) in &f.counts {
-                trie.insert(seq, id, *count);
-            }
-            complete_len.push(f.complete_len as u8);
-            if f.complete_len < config.max_path_len {
-                shallow.push(id);
-            }
-            locations.push(f.locations);
-        }
+        let (trie, complete_len, shallow) = build_path_trie(
+            store,
+            config.max_path_len,
+            config.threads,
+            |g| enumerate_paths_with_locations(g, &path_config),
+            |features| locations.push(features.locations),
+        );
         Grapes {
             store: Arc::clone(store),
             config,
@@ -438,6 +432,44 @@ mod tests {
         assert_eq!(at_1, at_k);
     }
 
+    /// The trie, depths, shallow list and per-graph locations (in
+    /// iteration order) are the serial build's at any `threads`, over
+    /// many windows, on molecules and on dense graphs a small budget
+    /// truncates.
+    #[test]
+    fn build_is_bit_identical_at_any_width() {
+        let s = crate::build_fixture::store();
+        let small_budget = GrapesConfig {
+            path_budget: 2_000,
+            ..Default::default()
+        };
+        for config in [GrapesConfig::default(), small_budget] {
+            let serial = Grapes::build(
+                &s,
+                GrapesConfig {
+                    threads: 1,
+                    ..config
+                },
+            );
+            for threads in crate::build_fixture::widths() {
+                let built = Grapes::build(&s, GrapesConfig { threads, ..config });
+                assert_eq!(
+                    format!("{:?}", built.trie),
+                    format!("{:?}", serial.trie),
+                    "threads {threads}"
+                );
+                assert_eq!(built.complete_len, serial.complete_len);
+                assert_eq!(built.shallow, serial.shallow);
+                assert_eq!(
+                    format!("{:?}", built.locations),
+                    format!("{:?}", serial.locations)
+                );
+                assert_eq!(built.index_size_bytes(), serial.index_size_bytes());
+            }
+        }
+        assert!(!Grapes::build(&s, small_budget).shallow.is_empty());
+    }
+
     #[test]
     fn component_restriction_still_finds_embedded_query() {
         let s = store();
@@ -475,5 +507,61 @@ mod tests {
         // Disconnected query: 0-1 edge plus isolated 9.
         let q = graph_from(&[0, 1, 9], &[(0, 1)]);
         assert_eq!(grapes.query(&q).0, naive.query(&q).0);
+    }
+}
+
+/// The parallel index build at its edges: a store with no graphs, and more
+/// workers than graphs.
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use crate::grapes::{Grapes, GrapesConfig};
+        use crate::method::SubgraphMethod;
+        use igq_graph::{graph_from, GraphStore};
+        use std::sync::Arc;
+
+        #[test]
+        fn empty_store() {
+            let s = Arc::new(GraphStore::new());
+            let grapes = Grapes::build(
+                &s,
+                GrapesConfig {
+                    threads: 4,
+                    ..Default::default()
+                },
+            );
+            assert!(grapes.locations.is_empty());
+            assert!(grapes.complete_len.is_empty());
+            assert!(grapes.shallow.is_empty());
+            let q = graph_from(&[0, 1], &[(0, 1)]);
+            assert!(grapes.query(&q).0.is_empty());
+        }
+
+        #[test]
+        fn more_threads_than_graphs() {
+            let s: Arc<GraphStore> = Arc::new(
+                vec![
+                    graph_from(&[0, 1], &[(0, 1)]),
+                    graph_from(&[0, 1, 2], &[(0, 1), (1, 2)]),
+                ]
+                .into_iter()
+                .collect(),
+            );
+            let serial = Grapes::build(&s, GrapesConfig::default());
+            let wide = Grapes::build(
+                &s,
+                GrapesConfig {
+                    threads: 16,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(wide.locations.len(), 2);
+            assert_eq!(
+                format!("{:?}", wide.locations),
+                format!("{:?}", serial.locations)
+            );
+            assert_eq!(format!("{:?}", wide.trie), format!("{:?}", serial.trie));
+            assert_eq!(wide.complete_len, serial.complete_len);
+        }
     }
 }

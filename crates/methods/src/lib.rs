@@ -37,6 +37,8 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
+#[cfg(test)]
+mod build_fixture;
 pub mod ctindex;
 pub mod gcode;
 pub mod ggsx;

@@ -18,8 +18,9 @@
 //! `g` at least as often (checked by counting, per member, the query
 //! features that cover it: `count(gi) == NF[gi]`).
 
-use crate::batch::VerifyBatchStats;
+use crate::batch::{available_cores, VerifyBatchStats};
 use crate::method::VerifyOutcome;
+use crate::par::map_in_order;
 use igq_features::{enumerate_paths, FeatureTrie, PathConfig, PathFeatures};
 use igq_graph::{Graph, GraphId, GraphProfile, GraphStore};
 use igq_iso::plan::{matches_with_plan, MatchPlan};
@@ -53,9 +54,26 @@ impl ContainmentIndex {
         index
     }
 
+    /// Builds the index over every graph of `store`, in id order,
+    /// enumerating on `width` workers; the index is the same at any width.
+    fn build_store(store: &GraphStore, path_config: PathConfig, width: usize) -> Self {
+        let mut index = ContainmentIndex::build(std::iter::empty(), path_config);
+        map_in_order(
+            store.len(),
+            width,
+            |i| enumerate_paths(store.get(GraphId::from_index(i)), &path_config),
+            |_, features| index.push_features(&features),
+        );
+        index
+    }
+
     /// Appends one member graph.
     pub fn push(&mut self, g: &Graph) {
-        let features = enumerate_paths(g, &self.path_config);
+        self.push_features(&enumerate_paths(g, &self.path_config));
+    }
+
+    /// Appends one member graph, from its features under `path_config`.
+    fn push_features(&mut self, features: &PathFeatures) {
         let member = GraphId::from_index(self.nf_by_len.len());
         let mut by_len = vec![0u32; self.path_config.max_len + 1];
         for (seq, count) in &features.counts {
@@ -123,13 +141,24 @@ pub struct TrieSupergraphMethod {
 }
 
 impl TrieSupergraphMethod {
-    /// Builds the supergraph index over `store`.
+    /// Builds the supergraph index over `store` on every core.
     pub fn build(
         store: &Arc<GraphStore>,
         path_config: PathConfig,
         match_config: MatchConfig,
     ) -> Self {
-        let index = ContainmentIndex::build(store.iter().map(|(_, g)| g), path_config);
+        Self::build_at(store, path_config, match_config, available_cores())
+    }
+
+    /// [`TrieSupergraphMethod::build`] on `width` workers; the index is
+    /// the same at any width.
+    pub(crate) fn build_at(
+        store: &Arc<GraphStore>,
+        path_config: PathConfig,
+        match_config: MatchConfig,
+        width: usize,
+    ) -> Self {
+        let index = ContainmentIndex::build_store(store, path_config, width);
         TrieSupergraphMethod {
             store: Arc::clone(store),
             index,
@@ -335,5 +364,26 @@ mod tests {
         assert!(idx.is_empty());
         let q = graph_from(&[0], &[]);
         assert!(idx.candidates_for(&q).is_empty());
+    }
+
+    /// The containment trie and per-member feature counts are the serial
+    /// build's at any width, over many windows, on molecules and on
+    /// dense graphs a small budget truncates.
+    #[test]
+    fn build_is_bit_identical_at_any_width() {
+        let s = crate::build_fixture::store();
+        let small_budget = PathConfig {
+            budget: 2_000,
+            ..Default::default()
+        };
+        for path_config in [PathConfig::default(), small_budget] {
+            let build = |width| {
+                TrieSupergraphMethod::build_at(&s, path_config, MatchConfig::default(), width)
+            };
+            let serial = format!("{:?}", build(1).index);
+            for width in crate::build_fixture::widths() {
+                assert_eq!(format!("{:?}", build(width).index), serial, "width {width}");
+            }
+        }
     }
 }
