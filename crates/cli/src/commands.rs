@@ -181,6 +181,9 @@ pub fn generate(args: &[String], out: &mut dyn Write) -> CmdResult {
     let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     let mut w = BufWriter::new(file);
     gfu::write_store(&mut w, &store).map_err(|e| e.to_string())?;
+    // The last buffered block is written here: left to the drop, a
+    // failure to write it would be discarded.
+    w.flush().map_err(|e| format!("cannot write {path}: {e}"))?;
     emit!(
         out,
         "wrote {} {} graphs ({} vertices, {} edges) to {path} in {:.2?}",
@@ -1156,6 +1159,24 @@ mod tests {
         assert!(err.contains("expects at least one address"), "{err}");
         let err = usage_message(serve_config_of("--batch-max many"));
         assert!(err.contains("--batch-max expects"), "{err}");
+    }
+
+    /// A dataset that cannot be written (a full device) is a runtime
+    /// error, also when it fits in the write buffer.
+    #[test]
+    fn generate_reports_a_failed_write() {
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let mut out = Vec::new();
+        let args = s(&["--kind", "aids", "--count", "3", "--out", "/dev/full"]);
+        match generate(&args, &mut out) {
+            Err(CliError::Runtime(message)) => {
+                assert!(message.contains("cannot write /dev/full"), "{message}")
+            }
+            other => panic!("expected a runtime error, got {other:?}"),
+        }
+        assert!(out.is_empty(), "nothing reported as written");
     }
 
     /// Zero socket timeouts reach the library's typed refusals instead of

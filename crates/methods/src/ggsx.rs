@@ -15,7 +15,11 @@
 //! The build enumerates graphs on every core, a few per worker ahead of
 //! the trie (`par::map_in_order`), and inserts their features into the
 //! trie in id order, so the index is identical to the serial build's,
-//! down to its byte size.
+//! down to its byte size. It then densifies the trie
+//! ([`FeatureTrie::densify`]): every feature held by at least an eighth
+//! of the graphs keeps its counts as one byte per graph, which the filter
+//! reads by graph id, or a whole row at a time, instead of galloping
+//! through postings.
 
 use crate::batch::available_cores;
 use crate::method::{Filtered, QueryContext, SubgraphMethod, VerifyOutcome};
@@ -88,7 +92,8 @@ impl FlatCounts {
 /// enumerated with `enumerate` on `width` workers and their counts
 /// inserted in id order; `keep` then receives each graph's features with
 /// the counts taken out. The insert sequence is the serial one, so the
-/// trie is bit-identical at any width.
+/// trie is bit-identical at any width. The built trie is densified over
+/// the store's ids: its common features become byte rows.
 pub(crate) fn build_path_trie(
     store: &GraphStore,
     max_path_len: usize,
@@ -121,6 +126,7 @@ pub(crate) fn build_path_trie(
             keep(features);
         },
     );
+    trie.densify(store.len());
     (trie, complete_len, shallow)
 }
 
@@ -364,7 +370,8 @@ mod tests {
     /// The trie, depths and shallow list are the serial build's at any
     /// width, over many windows, on molecules and on dense graphs a
     /// small budget truncates; and the serial build's trie is the one a
-    /// plain loop of `FeatureTrie::insert` over each graph's map builds.
+    /// plain loop of `FeatureTrie::insert` over each graph's map builds,
+    /// densified over the store's ids.
     #[test]
     fn build_is_bit_identical_at_any_width() {
         let s = crate::build_fixture::store();
@@ -380,6 +387,8 @@ mod tests {
                     reference.insert(seq, id, *count);
                 }
             }
+            reference.densify(s.len());
+            assert!(reference.dense_count() > 0, "common features are rows");
             assert_eq!(format!("{:?}", serial.trie), format!("{reference:?}"));
             for width in crate::build_fixture::widths() {
                 let built = Ggsx::build_at(&s, config, width);

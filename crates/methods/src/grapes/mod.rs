@@ -15,7 +15,8 @@
 //! across `threads` workers (the original builds per-thread tries and
 //! merges; we enumerate graphs in parallel, a few per worker ahead of one
 //! trie, and insert their features into it in id order, so the index is
-//! identical to the serial build's at any `threads`), and the
+//! identical to the serial build's at any `threads`; its common features
+//! become dense rows, as in GGSX), and the
 //! verification stage processes candidates from a shared work queue. `Grapes(1)` and
 //! `Grapes(6)` in the experiments are this type with `threads` = 1 / 6.
 
@@ -435,7 +436,9 @@ mod tests {
     /// The trie, depths, shallow list and per-graph locations (in
     /// iteration order) are the serial build's at any `threads`, over
     /// many windows, on molecules and on dense graphs a small budget
-    /// truncates.
+    /// truncates; and the serial build's trie is the one a plain loop of
+    /// `FeatureTrie::insert` over each graph's map builds, densified over
+    /// the store's ids.
     #[test]
     fn build_is_bit_identical_at_any_width() {
         let s = crate::build_fixture::store();
@@ -451,6 +454,16 @@ mod tests {
                     ..config
                 },
             );
+            let mut reference = igq_features::FeatureTrie::new();
+            for (id, g) in s.iter() {
+                let features = enumerate_paths_with_locations(g, &config.path_config());
+                for (seq, count) in &features.counts {
+                    reference.insert(seq, id, *count);
+                }
+            }
+            reference.densify(s.len());
+            assert!(reference.dense_count() > 0, "common features are rows");
+            assert_eq!(format!("{:?}", serial.trie), format!("{reference:?}"));
             for threads in crate::build_fixture::widths() {
                 let built = Grapes::build(&s, GrapesConfig { threads, ..config });
                 assert_eq!(

@@ -315,7 +315,7 @@ impl OracleQueryIndex {
         let ql = qf.complete_len;
         let mut covered: FxHashMap<usize, u32> = FxHashMap::default();
         for (seq, &qcount) in &qf.counts {
-            for posting in self.trie.get(seq) {
+            for posting in self.trie.get(seq).iter() {
                 // Skip tombstones: a zero count is an absent posting, not a
                 // feature the query trivially covers.
                 if posting.count > 0 && posting.count <= qcount {
@@ -371,7 +371,7 @@ pub fn containment_candidates(
     let ql = query_features.complete_len;
     let mut covered: FxHashMap<usize, u32> = FxHashMap::default();
     for (seq, &qcount) in &query_features.counts {
-        for posting in trie.get(seq) {
+        for posting in trie.get(seq).iter() {
             if posting.count <= qcount {
                 *covered.entry(posting.graph.index()).or_insert(0) += 1;
             }

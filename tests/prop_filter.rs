@@ -167,8 +167,196 @@ fn check_covered_by(index: &OracleQueryIndex, qf: &PathFeatures) {
     );
 }
 
+/// Counts a dense row stores exactly (below 255), at saturation and past
+/// it (kept in the overflow postings); 1 twice, as small counts are the
+/// common case.
+const COUNTS: [u32; 9] = [1, 2, 3, 254, 255, 256, 300, 1_000_000, 1];
+
+/// Required counts of a `containing` probe, above 255 included.
+const REQUIRED: [u32; 10] = [1, 2, 3, 254, 255, 256, 257, 300, 1_000_000, 1_000_001];
+
+/// Two tries fed the same inserts and removes; `dense` was densified over
+/// `universe` graph ids, `sparse` never is.
+struct Twins {
+    dense: FeatureTrie,
+    sparse: FeatureTrie,
+    universe: usize,
+}
+
+impl Twins {
+    fn insert(&mut self, s: &LabelSeq, id: usize, count: u32) {
+        self.dense.insert(s, GraphId::from_index(id), count);
+        self.sparse.insert(s, GraphId::from_index(id), count);
+    }
+
+    fn remove(&mut self, s: &LabelSeq, id: usize) {
+        let id = GraphId::from_index(id);
+        assert_eq!(self.dense.remove(s, id), self.sparse.remove(s, id));
+    }
+
+    /// Live postings of `s` in the sparse twin.
+    fn live(&self, s: &LabelSeq) -> Vec<(GraphId, u32)> {
+        let postings = self.sparse.get(s);
+        postings
+            .iter()
+            .filter(|p| p.count > 0)
+            .map(|p| (p.graph, p.count))
+            .collect()
+    }
+
+    /// Every reader of the dense twin against the sparse one, and
+    /// `containing` against a scan of `count_in`. `members` bounds every
+    /// id ever inserted.
+    fn check(&self, pool: &[LabelSeq], members: usize, rng: &mut StdRng) {
+        let (dense, sparse) = (&self.dense, &self.sparse);
+        assert_eq!(dense.feature_count(), sparse.feature_count());
+        assert_eq!(dense.posting_count(), sparse.posting_count());
+        let features = |t: &FeatureTrie| {
+            let mut all = Vec::new();
+            t.for_each_feature(|s, ps| {
+                let live: Vec<_> = ps.iter().filter(|p| p.count > 0).copied().collect();
+                all.push((s.clone(), live));
+            });
+            all.sort_by(|a, b| a.0.cmp(&b.0));
+            all
+        };
+        assert_eq!(features(dense), features(sparse));
+        for s in pool {
+            let live: Vec<(GraphId, u32)> = (dense.get(s).iter())
+                .filter(|p| p.count > 0)
+                .map(|p| (p.graph, p.count))
+                .collect();
+            assert_eq!(live, self.live(s), "get {s:?}");
+            for id in (0..members).map(GraphId::from_index) {
+                assert_eq!(
+                    dense.count_in(s, id),
+                    sparse.count_in(s, id),
+                    "{s:?} {id:?}"
+                );
+            }
+        }
+        let is_dense = |s: &LabelSeq| self.live(s).len() * 8 >= self.universe;
+        for round in 0..12 {
+            // Every third probe takes only lists at or above the density
+            // threshold: its seed is a row, unless writes since `densify`
+            // moved a list across the threshold.
+            let mut probe: Vec<(&LabelSeq, u32)> = Vec::new();
+            for s in pool.iter().filter(|s| round % 3 != 0 || is_dense(s)) {
+                if rng.gen_bool(0.5) {
+                    probe.push((s, REQUIRED[rng.gen_range(0..REQUIRED.len())]));
+                }
+            }
+            let (modulus, skip) = (rng.gen_range(1..5usize), rng.gen_range(0..4usize));
+            let eligible = |id: GraphId| modulus == 1 || id.index() % modulus != skip;
+            let got = dense.containing(probe.iter().copied(), eligible);
+            assert_eq!(
+                got,
+                sparse.containing(probe.iter().copied(), eligible),
+                "{probe:?}"
+            );
+            let want: Vec<GraphId> = (0..members)
+                .map(GraphId::from_index)
+                .filter(|&id| {
+                    !probe.is_empty()
+                        && eligible(id)
+                        && probe.iter().all(|&(s, r)| sparse.count_in(s, id) >= r)
+                })
+                .collect();
+            assert_eq!(got, want, "scan {probe:?}");
+            let qcounts: Vec<(&LabelSeq, u32)> =
+                probe.iter().map(|&(s, r)| (s, r.min(400))).collect();
+            let held: Vec<u32> = (0..members)
+                .map(|m| {
+                    let id = GraphId::from_index(m);
+                    pool.iter().filter(|s| sparse.count_in(s, id) > 0).count() as u32
+                })
+                .collect();
+            let required = |m: usize| (m % 5 != 4).then_some(held[m]);
+            assert_eq!(
+                dense.covered_by(qcounts.iter().copied(), members, required),
+                sparse.covered_by(qcounts.iter().copied(), members, required),
+                "covered_by {qcounts:?}"
+            );
+        }
+    }
+}
+
+/// A densified trie against its sparse twin: lists whose live postings
+/// sit one below, at and one above an eighth of the universe, counts
+/// around the byte's saturation and far past it,
+/// tombstones before `densify`, and inserts (ids past the universe too),
+/// growth across 255 and removes after it.
+fn dense_twins(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let universe = [8, 16, 20, 24, 30, 64][rng.gen_range(0..6usize)];
+    let members = universe + 6;
+    let mut twins = Twins {
+        dense: FeatureTrie::new(),
+        sparse: FeatureTrie::new(),
+        universe,
+    };
+    let (mut pool, doomed) = pool();
+    pool.push(doomed);
+    let eighth = universe.div_ceil(8);
+    for (i, s) in pool.iter().enumerate() {
+        let live = match i {
+            0 => eighth,
+            1 => eighth - 1,
+            2 => eighth + 1,
+            3 => universe,
+            _ => rng.gen_range(0..=universe),
+        };
+        // `live` kept ids plus a few removed again (tombstones), inserted
+        // out of order, the kept ones in one or two parts.
+        let mut ids: Vec<usize> = (0..members).collect();
+        ids.shuffle(&mut rng);
+        let extra = rng.gen_range(0..4usize).min(members - live);
+        for (k, &id) in ids[..live + extra].iter().enumerate() {
+            let count = COUNTS[rng.gen_range(0..COUNTS.len())];
+            if count > 1 && rng.gen_bool(0.3) {
+                twins.insert(s, id, count / 2);
+                twins.insert(s, id, count - count / 2);
+            } else {
+                twins.insert(s, id, count);
+            }
+            if k >= live {
+                twins.remove(s, id);
+            }
+        }
+    }
+    let want_rows = pool
+        .iter()
+        .filter(|s| twins.live(s).len() * 8 >= universe)
+        .count();
+    twins.dense.densify(universe);
+    assert_eq!(twins.dense.dense_count(), want_rows, "universe {universe}");
+    assert!(want_rows >= 2, "the eighth and the full list are rows");
+    twins.check(&pool, members, &mut rng);
+    for _ in 0..4 {
+        for _ in 0..rng.gen_range(1..40usize) {
+            let s = &pool[rng.gen_range(0..pool.len())];
+            let id = rng.gen_range(0..members);
+            match rng.gen_range(0..4u32) {
+                0 => twins.remove(s, id),
+                1 if twins.sparse.count_in(s, GraphId::from_index(id)) == 0 => {
+                    twins.insert(s, id, 254);
+                    twins.insert(s, id, 1);
+                }
+                _ => twins.insert(s, id, COUNTS[rng.gen_range(0..COUNTS.len())]),
+            }
+        }
+        twins.check(&pool, members, &mut rng);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Dense rows ≡ sparse lists under every reader and writer.
+    #[test]
+    fn dense_rows_equal_their_sparse_twin(seed in any::<u64>()) {
+        dense_twins(seed);
+    }
 
     /// Both kernels ≡ the retained loops on generated tries.
     #[test]
@@ -327,6 +515,14 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
         },
     );
     let oracle_ggsx = OracleGgsx::build(&store, path_config);
+    // The oracle's trie is sparse; the filters under test read the same
+    // lists with the common ones as rows.
+    let mut densified = oracle_ggsx.trie.clone();
+    densified.densify(store.len());
+    assert!(
+        densified.dense_count() > 0,
+        "the fixture has common features"
+    );
     let containment = ContainmentIndex::build(store.iter().map(|(_, g)| g), path_config);
     let mut member_nf = OracleQueryIndex::new(path_config);
     for (id, g) in store.iter() {
