@@ -15,6 +15,7 @@
 
 use crate::metadata::GraphMeta;
 use crate::policy::ReplacementPolicy;
+use igq_features::PathFeatures;
 use igq_graph::canon::{canonical_code, CanonicalCode, GraphSignature};
 use igq_graph::fxhash::FxHashMap;
 use igq_graph::{Graph, GraphId};
@@ -46,9 +47,12 @@ pub struct CacheEntry {
 /// or replicated resident builds them afresh.
 #[derive(Debug, Default)]
 pub(crate) struct ResidentMemo {
-    /// The credit of one exact repeat: the cost of the whole answer list
-    /// at the resident's own size.
-    exact_credit: OnceLock<LogValue>,
+    /// `(n, credit)`: the cost of the whole answer list, summed in id
+    /// order, for a query of `n` vertices. It is the credit of every hit
+    /// whose candidate set holds all the answers (an exact repeat, at the
+    /// resident's own `n`, and, with a filter free of false negatives,
+    /// every known hit), and depends on nothing but the resident and `n`.
+    known_credit: Vec<(usize, LogValue)>,
     /// The answers as a dense bitset, one bit per dataset graph.
     answer_bits: OnceLock<Box<[u64]>>,
 }
@@ -69,6 +73,7 @@ impl CacheEntry {
             mut answers,
             signature,
             code,
+            ..
         } = entry;
         answers.sort_unstable();
         answers.dedup();
@@ -90,14 +95,22 @@ impl CacheEntry {
         }
     }
 
-    /// The credit of one exact repeat, `cost_of(answers)`, computed on the
-    /// first call. An exact repeat is isomorphic to the resident, so its
-    /// size, and with it the cost of every answer, is fixed per resident.
-    pub(crate) fn exact_credit(&self, cost_of: impl FnOnce(&[GraphId]) -> LogValue) -> LogValue {
-        *self
-            .memo
-            .exact_credit
-            .get_or_init(|| cost_of(&self.answers))
+    /// The credit of a hit by a query of `n` vertices whose candidate set
+    /// holds every answer: `cost_of(answers)`, the answers' cost at size
+    /// `n`, computed on the first call for each `n`. An exact repeat is
+    /// isomorphic to the resident, so it reads the resident's own size.
+    pub(crate) fn known_credit(
+        &mut self,
+        n: usize,
+        cost_of: impl FnOnce(&[GraphId]) -> LogValue,
+    ) -> LogValue {
+        let memo = &mut self.memo.known_credit;
+        if let Some(&(_, credit)) = memo.iter().find(|&&(size, _)| size == n) {
+            return credit;
+        }
+        let credit = cost_of(&self.answers);
+        memo.push((n, credit));
+        credit
     }
 
     /// The answers as a bitset over a dataset of `graphs` graphs (bit `i`
@@ -115,11 +128,12 @@ impl CacheEntry {
         })
     }
 
-    /// Whether the exact credit and the answer bitset are built yet.
+    /// The memoized known credits `(n, credit)`, in memo order, and
+    /// whether the answer bitset is built yet.
     #[cfg(test)]
-    pub(crate) fn memos_built(&self) -> (bool, bool) {
+    pub(crate) fn memos_built(&self) -> (&[(usize, LogValue)], bool) {
         (
-            self.memo.exact_credit.get().is_some(),
+            &self.memo.known_credit,
             self.memo.answer_bits.get().is_some(),
         )
     }
@@ -129,7 +143,9 @@ impl CacheEntry {
 /// values the engine already computed on the query path so admission does
 /// not recompute them; `None` means "not computed yet" (the outer `Option`
 /// of `code` — the inner one is [`canonical_code`] declining the graph).
-#[derive(Debug, Clone)]
+/// `features` likewise carries the query's path features to the flip,
+/// which indexes the graph from them.
+#[derive(Debug)]
 pub struct WindowEntry {
     /// The query graph.
     pub graph: Arc<Graph>,
@@ -139,6 +155,24 @@ pub struct WindowEntry {
     pub signature: Option<GraphSignature>,
     /// Precomputed canonicalization outcome, if one was attempted.
     pub code: Option<Option<CanonicalCode>>,
+    /// The path features the query's filter extracted, if it ran one.
+    /// Never persisted and never cloned: an entry restored from a
+    /// checkpoint or a snapshot arrives without them.
+    pub features: Option<PathFeatures>,
+}
+
+impl Clone for WindowEntry {
+    /// A copy without the features: copies feed checkpoints and
+    /// snapshots, which never hold them.
+    fn clone(&self) -> WindowEntry {
+        WindowEntry {
+            graph: Arc::clone(&self.graph),
+            answers: self.answers.clone(),
+            signature: self.signature,
+            code: self.code.clone(),
+            features: None,
+        }
+    }
 }
 
 /// The slot-level outcome of one window maintenance: which slots lost
@@ -150,6 +184,10 @@ pub struct WindowDelta {
     pub evicted: Vec<usize>,
     /// Slots that received a new entry, in admission order.
     pub admitted: Vec<usize>,
+    /// `features[i]`: the path features `admitted[i]`'s window entry
+    /// brought, if any (may be shorter than `admitted`; a replayed flip
+    /// has none).
+    pub features: Vec<Option<PathFeatures>>,
 }
 
 impl WindowDelta {
@@ -299,7 +337,8 @@ impl QueryCache {
                 delta.evicted.push(slot);
             }
         }
-        for entry in incoming.into_iter().take(incoming_len) {
+        for mut entry in incoming.into_iter().take(incoming_len) {
+            delta.features.push(entry.features.take());
             let slot = self.admit(CacheEntry::new(entry));
             delta.admitted.push(slot);
         }
@@ -470,6 +509,8 @@ impl QueryCache {
             if let Some(bits) = e.memo.answer_bits.get() {
                 bytes += std::mem::size_of_val(&**bits) as u64;
             }
+            bytes +=
+                (e.memo.known_credit.capacity() * std::mem::size_of::<(usize, LogValue)>()) as u64;
         }
         // Code index: SwissTable buckets of (key, slot) pairs plus one
         // control byte each, at the 7/8 load factor.
@@ -501,6 +542,7 @@ mod tests {
             answers,
             signature: None,
             code: None,
+            features: None,
         }
     }
 

@@ -146,7 +146,7 @@ impl State {
             window: Vec::new(),
             seq: 0,
             cache: QueryCache::with_policy(config.cache_capacity, config.policy),
-            index: QueryIndex::new(config.path_config),
+            index: QueryIndex::over_slots(config.path_config, config.cache_capacity),
         }
     }
 }
@@ -1174,6 +1174,7 @@ impl<D: QueryDirection> Engine<D> {
         let delta = WindowDelta {
             evicted: record.evicted.clone(),
             admitted: record.admitted.iter().map(|p| p.slot).collect(),
+            features: Vec::new(),
         };
         st.cache
             .replay_window(&record.evicted, slot_entries(&record.admitted))?;
@@ -1372,13 +1373,13 @@ impl<D: QueryDirection> Engine<D> {
         let _flight = InFlight::enter(&self.in_flight);
         let mut ctx = self.canonicalize(q, opts);
         if self.exact_lookup(&mut ctx) {
-            return self.finish(ctx);
+            return self.finish(ctx, None);
         }
         let (qf, filtered) = self.filter(&mut ctx);
         if let Some(survivors) = self.probe_and_prune(&mut ctx, &qf, &filtered.candidates) {
             self.verify(&mut ctx, &filtered.context, survivors);
         }
-        self.finish(ctx)
+        self.finish(ctx, Some(qf))
     }
 
     /// Stage: the query's canonical code — the exact-repeat key, admitted
@@ -1407,8 +1408,8 @@ impl<D: QueryDirection> Engine<D> {
     /// The common miss pays only a read lock; a hit re-checks under the
     /// write lock (the slot may have been evicted in between), which then
     /// covers the query clock, the copy of the stored answers and the
-    /// hit's credit. That credit is the resident's memoized exact credit
-    /// ([`CacheEntry::exact_credit`]), summed on its first exact hit only.
+    /// hit's credit. That credit is the resident's memoized known credit
+    /// at its own size ([`CacheEntry::known_credit`]), summed once.
     /// Returns whether the query resolved.
     fn exact_lookup(&self, ctx: &mut QueryCtx<'_>) -> bool {
         let Some(code) = &ctx.code else { return false };
@@ -1426,7 +1427,7 @@ impl<D: QueryDirection> Engine<D> {
         // on it. The repeat is isomorphic to the resident, so it has the
         // resident's size and the credit is the same on every repeat.
         let n = entry.graph.vertex_count();
-        let credit = entry.exact_credit(|answers| self.cost_row(n).sum(answers.iter().copied()));
+        let credit = entry.known_credit(n, |answers| self.cost_row(n).sum(answers.iter().copied()));
         entry.meta.record_hit(entry.answers.len() as u64, credit);
         ctx.outcome.answers = entry.answers.clone();
         ctx.outcome.resolution = Resolution::ExactHit;
@@ -1572,8 +1573,10 @@ impl<D: QueryDirection> Engine<D> {
     /// The one epilogue of every resolution: admission and, on a full
     /// window, the flip under the write lock; the WAL drain and
     /// auto-checkpoint off it; then wall time, and the query's one fold
-    /// into the ledger.
-    fn finish(&self, ctx: QueryCtx<'_>) -> QueryOutcome {
+    /// into the ledger. `features` are the query's path features, when
+    /// its filter extracted them: they ride with its window entry, so the
+    /// flip indexes the query without enumerating it again.
+    fn finish(&self, ctx: QueryCtx<'_>, features: Option<PathFeatures>) -> QueryOutcome {
         let mut outcome = ctx.outcome;
         // An exact hit is cached already. A query whose verification hit
         // the abort budget has a possibly-incomplete answer set: caching
@@ -1595,6 +1598,7 @@ impl<D: QueryDirection> Engine<D> {
                 answers: outcome.answers.clone(),
                 signature: Some(GraphSignature::of(ctx.q)),
                 code: Some(ctx.code),
+                features,
             };
             let flipped = {
                 let mut st = self.lock_write();
@@ -2033,7 +2037,9 @@ impl Pruned {
 /// * a known hit's answers `A` are few, so `CS ∩ A` is found once by
 ///   galloping from the smaller side. Its positions in `cs` mark the
 ///   known answers, and its candidates are the hit's credit (those its
-///   answers *cover*);
+///   answers *cover*). When `CS` holds every answer, that credit is the
+///   resident's known credit at the query's size, summed once per size
+///   ([`CacheEntry::known_credit`]);
 /// * a bounding hit's answers are many, so one pass over `cs` tests each
 ///   candidate against the resident's answer bitset. The misses `CS \ A`
 ///   are both the hit's credit (those its answers *exclude*) and the
@@ -2055,15 +2061,19 @@ fn prune_and_credit(
     let mut fate = vec![ALIVE; cs.len()];
     let mut positions = Vec::new();
     for &s in known_slots {
-        intersect_positions(cs, &cache.entry(s).answers, &mut positions);
+        let entry = cache.entry_mut(s);
+        intersect_positions(cs, &entry.answers, &mut positions);
         for &i in &positions {
             fate[i] = KNOWN;
         }
-        let cost = costs.sum(positions.iter().map(|&i| cs[i]));
-        cache
-            .entry_mut(s)
-            .meta
-            .record_hit(positions.len() as u64, cost);
+        let cost = if positions.len() == entry.answers.len() {
+            // `A ⊆ CS`: the sum over `CS ∩ A` is the sum over `A`, which
+            // depends on the resident and the query size alone.
+            entry.known_credit(costs.n, |answers| costs.sum(answers.iter().copied()))
+        } else {
+            costs.sum(positions.iter().map(|&i| cs[i]))
+        };
+        entry.meta.record_hit(positions.len() as u64, cost);
     }
     for &s in bound_slots {
         let bits = cache.entry(s).answer_bits(graphs);

@@ -2,8 +2,8 @@
 //! [`prune_and_credit`] replaced, kept here verbatim as the oracle:
 //! `prune` (formulas (3)–(5) over the sorted union of the known answers)
 //! and `credit_hits` (each hit's intersection or difference recomputed,
-//! then one cost sum per hit). Also the life of a resident's exact-hit
-//! credit memo and the heap its answer bitset adds.
+//! then one cost sum per hit). Also the resident's known-credit memo
+//! against the direct sum, its life, and the heap its answer bitset adds.
 
 #[cfg(test)]
 mod tests {
@@ -215,6 +215,7 @@ mod tests {
                     answers: answers(&mut rng, graphs),
                     signature: None,
                     code: None,
+                    features: None,
                 })
                 .collect(),
         );
@@ -284,6 +285,131 @@ mod tests {
         }
     }
 
+    /// The known-credit memo against the direct sum. For random residents
+    /// and candidate sets holding every answer, a known hit's credit is
+    /// memoized per query size, two sizes per resident, and equals the
+    /// id-order sum over `CS ∩ A` bit for bit, read from the memo or not.
+    /// A resident with an answer outside `CS` (one dropped from it, or an
+    /// id past the dataset) is credited the direct sum and leaves the
+    /// memo alone.
+    #[test]
+    fn known_credit_memo_equals_the_direct_sum() {
+        type D = SubgraphQueries<NaiveMethod>;
+        let (mut memoized, mut direct_only) = (0, 0);
+        for seed in 0..300 {
+            let mut rng = Stream(seed ^ 0xC4ED);
+            let graphs = [1, 2, 63, 64, 65, 130, 700][rng.below(7)];
+            let vertex_counts: Vec<u32> = (0..graphs).map(|_| 1 + rng.below(30) as u32).collect();
+            let labels = 1 + rng.below(5);
+            let residents = 1 + rng.below(6);
+            let mut cache = QueryCache::new(residents);
+            cache.apply_window(
+                (0..residents as u32)
+                    .map(|i| WindowEntry {
+                        graph: Arc::new(graph_from(&[i], &[])),
+                        answers: answers(&mut rng, graphs),
+                        signature: None,
+                        code: None,
+                        features: None,
+                    })
+                    .collect(),
+            );
+            let sizes = [1 + rng.below(12), 13 + rng.below(12)];
+            for round in 0..8 {
+                let n = sizes[round % 2];
+                let slot = rng.below(residents);
+                let a = cache.entry(slot).answers.clone();
+                let mut cs: Vec<GraphId> =
+                    a.iter().copied().filter(|id| id.index() < graphs).collect();
+                let dropped = !cs.is_empty() && rng.chance(30);
+                if dropped {
+                    cs.remove(rng.below(cs.len()));
+                }
+                cs.extend(
+                    rng.ids(graphs, 20, 20)
+                        .into_iter()
+                        .filter(|id| !a.contains(id)),
+                );
+                cs.sort_unstable();
+                let covers = intersect_sorted(&cs, &a).len() == a.len();
+                assert_eq!(covers, !dropped && a.iter().all(|id| id.index() < graphs));
+
+                let memo_before = cache.entry(slot).memos_built().0.to_vec();
+                let mut want = cache.entry(slot).meta;
+                let mut costs = CostRow {
+                    cost_ln: D::cost_ln,
+                    labels,
+                    n,
+                    vertex_counts: &vertex_counts,
+                    cells: Vec::new(),
+                };
+                prune_and_credit(&mut cache, &mut costs, graphs, &cs, (&[slot], &[]), None);
+                let hit = intersect_sorted(&cs, &a);
+                let direct = direct_cost::<D>(labels, n, &vertex_counts, &hit);
+                want.record_hit(hit.len() as u64, direct);
+                let what = format!("seed {seed} round {round}: slot {slot}, n {n}");
+                let entry = cache.entry(slot);
+                assert!(same_meta(&entry.meta, &want), "{what}");
+                let memo = entry.memos_built().0;
+                if covers {
+                    let (_, credit) = memo.iter().find(|&&(m, _)| m == n).expect("memoized");
+                    assert_eq!(credit.ln().to_bits(), direct.ln().to_bits(), "{what}");
+                    memoized += 1;
+                } else {
+                    assert_eq!(memo, &memo_before[..], "memo untouched, {what}");
+                    direct_only += 1;
+                }
+                assert!(memo.len() <= 2, "one credit per size, {what}");
+            }
+        }
+        assert!(
+            memoized > 500 && direct_only > 300,
+            "{memoized} / {direct_only}"
+        );
+    }
+
+    /// An exact repeat's credit is the known-credit memo at the
+    /// resident's own size: a value planted there before the first exact
+    /// hit is what every exact hit records.
+    #[test]
+    fn exact_hits_read_the_memo_at_their_own_size() {
+        let s = dataset();
+        let engine =
+            IgqEngine::new(Ggsx::build(&s, GgsxConfig::default()), config()).expect("valid config");
+        let qs = queries();
+        let q = &qs[6];
+        let _ = engine.query(q);
+        let _ = engine.query(&qs[0]);
+        let code = canonical_code(q).expect("small graphs have codes");
+        let slot = engine
+            .lock_read()
+            .cache
+            .slot_with_code(&code)
+            .expect("admitted");
+        let planted = LogValue::from_ln(1234.5);
+        let (mut want, answers) = {
+            let mut st = engine.lock_write();
+            let entry = st.cache.entry_mut(slot);
+            let own = entry.graph.vertex_count();
+            assert!(entry.memos_built().0.is_empty());
+            entry.known_credit(own, |_| planted);
+            (entry.meta, entry.answers.len() as u64)
+        };
+        for _ in 0..2 {
+            assert_eq!(engine.query(q).resolution, Resolution::ExactHit);
+            want.tick();
+            want.record_hit(answers, planted);
+        }
+        let st = engine.lock_read();
+        let entry = st.cache.entry(slot);
+        assert!(
+            same_meta(&entry.meta, &want),
+            "{:?} != {want:?}",
+            entry.meta
+        );
+        assert_eq!(entry.memos_built().0.len(), 1, "no second memo");
+    }
+
     #[test]
     fn cost_row_agrees_with_direct() {
         let vertex_counts = [4, 300, 4, 2, 0];
@@ -314,6 +440,7 @@ mod tests {
                     answers: (i..graphs).step_by(2).map(GraphId::new).collect(),
                     signature: None,
                     code: None,
+                    features: None,
                 })
                 .collect(),
         );
@@ -422,12 +549,17 @@ mod tests {
         })
     }
 
-    /// `slot`'s memoized exact credit, which must have been built already.
+    /// `slot`'s memoized credit at its resident's own size, which must
+    /// have been built already.
     fn memo(e: &IgqEngine<Ggsx>, slot: usize) -> LogValue {
-        e.lock_read()
-            .cache
-            .entry(slot)
-            .exact_credit(|_| panic!("slot {slot}: exact credit not memoized"))
+        let st = e.lock_read();
+        let entry = st.cache.entry(slot);
+        let own = entry.graph.vertex_count();
+        let (credits, _) = entry.memos_built();
+        let found = credits.iter().find(|&&(n, _)| n == own);
+        found
+            .unwrap_or_else(|| panic!("slot {slot}: exact credit not memoized"))
+            .1
     }
 
     /// Every resident: no memo survives a restore, and an exact hit builds
@@ -438,7 +570,7 @@ mod tests {
             st.cache
                 .iter()
                 .map(|(slot, c)| {
-                    assert_eq!(c.memos_built(), (false, false), "slot {slot}");
+                    assert_eq!(c.memos_built(), (&[][..], false), "slot {slot}");
                     (slot, c.graph.as_ref().clone())
                 })
                 .collect()
@@ -472,7 +604,7 @@ mod tests {
             let st = primary.lock_read();
             let entry = st.cache.entry(slot);
             assert!(entry.answers.len() > 64, "answers span bitset words");
-            assert!(!entry.memos_built().0);
+            assert!(entry.memos_built().0.is_empty());
             (entry.meta, entry.answers.len() as u64)
         };
 
@@ -503,7 +635,10 @@ mod tests {
         let occupant = {
             let st = primary.lock_read();
             let entry = st.cache.entry(slot);
-            assert!(!entry.memos_built().0, "a reused slot starts afresh");
+            assert!(
+                entry.memos_built().0.is_empty(),
+                "a reused slot starts afresh"
+            );
             entry.graph.as_ref().clone()
         };
         assert_eq!(primary.query(&occupant).resolution, Resolution::ExactHit);

@@ -969,6 +969,7 @@ fn window_entry_from_bin(r: &mut Reader) -> Result<WindowEntry, String> {
         answers,
         signature,
         code,
+        features: None,
     })
 }
 
@@ -1551,6 +1552,7 @@ mod tests {
                 answers: vec![],
                 signature: None,
                 code: Some(None),
+                features: None,
             }],
             epoch: 0,
         }

@@ -20,10 +20,23 @@
 //! maintained**: postings are keyed by the cache's stable slot indexes,
 //! and after every window flip `QueryIndex::apply_delta` removes the
 //! evicted slots and inserts the admitted ones, O(window delta) postings
-//! on the flipping query thread (Section 5.2). The paper's wholesale
-//! shadow rebuild survives as [`QueryIndex::build`]: the cold-start path
-//! and the oracle [`Engine::self_check`](crate::Engine::self_check) diffs
-//! the live index against. Graphs are shared with the cache via `Arc`.
+//! on the flipping query thread (Section 5.2). An admitted query that was
+//! just answered brings the path features its own filter extracted
+//! ([`WindowDelta::features`]), so the flip enumerates only the graphs
+//! that arrive without them (restored, replicated or replayed entries).
+//! The paper's wholesale shadow rebuild survives as
+//! [`QueryIndex::build`]: the cold-start path and the oracle
+//! [`Engine::self_check`](crate::Engine::self_check) diffs the live index
+//! against. Graphs are shared with the cache via `Arc`.
+//!
+//! The engine's index ([`QueryIndex::over_slots`]) and every
+//! [`QueryIndex::build`] know their slots, so a feature held by at least
+//! an eighth of them keeps a dense row of counts, one byte per slot (see
+//! [`FeatureTrie`]): `Isuper`'s count filter reads
+//! such a feature in one pass over its row, and `Isub`'s intersection
+//! narrows by rows. A row is taken on the insert that crosses the eighth
+//! and given back when the feature leaves the last slot, so a flip costs
+//! its postings and nothing more.
 //!
 //! Each resident keeps the "related key information" the paper stores
 //! beside a cached query: its own `Isuper` matching plan. In an `Isuper`
@@ -73,22 +86,32 @@ pub struct QueryIndex {
 }
 
 impl QueryIndex {
-    /// An empty index.
+    /// An empty index with sparse posting lists only.
     pub fn new(path_config: PathConfig) -> QueryIndex {
+        QueryIndex::over_slots(path_config, 0)
+    }
+
+    /// An empty index over the cache slots `0..slots`: a feature held by
+    /// at least an eighth of them keeps a dense row of counts (see the
+    /// module docs). Slots past `slots` stay exact in sparse postings.
+    pub fn over_slots(path_config: PathConfig, slots: usize) -> QueryIndex {
         QueryIndex {
             path_config,
-            trie: FeatureTrie::new(),
+            trie: FeatureTrie::with_universe(slots),
             residents: Vec::new(),
         }
     }
 
     /// Cold-start build over `(slot, graph)` pairs, enumerating each
-    /// graph's paths: the shadow rebuild `self_check` diffs against.
+    /// graph's paths: the shadow rebuild `self_check` diffs against. The
+    /// index is over the slots up to the highest one given.
     pub fn build(
         entries: impl IntoIterator<Item = (usize, Arc<Graph>)>,
         path_config: PathConfig,
     ) -> QueryIndex {
-        let mut index = QueryIndex::new(path_config);
+        let entries: Vec<(usize, Arc<Graph>)> = entries.into_iter().collect();
+        let slots = entries.iter().map(|&(slot, _)| slot + 1).max().unwrap_or(0);
+        let mut index = QueryIndex::over_slots(path_config, slots);
         for (slot, graph) in entries {
             let features = enumerate_paths(&graph, &path_config);
             index.insert(slot, graph, &features);
@@ -140,16 +163,32 @@ impl QueryIndex {
 
     /// Brings the index in line with `cache` after `delta` was applied to
     /// it: removes the evicted slots, then indexes every admitted resident
-    /// from one enumeration of its graph. Returns the postings touched.
+    /// from the path features it brought, or else from one enumeration of
+    /// its graph. Returns the postings touched.
     pub(crate) fn apply_delta(&mut self, cache: &QueryCache, delta: &WindowDelta) -> u64 {
         let mut touched = 0;
         for &slot in &delta.evicted {
             touched += self.remove(slot);
         }
-        for &slot in &delta.admitted {
+        for (i, &slot) in delta.admitted.iter().enumerate() {
             let graph = &cache.entry(slot).graph;
-            let features = enumerate_paths(graph, &self.path_config);
-            touched += self.insert(slot, Arc::clone(graph), &features);
+            let enumerated;
+            let features = match delta.features.get(i).and_then(Option::as_ref) {
+                Some(features) => {
+                    // The map's order reaches `slot_features` and the
+                    // checkpoint: it must be the enumerator's own.
+                    debug_assert!(same_features(
+                        features,
+                        &enumerate_paths(graph, &self.path_config)
+                    ));
+                    features
+                }
+                None => {
+                    enumerated = enumerate_paths(graph, &self.path_config);
+                    &enumerated
+                }
+            };
+            touched += self.insert(slot, Arc::clone(graph), features);
         }
         touched
     }
@@ -347,6 +386,11 @@ impl QueryIndex {
     }
 }
 
+/// Whether two feature sets are equal in content and in map order.
+fn same_features(a: &PathFeatures, b: &PathFeatures) -> bool {
+    a.complete_len == b.complete_len && a.counts.iter().eq(b.counts.iter())
+}
+
 /// The probe plan of `pattern` under the default configuration, ordered
 /// by `pattern`'s own label histogram.
 fn own_plan(pattern: &Graph) -> MatchPlan {
@@ -391,5 +435,149 @@ impl IndexSnapshot {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::WindowEntry;
+    use igq_features::thread_enumeration_count;
+    use igq_graph::graph_from;
+
+    /// `(labels, edges)` shorthand for building test graphs.
+    type GraphSpec<'a> = (&'a [u32], &'a [(u32, u32)]);
+
+    /// Eight small graphs over two labels: paths, a star and a triangle,
+    /// so that some features are held by most of them and some by one.
+    fn graphs() -> Vec<Arc<Graph>> {
+        let specs: [GraphSpec; 8] = [
+            (&[0, 1], &[(0, 1)]),
+            (&[0, 1, 0], &[(0, 1), (1, 2)]),
+            (&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]),
+            (&[1, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]),
+            (&[0, 1, 1, 0], &[(0, 1), (1, 2), (2, 3)]),
+            (&[1, 1], &[(0, 1)]),
+            (&[0], &[]),
+            (&[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ];
+        (specs.iter())
+            .map(|(labels, edges)| Arc::new(graph_from(labels, edges)))
+            .collect()
+    }
+
+    /// Both probes of `index` equal those of `twin` for every graph as
+    /// the query.
+    fn same_probes(index: &QueryIndex, twin: &QueryIndex) {
+        let config = PathConfig::default();
+        for q in graphs() {
+            let qf = enumerate_paths(&q, &config);
+            let (a, b) = (index.supergraphs_of(&q, &qf), twin.supergraphs_of(&q, &qf));
+            assert_eq!((a.0, a.1.tests), (b.0, b.1.tests), "Isub {q:?}");
+            let (a, b) = (index.subgraphs_of(&q, &qf), twin.subgraphs_of(&q, &qf));
+            assert_eq!((a.0, a.1.tests), (b.0, b.1.tests), "Isuper {q:?}");
+        }
+        assert!(index.snapshot().diff(&twin.snapshot()).is_ok());
+    }
+
+    #[test]
+    fn query_index_rows_come_and_go_with_the_residents() {
+        let config = PathConfig::default();
+        // 16 slots: a feature of two residents is an eighth.
+        let mut index = QueryIndex::over_slots(config, 16);
+        let mut sparse = QueryIndex::new(config);
+        let both = |index: &mut QueryIndex, sparse: &mut QueryIndex, slot, g: &Arc<Graph>| {
+            let features = enumerate_paths(g, &config);
+            index.insert(slot, Arc::clone(g), &features);
+            sparse.insert(slot, Arc::clone(g), &features);
+        };
+        let gs = graphs();
+        for (slot, g) in gs.iter().enumerate() {
+            both(&mut index, &mut sparse, slot, g);
+        }
+        let rows = index.trie.dense_count();
+        assert!(rows > 0 && rows == index.trie.arena_rows());
+        assert_eq!(sparse.trie.dense_count(), 0);
+        same_probes(&index, &sparse);
+        // Emptied lists give their rows back; none is taken anew.
+        for slot in 0..gs.len() {
+            index.remove(slot);
+            sparse.remove(slot);
+            same_probes(&index, &sparse);
+        }
+        assert_eq!(
+            (index.trie.dense_count(), index.trie.arena_rows()),
+            (0, rows)
+        );
+        // Refilled in another order (slot 20 is past the universe): the
+        // free rows are reused before the arena grows.
+        for (slot, g) in gs.iter().rev().enumerate() {
+            both(
+                &mut index,
+                &mut sparse,
+                if slot == 3 { 20 } else { slot },
+                g,
+            );
+            same_probes(&index, &sparse);
+        }
+        assert_eq!(index.trie.arena_rows(), rows);
+        assert_eq!(index.trie.dense_count(), rows);
+    }
+
+    #[test]
+    fn query_index_build_is_over_its_slots() {
+        let config = PathConfig::default();
+        let entries = || graphs().into_iter().enumerate().map(|(i, g)| (2 * i, g));
+        let built = QueryIndex::build(entries(), config);
+        assert!(built.trie.dense_count() > 0);
+        let mut sparse = QueryIndex::new(config);
+        for (slot, g) in entries() {
+            let features = enumerate_paths(&g, &config);
+            sparse.insert(slot, g, &features);
+        }
+        same_probes(&built, &sparse);
+    }
+
+    #[test]
+    fn query_index_flip_inserts_the_features_the_window_brought() {
+        let config = PathConfig::default();
+        let gs = graphs();
+        let entry = |g: &Arc<Graph>, carry: bool| WindowEntry {
+            graph: Arc::clone(g),
+            answers: Vec::new(),
+            signature: None,
+            code: None,
+            features: carry.then(|| enumerate_paths(g, &config)),
+        };
+        let mut cache = QueryCache::new(8);
+        let mut index = QueryIndex::over_slots(config, 8);
+        // Every other entry carries its features.
+        let incoming: Vec<WindowEntry> = (gs.iter().enumerate())
+            .map(|(i, g)| entry(g, i % 2 == 0))
+            .collect();
+        assert!(
+            incoming[0].clone().features.is_none(),
+            "a copy carries none"
+        );
+        let delta = cache.apply_window(incoming);
+        let carried = delta.features.iter().filter(|f| f.is_some()).count();
+        assert_eq!((delta.features.len(), carried), (8, 4));
+        let before = thread_enumeration_count();
+        index.apply_delta(&cache, &delta);
+        // Debug builds check each carried set against an enumeration.
+        let checks = if cfg!(debug_assertions) { carried } else { 0 };
+        assert_eq!(
+            thread_enumeration_count() - before,
+            (8 - carried + checks) as u64
+        );
+        let fresh = QueryIndex::build(cache.iter().map(|(s, e)| (s, Arc::clone(&e.graph))), config);
+        same_probes(&index, &fresh);
+        for slot in 0..8 {
+            assert_eq!(
+                index.slot_features(slot),
+                fresh.slot_features(slot),
+                "slot {slot}"
+            );
+        }
     }
 }

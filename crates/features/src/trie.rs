@@ -17,18 +17,23 @@
 //! sweeps the whole trie.
 //!
 //! A posting list has one of two forms. A **sparse** list is the sorted
-//! `Vec<Posting>` above. [`FeatureTrie::densify`] gives every list that
-//! covers at least 1/8 of a universe of graph ids `0..universe` the
-//! **dense** form: a row of one count byte per graph id, kept with every
-//! other row in one flat `rows × universe` byte arena. At 1/8 density one
-//! byte per graph costs what an 8-byte posting per member does, so the
-//! index never grows. A row byte below 255 is the exact count (0:
-//! absent); the node's postings then hold only what the row cannot, the
-//! counts of 255 or more (byte 255) and ids at or past `universe`, and
-//! never a tombstone. The dataset indexes (GGSX, Grapes) are densified
-//! once built; the query indexes, which change on every flip, stay
-//! sparse. A filter reads a dense list by graph id, or, when it seeds
-//! from one, narrows a byte mask a whole row at a time.
+//! `Vec<Posting>` above. A trie with a universe of graph ids
+//! `0..universe` ([`FeatureTrie::with_universe`], [`FeatureTrie::densify`])
+//! gives every list that covers at least 1/8 of it the **dense** form: a
+//! row of one count byte per graph id, kept with every other row in one
+//! flat `rows × universe` byte arena. At 1/8 density one byte per graph
+//! costs what an 8-byte posting per member does, so the index never
+//! grows. A row byte below 255 is the exact count (0: absent); the node's
+//! postings then hold only what the row cannot, the counts of 255 or more
+//! (byte 255) and ids at or past `universe`, and never a tombstone. A list
+//! takes its row on the insert that brings it to an eighth, and keeps it
+//! until its last posting goes; the emptied row joins a free-row list that
+//! the next such insert reuses, so the arena holds no more rows than the
+//! trie ever had dense lists at once, and no write scans the trie. The
+//! dataset indexes (GGSX, Grapes) are densified once built; the query
+//! indexes take the cache's slots as their universe when created. A
+//! filter reads a dense list by graph id, or, when it seeds from one or
+//! counts coverage, a whole row at a time.
 //!
 //! Filters read the trie through two kernels, which own the tombstone
 //! rule and both forms: [`FeatureTrie::containing`] (graphs holding every
@@ -57,10 +62,16 @@ const SPARSE: u32 = u32::MAX;
 /// A row byte at this value defers to the node's overflow postings.
 const SATURATED: u8 = u8::MAX;
 
-/// [`FeatureTrie::densify`] converts a list holding at least one graph in
-/// `DENSITY` of the universe: a byte per graph then costs no more than
-/// the 8-byte postings it replaces.
+/// A list holding at least one graph in `DENSITY` of the universe takes
+/// a row: a byte per graph then costs no more than the 8-byte postings it
+/// replaces.
 const DENSITY: u64 = 8;
+
+/// Whether `live` postings earn a row over `universe` graph ids (never
+/// without a universe).
+fn dense_enough(live: u32, universe: usize) -> bool {
+    universe > 0 && u64::from(live) * DENSITY >= universe as u64
+}
 
 #[derive(Debug, Clone)]
 struct TrieNode {
@@ -141,10 +152,13 @@ fn sparse_count(postings: &[Posting], graph: GraphId) -> u32 {
 #[derive(Debug, Clone)]
 pub struct FeatureTrie {
     nodes: Vec<TrieNode>,
-    /// The dense rows, `universe` bytes each (see [`FeatureTrie::densify`]).
+    /// The dense rows, `universe` bytes each (see the module docs).
     rows: Vec<u8>,
-    /// Graph ids a dense row covers: `0..universe` (0 before `densify`).
+    /// Graph ids a dense row covers: `0..universe` (0: no rows).
     universe: usize,
+    /// Rows of `rows` no list holds, all zero, reused before the arena
+    /// grows.
+    free_rows: Vec<u32>,
     features: u64,
     postings: u64,
     tombstones: u64,
@@ -163,9 +177,21 @@ impl FeatureTrie {
             nodes: vec![TrieNode::default()],
             rows: Vec::new(),
             universe: 0,
+            free_rows: Vec::new(),
             features: 0,
             postings: 0,
             tombstones: 0,
+        }
+    }
+
+    /// An empty trie over the graph ids `0..universe`: a list takes its
+    /// dense row on the insert that brings it to an eighth of them, and
+    /// gives the row back when its last posting goes (see the module
+    /// docs). For an index that changes as often as it is read.
+    pub fn with_universe(universe: usize) -> FeatureTrie {
+        FeatureTrie {
+            universe,
+            ..FeatureTrie::new()
         }
     }
 
@@ -282,20 +308,54 @@ impl FeatureTrie {
             None => insert_sparse(&mut n.postings, graph, count),
         };
         match added {
-            Added::Grown => {}
-            Added::Live => {
-                n.live += 1;
-                self.postings += 1;
-            }
-            Added::Revived => {
-                n.live += 1;
-                self.postings += 1;
-                self.tombstones -= 1;
-            }
+            Added::Grown => return,
+            Added::Live => {}
+            Added::Revived => self.tombstones -= 1,
         }
-        if was_dead && n.live > 0 {
+        n.live += 1;
+        self.postings += 1;
+        if was_dead {
             self.features += 1;
         }
+        if n.row == SPARSE && dense_enough(n.live, self.universe) {
+            self.promote(node as usize);
+        }
+    }
+
+    /// Gives the sparse list of `node` its dense row: a free row when
+    /// there is one, else a new row at the end of the arena (grown by
+    /// exactly one row, so the arena's capacity is its rows). Counts below
+    /// 255 move into the row; tombstones go.
+    fn promote(&mut self, node: usize) {
+        let universe = self.universe;
+        let index = match self.free_rows.pop() {
+            Some(index) => index,
+            None => {
+                let index = self.rows.len() / universe;
+                self.rows.reserve_exact(universe);
+                self.rows.resize(self.rows.len() + universe, 0);
+                index as u32
+            }
+        };
+        let start = index as usize * universe;
+        let row = &mut self.rows[start..start + universe];
+        debug_assert!(row.iter().all(|&byte| byte == 0), "a free row is zero");
+        let n = &mut self.nodes[node];
+        self.tombstones -= (n.postings.len() - n.live as usize) as u64;
+        n.postings.retain(|p| match row.get_mut(p.graph.index()) {
+            _ if p.count == 0 => false,
+            Some(byte) if p.count < u32::from(SATURATED) => {
+                *byte = p.count as u8;
+                false
+            }
+            Some(byte) => {
+                *byte = SATURATED;
+                true
+            }
+            None => true,
+        });
+        n.postings.shrink_to_fit();
+        n.row = index;
     }
 
     /// Removes the posting of `graph` under `seq`, returning `true` when a
@@ -337,6 +397,12 @@ impl FeatureTrie {
         self.postings -= 1;
         if n.live == 0 {
             self.features -= 1;
+            if n.row != SPARSE {
+                // Every byte is back to 0 and the overflow is empty.
+                debug_assert!(n.postings.is_empty());
+                self.free_rows.push(n.row);
+                n.row = SPARSE;
+            }
         }
         // Local compaction: once at least 8 entries and over half dead.
         if n.row == SPARSE && n.postings.len() >= 8 && (n.live as usize) * 2 < n.postings.len() {
@@ -346,54 +412,41 @@ impl FeatureTrie {
     }
 
     /// Gives every posting list whose live postings cover at least 1/8 of
-    /// the graph ids `0..universe` its dense row (see the module docs), for
-    /// an index over those ids that is read far more than it changes.
+    /// the graph ids `0..universe` its dense row (see the module docs),
+    /// for an index over those ids that is read far more than it changes.
     /// Lists keep their contents, and every reader and writer stays exact
-    /// on both forms. A trie is densified against one universe; a second
-    /// call converts the lists that have grown dense since.
+    /// on both forms. A trie has one universe; from this call on, inserts
+    /// promote lists as [`FeatureTrie::with_universe`] does, and a second
+    /// call converts nothing they have not.
     pub fn densify(&mut self, universe: usize) {
         assert!(
             self.universe == 0 || self.universe == universe,
-            "a trie densified over {} graph ids cannot take rows of {universe}",
+            "a trie over {} graph ids cannot take rows of {universe}",
             self.universe
         );
-        let dense =
-            |n: &TrieNode| n.row == SPARSE && u64::from(n.live) * DENSITY >= universe as u64;
-        let fresh = self.nodes.iter().filter(|n| dense(n)).count();
-        if universe == 0 || fresh == 0 {
+        if universe == 0 {
             return;
         }
         self.universe = universe;
-        let first = self.rows.len() / universe;
-        if self.rows.is_empty() {
-            // Zeroed pages are mapped as rows fill, while the lists they
-            // replace are freed.
-            self.rows = vec![0; fresh * universe];
-        } else {
-            self.rows.resize((first + fresh) * universe, 0);
-        }
-        let rows = (first..).zip(self.rows.chunks_exact_mut(universe).skip(first));
-        for ((index, row), n) in rows.zip(self.nodes.iter_mut().filter(|n| dense(n))) {
-            self.tombstones -= (n.postings.len() - n.live as usize) as u64;
-            n.postings.retain(|p| match row.get_mut(p.graph.index()) {
-                _ if p.count == 0 => false,
-                Some(byte) if p.count < u32::from(SATURATED) => {
-                    *byte = p.count as u8;
-                    false
-                }
-                Some(byte) => {
-                    *byte = SATURATED;
-                    true
-                }
-                None => true,
-            });
-            n.postings.shrink_to_fit();
-            n.row = index as u32;
+        let dense = |n: &TrieNode| n.row == SPARSE && dense_enough(n.live, universe);
+        // One allocation for the new rows, not one per promotion.
+        let fresh = self.nodes.iter().filter(|n| dense(n)).count();
+        self.rows
+            .reserve_exact(fresh.saturating_sub(self.free_rows.len()) * universe);
+        for node in 0..self.nodes.len() {
+            if dense(&self.nodes[node]) {
+                self.promote(node);
+            }
         }
     }
 
     /// Number of dense rows (posting lists in the dense form).
     pub fn dense_count(&self) -> usize {
+        self.arena_rows() - self.free_rows.len()
+    }
+
+    /// Number of rows in the arena: the dense lists' and the free ones.
+    pub fn arena_rows(&self) -> usize {
         self.rows.len().checked_div(self.universe).unwrap_or(0)
     }
 
@@ -549,6 +602,11 @@ impl FeatureTrie {
     /// unoccupied id); a member qualifies when exactly that many query
     /// features `(seq, qcount)` meet a live posting of it with
     /// `count <= qcount`. Tombstones (`count == 0`) cover nothing.
+    ///
+    /// A dense list counts in one pass over its row: a byte in
+    /// `1..=min(qcount, 254)` is a covered count, while 0 is absent and
+    /// 255 defers to the overflow postings, which are read exactly with
+    /// the sparse lists.
     pub fn covered_by<'a>(
         &self,
         features: impl IntoIterator<Item = (&'a LabelSeq, u32)>,
@@ -557,7 +615,18 @@ impl FeatureTrie {
     ) -> Vec<usize> {
         let mut covered = vec![0u32; members];
         for (seq, qcount) in features {
-            for p in self.get(seq).iter() {
+            let Some(node) = self.walk(seq) else {
+                continue;
+            };
+            let n = &self.nodes[node as usize];
+            if let Some(row) = self.row(n) {
+                let most = qcount.min(u32::from(SATURATED) - 1) as u8;
+                for (c, &byte) in covered.iter_mut().zip(row) {
+                    // `byte - 1 < most` is `1 <= byte <= most` on u8.
+                    *c += u32::from(byte.wrapping_sub(1) < most);
+                }
+            }
+            for p in &n.postings {
                 if p.count > 0 && p.count <= qcount {
                     covered[p.graph.index()] += 1;
                 }
@@ -608,6 +677,7 @@ impl FeatureTrie {
     pub fn heap_size_bytes(&self) -> u64 {
         let mut bytes = (self.nodes.capacity() * std::mem::size_of::<TrieNode>()) as u64;
         bytes += self.rows.capacity() as u64;
+        bytes += (self.free_rows.capacity() * std::mem::size_of::<u32>()) as u64;
         let child_entry = (std::mem::size_of::<LabelId>() + std::mem::size_of::<u32>() + 1) as u64;
         for n in &self.nodes {
             let buckets = (n.children.capacity() as u64) * 8 / 7;
@@ -1001,6 +1071,86 @@ mod tests {
         assert_eq!((t.feature_count(), t.posting_count()), (0, 0));
         assert!(!t.contains(&a));
         assert!(postings(&t, &a).is_empty());
+    }
+
+    #[test]
+    fn inserts_promote_at_an_eighth_and_emptied_rows_are_reused() {
+        let mut t = FeatureTrie::with_universe(16);
+        let (a, b) = (seq(&[1]), seq(&[2]));
+        // Universe 16: the second live posting is the eighth.
+        t.insert(&a, g(3), 1);
+        t.insert(&a, g(3), 4);
+        assert_eq!(t.dense_count(), 0, "a grown count is no new posting");
+        t.insert(&a, g(20), 2);
+        assert_eq!(
+            (t.dense_count(), t.arena_rows()),
+            (1, 1),
+            "an id past the universe counts towards the eighth"
+        );
+        assert_eq!(postings(&t, &a), vec![(3, 5), (20, 2)]);
+        t.insert(&b, g(0), 300);
+        assert!(t.remove(&a, g(3)));
+        assert_eq!(t.dense_count(), 1, "a row outlives the eighth");
+        assert!(t.remove(&a, g(20)));
+        assert_eq!((t.dense_count(), t.arena_rows()), (0, 1), "emptied: freed");
+        assert!(!t.contains(&a));
+        t.insert(&b, g(15), 7);
+        assert_eq!((t.dense_count(), t.arena_rows()), (1, 1), "the free row");
+        assert_eq!(postings(&t, &b), vec![(0, 300), (15, 7)]);
+        assert_eq!((t.count_in(&b, g(0)), t.count_in(&b, g(15))), (300, 7));
+        t.insert(&a, g(1), 1);
+        t.insert(&a, g(2), 1);
+        assert_eq!((t.dense_count(), t.arena_rows()), (2, 2), "a new row");
+        // A tombstone dropped on promotion leaves the counters exact.
+        let c = seq(&[3]);
+        t.insert(&c, g(4), 1);
+        assert!(t.remove(&c, g(4)));
+        assert_eq!(t.tombstone_count(), 1);
+        t.insert(&c, g(5), 1);
+        t.insert(&c, g(6), 1);
+        assert_eq!((t.tombstone_count(), t.dense_count()), (0, 3));
+        assert_eq!((t.feature_count(), t.posting_count()), (3, 6));
+    }
+
+    #[test]
+    fn covered_by_defers_saturated_bytes_to_the_overflow() {
+        let (a, b) = (seq(&[4]), seq(&[4, 4]));
+        let mut dense = FeatureTrie::with_universe(16);
+        let mut sparse = FeatureTrie::new();
+        let held = [
+            (0, 1),
+            (1, 254),
+            (2, 255),
+            (3, 256),
+            (4, 1_000_000),
+            (20, 255),
+        ];
+        for t in [&mut dense, &mut sparse] {
+            for (id, count) in held {
+                t.insert(&a, g(id), count);
+            }
+            // Id 20 is past the universe, in the overflow.
+            t.insert(&b, g(20), 3);
+        }
+        assert_eq!(dense.dense_count(), 1, "a is a row, b is sparse");
+        let nf = |m: usize| match m {
+            0..=4 => Some(1),
+            20 => Some(2),
+            _ => None,
+        };
+        for qcount in [1, 253, 254, 255, 256, 999_999, 1_000_000] {
+            let got = dense.covered_by([(&a, qcount), (&b, 3)], 21, nf);
+            assert_eq!(
+                got,
+                sparse.covered_by([(&a, qcount), (&b, 3)], 21, nf),
+                "qcount {qcount}"
+            );
+            let want: Vec<usize> = (held.into_iter())
+                .filter(|&(_, count)| count <= qcount)
+                .map(|(m, _)| m as usize)
+                .collect();
+            assert_eq!(got, want, "qcount {qcount}");
+        }
     }
 
     #[test]

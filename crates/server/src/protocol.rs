@@ -847,10 +847,12 @@ impl FromJson for Reply {
 /// Encodes one frame: compact JSON + `\n`, flushed (frames are the unit of
 /// progress — a buffered half-frame helps nobody).
 pub fn write_frame<T: ToJson>(w: &mut impl Write, frame: &T) -> Result<(), WireError> {
-    let line = serde_json::to_string(frame).map_err(|e| WireError::Malformed(e.to_string()))?;
+    let mut line = serde_json::to_string(frame).map_err(|e| WireError::Malformed(e.to_string()))?;
     debug_assert!(!line.contains('\n'), "compact JSON is newline-free");
+    // One write per frame: on an unbuffered socket with `TCP_NODELAY`, a
+    // separate newline would cost a second syscall and segment.
+    line.push('\n');
     w.write_all(line.as_bytes()).map_err(WireError::Io)?;
-    w.write_all(b"\n").map_err(WireError::Io)?;
     w.flush().map_err(WireError::Io)
 }
 
@@ -1167,5 +1169,29 @@ mod tests {
             Some(Request::Shutdown)
         );
         assert_eq!(read_frame(&mut r, 1024, Request::from_value).unwrap(), None);
+    }
+
+    /// A writer that records each `write` call's bytes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        // On an unbuffered socket each `write` is a syscall, and with
+        // `TCP_NODELAY` a segment: the newline rides with the line.
+        let mut w = Writes::default();
+        write_frame(&mut w, &Request::Stats).unwrap();
+        assert_eq!(w.0, vec![b"{\"type\":\"stats\"}\n".to_vec()]);
     }
 }

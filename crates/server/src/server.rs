@@ -421,7 +421,7 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
                 result: WireResult::from_response(&response, batched_with),
             };
             let ok = write_frame(writer, &reply).is_ok();
-            restore_write_timeout(writer, shared);
+            restore_write_timeout(writer, deadline, shared);
             ok
         }
         Request::Batch {
@@ -453,7 +453,7 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
                 .map(|r| WireResult::from_response(r, n))
                 .collect();
             let ok = write_frame(writer, &Reply::BatchResult { id, results }).is_ok();
-            restore_write_timeout(writer, shared);
+            restore_write_timeout(writer, deadline, shared);
             ok
         }
         Request::Stats => {
@@ -600,6 +600,10 @@ fn tighten_write_timeout(writer: &TcpStream, deadline: Option<Duration>, shared:
     }
 }
 
-fn restore_write_timeout(writer: &TcpStream, shared: &Shared) {
-    let _ = writer.set_write_timeout(Some(shared.config.io_timeout));
+/// Undoes [`tighten_write_timeout`]: a frame without a deadline left the
+/// configured timeout in place, so its reply costs no `setsockopt`.
+fn restore_write_timeout(writer: &TcpStream, deadline: Option<Duration>, shared: &Shared) {
+    if deadline.is_some() {
+        let _ = writer.set_write_timeout(Some(shared.config.io_timeout));
+    }
 }

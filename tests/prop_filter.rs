@@ -208,6 +208,13 @@ impl Twins {
     /// `containing` against a scan of `count_in`. `members` bounds every
     /// id ever inserted.
     fn check(&self, pool: &[LabelSeq], members: usize, rng: &mut StdRng) {
+        self.check_lists(pool, members);
+        self.check_probes(pool, members, 12, rng);
+    }
+
+    /// The lists of both twins, whole (`for_each_feature`, the counters)
+    /// and per feature (`get`, `count_in`).
+    fn check_lists(&self, pool: &[LabelSeq], members: usize) {
         let (dense, sparse) = (&self.dense, &self.sparse);
         assert_eq!(dense.feature_count(), sparse.feature_count());
         assert_eq!(dense.posting_count(), sparse.posting_count());
@@ -235,8 +242,14 @@ impl Twins {
                 );
             }
         }
+    }
+
+    /// `rounds` random `containing` and `covered_by` probes of both twins,
+    /// and `containing` against a scan of `count_in`.
+    fn check_probes(&self, pool: &[LabelSeq], members: usize, rounds: usize, rng: &mut StdRng) {
+        let (dense, sparse) = (&self.dense, &self.sparse);
         let is_dense = |s: &LabelSeq| self.live(s).len() * 8 >= self.universe;
-        for round in 0..12 {
+        for round in 0..rounds {
             // Every third probe takes only lists at or above the density
             // threshold: its seed is a row, unless writes since `densify`
             // moved a list across the threshold.
@@ -349,6 +362,65 @@ fn dense_twins(seed: u64) {
     }
 }
 
+/// A trie with a universe from its first insert against its sparse twin,
+/// through phases of inserts and of removes that carry lists across an
+/// eighth of the universe both ways and empty some of them whole: a list
+/// takes a row on the insert that reaches the eighth, keeps it until it
+/// empties, and a freed row is reused before the arena grows. Counts
+/// around and far past the byte's saturation, ids past the universe.
+/// After every write the twins agree, `dense_count` is the model's count
+/// of lists holding a row, and the arena holds exactly the most rows the
+/// model ever held at once.
+fn rows_come_and_go(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Universes divisible by 8 put the eighth exactly on a posting.
+    let universe = [8, 16, 20, 24, 64][rng.gen_range(0..5usize)];
+    let members = universe + 6;
+    let mut twins = Twins {
+        dense: FeatureTrie::with_universe(universe),
+        sparse: FeatureTrie::new(),
+        universe,
+    };
+    let (mut pool, doomed) = pool();
+    pool.push(doomed);
+    // Pool indexes of the lists the model says hold a row.
+    let mut rowed = std::collections::BTreeSet::new();
+    let mut peak = 0;
+    for phase in 0..6 {
+        let growing = phase % 2 == 0;
+        for _ in 0..rng.gen_range(10..40usize) {
+            let f = rng.gen_range(0..pool.len());
+            let s = &pool[f];
+            let roll = rng.gen_range(0..100u32);
+            if roll < if growing { 75 } else { 20 } {
+                let id = rng.gen_range(0..members);
+                twins.insert(s, id, COUNTS[rng.gen_range(0..COUNTS.len())]);
+                if twins.live(s).len() * 8 >= universe {
+                    rowed.insert(f);
+                }
+            } else {
+                if roll < if growing { 80 } else { 35 } {
+                    // Drained: every posting of the list removed.
+                    for id in 0..members {
+                        twins.remove(s, id);
+                    }
+                } else {
+                    twins.remove(s, rng.gen_range(0..members));
+                }
+                if twins.live(s).is_empty() {
+                    rowed.remove(&f);
+                }
+            }
+            peak = peak.max(rowed.len());
+            assert_eq!(twins.dense.dense_count(), rowed.len(), "dense_count");
+            assert_eq!(twins.dense.arena_rows(), peak, "arena rows");
+            twins.check_lists(&pool, members);
+            twins.check_probes(&pool, members, 2, &mut rng);
+        }
+        twins.check(&pool, members, &mut rng);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -356,6 +428,52 @@ proptest! {
     #[test]
     fn dense_rows_equal_their_sparse_twin(seed in any::<u64>()) {
         dense_twins(seed);
+    }
+
+    /// Rows taken and given back on inserts and removes ≡ sparse lists.
+    #[test]
+    fn rows_that_come_and_go_equal_their_sparse_twin(seed in any::<u64>()) {
+        rows_come_and_go(seed);
+    }
+
+    /// The engine's capacity-sized index (every list a row at capacity 8,
+    /// an eighth at 16 and 24) ≡ the retained loops and a sparse index,
+    /// while slots are admitted and evicted at random.
+    #[test]
+    fn capacity_sized_index_equals_the_oracle(
+        store in arb_store(12, 6, 2),
+        queries in proptest::collection::vec(arb_graph(5, 2), 1..4),
+        pick in 0..3usize,
+        writes in proptest::collection::vec((any::<bool>(), 0..24usize, 0..12usize), 1..40),
+    ) {
+        let capacity = [8, 16, 24][pick];
+        let path_config = PathConfig::default();
+        let mut index = QueryIndex::over_slots(path_config, capacity);
+        let mut sparse = QueryIndex::new(path_config);
+        let mut oracle = OracleQueryIndex::new(path_config);
+        let graphs: Vec<Arc<Graph>> = store.iter().map(|(_, g)| Arc::new(g.clone())).collect();
+        for (admit, slot, graph) in writes {
+            let slot = slot % capacity;
+            let occupied = oracle.slots.get(slot).is_some_and(Option::is_some);
+            if admit && !occupied {
+                let g = &graphs[graph % graphs.len()];
+                insert(&mut index, path_config, slot, Arc::clone(g));
+                insert(&mut sparse, path_config, slot, Arc::clone(g));
+                oracle.insert(slot, Arc::clone(g));
+            } else if !admit && occupied {
+                index.remove(slot);
+                sparse.remove(slot);
+                oracle.remove(slot);
+            }
+            prop_assert_eq!(index.snapshot(), sparse.snapshot());
+            for q in &queries {
+                let qf = enumerate_paths(q, &path_config);
+                let (slots, stats) = index.supergraphs_of(q, &qf);
+                prop_assert_eq!((slots, stats.tests), oracle.supergraphs_of(q, &qf), "Isub {:?}", q);
+                let (slots, stats) = index.subgraphs_of(q, &qf);
+                prop_assert_eq!((slots, stats.tests), oracle.subgraphs_of(q, &qf), "Isuper {:?}", q);
+            }
+        }
     }
 
     /// Both kernels ≡ the retained loops on generated tries.
@@ -495,8 +613,9 @@ fn the_containment_loop_counted_tombstones_the_kernel_does_not() {
 
 /// The benchmark's shape: AIDS-like molecules, uni-uni queries of the
 /// paper's sizes. The dataset filters (`Ggsx`, `Grapes`, Algorithm 2 over
-/// the dataset) and a C=64 query cache churned six slots at a time return
-/// the oracle's lists and spend the oracle's iso tests.
+/// the dataset) and a C=64 query cache churned six slots at a time, its
+/// index held sparse and over its 64 slots, return the oracle's lists and
+/// spend the oracle's iso tests.
 #[test]
 fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
     const CACHE: usize = 64;
@@ -534,14 +653,20 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
         .map(|s| s.as_ref().expect("every member inserted").nf_by_len.clone())
         .collect();
 
-    let mut index = QueryIndex::new(path_config);
+    // A sparse index and the engine's capacity-sized one, with rows.
+    let mut indexes = [
+        QueryIndex::new(path_config),
+        QueryIndex::over_slots(path_config, CACHE),
+    ];
     let mut oracle = OracleQueryIndex::new(path_config);
     let mut rng = StdRng::seed_from_u64(0xF11D);
     let (mut flips, mut probes, mut isub_hits, mut isuper_hits) = (0, 0, 0, 0);
     for (i, q) in queries.iter().enumerate() {
         let shared = Arc::new(q.clone());
         if i < CACHE {
-            insert(&mut index, path_config, i, Arc::clone(&shared));
+            for index in &mut indexes {
+                insert(index, path_config, i, Arc::clone(&shared));
+            }
             oracle.insert(i, shared);
             continue;
         }
@@ -564,20 +689,22 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
             "ContainmentIndex {q:?}"
         );
 
-        let (slots, stats) = index.supergraphs_of(q, &qf);
-        isub_hits += slots.len();
-        assert_eq!(
-            (slots, stats.tests),
-            oracle.supergraphs_of(q, &qf),
-            "Isub {q:?}"
-        );
-        let (slots, stats) = index.subgraphs_of(q, &qf);
-        isuper_hits += slots.len();
-        assert_eq!(
-            (slots, stats.tests),
-            oracle.subgraphs_of(q, &qf),
-            "Isuper {q:?}"
-        );
+        for index in &indexes {
+            let (slots, stats) = index.supergraphs_of(q, &qf);
+            isub_hits += slots.len();
+            assert_eq!(
+                (slots, stats.tests),
+                oracle.supergraphs_of(q, &qf),
+                "Isub {q:?}"
+            );
+            let (slots, stats) = index.subgraphs_of(q, &qf);
+            isuper_hits += slots.len();
+            assert_eq!(
+                (slots, stats.tests),
+                oracle.subgraphs_of(q, &qf),
+                "Isuper {q:?}"
+            );
+        }
         probes += 1;
 
         // A flip every WINDOW queries: this query and the five before it
@@ -598,9 +725,11 @@ fn aids_fixture_lists_and_iso_tests_match_the_oracle() {
             victims.shuffle(&mut rng);
             for (&slot, admitted) in victims.iter().zip(&queries[i + 1 - WINDOW..=i]) {
                 let admitted = Arc::new(admitted.clone());
-                index.remove(slot);
+                for index in &mut indexes {
+                    index.remove(slot);
+                    insert(index, path_config, slot, Arc::clone(&admitted));
+                }
                 oracle.remove(slot);
-                insert(&mut index, path_config, slot, Arc::clone(&admitted));
                 oracle.insert(slot, admitted);
             }
             flips += 1;
